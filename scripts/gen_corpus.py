@@ -1,7 +1,8 @@
 #!/usr/bin/env python3
-"""Regenerate the golden corpus: write every .case file, run oracle-compare
-on each, verify agreement and embedded asserts, and write the sibling
-.expected reports.
+"""Regenerate the golden corpus: write every .case file, then run
+`futility corpus --update`, which checks each case's oracle agreement and
+embedded asserts and writes the sibling .expected reports only when every
+case agrees (exit code 2 and no goldens written otherwise).
 
 Run from the repository root:  python3 scripts/gen_corpus.py
 """
@@ -9,7 +10,6 @@ Run from the repository root:  python3 scripts/gen_corpus.py
 from __future__ import annotations
 
 import json
-import shutil
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -17,7 +17,8 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from futility.algebra import make_algebra, product_algebra
-from futility.cases import parse_case, struct_to_spec
+from futility.cases import struct_to_spec
+from futility.cli import main as cli_main
 from futility.constructions import (
     extend_by_poly,
     poly_quotient_algebra,
@@ -25,7 +26,6 @@ from futility.constructions import (
 )
 from futility.domains import QQ, PrimeField
 from futility.polynomials import make_poly
-from futility.reports import run_command
 
 ROOT = Path(__file__).resolve().parent.parent
 CORPUS = ROOT / "corpus"
@@ -647,36 +647,18 @@ def build_cases():
 
 
 def main():
-    if CORPUS.exists():
-        shutil.rmtree(CORPUS)
-    failures = []
+    """Write every .case file, delete cases that are no longer built, and
+    let `futility corpus --update` write the goldens."""
+    written = set()
     for tag, name, doc in build_cases():
-        directory = CORPUS / tag
-        directory.mkdir(parents=True, exist_ok=True)
-        path = directory / f"{name}.case"
-        text = json.dumps(doc, sort_keys=True, indent=2) + "\n"
-        path.write_text(text)
-        desc = parse_case(text)
-        report = run_command("oracle-compare", desc, {})
-        if report.agreement is not True:
-            failures.append((desc.case_id, report.oracle))
-            print(f"DISAGREE {desc.case_id}")
-            print(json.dumps(report.to_jsonable(), indent=2, sort_keys=True)[:2000])
-        else:
-            verdict = report.result["verdict"]
-            oracle_kind = (report.oracle or {}).get("kind")
-            extra = ""
-            if oracle_kind == "sampler":
-                extra = f" distinct={report.oracle['distinct_count']}"
-            elif oracle_kind == "enumeration":
-                extra = f" count={report.oracle.get('count')}"
-            print(f"ok  {desc.case_id:45} {verdict:10} {oracle_kind}{extra}")
-        (directory / f"{name}.expected").write_text(report.to_json())
-    if failures:
-        print(f"\n{len(failures)} corpus cases disagreed")
-        return 1
-    print(f"\ncorpus written: {sum(1 for _ in CORPUS.rglob('*.case'))} cases")
-    return 0
+        path = CORPUS / tag / f"{name}.case"
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(json.dumps(doc, sort_keys=True, indent=2) + "\n")
+        written.add(path)
+    for stale in set(CORPUS.rglob("*.case")) - written:
+        stale.unlink()
+        stale.with_suffix(".expected").unlink(missing_ok=True)
+    return cli_main(["corpus", "--dir", str(CORPUS), "--update"])
 
 
 if __name__ == "__main__":

@@ -27,11 +27,12 @@ from .errors import (
 )
 from .linalg import (
     Subspace,
+    combine,
     full_subspace,
     nullspace,
+    solve,
     subspace_from_vectors,
     unit_vec,
-    vec_add,
     vec_is_zero,
     vec_scale,
     vec_sub,
@@ -78,7 +79,7 @@ class StructAlgebra:
         return f"StructAlgebra(dim={self.dim}, dom={self.dom})"
 
 
-def make_algebra(dom: ScalarDomain, table, unit, check: bool = True) -> StructAlgebra:
+def make_algebra(dom: ScalarDomain, table, unit) -> StructAlgebra:
     """Build a StructAlgebra, validating the unit law and associativity on
     all basis triples."""
     n = len(table)
@@ -90,7 +91,7 @@ def make_algebra(dom: ScalarDomain, table, unit, check: bool = True) -> StructAl
     if len(unit) != n:
         raise ValidationError("unit vector length differs from dimension")
     A = StructAlgebra(dom, n, tab, unit)
-    if check and n:
+    if n:
         for i in range(n):
             e = A.basis_vector(i)
             if element_multiply(A, unit, e) != e or element_multiply(A, e, unit) != e:
@@ -159,19 +160,9 @@ def invert_element(A: StructAlgebra, v):
     dom = A.dom
     if vec_is_zero(dom, v):
         raise NotAField("zero is not invertible", witness=v)
-    rows = mult_rows(A, v)
-    # solve x * rows = unit  (x in row coordinates)
-    aug = [[rows[i][j] for i in range(A.dim)] + [A.unit[j]] for j in range(A.dim)]
-    from .linalg import rref
-
-    red, pivots = rref(dom, aug)
-    if A.dim in pivots:
-        raise NotAField("element is a zero divisor", witness=v)
-    sol = [dom.zero] * A.dim
-    for row, p in zip(red, pivots):
-        sol[p] = row[A.dim]
-    x = tuple(sol)
-    if element_multiply(A, v, x) != A.unit:
+    # x * rows = unit in row coordinates means v * x = unit
+    x = solve(dom, mult_rows(A, v), A.unit)
+    if x is None or element_multiply(A, v, x) != A.unit:
         raise NotAField("element is a zero divisor", witness=v)
     return x
 
@@ -308,29 +299,13 @@ def minimal_polynomial(A: StructAlgebra, a) -> Poly:
     powers = [A.unit]
     cur = A.unit
     while True:
-        span = subspace_from_vectors(dom, A.dim, powers)
         cur = element_multiply(A, cur, a)
-        if span.contains(cur):
-            coeffs = _express(dom, powers, cur, A.dim)
+        coeffs = solve(dom, powers, cur)
+        if coeffs is not None:
             # x^k - sum coeffs_i x^i
             body = [dom.neg(c) for c in coeffs] + [dom.one]
             return make_poly(dom, body)
         powers.append(cur)
-
-
-def _express(dom, vectors, target, ambient):
-    """Coefficients writing target as a combination of independent vectors."""
-    aug = [[v[j] for v in vectors] + [target[j]] for j in range(ambient)]
-    from .linalg import rref
-
-    red, pivots = rref(dom, aug)
-    n = len(vectors)
-    if n in pivots:
-        raise ValueError("target not in span")
-    sol = [dom.zero] * n
-    for row, p in zip(red, pivots):
-        sol[p] = row[n]
-    return sol
 
 
 def quotient_algebra(A: StructAlgebra, ideal: Subspace):
@@ -420,9 +395,9 @@ def change_of_basis(A: StructAlgebra, new_basis_rows) -> StructAlgebra:
         line = []
         for v in rows:
             prod = element_multiply(A, u, v)
-            line.append(tuple(_express(dom, rows, prod, n)))
+            line.append(solve(dom, rows, prod))
         table.append(line)
-    unit = tuple(_express(dom, rows, A.unit, n))
+    unit = solve(dom, rows, A.unit)
     return make_algebra(dom, table, unit)
 
 
@@ -469,8 +444,8 @@ def local_decomposition(A: StructAlgebra, seed: int = 0) -> list[LocalFactor]:
         one_minus = vec_sub(B.dom, B.unit, e)
         for part in (e, one_minus):
             C, rows_in_B, proj = _peel_factor(B, part)
-            incl2 = tuple(_combine(B.dom, r, incl) for r in rows_in_B)
-            idem2 = _combine(B.dom, part, incl)
+            incl2 = tuple(combine(B.dom, r, incl, A.dim) for r in rows_in_B)
+            idem2 = combine(B.dom, part, incl, A.dim)
             pending.append((C, incl2, idem2))
     result = []
     for B, incl, idem in out:
@@ -478,17 +453,10 @@ def local_decomposition(A: StructAlgebra, seed: int = 0) -> list[LocalFactor]:
         proj = []
         for i in range(A.dim):
             v = element_multiply(A, idem, A.basis_vector(i))
-            proj.append(tuple(_express(A.dom, list(incl), v, A.dim)))
+            proj.append(solve(A.dom, incl, v))
         result.append(LocalFactor(idempotent=idem, algebra=B, projection=tuple(proj)))
     result.sort(key=lambda lf: lf.algebra.dim)
     return result
-
-
-def _combine(dom, coeffs, rows):
-    acc = zero_vec(dom, len(rows[0]))
-    for c, r in zip(coeffs, rows):
-        acc = vec_add(dom, acc, vec_scale(dom, c, r))
-    return acc
 
 
 def _peel_factor(B: StructAlgebra, e):
@@ -525,7 +493,7 @@ def _splitting_idempotent(B: StructAlgebra, rng):
     lift_rows = _section(B, nil)
 
     def lift(vec_in_R):
-        return _combine(dom, vec_in_R, lift_rows)
+        return combine(dom, vec_in_R, lift_rows, B.dim)
 
     if isinstance(dom, PrimeField):
         p = dom.p
@@ -605,12 +573,10 @@ def _crt_idempotent(R: StructAlgebra, b, fac):
     assert one.degree == 0
     # evaluate (t*h) at b inside R
     poly = pmul(t, hpart)
-    acc = zero_vec(dom, R.dim)
-    power = R.unit
-    for c in poly.coeffs:
-        acc = vec_add(dom, acc, vec_scale(dom, c, power))
-        power = element_multiply(R, power, b)
-    return acc
+    powers = [R.unit]
+    while len(powers) < len(poly.coeffs):
+        powers.append(element_multiply(R, powers[-1], b))
+    return combine(dom, poly.coeffs, powers, R.dim)
 
 
 # ---------------------------------------------------------------------------
@@ -660,7 +626,7 @@ class RelativeAlgebra:
     emb: tuple  # rows: image of each base basis vector in amb coordinates
 
     def emb_vec(self, v):
-        return _combine(self.ground, v, self.emb)
+        return combine(self.ground, v, self.emb, self.amb.dim)
 
     @property
     def base_image(self) -> Subspace:

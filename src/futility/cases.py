@@ -286,6 +286,19 @@ def _require(d: dict, key: str, where: str):
     return d[key]
 
 
+def _scalars(parse, values, where: str) -> tuple:
+    """Parse a list of exact scalars; a malformed entry is a located
+    ValidationError."""
+    try:
+        return tuple(parse(c) for c in values)
+    except (TypeError, ValueError, ZeroDivisionError) as exc:
+        raise ValidationError(f"malformed scalar in {where}: {exc}") from None
+
+
+def _int(d: dict, key: str, where: str) -> int:
+    return _scalars(int, [_require(d, key, where)], f"{key!r} of {where}")[0]
+
+
 def _no_floats(obj, path="$"):
     if isinstance(obj, float):
         raise ValidationError(f"float literal at {path}: case files are exact-only")
@@ -345,14 +358,15 @@ def base_domain(base: dict) -> ScalarDomain:
         return QQ
     if kind == "Z":
         return ZZ
-    if kind == "Fp":
-        return PrimeField(int(_require(base, "p", "base")))
-    if kind == "Zmod":
-        return ModRing(int(_require(base, "n", "base")))
-    if kind == "FpRational":
-        return FunctionField(
-            int(_require(base, "p", "base")), tuple(_require(base, "vars", "base"))
-        )
+    try:
+        if kind == "Fp":
+            return PrimeField(_int(base, "p", "base"))
+        if kind == "Zmod":
+            return ModRing(_int(base, "n", "base"))
+        if kind == "FpRational":
+            return FunctionField(_int(base, "p", "base"), tuple(_require(base, "vars", "base")))
+    except ValueError as exc:
+        raise ValidationError(f"invalid {kind} base: {exc}") from None
     raise ValidationError(f"unknown base kind {kind!r}")
 
 
@@ -374,24 +388,29 @@ def build_case(desc: CaseDescription) -> BuiltCase:
 
 
 def build_struct_algebra(dom: ScalarDomain, spec: dict) -> StructAlgebra:
-    kind = spec["kind"]
+    if not isinstance(spec, dict):
+        raise ValidationError(f"algebra must be an object, got {spec!r}")
+    kind = _require(spec, "kind", "algebra")
     if kind == "quotient_poly":
         modulus = parse_poly(_require(spec, "modulus", "algebra"), dom)
         return poly_quotient_algebra(modulus)
     if kind == "matrix_algebra":
-        return matrix_algebra(dom, int(_require(spec, "size", "algebra")))
+        return matrix_algebra(dom, _int(spec, "size", "algebra"))
     if kind == "structure_constants":
-        dim = int(_require(spec, "dim", "algebra"))
-        unit = [dom.parse(c) for c in _require(spec, "unit", "algebra")]
+        dim = _int(spec, "dim", "algebra")
+        unit = _scalars(dom.parse, _require(spec, "unit", "algebra"), "algebra unit")
         table_raw = _require(spec, "table", "algebra")
-        table = [[[dom.parse(c) for c in vec] for vec in row] for row in table_raw]
+        table = [[_scalars(dom.parse, vec, "algebra table") for vec in row] for row in table_raw]
         if len(table) != dim:
             raise ValidationError("structure table size differs from dim")
         return make_algebra(dom, table, unit)
     if kind == "product":
         from .algebra import product_algebra
 
-        factors = [build_struct_algebra(dom, f) for f in _require(spec, "factors", "algebra")]
+        factors = _require(spec, "factors", "algebra")
+        if not isinstance(factors, list):
+            raise ValidationError("'factors' of algebra must be a list")
+        factors = [build_struct_algebra(dom, f) for f in factors]
         return product_algebra(factors)
     raise ValidationError(f"unknown algebra kind {kind!r} for this base")
 
@@ -419,20 +438,18 @@ def _build_integer(desc: CaseDescription) -> BuiltCase:
     spec = desc.algebra
     kind = spec["kind"]
     if kind == "z_presentation":
-        ngens = int(_require(spec, "gens", "algebra"))
-        relations = tuple(
-            tuple(int(x) for x in row) for row in spec.get("relations", [])
-        )
+        ngens = _int(spec, "gens", "algebra")
+        relations = tuple(_scalars(int, row, "relations") for row in spec.get("relations", []))
         table = tuple(
-            tuple(tuple(int(x) for x in vec) for vec in row)
+            tuple(_scalars(int, vec, "algebra table") for vec in row)
             for row in _require(spec, "table", "algebra")
         )
-        unit = tuple(int(x) for x in _require(spec, "unit", "algebra"))
+        unit = _scalars(int, _require(spec, "unit", "algebra"), "algebra unit")
         zp = ZPresentation(ngens=ngens, relations=relations, table=table, unit=unit)
         zp.validate()
         return BuiltCase("zpres", zp, "Z", desc)
     if kind == "localized":
-        invert = int(_require(spec, "invert", "algebra"))
+        invert = _int(spec, "invert", "algebra")
         finite_part = spec.get("finite_part")
         size = 1
         if finite_part is not None:
@@ -454,12 +471,12 @@ def _build_relative(desc: CaseDescription) -> BuiltCase:
         raise UnsupportedDomain("relative cases need ground field Q")
     base_alg = build_struct_algebra(ground, _require(base, "base_algebra", "base"))
     ideal_rows = [
-        tuple(ground.parse(c) for c in row) for row in _require(base, "max_ideal", "base")
+        _scalars(ground.parse, row, "max_ideal") for row in _require(base, "max_ideal", "base")
     ]
     max_ideal = subspace_from_vectors(ground, base_alg.dim, ideal_rows)
     amb = build_struct_algebra(ground, desc.algebra)
     emb_rows = [
-        tuple(ground.parse(c) for c in row) for row in _require(base, "embedding", "base")
+        _scalars(ground.parse, row, "embedding") for row in _require(base, "embedding", "base")
     ]
     rel = make_relative(ground, base_alg, max_ideal, amb, emb_rows)
     return BuiltCase("relative", rel, "LocalArtinian", desc)

@@ -94,29 +94,38 @@ def run_single(args) -> int:
 
 
 def run_corpus(args) -> int:
+    """Compare every case against its golden, or with --update write the
+    goldens; --update writes nothing unless every case agrees."""
     root = Path(args.dir)
     cases = sorted(root.rglob("*.case"))
     if not cases:
         print(f"no .case files under {root}", file=sys.stderr)
         return 1
     bad = 0
+    goldens = []
     for path in cases:
         desc = parse_case(path.read_text())
         report = run_command("oracle-compare", desc, {})
+        text = report.to_json()
         expected_path = path.with_suffix(".expected")
         status = "ok"
         if report.agreement is False:
             status = "DISCREPANCY"
             bad += 1
-        if args.update:
-            expected_path.write_text(report.to_json())
-        elif expected_path.exists():
-            if expected_path.read_text() != report.to_json():
-                status = "GOLDEN-MISMATCH"
-                bad += 1
+        elif args.update:
+            goldens.append((expected_path, text))
+        elif expected_path.exists() and expected_path.read_text() != text:
+            status = "GOLDEN-MISMATCH"
+            bad += 1
         print(f"{status:16} {desc.case_id}")
     print(f"{len(cases)} cases, {bad} failures")
-    return 2 if bad else 0
+    if bad:
+        if args.update:
+            print("refusing to write goldens while any case disagrees", file=sys.stderr)
+        return 2
+    for expected_path, text in goldens:
+        expected_path.write_text(text)
+    return 0
 
 
 def main(argv=None) -> int:

@@ -57,11 +57,6 @@ def _shift_reduce(dom, coeffs, monic: Poly):
     return out[:n]
 
 
-def generator_vector(A: StructAlgebra):
-    """Coordinates of x in a polynomial quotient presentation."""
-    return A.basis_vector(1) if A.dim > 1 else A.unit
-
-
 def matrix_algebra(dom: ScalarDomain, size: int) -> StructAlgebra:
     """Full matrix algebra on the basis of matrix units, row-major."""
     n = size * size

@@ -50,9 +50,12 @@ from .intmat import (
 )
 from .linalg import (
     Subspace,
+    combine,
     full_subspace,
+    mat_mul,
     subspace_from_vectors,
     subspace_sum,
+    zero_subspace,
 )
 from .polynomials import FactoredPoly, factor_over_prime_field, factor_over_rationals
 
@@ -187,12 +190,9 @@ def decide_infinite_field(A: StructAlgebra, seed: int = 0) -> FutilityReport:
             verdict = NOT_FUTILE
     if verdict == FUTILE:
         base = subspace_from_vectors(QQ, A.dim, [A.unit])
-        try:
-            search = find_generator(A, base, seed=seed)
-            cert["generator"] = search.generator
-            cert["minimal_polynomial"] = search.factored
-        except SearchBudgetExceeded:
-            cert["generator"] = None
+        search = find_generator(A, base, seed=seed)
+        cert["generator"] = search.generator
+        cert["minimal_polynomial"] = search.factored
         notes = ("futile: monogenic with factored minimal polynomial certificate",)
     else:
         cert["violation"] = violation
@@ -252,9 +252,9 @@ def decide_local_artinian(rel: RelativeAlgebra, seed: int = 0) -> FutilityReport
     m_img = rel.ideal_image
     base_img = rel.base_image
     ambient_full = full_subspace(dom, A.dim)
-    mA = subspace_product(A, m_img, ambient_full) if m_img.dim else _zero(dom, A.dim)
-    m2A = subspace_product(A, m_img, mA) if mA.dim else _zero(dom, A.dim)
-    m3A = subspace_product(A, m_img, m2A) if m2A.dim else _zero(dom, A.dim)
+    mA = subspace_product(A, m_img, ambient_full) if m_img.dim else zero_subspace(dom, A.dim)
+    m2A = subspace_product(A, m_img, mA) if mA.dim else zero_subspace(dom, A.dim)
+    m3A = subspace_product(A, m_img, m2A) if m2A.dim else zero_subspace(dom, A.dim)
 
     # A/mA over the residue field (= ground field)
     AmodmA, _ = quotient_algebra(A, mA)
@@ -266,7 +266,7 @@ def decide_local_artinian(rel: RelativeAlgebra, seed: int = 0) -> FutilityReport
     nil = nilradical(A)
     T_span = subspace_sum(base_img, nil)
     Talg, Trows = subalgebra_to_algebra(A, T_span)
-    mT_amb = subspace_product(A, m_img, T_span) if m_img.dim else _zero(dom, A.dim)
+    mT_amb = subspace_product(A, m_img, T_span) if m_img.dim else zero_subspace(dom, A.dim)
     mT_in_T = subspace_from_vectors(dom, Talg.dim, [T_span.coords(v) for v in mT_amb.rows])
     TmodmT, _ = quotient_algebra(Talg, mT_in_T)
     sub_t = decide_infinite_field(TmodmT, seed=seed)
@@ -286,7 +286,7 @@ def decide_local_artinian(rel: RelativeAlgebra, seed: int = 0) -> FutilityReport
     if r_T == 2:
         n2 = subspace_product(A, nil, nil)
         n4 = subspace_product(A, n2, n2)
-        n2m = subspace_product(A, n2, m_img) if m_img.dim else _zero(dom, A.dim)
+        n2m = subspace_product(A, n2, m_img) if m_img.dim else zero_subspace(dom, A.dim)
         lhs = subspace_sum(subspace_sum(n4, n2m), m_img)
         conds["plane_identity"] = lhs == mT_amb
         notes.append(
@@ -304,10 +304,6 @@ def decide_local_artinian(rel: RelativeAlgebra, seed: int = 0) -> FutilityReport
     verdict = FUTILE if futile else NOT_FUTILE
     notes.append(f"verdict: {verdict}")
     return FutilityReport(verdict, tag, cert, tuple(notes))
-
-
-def _zero(dom, n):
-    return subspace_from_vectors(dom, n, [])
 
 
 # ---------------------------------------------------------------------------
@@ -593,25 +589,11 @@ class LinearModule:
             if len(mat) != self.dim or any(len(r) != self.dim for r in mat):
                 raise BaseNotLocalArtinian("action matrix has wrong shape")
             # each maximal ideal generator must act nilpotently
-            rows = [list(r) for r in mat]
-            power = rows
+            power = mat
             for _ in range(self.dim):
-                power = [
-                    [
-                        _dotsum(self.dom, power[i], [rows[l][j] for l in range(self.dim)])
-                        for j in range(self.dim)
-                    ]
-                    for i in range(self.dim)
-                ]
+                power = mat_mul(self.dom, power, mat)
             if any(not self.dom.is_zero(x) for row in power for x in row):
                 raise BaseNotLocalArtinian("action generator is not nilpotent")
-
-
-def _dotsum(dom, u, v):
-    acc = dom.zero
-    for a, b in zip(u, v):
-        acc = dom.add(acc, dom.mul(a, b))
-    return acc
 
 
 def uniserial_check(M) -> tuple[bool, tuple[int, int]]:
@@ -631,9 +613,7 @@ def uniserial_check(M) -> tuple[bool, tuple[int, int]]:
     m2_vecs = []
     for mat in M.action:
         for v in mM.rows:
-            m2_vecs.append(
-                tuple(_dotsum(dom, v, [mat[i][j] for i in range(M.dim)]) for j in range(M.dim))
-            )
+            m2_vecs.append(combine(dom, v, mat, M.dim))
     m2M = subspace_from_vectors(dom, M.dim, m2_vecs)
     d0 = M.dim - mM.dim
     d1 = mM.dim - m2M.dim

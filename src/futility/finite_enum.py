@@ -21,7 +21,7 @@ from .algebra import (
 )
 from .domains import PrimeField
 from .errors import BudgetExceeded, DimensionMismatch, ValidationError
-from .linalg import Subspace, subspace_from_vectors, unit_vec, vec_add, vec_scale, zero_vec
+from .linalg import Subspace, combine, subspace_from_vectors, unit_vec, zero_vec
 
 DEFAULT_BUDGET = 1 << 20
 
@@ -156,12 +156,12 @@ def enumerate_isomorphisms(
         span = subspace_from_vectors(dom, n, rows)
         if span.dim != n:
             continue
-        if _apply_rows(dom, rows, C.unit, n) != D.unit:
+        if combine(dom, C.unit, rows, n) != D.unit:
             continue
         ok = True
         for i in range(n):
             for j in range(n):
-                if _apply_rows(dom, rows, C.table[i][j], n) != element_multiply(
+                if combine(dom, C.table[i][j], rows, n) != element_multiply(
                     D, rows[i], rows[j]
                 ):
                     ok = False
@@ -171,15 +171,6 @@ def enumerate_isomorphisms(
         if ok:
             out.append(rows)
     return out
-
-
-def _apply_rows(dom, rows, v, ambient=None):
-    if not rows:
-        return zero_vec(dom, ambient or 0)
-    acc = zero_vec(dom, len(rows[0]))
-    for c, r in zip(v, rows):
-        acc = vec_add(dom, acc, vec_scale(dom, c, r))
-    return acc
 
 
 def goursat_enumerate(
@@ -217,21 +208,18 @@ def goursat_enumerate(
                 for J, DqJ, projD, keepD in rquots:
                     if D.dim - J.dim != C.dim - I.dim:
                         continue
+                    # the echelon section lifting DqJ classes back to Dalg
+                    section = [unit_vec(dom, Dalg.dim, pos) for pos in keepD]
                     for phi in enumerate_isomorphisms(CqI, DqJ, budget):
                         vecs = []
                         for ci in range(Calg.dim):
                             a_part = Crows[ci]
-                            img = _apply_rows(dom, phi, projC[ci], DqJ.dim)
-                            # lift the class back to Dalg via the echelon section
-                            d_elt = zero_vec(dom, Dalg.dim)
-                            for coeff, pos in zip(img, keepD):
-                                d_elt = vec_add(
-                                    dom, d_elt, vec_scale(dom, coeff, unit_vec(dom, Dalg.dim, pos))
-                                )
-                            b_part = _apply_rows(dom, Drows, d_elt, B.dim)
+                            img = combine(dom, projC[ci], phi, DqJ.dim)
+                            d_elt = combine(dom, img, section, Dalg.dim)
+                            b_part = combine(dom, d_elt, Drows, B.dim)
                             vecs.append(tuple(a_part) + tuple(b_part))
                         for jrow in J.rows:
-                            b_part = _apply_rows(dom, Drows, jrow, B.dim)
+                            b_part = combine(dom, jrow, Drows, B.dim)
                             vecs.append(tuple(zero_vec(dom, A.dim)) + tuple(b_part))
                         s = subspace_from_vectors(dom, AB.dim, vecs)
                         key = s.key()

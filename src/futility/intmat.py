@@ -9,6 +9,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .domains import QQ
+from .linalg import solve
+
 
 @dataclass(frozen=True)
 class SNFResult:
@@ -235,35 +238,7 @@ def lattice_index(big, small) -> int | None:
 
 def solve_integer(basis, vec):
     """Express vec as an integer combination of the basis rows, or None."""
-    m = len(basis)
-    n = len(vec)
-    # least-squares-free exact solve: x * basis = vec, unknowns x in Q^m
-    aug = [[Fraction(basis[i][j]) for i in range(m)] + [Fraction(vec[j])] for j in range(n)]
-    pivots = []
-    r = 0
-    for c in range(m):
-        pr = None
-        for i in range(r, len(aug)):
-            if aug[i][c]:
-                pr = i
-                break
-        if pr is None:
-            continue
-        aug[r], aug[pr] = aug[pr], aug[r]
-        inv = 1 / aug[r][c]
-        aug[r] = [x * inv for x in aug[r]]
-        for i in range(len(aug)):
-            if i != r and aug[i][c]:
-                f = aug[i][c]
-                aug[i] = [x - f * y for x, y in zip(aug[i], aug[r])]
-        pivots.append(c)
-        r += 1
-    for row in aug[r:]:
-        if row[-1]:
-            return None
-    sol = [Fraction(0)] * m
-    for row, p in zip(aug[:r], pivots):
-        sol[p] = row[-1]
-    if any(x.denominator != 1 for x in sol):
+    sol = solve(QQ, [[Fraction(x) for x in r] for r in basis], [Fraction(x) for x in vec])
+    if sol is None or any(x.denominator != 1 for x in sol):
         return None
     return [int(x) for x in sol]

@@ -4,6 +4,11 @@ Vectors are tuples of domain elements and matrices are tuples of row
 tuples.  Subspaces are stored as reduced row echelon bases, which makes
 the representation canonical: two subspaces are equal iff their row
 matrices are equal.
+
+This is the package's one elimination layer over fields: every row
+reduction, every solve for coefficients and every linear combination of
+rows goes through rref, solve and combine here.  Integer lattice normal
+forms and the determinant reference live in intmat.
 """
 
 from __future__ import annotations
@@ -61,6 +66,29 @@ def rref(dom: ScalarDomain, rows) -> tuple[tuple, tuple]:
         if r == len(work):
             break
     return tuple(tuple(row) for row in work[:r]), tuple(pivots)
+
+
+def solve(dom: ScalarDomain, rows, target):
+    """Coefficients x with sum x_i * rows[i] = target, or None when target
+    is outside the span of the rows; free coefficients are zero."""
+    m = len(rows)
+    aug = [[r[j] for r in rows] + [t] for j, t in enumerate(target)]
+    red, pivots = rref(dom, aug)
+    if m in pivots:
+        return None
+    sol = [dom.zero] * m
+    for row, p in zip(red, pivots):
+        sol[p] = row[m]
+    return tuple(sol)
+
+
+def combine(dom: ScalarDomain, coeffs, rows, n):
+    """The length-n vector sum c_i * rows[i]; n is explicit so that an empty
+    row list yields the zero vector."""
+    acc = zero_vec(dom, n)
+    for c, r in zip(coeffs, rows):
+        acc = vec_add(dom, acc, vec_scale(dom, c, r))
+    return acc
 
 
 @dataclass(frozen=True)
@@ -160,10 +188,6 @@ def mat_mul(dom, a, b):
     return tuple(tuple(_dot(dom, row, col) for col in bt) for row in a)
 
 
-def identity_matrix(dom, n):
-    return tuple(unit_vec(dom, n, i) for i in range(n))
-
-
 def mat_inv(dom, rows):
     """Inverse of a square matrix; NotInvertible if singular."""
     n = len(rows)
@@ -172,7 +196,3 @@ def mat_inv(dom, rows):
     if list(pivots) != list(range(n)):
         raise NotInvertible("matrix is singular")
     return tuple(tuple(r[n:]) for r in red)
-
-
-def transpose(rows):
-    return tuple(zip(*rows))

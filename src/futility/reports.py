@@ -98,20 +98,12 @@ def jsonable(obj):
     if isinstance(obj, FactoredPoly):
         return factored_to_str(obj)
     if isinstance(obj, Subspace):
-        return [[_scalar_str(x) for x in row] for row in obj.rows]
+        return [[str(x) for x in row] for row in obj.rows]
     if isinstance(obj, dict):
         return {str(k): jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [jsonable(v) for v in obj]
     return str(obj)
-
-
-def _scalar_str(x):
-    if isinstance(x, Fraction):
-        return str(x)
-    if isinstance(x, int):
-        return str(x)
-    return str(x)
 
 
 def merge_options(desc: CaseDescription, overrides: dict | None) -> dict:

@@ -19,6 +19,7 @@ from futility.domains import QQ, FunctionField, PrimeField
 from futility.errors import (
     InapplicableCommand,
     ParseError,
+    SearchBudgetExceeded,
     ValidationError,
 )
 from futility.polynomials import poly_to_str
@@ -234,19 +235,65 @@ def test_cli_error_exit_one(capsys):
     assert "error:" in capsys.readouterr().err
 
 
+WRONG_ASSERT = {
+    "format_version": 1,
+    "id": "tmp/wrong-assert",
+    "base": {"kind": "Q"},
+    "algebra": {"kind": "quotient_poly", "modulus": "x^3"},
+    "options": {"trials": 100, "bound": 3, "seed": 0},
+    "asserts": {"verdict": "NotFutile"},
+}
+
+
 def test_cli_discrepancy_exit_two(tmp_path, capsys):
-    bad = {
-        "format_version": 1,
-        "id": "tmp/wrong-assert",
-        "base": {"kind": "Q"},
-        "algebra": {"kind": "quotient_poly", "modulus": "x^3"},
-        "options": {"trials": 100, "bound": 3, "seed": 0},
-        "asserts": {"verdict": "NotFutile"},
-    }
     p = tmp_path / "bad.case"
-    p.write_text(json.dumps(bad))
+    p.write_text(json.dumps(WRONG_ASSERT))
     rc = cli_main(["oracle-compare", "--case", str(p)])
     assert rc == 2
+
+
+def test_cli_corpus_update_refuses_on_discrepancy(tmp_path, capsys):
+    (tmp_path / "bad.case").write_text(json.dumps(WRONG_ASSERT))
+    rc = cli_main(["corpus", "--dir", str(tmp_path), "--update"])
+    assert rc == 2
+    assert "DISCREPANCY" in capsys.readouterr().out
+    assert not list(tmp_path.rglob("*.expected"))
+
+
+STRUCT_1 = {"kind": "structure_constants", "dim": 1, "unit": ["1"], "table": [[["1"]]]}
+
+
+@pytest.mark.parametrize(
+    "base, algebra",
+    [
+        ({"kind": "Q"}, dict(STRUCT_1, dim="abc")),
+        ({"kind": "Fp", "p": "x"}, {"kind": "quotient_poly", "modulus": "x^2"}),
+        ({"kind": "Q"}, dict(STRUCT_1, unit=["1/0"])),
+        ({"kind": "Q"}, {"kind": "product", "factors": "zz"}),
+    ],
+    ids=["dim-not-int", "p-not-int", "unit-divides-by-zero", "factors-not-list"],
+)
+def test_cli_malformed_case_is_one_error_line(tmp_path, capsys, base, algebra):
+    p = tmp_path / "malformed.case"
+    p.write_text(make_case(base=base, algebra=algebra))
+    rc = cli_main(["decide", "--case", str(p)])
+    err = capsys.readouterr().err.splitlines()
+    assert rc == 1
+    assert len(err) == 1 and err[0].startswith("error:")
+
+
+def test_cli_generator_search_failure_is_an_error(monkeypatch, capsys):
+    # a Futile verdict must carry its generator, so a failed search is an error
+    import futility.deciders
+
+    def give_up(*args, **kwargs):
+        raise SearchBudgetExceeded("no generator found within the search budget")
+
+    monkeypatch.setattr(futility.deciders, "find_generator", give_up)
+    rc = cli_main(["decide", "--case", str(CORPUS / "infinite-field" / "q-x3.case")])
+    err = capsys.readouterr().err.splitlines()
+    assert rc == 1
+    assert err == ["error: no generator found within the search budget"]
 
 
 def test_cli_corpus_subdir(capsys):

@@ -228,7 +228,7 @@ def test_quotient_lattice_matches_ideal_correspondence():
     # over a finite field, the subalgebras of A/I are exactly the images of
     # the subalgebras of A that contain I
     from futility.algebra import quotient_algebra
-    from futility.finite_enum import _apply_rows
+    from futility.linalg import combine
 
     for A in (f2x(0, 0, 0, 1), product_algebra([f2x(1, 1), f2x(0, 0, 1)])):
         full = enumerate_subalgebras(A, unit_span(A))
@@ -241,7 +241,7 @@ def test_quotient_lattice_matches_ideal_correspondence():
             for s in full.members:
                 if not s.contains_subspace(ideal):
                     continue
-                vecs = [_apply_rows(A.dom, proj, row, B.dim) for row in s.rows]
+                vecs = [combine(A.dom, row, proj, B.dim) for row in s.rows]
                 images.add(subspace_from_vectors(A.dom, B.dim, vecs).key())
             assert images == quot_lattice
 

@@ -10,12 +10,14 @@ from futility.domains import QQ, PrimeField
 from futility.errors import DimensionMismatch
 from futility.linalg import (
     Subspace,
+    combine,
     full_subspace,
     mat_inv,
     mat_mul,
     mat_vec,
     nullspace,
     rref,
+    solve,
     subspace_from_vectors,
     subspace_sum,
     unit_vec,
@@ -23,6 +25,7 @@ from futility.linalg import (
 )
 
 F2 = PrimeField(2)
+F3 = PrimeField(3)
 F5 = PrimeField(5)
 
 
@@ -97,3 +100,38 @@ def test_subspace_key_hashable():
     t = subspace_from_vectors(F2, 2, [(1, 1), (0, 0)])
     assert s.key() == t.key()
     assert len({s.key(), t.key()}) == 1
+
+
+def _vecs(dom, *rows):
+    return [tuple(dom.from_int(x) for x in row) for row in rows]
+
+
+@pytest.mark.parametrize("dom", [QQ, F3])
+def test_solve_recombines_target_in_span(dom):
+    rows = _vecs(dom, (1, 0, 2, 1), (0, 1, 1, 2))
+    target = _vecs(dom, (2, 1, 5, 4))[0]
+    x = solve(dom, rows, target)
+    assert x == (dom.from_int(2), dom.from_int(1))
+    assert combine(dom, x, rows, 4) == target
+
+
+@pytest.mark.parametrize("dom", [QQ, F3])
+def test_solve_outside_span_is_none(dom):
+    rows = _vecs(dom, (1, 0, 2, 1), (0, 1, 1, 2))
+    assert solve(dom, rows, _vecs(dom, (0, 0, 1, 0))[0]) is None
+    assert solve(dom, [], _vecs(dom, (0, 1, 0, 0))[0]) is None
+
+
+@pytest.mark.parametrize("dom", [QQ, F3])
+def test_solve_dependent_rows_particular_solution(dom):
+    rows = _vecs(dom, (1, 1, 0), (2, 2, 0), (0, 1, 1))
+    target = _vecs(dom, (1, 2, 1))[0]
+    x = solve(dom, rows, target)
+    assert x is not None and dom.is_zero(x[1])  # the free coefficient is zero
+    assert combine(dom, x, rows, 3) == target
+
+
+@pytest.mark.parametrize("dom", [QQ, F3])
+def test_combine_empty_rows_is_zero_vector(dom):
+    assert combine(dom, (), [], 3) == (dom.zero,) * 3
+    assert solve(dom, [], (dom.zero,) * 3) == ()
