@@ -10,8 +10,10 @@ are validated at construction.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
+from functools import cached_property
 
 from .domains import QQ, PrimeField, ScalarDomain
 from .errors import (
@@ -30,6 +32,7 @@ from .linalg import (
     combine,
     full_subspace,
     nullspace,
+    primitive,
     solve,
     subspace_from_vectors,
     unit_vec,
@@ -74,6 +77,19 @@ class StructAlgebra:
 
     def basis_vector(self, i):
         return unit_vec(self.dom, self.dim, i)
+
+    @cached_property
+    def int_tensor(self) -> tuple:
+        """D * table over QQ as sparse integer rows, D the common denominator
+        of the table: int_tensor[i][j] holds the nonzero (k, D * c_ijk)."""
+        den = math.lcm(*(c.denominator for block in self.table for v in block for c in v))
+        return tuple(
+            tuple(
+                tuple((k, c.numerator * (den // c.denominator)) for k, c in enumerate(v) if c)
+                for v in block
+            )
+            for block in self.table
+        )
 
     def __repr__(self):
         return f"StructAlgebra(dim={self.dim}, dom={self.dom})"
@@ -185,17 +201,47 @@ def subalgebra_generated(A: StructAlgebra, gens, unital_over: Subspace) -> Subsp
 
 
 def generated_by_element(A: StructAlgebra, a, base: Subspace) -> Subspace:
-    """Subalgebra generated by a single element over a central base image:
-    the span of base_row * a^j for j < dim, which is already closed because
-    the base commutes with everything and powers of a reduce."""
-    vecs = list(base.rows)
-    powers = [A.unit]
+    """Subalgebra generated by a single element over a central base image
+    of an algebra over QQ: the span of base_row * a^j for j < dim, which is
+    already closed because the base commutes with everything and powers of a
+    reduce.
+
+    The work runs on Python ints: a, the unit and the base rows are scaled to
+    primitive integer vectors and powers are taken through A.int_tensor and
+    kept primitive.  Every scaling is by a nonzero rational, so each span,
+    and hence the reduced echelon result, is unchanged."""
+    if A.dom != QQ:
+        raise UnsupportedDomain("single-element closures run over the rationals")
+    if len(a) != A.dim:
+        raise DimensionMismatch("coordinate length differs from dimension")
+    tensor = A.int_tensor
+    a = primitive(a)
+    base_rows = [primitive(b) for b in base.rows]
+    powers = []
+    cur = primitive(A.unit)
     for _ in range(A.dim - 1):
-        powers.append(element_multiply(A, powers[-1], a))
-    for b in base.rows:
-        for p in powers[1:]:
-            vecs.append(element_multiply(A, b, p))
-    return subspace_from_vectors(A.dom, A.dim, vecs)
+        cur = primitive(_int_multiply(tensor, A.dim, cur, a))
+        if not any(cur):
+            break
+        powers.append(cur)
+    vecs = base_rows + [_int_multiply(tensor, A.dim, b, p) for b in base_rows for p in powers]
+    return subspace_from_vectors(QQ, A.dim, vecs)
+
+
+def _int_multiply(tensor, dim: int, u, v) -> list:
+    """Product of integer coordinate vectors through an integer tensor."""
+    out = [0] * dim
+    for i, cu in enumerate(u):
+        if not cu:
+            continue
+        block = tensor[i]
+        for j, cv in enumerate(v):
+            if not cv:
+                continue
+            c = cu * cv
+            for k, t in block[j]:
+                out[k] += c * t
+    return out
 
 
 def subspace_product(A: StructAlgebra, s: Subspace, t: Subspace) -> Subspace:

@@ -286,9 +286,22 @@ def _require(d: dict, key: str, where: str):
     return d[key]
 
 
+def _list(value, where: str) -> list:
+    if not isinstance(value, list):
+        raise ValidationError(f"{where} must be a list, not {type(value).__name__}")
+    return value
+
+
+def _text(value, where: str) -> str:
+    if not isinstance(value, str):
+        raise ValidationError(f"{where} must be a string, not {type(value).__name__}")
+    return value
+
+
 def _scalars(parse, values, where: str) -> tuple:
     """Parse a list of exact scalars; a malformed entry is a located
     ValidationError."""
+    _list(values, where)
     try:
         return tuple(parse(c) for c in values)
     except (TypeError, ValueError, ZeroDivisionError) as exc:
@@ -364,7 +377,8 @@ def base_domain(base: dict) -> ScalarDomain:
         if kind == "Zmod":
             return ModRing(_int(base, "n", "base"))
         if kind == "FpRational":
-            return FunctionField(_int(base, "p", "base"), tuple(_require(base, "vars", "base")))
+            names = _list(_require(base, "vars", "base"), "'vars' of base")
+            return FunctionField(_int(base, "p", "base"), tuple(names))
     except ValueError as exc:
         raise ValidationError(f"invalid {kind} base: {exc}") from None
     raise ValidationError(f"unknown base kind {kind!r}")
@@ -392,31 +406,32 @@ def build_struct_algebra(dom: ScalarDomain, spec: dict) -> StructAlgebra:
         raise ValidationError(f"algebra must be an object, got {spec!r}")
     kind = _require(spec, "kind", "algebra")
     if kind == "quotient_poly":
-        modulus = parse_poly(_require(spec, "modulus", "algebra"), dom)
-        return poly_quotient_algebra(modulus)
+        modulus = _text(_require(spec, "modulus", "algebra"), "'modulus' of algebra")
+        return poly_quotient_algebra(parse_poly(modulus, dom))
     if kind == "matrix_algebra":
         return matrix_algebra(dom, _int(spec, "size", "algebra"))
     if kind == "structure_constants":
         dim = _int(spec, "dim", "algebra")
         unit = _scalars(dom.parse, _require(spec, "unit", "algebra"), "algebra unit")
-        table_raw = _require(spec, "table", "algebra")
-        table = [[_scalars(dom.parse, vec, "algebra table") for vec in row] for row in table_raw]
+        table = [
+            [_scalars(dom.parse, vec, "algebra table") for vec in _list(block, "algebra table")]
+            for block in _list(_require(spec, "table", "algebra"), "algebra table")
+        ]
         if len(table) != dim:
             raise ValidationError("structure table size differs from dim")
         return make_algebra(dom, table, unit)
     if kind == "product":
         from .algebra import product_algebra
 
-        factors = _require(spec, "factors", "algebra")
-        if not isinstance(factors, list):
-            raise ValidationError("'factors' of algebra must be a list")
+        factors = _list(_require(spec, "factors", "algebra"), "'factors' of algebra")
         factors = [build_struct_algebra(dom, f) for f in factors]
         return product_algebra(factors)
     raise ValidationError(f"unknown algebra kind {kind!r} for this base")
 
 
 def _build_tower(K: FunctionField, spec: dict):
-    moduli = _require(spec, "moduli", "algebra")
+    moduli = _list(_require(spec, "moduli", "algebra"), "'moduli' of algebra")
+    moduli = [_text(m, "tower modulus") for m in moduli]
     if not 1 <= len(moduli) <= 2:
         raise ValidationError("towers support one or two quotient levels")
     level1 = parse_poly(moduli[0], K, indet="x")
@@ -439,10 +454,13 @@ def _build_integer(desc: CaseDescription) -> BuiltCase:
     kind = spec["kind"]
     if kind == "z_presentation":
         ngens = _int(spec, "gens", "algebra")
-        relations = tuple(_scalars(int, row, "relations") for row in spec.get("relations", []))
+        relations = tuple(
+            _scalars(int, row, "relations")
+            for row in _list(spec.get("relations", []), "relations")
+        )
         table = tuple(
-            tuple(_scalars(int, vec, "algebra table") for vec in row)
-            for row in _require(spec, "table", "algebra")
+            tuple(_scalars(int, vec, "algebra table") for vec in _list(block, "algebra table"))
+            for block in _list(_require(spec, "table", "algebra"), "algebra table")
         )
         unit = _scalars(int, _require(spec, "unit", "algebra"), "algebra unit")
         zp = ZPresentation(ngens=ngens, relations=relations, table=table, unit=unit)
@@ -471,12 +489,14 @@ def _build_relative(desc: CaseDescription) -> BuiltCase:
         raise UnsupportedDomain("relative cases need ground field Q")
     base_alg = build_struct_algebra(ground, _require(base, "base_algebra", "base"))
     ideal_rows = [
-        _scalars(ground.parse, row, "max_ideal") for row in _require(base, "max_ideal", "base")
+        _scalars(ground.parse, row, "max_ideal")
+        for row in _list(_require(base, "max_ideal", "base"), "max_ideal")
     ]
     max_ideal = subspace_from_vectors(ground, base_alg.dim, ideal_rows)
     amb = build_struct_algebra(ground, desc.algebra)
     emb_rows = [
-        _scalars(ground.parse, row, "embedding") for row in _require(base, "embedding", "base")
+        _scalars(ground.parse, row, "embedding")
+        for row in _list(_require(base, "embedding", "base"), "embedding")
     ]
     rel = make_relative(ground, base_alg, max_ideal, amb, emb_rows)
     return BuiltCase("relative", rel, "LocalArtinian", desc)

@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import time
 from pathlib import Path
 
 from .cases import parse_case
@@ -95,7 +96,9 @@ def run_single(args) -> int:
 
 def run_corpus(args) -> int:
     """Compare every case against its golden, or with --update write the
-    goldens; --update writes nothing unless every case agrees."""
+    goldens; --update writes nothing unless every case agrees.  The machine
+    format prints one JSON summary: each case's status, verdict, oracle kind
+    and time in ms, and the totals."""
     root = Path(args.dir)
     cases = sorted(root.rglob("*.case"))
     if not cases:
@@ -103,9 +106,12 @@ def run_corpus(args) -> int:
         return 1
     bad = 0
     goldens = []
+    summary = []
     for path in cases:
+        t0 = time.perf_counter_ns()
         desc = parse_case(path.read_text())
         report = run_command("oracle-compare", desc, {})
+        ms = (time.perf_counter_ns() - t0) // 1_000_000
         text = report.to_json()
         expected_path = path.with_suffix(".expected")
         status = "ok"
@@ -117,8 +123,27 @@ def run_corpus(args) -> int:
         elif expected_path.exists() and expected_path.read_text() != text:
             status = "GOLDEN-MISMATCH"
             bad += 1
-        print(f"{status:16} {desc.case_id}")
-    print(f"{len(cases)} cases, {bad} failures")
+        summary.append(
+            {
+                "case": desc.case_id,
+                "status": status,
+                "verdict": report.result.get("verdict"),
+                "oracle": (report.oracle or {}).get("kind"),
+                "ms": ms,
+            }
+        )
+        if args.fmt == "human":
+            print(f"{status:16} {desc.case_id}")
+    if args.fmt == "machine":
+        doc = {
+            "cases": summary,
+            "total": len(cases),
+            "failures": bad,
+            "ms": sum(c["ms"] for c in summary),
+        }
+        print(json.dumps(doc, sort_keys=True, indent=2))
+    else:
+        print(f"{len(cases)} cases, {bad} failures")
     if bad:
         if args.update:
             print("refusing to write goldens while any case disagrees", file=sys.stderr)

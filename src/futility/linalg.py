@@ -7,15 +7,19 @@ matrices are equal.
 
 This is the package's one elimination layer over fields: every row
 reduction, every solve for coefficients and every linear combination of
-rows goes through rref, solve and combine here.  Integer lattice normal
-forms and the determinant reference live in intmat.
+rows goes through rref, solve and combine here.  Over QQ, rref eliminates
+fraction-free on primitive integer rows and builds Fraction values only for
+the final reduced rows; every other domain takes the generic loop.  Integer
+lattice normal forms and the determinant reference live in intmat.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from fractions import Fraction
 
-from .domains import ScalarDomain
+from .domains import QQ, ScalarDomain
 from .errors import DimensionMismatch, NotInvertible
 
 
@@ -38,8 +42,27 @@ def unit_vec(dom, n, i):
     return tuple(dom.one if j == i else dom.zero for j in range(n))
 
 
+def primitive(vec) -> tuple:
+    """The primitive integer vector on the line of a rational vector:
+    denominators cleared, content 1, first nonzero entry positive.  Entries
+    may be ints or Fractions; the zero vector maps to zeros."""
+    den = math.lcm(*[x.denominator for x in vec])
+    if den == 1:
+        ints = [x.numerator for x in vec]
+    else:
+        ints = [x.numerator * (den // x.denominator) for x in vec]
+    g = math.gcd(*ints)
+    if g == 0:
+        return tuple(ints)
+    if next(x for x in ints if x) < 0:
+        g = -g
+    return tuple(ints) if g == 1 else tuple(x // g for x in ints)
+
+
 def rref(dom: ScalarDomain, rows) -> tuple[tuple, tuple]:
     """Reduced row echelon form; returns (nonzero rows, pivot columns)."""
+    if dom == QQ:
+        return _rref_rational(rows)
     work = [list(r) for r in rows]
     if not work:
         return (), ()
@@ -66,6 +89,53 @@ def rref(dom: ScalarDomain, rows) -> tuple[tuple, tuple]:
         if r == len(work):
             break
     return tuple(tuple(row) for row in work[:r]), tuple(pivots)
+
+
+_ZERO = Fraction(0)
+
+
+def _rref_rational(rows):
+    """rref over QQ without fractions in the elimination.
+
+    Each row is scaled to a primitive integer row, which leaves its span
+    unchanged.  Gauss-Jordan elimination then replaces row_i by
+    (p/g)*row_i - (f/g)*pivot_row, with p the pivot, f the entry of row_i in
+    the pivot column and g = gcd(p, f), and removes the content again
+    (fraction-free in the manner of Bareiss, Math. Comp. 22, 1968).  The
+    reduced row echelon form is unique and Fraction values are kept reduced,
+    so dividing each final row by its pivot gives the generic loop's output
+    element for element.
+    """
+    work = [list(v) for v in map(primitive, rows) if any(v)]
+    ncols = len(work[0]) if work else 0
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        pr = next((i for i in range(r, len(work)) if work[i][c]), None)
+        if pr is None:
+            continue
+        work[r], work[pr] = work[pr], work[r]
+        prow = work[r]
+        p = prow[c]
+        for i, row in enumerate(work):
+            f = row[c]
+            if i == r or not f:
+                continue
+            g = math.gcd(p, f)
+            a, b = p // g, f // g
+            new = [a * x - b * y for x, y in zip(row, prow)]
+            g = math.gcd(*new)
+            work[i] = [x // g for x in new] if g > 1 else new
+        pivots.append(c)
+        r += 1
+        work[r:] = [row for row in work[r:] if any(row)]
+        if r == len(work):
+            break
+    out = tuple(
+        tuple(Fraction(x, row[c]) if x else _ZERO for x in row)
+        for row, c in zip(work, pivots)
+    )
+    return out, tuple(pivots)
 
 
 def solve(dom: ScalarDomain, rows, target):
@@ -112,7 +182,9 @@ class Subspace:
         for row, p in zip(self.rows, self.pivots):
             c = v[p]
             if not self.dom.is_zero(c):
-                v = [self.dom.sub(x, self.dom.mul(c, y)) for x, y in zip(v, row)]
+                for j, y in enumerate(row):
+                    if not self.dom.is_zero(y):
+                        v[j] = self.dom.sub(v[j], self.dom.mul(c, y))
         return tuple(v)
 
     def contains(self, vec) -> bool:

@@ -23,7 +23,7 @@ from .algebra import (
 from .constructions import poly_quotient_algebra
 from .domains import QQ
 from .errors import NotApplicable, UnsupportedDomain
-from .linalg import Subspace, subspace_from_vectors
+from .linalg import Subspace, primitive, subspace_from_vectors
 from .polynomials import Poly, pmul, squarefree_decomposition
 
 
@@ -59,8 +59,10 @@ def sample_subalgebras(target, trials: int, bound: int, seed: int = 0) -> Sample
     """Draw elements with integer coordinates in [-bound, bound], close each
     under multiplication over the base image, canonicalize and dedupe.
 
-    Trials use per-trial derived seeds, so the merged histogram does not
-    depend on evaluation order.
+    Closures are memoized within the call by the draw reduced modulo the base
+    image and scaled to a primitive integer vector: R[a] = R[c*a + r] for
+    c != 0 and r in the base image, so a draw whose key was seen before
+    generates a subalgebra that is already filed.
     """
     if isinstance(target, RelativeAlgebra):
         A = target.amb
@@ -72,27 +74,47 @@ def sample_subalgebras(target, trials: int, bound: int, seed: int = 0) -> Sample
         raise UnsupportedDomain("sampler expects an algebra or a relative algebra")
     if A.dom != QQ:
         raise UnsupportedDomain("sampling runs over the rationals; finite domains enumerate")
+    memo = set()
+
+    def close(vec):
+        key = primitive(base.reduce(vec))
+        if key in memo:
+            return None
+        memo.add(key)
+        s = generated_by_element(A, vec, base)
+        return s.key(), s
+
+    return _sample(A.dim, trials, bound, seed, close, lambda s: (s.dim, s.key()))
+
+
+def _sample(dim: int, trials: int, bound: int, seed: int, close, order) -> SampleHistogram:
+    """The trial loop of both samplers.  Trial t draws from its own derived
+    seed, so the merged histogram does not depend on evaluation order.
+    close(vec) closes an accepted draw to a (canonical key, value) pair, or
+    None when the draw is known to close to a value already seen; the
+    distinct values are sorted by order."""
     seen = {}
     curve = []
     mark = 1
     for t in range(1, trials + 1):
-        rng = random.Random(seed * 1_000_003 + t)
-        vec = _draw(rng, A.dim, bound)
+        vec = _draw(random.Random(seed * 1_000_003 + t), dim, bound)
         if vec is not None:
-            s = generated_by_element(A, vec, base)
-            seen.setdefault(s.key(), s)
+            closed = close(vec)
+            if closed is not None:
+                seen.setdefault(*closed)
         if t == mark:
             curve.append(len(seen))
             mark *= 2
     curve.append(len(seen))
-    distinct = tuple(sorted(seen.values(), key=lambda s: (s.dim, s.key())))
+    distinct = tuple(sorted(seen.values(), key=order))
     return SampleHistogram(
         trials=trials, bound=bound, seed=seed, distinct=distinct, growth_curve=tuple(curve)
     )
 
 
 def _draw(rng, dim: int, bound: int):
-    """One master draw with a box-size mixture, rejected against the bound.
+    """One master draw of integer coordinates with a box-size mixture,
+    rejected against the bound.
 
     The drawn vector does not depend on the bound, so for a fixed seed
     schedule the accepted set with a smaller box is a subset of the accepted
@@ -108,7 +130,7 @@ def _draw(rng, dim: int, bound: int):
         box = 8
         while rng.random() < 0.5 and box < 1 << 12:
             box <<= 1
-    vec = tuple(Fraction(rng.randint(-box, box)) for _ in range(dim))
+    vec = tuple(rng.randint(-box, box) for _ in range(dim))
     if all(abs(c) <= bound for c in vec):
         return vec
     return None
@@ -163,31 +185,17 @@ def sample_subrings(zp, trials: int, bound: int, seed: int = 0) -> SampleHistogr
     relation rows)."""
     from .intmat import hermite_basis, lattice_contains
 
-    n = zp.ngens
-    seen = {}
-    curve = []
-    mark = 1
-    for t in range(1, trials + 1):
-        rng = random.Random(seed * 1_000_003 + t)
-        vec = _draw(rng, n, bound)
-        if vec is not None:
-            a = [int(c) for c in vec]
-            rows = [list(zp.unit)]
-            power = list(zp.unit)
+    def close(vec):
+        rows = [list(zp.unit)]
+        power = list(zp.unit)
+        basis = hermite_basis(list(zp.relations) + rows)
+        while True:
+            power = zp.mul_vec(power, vec)
+            if lattice_contains(basis, power):
+                break
+            rows.append(list(power))
             basis = hermite_basis(list(zp.relations) + rows)
-            while True:
-                power = zp.mul_vec(power, a)
-                if lattice_contains(basis, power):
-                    break
-                rows.append(list(power))
-                basis = hermite_basis(list(zp.relations) + rows)
-            key = tuple(tuple(r) for r in basis)
-            seen.setdefault(key, basis)
-        if t == mark:
-            curve.append(len(seen))
-            mark *= 2
-    curve.append(len(seen))
-    distinct = tuple(sorted(seen, key=lambda b: (len(b), b)))
-    return SampleHistogram(
-        trials=trials, bound=bound, seed=seed, distinct=distinct, growth_curve=tuple(curve)
-    )
+        key = tuple(tuple(r) for r in basis)
+        return key, key
+
+    return _sample(zp.ngens, trials, bound, seed, close, lambda b: (len(b), b))

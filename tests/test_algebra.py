@@ -3,6 +3,7 @@ brute-force oracles."""
 
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -14,6 +15,7 @@ from futility.algebra import (
     element_power,
     frobenius_chain,
     frobenius_span,
+    generated_by_element,
     invert_element,
     local_decomposition,
     make_algebra,
@@ -31,9 +33,11 @@ from futility.constructions import (
     poly_quotient_algebra,
     upper_triangular_algebra,
 )
+from futility.cases import build_case, parse_case
 from futility.domains import QQ, FunctionField, PrimeField
 from futility.errors import (
     CharacteristicZero,
+    DimensionMismatch,
     NotAField,
     NotAnIdeal,
     UnsupportedDomain,
@@ -49,6 +53,8 @@ from futility.polynomials import make_poly
 
 F2 = PrimeField(2)
 F3 = PrimeField(3)
+
+CORPUS = Path(__file__).resolve().parent.parent / "corpus"
 
 
 def q(*cs):
@@ -451,6 +457,38 @@ def test_generated_subalgebra_idempotent_and_monotone():
         for u in s1.rows:
             for v in s1.rows:
                 assert s1.contains(element_multiply(A, u, v))
+
+
+def _x5_plane_case():
+    rel = build_case(parse_case((CORPUS / "local-artinian" / "x5-plane-case.case").read_text()))
+    return rel.payload.amb, rel.payload.base_image
+
+
+@pytest.mark.parametrize(
+    "target",
+    [
+        lambda: (qx_mod(0, 0, 0, 0, 0, 1), None),  # Q[x]/(x^5)
+        lambda: (qx_mod(0, 0, 0, 0, -1, 1), None),  # Q[x]/(x^4 (x - 1))
+        _x5_plane_case,  # Q[x]/(x^5) over Q[t]/(t^2), t -> x^3
+    ],
+    ids=["x5", "x4-times-x-minus-1", "x5-plane-case"],
+)
+def test_generated_by_element_matches_subalgebra_generated(target):
+    # the integer kernel over Q against the span-and-multiply closure
+    A, base = target()
+    base = base or unit_span(A)
+    rng = random.Random(3)
+    for _ in range(25):
+        a = tuple(Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(A.dim))
+        assert generated_by_element(A, a, base) == subalgebra_generated(A, [a], base)
+    with pytest.raises(DimensionMismatch):
+        generated_by_element(A, a[:-1], base)
+
+
+def test_generated_by_element_is_rational_only():
+    A = poly_quotient_algebra(make_poly(F3, [0, 0, 1]))  # F3[x]/(x^2)
+    with pytest.raises(UnsupportedDomain):
+        generated_by_element(A, A.basis_vector(1), unit_span(A))
 
 
 def test_tower_zero_divisor_leading_coefficient_raises():

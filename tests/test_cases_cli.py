@@ -261,6 +261,15 @@ def test_cli_corpus_update_refuses_on_discrepancy(tmp_path, capsys):
 
 
 STRUCT_1 = {"kind": "structure_constants", "dim": 1, "unit": ["1"], "table": [[["1"]]]}
+FP_T = {"kind": "FpRational", "p": 2, "vars": ["t"]}
+Z_PRES_1 = {"kind": "z_presentation", "gens": 1, "table": [[[1]]], "unit": [1]}
+LOCAL_X2 = {
+    "kind": "LocalArtinian",
+    "ground": {"kind": "Q"},
+    "base_algebra": {"kind": "quotient_poly", "modulus": "x^2"},
+    "max_ideal": [["0", "1"]],
+    "embedding": [["1", "0", "0"], ["0", "0", "1"]],  # t -> x^2
+}
 
 
 @pytest.mark.parametrize(
@@ -270,8 +279,33 @@ STRUCT_1 = {"kind": "structure_constants", "dim": 1, "unit": ["1"], "table": [[[
         ({"kind": "Fp", "p": "x"}, {"kind": "quotient_poly", "modulus": "x^2"}),
         ({"kind": "Q"}, dict(STRUCT_1, unit=["1/0"])),
         ({"kind": "Q"}, {"kind": "product", "factors": "zz"}),
+        ({"kind": "Q"}, {"kind": "quotient_poly", "modulus": 5}),
+        ({"kind": "Q"}, dict(STRUCT_1, table=5)),
+        ({"kind": "Q"}, dict(STRUCT_1, table=["1"])),
+        ({"kind": "Q"}, dict(STRUCT_1, table=[["1"]])),
+        (FP_T, {"kind": "tower", "moduli": "x - t"}),
+        (FP_T, {"kind": "tower", "moduli": [5]}),
+        (dict(FP_T, vars="t"), {"kind": "tower", "moduli": ["x - t"]}),
+        ({"kind": "Z"}, dict(Z_PRES_1, relations=5)),
+        (dict(LOCAL_X2, max_ideal=5), {"kind": "quotient_poly", "modulus": "x^3"}),
+        (dict(LOCAL_X2, embedding=5), {"kind": "quotient_poly", "modulus": "x^3"}),
     ],
-    ids=["dim-not-int", "p-not-int", "unit-divides-by-zero", "factors-not-list"],
+    ids=[
+        "dim-not-int",
+        "p-not-int",
+        "unit-divides-by-zero",
+        "factors-not-list",
+        "modulus-not-string",
+        "table-not-list",
+        "table-block-not-list",
+        "table-row-not-list",
+        "moduli-not-list",
+        "tower-modulus-not-string",
+        "vars-not-list",
+        "relations-not-list",
+        "max-ideal-not-list",
+        "embedding-not-list",
+    ],
 )
 def test_cli_malformed_case_is_one_error_line(tmp_path, capsys, base, algebra):
     p = tmp_path / "malformed.case"
@@ -301,6 +335,23 @@ def test_cli_corpus_subdir(capsys):
     assert rc == 0
     out = capsys.readouterr().out
     assert "0 failures" in out
+
+
+def test_cli_corpus_machine_summary(capsys):
+    rc = cli_main(["corpus", "--dir", str(CORPUS / "finite"), "--format", "machine"])
+    assert rc == 0
+    doc = json.loads(capsys.readouterr().out)
+    paths = sorted((CORPUS / "finite").glob("*.case"))
+    assert [c["case"] for c in doc["cases"]] == [parse_case(p.read_text()).case_id for p in paths]
+    assert doc["total"] == len(paths) and doc["failures"] == 0
+    for c in doc["cases"]:
+        assert c["status"] == "ok"
+        assert c["verdict"] in ("Futile", "NotFutile")
+        assert isinstance(c["ms"], int) and c["ms"] >= 0
+    oracles = {c["case"]: c["oracle"] for c in doc["cases"]}
+    assert oracles["finite/f2-x3"] == "enumeration"
+    assert oracles["finite/zmod4-dual-numbers"] == "none"  # no oracle over Z/4
+    assert doc["ms"] == sum(c["ms"] for c in doc["cases"])
 
 
 def test_cli_timing_flag(capsys):

@@ -3,10 +3,10 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
-from futility.domains import QQ, PrimeField
+from futility.domains import QQ, PrimeField, RationalField
 from futility.errors import DimensionMismatch
 from futility.linalg import (
     Subspace,
@@ -16,6 +16,7 @@ from futility.linalg import (
     mat_mul,
     mat_vec,
     nullspace,
+    primitive,
     rref,
     solve,
     subspace_from_vectors,
@@ -135,3 +136,44 @@ def test_solve_dependent_rows_particular_solution(dom):
 def test_combine_empty_rows_is_zero_vector(dom):
     assert combine(dom, (), [], 3) == (dom.zero,) * 3
     assert solve(dom, [], (dom.zero,) * 3) == ()
+
+
+class GenericRationals(RationalField):
+    """The rationals under another type: != QQ, so rref takes the generic
+    loop instead of the fraction-free one."""
+
+
+GENERIC_QQ = GenericRationals()
+
+rationals = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 6))
+
+
+@st.composite
+def rational_matrices(draw):
+    """Rows of small rationals, with a repeated row and a zero row mixed in
+    at random positions."""
+    ncols = draw(st.integers(1, 5))
+    rows = draw(st.lists(st.tuples(*[rationals] * ncols), max_size=6))
+    if rows and draw(st.booleans()):
+        rows.insert(draw(st.integers(0, len(rows))), draw(st.sampled_from(rows)))
+    if draw(st.booleans()):
+        rows.insert(draw(st.integers(0, len(rows))), (Fraction(0),) * ncols)
+    return rows
+
+
+@given(rational_matrices())
+@example([])
+@example([(Fraction(0),) * 3] * 2)
+@example([(Fraction(1, 2), Fraction(-3)), (Fraction(0), Fraction(0)), (Fraction(1, 2), Fraction(-3))])
+def test_rref_over_q_matches_generic_loop(mat):
+    assert GENERIC_QQ != QQ
+    fast = rref(QQ, mat)
+    assert fast == rref(GENERIC_QQ, mat)
+    assert all(type(x) is Fraction for row in fast[0] for x in row)
+
+
+def test_primitive_is_the_integer_point_on_the_line():
+    assert primitive((Fraction(-2, 3), Fraction(0), Fraction(4, 9))) == (3, 0, -2)
+    assert primitive((0, -4, 6)) == (0, 2, -3)
+    assert primitive((Fraction(0), 0)) == (0, 0)
+    assert all(type(x) is int for x in primitive((Fraction(1, 2), 3)))

@@ -1,16 +1,17 @@
 """Randomized subalgebra sampling and the projective witness family."""
 
+import random
 from fractions import Fraction
 
 import pytest
 
-from futility.algebra import element_multiply, make_relative
+from futility.algebra import element_multiply, generated_by_element, make_relative
 from futility.constructions import poly_quotient_algebra
 from futility.domains import QQ, PrimeField
 from futility.errors import NotApplicable, UnsupportedDomain
 from futility.linalg import subspace_from_vectors
 from futility.polynomials import make_poly, pmul, ppow
-from futility.sampler import family_witness, sample_subalgebras
+from futility.sampler import _draw, family_witness, sample_subalgebras
 
 
 def q(*cs):
@@ -75,20 +76,69 @@ def test_sample_rejects_finite_domain():
         sample_subalgebras(A, trials=10, bound=2, seed=0)
 
 
-def test_relative_sampling_counts_relative_subalgebras():
-    # A = Q[x]/(x^5) over R = Q[t]/(t^2), t -> x^3: futile, so the sampler
-    # must stabilize on a small set
+def x5_plane_relative():
+    # A = Q[x]/(x^5) over R = Q[t]/(t^2), t -> x^3
     R = x_power_algebra(2)
     m = subspace_from_vectors(QQ, 2, [(Fraction(0), Fraction(1))])
     A = x_power_algebra(5)
     img = [Fraction(0)] * 5
     img[3] = Fraction(1)
-    rel = make_relative(QQ, R, m, A, [A.unit, tuple(img)])
+    return make_relative(QQ, R, m, A, [A.unit, tuple(img)])
+
+
+def test_relative_sampling_counts_relative_subalgebras():
+    # futile, so the sampler must stabilize on a small set
+    rel = x5_plane_relative()
     h = sample_subalgebras(rel, trials=5000, bound=5, seed=0)
     assert h.stabilized()
     assert h.count == 4
     for s in h.distinct:
         assert s.contains_subspace(rel.base_image)
+
+
+def unmemoized_histogram(A, base, trials, bound, seed):
+    """The sampler's trial loop written out with one closure per draw."""
+    seen = {}
+    curve = []
+    mark = 1
+    for t in range(1, trials + 1):
+        vec = _draw(random.Random(seed * 1_000_003 + t), A.dim, bound)
+        if vec is not None:
+            s = generated_by_element(A, vec, base)
+            seen.setdefault(s.key(), s)
+        if t == mark:
+            curve.append(len(seen))
+            mark *= 2
+    curve.append(len(seen))
+    return tuple(sorted(seen.values(), key=lambda s: (s.dim, s.key()))), tuple(curve)
+
+
+@pytest.mark.parametrize("relative", [False, True], ids=["q-two-fields", "x5-plane-case"])
+def test_memoized_sampler_matches_one_closure_per_draw(monkeypatch, relative):
+    import futility.sampler
+
+    closures = []
+
+    def counted(A, a, base):
+        closures.append(a)
+        return generated_by_element(A, a, base)
+
+    monkeypatch.setattr(futility.sampler, "generated_by_element", counted)
+    if relative:
+        target = x5_plane_relative()
+        A, base = target.amb, target.base_image
+    else:
+        target = A = poly_quotient_algebra(pmul(q(1, 0, 1), q(-2, 0, 1)))
+        base = subspace_from_vectors(QQ, A.dim, [A.unit])
+    h = sample_subalgebras(target, trials=600, bound=5, seed=4)
+    distinct, curve = unmemoized_histogram(A, base, trials=600, bound=5, seed=4)
+    assert h.distinct == distinct
+    assert h.growth_curve == curve
+    # the memo answered some draws: fewer closures than accepted draws
+    accepted = sum(
+        _draw(random.Random(4 * 1_000_003 + t), A.dim, 5) is not None for t in range(1, 601)
+    )
+    assert len(closures) < accepted
 
 
 def test_family_witness_distinct_points():
