@@ -15,9 +15,10 @@ import random
 from dataclasses import dataclass
 from functools import cached_property
 
-from .domains import QQ, PrimeField, ScalarDomain
+from .domains import QQ, ZZ, PrimeField, ScalarDomain
 from .errors import (
     BaseNotLocalArtinian,
+    BudgetExceeded,
     CharacteristicZero,
     DimensionMismatch,
     DomainMismatch,
@@ -79,26 +80,45 @@ class StructAlgebra:
         return unit_vec(self.dom, self.dim, i)
 
     @cached_property
-    def int_tensor(self) -> tuple:
-        """D * table over QQ as sparse integer rows, D the common denominator
-        of the table: int_tensor[i][j] holds the nonzero (k, D * c_ijk)."""
-        den = math.lcm(*(c.denominator for block in self.table for v in block for c in v))
+    def sparse(self) -> tuple:
+        """The table without its zeros: sparse[i][j] holds the nonzero
+        (k, c_ijk).  Products, validation and the trace form all run on it."""
+        is_zero = self.dom.is_zero
         return tuple(
-            tuple(
-                tuple((k, c.numerator * (den // c.denominator)) for k, c in enumerate(v) if c)
-                for v in block
-            )
+            tuple(tuple((k, c) for k, c in enumerate(v) if not is_zero(c)) for v in block)
             for block in self.table
+        )
+
+    @cached_property
+    def int_tensor(self) -> tuple:
+        """D * sparse over QQ, D the common denominator of the table:
+        int_tensor[i][j] holds the nonzero (k, D * c_ijk) as Python ints."""
+        den = math.lcm(*(c.denominator for block in self.sparse for v in block for _, c in v))
+        return tuple(
+            tuple(tuple((k, c.numerator * (den // c.denominator)) for k, c in v) for v in block)
+            for block in self.sparse
         )
 
     def __repr__(self):
         return f"StructAlgebra(dim={self.dim}, dom={self.dom})"
 
 
+MAX_DIM = 32
+
+
+def check_dimension(n: int) -> None:
+    """Refuse a structure table of dimension above MAX_DIM before it is
+    allocated: the table has n^3 entries and validating it costs up to n^5
+    scalar products."""
+    if n > MAX_DIM:
+        raise BudgetExceeded(f"algebra dimension {n} exceeds the limit of {MAX_DIM}")
+
+
 def make_algebra(dom: ScalarDomain, table, unit) -> StructAlgebra:
     """Build a StructAlgebra, validating the unit law and associativity on
     all basis triples."""
     n = len(table)
+    check_dimension(n)
     tab = tuple(tuple(tuple(row) for row in block) for block in table)
     unit = tuple(unit)
     for block in tab:
@@ -107,41 +127,62 @@ def make_algebra(dom: ScalarDomain, table, unit) -> StructAlgebra:
     if len(unit) != n:
         raise ValidationError("unit vector length differs from dimension")
     A = StructAlgebra(dom, n, tab, unit)
-    if n:
-        for i in range(n):
-            e = A.basis_vector(i)
-            if element_multiply(A, unit, e) != e or element_multiply(A, e, unit) != e:
-                raise ValidationError(f"unit law fails at basis vector {i}")
-        for i in range(n):
-            for j in range(n):
-                ij = tab[i][j]
-                for k in range(n):
-                    left = element_multiply(A, ij, A.basis_vector(k))
-                    right = element_multiply(A, A.basis_vector(i), tab[j][k])
-                    if left != right:
-                        raise ValidationError(
-                            f"associativity fails at basis triple ({i}, {j}, {k})"
-                        )
+    for i in range(n):
+        e = A.basis_vector(i)
+        if element_multiply(A, unit, e) != e or element_multiply(A, e, unit) != e:
+            raise ValidationError(f"unit law fails at basis vector {i}")
+    # over Q both sides of every triple are compared scaled by D^2 on ints
+    ring, tensor = (ZZ, A.int_tensor) if dom == QQ else (dom, A.sparse)
+    _check_associative(ring, tensor)
     return A
 
 
+def _check_associative(ring: ScalarDomain, T) -> None:
+    """Raise at the first basis triple (i, j, k), in lexicographic order, where
+    (e_i e_j) e_k = sum over (l, c) in T_ij of c*T_lk differs from
+    e_i (e_j e_k) = sum over (l, c) in T_jk of c*T_il."""
+    n = len(T)
+    columns = [[T[l][k] for l in range(n)] for k in range(n)]
+    for i in range(n):
+        for j in range(n):
+            ij = T[i][j]
+            for k in range(n):
+                if _sparse_combine(ring, ij, columns[k]) != _sparse_combine(ring, T[j][k], T[i]):
+                    raise ValidationError(
+                        f"associativity fails at basis triple ({i}, {j}, {k})"
+                    )
+
+
+def _sparse_combine(ring: ScalarDomain, terms, rows) -> dict:
+    """Sum of c*rows[l] over the (l, c) in terms, rows sparse, as a dict of
+    its nonzero coordinates.  Only nonzero terms are ever added."""
+    acc = {}
+    for l, c in terms:
+        for m, t in rows[l]:
+            x = ring.mul(c, t)
+            acc[m] = ring.add(acc[m], x) if m in acc else x
+    return {m: x for m, x in acc.items() if not ring.is_zero(x)}
+
+
 def element_multiply(A: StructAlgebra, u, v):
-    """Bilinear product of coordinate vectors via the structure tensor."""
+    """Bilinear product of coordinate vectors through the sparse tensor."""
     if len(u) != A.dim or len(v) != A.dim:
         raise DimensionMismatch("coordinate length differs from dimension")
     dom = A.dom
+    is_zero, add, mul = dom.is_zero, dom.add, dom.mul
     out = [dom.zero] * A.dim
+    vs = [(j, cv) for j, cv in enumerate(v) if not is_zero(cv)]
+    if not vs:
+        return tuple(out)
+    sparse = A.sparse
     for i, cu in enumerate(u):
-        if dom.is_zero(cu):
+        if is_zero(cu):
             continue
-        for j, cv in enumerate(v):
-            if dom.is_zero(cv):
-                continue
-            c = dom.mul(cu, cv)
-            row = A.table[i][j]
-            for k in range(A.dim):
-                if not dom.is_zero(row[k]):
-                    out[k] = dom.add(out[k], dom.mul(c, row[k]))
+        block = sparse[i]
+        for j, cv in vs:
+            c = mul(cu, cv)
+            for k, t in block[j]:
+                out[k] = add(out[k], mul(c, t))
     return tuple(out)
 
 
@@ -160,14 +201,6 @@ def element_power(A: StructAlgebra, u, n: int):
 def mult_rows(A: StructAlgebra, u):
     """Rows of the left-multiplication map: row i = u * e_i."""
     return tuple(element_multiply(A, u, A.basis_vector(i)) for i in range(A.dim))
-
-
-def mult_trace(A: StructAlgebra, u):
-    dom = A.dom
-    acc = dom.zero
-    for i in range(A.dim):
-        acc = dom.add(acc, element_multiply(A, u, A.basis_vector(i))[i])
-    return acc
 
 
 def invert_element(A: StructAlgebra, v):
@@ -301,6 +334,31 @@ def is_ideal(A: StructAlgebra, s: Subspace) -> bool:
     return True
 
 
+def trace_form(A: StructAlgebra) -> tuple:
+    """Rows of the trace form, row i = (Tr(e_i e_j))_j with Tr the trace of
+    left multiplication: Tr(e_i e_j) = sum_k c_ijk tau_k, where
+    tau_k = Tr(e_k) = sum_m c_kmm.  O(dim^3) on the sparse tensor."""
+    dom = A.dom
+    tau = []
+    for block in A.sparse:
+        acc = dom.zero
+        for m, v in enumerate(block):
+            for l, c in v:
+                if l == m:
+                    acc = dom.add(acc, c)
+        tau.append(acc)
+    rows = []
+    for block in A.sparse:
+        row = []
+        for v in block:
+            acc = dom.zero
+            for k, c in v:
+                acc = dom.add(acc, dom.mul(c, tau[k]))
+            row.append(acc)
+        rows.append(tuple(row))
+    return tuple(rows)
+
+
 def nilradical(A: StructAlgebra) -> Subspace:
     """Nilpotent elements of a commutative algebra over Q or F_p.
 
@@ -322,13 +380,7 @@ def nilradical(A: StructAlgebra) -> Subspace:
         # kernel of x -> sum x_i rows[i]
         basis = nullspace(dom, [tuple(r[k] for r in rows) for k in range(A.dim)], A.dim)
     elif dom == QQ:
-        trace_rows = []
-        for i in range(A.dim):
-            row = []
-            for j in range(A.dim):
-                row.append(mult_trace(A, A.table[i][j]))
-            trace_rows.append(tuple(row))
-        basis = nullspace(dom, trace_rows, A.dim)
+        basis = nullspace(dom, trace_form(A), A.dim)
     else:
         raise UnsupportedDomain("nilradical supports Q and F_p coefficients")
     out = subspace_from_vectors(dom, A.dim, basis)
@@ -391,6 +443,7 @@ def product_algebra(factors) -> StructAlgebra:
         if f.dom != dom:
             raise DomainMismatch("product factors over different domains")
     n = sum(f.dim for f in factors)
+    check_dimension(n)
     offs = []
     off = 0
     for f in factors:

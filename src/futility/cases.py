@@ -12,6 +12,7 @@ import json
 from dataclasses import dataclass
 
 from .algebra import (
+    MAX_DIM,
     RelativeAlgebra,
     StructAlgebra,
     invert_element,
@@ -21,11 +22,16 @@ from .algebra import (
 from .constructions import extend_by_poly, matrix_algebra, poly_quotient_algebra
 from .deciders import LocalizedZ, ZPresentation
 from .domains import QQ, ZZ, FunctionField, ModRing, PrimeField, ScalarDomain
-from .errors import ParseError, UnsupportedDomain, ValidationError
+from .errors import BudgetExceeded, ParseError, UnsupportedDomain, ValidationError
 from .linalg import subspace_from_vectors
 from .polynomials import Poly, padd, pconst, pmul, pneg, psub, pX
 
 FORMAT_VERSION = 1
+
+# Largest literal exponent an expression may use.  A polynomial in an
+# expression may not pass degree MAX_DIM either: as a modulus it would give an
+# algebra above the dimension cap.  Both are refused before any expansion.
+MAX_EXPONENT = 256
 
 
 # ---------------------------------------------------------------------------
@@ -114,7 +120,7 @@ class _ExprParser:
             op = self.take()
             rhs = self.power()
             if op.kind == "*":
-                v = self.ctx.mul(v, rhs)
+                v = self.ctx.mul(v, rhs, op.col)
             else:
                 v = self.ctx.div(v, rhs, op.col)
         return v
@@ -126,8 +132,12 @@ class _ExprParser:
             e = self.peek()
             if e.kind != "int":
                 raise ParseError("exponent must be a literal integer", line=1, col=e.col + 1)
+            if e.value > MAX_EXPONENT:
+                raise BudgetExceeded(
+                    f"exponent {e.value} exceeds the limit of {MAX_EXPONENT} (line 1, col {e.col + 1})"
+                )
             self.take()
-            v = self.ctx.pow(v, e.value)
+            v = self.ctx.pow(v, e.value, t.col)
         return v
 
     def atom(self):
@@ -174,15 +184,17 @@ class PolyContext:
     def sub(self, a, b):
         return psub(a, b)
 
-    def mul(self, a, b):
+    def mul(self, a, b, col):
+        _check_degree(a.degree + b.degree, col)
         return pmul(a, b)
 
     def neg(self, a):
         return pneg(a)
 
-    def pow(self, a, n):
+    def pow(self, a, n, col):
         from .polynomials import ppow
 
+        _check_degree(a.degree * n, col)
         return ppow(a, n)
 
     def div(self, a, b, col):
@@ -194,6 +206,13 @@ class PolyContext:
         from .polynomials import pscale
 
         return pscale(a, inv)
+
+
+def _check_degree(degree: int, col: int):
+    if degree > MAX_DIM:
+        raise BudgetExceeded(
+            f"polynomial degree {degree} exceeds the limit of {MAX_DIM} (line 1, col {col + 1})"
+        )
 
 
 def parse_poly(text: str, dom: ScalarDomain, indet: str = "x", constants=None) -> Poly:

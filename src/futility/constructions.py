@@ -4,7 +4,7 @@ quotient by a further monic polynomial."""
 
 from __future__ import annotations
 
-from .algebra import StructAlgebra, element_multiply, invert_element, make_algebra
+from .algebra import StructAlgebra, check_dimension, element_multiply, invert_element, make_algebra
 from .domains import ScalarDomain
 from .errors import ValidationError
 from .linalg import unit_vec, vec_is_zero, zero_vec
@@ -20,6 +20,7 @@ def poly_quotient_algebra(modulus: Poly) -> StructAlgebra:
     dom = modulus.dom
     if modulus.is_zero or modulus.degree < 1:
         raise ValidationError("quotient modulus must have positive degree")
+    check_dimension(modulus.degree)
     try:
         inv = dom.inv(modulus.lc)
     except Exception as exc:
@@ -60,6 +61,7 @@ def _shift_reduce(dom, coeffs, monic: Poly):
 def matrix_algebra(dom: ScalarDomain, size: int) -> StructAlgebra:
     """Full matrix algebra on the basis of matrix units, row-major."""
     n = size * size
+    check_dimension(n)
 
     def idx(a, b):
         return a * size + b
@@ -81,6 +83,7 @@ def matrix_algebra(dom: ScalarDomain, size: int) -> StructAlgebra:
 
 def upper_triangular_algebra(dom: ScalarDomain, size: int) -> StructAlgebra:
     """Upper triangular matrices on the basis E_ab with a <= b."""
+    check_dimension(size * (size + 1) // 2)
     pos = [(a, b) for a in range(size) for b in range(a, size)]
     index = {ab: i for i, ab in enumerate(pos)}
     n = len(pos)
@@ -117,6 +120,7 @@ def extend_by_poly(L: StructAlgebra, coeff_vectors) -> tuple[StructAlgebra, tupl
         coeffs = [element_multiply(L, inv, c) for c in coeffs]
     m = L.dim
     n = m * d
+    check_dimension(n)
 
     # elements are lists of d vectors in L (coefficients of z^0 .. z^(d-1))
     def flatten(vec_list):

@@ -50,7 +50,9 @@ class NotAField(FutilityError):
 
 
 class BudgetExceeded(FutilityError):
-    """Exhaustive enumeration would exceed the configured work budget."""
+    """Work would exceed a budget: an exhaustive enumeration over its
+    configured budget, or an input past a size cap (a case expression's
+    exponent or degree, an algebra's dimension)."""
 
 
 class SearchBudgetExceeded(FutilityError):

@@ -6,8 +6,11 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from futility.algebra import (
+    StructAlgebra,
     center,
     change_of_basis,
     commutator_ideal,
@@ -26,6 +29,7 @@ from futility.algebra import (
     subalgebra_generated,
     subalgebra_to_algebra,
     subspace_product,
+    trace_form,
 )
 from futility.constructions import (
     extend_by_poly,
@@ -73,6 +77,54 @@ def frac(*xs):
     return tuple(Fraction(x) for x in xs)
 
 
+# Test-local references: the dense product and the validation loop on it
+# that make_algebra ran before the sparse tensor.
+
+def dense_multiply(A, u, v):
+    dom = A.dom
+    out = [dom.zero] * A.dim
+    for i, cu in enumerate(u):
+        if dom.is_zero(cu):
+            continue
+        for j, cv in enumerate(v):
+            if dom.is_zero(cv):
+                continue
+            c = dom.mul(cu, cv)
+            row = A.table[i][j]
+            for k in range(A.dim):
+                if not dom.is_zero(row[k]):
+                    out[k] = dom.add(out[k], dom.mul(c, row[k]))
+    return tuple(out)
+
+
+def reference_validation(dom, table, unit):
+    """Message of the first unit-law or associativity failure, or None."""
+    tab = tuple(tuple(tuple(v) for v in block) for block in table)
+    A = StructAlgebra(dom, len(tab), tab, tuple(unit))
+    for i in range(A.dim):
+        e = A.basis_vector(i)
+        if dense_multiply(A, A.unit, e) != e or dense_multiply(A, e, A.unit) != e:
+            return f"unit law fails at basis vector {i}"
+    for i in range(A.dim):
+        for j in range(A.dim):
+            for k in range(A.dim):
+                left = dense_multiply(A, tab[i][j], A.basis_vector(k))
+                right = dense_multiply(A, A.basis_vector(i), tab[j][k])
+                if left != right:
+                    return f"associativity fails at basis triple ({i}, {j}, {k})"
+    return None
+
+
+def assert_validates_like_reference(dom, table, unit):
+    expected = reference_validation(dom, table, unit)
+    if expected is None:
+        make_algebra(dom, table, unit)
+    else:
+        with pytest.raises(ValidationError) as exc:
+            make_algebra(dom, table, unit)
+        assert str(exc.value) == expected
+
+
 # --- construction -----------------------------------------------------------
 
 def test_bad_table_raises_with_triple():
@@ -86,6 +138,7 @@ def test_bad_table_raises_with_triple():
     with pytest.raises(ValidationError) as exc:
         make_algebra(dom, table, frac(1, 0, 0))
     assert "associativity fails at basis triple" in str(exc.value)
+    assert str(exc.value) == reference_validation(dom, table, frac(1, 0, 0))
 
 
 def test_unit_law_validated():
@@ -106,6 +159,79 @@ def test_element_multiply_examples():
     e21 = M.basis_vector(2)
     e11 = M.basis_vector(0)
     assert element_multiply(M, e12, e21) == e11
+
+
+FT = FunctionField(2, ("t",))
+T = FT.variable("t")
+# valid tables over Q, F_3 and F_2(t): a poly quotient, a noncommutative
+# upper triangular algebra and a tower level, with small perturbations
+SOURCES = {
+    "Q": (
+        qx_mod(0, 0, 0, -2, 0, 1),  # Q[x]/(x^3 (x^2 - 2))
+        [Fraction(n, d) for n in (-3, -1, 1, 2) for d in (1, 2, 3)],
+    ),
+    "F3": (upper_triangular_algebra(F3, 2), [1, 2]),
+    "F2(t)": (
+        poly_quotient_algebra(make_poly(FT, [FT.add(T, FT.one), FT.zero, FT.zero, FT.zero, FT.one])),
+        [FT.one, T, FT.inv(T), FT.add(T, FT.one)],
+    ),
+}
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(sorted(SOURCES)), st.data())
+@example("Q", None)
+@example("F3", None)
+@example("F2(t)", None)
+def test_make_algebra_agrees_with_reference_on_perturbed_tables(name, data):
+    A, deltas = SOURCES[name]
+    dom, n = A.dom, A.dim
+    table = [[list(v) for v in block] for block in A.table]
+    unit = list(A.unit)
+    if data is not None:
+        delta = data.draw(st.sampled_from(deltas))
+        if data.draw(st.integers(0, 4)) == 0:
+            k = data.draw(st.integers(0, n - 1))
+            unit[k] = dom.add(unit[k], delta)
+        else:
+            i, j, k = (data.draw(st.integers(0, n - 1)) for _ in range(3))
+            table[i][j][k] = dom.add(table[i][j][k], delta)
+    assert_validates_like_reference(dom, table, unit)
+
+
+@pytest.mark.parametrize("left_only", [True, False])
+def test_unit_law_failing_on_one_side(left_only):
+    # e0 e0 = e0 and e0 e1 = e1 but e1 e0 = 0: e0 is a left unit, not a
+    # right one (and the mirror table for a right unit)
+    z, e0, e1 = frac(0, 0), frac(1, 0), frac(0, 1)
+    table = [[e0, e1], [z, z]] if left_only else [[e0, z], [e1, z]]
+    assert reference_validation(QQ, table, e0) == "unit law fails at basis vector 1"
+    assert_validates_like_reference(QQ, table, e0)
+
+
+def ratfuncs():
+    return st.sampled_from([FT.zero, FT.one, T, FT.inv(T), FT.add(T, FT.one)])
+
+
+PRODUCT_CASES = {
+    # rational structure constants: Q[x]/(x^3 (x^2 - 2)) on the basis 1, x/2, x^2/3, ...
+    "Q": (
+        change_of_basis(SOURCES["Q"][0], [frac(*[Fraction(1, i + 1) if j == i else 0 for j in range(5)]) for i in range(5)]),
+        st.fractions(min_value=-3, max_value=3, max_denominator=4),
+    ),
+    "F3": (upper_triangular_algebra(F3, 3), st.integers(0, 2)),
+    "F2": (matrix_algebra(F2, 2), st.integers(0, 1)),
+    "F2(t)": (SOURCES["F2(t)"][0], ratfuncs()),
+}
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(sorted(PRODUCT_CASES)), st.data())
+def test_element_multiply_matches_dense_product(name, data):
+    A, scalars = PRODUCT_CASES[name]
+    u = tuple(data.draw(st.lists(scalars, min_size=A.dim, max_size=A.dim)))
+    v = tuple(data.draw(st.lists(scalars, min_size=A.dim, max_size=A.dim)))
+    assert element_multiply(A, u, v) == dense_multiply(A, u, v)
 
 
 # --- generated subalgebras ---------------------------------------------------
@@ -194,6 +320,35 @@ def test_nilradical_rejects_function_field():
     A = poly_quotient_algebra(make_poly(K, [K.neg(t), K.zero, K.one]))
     with pytest.raises(UnsupportedDomain):
         nilradical(A)
+
+
+def reference_trace_rows(A):
+    """Trace-form rows as nilradical formed them before: each Tr(e_i e_j)
+    read off whole products (e_i e_j) e_m one diagonal coordinate at a time."""
+    dom = A.dom
+
+    def mult_trace(u):
+        acc = dom.zero
+        for m in range(A.dim):
+            acc = dom.add(acc, dense_multiply(A, u, A.basis_vector(m))[m])
+        return acc
+
+    return tuple(tuple(mult_trace(A.table[i][j]) for j in range(A.dim)) for i in range(A.dim))
+
+
+@pytest.mark.parametrize(
+    "A",
+    [
+        qx_mod(0, 0, 0, -2, 0, 1),  # Q[x]/(x^3 (x^2 - 2)), not reduced
+        qx_mod(6, -2, -3, 1),  # Q[x]/((x^2 - 2)(x - 3)), reduced
+        PRODUCT_CASES["Q"][0],  # rational structure constants
+        product_algebra([qx_mod(1, 0, 1), qx_mod(0, 0, 1)]),  # Q(i) x Q[e]/(e^2)
+        upper_triangular_algebra(QQ, 3),  # noncommutative
+    ],
+    ids=["x3-x2m2", "x2m2-xm3", "rational-basis", "product", "upper-triangular"],
+)
+def test_trace_form_matches_mult_trace_rows(A):
+    assert trace_form(A) == reference_trace_rows(A)
 
 
 def test_nilradical_quotient_is_reduced():

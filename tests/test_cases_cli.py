@@ -5,7 +5,9 @@ from pathlib import Path
 
 import pytest
 
+from futility.algebra import MAX_DIM, make_algebra
 from futility.cases import (
+    MAX_EXPONENT,
     build_case,
     build_struct_algebra,
     parse_case,
@@ -17,6 +19,7 @@ from futility.cli import main as cli_main
 from futility.constructions import matrix_algebra, upper_triangular_algebra
 from futility.domains import QQ, FunctionField, PrimeField
 from futility.errors import (
+    BudgetExceeded,
     InapplicableCommand,
     ParseError,
     SearchBudgetExceeded,
@@ -314,6 +317,57 @@ def test_cli_malformed_case_is_one_error_line(tmp_path, capsys, base, algebra):
     err = capsys.readouterr().err.splitlines()
     assert rc == 1
     assert len(err) == 1 and err[0].startswith("error:")
+
+
+@pytest.mark.parametrize(
+    "base, algebra, message",
+    [
+        ({"kind": "Q"}, {"kind": "quotient_poly", "modulus": "x^100000"},
+         "exponent 100000 exceeds the limit of 256 (line 1, col 3)"),
+        ({"kind": "Q"}, {"kind": "quotient_poly", "modulus": "x^2 * (x + 1)^100000"},
+         "exponent 100000 exceeds the limit of 256 (line 1, col 15)"),
+        ({"kind": "Q"}, {"kind": "quotient_poly", "modulus": "(x^8)^8"},
+         "polynomial degree 64 exceeds the limit of 32 (line 1, col 6)"),
+        ({"kind": "Q"}, {"kind": "quotient_poly", "modulus": "x^20 * x^20"},
+         "polynomial degree 40 exceeds the limit of 32 (line 1, col 6)"),
+        ({"kind": "Fp", "p": 2}, {"kind": "matrix_algebra", "size": 6},
+         "algebra dimension 36 exceeds the limit of 32"),
+        ({"kind": "Q"}, {"kind": "product", "factors": [{"kind": "quotient_poly", "modulus": "x^6"}] * 6},
+         "algebra dimension 36 exceeds the limit of 32"),
+        ({"kind": "FpRational", "p": 2, "vars": ["s", "t"]}, {"kind": "tower", "moduli": ["x^8 - s", "y^8 - t"]},
+         "algebra dimension 64 exceeds the limit of 32"),
+    ],
+    ids=["modulus-exponent", "factor-exponent", "nested-power-degree", "product-degree",
+         "matrix-dimension", "product-dimension", "tower-dimension"],
+)
+def test_cli_oversized_case_is_one_budget_error(tmp_path, capsys, monkeypatch, base, algebra, message):
+    # the guards trip before anything large is expanded: a power past the
+    # degree cap would fail this test instead of running
+    import futility.polynomials
+
+    ppow = futility.polynomials.ppow
+
+    def bounded_ppow(a, n):
+        assert a.degree * n <= MAX_DIM, "expanded a power past the degree cap"
+        return ppow(a, n)
+
+    monkeypatch.setattr(futility.polynomials, "ppow", bounded_ppow)
+    p = tmp_path / "oversized.case"
+    p.write_text(make_case(base=base, algebra=algebra))
+    rc = cli_main(["decide", "--case", str(p)])
+    err = capsys.readouterr().err.splitlines()
+    assert rc == 1
+    assert err == [f"error: {message}"]
+
+
+def test_caps_sit_above_their_largest_allowed_values():
+    assert parse_poly(f"x - 2^{MAX_EXPONENT}", QQ).coeffs[0] == -(2**MAX_EXPONENT)
+    with pytest.raises(BudgetExceeded):
+        parse_poly(f"x - 2^{MAX_EXPONENT + 1}", QQ)
+    assert parse_poly(f"x^{MAX_DIM}", QQ).degree == MAX_DIM
+    # the dimension is checked before the table is even read
+    with pytest.raises(BudgetExceeded):
+        make_algebra(QQ, [None] * (MAX_DIM + 1), [])
 
 
 def test_cli_generator_search_failure_is_an_error(monkeypatch, capsys):
