@@ -311,6 +311,12 @@ def _list(value, where: str) -> list:
     return value
 
 
+def _object(value, where: str) -> dict:
+    if not isinstance(value, dict):
+        raise ValidationError(f"{where} must be an object, not {type(value).__name__}")
+    return value
+
+
 def _text(value, where: str) -> str:
     if not isinstance(value, str):
         raise ValidationError(f"{where} must be a string, not {type(value).__name__}")
@@ -362,8 +368,8 @@ def parse_case(text: str) -> CaseDescription:
         raise ValidationError("base must be an object with a 'kind'")
     if not isinstance(algebra, dict) or "kind" not in algebra:
         raise ValidationError("algebra must be an object with a 'kind'")
-    options = raw.get("options", {})
-    asserts = raw.get("asserts", {})
+    options = _object(raw.get("options", {}), "options")
+    asserts = _object(raw.get("asserts", {}), "asserts")
     return CaseDescription(
         case_id=case_id, base=base, algebra=algebra, options=options, asserts=asserts, raw=raw
     )
@@ -384,20 +390,21 @@ def struct_to_spec(A: StructAlgebra) -> dict:
     }
 
 
-def base_domain(base: dict) -> ScalarDomain:
-    kind = base["kind"]
+def base_domain(base: dict, where: str = "base") -> ScalarDomain:
+    kind = _require(_object(base, where), "kind", where)
     if kind == "Q":
         return QQ
     if kind == "Z":
         return ZZ
     try:
         if kind == "Fp":
-            return PrimeField(_int(base, "p", "base"))
+            return PrimeField(_int(base, "p", where))
         if kind == "Zmod":
-            return ModRing(_int(base, "n", "base"))
+            return ModRing(_int(base, "n", where))
         if kind == "FpRational":
-            names = _list(_require(base, "vars", "base"), "'vars' of base")
-            return FunctionField(_int(base, "p", "base"), tuple(names))
+            names = _list(_require(base, "vars", where), f"'vars' of {where}")
+            names = [_text(v, f"entry of 'vars' of {where}") for v in names]
+            return FunctionField(_int(base, "p", where), tuple(names))
     except ValueError as exc:
         raise ValidationError(f"invalid {kind} base: {exc}") from None
     raise ValidationError(f"unknown base kind {kind!r}")
@@ -490,7 +497,8 @@ def _build_integer(desc: CaseDescription) -> BuiltCase:
         finite_part = spec.get("finite_part")
         size = 1
         if finite_part is not None:
-            fdom = base_domain(_require(finite_part, "base", "finite part"))
+            _object(finite_part, "finite part")
+            fdom = base_domain(_require(finite_part, "base", "finite part"), "base of finite part")
             if not getattr(fdom, "is_finite", False):
                 raise ValidationError("finite part must live over a finite base")
             falg = build_struct_algebra(fdom, _require(finite_part, "algebra", "finite part"))
@@ -503,7 +511,7 @@ def _build_integer(desc: CaseDescription) -> BuiltCase:
 
 def _build_relative(desc: CaseDescription) -> BuiltCase:
     base = desc.base
-    ground = base_domain(_require(base, "ground", "base"))
+    ground = base_domain(_require(base, "ground", "base"), "ground of base")
     if ground != QQ:
         raise UnsupportedDomain("relative cases need ground field Q")
     base_alg = build_struct_algebra(ground, _require(base, "base_algebra", "base"))

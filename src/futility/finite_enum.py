@@ -3,8 +3,11 @@ subalgebra and ideal lattices, isomorphism enumeration, subalgebras of a
 product via quintuple (Goursat-style) enumeration, and submodule lattices
 of finite modules over small local base rings.
 
-Candidate subspaces are generated directly in reduced echelon form, so the
-work is bounded by the number of subspaces rather than the power set.
+Subalgebra lattices come from a closure search: each member found is grown
+by one line of the quotient space at a time, so the work scales with the
+number of members times the lines over each, not with the number of
+subspaces.  Ideals are still found by scanning every subspace, generated
+directly in reduced echelon form.
 """
 
 from __future__ import annotations
@@ -21,7 +24,15 @@ from .algebra import (
 )
 from .domains import PrimeField
 from .errors import BudgetExceeded, DimensionMismatch, ValidationError
-from .linalg import Subspace, combine, subspace_from_vectors, unit_vec, zero_vec
+from .linalg import (
+    Subspace,
+    combine,
+    subspace_from_vectors,
+    unit_vec,
+    vec_is_zero,
+    zero_subspace,
+    zero_vec,
+)
 
 DEFAULT_BUDGET = 1 << 20
 
@@ -72,31 +83,68 @@ def iter_subspaces(dom: PrimeField, n: int):
                 yield Subspace(dom, n, tuple(tuple(row) for row in rows), tuple(pivots))
 
 
-def _is_closed(A: StructAlgebra, s: Subspace) -> bool:
-    for u in s.rows:
-        for v in s.rows:
-            if not s.contains(element_multiply(A, u, v)):
-                return False
-    return True
+def _closure(A: StructAlgebra, span: Subspace, queue, both_sides: bool) -> Subspace:
+    """The subalgebra generated by a multiplication-closed span and the
+    queued vectors.  Each queued vector is reduced against the span as it
+    grows; a residual that leaves the span is adjoined and multiplied by the
+    spanning vectors met so far and by itself, on both sides when A is not
+    commutative.  Products inside the closed starting span are never formed.
+    """
+    dom = A.dom
+    gens = list(span.rows)
+    queue = list(queue)
+    while queue:
+        r = span.reduce(queue.pop())
+        if vec_is_zero(dom, r):
+            continue
+        span = span.adjoin(r)
+        gens.append(r)
+        for g in gens:
+            queue.append(element_multiply(A, r, g))
+            if both_sides and g is not r:
+                queue.append(element_multiply(A, g, r))
+    return span
 
 
 def enumerate_subalgebras(
     A: StructAlgebra, base_image: Subspace, budget: int = DEFAULT_BUDGET
 ) -> SubalgebraLattice:
-    """All multiplication-closed subspaces containing the base image."""
+    """All multiplication-closed subspaces containing the base image and the
+    unit.
+
+    Closure search: start from S0, the subalgebra generated by the base image
+    and the unit, and grow every member S found by each line of A/S.  A line
+    is taken from iter_subspaces on the non-pivot coordinates of S, so its
+    vector a has no component in S, and S[a] depends on the line alone.
+    Every subalgebra T containing S0 is reached: adjoining a basis of T one
+    vector at a time climbs from S0 to T through members.
+    """
     _require_prime_field(A)
     _check_budget(A, budget)
     if base_image.ambient != A.dim:
         raise DimensionMismatch("base image lives in the wrong space")
-    members = []
-    for s in iter_subspaces(A.dom, A.dim):
-        if not s.contains_subspace(base_image):
-            continue
-        if not s.contains(A.unit):
-            continue
-        if _is_closed(A, s):
-            members.append(s)
-    return _lattice(A, members)
+    dom, n = A.dom, A.dim
+    both_sides = not A.is_commutative
+    start = _closure(A, zero_subspace(dom, n), [*base_image.rows, A.unit], both_sides)
+    found = {start.key(): start}
+    todo = [start]
+    while todo:
+        S = todo.pop()
+        free = [c for c in range(n) if c not in S.pivots]
+        for line in iter_subspaces(dom, len(free)):
+            if line.dim == 0:
+                continue
+            if line.dim > 1:
+                break
+            a = [dom.zero] * n
+            for c, x in zip(free, line.rows[0]):
+                a[c] = x
+            T = _closure(A, S, [tuple(a)], both_sides)
+            key = T.key()
+            if key not in found:
+                found[key] = T
+                todo.append(T)
+    return _lattice(A, found.values())
 
 
 def _lattice(A: StructAlgebra, members) -> SubalgebraLattice:

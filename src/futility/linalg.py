@@ -193,6 +193,24 @@ class Subspace:
     def contains_subspace(self, other: "Subspace") -> bool:
         return all(self.contains(r) for r in other.rows)
 
+    def adjoin(self, residual) -> "Subspace":
+        """The span of this subspace and a nonzero residual of reduce(), in
+        reduced echelon form: one new pivot row, cleared from the others."""
+        dom = self.dom
+        lead = next(j for j, x in enumerate(residual) if not dom.is_zero(x))
+        inv = dom.inv(residual[lead])
+        new = tuple(dom.mul(inv, x) for x in residual)
+        rows = []
+        for row in self.rows:
+            c = row[lead]
+            if not dom.is_zero(c):
+                row = tuple(dom.sub(x, dom.mul(c, y)) for x, y in zip(row, new))
+            rows.append(row)
+        at = sum(1 for p in self.pivots if p < lead)
+        rows.insert(at, new)
+        pivots = self.pivots[:at] + (lead,) + self.pivots[at:]
+        return Subspace(dom, self.ambient, tuple(rows), pivots)
+
     def coords(self, vec):
         """Coordinates of vec in the echelon basis; vec must lie in the
         subspace (pivot entries of echelon rows are unit, rest eliminated)."""

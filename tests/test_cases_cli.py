@@ -4,6 +4,8 @@ import json
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from futility.algebra import MAX_DIM, make_algebra
 from futility.cases import (
@@ -20,13 +22,14 @@ from futility.constructions import matrix_algebra, upper_triangular_algebra
 from futility.domains import QQ, FunctionField, PrimeField
 from futility.errors import (
     BudgetExceeded,
+    FutilityError,
     InapplicableCommand,
     ParseError,
     SearchBudgetExceeded,
     ValidationError,
 )
 from futility.polynomials import poly_to_str
-from futility.reports import run_command
+from futility.reports import MAX_TRIALS, merge_options, run_command
 
 ROOT = Path(__file__).resolve().parent.parent
 CORPUS = ROOT / "corpus"
@@ -292,6 +295,12 @@ LOCAL_X2 = {
         ({"kind": "Z"}, dict(Z_PRES_1, relations=5)),
         (dict(LOCAL_X2, max_ideal=5), {"kind": "quotient_poly", "modulus": "x^3"}),
         (dict(LOCAL_X2, embedding=5), {"kind": "quotient_poly", "modulus": "x^3"}),
+        (dict(LOCAL_X2, ground=5), {"kind": "quotient_poly", "modulus": "x^3"}),
+        (dict(LOCAL_X2, ground={"p": 2}), {"kind": "quotient_poly", "modulus": "x^3"}),
+        ({"kind": "Z"}, {"kind": "localized", "invert": 2, "finite_part": 5}),
+        ({"kind": "Z"}, {"kind": "localized", "invert": 2, "finite_part": {"base": 5, "algebra": STRUCT_1}}),
+        ({"kind": "Z"}, {"kind": "localized", "invert": 2, "finite_part": {"base": {"p": 2}, "algebra": STRUCT_1}}),
+        (dict(FP_T, vars=[5]), {"kind": "tower", "moduli": ["x - t"]}),
     ],
     ids=[
         "dim-not-int",
@@ -308,6 +317,12 @@ LOCAL_X2 = {
         "relations-not-list",
         "max-ideal-not-list",
         "embedding-not-list",
+        "ground-not-object",
+        "ground-without-kind",
+        "finite-part-not-object",
+        "finite-part-base-not-object",
+        "finite-part-base-without-kind",
+        "vars-entry-not-string",
     ],
 )
 def test_cli_malformed_case_is_one_error_line(tmp_path, capsys, base, algebra):
@@ -358,6 +373,80 @@ def test_cli_oversized_case_is_one_budget_error(tmp_path, capsys, monkeypatch, b
     err = capsys.readouterr().err.splitlines()
     assert rc == 1
     assert err == [f"error: {message}"]
+
+
+@pytest.mark.parametrize(
+    "options, argv, message",
+    [
+        ({"trials": "abc"}, [], "'trials' of options must be an integer, not str"),
+        ({"seed": [1]}, [], "'seed' of options must be an integer, not list"),
+        ({"bound": True}, [], "'bound' of options must be an integer, not bool"),
+        ({"divergence_threshold": "8"}, [], "'divergence_threshold' of options must be an integer, not str"),
+        ({"trials": -5}, [], "'trials' of options must be at least 1, got -5"),
+        ({"budget": 0}, [], "'budget' of options must be at least 1, got 0"),
+        (5, [], "options must be an object, not int"),
+        ({"trials": MAX_TRIALS + 1}, [], f"{MAX_TRIALS + 1} trials exceed the limit of {MAX_TRIALS} (options)"),
+        ({}, ["--trials", "-5"], "'trials' of command-line options must be at least 1, got -5"),
+        ({}, ["--seed", "-1"], "'seed' of command-line options must be at least 0, got -1"),
+        ({}, ["--trials", str(MAX_TRIALS + 1)],
+         f"{MAX_TRIALS + 1} trials exceed the limit of {MAX_TRIALS} (command-line options)"),
+    ],
+    ids=["trials-not-int", "seed-not-int", "bound-is-bool", "threshold-not-int", "trials-negative",
+         "budget-zero", "options-not-object", "trials-over-cap", "cli-trials-negative",
+         "cli-seed-negative", "cli-trials-over-cap"],
+)
+def test_cli_bad_option_is_one_error_line(tmp_path, capsys, options, argv, message):
+    p = tmp_path / "options.case"
+    p.write_text(make_case(options=options))
+    rc = cli_main(["oracle-compare", "--case", str(p), *argv])
+    assert rc == 1
+    assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
+
+
+def test_trial_cap_admits_its_own_value():
+    desc = parse_case(make_case(options={"trials": MAX_TRIALS, "seed": 0}))
+    assert merge_options(desc, {"trials": None})["trials"] == MAX_TRIALS
+
+
+# --- fuzzing: corpus documents with one field's type swapped ------------------
+
+SWAPS = {
+    "int": [-1, "abc", "1/0", [], [5], {}, None, True],
+    "str": [5, -1, [], ["x"], {}, {"kind": 5}, None],
+    "list": [5, "zz", {}, [5], [[]], None],
+    "dict": [5, "x", [], [{}], {"kind": "Q"}, None],
+}
+
+
+def _paths(doc, path=()):
+    """Every (path, type name) below the document root."""
+    items = doc.items() if isinstance(doc, dict) else enumerate(doc) if isinstance(doc, list) else ()
+    for k, v in items:
+        kind = {bool: None, int: "int", str: "str", list: "list", dict: "dict"}.get(type(v))
+        if kind:
+            yield path + (k,), kind
+        yield from _paths(v, path + (k,))
+
+
+@st.composite
+def swapped_documents(draw):
+    doc = json.loads(draw(st.sampled_from(ALL_CASES)).read_text())
+    path, kind = draw(st.sampled_from(list(_paths(doc))))
+    new = draw(st.sampled_from(SWAPS[kind]))
+    node = doc
+    for k in path[:-1]:
+        node = node[k]
+    node[path[-1]] = new
+    return json.dumps(doc)
+
+
+@settings(max_examples=150, deadline=None)
+@given(swapped_documents())
+def test_swapped_field_types_end_in_a_report_or_a_futility_error(text):
+    try:
+        run_command("decide", parse_case(text), {})
+    except FutilityError:
+        pass
 
 
 def test_caps_sit_above_their_largest_allowed_values():

@@ -2,8 +2,9 @@
 
 The independent cross-check for subalgebra lattices enumerates spans of
 arbitrary element subsets (definition-level, no echelon machinery) on tiny
-algebras, and the quintuple construction is compared with direct
-enumeration of the product, which is the content of the product-subalgebra
+algebras, and the closure search is compared with a scan of every subspace
+of F_p^n.  The quintuple construction is compared with direct enumeration
+of the product, which is the content of the product-subalgebra
 correspondence.
 """
 
@@ -11,8 +12,10 @@ import random
 from itertools import product as iproduct
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from futility.algebra import element_multiply, product_algebra
+from futility.algebra import change_of_basis, element_multiply, product_algebra
 from futility.constructions import matrix_algebra, poly_quotient_algebra, upper_triangular_algebra
 from futility.domains import PrimeField
 from futility.errors import BudgetExceeded
@@ -26,7 +29,7 @@ from futility.finite_enum import (
     iter_subspaces,
     module_quotient_dims,
 )
-from futility.linalg import subspace_from_vectors
+from futility.linalg import mat_mul, subspace_from_vectors
 from futility.polynomials import make_poly
 
 F2 = PrimeField(2)
@@ -61,6 +64,105 @@ def subalgebras_by_subset_spans(A):
             if closed:
                 found.add(key)
     return found
+
+
+def scan_subalgebras(A, base_image):
+    """Reference: scan every subspace of F_p^n, keep those that contain the
+    base image and the unit and are closed under products of basis rows;
+    canonical order and containment pairs as SubalgebraLattice has them."""
+    members = []
+    for s in iter_subspaces(A.dom, A.dim):
+        if not s.contains_subspace(base_image) or not s.contains(A.unit):
+            continue
+        if all(s.contains(element_multiply(A, u, v)) for u in s.rows for v in s.rows):
+            members.append(s)
+    members.sort(key=lambda s: s.key())
+    inclusions = tuple(
+        (i, j)
+        for i, a in enumerate(members)
+        for j, b in enumerate(members)
+        if a.dim < b.dim and b.contains_subspace(a)
+    )
+    return tuple(members), inclusions
+
+
+def assert_matches_scan(A, base_image):
+    lat = enumerate_subalgebras(A, base_image)
+    assert (lat.members, lat.inclusions) == scan_subalgebras(A, base_image)
+    return lat
+
+
+@st.composite
+def quotient_algebras(draw, dom, max_deg):
+    deg = draw(st.integers(1, max_deg))
+    coeffs = draw(st.lists(st.integers(0, dom.p - 1), min_size=deg, max_size=deg))
+    return poly_quotient_algebra(make_poly(dom, coeffs + [1]))
+
+
+@st.composite
+def invertible_matrices(draw, dom, n):
+    """L * U with unit diagonals, rows permuted: every invertible matrix
+    up to a diagonal factor is of this form."""
+    entry = st.integers(0, dom.p - 1)
+    lower = [[draw(entry) if j < i else int(i == j) for j in range(n)] for i in range(n)]
+    upper = [[draw(entry) if j > i else int(i == j) for j in range(n)] for i in range(n)]
+    rows = list(mat_mul(dom, lower, upper))
+    return draw(st.permutations(rows))
+
+
+@st.composite
+def finite_algebras(draw):
+    dom = draw(st.sampled_from([F2, F3]))
+    kind = draw(st.sampled_from(["quotient", "product", "upper", "matrix"]))
+    if kind == "quotient":
+        return draw(quotient_algebras(dom, 5 if dom is F2 else 4))
+    if kind == "product":
+        left = draw(quotient_algebras(dom, 3))
+        right = draw(quotient_algebras(dom, 5 - left.dim if dom is F2 else 4 - left.dim))
+        return product_algebra([left, right])
+    if kind == "matrix":
+        A = matrix_algebra(dom, 2)
+    else:  # 3x3 over F2 exposes one-sided products; the 2x2 algebras do not
+        A = upper_triangular_algebra(dom, 3 if dom is F2 else 2)
+    return change_of_basis(A, draw(invertible_matrices(dom, A.dim)))
+
+
+@st.composite
+def algebras_with_base(draw):
+    """An F_2 or F_3 algebra with a base image: the unit line, the span of
+    random vectors (rarely closed), or a proper subalgebra."""
+    A = draw(finite_algebras())
+    kind = draw(st.sampled_from(["unit", "span", "subalgebra"]))
+    if kind == "unit":
+        return A, unit_span(A)
+    if kind == "span":
+        vec = st.tuples(*[st.integers(0, A.dom.p - 1)] * A.dim)
+        return A, subspace_from_vectors(A.dom, A.dim, draw(st.lists(vec, min_size=1, max_size=2)))
+    members, _ = scan_subalgebras(A, unit_span(A))
+    return A, draw(st.sampled_from(members))
+
+
+@settings(max_examples=60, deadline=None)
+@given(algebras_with_base())
+def test_closure_search_matches_subspace_scan(case):
+    A, base = case
+    assert_matches_scan(A, base)
+
+
+def test_closure_search_matches_scan_on_fixed_algebras():
+    x = (0, 1, 0)
+    A = f2x(0, 0, 0, 1)  # F2[x]/(x^3); span{1, x} is not closed
+    lat = assert_matches_scan(A, subspace_from_vectors(F2, 3, [A.unit, x]))
+    assert [s.dim for s in lat.members] == [3]
+    for B in (matrix_algebra(F2, 2), upper_triangular_algebra(F2, 3),
+              product_algebra([f2x(1, 1), f2x(1, 1), f2x(1, 1)])):
+        assert_matches_scan(B, unit_span(B))
+
+
+@pytest.mark.parametrize("n, count", [(7, 35), (8, 110)])
+def test_truncated_polynomial_subalgebra_counts(n, count):
+    A = f2x(*([0] * n + [1]))  # F2[x]/(x^n)
+    assert enumerate_subalgebras(A, unit_span(A)).count == count
 
 
 def test_subspace_count_f2_cubed():

@@ -177,3 +177,27 @@ def test_primitive_is_the_integer_point_on_the_line():
     assert primitive((0, -4, 6)) == (0, 2, -3)
     assert primitive((Fraction(0), 0)) == (0, 0)
     assert all(type(x) is int for x in primitive((Fraction(1, 2), 3)))
+
+
+def _adjoin_all(dom, ambient, vecs):
+    """Grow from the zero space by adjoining each residual that leaves it."""
+    s = zero_subspace(dom, ambient)
+    for v in vecs:
+        r = s.reduce(v)
+        if not all(dom.is_zero(x) for x in r):
+            s = s.adjoin(r)
+    return s
+
+
+@given(st.lists(st.lists(st.integers(0, 2), min_size=5, max_size=5), max_size=7))
+@example([[0, 0, 1, 0, 0], [0, 1, 2, 0, 0], [1, 0, 0, 0, 2]])
+def test_adjoin_matches_rref_over_f3(mat):
+    vecs = [tuple(r) for r in mat]
+    assert _adjoin_all(F3, 5, vecs) == subspace_from_vectors(F3, 5, vecs)
+
+
+@given(rational_matrices())
+@example([(Fraction(0), Fraction(1)), (Fraction(2), Fraction(3))])
+def test_adjoin_matches_rref_over_q(mat):
+    ncols = len(mat[0]) if mat else 2
+    assert _adjoin_all(QQ, ncols, mat) == subspace_from_vectors(QQ, ncols, mat)
