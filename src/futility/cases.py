@@ -239,9 +239,12 @@ class AlgebraScalarDomain(ScalarDomain):
             raise ValidationError("tower levels must be commutative")
         self.A = A
         self.char = A.dom.char
+        # RatFunc values do not hash, so levels are told apart by the printed
+        # form of their table and unit: equal forms mean equal levels.
+        self._structure = (A.dom, repr(A.table), repr(A.unit))
 
     def _key(self):
-        return (id(self.A),)
+        return self._structure
 
     def __repr__(self):
         return f"Level({self.A!r})"

@@ -14,7 +14,7 @@ from pathlib import Path
 
 from .cases import parse_case
 from .errors import FutilityError
-from .reports import ReportDocument, run_command
+from .reports import COMMANDS, ReportDocument, run_command
 
 
 def _add_common(p):
@@ -35,7 +35,7 @@ def build_parser():
         description="decide whether an algebra has finitely many subalgebras",
     )
     sub = ap.add_subparsers(dest="cmd", required=True)
-    for name in ("decide", "enumerate", "sample", "factor", "oracle-compare"):
+    for name in COMMANDS:
         p = sub.add_parser(name)
         _add_common(p)
     corpus = sub.add_parser("corpus", help="run oracle-compare over a corpus directory")
@@ -46,14 +46,10 @@ def build_parser():
 
 
 def _overrides(args) -> dict:
-    out = {}
-    for k in ("seed", "trials", "bound", "budget"):
-        v = getattr(args, k, None)
-        if v is not None:
-            out[k] = v
-    if getattr(args, "timing", False):
-        out["timing"] = True
-    return out
+    """The command-line options; run_command drops the ones left as None."""
+    overrides = {k: getattr(args, k) for k in ("seed", "trials", "bound", "budget")}
+    overrides["timing"] = args.timing or None
+    return overrides
 
 
 def _emit(report: ReportDocument, fmt: str):
@@ -109,8 +105,12 @@ def run_corpus(args) -> int:
     summary = []
     for path in cases:
         t0 = time.perf_counter_ns()
-        desc = parse_case(path.read_text())
-        report = run_command("oracle-compare", desc, {})
+        try:
+            desc = parse_case(path.read_text())
+            report = run_command("oracle-compare", desc, {})
+        except FutilityError as exc:
+            exc.args = (f"{path}: {exc}",)
+            raise
         ms = (time.perf_counter_ns() - t0) // 1_000_000
         text = report.to_json()
         expected_path = path.with_suffix(".expected")

@@ -439,6 +439,16 @@ class ZPresentation:
                         )
         return basis
 
+    @property
+    def is_commutative(self) -> bool:
+        """Whether every generator commutator lies in the relation lattice."""
+        basis = hermite_basis([list(r) for r in self.relations])
+        for i in range(self.ngens):
+            for j in range(i + 1, self.ngens):
+                if not lattice_contains(basis, _vsub(self.table[i][j], self.table[j][i])):
+                    return False
+        return True
+
     def gen(self, j):
         return tuple(1 if i == j else 0 for i in range(self.ngens))
 

@@ -49,10 +49,6 @@ def mp_canon(d: dict, p: int) -> tuple:
     return tuple(sorted((e, c % p) for e, c in d.items() if c % p))
 
 
-def mp_zero() -> tuple:
-    return ()
-
-
 def mp_const(c: int, p: int, nvars: int) -> tuple:
     c %= p
     return () if c == 0 else (((0,) * nvars, c),)
@@ -221,10 +217,6 @@ class ScalarDomain:
 
     def __hash__(self):
         return hash((type(self).__name__, self._key()))
-
-    def check_same(self, other: "ScalarDomain"):
-        if self != other:
-            raise DomainMismatch(f"domain mismatch: {self} vs {other}")
 
     # arithmetic -----------------------------------------------------------
     def add(self, a, b):

@@ -124,11 +124,6 @@ def smith_normal_form(M) -> SNFResult:
     )
 
 
-def mat_mul_int(a, b):
-    bt = list(zip(*b))
-    return [[sum(x * y for x, y in zip(row, col)) for col in bt] for row in a]
-
-
 def det_int(rows) -> int:
     """Exact determinant via rational Gaussian elimination."""
     n = len(rows)

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .domains import QQ, ScalarDomain
-from .errors import DimensionMismatch, NotInvertible
+from .errors import DimensionMismatch
 
 
 def vec_add(dom, u, v):
@@ -260,12 +260,6 @@ def nullspace(dom, rows, ncols) -> list:
     return basis
 
 
-def mat_vec(dom, rows, v):
-    return tuple(
-        _dot(dom, row, v) for row in rows
-    )
-
-
 def _dot(dom, u, v):
     acc = dom.zero
     for a, b in zip(u, v):
@@ -276,13 +270,3 @@ def _dot(dom, u, v):
 def mat_mul(dom, a, b):
     bt = list(zip(*b))
     return tuple(tuple(_dot(dom, row, col) for col in bt) for row in a)
-
-
-def mat_inv(dom, rows):
-    """Inverse of a square matrix; NotInvertible if singular."""
-    n = len(rows)
-    aug = [list(r) + list(unit_vec(dom, n, i)) for i, r in enumerate(rows)]
-    red, pivots = rref(dom, aug)
-    if list(pivots) != list(range(n)):
-        raise NotInvertible("matrix is singular")
-    return tuple(tuple(r[n:]) for r in red)

@@ -184,14 +184,6 @@ def pderiv(a: Poly) -> Poly:
     return make_poly(dom, out)
 
 
-def peval(a: Poly, x):
-    dom = a.dom
-    acc = dom.zero
-    for c in reversed(a.coeffs):
-        acc = dom.add(dom.mul(acc, x), c)
-    return acc
-
-
 def ppow(a: Poly, n: int) -> Poly:
     acc = pconst(a.dom, a.dom.one)
     base = a

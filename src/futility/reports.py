@@ -9,17 +9,17 @@ it would break that guarantee.
 from __future__ import annotations
 
 import json
+import random
 import time
+from collections import Counter
+from collections.abc import Callable
 from dataclasses import dataclass
-from fractions import Fraction
 
 from . import __version__
-from .algebra import StructAlgebra, frobenius_span
+from .algebra import StructAlgebra, element_power, frobenius_span
 from .cases import BuiltCase, CaseDescription, build_case, parse_poly
 from .deciders import (
     FUTILE,
-    LocalizedZ,
-    ZPresentation,
     decide_field_extension,
     decide_finite_base,
     decide_infinite_field,
@@ -40,9 +40,7 @@ from .polynomials import (
     poly_to_str,
     squarefree_decomposition,
 )
-from .sampler import SampleHistogram, sample_subalgebras, sample_subrings
-
-COMMANDS = ("decide", "enumerate", "sample", "factor", "oracle-compare")
+from .sampler import sample_subalgebras, sample_subrings
 
 DEFAULT_OPTIONS = {
     "trials": 1000,
@@ -83,14 +81,10 @@ class ReportDocument:
 
 def jsonable(obj):
     """Exact-value JSON conversion; floats are rejected outright."""
-    if obj is None or isinstance(obj, (bool, int)):
+    if obj is None or isinstance(obj, (bool, int, str)):
         return obj
     if isinstance(obj, float):
         raise ValueError("refusing to serialize a float")
-    if isinstance(obj, Fraction):
-        return str(obj)
-    if isinstance(obj, str):
-        return obj
     if isinstance(obj, RatFunc):
         return repr(obj)
     if isinstance(obj, Poly):
@@ -143,38 +137,13 @@ def merge_options(desc: CaseDescription, overrides: dict | None) -> dict:
 
 
 def run_command(command: str, desc: CaseDescription, overrides: dict | None = None) -> ReportDocument:
-    """Dispatch one CLI command over a parsed case."""
-    if command not in COMMANDS:
+    """Run one CLI command over a parsed case."""
+    if command not in COMMAND_TABLE:
         raise InapplicableCommand(f"unknown command {command!r}")
     opts = merge_options(desc, overrides)
     t0 = time.perf_counter_ns()
     built = build_case(desc)
-    if command == "decide":
-        rep = decide_case(built, opts)
-        result = _futility_result(rep)
-        oracle = None
-        agreement = None
-    elif command == "enumerate":
-        result = _enumerate_result(built, opts)
-        oracle = None
-        agreement = None
-    elif command == "sample":
-        result = _sample_result(built, opts)
-        oracle = None
-        agreement = None
-    elif command == "factor":
-        result = _factor_result(built, opts)
-        oracle = None
-        agreement = None
-    else:  # oracle-compare
-        rep = decide_case(built, opts)
-        result = _futility_result(rep)
-        oracle, agreement = _oracle_compare(built, rep, opts)
-        ok, failures = check_asserts(desc, result, oracle)
-        if not ok:
-            agreement = False
-            oracle = dict(oracle or {})
-            oracle["assert_failures"] = failures
+    result, oracle, agreement = COMMAND_TABLE[command](built, opts)
     elapsed = (time.perf_counter_ns() - t0) // 1_000_000
     timing = elapsed if opts.get("timing") else None
     shown = {k: opts[k] for k in ("trials", "bound", "seed", "budget") if k in opts}
@@ -189,44 +158,6 @@ def run_command(command: str, desc: CaseDescription, overrides: dict | None = No
     )
 
 
-def decide_case(built: BuiltCase, opts: dict):
-    seed = opts.get("seed", 0)
-    budget = opts.get("budget", DEFAULT_BUDGET)
-    if built.kind == "struct":
-        A: StructAlgebra = built.payload
-        if not A.is_commutative:
-            return decide_noncommutative(A, seed=seed, budget=budget)
-        if A.dom == QQ:
-            return decide_infinite_field(A, seed=seed)
-        if getattr(A.dom, "is_finite", False):
-            return decide_finite_base(A, budget=budget)
-        raise UnsupportedDomain(f"no decider for struct algebras over {A.dom}")
-    if built.kind == "tower":
-        return decide_field_extension(built.payload)
-    if built.kind == "relative":
-        return decide_local_artinian(built.payload, seed=seed)
-    if built.kind == "zpres":
-        zp: ZPresentation = built.payload
-        if _z_commutative(zp):
-            return decide_integer_algebra(zp)
-        return decide_noncommutative(zp, seed=seed)
-    if built.kind == "localized":
-        return decide_integer_algebra(built.payload)
-    raise InapplicableCommand(f"cannot decide case kind {built.kind}")
-
-
-def _z_commutative(zp: ZPresentation) -> bool:
-    from .intmat import hermite_basis, lattice_contains
-
-    basis = hermite_basis([list(r) for r in zp.relations])
-    for i in range(zp.ngens):
-        for j in range(i + 1, zp.ngens):
-            diff = [a - b for a, b in zip(zp.table[i][j], zp.table[j][i])]
-            if any(diff) and not (basis and lattice_contains(basis, diff)):
-                return False
-    return True
-
-
 def _futility_result(rep) -> dict:
     return {
         "verdict": rep.verdict,
@@ -237,9 +168,9 @@ def _futility_result(rep) -> dict:
 
 
 def _enumerate_result(built: BuiltCase, opts: dict) -> dict:
-    if built.kind != "struct" or not isinstance(built.payload.dom, PrimeField):
+    A = route(built).algebra(built.payload)
+    if A is None or not isinstance(A.dom, PrimeField):
         raise InapplicableCommand("enumerate needs an algebra over a finite prime field")
-    A = built.payload
     base = subspace_from_vectors(A.dom, A.dim, [A.unit])
     lat = enumerate_subalgebras(A, base, opts.get("budget", DEFAULT_BUDGET))
     return {
@@ -251,30 +182,8 @@ def _enumerate_result(built: BuiltCase, opts: dict) -> dict:
 
 
 def _sample_result(built: BuiltCase, opts: dict) -> dict:
-    h = _run_sampler(built, opts)
-    return _histogram_result(h)
-
-
-def _run_sampler(built: BuiltCase, opts: dict) -> SampleHistogram:
-    trials = opts["trials"]
-    bound = opts["bound"]
-    seed = opts["seed"]
-    if built.kind == "struct":
-        if built.payload.dom != QQ:
-            raise InapplicableCommand("sampling needs an infinite coefficient field")
-        return sample_subalgebras(built.payload, trials, bound, seed)
-    if built.kind == "relative":
-        return sample_subalgebras(built.payload, trials, bound, seed)
-    if built.kind == "zpres":
-        return sample_subrings(built.payload, trials, bound, seed)
-    raise InapplicableCommand("sampling applies to algebras over Q, relative cases, and Z presentations")
-
-
-def _histogram_result(h: SampleHistogram) -> dict:
-    by_dim: dict = {}
-    for s in h.distinct:
-        key = s.dim if isinstance(s, Subspace) else len(s)
-        by_dim[key] = by_dim.get(key, 0) + 1
+    h = route(built).sample(built.payload, opts["trials"], opts["bound"], opts["seed"])
+    by_dim = Counter(s.dim if isinstance(s, Subspace) else len(s) for s in h.distinct)
     return {
         "distinct_count": h.count,
         "growth_curve": list(h.growth_curve),
@@ -287,19 +196,16 @@ def _histogram_result(h: SampleHistogram) -> dict:
 
 
 def _factor_result(built: BuiltCase, opts: dict) -> dict:
+    """Factor a quotient_poly modulus over the domain of the algebra it built."""
     desc = built.description
-    if desc.algebra.get("kind") != "quotient_poly":
+    A = route(built).algebra(built.payload)
+    if desc.algebra.get("kind") != "quotient_poly" or A is None:
         raise InapplicableCommand("factor needs a quotient_poly case")
-    from .cases import base_domain
-
-    dom = base_domain(desc.base)
+    dom = A.dom
     f = parse_poly(desc.algebra["modulus"], dom)
-    if dom == QQ:
-        fac = factor_over_rationals(f, seed=opts.get("seed", 0))
-        return {"input": poly_to_str(f), "factored": factored_to_str(fac),
-                "parts": [[poly_to_str(g), m] for g, m in fac.factors]}
-    if isinstance(dom, PrimeField):
-        fac = factor_over_prime_field(f, seed=opts.get("seed", 0))
+    if dom == QQ or isinstance(dom, PrimeField):
+        factor = factor_over_rationals if dom == QQ else factor_over_prime_field
+        fac = factor(f, seed=opts.get("seed", 0))
         return {"input": poly_to_str(f), "factored": factored_to_str(fac),
                 "parts": [[poly_to_str(g), m] for g, m in fac.factors]}
     if isinstance(dom, FunctionField):
@@ -309,29 +215,33 @@ def _factor_result(built: BuiltCase, opts: dict) -> dict:
     raise InapplicableCommand(f"no factorization over {dom}")
 
 
+def _oracle_compare_result(built: BuiltCase, opts: dict):
+    rep = decide_case(built, opts)
+    result = _futility_result(rep)
+    oracle, agreement = _oracle_compare(built, rep, opts)
+    ok, failures = check_asserts(built.description, result, oracle)
+    if not ok:
+        agreement = False
+        oracle = dict(oracle or {})
+        oracle["assert_failures"] = failures
+    return result, oracle, agreement
+
+
+# Each command gives (result, oracle, agreement); lambdas look callees up when run.
+COMMAND_TABLE = {
+    "decide": lambda built, opts: (_futility_result(decide_case(built, opts)), None, None),
+    "enumerate": lambda built, opts: (_enumerate_result(built, opts), None, None),
+    "sample": lambda built, opts: (_sample_result(built, opts), None, None),
+    "factor": lambda built, opts: (_factor_result(built, opts), None, None),
+    "oracle-compare": _oracle_compare_result,
+}
+
+COMMANDS = tuple(COMMAND_TABLE)
+
+
 # ---------------------------------------------------------------------------
 # Oracle comparison
 # ---------------------------------------------------------------------------
-
-def _oracle_compare(built: BuiltCase, rep, opts: dict):
-    if built.kind == "struct":
-        A: StructAlgebra = built.payload
-        if isinstance(A.dom, PrimeField):
-            return _compare_enumeration(built, rep, opts)
-        if A.dom == QQ:
-            return _compare_sampler(built, rep, opts)
-        if getattr(A.dom, "is_finite", False):
-            return {"kind": "none", "reason": "no subspace oracle over composite moduli"}, True
-    if built.kind == "relative":
-        return _compare_sampler(built, rep, opts)
-    if built.kind == "zpres":
-        return _compare_sampler(built, rep, opts)
-    if built.kind == "tower":
-        return _compare_frobenius(built, rep, opts)
-    if built.kind == "localized":
-        return {"kind": "none", "reason": "symbolic localization has no sampling oracle"}, True
-    raise InapplicableCommand(f"no oracle for case kind {built.kind}")
-
 
 def _compare_enumeration(built: BuiltCase, rep, opts: dict):
     A = built.payload
@@ -346,21 +256,10 @@ def _compare_enumeration(built: BuiltCase, rep, opts: dict):
     return oracle, agreement
 
 
-def _divergence_threshold(built: BuiltCase, opts: dict) -> int:
-    if "divergence_threshold" in opts:
-        return opts["divergence_threshold"]
-    if built.kind == "struct":
-        dim = built.payload.dim
-    elif built.kind == "relative":
-        dim = built.payload.amb.dim
-    else:
-        dim = built.payload.ngens
-    return max(16, 4 * dim)
-
-
 def _compare_sampler(built: BuiltCase, rep, opts: dict):
-    h = _run_sampler(built, opts)
-    threshold = _divergence_threshold(built, opts)
+    r = route(built)
+    h = r.sample(built.payload, opts["trials"], opts["bound"], opts["seed"])
+    threshold = opts.get("divergence_threshold", max(16, 4 * r.sample_dim(built.payload)))
     diverged = h.count > threshold
     stabilized = h.stabilized()
     oracle = {
@@ -381,14 +280,10 @@ def _compare_sampler(built: BuiltCase, rep, opts: dict):
 def _compare_frobenius(built: BuiltCase, rep, opts: dict):
     """Spot-check the Frobenius span: the p-th power of every sampled
     element must land inside it."""
-    import random as _random
-
-    from .algebra import element_power
-
     L: StructAlgebra = built.payload
     K: FunctionField = L.dom
     span = frobenius_span(L)
-    rng = _random.Random(opts.get("seed", 0))
+    rng = random.Random(opts.get("seed", 0))
     samples = min(100, opts.get("trials", 100))
     ok = 0
     for _ in range(samples):
@@ -405,28 +300,132 @@ def _compare_frobenius(built: BuiltCase, rep, opts: dict):
     return oracle, ok == samples
 
 
+# ---------------------------------------------------------------------------
+# Case routes
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class Route:
+    """How one kind of case is decided, checked and sampled.  Entries call
+    deciders and samplers by module-level name, looked up when they run."""
+
+    decide: Callable  # (payload, seed, budget) -> FutilityReport
+    oracle: Callable  # (built, report, opts) -> (oracle, agreement)
+    sample: Callable  # (payload, trials, bound, seed) -> sampler.SampleHistogram
+    sample_dim: Callable | None = None  # payload -> dimension behind the divergence threshold
+    algebra: Callable = lambda payload: None  # payload -> the StructAlgebra of the algebra spec
+
+
+def _commutative_or_reduced(decide_commutative: Callable) -> Callable:
+    """The paper's first step: a noncommutative algebra is reduced along
+    its commutator ideal; a commutative one goes to its own decider."""
+
+    def decide(alg, seed, budget):
+        if alg.is_commutative:
+            return decide_commutative(alg, seed, budget)
+        return decide_noncommutative(alg, seed=seed, budget=budget)
+
+    return decide
+
+
+def _refuse(message: str) -> Callable:
+    def refuse(*args):
+        raise InapplicableCommand(message)
+
+    return refuse
+
+
+def _no_oracle(reason: str) -> Callable:
+    return lambda built, rep, opts: ({"kind": "none", "reason": reason}, True)
+
+
+def _no_struct_decider(A, seed, budget):
+    raise UnsupportedDomain(f"no decider for struct algebras over {A.dom}")
+
+
+def _finite_base(A, seed, budget):
+    return decide_finite_base(A, budget=budget)
+
+
+def _struct(decide_commutative, oracle, sample=_refuse("sampling needs an infinite coefficient field"),
+            sample_dim=None) -> Route:
+    """The route of structure-constant algebras over one kind of domain."""
+    return Route(_commutative_or_reduced(decide_commutative), oracle, sample, sample_dim, lambda A: A)
+
+
+_NO_SAMPLER = _refuse("sampling applies to algebras over Q, relative cases, and Z presentations")
+
+ROUTES = {
+    "struct/Q": _struct(
+        lambda A, seed, budget: decide_infinite_field(A, seed=seed),
+        _compare_sampler,
+        sample=lambda A, *draws: sample_subalgebras(A, *draws),
+        sample_dim=lambda A: A.dim,
+    ),
+    "struct/Fp": _struct(_finite_base, _compare_enumeration),
+    "struct/finite": _struct(_finite_base, _no_oracle("no subspace oracle over composite moduli")),
+    "struct/unsupported": _struct(_no_struct_decider, _refuse("no oracle for case kind struct")),
+    "tower": Route(lambda L, seed, budget: decide_field_extension(L), _compare_frobenius, _NO_SAMPLER),
+    "relative": Route(
+        decide=lambda rel, seed, budget: decide_local_artinian(rel, seed=seed),
+        oracle=_compare_sampler,
+        sample=lambda rel, *draws: sample_subalgebras(rel, *draws),
+        sample_dim=lambda rel: rel.amb.dim,
+        algebra=lambda rel: rel.amb,
+    ),
+    "zpres": Route(
+        decide=_commutative_or_reduced(lambda zp, seed, budget: decide_integer_algebra(zp)),
+        oracle=_compare_sampler,
+        sample=lambda zp, *draws: sample_subrings(zp, *draws),
+        sample_dim=lambda zp: zp.ngens,
+    ),
+    "localized": Route(
+        decide=lambda loc, seed, budget: decide_integer_algebra(loc),
+        oracle=_no_oracle("symbolic localization has no sampling oracle"),
+        sample=_NO_SAMPLER,
+    ),
+}
+
+
+def route(built: BuiltCase) -> Route:
+    """The route of a case: its kind, split by coefficient domain for
+    structure-constant algebras."""
+    if built.kind != "struct":
+        return ROUTES[built.kind]
+    dom = built.payload.dom
+    if dom == QQ:
+        return ROUTES["struct/Q"]
+    if isinstance(dom, PrimeField):
+        return ROUTES["struct/Fp"]
+    if getattr(dom, "is_finite", False):
+        return ROUTES["struct/finite"]
+    return ROUTES["struct/unsupported"]
+
+
+def decide_case(built: BuiltCase, opts: dict):
+    return route(built).decide(built.payload, opts.get("seed", 0), opts.get("budget", DEFAULT_BUDGET))
+
+
+def _oracle_compare(built: BuiltCase, rep, opts: dict):
+    return route(built).oracle(built, rep, opts)
+
+
 def check_asserts(desc: CaseDescription, result: dict, oracle: dict | None):
     """Golden expectations embedded in a case; returns (ok, failure list)."""
-    failures = []
     asserts = desc.asserts or {}
-    if "verdict" in asserts and asserts["verdict"] != result.get("verdict"):
-        failures.append(
-            f"verdict: expected {asserts['verdict']}, got {result.get('verdict')}"
-        )
-    if "enumeration_count" in asserts:
-        got = (oracle or {}).get("count")
-        if got != asserts["enumeration_count"]:
-            failures.append(f"enumeration_count: expected {asserts['enumeration_count']}, got {got}")
-    if "sampler_distinct_exact" in asserts:
-        got = (oracle or {}).get("distinct_count")
-        if got != asserts["sampler_distinct_exact"]:
-            failures.append(
-                f"sampler_distinct_exact: expected {asserts['sampler_distinct_exact']}, got {got}"
-            )
-    if "sampler_distinct_min" in asserts:
-        got = (oracle or {}).get("distinct_count") or 0
-        if got < asserts["sampler_distinct_min"]:
-            failures.append(
-                f"sampler_distinct_min: expected >= {asserts['sampler_distinct_min']}, got {got}"
-            )
+    oracle = oracle or {}
+    exact = {
+        "verdict": result.get("verdict"),
+        "enumeration_count": oracle.get("count"),
+        "sampler_distinct_exact": oracle.get("distinct_count"),
+    }
+    failures = [
+        f"{key}: expected {asserts[key]}, got {got}"
+        for key, got in exact.items()
+        if key in asserts and got != asserts[key]
+    ]
+    least = asserts.get("sampler_distinct_min")
+    got = oracle.get("distinct_count") or 0
+    if least is not None and got < least:
+        failures.append(f"sampler_distinct_min: expected >= {least}, got {got}")
     return not failures, failures

@@ -41,12 +41,6 @@ class SampleHistogram:
     def count(self) -> int:
         return len(self.distinct)
 
-    def by_dim(self) -> dict:
-        out: dict = {}
-        for s in self.distinct:
-            out.setdefault(s.dim, []).append(s)
-        return out
-
     def stabilized(self, marks: int = 4) -> bool:
         """True when the last `marks` recorded growth marks are all equal."""
         if len(self.growth_curve) < marks:

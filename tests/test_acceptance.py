@@ -44,7 +44,7 @@ from futility.finite_enum import (
     enumerate_subalgebras,
     goursat_enumerate,
 )
-from futility.intmat import det_int, mat_mul_int, smith_normal_form
+from futility.intmat import det_int, smith_normal_form
 from futility.linalg import subspace_from_vectors
 from futility.polynomials import factor_over_prime_field, factor_over_rationals, make_poly
 from futility.reports import run_command
@@ -54,6 +54,12 @@ ROOT = Path(__file__).resolve().parent.parent
 CORPUS = ROOT / "corpus"
 F2 = PrimeField(2)
 F3 = PrimeField(3)
+
+
+def mat_mul_int(a, b):
+    """Integer matrix product, the reference for checking U*M*V = D."""
+    bt = list(zip(*b))
+    return [[sum(x * y for x, y in zip(row, col)) for col in bt] for row in a]
 
 
 def q(*cs):

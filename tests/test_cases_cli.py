@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from futility.algebra import MAX_DIM, make_algebra
 from futility.cases import (
     MAX_EXPONENT,
+    AlgebraScalarDomain,
     build_case,
     build_struct_algebra,
     parse_case,
@@ -18,7 +19,7 @@ from futility.cases import (
     struct_to_spec,
 )
 from futility.cli import main as cli_main
-from futility.constructions import matrix_algebra, upper_triangular_algebra
+from futility.constructions import matrix_algebra, poly_quotient_algebra, upper_triangular_algebra
 from futility.domains import QQ, FunctionField, PrimeField
 from futility.errors import (
     BudgetExceeded,
@@ -29,7 +30,7 @@ from futility.errors import (
     ValidationError,
 )
 from futility.polynomials import poly_to_str
-from futility.reports import MAX_TRIALS, merge_options, run_command
+from futility.reports import MAX_TRIALS, check_asserts, merge_options, run_command
 
 ROOT = Path(__file__).resolve().parent.parent
 CORPUS = ROOT / "corpus"
@@ -185,6 +186,54 @@ def test_sample_command_inapplicable_over_fp():
     desc = parse_case(make_case(base={"kind": "Fp", "p": 2}))
     with pytest.raises(InapplicableCommand):
         run_command("sample", desc, {})
+
+
+def test_tower_level_domains_compare_by_structure():
+    K = FunctionField(2, ("t",))
+
+    def level(modulus):
+        return AlgebraScalarDomain(poly_quotient_algebra(parse_poly(modulus, K)))
+
+    first, again, other = level("x^2 + t"), level("x^2 + t"), level("x^2 + t + 1")
+    assert first == again and hash(first) == hash(again)
+    assert first != other
+    assert len({first, again, other}) == 2
+
+
+def test_check_asserts_names_each_failed_expectation():
+    every = {
+        "verdict": "NotFutile",
+        "enumeration_count": 4,
+        "sampler_distinct_exact": 3,
+        "sampler_distinct_min": 9,
+    }
+    desc = parse_case(make_case(asserts=every))
+    assert check_asserts(desc, {"verdict": "Futile"}, {"count": 5, "distinct_count": 2}) == (
+        False,
+        [
+            "verdict: expected NotFutile, got Futile",
+            "enumeration_count: expected 4, got 5",
+            "sampler_distinct_exact: expected 3, got 2",
+            "sampler_distinct_min: expected >= 9, got 2",
+        ],
+    )
+    assert check_asserts(desc, {"verdict": "NotFutile"}, {"count": 4, "distinct_count": 9}) == (
+        False,
+        ["sampler_distinct_exact: expected 3, got 9"],
+    )
+    least = parse_case(make_case(asserts={"sampler_distinct_min": 1}))
+    assert check_asserts(least, {"verdict": "Futile"}, None) == (
+        False,
+        ["sampler_distinct_min: expected >= 1, got 0"],
+    )
+    assert check_asserts(parse_case(make_case(asserts={})), {"verdict": "Futile"}, None) == (True, [])
+
+
+def test_factor_command_on_relative_case_uses_the_ambient_field():
+    """A relative case's quotient_poly ambient lives over its ground field Q."""
+    desc = parse_case((CORPUS / "local-artinian" / "degenerate-x3.case").read_text())
+    res = run_command("factor", desc, {}).result
+    assert res == {"input": "x^3", "factored": "(x)^3", "parts": [["x", 3]]}
 
 
 def test_factor_command_squarefree_over_function_field():
@@ -495,6 +544,17 @@ def test_cli_corpus_machine_summary(capsys):
     assert oracles["finite/f2-x3"] == "enumeration"
     assert oracles["finite/zmod4-dual-numbers"] == "none"  # no oracle over Z/4
     assert doc["ms"] == sum(c["ms"] for c in doc["cases"])
+
+
+def test_cli_corpus_error_names_the_case_file(tmp_path, capsys):
+    (tmp_path / "a-good.case").write_text((CORPUS / "finite" / "f2-x3.case").read_text())
+    bad = tmp_path / "b-bad.case"
+    bad.write_text(make_case(algebra={"kind": "quotient_poly", "modulus": "x^y"}))
+    rc = cli_main(["corpus", "--dir", str(tmp_path)])
+    out = capsys.readouterr()
+    assert rc == 1
+    assert out.out.split() == ["ok", "finite/f2-x3"]
+    assert out.err.splitlines() == [f"error: {bad}: exponent must be a literal integer (line 1, col 3)"]
 
 
 def test_cli_timing_flag(capsys):

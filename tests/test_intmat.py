@@ -13,10 +13,15 @@ from futility.intmat import (
     hermite_basis,
     lattice_contains,
     lattice_index,
-    mat_mul_int,
     smith_normal_form,
     solve_integer,
 )
+
+
+def mat_mul_int(a, b):
+    """Integer matrix product, the reference for checking U*M*V = D."""
+    bt = list(zip(*b))
+    return [[sum(x * y for x, y in zip(row, col)) for col in bt] for row in a]
 
 
 def minors_gcd(M, k):
