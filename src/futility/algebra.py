@@ -32,6 +32,8 @@ from .linalg import (
     Subspace,
     combine,
     full_subspace,
+    int_adjoin,
+    int_reduce,
     nullspace,
     primitive,
     solve,
@@ -233,32 +235,46 @@ def subalgebra_generated(A: StructAlgebra, gens, unital_over: Subspace) -> Subsp
         span = bigger
 
 
-def generated_by_element(A: StructAlgebra, a, base: Subspace) -> Subspace:
-    """Subalgebra generated by a single element over a central base image
-    of an algebra over QQ: the span of base_row * a^j for j < dim, which is
-    already closed because the base commutes with everything and powers of a
-    reduce.
+def generated_by_element(A: StructAlgebra, a, base: Subspace) -> tuple[tuple, tuple]:
+    """Subalgebra generated by a single element over a central base image R
+    (containing the unit) of an algebra over QQ, as its integer echelon form
+    (rows, pivots); linalg.int_subspace turns it into a Subspace.
 
-    The work runs on Python ints: a, the unit and the base rows are scaled to
-    primitive integer vectors and powers are taken through A.int_tensor and
-    kept primitive.  Every scaling is by a nonzero rational, so each span,
-    and hence the reduced echelon result, is unchanged."""
+    The subalgebra is R + R*a + R*a^2 + ..., which is closed because R
+    commutes with everything.  Let S_k = R + R*a + ... + R*a^k.  Step k
+    adjoins the residual r of a^k against S_(k-1), which is a^k minus an
+    element of S_(k-1), and b*r for each base row b; their span with S_(k-1)
+    is S_k.  The next candidate is a*r, which is a^(k+1) minus an element of
+    S_k.  The loop stops at the first a^k already in S_(k-1): then R*a^k lies
+    in it too, and so does every later power, since a^(k+1) = a * a^k lies in
+    the span of the r'*a^(j+1) with r' in R and j < k.  It also stops once the
+    span is the whole algebra.
+
+    The work runs on Python ints: a and the base rows are scaled to
+    primitive integer vectors and products are taken through A.int_tensor.
+    Every scaling is by a nonzero rational, so each span is unchanged."""
     if A.dom != QQ:
         raise UnsupportedDomain("single-element closures run over the rationals")
     if len(a) != A.dim:
         raise DimensionMismatch("coordinate length differs from dimension")
     tensor = A.int_tensor
     a = primitive(a)
-    base_rows = [primitive(b) for b in base.rows]
-    powers = []
-    cur = primitive(A.unit)
-    for _ in range(A.dim - 1):
-        cur = primitive(_int_multiply(tensor, A.dim, cur, a))
-        if not any(cur):
-            break
-        powers.append(cur)
-    vecs = base_rows + [_int_multiply(tensor, A.dim, b, p) for b in base_rows for p in powers]
-    return subspace_from_vectors(QQ, A.dim, vecs)
+    rows, pivots = base.int_rows, base.pivots
+    # with a one-dimensional base, R*a^k is the line of a^k
+    others = rows if len(rows) > 1 else ()
+    cur = a
+    while True:
+        r = int_reduce(rows, pivots, cur)
+        if not any(r):
+            return rows, pivots
+        rows, pivots = int_adjoin(rows, pivots, r)
+        for b in others:
+            residual = int_reduce(rows, pivots, _int_multiply(tensor, A.dim, b, r))
+            if any(residual):
+                rows, pivots = int_adjoin(rows, pivots, residual)
+        if len(rows) == A.dim:
+            return rows, pivots
+        cur = _int_multiply(tensor, A.dim, r, a)
 
 
 def _int_multiply(tensor, dim: int, u, v) -> list:

@@ -20,7 +20,7 @@ from .algebra import (
     make_relative,
 )
 from .constructions import extend_by_poly, matrix_algebra, poly_quotient_algebra
-from .deciders import LocalizedZ, ZPresentation
+from .deciders import FUTILE, NOT_FUTILE, LocalizedZ, ZPresentation
 from .domains import QQ, ZZ, FunctionField, ModRing, PrimeField, ScalarDomain
 from .errors import BudgetExceeded, ParseError, UnsupportedDomain, ValidationError
 from .linalg import subspace_from_vectors
@@ -351,6 +351,56 @@ def _no_floats(obj, path="$"):
             _no_floats(v, f"{path}[{i}]")
 
 
+# Largest sampler trial count a case or the command line may ask for; the
+# corpus uses at most 5,000.
+MAX_TRIALS = 100_000
+
+# Integer options and their smallest allowed values.
+INT_OPTION_MINIMA = {"trials": 1, "bound": 1, "seed": 0, "budget": 1, "divergence_threshold": 0}
+
+# Integer asserts (counts) and their smallest allowed values; "verdict" is the
+# one other assert.
+ASSERT_COUNT_MINIMA = {"enumeration_count": 0, "sampler_distinct_exact": 0, "sampler_distinct_min": 0}
+
+
+def _check_ints(d: dict, minima: dict, where: str):
+    """A located ValidationError for a value in d that is not an int (bools
+    excluded) or lies below its minimum."""
+    for key, least in minima.items():
+        if key not in d:
+            continue
+        v = d[key]
+        if type(v) is not int:
+            raise ValidationError(f"{key!r} of {where} must be an integer, not {type(v).__name__}")
+        if v < least:
+            raise ValidationError(f"{key!r} of {where} must be at least {least}, got {v}")
+
+
+def check_options(opts: dict, where: str):
+    """_check_ints over the integer options; BudgetExceeded for a trial count
+    above MAX_TRIALS."""
+    _check_ints(opts, INT_OPTION_MINIMA, where)
+    if opts.get("trials", 0) > MAX_TRIALS:
+        raise BudgetExceeded(f"{opts['trials']} trials exceed the limit of {MAX_TRIALS} ({where})")
+
+
+def _known_keys(d: dict, allowed, where: str):
+    for key in d:
+        if key not in allowed:
+            raise ValidationError(
+                f"unknown key {key!r} in {where} (allowed: {', '.join(sorted(allowed))})"
+            )
+
+
+def _check_asserts(asserts: dict):
+    _known_keys(asserts, ("verdict", *ASSERT_COUNT_MINIMA), "asserts")
+    if "verdict" in asserts and asserts["verdict"] not in (FUTILE, NOT_FUTILE):
+        raise ValidationError(
+            f"'verdict' of asserts must be {FUTILE!r} or {NOT_FUTILE!r}, got {asserts['verdict']!r}"
+        )
+    _check_ints(asserts, ASSERT_COUNT_MINIMA, "asserts")
+
+
 def parse_case(text: str) -> CaseDescription:
     """Parse and validate a case document; errors carry locations when the
     JSON itself is malformed."""
@@ -364,7 +414,7 @@ def parse_case(text: str) -> CaseDescription:
     version = raw.get("format_version")
     if version != FORMAT_VERSION:
         raise ValidationError(f"unsupported format_version {version!r}")
-    case_id = _require(raw, "id", "case")
+    case_id = _text(_require(raw, "id", "case"), "'id' of case")
     base = _require(raw, "base", "case")
     algebra = _require(raw, "algebra", "case")
     if not isinstance(base, dict) or "kind" not in base:
@@ -372,7 +422,10 @@ def parse_case(text: str) -> CaseDescription:
     if not isinstance(algebra, dict) or "kind" not in algebra:
         raise ValidationError("algebra must be an object with a 'kind'")
     options = _object(raw.get("options", {}), "options")
+    _known_keys(options, INT_OPTION_MINIMA, "options")
+    check_options(options, "options")
     asserts = _object(raw.get("asserts", {}), "asserts")
+    _check_asserts(asserts)
     return CaseDescription(
         case_id=case_id, base=base, algebra=algebra, options=options, asserts=asserts, raw=raw
     )

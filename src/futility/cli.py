@@ -13,7 +13,7 @@ import time
 from pathlib import Path
 
 from .cases import parse_case
-from .errors import FutilityError
+from .errors import FutilityError, UnreadableCase
 from .reports import COMMANDS, ReportDocument, run_command
 
 
@@ -80,9 +80,20 @@ def _emit(report: ReportDocument, fmt: str):
         print(f"timing_ms: {r['timing_ms']}")
 
 
+def _read_case(path) -> str:
+    """The text of a case file; a missing, unreadable or non-UTF-8 file is
+    an UnreadableCase that names the path."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except OSError as exc:
+        reason = exc.strerror or str(exc)
+    except UnicodeDecodeError as exc:
+        reason = f"not UTF-8 text ({exc.reason} at byte {exc.start})"
+    raise UnreadableCase(f"{path}: cannot read case file: {reason}")
+
+
 def run_single(args) -> int:
-    text = Path(args.case).read_text()
-    desc = parse_case(text)
+    desc = parse_case(_read_case(args.case))
     report = run_command(args.cmd, desc, _overrides(args))
     _emit(report, args.fmt)
     if report.agreement is False:
@@ -105,8 +116,9 @@ def run_corpus(args) -> int:
     summary = []
     for path in cases:
         t0 = time.perf_counter_ns()
+        text = _read_case(path)
         try:
-            desc = parse_case(path.read_text())
+            desc = parse_case(text)
             report = run_command("oracle-compare", desc, {})
         except FutilityError as exc:
             exc.args = (f"{path}: {exc}",)

@@ -87,5 +87,9 @@ class ParseError(FutilityError):
         self.col = col
 
 
+class UnreadableCase(FutilityError):
+    """A case file could not be read as UTF-8 text."""
+
+
 class ValidationError(FutilityError):
     """Case parsed but failed semantic validation."""

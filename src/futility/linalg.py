@@ -15,8 +15,10 @@ lattice normal forms and the determinant reference live in intmat.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 
 from .domains import QQ, ScalarDomain
@@ -51,11 +53,19 @@ def primitive(vec) -> tuple:
         ints = [x.numerator for x in vec]
     else:
         ints = [x.numerator * (den // x.denominator) for x in vec]
+    return _int_primitive(ints)
+
+
+def _int_primitive(ints) -> tuple:
+    """primitive() of a vector of ints."""
     g = math.gcd(*ints)
     if g == 0:
         return tuple(ints)
-    if next(x for x in ints if x) < 0:
-        g = -g
+    for x in ints:
+        if x:
+            if x < 0:
+                g = -g
+            break
     return tuple(ints) if g == 1 else tuple(x // g for x in ints)
 
 
@@ -121,9 +131,7 @@ def _rref_rational(rows):
             f = row[c]
             if i == r or not f:
                 continue
-            g = math.gcd(p, f)
-            a, b = p // g, f // g
-            new = [a * x - b * y for x, y in zip(row, prow)]
+            new = _eliminate(row, f, prow, p)
             g = math.gcd(*new)
             work[i] = [x // g for x in new] if g > 1 else new
         pivots.append(c)
@@ -131,11 +139,66 @@ def _rref_rational(rows):
         work[r:] = [row for row in work[r:] if any(row)]
         if r == len(work):
             break
-    out = tuple(
+    return _rational_rows(work, pivots), tuple(pivots)
+
+
+def _eliminate(v, f, row, p) -> list:
+    """(p/g)*v - (f/g)*row with g = gcd(p, f): the integer vector v with its
+    entry f cleared against the entry p of row in the same column."""
+    g = math.gcd(p, f)
+    a, b = p // g, f // g
+    return [a * x - b * y for x, y in zip(v, row)]
+
+
+def _rational_rows(rows, pivots) -> tuple:
+    """Integer echelon rows divided by their pivots: the reduced rows over QQ."""
+    return tuple(
         tuple(Fraction(x, row[c]) if x else _ZERO for x in row)
-        for row, c in zip(work, pivots)
+        for row, c in zip(rows, pivots)
     )
-    return out, tuple(pivots)
+
+
+# Integer echelon form.  A subspace of Q^n is held as (rows, pivots): its
+# reduced echelon rows, each scaled to a primitive integer vector with a
+# positive pivot.  The reduced echelon form is unique, so this form is
+# canonical too, and rows can serve as a hashable key.  int_reduce and
+# int_adjoin are the fraction-free twins of Subspace.reduce and
+# Subspace.adjoin on it.
+
+def int_reduce(rows, pivots, vec) -> tuple:
+    """primitive(Subspace.reduce(vec)) for the subspace with integer echelon
+    form (rows, pivots), vec an integer vector.  Each pivot coordinate is
+    cleared by _eliminate against its row; the pivot is positive, so v stays
+    a positive multiple of the rational residual."""
+    v = vec
+    for row, p in zip(rows, pivots):
+        c = v[p]
+        if c:
+            v = _eliminate(v, c, row, row[p])
+    return _int_primitive(v)
+
+
+def int_adjoin(rows, pivots, residual) -> tuple[tuple, tuple]:
+    """The integer echelon form of the span of (rows, pivots) and a nonzero
+    residual of int_reduce: the residual becomes a new pivot row and is
+    cleared from the rows that have an entry in its pivot column.  Only those
+    rows are made primitive again."""
+    lead = next(j for j, x in enumerate(residual) if x)
+    d = residual[lead]
+    out = []
+    for row in rows:
+        c = row[lead]
+        if c:
+            row = _int_primitive(_eliminate(row, c, residual, d))
+        out.append(row)
+    at = bisect.bisect(pivots, lead)
+    out.insert(at, residual)
+    return tuple(out), pivots[:at] + (lead,) + pivots[at:]
+
+
+def int_subspace(ambient: int, rows, pivots) -> "Subspace":
+    """The Subspace over QQ with integer echelon form (rows, pivots)."""
+    return Subspace(QQ, ambient, _rational_rows(rows, pivots), pivots)
 
 
 def solve(dom: ScalarDomain, rows, target):
@@ -217,6 +280,12 @@ class Subspace:
         if not self.contains(vec):
             raise ValueError("vector not in subspace")
         return tuple(vec[p] for p in self.pivots)
+
+    @cached_property
+    def int_rows(self) -> tuple:
+        """Over QQ, the rows scaled to primitive integer vectors: with the
+        pivots, the subspace's integer echelon form."""
+        return tuple(primitive(r) for r in self.rows)
 
     def key(self):
         """Hashable canonical form (domains with hashable elements only)."""

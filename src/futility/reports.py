@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 from . import __version__
 from .algebra import StructAlgebra, element_power, frobenius_span
-from .cases import BuiltCase, CaseDescription, build_case, parse_poly
+from .cases import BuiltCase, CaseDescription, build_case, check_options, parse_poly
 from .deciders import (
     FUTILE,
     decide_field_extension,
@@ -28,7 +28,7 @@ from .deciders import (
     decide_noncommutative,
 )
 from .domains import QQ, FunctionField, PrimeField, RatFunc
-from .errors import BudgetExceeded, InapplicableCommand, UnsupportedDomain, ValidationError
+from .errors import BudgetExceeded, InapplicableCommand, UnsupportedDomain
 from .finite_enum import DEFAULT_BUDGET, enumerate_subalgebras
 from .linalg import Subspace, subspace_from_vectors
 from .polynomials import (
@@ -100,38 +100,13 @@ def jsonable(obj):
     return str(obj)
 
 
-# Largest sampler trial count a case or the command line may ask for; the
-# corpus uses at most 5,000.
-MAX_TRIALS = 100_000
-
-# Integer options and their smallest allowed values.
-INT_OPTION_MINIMA = {"trials": 1, "bound": 1, "seed": 0, "budget": 1, "divergence_threshold": 0}
-
-
-def _check_options(opts: dict, where: str):
-    """A located ValidationError for an integer option that is not an int
-    (bools excluded) or lies below its minimum; BudgetExceeded for a trial
-    count above MAX_TRIALS."""
-    for key, least in INT_OPTION_MINIMA.items():
-        if key not in opts:
-            continue
-        v = opts[key]
-        if type(v) is not int:
-            raise ValidationError(f"{key!r} of {where} must be an integer, not {type(v).__name__}")
-        if v < least:
-            raise ValidationError(f"{key!r} of {where} must be at least {least}, got {v}")
-    if opts.get("trials", 0) > MAX_TRIALS:
-        raise BudgetExceeded(f"{opts['trials']} trials exceed the limit of {MAX_TRIALS} ({where})")
-
-
 def merge_options(desc: CaseDescription, overrides: dict | None) -> dict:
-    """Defaults, then the case's options, then the non-None overrides, each
-    layer checked before it is applied."""
-    _check_options(desc.options, "options")
+    """Defaults, then the case's options (checked by parse_case), then the
+    non-None overrides, checked here."""
     opts = dict(DEFAULT_OPTIONS)
     opts.update(desc.options)
     given = {k: v for k, v in (overrides or {}).items() if v is not None}
-    _check_options(given, "command-line options")
+    check_options(given, "command-line options")
     opts.update(given)
     return opts
 

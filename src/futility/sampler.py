@@ -23,7 +23,7 @@ from .algebra import (
 from .constructions import poly_quotient_algebra
 from .domains import QQ
 from .errors import NotApplicable, UnsupportedDomain
-from .linalg import Subspace, primitive, subspace_from_vectors
+from .linalg import Subspace, int_reduce, int_subspace, subspace_from_vectors
 from .polynomials import Poly, pmul, squarefree_decomposition
 
 
@@ -56,7 +56,9 @@ def sample_subalgebras(target, trials: int, bound: int, seed: int = 0) -> Sample
     Closures are memoized within the call by the draw reduced modulo the base
     image and scaled to a primitive integer vector: R[a] = R[c*a + r] for
     c != 0 and r in the base image, so a draw whose key was seen before
-    generates a subalgebra that is already filed.
+    generates a subalgebra that is already filed.  Memo keys and closures are
+    integer echelon forms; Fraction rows are built once per distinct
+    subalgebra, at the end.
     """
     if isinstance(target, RelativeAlgebra):
         A = target.amb
@@ -71,23 +73,26 @@ def sample_subalgebras(target, trials: int, bound: int, seed: int = 0) -> Sample
     memo = set()
 
     def close(vec):
-        key = primitive(base.reduce(vec))
+        key = int_reduce(base.int_rows, base.pivots, vec)
         if key in memo:
             return None
         memo.add(key)
-        s = generated_by_element(A, vec, base)
-        return s.key(), s
+        return generated_by_element(A, vec, base)
 
-    return _sample(A.dim, trials, bound, seed, close, lambda s: (s.dim, s.key()))
+    def finish(closed):
+        spaces = (int_subspace(A.dim, rows, pivots) for rows, pivots in closed)
+        return sorted(spaces, key=lambda s: (s.dim, s.key()))
+
+    return _sample(A.dim, trials, bound, seed, close, finish)
 
 
-def _sample(dim: int, trials: int, bound: int, seed: int, close, order) -> SampleHistogram:
+def _sample(dim: int, trials: int, bound: int, seed: int, close, finish) -> SampleHistogram:
     """The trial loop of both samplers.  Trial t draws from its own derived
     seed, so the merged histogram does not depend on evaluation order.
-    close(vec) closes an accepted draw to a (canonical key, value) pair, or
-    None when the draw is known to close to a value already seen; the
-    distinct values are sorted by order."""
-    seen = {}
+    close(vec) closes an accepted draw to a hashable canonical form, or None
+    when the draw is known to close to a form already seen; finish turns the
+    set of distinct forms into the sorted distinct values."""
+    seen = set()
     curve = []
     mark = 1
     for t in range(1, trials + 1):
@@ -95,14 +100,13 @@ def _sample(dim: int, trials: int, bound: int, seed: int, close, order) -> Sampl
         if vec is not None:
             closed = close(vec)
             if closed is not None:
-                seen.setdefault(*closed)
+                seen.add(closed)
         if t == mark:
             curve.append(len(seen))
             mark *= 2
     curve.append(len(seen))
-    distinct = tuple(sorted(seen.values(), key=order))
     return SampleHistogram(
-        trials=trials, bound=bound, seed=seed, distinct=distinct, growth_curve=tuple(curve)
+        trials=trials, bound=bound, seed=seed, distinct=tuple(finish(seen)), growth_curve=tuple(curve)
     )
 
 
@@ -189,7 +193,9 @@ def sample_subrings(zp, trials: int, bound: int, seed: int = 0) -> SampleHistogr
                 break
             rows.append(list(power))
             basis = hermite_basis(list(zp.relations) + rows)
-        key = tuple(tuple(r) for r in basis)
-        return key, key
+        return tuple(tuple(r) for r in basis)
 
-    return _sample(zp.ngens, trials, bound, seed, close, lambda b: (len(b), b))
+    def finish(closed):
+        return sorted(closed, key=lambda b: (len(b), b))
+
+    return _sample(zp.ngens, trials, bound, seed, close, finish)

@@ -48,12 +48,13 @@ from futility.errors import (
     ValidationError,
 )
 from futility.linalg import (
+    int_subspace,
     subspace_from_vectors,
     unit_vec,
     vec_is_zero,
     zero_subspace,
 )
-from futility.polynomials import make_poly
+from futility.polynomials import make_poly, pmul, poly_to_str, ppow
 
 F2 = PrimeField(2)
 F3 = PrimeField(3)
@@ -635,9 +636,67 @@ def test_generated_by_element_matches_subalgebra_generated(target):
     rng = random.Random(3)
     for _ in range(25):
         a = tuple(Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(A.dim))
-        assert generated_by_element(A, a, base) == subalgebra_generated(A, [a], base)
+        assert int_subspace(A.dim, *generated_by_element(A, a, base)) == subalgebra_generated(A, [a], base)
     with pytest.raises(DimensionMismatch):
         generated_by_element(A, a[:-1], base)
+
+
+# Factors of the random quotient moduli below: x, x - 1, x + 2, x^2 + 1, x^2 - 2.
+MODULUS_FACTORS = [q(0, 1), q(-1, 1), q(2, 1), q(1, 0, 1), q(-2, 0, 1)]
+
+
+def random_q_targets(rng):
+    """(name, algebra, base, nilpotent element or None): quotients Q[x]/(m)
+    with m a random product of powers of MODULUS_FACTORS, a product algebra,
+    two noncommutative algebras over the unit line, and every relative
+    corpus case."""
+    for _ in range(6):
+        picks = rng.sample(MODULUS_FACTORS, rng.randint(1, 3))
+        exps = [rng.randint(1, 3) for _ in picks]
+        m = q(1)
+        radical = q(1)
+        for f, e in zip(picks, exps):
+            m = pmul(m, ppow(f, e))
+            radical = pmul(radical, f)
+        if m.degree > 8:
+            continue
+        A = poly_quotient_algebra(m)
+        nil = None
+        if radical.degree < m.degree:
+            nil = tuple(radical.coeffs) + (QQ.zero,) * (A.dim - len(radical.coeffs))
+        yield f"Q[x]/({poly_to_str(m)})", A, unit_span(A), nil
+    P = product_algebra([qx_mod(0, 0, 1), qx_mod(-2, 0, 1)])
+    yield "Q[x]/(x^2) x Q[x]/(x^2 - 2)", P, unit_span(P), P.basis_vector(1)
+    M = matrix_algebra(QQ, 2)
+    yield "M_2(Q)", M, unit_span(M), M.basis_vector(1)
+    U = upper_triangular_algebra(QQ, 3)
+    yield "upper triangular 3x3", U, unit_span(U), None
+    for path in sorted((CORPUS / "local-artinian").glob("*.case")):
+        rel = build_case(parse_case(path.read_text())).payload
+        yield path.stem, rel.amb, rel.base_image, None
+
+
+def test_generated_by_element_matches_subalgebra_generated_on_random_targets():
+    # zero, nilpotent, random and proper-subalgebra elements of random Q
+    # algebras and of the relative corpus targets
+    rng = random.Random(11)
+    proper = 0
+    for name, A, base, nil in random_q_targets(rng):
+        elements = [(QQ.zero,) * A.dim]
+        if nil is not None:
+            assert not vec_is_zero(QQ, nil) and vec_is_zero(QQ, element_power(A, nil, A.dim))
+            elements.append(nil)
+        elements += [tuple(Fraction(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(A.dim)) for _ in range(6)]
+        # random elements of the subalgebras generated by basis vectors
+        for i in range(A.dim):
+            sub = subalgebra_generated(A, [A.basis_vector(i)], base)
+            coeffs = [rng.randint(-3, 3) for _ in sub.rows]
+            elements.append(tuple(sum(c * x for c, x in zip(coeffs, col)) for col in zip(*sub.rows)))
+        for a in elements:
+            expected = subalgebra_generated(A, [a], base)
+            assert int_subspace(A.dim, *generated_by_element(A, a, base)) == expected, (name, a)
+            proper += base.dim < expected.dim < A.dim
+    assert proper >= 10
 
 
 def test_generated_by_element_is_rational_only():

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from futility.algebra import MAX_DIM, make_algebra
 from futility.cases import (
     MAX_EXPONENT,
+    MAX_TRIALS,
     AlgebraScalarDomain,
     build_case,
     build_struct_algebra,
@@ -30,7 +31,7 @@ from futility.errors import (
     ValidationError,
 )
 from futility.polynomials import poly_to_str
-from futility.reports import MAX_TRIALS, check_asserts, merge_options, run_command
+from futility.reports import check_asserts, merge_options, run_command
 
 ROOT = Path(__file__).resolve().parent.parent
 CORPUS = ROOT / "corpus"
@@ -450,6 +451,73 @@ def test_cli_bad_option_is_one_error_line(tmp_path, capsys, options, argv, messa
     rc = cli_main(["oracle-compare", "--case", str(p), *argv])
     assert rc == 1
     assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
+
+
+ALLOWED_ASSERTS = "enumeration_count, sampler_distinct_exact, sampler_distinct_min, verdict"
+ALLOWED_OPTIONS = "bound, budget, divergence_threshold, seed, trials"
+
+
+@pytest.mark.parametrize(
+    "fields, message",
+    [
+        ({"asserts": {"sampler_distinct_min": "5"}},
+         "'sampler_distinct_min' of asserts must be an integer, not str"),
+        ({"asserts": {"enumeration_count": True}}, "'enumeration_count' of asserts must be an integer, not bool"),
+        ({"asserts": {"sampler_distinct_exact": -1}},
+         "'sampler_distinct_exact' of asserts must be at least 0, got -1"),
+        ({"asserts": {"verdikt": "NotFutile"}}, f"unknown key 'verdikt' in asserts (allowed: {ALLOWED_ASSERTS})"),
+        ({"asserts": {"verdict": "Maybe"}}, "'verdict' of asserts must be 'Futile' or 'NotFutile', got 'Maybe'"),
+        ({"asserts": {"verdict": None}}, "'verdict' of asserts must be 'Futile' or 'NotFutile', got None"),
+        ({"options": {"trails": 50}}, f"unknown key 'trails' in options (allowed: {ALLOWED_OPTIONS})"),
+        ({"options": {"timing": True}}, f"unknown key 'timing' in options (allowed: {ALLOWED_OPTIONS})"),
+        ({"id": 5}, "'id' of case must be a string, not int"),
+    ],
+    ids=["min-not-int", "count-is-bool", "exact-negative", "unknown-assert", "bad-verdict", "null-verdict",
+         "unknown-option", "timing-option", "id-not-string"],
+)
+def test_cli_bad_case_field_is_one_error_line(tmp_path, capsys, fields, message):
+    p = tmp_path / "fields.case"
+    p.write_text(make_case(**fields))
+    rc = cli_main(["oracle-compare", "--case", str(p)])
+    assert rc == 1
+    assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
+
+
+def test_zero_counts_and_both_verdicts_are_valid_asserts():
+    for verdict in ("Futile", "NotFutile"):
+        asserts = {"verdict": verdict, "enumeration_count": 0, "sampler_distinct_exact": 0, "sampler_distinct_min": 0}
+        assert parse_case(make_case(asserts=asserts)).asserts == asserts
+
+
+def _latin1_case(tmp_path):
+    """A case file whose id holds a Latin-1 byte; returns (path, reason)."""
+    data = make_case(id="test/cafe-latin1").encode().replace(b"cafe", b"caf\xe9")
+    p = tmp_path / "latin1.case"
+    p.write_bytes(data)
+    return p, f"not UTF-8 text (invalid continuation byte at byte {data.index(0xE9)})"
+
+
+@pytest.mark.parametrize(
+    "make_path",
+    [
+        lambda tmp: (tmp / "missing.case", "No such file or directory"),
+        lambda tmp: (tmp, "Is a directory"),
+        _latin1_case,
+    ],
+    ids=["missing", "directory", "not-utf8"],
+)
+def test_cli_unreadable_case_is_one_error_line(tmp_path, capsys, make_path):
+    path, reason = make_path(tmp_path)
+    rc = cli_main(["decide", "--case", str(path)])
+    assert rc == 1
+    assert capsys.readouterr().err.splitlines() == [f"error: {path}: cannot read case file: {reason}"]
+
+
+def test_cli_corpus_unreadable_case_is_one_error_line(tmp_path, capsys):
+    bad, reason = _latin1_case(tmp_path)
+    rc = cli_main(["corpus", "--dir", str(tmp_path)])
+    assert rc == 1
+    assert capsys.readouterr().err.splitlines() == [f"error: {bad}: cannot read case file: {reason}"]
 
 
 def test_trial_cap_admits_its_own_value():

@@ -12,6 +12,9 @@ from futility.linalg import (
     Subspace,
     combine,
     full_subspace,
+    int_adjoin,
+    int_reduce,
+    int_subspace,
     mat_mul,
     nullspace,
     primitive,
@@ -198,3 +201,47 @@ def test_adjoin_matches_rref_over_f3(mat):
 def test_adjoin_matches_rref_over_q(mat):
     ncols = len(mat[0]) if mat else 2
     assert _adjoin_all(QQ, ncols, mat) == subspace_from_vectors(QQ, ncols, mat)
+
+
+# --- integer echelon form -----------------------------------------------------
+
+def integer_form(s):
+    """The integer echelon form of a Subspace over QQ: its rows made primitive."""
+    return tuple(primitive(r) for r in s.rows), s.pivots
+
+
+@st.composite
+def subspace_and_vector(draw):
+    mat = draw(rational_matrices())
+    ncols = len(mat[0]) if mat else draw(st.integers(1, 5))
+    vec = draw(st.tuples(*[st.integers(-30, 30)] * ncols))
+    return subspace_from_vectors(QQ, ncols, mat), vec
+
+
+@given(subspace_and_vector())
+@example((subspace_from_vectors(QQ, 2, [(Fraction(1, 2), Fraction(-3))]), (-1, 6)))
+@example((zero_subspace(QQ, 3), (0, -4, 6)))
+def test_int_reduce_matches_reduce_over_q(case):
+    s, vec = case
+    rows, pivots = integer_form(s)
+    assert s.int_rows == rows
+    assert int_subspace(s.ambient, rows, pivots) == s
+    reduced = int_reduce(rows, pivots, vec)
+    assert reduced == primitive(s.reduce(vec))
+    assert all(type(x) is int for x in reduced)
+
+
+@given(rational_matrices())
+@example([(Fraction(0), Fraction(1)), (Fraction(2), Fraction(3))])
+@example([(Fraction(0), Fraction(2), Fraction(1)), (Fraction(3), Fraction(1), Fraction(-1)), (Fraction(1), Fraction(0), Fraction(0))])
+def test_int_adjoin_matches_rref_over_q(mat):
+    ncols = len(mat[0]) if mat else 2
+    vecs = [primitive(v) for v in mat]
+    rows, pivots = (), ()
+    for v in vecs:
+        r = int_reduce(rows, pivots, v)
+        if any(r):
+            rows, pivots = int_adjoin(rows, pivots, r)
+    s = subspace_from_vectors(QQ, ncols, vecs)
+    assert (rows, pivots) == integer_form(s)
+    assert int_subspace(ncols, rows, pivots) == s

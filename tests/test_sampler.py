@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from futility.algebra import element_multiply, generated_by_element, make_relative
+from futility.algebra import element_multiply, generated_by_element, make_relative, subalgebra_generated
 from futility.constructions import poly_quotient_algebra
 from futility.domains import QQ, PrimeField
 from futility.errors import NotApplicable, UnsupportedDomain
@@ -97,14 +97,15 @@ def test_relative_sampling_counts_relative_subalgebras():
 
 
 def unmemoized_histogram(A, base, trials, bound, seed):
-    """The sampler's trial loop written out with one closure per draw."""
+    """The sampler's trial loop written out with one span-and-multiply
+    closure per draw."""
     seen = {}
     curve = []
     mark = 1
     for t in range(1, trials + 1):
         vec = _draw(random.Random(seed * 1_000_003 + t), A.dim, bound)
         if vec is not None:
-            s = generated_by_element(A, vec, base)
+            s = subalgebra_generated(A, [tuple(map(Fraction, vec))], base)
             seen.setdefault(s.key(), s)
         if t == mark:
             curve.append(len(seen))
