@@ -13,9 +13,10 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from functools import cached_property
+from fractions import Fraction
+from functools import cached_property, partial
 
-from .domains import QQ, ZZ, PrimeField, ScalarDomain
+from .domains import QQ, PrimeField, RationalField, ScalarDomain
 from .errors import (
     BaseNotLocalArtinian,
     BudgetExceeded,
@@ -92,10 +93,15 @@ class StructAlgebra:
         )
 
     @cached_property
+    def int_den(self) -> int:
+        """D, the common denominator of the table over QQ."""
+        return math.lcm(*(c.denominator for block in self.sparse for v in block for _, c in v))
+
+    @cached_property
     def int_tensor(self) -> tuple:
-        """D * sparse over QQ, D the common denominator of the table:
-        int_tensor[i][j] holds the nonzero (k, D * c_ijk) as Python ints."""
-        den = math.lcm(*(c.denominator for block in self.sparse for v in block for _, c in v))
+        """D * sparse over QQ: int_tensor[i][j] holds the nonzero
+        (k, D * c_ijk) as Python ints."""
+        den = self.int_den
         return tuple(
             tuple(tuple((k, c.numerator * (den // c.denominator)) for k, c in v) for v in block)
             for block in self.sparse
@@ -106,6 +112,8 @@ class StructAlgebra:
 
 
 MAX_DIM = 32
+
+_ZERO = Fraction(0)
 
 
 def check_dimension(n: int) -> None:
@@ -134,22 +142,25 @@ def make_algebra(dom: ScalarDomain, table, unit) -> StructAlgebra:
         if element_multiply(A, unit, e) != e or element_multiply(A, e, unit) != e:
             raise ValidationError(f"unit law fails at basis vector {i}")
     # over Q both sides of every triple are compared scaled by D^2 on ints
-    ring, tensor = (ZZ, A.int_tensor) if dom == QQ else (dom, A.sparse)
-    _check_associative(ring, tensor)
+    if type(dom) is RationalField:
+        _check_associative(A.int_tensor, partial(_int_combine, n))
+    else:
+        _check_associative(A.sparse, partial(_sparse_combine, dom))
     return A
 
 
-def _check_associative(ring: ScalarDomain, T) -> None:
+def _check_associative(T, combine) -> None:
     """Raise at the first basis triple (i, j, k), in lexicographic order, where
     (e_i e_j) e_k = sum over (l, c) in T_ij of c*T_lk differs from
-    e_i (e_j e_k) = sum over (l, c) in T_jk of c*T_il."""
+    e_i (e_j e_k) = sum over (l, c) in T_jk of c*T_il; combine(terms, rows)
+    forms such a sum."""
     n = len(T)
     columns = [[T[l][k] for l in range(n)] for k in range(n)]
     for i in range(n):
         for j in range(n):
             ij = T[i][j]
             for k in range(n):
-                if _sparse_combine(ring, ij, columns[k]) != _sparse_combine(ring, T[j][k], T[i]):
+                if combine(ij, columns[k]) != combine(T[j][k], T[i]):
                     raise ValidationError(
                         f"associativity fails at basis triple ({i}, {j}, {k})"
                     )
@@ -166,11 +177,35 @@ def _sparse_combine(ring: ScalarDomain, terms, rows) -> dict:
     return {m: x for m, x in acc.items() if not ring.is_zero(x)}
 
 
+def _int_combine(n: int, terms, rows) -> list:
+    """_sparse_combine over Python ints, as a dense list of length n."""
+    acc = [0] * n
+    for l, c in terms:
+        for m, t in rows[l]:
+            acc[m] += c * t
+    return acc
+
+
 def element_multiply(A: StructAlgebra, u, v):
-    """Bilinear product of coordinate vectors through the sparse tensor."""
+    """Bilinear product of coordinate vectors through the sparse tensor.
+
+    Over QQ, u and v are scaled to integer vectors by their common
+    denominators du and dv and multiplied through A.int_tensor, so each
+    output coordinate is one reduced Fraction(x, du * dv * D)."""
     if len(u) != A.dim or len(v) != A.dim:
         raise DimensionMismatch("coordinate length differs from dimension")
     dom = A.dom
+    if type(dom) is RationalField:
+        du = math.lcm(*(c.denominator for c in u))
+        dv = math.lcm(*(c.denominator for c in v))
+        out = _int_multiply(
+            A.int_tensor,
+            A.dim,
+            [c.numerator * (du // c.denominator) for c in u],
+            [c.numerator * (dv // c.denominator) for c in v],
+        )
+        den = du * dv * A.int_den
+        return tuple(Fraction(x, den) if x else _ZERO for x in out)
     is_zero, add, mul = dom.is_zero, dom.add, dom.mul
     out = [dom.zero] * A.dim
     vs = [(j, cv) for j, cv in enumerate(v) if not is_zero(cv)]
@@ -280,13 +315,14 @@ def generated_by_element(A: StructAlgebra, a, base: Subspace) -> tuple[tuple, tu
 def _int_multiply(tensor, dim: int, u, v) -> list:
     """Product of integer coordinate vectors through an integer tensor."""
     out = [0] * dim
+    vs = [(j, cv) for j, cv in enumerate(v) if cv]
+    if not vs:
+        return out
     for i, cu in enumerate(u):
         if not cu:
             continue
         block = tensor[i]
-        for j, cv in enumerate(v):
-            if not cv:
-                continue
+        for j, cv in vs:
             c = cu * cv
             for k, t in block[j]:
                 out[k] += c * t

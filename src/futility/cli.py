@@ -109,8 +109,7 @@ def run_corpus(args) -> int:
     root = Path(args.dir)
     cases = sorted(root.rglob("*.case"))
     if not cases:
-        print(f"no .case files under {root}", file=sys.stderr)
-        return 1
+        raise UnreadableCase(f"no .case files under {root}")
     bad = 0
     goldens = []
     summary = []

@@ -155,7 +155,11 @@ def mp_to_str(a: tuple, names: tuple) -> str:
 
 @dataclass(frozen=True, eq=False)
 class RatFunc:
-    """Quotient of two multivariate polynomials over F_p; not reduced."""
+    """Quotient of two multivariate polynomials over F_p; not reduced.
+
+    Values are built by ratfunc (FunctionField.neg and the shortcuts in
+    FunctionField.mul keep its form): num and den share no monomial factor,
+    and den's top coefficient is 1."""
 
     p: int
     nvars: int
@@ -167,6 +171,8 @@ class RatFunc:
             return NotImplemented
         if self.p != other.p or self.nvars != other.nvars:
             raise DomainMismatch("rational functions over different fields")
+        if self.den == other.den:  # a nonzero common factor cancels
+            return self.num == other.num
         return mp_mul(self.num, other.den, self.p) == mp_mul(other.num, self.den, self.p)
 
     __hash__ = None  # no canonical form, so no hash
@@ -470,6 +476,7 @@ class FunctionField(ScalarDomain):
         self.char = p
         self.var_names = tuple(var_names)
         self.nvars = len(var_names)
+        self._one = mp_const(1, p, self.nvars)
 
     def _key(self):
         return (self.p, self.var_names)
@@ -478,9 +485,7 @@ class FunctionField(ScalarDomain):
         return f"F{self.p}({','.join(self.var_names)})"
 
     def _wrap(self, num, den=None):
-        if den is None:
-            den = mp_const(1, self.p, self.nvars)
-        return ratfunc(self.p, self.nvars, num, den)
+        return ratfunc(self.p, self.nvars, num, self._one if den is None else den)
 
     def variable(self, name: str):
         i = self.var_names.index(name)
@@ -494,7 +499,22 @@ class FunctionField(ScalarDomain):
         return self.add(a, self.neg(b))
 
     def mul(self, a, b):
-        return self._wrap(mp_mul(a.num, b.num, self.p), mp_mul(a.den, b.den, self.p))
+        # With a zero factor, or a canonical constant c = ((0, ..), c)/1 as a
+        # factor (c = 1 included), the full product's ratfunc has nothing to
+        # trim or normalize: the other factor came out of ratfunc, and
+        # scaling its numerator by c keeps its monomials.  So the shortcut
+        # gives the same RatFunc, num and den tuples included.
+        one, p = self._one, self.p
+        if not a.num or not b.num:
+            return RatFunc(p, self.nvars, (), one)
+        if b.den == one and len(b.num) == 1 and b.num[0][0] == one[0][0]:
+            other, c = a, b.num[0][1]
+        elif a.den == one and len(a.num) == 1 and a.num[0][0] == one[0][0]:
+            other, c = b, a.num[0][1]
+        else:
+            return self._wrap(mp_mul(a.num, b.num, p), mp_mul(a.den, b.den, p))
+        num = other.num if c == 1 else mp_scale(other.num, c, p)
+        return RatFunc(p, self.nvars, num, other.den)
 
     def neg(self, a):
         return RatFunc(self.p, self.nvars, mp_neg(a.num, self.p), a.den)

@@ -88,7 +88,8 @@ class ParseError(FutilityError):
 
 
 class UnreadableCase(FutilityError):
-    """A case file could not be read as UTF-8 text."""
+    """A case file could not be read as UTF-8 text, or a corpus directory
+    holds no case file."""
 
 
 class ValidationError(FutilityError):

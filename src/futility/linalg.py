@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
 
-from .domains import QQ, ScalarDomain
+from .domains import QQ, RationalField, ScalarDomain
 from .errors import DimensionMismatch
 
 
@@ -251,6 +251,10 @@ class Subspace:
         return tuple(v)
 
     def contains(self, vec) -> bool:
+        if type(self.dom) is RationalField:  # fraction-free on int_rows
+            if len(vec) != self.ambient:
+                raise DimensionMismatch("vector length != ambient dimension")
+            return not any(int_reduce(self.int_rows, self.pivots, primitive(vec)))
         return vec_is_zero(self.dom, self.reduce(vec))
 
     def contains_subspace(self, other: "Subspace") -> bool:

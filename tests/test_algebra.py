@@ -1,6 +1,7 @@
 """Structure-constant algebra operations against small hand-checkable and
 brute-force oracles."""
 
+import math
 import random
 from fractions import Fraction
 from pathlib import Path
@@ -9,6 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from futility import algebra as algebra_module
 from futility.algebra import (
     StructAlgebra,
     center,
@@ -214,25 +216,77 @@ def ratfuncs():
     return st.sampled_from([FT.zero, FT.one, T, FT.inv(T), FT.add(T, FT.one)])
 
 
+# Q[x]/(x^3 (x^2 - 2)) on the basis 1, x/2, x^2/3, ...: rational structure
+# constants, so int_tensor carries a common denominator above 1
+Q_RATIONAL_BASIS = change_of_basis(
+    SOURCES["Q"][0], [frac(*[Fraction(1, i + 1) if j == i else 0 for j in range(5)]) for i in range(5)]
+)
+Q_FRACTIONS = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+
 PRODUCT_CASES = {
-    # rational structure constants: Q[x]/(x^3 (x^2 - 2)) on the basis 1, x/2, x^2/3, ...
-    "Q": (
-        change_of_basis(SOURCES["Q"][0], [frac(*[Fraction(1, i + 1) if j == i else 0 for j in range(5)]) for i in range(5)]),
-        st.fractions(min_value=-3, max_value=3, max_denominator=4),
-    ),
+    "Q": (Q_RATIONAL_BASIS, Q_FRACTIONS),
+    # int and Fraction coordinates in one vector, zeros among them
+    "Q-mixed": (Q_RATIONAL_BASIS, st.one_of(st.just(0), st.integers(-3, 3), Q_FRACTIONS)),
+    "Q-integral": (qx_mod(-2, 0, 0, 1), st.one_of(st.integers(-3, 3), Q_FRACTIONS)),
     "F3": (upper_triangular_algebra(F3, 3), st.integers(0, 2)),
     "F2": (matrix_algebra(F2, 2), st.integers(0, 1)),
     "F2(t)": (SOURCES["F2(t)"][0], ratfuncs()),
 }
 
 
-@settings(max_examples=60, deadline=None)
+def test_product_cases_cover_both_tensor_denominators():
+    assert Q_RATIONAL_BASIS.int_den > 1
+    assert PRODUCT_CASES["Q-integral"][0].int_den == 1
+
+
+@settings(max_examples=80, deadline=None)
 @given(st.sampled_from(sorted(PRODUCT_CASES)), st.data())
 def test_element_multiply_matches_dense_product(name, data):
     A, scalars = PRODUCT_CASES[name]
-    u = tuple(data.draw(st.lists(scalars, min_size=A.dim, max_size=A.dim)))
-    v = tuple(data.draw(st.lists(scalars, min_size=A.dim, max_size=A.dim)))
-    assert element_multiply(A, u, v) == dense_multiply(A, u, v)
+    vectors = st.lists(scalars, min_size=A.dim, max_size=A.dim)
+    if A.dom == QQ:
+        vectors = st.one_of(vectors, st.just([0] * A.dim))  # the all-zero int vector
+    u = tuple(data.draw(vectors))
+    v = tuple(data.draw(vectors))
+    got = element_multiply(A, u, v)
+    assert got == dense_multiply(A, u, v)
+    if A.dom == QQ:
+        # one reduced Fraction per coordinate, whatever the input types
+        for x in got:
+            assert type(x) is Fraction
+            assert x.denominator > 0 and math.gcd(x.numerator, x.denominator) == 1
+
+
+def tower_f2t_x4(c):
+    """F_2(t)[x]/(x^4 - c)."""
+    return poly_quotient_algebra(make_poly(FT, [c, FT.zero, FT.zero, FT.zero, FT.one]))
+
+
+@pytest.mark.parametrize(
+    "A, entry, delta",
+    [
+        (Q_RATIONAL_BASIS, (1, 2, 3), Fraction(1, 2)),
+        (Q_RATIONAL_BASIS, (4, 4, 0), Fraction(-5, 2)),
+        (tower_f2t_x4(FT.add(T, FT.one)), (1, 3, 0), T),
+        (tower_f2t_x4(T), (2, 2, 3), FT.one),
+        (tower_f2t_x4(T), (0, 1, 1), FT.inv(FT.add(T, FT.one))),
+    ],
+    ids=["Q-half", "Q-minus-five-halves", "F2(t)-t", "F2(t)-one", "F2(t)-inverse"],
+)
+def test_validation_still_runs_on_the_fast_paths(A, entry, delta):
+    """A corrupted entry that carries a denominator over Q, or a corrupted
+    F_2(t) tower table, fails make_algebra with the reference's message."""
+    dom = A.dom
+    table = [[list(v) for v in block] for block in A.table]
+    i, j, k = entry
+    table[i][j][k] = dom.add(table[i][j][k], delta)
+    if dom == QQ:
+        assert table[i][j][k].denominator > 1
+    expected = reference_validation(dom, table, A.unit)
+    assert expected is not None
+    with pytest.raises(ValidationError) as exc:
+        make_algebra(dom, table, A.unit)
+    assert str(exc.value) == expected
 
 
 # --- generated subalgebras ---------------------------------------------------
@@ -342,7 +396,7 @@ def reference_trace_rows(A):
     [
         qx_mod(0, 0, 0, -2, 0, 1),  # Q[x]/(x^3 (x^2 - 2)), not reduced
         qx_mod(6, -2, -3, 1),  # Q[x]/((x^2 - 2)(x - 3)), reduced
-        PRODUCT_CASES["Q"][0],  # rational structure constants
+        Q_RATIONAL_BASIS,  # rational structure constants
         product_algebra([qx_mod(1, 0, 1), qx_mod(0, 0, 1)]),  # Q(i) x Q[e]/(e^2)
         upper_triangular_algebra(QQ, 3),  # noncommutative
     ],
@@ -390,6 +444,37 @@ def check_local_decomposition(A):
                 )
                 assert lhs == rhs
     return factors
+
+
+# small members of the Q families the decide-only benchmark draws from: a
+# squared linear factor beside an Eisenstein one, a squared Eisenstein
+# factor, and a cubed linear factor beside a cubic
+@pytest.mark.parametrize(
+    "modulus",
+    [
+        pmul(pmul(ppow(q(-1, 1), 2), q(-2, 0, 1)), q(3, 1)),
+        pmul(ppow(q(-3, 0, 1), 2), q(2, 1)),
+        pmul(ppow(q(-2, 1), 3), q(-5, 0, 0, 1)),
+    ],
+    ids=["lin2-eis2-lin", "eis2-squared-lin", "lin3-eis3"],
+)
+def test_local_decomposition_is_the_same_with_the_dense_product(monkeypatch, modulus):
+    """Idempotents, factor tables and projections agree element for element,
+    representation included, with every product taken by dense_multiply."""
+    A = poly_quotient_algebra(modulus)
+    assert A.dim <= 6
+    fast = local_decomposition(A)
+    monkeypatch.setattr(algebra_module, "element_multiply", dense_multiply)
+    slow = local_decomposition(poly_quotient_algebra(modulus))
+    assert len(fast) == len(slow) > 1
+    for f, s in zip(fast, slow):
+        for got, want in [
+            (f.idempotent, s.idempotent),
+            (f.algebra.table, s.algebra.table),
+            (f.algebra.unit, s.algebra.unit),
+            (f.projection, s.projection),
+        ]:
+            assert repr(got) == repr(want)
 
 
 def test_local_decomposition_split_quadratic():

@@ -520,6 +520,17 @@ def test_cli_corpus_unreadable_case_is_one_error_line(tmp_path, capsys):
     assert capsys.readouterr().err.splitlines() == [f"error: {bad}: cannot read case file: {reason}"]
 
 
+@pytest.mark.parametrize("subdir", ["empty", "missing"])
+def test_cli_corpus_without_cases_is_one_error_line(tmp_path, capsys, subdir):
+    root = tmp_path / subdir
+    if subdir == "empty":
+        root.mkdir()
+        (root / "notes.txt").write_text("not a case\n")
+    rc = cli_main(["corpus", "--dir", str(root)])
+    assert rc == 1
+    assert capsys.readouterr().err.splitlines() == [f"error: no .case files under {root}"]
+
+
 def test_trial_cap_admits_its_own_value():
     desc = parse_case(make_case(options={"trials": MAX_TRIALS, "seed": 0}))
     assert merge_options(desc, {"trials": None})["trials"] == MAX_TRIALS

@@ -156,6 +156,61 @@ def test_function_field_axioms_on_samples(i, j, k, l):
         assert rf_equals(K.mul(x, K.inv(x)), K.one)
 
 
+def full_product(K, a, b):
+    """FunctionField.mul as it is without its fast paths."""
+    return ratfunc(K.p, K.nvars, mp_mul(a.num, b.num, K.p), mp_mul(a.den, b.den, K.p))
+
+
+def f2t_samples():
+    K = FunctionField(2, ("t",))
+    t = K.variable("t")
+    t1 = K.add(t, K.one)
+    return K, [K.zero, K.one, t, t1, K.inv(t), K.mul(K.mul(t, t1), K.inv(K.add(K.mul(t, t), t1)))]
+
+
+def f3st_samples():
+    K = FunctionField(3, ("s", "t"))
+    s, t = K.variable("s"), K.variable("t")
+    two = K.from_int(2)
+    return K, [
+        K.zero,
+        K.one,
+        two,
+        s,
+        K.add(K.mul(two, s), t),
+        K.inv(K.add(t, K.one)),
+        K.mul(s, K.inv(t)),
+        K.mul(K.mul(two, K.mul(s, t)), K.inv(K.add(s, K.one))),
+    ]
+
+
+@pytest.mark.parametrize("samples", [f2t_samples, f3st_samples], ids=["F2(t)", "F3(s,t)"])
+def test_function_field_mul_keeps_the_full_product_representation(samples):
+    """Products with zero or a constant (1 or c != 1, on either side) take a
+    shortcut; every product must still be the full product's RatFunc, num
+    and den tuples included, not just an equal value."""
+    K, elts = samples()
+    for a in elts:
+        for b in elts:
+            got, want = K.mul(a, b), full_product(K, a, b)
+            assert (got.p, got.nvars, got.num, got.den) == (want.p, want.nvars, want.num, want.den)
+
+
+@pytest.mark.parametrize("samples", [f2t_samples, f3st_samples], ids=["F2(t)", "F3(s,t)"])
+def test_rf_equality_with_a_shared_denominator_is_cross_multiplication(samples):
+    K, elts = samples()
+    # the samples against each other, a/d against b/d for a common d, and
+    # x against x^2/x with the common factor x left in
+    d = elts[-1]
+    pairs = [(a, b) for a in elts for b in elts]
+    pairs += [(K.mul(a, d), K.mul(b, d)) for a in elts for b in elts]
+    x = K.add(K.variable(K.var_names[-1]), K.one)
+    pairs.append((x, ratfunc(K.p, K.nvars, mp_mul(x.num, x.num, K.p), x.num)))
+    assert pairs[-1][0] == pairs[-1][1]
+    for a, b in pairs:
+        assert (a == b) == (mp_mul(a.num, b.den, K.p) == mp_mul(b.num, a.den, K.p))
+
+
 @given(st.integers(0, 11), st.integers(0, 11), st.integers(0, 11))
 def test_mod_ring_axioms_on_samples(a, b, c):
     R = ModRing(12)

@@ -231,6 +231,29 @@ def test_int_reduce_matches_reduce_over_q(case):
     assert all(type(x) is int for x in reduced)
 
 
+@given(rational_matrices(), st.data())
+@example([(Fraction(1, 2), Fraction(-3))], None)
+@example([], None)
+def test_contains_over_q_matches_generic_loop(mat, data):
+    """Subspace.contains over QQ runs on int_rows; the generic loop over the
+    same rows must agree, on vectors inside the span and outside it."""
+    ncols = len(mat[0]) if mat else 3
+    s = subspace_from_vectors(QQ, ncols, mat)
+    generic = Subspace(GENERIC_QQ, ncols, s.rows, s.pivots)
+    if data is None:
+        inside = [(0,) * ncols] + [tuple(Fraction(3, 2) * x for x in r) for r in s.rows]
+        other = [tuple(Fraction(k) for k in range(ncols))]
+    else:
+        coeffs = data.draw(st.lists(rationals, min_size=len(mat), max_size=len(mat)))
+        inside = [combine(QQ, coeffs, mat, ncols)]
+        other = [data.draw(st.tuples(*[rationals] * ncols))]
+    assert all(s.contains(v) for v in inside)
+    for v in inside + other:
+        assert s.contains(v) == generic.contains(v)
+    with pytest.raises(DimensionMismatch):
+        s.contains((Fraction(0),) * (ncols + 1))
+
+
 @given(rational_matrices())
 @example([(Fraction(0), Fraction(1)), (Fraction(2), Fraction(3))])
 @example([(Fraction(0), Fraction(2), Fraction(1)), (Fraction(3), Fraction(1), Fraction(-1)), (Fraction(1), Fraction(0), Fraction(0))])
