@@ -191,7 +191,9 @@ def element_multiply(A: StructAlgebra, u, v):
 
     Over QQ, u and v are scaled to integer vectors by their common
     denominators du and dv and multiplied through A.int_tensor, so each
-    output coordinate is one reduced Fraction(x, du * dv * D)."""
+    output coordinate is one reduced Fraction(x, du * dv * D).  Over a prime
+    field the ints of u, v and the sparse tensor are multiplied as they are,
+    and each output coordinate is reduced mod p once."""
     if len(u) != A.dim or len(v) != A.dim:
         raise DimensionMismatch("coordinate length differs from dimension")
     dom = A.dom
@@ -206,6 +208,9 @@ def element_multiply(A: StructAlgebra, u, v):
         )
         den = du * dv * A.int_den
         return tuple(Fraction(x, den) if x else _ZERO for x in out)
+    if type(dom) is PrimeField:
+        p = dom.p
+        return tuple([x % p for x in _int_multiply(A.sparse, A.dim, u, v)])
     is_zero, add, mul = dom.is_zero, dom.add, dom.mul
     out = [dom.zero] * A.dim
     vs = [(j, cv) for j, cv in enumerate(v) if not is_zero(cv)]

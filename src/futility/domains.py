@@ -492,6 +492,12 @@ class FunctionField(ScalarDomain):
         return self._wrap(mp_var(i, self.p, self.nvars))
 
     def add(self, a: RatFunc, b: RatFunc):
+        # Over denominator 1 the full formula's num*1 + num*1 over 1*1 is
+        # the sum of the numerators over 1.  Other equal denominators keep
+        # the full formula: ratfunc takes no gcd, so a/d + b/d and
+        # (a*d + b*d)/(d*d) can differ as tuples.
+        if a.den == self._one and b.den == self._one:
+            return self._wrap(mp_add(a.num, b.num, self.p))
         num = mp_add(mp_mul(a.num, b.den, self.p), mp_mul(b.num, a.den, self.p), self.p)
         return self._wrap(num, mp_mul(a.den, b.den, self.p))
 

@@ -6,13 +6,18 @@ of finite modules over small local base rings.
 Subalgebra lattices come from a closure search: each member found is grown
 by one line of the quotient space at a time, so the work scales with the
 number of members times the lines over each, not with the number of
-subspaces.  Ideals are still found by scanning every subspace, generated
-directly in reduced echelon form.
+subspaces.  The closure step runs on plain ints in [0, p): spans are held as
+raw (rows, pivots) and grown by linalg.fp_reduce and fp_adjoin, products
+come from element_multiply's prime-field path, and one Subspace is built per
+closure.  A lattice's containment pairs are computed on first read, so only
+the callers that print them pay for them.  Ideals are still found by
+scanning every subspace, generated directly in reduced echelon form.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations, product
 
 from .algebra import (
@@ -27,9 +32,10 @@ from .errors import BudgetExceeded, DimensionMismatch, ValidationError
 from .linalg import (
     Subspace,
     combine,
+    fp_adjoin,
+    fp_reduce,
     subspace_from_vectors,
     unit_vec,
-    vec_is_zero,
     zero_subspace,
     zero_vec,
 )
@@ -44,11 +50,26 @@ class SubalgebraLattice:
 
     algebra: StructAlgebra
     members: tuple  # of Subspace, sorted by canonical key
-    inclusions: tuple  # of (i, j) with members[i] < members[j]
+
+    @classmethod
+    def of(cls, A: StructAlgebra, members) -> "SubalgebraLattice":
+        return cls(A, tuple(sorted(members, key=Subspace.key)))
 
     @property
     def count(self) -> int:
         return len(self.members)
+
+    @cached_property
+    def inclusions(self) -> tuple:
+        """The (i, j) with members[i] < members[j], in lexicographic order;
+        computed on first read."""
+        members = self.members
+        return tuple(
+            (i, j)
+            for i, a in enumerate(members)
+            for j, b in enumerate(members)
+            if a.dim < b.dim and b.contains_subspace(a)
+        )
 
 
 def _require_prime_field(A: StructAlgebra):
@@ -89,21 +110,26 @@ def _closure(A: StructAlgebra, span: Subspace, queue, both_sides: bool) -> Subsp
     grows; a residual that leaves the span is adjoined and multiplied by the
     spanning vectors met so far and by itself, on both sides when A is not
     commutative.  Products inside the closed starting span are never formed.
+    The span grows as raw (rows, pivots) on ints and the search stops once it
+    is the whole algebra; the Subspace is built once, at the end.
     """
-    dom = A.dom
-    gens = list(span.rows)
+    p = A.dom.p
+    rows, pivots = span.rows, span.pivots
+    gens = list(rows)
     queue = list(queue)
     while queue:
-        r = span.reduce(queue.pop())
-        if vec_is_zero(dom, r):
+        r = fp_reduce(rows, pivots, queue.pop(), p)
+        if not any(r):
             continue
-        span = span.adjoin(r)
+        rows, pivots = fp_adjoin(rows, pivots, r, p)
+        if len(rows) == A.dim:
+            break
         gens.append(r)
         for g in gens:
             queue.append(element_multiply(A, r, g))
             if both_sides and g is not r:
                 queue.append(element_multiply(A, g, r))
-    return span
+    return Subspace(A.dom, A.dim, rows, pivots)
 
 
 def enumerate_subalgebras(
@@ -126,7 +152,8 @@ def enumerate_subalgebras(
     dom, n = A.dom, A.dim
     both_sides = not A.is_commutative
     start = _closure(A, zero_subspace(dom, n), [*base_image.rows, A.unit], both_sides)
-    found = {start.key(): start}
+    # reduced echelon rows are canonical, so over one ambient they are a key
+    found = {start.rows: start}
     todo = [start]
     while todo:
         S = todo.pop()
@@ -140,21 +167,10 @@ def enumerate_subalgebras(
             for c, x in zip(free, line.rows[0]):
                 a[c] = x
             T = _closure(A, S, [tuple(a)], both_sides)
-            key = T.key()
-            if key not in found:
-                found[key] = T
+            if T.rows not in found:
+                found[T.rows] = T
                 todo.append(T)
-    return _lattice(A, found.values())
-
-
-def _lattice(A: StructAlgebra, members) -> SubalgebraLattice:
-    members = sorted(members, key=lambda s: s.key())
-    incl = []
-    for i, a in enumerate(members):
-        for j, b in enumerate(members):
-            if i != j and a.dim < b.dim and b.contains_subspace(a):
-                incl.append((i, j))
-    return SubalgebraLattice(A, tuple(members), tuple(incl))
+    return SubalgebraLattice.of(A, found.values())
 
 
 def enumerate_ideals(A: StructAlgebra, budget: int = DEFAULT_BUDGET) -> list:
@@ -277,7 +293,7 @@ def goursat_enumerate(
                             )
                         seen.add(key)
                         members.append(s)
-    return _lattice(AB, members)
+    return SubalgebraLattice.of(AB, members)
 
 
 # ---------------------------------------------------------------------------

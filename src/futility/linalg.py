@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
 
-from .domains import QQ, RationalField, ScalarDomain
+from .domains import QQ, PrimeField, RationalField, ScalarDomain
 from .errors import DimensionMismatch
 
 
@@ -196,6 +196,42 @@ def int_adjoin(rows, pivots, residual) -> tuple[tuple, tuple]:
     return tuple(out), pivots[:at] + (lead,) + pivots[at:]
 
 
+# Prime-field kernel.  Over F_p a Subspace's rows are its reduced echelon
+# rows as ints in [0, p), so they serve as they are.  fp_reduce and fp_adjoin
+# are the twins of Subspace.reduce and Subspace.adjoin on (rows, pivots) that
+# skip the per-entry domain calls.
+
+def fp_reduce(rows, pivots, vec, p) -> tuple:
+    """Subspace.reduce(vec) over F_p for the reduced echelon form (rows,
+    pivots), vec a vector of ints in [0, p).  Each row is zero at the other
+    pivots, so the entry of vec at a pivot is the coefficient of its row
+    throughout, and the sum is reduced mod p once at the end."""
+    v = vec
+    for row, c in zip(rows, pivots):
+        f = vec[c]
+        if f:
+            v = [x - f * y for x, y in zip(v, row)]
+    return tuple([x % p for x in v])
+
+
+def fp_adjoin(rows, pivots, residual, p) -> tuple[tuple, tuple]:
+    """Subspace.adjoin over F_p on (rows, pivots): the residual, scaled to a
+    leading 1, becomes a new pivot row and is cleared from the rows that
+    have an entry in its pivot column."""
+    lead = next(j for j, x in enumerate(residual) if x)
+    inv = pow(residual[lead], -1, p)
+    new = tuple([inv * x % p for x in residual])
+    out = []
+    for row in rows:
+        c = row[lead]
+        if c:
+            row = tuple([(x - c * y) % p for x, y in zip(row, new)])
+        out.append(row)
+    at = bisect.bisect(pivots, lead)
+    out.insert(at, new)
+    return tuple(out), pivots[:at] + (lead,) + pivots[at:]
+
+
 def int_subspace(ambient: int, rows, pivots) -> "Subspace":
     """The Subspace over QQ with integer echelon form (rows, pivots)."""
     return Subspace(QQ, ambient, _rational_rows(rows, pivots), pivots)
@@ -241,6 +277,8 @@ class Subspace:
         """Residual of vec after eliminating all pivot coordinates."""
         if len(vec) != self.ambient:
             raise DimensionMismatch("vector length != ambient dimension")
+        if type(self.dom) is PrimeField:
+            return fp_reduce(self.rows, self.pivots, vec, self.dom.p)
         v = list(vec)
         for row, p in zip(self.rows, self.pivots):
             c = v[p]
@@ -255,6 +293,8 @@ class Subspace:
             if len(vec) != self.ambient:
                 raise DimensionMismatch("vector length != ambient dimension")
             return not any(int_reduce(self.int_rows, self.pivots, primitive(vec)))
+        if type(self.dom) is PrimeField:
+            return not any(self.reduce(vec))
         return vec_is_zero(self.dom, self.reduce(vec))
 
     def contains_subspace(self, other: "Subspace") -> bool:
@@ -264,6 +304,9 @@ class Subspace:
         """The span of this subspace and a nonzero residual of reduce(), in
         reduced echelon form: one new pivot row, cleared from the others."""
         dom = self.dom
+        if type(dom) is PrimeField:
+            rows, pivots = fp_adjoin(self.rows, self.pivots, residual, dom.p)
+            return Subspace(dom, self.ambient, rows, pivots)
         lead = next(j for j, x in enumerate(residual) if not dom.is_zero(x))
         inv = dom.inv(residual[lead])
         new = tuple(dom.mul(inv, x) for x in residual)

@@ -230,6 +230,10 @@ PRODUCT_CASES = {
     "Q-integral": (qx_mod(-2, 0, 0, 1), st.one_of(st.integers(-3, 3), Q_FRACTIONS)),
     "F3": (upper_triangular_algebra(F3, 3), st.integers(0, 2)),
     "F2": (matrix_algebra(F2, 2), st.integers(0, 1)),
+    # commutative F_p tables next to the two noncommutative ones
+    "F5-commutative": (poly_quotient_algebra(make_poly(PrimeField(5), [2, 0, 1])), st.integers(0, 4)),
+    "F2-commutative": (product_algebra([poly_quotient_algebra(make_poly(F2, [0, 0, 0, 1]))] * 2),
+                       st.integers(0, 1)),
     "F2(t)": (SOURCES["F2(t)"][0], ratfuncs()),
 }
 
@@ -250,6 +254,8 @@ def test_element_multiply_matches_dense_product(name, data):
     v = tuple(data.draw(vectors))
     got = element_multiply(A, u, v)
     assert got == dense_multiply(A, u, v)
+    if isinstance(A.dom, PrimeField):
+        assert all(type(x) is int and 0 <= x < A.dom.p for x in got)
     if A.dom == QQ:
         # one reduced Fraction per coordinate, whatever the input types
         for x in got:

@@ -4,7 +4,7 @@ function equality."""
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from futility.domains import (
@@ -14,6 +14,8 @@ from futility.domains import (
     ModRing,
     PrimeField,
     invert,
+    mp_add,
+    mp_canon,
     mp_mul,
     ratfunc,
     rf_equals,
@@ -209,6 +211,53 @@ def test_rf_equality_with_a_shared_denominator_is_cross_multiplication(samples):
     assert pairs[-1][0] == pairs[-1][1]
     for a, b in pairs:
         assert (a == b) == (mp_mul(a.num, b.den, K.p) == mp_mul(b.num, a.den, K.p))
+
+
+def full_sum(K, a, b):
+    """FunctionField.add as it is without its fast path."""
+    p = K.p
+    num = mp_add(mp_mul(a.num, b.den, p), mp_mul(b.num, a.den, p), p)
+    return ratfunc(p, K.nvars, num, mp_mul(a.den, b.den, p))
+
+
+@st.composite
+def ratfunc_pairs(draw):
+    """Two elements of F_2(t) or F_3(s,t), each with denominator one or a
+    random one, sometimes sharing the same denominator d != 1."""
+    K = draw(st.sampled_from([FunctionField(2, ("t",)), FunctionField(3, ("s", "t"))]))
+    exps = st.tuples(*[st.integers(0, 3)] * K.nvars)
+    polys = st.dictionaries(exps, st.integers(1, K.p - 1), max_size=4).map(
+        lambda d: mp_canon(d, K.p)
+    )
+    nonzero = polys.filter(bool)
+    one = K.one.den
+    den_a = draw(st.one_of(st.just(one), nonzero))
+    den_b = den_a if draw(st.booleans()) else draw(st.one_of(st.just(one), nonzero))
+    a = ratfunc(K.p, K.nvars, draw(polys), den_a)
+    b = ratfunc(K.p, K.nvars, draw(polys), den_b)
+    return K, a, b
+
+
+@settings(max_examples=200)
+@given(ratfunc_pairs())
+def test_function_field_add_keeps_the_full_sum_representation(case):
+    """A sum over denominator one skips the cross products; every sum must
+    still be the full formula's RatFunc, num and den tuples included."""
+    K, a, b = case
+    got, want = K.add(a, b), full_sum(K, a, b)
+    assert (got.p, got.nvars, got.num, got.den) == (want.p, want.nvars, want.num, want.den)
+
+
+def test_function_field_add_with_a_shared_denominator_keeps_the_full_formula():
+    """ratfunc takes no gcd, so 1/t + 1/t is 2t/t^2 trimmed to 2/t, while
+    (t + 1)/(t^2 + 1) + t/(t^2 + 1) keeps the square of its denominator."""
+    K = FunctionField(3, ("t",))
+    t = K.variable("t")
+    d = K.add(K.mul(t, t), K.one)
+    a, b = K.mul(K.add(t, K.one), K.inv(d)), K.mul(t, K.inv(d))
+    got = K.add(a, b)
+    assert got.den == mp_mul(d.num, d.num, 3)
+    assert (got.num, got.den) == (full_sum(K, a, b).num, full_sum(K, a, b).den)
 
 
 @given(st.integers(0, 11), st.integers(0, 11), st.integers(0, 11))

@@ -15,12 +15,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from futility.algebra import change_of_basis, element_multiply, product_algebra
+from futility.algebra import change_of_basis, element_multiply, product_algebra, subalgebra_generated
 from futility.constructions import matrix_algebra, poly_quotient_algebra, upper_triangular_algebra
 from futility.domains import PrimeField
 from futility.errors import BudgetExceeded
 from futility.finite_enum import (
     FiniteModule,
+    _closure,
     enumerate_ideals,
     enumerate_isomorphisms,
     enumerate_submodules,
@@ -29,7 +30,7 @@ from futility.finite_enum import (
     iter_subspaces,
     module_quotient_dims,
 )
-from futility.linalg import mat_mul, subspace_from_vectors
+from futility.linalg import mat_mul, subspace_from_vectors, zero_subspace
 from futility.polynomials import make_poly
 
 F2 = PrimeField(2)
@@ -88,6 +89,7 @@ def scan_subalgebras(A, base_image):
 
 def assert_matches_scan(A, base_image):
     lat = enumerate_subalgebras(A, base_image)
+    assert "inclusions" not in vars(lat)  # computed on first read
     assert (lat.members, lat.inclusions) == scan_subalgebras(A, base_image)
     return lat
 
@@ -159,7 +161,36 @@ def test_closure_search_matches_scan_on_fixed_algebras():
         assert_matches_scan(B, unit_span(B))
 
 
-@pytest.mark.parametrize("n, count", [(7, 35), (8, 110)])
+# --- prime-field kernel -------------------------------------------------------
+
+def random_vectors(data, A, count):
+    vec = st.tuples(*[st.integers(0, A.dom.p - 1)] * A.dim)
+    return [data.draw(vec) for _ in range(count)]
+
+
+# commutative and noncommutative, besides the random ones
+FIXED_FP_ALGEBRAS = [
+    f2x(0, 0, 0, 1),
+    poly_quotient_algebra(make_poly(PrimeField(5), [2, 0, 1])),
+    matrix_algebra(F3, 2),
+    upper_triangular_algebra(F2, 3),
+]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(finite_algebras(), st.sampled_from(FIXED_FP_ALGEBRAS)), st.data())
+def test_int_closure_matches_subalgebra_generated(A, data):
+    both_sides = not A.is_commutative
+    gens = random_vectors(data, A, data.draw(st.integers(0, 2)))
+    S = _closure(A, zero_subspace(A.dom, A.dim), [A.unit, *gens], both_sides)
+    assert S == subalgebra_generated(A, gens, unit_span(A))
+    assert all(type(x) is int and 0 <= x < A.dom.p for row in S.rows for x in row)
+    # grown from a closed span by one more vector, as the search does
+    [a] = random_vectors(data, A, 1)
+    assert _closure(A, S, [a], both_sides) == subalgebra_generated(A, [a], S)
+
+
+@pytest.mark.parametrize("n, count", [(7, 35), (8, 110), (9, 193)])
 def test_truncated_polynomial_subalgebra_counts(n, count):
     A = f2x(*([0] * n + [1]))  # F2[x]/(x^n)
     assert enumerate_subalgebras(A, unit_span(A)).count == count

@@ -11,6 +11,8 @@ from futility.errors import DimensionMismatch
 from futility.linalg import (
     Subspace,
     combine,
+    fp_adjoin,
+    fp_reduce,
     full_subspace,
     int_adjoin,
     int_reduce,
@@ -268,3 +270,73 @@ def test_int_adjoin_matches_rref_over_q(mat):
     s = subspace_from_vectors(QQ, ncols, vecs)
     assert (rows, pivots) == integer_form(s)
     assert int_subspace(ncols, rows, pivots) == s
+
+
+# --- prime-field kernel -------------------------------------------------------
+
+def generic_reduce(dom, rows, pivots, vec):
+    """Subspace.reduce's generic loop, through the domain's calls."""
+    v = list(vec)
+    for row, p in zip(rows, pivots):
+        c = v[p]
+        if not dom.is_zero(c):
+            for j, y in enumerate(row):
+                if not dom.is_zero(y):
+                    v[j] = dom.sub(v[j], dom.mul(c, y))
+    return tuple(v)
+
+
+def generic_adjoin(dom, rows, pivots, residual):
+    """Subspace.adjoin's generic loop on (rows, pivots)."""
+    lead = next(j for j, x in enumerate(residual) if not dom.is_zero(x))
+    inv = dom.inv(residual[lead])
+    new = tuple(dom.mul(inv, x) for x in residual)
+    out = []
+    for row in rows:
+        c = row[lead]
+        if not dom.is_zero(c):
+            row = tuple(dom.sub(x, dom.mul(c, y)) for x, y in zip(row, new))
+        out.append(row)
+    at = sum(1 for p in pivots if p < lead)
+    out.insert(at, new)
+    return tuple(out), pivots[:at] + (lead,) + pivots[at:]
+
+
+@st.composite
+def fp_subspace_and_vectors(draw):
+    """A subspace of F_p^n (p = 2, 3, 5) spanned by random vectors, a random
+    vector, and a vector inside the subspace."""
+    dom = draw(st.sampled_from([F2, F3, F5]))
+    n = draw(st.integers(1, 6))
+    vec = st.tuples(*[st.integers(0, dom.p - 1)] * n)
+    s = subspace_from_vectors(dom, n, draw(st.lists(vec, max_size=n + 1)))
+    coeffs = draw(st.lists(st.integers(0, dom.p - 1), min_size=s.dim, max_size=s.dim))
+    return s, draw(vec), combine(dom, coeffs, s.rows, n)
+
+
+def assert_fp_entries(dom, rows):
+    assert all(type(x) is int and 0 <= x < dom.p for row in rows for x in row)
+
+
+@given(fp_subspace_and_vectors())
+@example((zero_subspace(F2, 3), (1, 0, 1), (0, 0, 0)))
+@example((full_subspace(F5, 2), (4, 3), (2, 1)))
+def test_fp_kernel_matches_generic_loop(case):
+    s, vec, inside = case
+    dom, p = s.dom, s.dom.p
+    assert_fp_entries(dom, s.rows)
+    for v in (vec, inside):
+        want = generic_reduce(dom, s.rows, s.pivots, v)
+        got = fp_reduce(s.rows, s.pivots, v, p)
+        assert got == want == s.reduce(v)
+        assert_fp_entries(dom, [got])
+        assert s.contains(v) == all(dom.is_zero(x) for x in want)
+        if any(got):
+            grown = fp_adjoin(s.rows, s.pivots, got, p)
+            assert grown == generic_adjoin(dom, s.rows, s.pivots, got)
+            assert s.adjoin(got) == Subspace(dom, s.ambient, *grown)
+            assert s.adjoin(got) == subspace_from_vectors(dom, s.ambient, s.rows + (v,))
+            assert_fp_entries(dom, grown[0])
+    assert s.contains(inside)
+    with pytest.raises(DimensionMismatch):
+        s.reduce(vec + (0,))
