@@ -141,9 +141,13 @@ def make_algebra(dom: ScalarDomain, table, unit) -> StructAlgebra:
         e = A.basis_vector(i)
         if element_multiply(A, unit, e) != e or element_multiply(A, e, unit) != e:
             raise ValidationError(f"unit law fails at basis vector {i}")
-    # over Q both sides of every triple are compared scaled by D^2 on ints
+    # over Q both sides of every triple are compared scaled by D^2 on ints,
+    # over F_p as int sums reduced mod p once per coordinate
     if type(dom) is RationalField:
         _check_associative(A.int_tensor, partial(_int_combine, n))
+    elif type(dom) is PrimeField:
+        p = dom.p
+        _check_associative(A.sparse, lambda terms, rows: [x % p for x in _int_combine(n, terms, rows)])
     else:
         _check_associative(A.sparse, partial(_sparse_combine, dom))
     return A

@@ -5,12 +5,16 @@ tuples.  Subspaces are stored as reduced row echelon bases, which makes
 the representation canonical: two subspaces are equal iff their row
 matrices are equal.
 
-This is the package's one elimination layer over fields: every row
-reduction, every solve for coefficients and every linear combination of
-rows goes through rref, solve and combine here.  Over QQ, rref eliminates
-fraction-free on primitive integer rows and builds Fraction values only for
-the final reduced rows; every other domain takes the generic loop.  Integer
-lattice normal forms and the determinant reference live in intmat.
+This is the package's one elimination layer over fields.  Its one
+elimination step is a reduce/adjoin pair on a reduced echelon form
+(rows, pivots): reduce clears a vector's pivot coordinates, and adjoin makes
+a nonzero residual a new pivot row.  There is one pair per arithmetic:
+int_reduce/int_adjoin on primitive integer rows over QQ, fp_reduce/fp_adjoin
+on ints over F_p, and reduce/adjoin through the domain's calls over every
+other field.  rref folds its rows one at a time into the empty span through
+its domain's pair; solve, nullspace and subspace_from_vectors run on rref,
+and combine forms linear combinations.  Integer lattice normal forms and
+the determinant reference live in intmat.
 """
 
 from __future__ import annotations
@@ -70,76 +74,35 @@ def _int_primitive(ints) -> tuple:
 
 
 def rref(dom: ScalarDomain, rows) -> tuple[tuple, tuple]:
-    """Reduced row echelon form; returns (nonzero rows, pivot columns)."""
-    if dom == QQ:
-        return _rref_rational(rows)
-    work = [list(r) for r in rows]
-    if not work:
-        return (), ()
-    ncols = len(work[0])
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        pr = None
-        for i in range(r, len(work)):
-            if not dom.is_zero(work[i][c]):
-                pr = i
-                break
-        if pr is None:
-            continue
-        work[r], work[pr] = work[pr], work[r]
-        inv = dom.inv(work[r][c])
-        work[r] = [dom.mul(inv, x) for x in work[r]]
-        for i in range(len(work)):
-            if i != r and not dom.is_zero(work[i][c]):
-                f = work[i][c]
-                work[i] = [dom.sub(x, dom.mul(f, y)) for x, y in zip(work[i], work[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(work):
-            break
-    return tuple(tuple(row) for row in work[:r]), tuple(pivots)
+    """Reduced row echelon form; returns (nonzero rows, pivot columns).
+
+    The rows are folded one at a time into the empty span through the
+    domain's reduce/adjoin pair.  Over QQ they go in as primitive integer
+    vectors and the integer echelon form comes out divided by its pivots.
+    The reduced echelon form is unique, so the order of the rows and the
+    pair that folds them do not change the result."""
+    out, pivots = (), ()
+    if type(dom) is RationalField:
+        for v in rows:
+            r = int_reduce(out, pivots, primitive(v))
+            if any(r):
+                out, pivots = int_adjoin(out, pivots, r)
+        return _rational_rows(out, pivots), pivots
+    if type(dom) is PrimeField:
+        p = dom.p
+        for v in rows:
+            r = fp_reduce(out, pivots, v, p)
+            if any(r):
+                out, pivots = fp_adjoin(out, pivots, r, p)
+        return out, pivots
+    for v in rows:
+        r = reduce(dom, out, pivots, v)
+        if not vec_is_zero(dom, r):
+            out, pivots = adjoin(dom, out, pivots, r)
+    return out, pivots
 
 
 _ZERO = Fraction(0)
-
-
-def _rref_rational(rows):
-    """rref over QQ without fractions in the elimination.
-
-    Each row is scaled to a primitive integer row, which leaves its span
-    unchanged.  Gauss-Jordan elimination then replaces row_i by
-    (p/g)*row_i - (f/g)*pivot_row, with p the pivot, f the entry of row_i in
-    the pivot column and g = gcd(p, f), and removes the content again
-    (fraction-free in the manner of Bareiss, Math. Comp. 22, 1968).  The
-    reduced row echelon form is unique and Fraction values are kept reduced,
-    so dividing each final row by its pivot gives the generic loop's output
-    element for element.
-    """
-    work = [list(v) for v in map(primitive, rows) if any(v)]
-    ncols = len(work[0]) if work else 0
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        pr = next((i for i in range(r, len(work)) if work[i][c]), None)
-        if pr is None:
-            continue
-        work[r], work[pr] = work[pr], work[r]
-        prow = work[r]
-        p = prow[c]
-        for i, row in enumerate(work):
-            f = row[c]
-            if i == r or not f:
-                continue
-            new = _eliminate(row, f, prow, p)
-            g = math.gcd(*new)
-            work[i] = [x // g for x in new] if g > 1 else new
-        pivots.append(c)
-        r += 1
-        work[r:] = [row for row in work[r:] if any(row)]
-        if r == len(work):
-            break
-    return _rational_rows(work, pivots), tuple(pivots)
 
 
 def _eliminate(v, f, row, p) -> list:
@@ -158,18 +121,52 @@ def _rational_rows(rows, pivots) -> tuple:
     )
 
 
+# The generic pair, through the domain's calls: any field whose elements
+# have no faster arithmetic here (F_p(t), F_p(s, t), the tower levels).
+
+def reduce(dom: ScalarDomain, rows, pivots, vec) -> tuple:
+    """The residual of vec after eliminating the pivot coordinates of the
+    reduced echelon form (rows, pivots)."""
+    v = list(vec)
+    for row, p in zip(rows, pivots):
+        c = v[p]
+        if not dom.is_zero(c):
+            for j, y in enumerate(row):
+                if not dom.is_zero(y):
+                    v[j] = dom.sub(v[j], dom.mul(c, y))
+    return tuple(v)
+
+
+def adjoin(dom: ScalarDomain, rows, pivots, residual) -> tuple[tuple, tuple]:
+    """The reduced echelon form of the span of (rows, pivots) and a nonzero
+    residual of reduce: the residual, scaled to a leading 1, becomes a new
+    pivot row and is cleared from the rows that have an entry in its pivot
+    column."""
+    lead = next(j for j, x in enumerate(residual) if not dom.is_zero(x))
+    inv = dom.inv(residual[lead])
+    new = tuple(dom.mul(inv, x) for x in residual)
+    out = []
+    for row in rows:
+        c = row[lead]
+        if not dom.is_zero(c):
+            row = tuple(dom.sub(x, dom.mul(c, y)) for x, y in zip(row, new))
+        out.append(row)
+    at = bisect.bisect(pivots, lead)
+    out.insert(at, new)
+    return tuple(out), pivots[:at] + (lead,) + pivots[at:]
+
+
 # Integer echelon form.  A subspace of Q^n is held as (rows, pivots): its
 # reduced echelon rows, each scaled to a primitive integer vector with a
 # positive pivot.  The reduced echelon form is unique, so this form is
 # canonical too, and rows can serve as a hashable key.  int_reduce and
-# int_adjoin are the fraction-free twins of Subspace.reduce and
-# Subspace.adjoin on it.
+# int_adjoin are the fraction-free pair on it.
 
 def int_reduce(rows, pivots, vec) -> tuple:
-    """primitive(Subspace.reduce(vec)) for the subspace with integer echelon
-    form (rows, pivots), vec an integer vector.  Each pivot coordinate is
-    cleared by _eliminate against its row; the pivot is positive, so v stays
-    a positive multiple of the rational residual."""
+    """The residual of reduce over QQ, made primitive, for the subspace with
+    integer echelon form (rows, pivots) and vec an integer vector.  Each pivot
+    coordinate is cleared by _eliminate against its row; the pivot is
+    positive, so v stays a positive multiple of the rational residual."""
     v = vec
     for row, p in zip(rows, pivots):
         c = v[p]
@@ -198,14 +195,13 @@ def int_adjoin(rows, pivots, residual) -> tuple[tuple, tuple]:
 
 # Prime-field kernel.  Over F_p a Subspace's rows are its reduced echelon
 # rows as ints in [0, p), so they serve as they are.  fp_reduce and fp_adjoin
-# are the twins of Subspace.reduce and Subspace.adjoin on (rows, pivots) that
-# skip the per-entry domain calls.
+# are the generic pair without the per-entry domain calls.
 
 def fp_reduce(rows, pivots, vec, p) -> tuple:
-    """Subspace.reduce(vec) over F_p for the reduced echelon form (rows,
-    pivots), vec a vector of ints in [0, p).  Each row is zero at the other
-    pivots, so the entry of vec at a pivot is the coefficient of its row
-    throughout, and the sum is reduced mod p once at the end."""
+    """reduce over F_p for the reduced echelon form (rows, pivots), vec a
+    vector of ints in [0, p).  Each row is zero at the other pivots, so the
+    entry of vec at a pivot is the coefficient of its row throughout, and the
+    sum is reduced mod p once at the end."""
     v = vec
     for row, c in zip(rows, pivots):
         f = vec[c]
@@ -215,9 +211,9 @@ def fp_reduce(rows, pivots, vec, p) -> tuple:
 
 
 def fp_adjoin(rows, pivots, residual, p) -> tuple[tuple, tuple]:
-    """Subspace.adjoin over F_p on (rows, pivots): the residual, scaled to a
-    leading 1, becomes a new pivot row and is cleared from the rows that
-    have an entry in its pivot column."""
+    """adjoin over F_p: the residual, scaled to a leading 1, becomes a new
+    pivot row and is cleared from the rows that have an entry in its pivot
+    column."""
     lead = next(j for j, x in enumerate(residual) if x)
     inv = pow(residual[lead], -1, p)
     new = tuple([inv * x % p for x in residual])
@@ -279,14 +275,7 @@ class Subspace:
             raise DimensionMismatch("vector length != ambient dimension")
         if type(self.dom) is PrimeField:
             return fp_reduce(self.rows, self.pivots, vec, self.dom.p)
-        v = list(vec)
-        for row, p in zip(self.rows, self.pivots):
-            c = v[p]
-            if not self.dom.is_zero(c):
-                for j, y in enumerate(row):
-                    if not self.dom.is_zero(y):
-                        v[j] = self.dom.sub(v[j], self.dom.mul(c, y))
-        return tuple(v)
+        return reduce(self.dom, self.rows, self.pivots, vec)
 
     def contains(self, vec) -> bool:
         if type(self.dom) is RationalField:  # fraction-free on int_rows
@@ -299,27 +288,6 @@ class Subspace:
 
     def contains_subspace(self, other: "Subspace") -> bool:
         return all(self.contains(r) for r in other.rows)
-
-    def adjoin(self, residual) -> "Subspace":
-        """The span of this subspace and a nonzero residual of reduce(), in
-        reduced echelon form: one new pivot row, cleared from the others."""
-        dom = self.dom
-        if type(dom) is PrimeField:
-            rows, pivots = fp_adjoin(self.rows, self.pivots, residual, dom.p)
-            return Subspace(dom, self.ambient, rows, pivots)
-        lead = next(j for j, x in enumerate(residual) if not dom.is_zero(x))
-        inv = dom.inv(residual[lead])
-        new = tuple(dom.mul(inv, x) for x in residual)
-        rows = []
-        for row in self.rows:
-            c = row[lead]
-            if not dom.is_zero(c):
-                row = tuple(dom.sub(x, dom.mul(c, y)) for x, y in zip(row, new))
-            rows.append(row)
-        at = sum(1 for p in self.pivots if p < lead)
-        rows.insert(at, new)
-        pivots = self.pivots[:at] + (lead,) + self.pivots[at:]
-        return Subspace(dom, self.ambient, tuple(rows), pivots)
 
     def coords(self, vec):
         """Coordinates of vec in the echelon basis; vec must lie in the

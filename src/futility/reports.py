@@ -322,24 +322,27 @@ def _finite_base(A, seed, budget):
     return decide_finite_base(A, budget=budget)
 
 
-def _struct(decide_commutative, oracle, sample=_refuse("sampling needs an infinite coefficient field"),
+def _struct(decide, oracle, sample=_refuse("sampling needs an infinite coefficient field"),
             sample_dim=None) -> Route:
     """The route of structure-constant algebras over one kind of domain."""
-    return Route(_commutative_or_reduced(decide_commutative), oracle, sample, sample_dim, lambda A: A)
+    return Route(decide, oracle, sample, sample_dim, lambda A: A)
 
 
 _NO_SAMPLER = _refuse("sampling applies to algebras over Q, relative cases, and Z presentations")
 
 ROUTES = {
     "struct/Q": _struct(
-        lambda A, seed, budget: decide_infinite_field(A, seed=seed),
+        _commutative_or_reduced(lambda A, seed, budget: decide_infinite_field(A, seed=seed)),
         _compare_sampler,
         sample=lambda A, *draws: sample_subalgebras(A, *draws),
         sample_dim=lambda A: A.dim,
     ),
-    "struct/Fp": _struct(_finite_base, _compare_enumeration),
+    "struct/Fp": _struct(_commutative_or_reduced(_finite_base), _compare_enumeration),
+    # a finite-rank algebra over Z/n is finite, so futile, commutative or not
     "struct/finite": _struct(_finite_base, _no_oracle("no subspace oracle over composite moduli")),
-    "struct/unsupported": _struct(_no_struct_decider, _refuse("no oracle for case kind struct")),
+    "struct/unsupported": _struct(
+        _commutative_or_reduced(_no_struct_decider), _refuse("no oracle for case kind struct")
+    ),
     "tower": Route(lambda L, seed, budget: decide_field_extension(L), _compare_frobenius, _NO_SAMPLER),
     "relative": Route(
         decide=lambda rel, seed, budget: decide_local_artinian(rel, seed=seed),

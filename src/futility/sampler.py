@@ -34,7 +34,10 @@ class SampleHistogram:
     trials: int
     bound: int
     seed: int
-    distinct: tuple  # Subspaces, sorted by (dim, canonical key)
+    # Subalgebras: Subspaces sorted by (dim, int_rows); Z presentations:
+    # Hermite bases sorted by (rank, rows).  Reports read only the count and
+    # the counts per dimension.
+    distinct: tuple
     growth_curve: tuple  # distinct counts after trials 1, 2, 4, ... and at the end
 
     @property
@@ -80,8 +83,8 @@ def sample_subalgebras(target, trials: int, bound: int, seed: int = 0) -> Sample
         return generated_by_element(A, vec, base)
 
     def finish(closed):
-        spaces = (int_subspace(A.dim, rows, pivots) for rows, pivots in closed)
-        return sorted(spaces, key=lambda s: (s.dim, s.key()))
+        ordered = sorted(closed, key=lambda form: (len(form[0]), form[0]))
+        return [int_subspace(A.dim, rows, pivots) for rows, pivots in ordered]
 
     return _sample(A.dim, trials, bound, seed, close, finish)
 

@@ -60,6 +60,7 @@ from futility.polynomials import make_poly, pmul, poly_to_str, ppow
 
 F2 = PrimeField(2)
 F3 = PrimeField(3)
+F5 = PrimeField(5)
 
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
 
@@ -166,14 +167,17 @@ def test_element_multiply_examples():
 
 FT = FunctionField(2, ("t",))
 T = FT.variable("t")
-# valid tables over Q, F_3 and F_2(t): a poly quotient, a noncommutative
-# upper triangular algebra and a tower level, with small perturbations
+# valid tables over Q, F_2, F_3, F_5 and F_2(t): poly quotients, the
+# noncommutative 2x2 matrix and upper triangular algebras and a tower level,
+# with small perturbations
 SOURCES = {
     "Q": (
         qx_mod(0, 0, 0, -2, 0, 1),  # Q[x]/(x^3 (x^2 - 2))
         [Fraction(n, d) for n in (-3, -1, 1, 2) for d in (1, 2, 3)],
     ),
+    "F2": (matrix_algebra(F2, 2), [1]),
     "F3": (upper_triangular_algebra(F3, 2), [1, 2]),
+    "F5": (poly_quotient_algebra(make_poly(F5, [0, 0, 0, 3, 1])), [1, 2, 4]),  # x^3 (x + 3)
     "F2(t)": (
         poly_quotient_algebra(make_poly(FT, [FT.add(T, FT.one), FT.zero, FT.zero, FT.zero, FT.one])),
         [FT.one, T, FT.inv(T), FT.add(T, FT.one)],
@@ -184,7 +188,9 @@ SOURCES = {
 @settings(max_examples=60, deadline=None)
 @given(st.sampled_from(sorted(SOURCES)), st.data())
 @example("Q", None)
+@example("F2", None)
 @example("F3", None)
+@example("F5", None)
 @example("F2(t)", None)
 def test_make_algebra_agrees_with_reference_on_perturbed_tables(name, data):
     A, deltas = SOURCES[name]

@@ -291,6 +291,41 @@ def test_cli_error_exit_one(capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def exterior_algebra_xy() -> dict:
+    """The exterior algebra on x and y: basis 1, x, y, xy with xy = -yx, so
+    [x, y] = 2xy and the algebra is noncommutative over every ring without
+    2 = 0."""
+    zero = ["0"] * 4
+
+    def e(k, c="1"):
+        return [c if i == k else "0" for i in range(4)]
+
+    table = [
+        [e(0), e(1), e(2), e(3)],
+        [e(1), zero, e(3), zero],
+        [e(2), e(3, "-1"), zero, zero],
+        [e(3), zero, zero, zero],
+    ]
+    return {"kind": "structure_constants", "dim": 4, "unit": e(0), "table": table}
+
+
+@pytest.mark.parametrize(
+    "base",
+    [{"kind": "Zmod", "n": 4}, {"kind": "Zmod", "n": 6}, {"kind": "Fp", "p": 3}],
+    ids=["z4", "z6", "f3"],
+)
+def test_cli_decides_noncommutative_finite_algebra_futile(tmp_path, capsys, base):
+    """A finite-rank algebra over a finite ring is finite, hence futile,
+    whether or not it is commutative; over Z/n no field elimination runs."""
+    doc = {"format_version": 1, "id": "tmp/exterior", "base": base, "algebra": exterior_algebra_xy()}
+    p = tmp_path / "exterior.case"
+    p.write_text(json.dumps(doc))
+    rc = cli_main(["decide", "--case", str(p)])
+    captured = capsys.readouterr()
+    assert rc == 0, captured.err
+    assert "verdict:   Futile" in captured.out
+
+
 WRONG_ASSERT = {
     "format_version": 1,
     "id": "tmp/wrong-assert",

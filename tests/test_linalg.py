@@ -3,13 +3,14 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from futility.domains import QQ, PrimeField, RationalField
+from futility.domains import QQ, FunctionField, PrimeField, RationalField
 from futility.errors import DimensionMismatch
 from futility.linalg import (
     Subspace,
+    adjoin,
     combine,
     fp_adjoin,
     fp_reduce,
@@ -20,17 +21,53 @@ from futility.linalg import (
     mat_mul,
     nullspace,
     primitive,
+    reduce,
     rref,
     solve,
     subspace_from_vectors,
     subspace_sum,
     unit_vec,
+    vec_is_zero,
     zero_subspace,
 )
 
 F2 = PrimeField(2)
 F3 = PrimeField(3)
 F5 = PrimeField(5)
+F2T = FunctionField(2, ("t",))
+F3ST = FunctionField(3, ("s", "t"))
+
+
+def gauss_jordan(dom, rows):
+    """Reference reduced row echelon form: the Gauss-Jordan loop through the
+    domain's calls that rref ran before it became a fold of reduce/adjoin
+    steps.  Returns (nonzero rows, pivot columns)."""
+    work = [list(r) for r in rows]
+    if not work:
+        return (), ()
+    ncols = len(work[0])
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        pr = None
+        for i in range(r, len(work)):
+            if not dom.is_zero(work[i][c]):
+                pr = i
+                break
+        if pr is None:
+            continue
+        work[r], work[pr] = work[pr], work[r]
+        inv = dom.inv(work[r][c])
+        work[r] = [dom.mul(inv, x) for x in work[r]]
+        for i in range(len(work)):
+            if i != r and not dom.is_zero(work[i][c]):
+                f = work[i][c]
+                work[i] = [dom.sub(x, dom.mul(f, y)) for x, y in zip(work[i], work[r])]
+        pivots.append(c)
+        r += 1
+        if r == len(work):
+            break
+    return tuple(tuple(row) for row in work[:r]), tuple(pivots)
 
 
 def test_rref_canonical_pivots():
@@ -141,8 +178,8 @@ def test_combine_empty_rows_is_zero_vector(dom):
 
 
 class GenericRationals(RationalField):
-    """The rationals under another type: != QQ, so rref takes the generic
-    loop instead of the fraction-free one."""
+    """The rationals under a subclass: rref picks its pair by exact type, so
+    it folds these through the generic pair instead of the integer one."""
 
 
 GENERIC_QQ = GenericRationals()
@@ -151,16 +188,76 @@ rationals = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 6))
 
 
 @st.composite
-def rational_matrices(draw):
-    """Rows of small rationals, with a repeated row and a zero row mixed in
+def matrices(draw, elements, zero, max_cols=5, max_rows=6):
+    """Rows of domain elements, with a repeated row and a zero row mixed in
     at random positions."""
-    ncols = draw(st.integers(1, 5))
-    rows = draw(st.lists(st.tuples(*[rationals] * ncols), max_size=6))
+    ncols = draw(st.integers(1, max_cols))
+    rows = draw(st.lists(st.tuples(*[elements] * ncols), max_size=max_rows))
     if rows and draw(st.booleans()):
         rows.insert(draw(st.integers(0, len(rows))), draw(st.sampled_from(rows)))
     if draw(st.booleans()):
-        rows.insert(draw(st.integers(0, len(rows))), (Fraction(0),) * ncols)
+        rows.insert(draw(st.integers(0, len(rows))), (zero,) * ncols)
     return rows
+
+
+def rational_matrices():
+    return matrices(rationals, Fraction(0))
+
+
+def function_field_elements(dom):
+    """A few small rational functions of dom: constants, the variables, a
+    sum, a quotient and an inverse."""
+    names = dom.var_names
+    x = dom.variable(names[0])
+    y = dom.variable(names[-1])
+    return [
+        dom.zero,
+        dom.one,
+        dom.from_int(-1),
+        x,
+        y,
+        dom.add(x, dom.one),
+        dom.add(x, y),
+        dom.inv(x),
+        dom.mul(y, dom.inv(dom.add(x, dom.one))),
+    ]
+
+
+def element_strategy(dom):
+    if dom == QQ:
+        return rationals
+    if isinstance(dom, PrimeField):
+        return st.integers(0, dom.p - 1)
+    return st.sampled_from(function_field_elements(dom))
+
+
+FOLD_DOMAINS = [QQ, F2, F3, F5, F2T, F3ST]
+
+
+@pytest.mark.parametrize("dom", FOLD_DOMAINS, ids=str)
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_rref_matches_gauss_jordan(dom, data):
+    """rref folds through the domain's pair; the reduced echelon form is
+    unique, so it must equal the Gauss-Jordan reference.  RatFunc values are
+    compared by ==, since equal values may be stored as different tuples."""
+    small = isinstance(dom, FunctionField)
+    mat = data.draw(
+        matrices(element_strategy(dom), dom.zero, max_cols=4 if small else 5, max_rows=4 if small else 6)
+    )
+    assert rref(dom, mat) == gauss_jordan(dom, mat)
+
+
+@pytest.mark.parametrize("dom", FOLD_DOMAINS, ids=str)
+def test_rref_of_empty_zero_and_repeated_rows(dom):
+    one, two, zero = dom.one, dom.from_int(2), dom.zero
+    row = (one, zero, two)
+    cases = [[], [(zero,) * 3] * 2, [row, (zero,) * 3, row], [row, row, (zero, one, one), row]]
+    for mat in cases:
+        assert rref(dom, mat) == gauss_jordan(dom, mat)
+    assert rref(dom, []) == ((), ())
+    assert rref(dom, cases[1]) == ((), ())
+    assert rref(dom, cases[2]) == gauss_jordan(dom, [row])
 
 
 @given(rational_matrices())
@@ -168,9 +265,11 @@ def rational_matrices(draw):
 @example([(Fraction(0),) * 3] * 2)
 @example([(Fraction(1, 2), Fraction(-3)), (Fraction(0), Fraction(0)), (Fraction(1, 2), Fraction(-3))])
 def test_rref_over_q_matches_generic_loop(mat):
-    assert GENERIC_QQ != QQ
+    """The integer pair over QQ against the generic pair on Fraction values
+    and against the reference."""
+    assert type(GENERIC_QQ) is not RationalField
     fast = rref(QQ, mat)
-    assert fast == rref(GENERIC_QQ, mat)
+    assert fast == rref(GENERIC_QQ, mat) == gauss_jordan(QQ, mat)
     assert all(type(x) is Fraction for row in fast[0] for x in row)
 
 
@@ -181,28 +280,28 @@ def test_primitive_is_the_integer_point_on_the_line():
     assert all(type(x) is int for x in primitive((Fraction(1, 2), 3)))
 
 
-def _adjoin_all(dom, ambient, vecs):
-    """Grow from the zero space by adjoining each residual that leaves it."""
-    s = zero_subspace(dom, ambient)
+def _adjoin_all(dom, vecs):
+    """Grow from the zero space by adjoining each residual that leaves it,
+    through the generic pair (which rref takes on neither QQ nor F_p)."""
+    rows, pivots = (), ()
     for v in vecs:
-        r = s.reduce(v)
-        if not all(dom.is_zero(x) for x in r):
-            s = s.adjoin(r)
-    return s
+        r = reduce(dom, rows, pivots, v)
+        if not vec_is_zero(dom, r):
+            rows, pivots = adjoin(dom, rows, pivots, r)
+    return rows, pivots
 
 
 @given(st.lists(st.lists(st.integers(0, 2), min_size=5, max_size=5), max_size=7))
 @example([[0, 0, 1, 0, 0], [0, 1, 2, 0, 0], [1, 0, 0, 0, 2]])
 def test_adjoin_matches_rref_over_f3(mat):
     vecs = [tuple(r) for r in mat]
-    assert _adjoin_all(F3, 5, vecs) == subspace_from_vectors(F3, 5, vecs)
+    assert _adjoin_all(F3, vecs) == gauss_jordan(F3, vecs)
 
 
 @given(rational_matrices())
 @example([(Fraction(0), Fraction(1)), (Fraction(2), Fraction(3))])
 def test_adjoin_matches_rref_over_q(mat):
-    ncols = len(mat[0]) if mat else 2
-    assert _adjoin_all(QQ, ncols, mat) == subspace_from_vectors(QQ, ncols, mat)
+    assert _adjoin_all(QQ, mat) == gauss_jordan(QQ, mat)
 
 
 # --- integer echelon form -----------------------------------------------------
@@ -267,40 +366,12 @@ def test_int_adjoin_matches_rref_over_q(mat):
         r = int_reduce(rows, pivots, v)
         if any(r):
             rows, pivots = int_adjoin(rows, pivots, r)
-    s = subspace_from_vectors(QQ, ncols, vecs)
+    s = Subspace(QQ, ncols, *gauss_jordan(QQ, mat))
     assert (rows, pivots) == integer_form(s)
     assert int_subspace(ncols, rows, pivots) == s
 
 
 # --- prime-field kernel -------------------------------------------------------
-
-def generic_reduce(dom, rows, pivots, vec):
-    """Subspace.reduce's generic loop, through the domain's calls."""
-    v = list(vec)
-    for row, p in zip(rows, pivots):
-        c = v[p]
-        if not dom.is_zero(c):
-            for j, y in enumerate(row):
-                if not dom.is_zero(y):
-                    v[j] = dom.sub(v[j], dom.mul(c, y))
-    return tuple(v)
-
-
-def generic_adjoin(dom, rows, pivots, residual):
-    """Subspace.adjoin's generic loop on (rows, pivots)."""
-    lead = next(j for j, x in enumerate(residual) if not dom.is_zero(x))
-    inv = dom.inv(residual[lead])
-    new = tuple(dom.mul(inv, x) for x in residual)
-    out = []
-    for row in rows:
-        c = row[lead]
-        if not dom.is_zero(c):
-            row = tuple(dom.sub(x, dom.mul(c, y)) for x, y in zip(row, new))
-        out.append(row)
-    at = sum(1 for p in pivots if p < lead)
-    out.insert(at, new)
-    return tuple(out), pivots[:at] + (lead,) + pivots[at:]
-
 
 @st.composite
 def fp_subspace_and_vectors(draw):
@@ -326,16 +397,16 @@ def test_fp_kernel_matches_generic_loop(case):
     dom, p = s.dom, s.dom.p
     assert_fp_entries(dom, s.rows)
     for v in (vec, inside):
-        want = generic_reduce(dom, s.rows, s.pivots, v)
+        want = reduce(dom, s.rows, s.pivots, v)
         got = fp_reduce(s.rows, s.pivots, v, p)
         assert got == want == s.reduce(v)
         assert_fp_entries(dom, [got])
         assert s.contains(v) == all(dom.is_zero(x) for x in want)
         if any(got):
             grown = fp_adjoin(s.rows, s.pivots, got, p)
-            assert grown == generic_adjoin(dom, s.rows, s.pivots, got)
-            assert s.adjoin(got) == Subspace(dom, s.ambient, *grown)
-            assert s.adjoin(got) == subspace_from_vectors(dom, s.ambient, s.rows + (v,))
+            assert grown == adjoin(dom, s.rows, s.pivots, got)
+            assert grown == gauss_jordan(dom, s.rows + (v,))
+            assert Subspace(dom, s.ambient, *grown) == subspace_from_vectors(dom, s.ambient, s.rows + (v,))
             assert_fp_entries(dom, grown[0])
     assert s.contains(inside)
     with pytest.raises(DimensionMismatch):

@@ -22,6 +22,19 @@ Z_UPPER_TRIANGULAR = [
     [[0, 0, 0], [0, 0, 0], [0, 0, 1]],
 ]
 
+# 1, x, y, xy of the exterior algebra on x and y over Z/4: xy = -yx = 3yx.
+Z4_EXTERIOR = {
+    "kind": "structure_constants",
+    "dim": 4,
+    "unit": ["1", "0", "0", "0"],
+    "table": [
+        [["1", "0", "0", "0"], ["0", "1", "0", "0"], ["0", "0", "1", "0"], ["0", "0", "0", "1"]],
+        [["0", "1", "0", "0"], ["0", "0", "0", "0"], ["0", "0", "0", "1"], ["0", "0", "0", "0"]],
+        [["0", "0", "1", "0"], ["0", "0", "0", "3"], ["0", "0", "0", "0"], ["0", "0", "0", "0"]],
+        [["0", "0", "0", "1"], ["0", "0", "0", "0"], ["0", "0", "0", "0"], ["0", "0", "0", "0"]],
+    ],
+}
+
 CASES = {
     "q-comm": ({"kind": "Q"}, {"kind": "quotient_poly", "modulus": "x^3"}),
     "q-noncomm": ({"kind": "Q"}, {"kind": "matrix_algebra", "size": 2}),
@@ -29,6 +42,7 @@ CASES = {
     "f2-noncomm": ({"kind": "Fp", "p": 2}, {"kind": "matrix_algebra", "size": 2}),
     "z4-comm": ({"kind": "Zmod", "n": 4}, {"kind": "quotient_poly", "modulus": "x^2"}),
     "z4-noncomm": ({"kind": "Zmod", "n": 4}, {"kind": "matrix_algebra", "size": 2}),
+    "z4-exterior": ({"kind": "Zmod", "n": 4}, Z4_EXTERIOR),
     "f2t-quotient": (F2T, {"kind": "quotient_poly", "modulus": "x^2 + t"}),
     "f2t-matrix": (F2T, {"kind": "matrix_algebra", "size": 2}),
     "tower": (F2T, {"kind": "tower", "moduli": ["x^2 + t"]}),
@@ -109,6 +123,11 @@ EXPECTED = {
     ("z4-noncomm", "sample"): NO_SAMPLER_FIELD,
     ("z4-noncomm", "factor"): NOT_QUOTIENT,
     ("z4-noncomm", "oracle-compare"): ("report", "Futile", "none", True),
+    ("z4-exterior", "decide"): ("report", "Futile", None, None),
+    ("z4-exterior", "enumerate"): NO_ENUMERATION,
+    ("z4-exterior", "sample"): NO_SAMPLER_FIELD,
+    ("z4-exterior", "factor"): NOT_QUOTIENT,
+    ("z4-exterior", "oracle-compare"): ("report", "Futile", "none", True),
     ("f2t-quotient", "decide"): NO_F2T_DECIDER,
     ("f2t-quotient", "enumerate"): NO_ENUMERATION,
     ("f2t-quotient", "sample"): NO_SAMPLER_FIELD,

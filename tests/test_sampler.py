@@ -111,7 +111,7 @@ def unmemoized_histogram(A, base, trials, bound, seed):
             curve.append(len(seen))
             mark *= 2
     curve.append(len(seen))
-    return tuple(sorted(seen.values(), key=lambda s: (s.dim, s.key()))), tuple(curve)
+    return tuple(sorted(seen.values(), key=lambda s: (s.dim, s.int_rows))), tuple(curve)
 
 
 @pytest.mark.parametrize("relative", [False, True], ids=["q-two-fields", "x5-plane-case"])
