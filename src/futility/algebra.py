@@ -48,12 +48,10 @@ from .linalg import (
 )
 from .polynomials import (
     Poly,
-    factor_over_prime_field,
     factor_over_rationals,
     make_poly,
-    pconst,
     pmul,
-    ppow,
+    pquo,
     pxgcd,
 )
 
@@ -567,9 +565,10 @@ def change_of_basis(A: StructAlgebra, new_basis_rows) -> StructAlgebra:
 
 @dataclass(frozen=True)
 class LocalFactor:
-    """One local factor of a commutative algebra: the idempotent cutting it
-    out, the factor presented as an algebra on the ideal e*A, and the
-    projection rows A -> factor coordinates."""
+    """One local factor of a commutative algebra over Q: the primitive
+    idempotent e cutting it out, the factor presented as an algebra on the
+    ideal e*A with unit e, and the projection rows A -> factor coordinates
+    (row i holds the coordinates of e*e_i)."""
 
     idempotent: tuple
     algebra: StructAlgebra
@@ -577,166 +576,90 @@ class LocalFactor:
 
 
 def local_decomposition(A: StructAlgebra, seed: int = 0) -> list[LocalFactor]:
-    """Complete orthogonal idempotent system splitting a commutative algebra
-    over Q or F_p into local factors.
+    """The local factors of a commutative algebra over Q, sorted by
+    (dim, nil_dim) with nil_dim the dimension of the factor's nilradical;
+    factors equal in both keep the order of the factorization below.  Any
+    other domain raises UnsupportedDomain.
 
-    Splitting idempotents are found on the semisimple quotient: over F_p
-    from the Frobenius-fixed subalgebra, over Q from a factored minimal
-    polynomial of a primitive element (basis vectors first, then seeded
-    random combinations), and are then lifted along the nilradical.
+    One pass: with N the nilradical of A and R = A/N, a primitive element b
+    of R (basis vectors first, then seeded random combinations) has a
+    squarefree minimal polynomial f = g_1 ... g_k of degree dim R, factored
+    once.  With h_i = f/g_i and s*g_i + t*h_i = 1, (t*h_i)(b) is the
+    idempotent of R = Q[x]/(f) cutting out Q[x]/(g_i); the Newton step
+    e -> 3e^2 - 2e^3 lifts it along N.  Idempotent lifts are unique in a
+    commutative ring, so the k lifts are orthogonal and sum to 1, and the
+    factor e_i*A has residue field Q[x]/(g_i): nil_dim = dim - deg g_i.
     """
     if not A.is_commutative:
         raise ValidationError("local decomposition needs a commutative algebra")
     if A.dim == 0:
         return []
-    if not (A.dom == QQ or isinstance(A.dom, PrimeField)):
-        raise UnsupportedDomain("local decomposition supports Q and F_p")
+    dom = A.dom
+    if dom != QQ:
+        raise UnsupportedDomain("local decomposition runs over Q")
+    whole = [LocalFactor(A.unit, A, tuple(A.basis_vector(i) for i in range(A.dim)))]
+    nil = nilradical(A)
+    R, _ = quotient_algebra(A, nil)
+    if R.dim == 1:
+        return whole
     rng = random.Random(seed)
-    pending = [(A, tuple(A.basis_vector(i) for i in range(A.dim)), A.unit)]
-    # entries: (algebra in current coords, inclusion rows back to A, idempotent in A)
-    out = []
-    while pending:
-        B, incl, idem = pending.pop()
-        e = _splitting_idempotent(B, rng)
-        if e is None:
-            out.append((B, incl, idem))
-            continue
-        one_minus = vec_sub(B.dom, B.unit, e)
-        for part in (e, one_minus):
-            C, rows_in_B, proj = _peel_factor(B, part)
-            incl2 = tuple(combine(B.dom, r, incl, A.dim) for r in rows_in_B)
-            idem2 = combine(B.dom, part, incl, A.dim)
-            pending.append((C, incl2, idem2))
-    result = []
-    for B, incl, idem in out:
-        # projection: coordinates of e*v inside the factor
-        proj = []
-        for i in range(A.dim):
-            v = element_multiply(A, idem, A.basis_vector(i))
-            proj.append(solve(A.dom, incl, v))
-        result.append(LocalFactor(idempotent=idem, algebra=B, projection=tuple(proj)))
-    result.sort(key=lambda lf: lf.algebra.dim)
-    return result
-
-
-def _peel_factor(B: StructAlgebra, e):
-    """Algebra structure on the ideal e*B with unit e."""
-    dom = B.dom
-    vecs = [element_multiply(B, e, B.basis_vector(i)) for i in range(B.dim)]
-    s = subspace_from_vectors(dom, B.dim, vecs)
-    rows = s.rows
-    table = []
-    for u in rows:
-        line = []
-        for v in rows:
-            line.append(s.coords(element_multiply(B, u, v)))
-        table.append(line)
-    unit = s.coords(e)
-    C = make_algebra(dom, table, unit)
-    return C, rows, s
-
-
-def _splitting_idempotent(B: StructAlgebra, rng):
-    """A nontrivial idempotent of B, or None when B is local.
-
-    The verdict is proof-grade in both directions: over F_p the number of
-    local factors equals the dimension of the Frobenius-fixed subalgebra of
-    B/nilradical; over Q a primitive element of B/nilradical with
-    irreducible minimal polynomial certifies locality, while a factored
-    minimal polynomial yields an explicit splitting idempotent.
-    """
-    dom = B.dom
-    nil = nilradical(B)
-    R, proj = quotient_algebra(B, nil)
-    if R.dim <= 1:
-        return None
-    lift_rows = _section(B, nil)
-
-    def lift(vec_in_R):
-        return combine(dom, vec_in_R, lift_rows, B.dim)
-
-    if isinstance(dom, PrimeField):
-        p = dom.p
-        rows = [element_power(R, R.basis_vector(i), p) for i in range(R.dim)]
-        diff = [
-            tuple(dom.sub(rows[i][k], R.basis_vector(i)[k]) for i in range(R.dim))
-            for k in range(R.dim)
-        ]
-        fixed = nullspace(dom, diff, R.dim)
-        if len(fixed) <= 1:
-            return None
-        # any fixed vector outside the unit line has a split minimal polynomial
-        unit_line = subspace_from_vectors(dom, R.dim, [R.unit])
-        b = next(v for v in fixed if not unit_line.contains(v))
+    budget = 64 * (A.dim + 1)
+    bound = 1
+    tried = 0
+    while True:
+        if tried < R.dim:
+            b = R.basis_vector(tried)
+        else:
+            b = tuple(dom.from_int(rng.randint(-bound, bound)) for _ in range(R.dim))
+            if tried % 8 == 0:
+                bound *= 2
+        tried += 1
         f = minimal_polynomial(R, b)
-        fac = factor_over_prime_field(f, seed=0)
-        e_red = _crt_idempotent(R, b, fac)
-    else:
-        e_red = None
-        budget = 64 * (B.dim + 1)
-        bound = 1
-        tried = 0
-        while True:
-            if tried < R.dim:
-                cand = R.basis_vector(tried)
-            else:
-                cand = tuple(dom.from_int(rng.randint(-bound, bound)) for _ in range(R.dim))
-                if tried % 8 == 0:
-                    bound *= 2
-            tried += 1
-            f = minimal_polynomial(R, cand)
-            fac = factor_over_rationals(f, seed=0)
-            if any(m > 1 for _, m in fac.factors):
-                raise ValidationError("semisimple quotient produced a repeated factor")
-            if len(fac.factors) > 1:
-                e_red = _crt_idempotent(R, cand, fac)
-                break
-            if f.degree == R.dim:
-                return None  # primitive with irreducible minimal polynomial
-            if tried > budget:
-                raise SearchBudgetExceeded("no primitive element found for splitting")
-    if e_red is None:
-        return None
-    e = lift(e_red)
-    # Newton-style idempotent refinement along the nilpotent ideal
-    for _ in range(B.dim + 2):
-        sq = element_multiply(B, e, e)
-        if sq == e:
+        if f.degree == R.dim:
             break
-        three = dom.from_int(3)
-        two = dom.from_int(2)
-        cube = element_multiply(B, sq, e)
-        e = vec_sub(dom, vec_scale(dom, three, sq), vec_scale(dom, two, cube))
-    if element_multiply(B, e, e) != e:
-        raise ValidationError("idempotent lifting failed to converge")
-    if e == B.unit or vec_is_zero(dom, e):
-        raise ValidationError("idempotent lifting collapsed to a trivial idempotent")
-    return e
-
-
-def _section(B: StructAlgebra, nil: Subspace):
-    """Rows lifting the quotient basis of B/nil back into B."""
-    keep = [j for j in range(B.dim) if j not in set(nil.pivots)]
-    return tuple(B.basis_vector(j) for j in keep)
-
-
-def _crt_idempotent(R: StructAlgebra, b, fac):
-    """Idempotent from a split factored minimal polynomial of b: with
-    f = g*h coprime and s*g + t*h = 1, the element (t*h)(b) is idempotent."""
-    dom = R.dom
-    g, m = fac.factors[0]
-    gpart = ppow(g, m)
-    hpart = pconst(dom, dom.one)
-    for q, mq in fac.factors[1:]:
-        hpart = pmul(hpart, ppow(q, mq))
-    one, s, t = pxgcd(gpart, hpart)
-    assert one.degree == 0
-    # evaluate (t*h) at b inside R
-    poly = pmul(t, hpart)
+        if tried > budget:
+            raise SearchBudgetExceeded("no primitive element found for splitting")
+    fac = factor_over_rationals(f, seed=0)
+    if any(m > 1 for _, m in fac.factors):
+        raise ValidationError("semisimple quotient produced a repeated factor")
+    if len(fac.factors) == 1:
+        return whole
     powers = [R.unit]
-    while len(powers) < len(poly.coeffs):
+    while len(powers) < R.dim:
         powers.append(element_multiply(R, powers[-1], b))
-    return combine(dom, poly.coeffs, powers, R.dim)
+    # R's basis is A's basis vectors off the pivots of N
+    section = [A.basis_vector(j) for j in range(A.dim) if j not in nil.pivots]
+    three, two = dom.from_int(3), dom.from_int(2)
+    out = []
+    for g, _ in fac.factors:
+        h = pquo(f, g)
+        one, _, t = pxgcd(g, h)
+        assert one.degree == 0
+        e = combine(dom, combine(dom, pmul(t, h).coeffs, powers, R.dim), section, A.dim)
+        for _ in range(A.dim + 2):
+            sq = element_multiply(A, e, e)
+            if sq == e:
+                break
+            cube = element_multiply(A, sq, e)
+            e = vec_sub(dom, vec_scale(dom, three, sq), vec_scale(dom, two, cube))
+        if element_multiply(A, e, e) != e:
+            raise ValidationError("idempotent lifting failed to converge")
+        if e == A.unit or vec_is_zero(dom, e):
+            raise ValidationError("idempotent lifting collapsed to a trivial idempotent")
+        C, projection = _peel_factor(A, e)
+        out.append((C.dim, C.dim - g.degree, LocalFactor(e, C, projection)))
+    out.sort(key=lambda entry: entry[:2])
+    return [lf for _, _, lf in out]
+
+
+def _peel_factor(A: StructAlgebra, e):
+    """The ideal e*A as an algebra with unit e, and the projection rows:
+    row i holds the coordinates of e*e_i in the ideal's echelon basis."""
+    vecs = [element_multiply(A, e, A.basis_vector(i)) for i in range(A.dim)]
+    s = subspace_from_vectors(A.dom, A.dim, vecs)
+    table = [[s.coords(element_multiply(A, u, v)) for v in s.rows] for u in s.rows]
+    C = make_algebra(A.dom, table, s.coords(e))
+    return C, tuple(s.coords(v) for v in vecs)
 
 
 # ---------------------------------------------------------------------------

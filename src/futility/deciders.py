@@ -170,6 +170,9 @@ def decide_infinite_field(A: StructAlgebra, seed: int = 0) -> FutilityReport:
         profile.append(entry)
         if nil.dim:
             nonreduced.append(entry)
+    # the factors come sorted by (dim, nil_dim); ties are ordered here too, so
+    # that the profile does not depend on the order the input was given in
+    profile.sort(key=lambda e: (e["dim"], e["nil_dim"], e["nil_mod_nil2_dim"]))
     cert = {"local_profile": profile}
     verdict = FUTILE
     violation = None

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from futility import algebra as algebra_module
 from futility.algebra import (
+    MAX_DIM,
     StructAlgebra,
     center,
     change_of_basis,
@@ -444,14 +445,14 @@ def check_local_decomposition(A):
     # no further idempotent split is re-checked via local_decomposition
     assert sum(lf.algebra.dim for lf in factors) == A.dim
     # projections respect multiplication
-    for lf in factors:
-        for i in range(A.dim):
-            for j in range(A.dim):
-                u, v = A.basis_vector(i), A.basis_vector(j)
+    for i in range(A.dim):
+        for j in range(A.dim):
+            prod = element_multiply(A, A.basis_vector(i), A.basis_vector(j))
+            terms = [(c, l) for l, c in enumerate(prod) if not dom.is_zero(c)]
+            for lf in factors:
                 lhs = element_multiply(lf.algebra, lf.projection[i], lf.projection[j])
-                prod = element_multiply(A, u, v)
                 rhs = tuple(
-                    sum((dom.mul(c, r[k]) for c, r in zip(prod, lf.projection)), start=dom.zero)
+                    sum((dom.mul(c, lf.projection[l][k]) for c, l in terms), start=dom.zero)
                     for k in range(lf.algebra.dim)
                 )
                 assert lhs == rhs
@@ -518,26 +519,48 @@ def test_local_decomposition_mixed():
     assert nil_dims == [0, 1]
 
 
-def test_local_decomposition_f2_cube():
-    A = product_algebra([qx_mod_f2() for _ in range(3)])
-    factors = check_local_decomposition(A)
-    assert [lf.algebra.dim for lf in factors] == [1, 1, 1]
-
-
-def qx_mod_f2():
-    return poly_quotient_algebra(make_poly(F2, [1, 1]))  # F2[x]/(x+1) = F2
-
-
-def test_local_decomposition_f4_is_local():
-    A = poly_quotient_algebra(make_poly(F2, [1, 1, 1]))  # F4
-    factors = check_local_decomposition(A)
-    assert len(factors) == 1
-
-
-def test_local_decomposition_f2_split():
+def test_local_decomposition_runs_over_q_only():
     A = poly_quotient_algebra(make_poly(F2, [0, 1, 1]))  # F2[x]/(x^2+x) = F2 x F2
-    factors = check_local_decomposition(A)
-    assert len(factors) == 2
+    with pytest.raises(UnsupportedDomain):
+        local_decomposition(A)
+
+
+def test_local_decomposition_factors_once(monkeypatch):
+    """One nilradical and one factorization per call, however many factors."""
+    calls = {}
+    for name in ("nilradical", "factor_over_rationals"):
+
+        def counted(*args, _real=getattr(algebra_module, name), _name=name, **kwargs):
+            calls[_name] = calls.get(_name, 0) + 1
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(algebra_module, name, counted)
+    parts = [(q(0, 1), 2), (q(-1, 1), 1), (q(1, 0, 1), 2), (q(-2, 0, 1), 1)]
+    A = product_algebra([poly_quotient_algebra(ppow(g, m)) for g, m in parts])
+    assert len(local_decomposition(A)) == 4
+    assert calls == {"nilradical": 1, "factor_over_rationals": 1}
+
+
+def local_shape(A):
+    """(dim, nil_dim) of each local factor, in the order returned."""
+    return [(lf.algebra.dim, nilradical(lf.algebra).dim) for lf in local_decomposition(A)]
+
+
+PRIMARY_BASES = [q(0, 1), q(-1, 1), q(1, 0, 1), q(-2, 0, 1), q(-5, 0, 0, 1)]
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.lists(
+        st.tuples(st.sampled_from(PRIMARY_BASES), st.integers(1, 3)), min_size=1, max_size=4
+    ).filter(lambda parts: sum(m * g.degree for g, m in parts) <= MAX_DIM)
+)
+def test_local_decomposition_of_products_of_primary_quotients(parts):
+    """Q[x]/(g^m) with g irreducible is local with residue field Q[x]/(g), so
+    the factors of the product are its parts, sorted by (dim, nil_dim)."""
+    A = product_algebra([poly_quotient_algebra(ppow(g, m)) for g, m in parts])
+    check_local_decomposition(A)
+    assert local_shape(A) == sorted((m * g.degree, (m - 1) * g.degree) for g, m in parts)
 
 
 # --- minimal polynomials -----------------------------------------------------------
@@ -574,6 +597,10 @@ def test_quotient_rejects_non_ideal():
     s = subspace_from_vectors(QQ, 3, [frac(0, 1, 0)])  # span{x} is not an ideal? x*x = x^2 not in it
     with pytest.raises(NotAnIdeal):
         quotient_algebra(A, s)
+
+
+def qx_mod_f2():
+    return poly_quotient_algebra(make_poly(F2, [1, 1]))  # F2[x]/(x+1) = F2
 
 
 def test_product_examples():
@@ -682,9 +709,7 @@ def test_operations_invariant_under_basis_change():
         assert nilradical(B).dim == nilradical(A).dim
         assert commutator_ideal(B).dim == commutator_ideal(A).dim
         assert center(B).dim == center(A).dim
-        assert sorted(lf.algebra.dim for lf in local_decomposition(B)) == sorted(
-            lf.algebra.dim for lf in local_decomposition(A)
-        )
+        assert local_shape(B) == local_shape(A)
 
 
 def test_subspace_product():

@@ -9,11 +9,13 @@ import pytest
 from futility.algebra import (
     change_of_basis,
     element_multiply,
+    make_algebra,
     make_relative,
     minimal_polynomial,
     subalgebra_generated,
     quotient_algebra,
     nilradical,
+    product_algebra,
 )
 from futility.constructions import (
     matrix_algebra,
@@ -58,6 +60,18 @@ def x_power_algebra(r):
 
 def unit_span(A):
     return subspace_from_vectors(A.dom, A.dim, [A.unit])
+
+
+def square_zero_plane():
+    # Q[x,y]/(x,y)^2: dim 3, maximal ideal squares to zero
+    z = Fraction(0)
+    o = Fraction(1)
+    table = [
+        [(o, z, z), (z, o, z), (z, z, o)],
+        [(z, o, z), (z, z, z), (z, z, z)],
+        [(z, z, o), (z, z, z), (z, z, z)],
+    ]
+    return make_algebra(QQ, table, (o, z, z))
 
 
 # --- infinite field decider ---------------------------------------------------
@@ -108,18 +122,26 @@ def test_mixed_futile():
     assert rep.verdict == FUTILE
 
 
-def test_dim3_with_square_zero_radical_not_futile():
-    # Q[x,y]/(x,y)^2: dim 3, maximal ideal squares to zero
-    z = Fraction(0)
-    o = Fraction(1)
-    table = [
-        [(o, z, z), (z, o, z), (z, z, o)],
-        [(z, o, z), (z, z, z), (z, z, z)],
-        [(z, z, o), (z, z, z), (z, z, z)],
+@pytest.mark.parametrize(
+    "A,B",
+    [
+        (qx_mod(q(-5, 0, 0, 1)), x_power_algebra(3)),  # Q[x]/(x^3 - 5) and Q[x]/(x^3)
+        (qx_mod(q(1, 0, 1)), x_power_algebra(2)),  # Q(i) and Q[eps]
+        # equal (dim, nil_dim), different nil_mod_nil2_dim
+        (square_zero_plane(), x_power_algebra(3)),
+    ],
+    ids=["cubic-field-and-x3", "gaussian-and-dual", "plane-and-x3"],
+)
+def test_local_profile_is_independent_of_factor_order(A, B):
+    profiles = [
+        decide_infinite_field(product_algebra(parts)).certificate["local_profile"]
+        for parts in ([A, B], [B, A])
     ]
-    from futility.algebra import make_algebra
+    assert profiles[0] == profiles[1]
 
-    A = make_algebra(QQ, table, (o, z, z))
+
+def test_dim3_with_square_zero_radical_not_futile():
+    A = square_zero_plane()
     rep = decide_infinite_field(A)
     assert rep.verdict == NOT_FUTILE
     assert "not principal" in rep.certificate["violation"]
@@ -235,8 +257,6 @@ def test_find_generator_f2_squared():
 
 
 def test_find_generator_f2_cubed_proven_none():
-    from futility.algebra import product_algebra
-
     one = poly_quotient_algebra(make_poly(F2, [1, 1]))
     A = product_algebra([one, one, one])
     res = find_generator(A, unit_span(A))
