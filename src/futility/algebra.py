@@ -32,6 +32,7 @@ from .errors import (
 from .linalg import (
     Subspace,
     combine,
+    echelon_pair,
     full_subspace,
     int_adjoin,
     int_reduce,
@@ -69,7 +70,7 @@ class StructAlgebra:
     table: tuple
     unit: tuple
 
-    @property
+    @cached_property
     def is_commutative(self) -> bool:
         for i in range(self.dim):
             for j in range(i + 1, self.dim):
@@ -260,21 +261,49 @@ def invert_element(A: StructAlgebra, v):
     return x
 
 
+def closure(A: StructAlgebra, span: Subspace, queue, ideal: bool = False) -> Subspace:
+    """The least subalgebra of A (or with ideal=True, the least two-sided
+    ideal) containing span and the queued vectors, where span is already a
+    subalgebra (an ideal).
+
+    Each queued vector is reduced against the span as it grows.  A residual
+    r that leaves the span is adjoined and its products are queued: for a
+    subalgebra, r times each spanning vector met so far and itself; for an
+    ideal, r times each basis vector.  Products are taken on both sides only
+    when A is not commutative, and products inside the closed starting span
+    are never formed.  The span grows in the arithmetic of its domain's
+    linalg.echelon_pair, stops once it is the whole algebra, and becomes a
+    Subspace once, at the end."""
+    enter, reduce, adjoin, aux, leave = echelon_pair(A.dom)
+    both_sides = not A.is_commutative
+    rows, pivots = tuple(map(enter, span.rows)), span.pivots
+    factors = [A.basis_vector(k) for k in range(A.dim)] if ideal else list(rows)
+    queue = list(queue)
+    while queue:
+        r = reduce(rows, pivots, enter(queue.pop()), aux)
+        if not any(r):
+            continue
+        rows, pivots = adjoin(rows, pivots, r, aux)
+        if len(rows) == A.dim:
+            break
+        if not ideal:
+            factors.append(r)
+        for g in factors:
+            queue.append(element_multiply(A, r, g))
+            if both_sides and g is not r:
+                queue.append(element_multiply(A, g, r))
+    return Subspace(A.dom, A.dim, leave(rows, pivots), pivots)
+
+
 def subalgebra_generated(A: StructAlgebra, gens, unital_over: Subspace) -> Subspace:
     """Least multiplication-closed subspace containing unital_over and the
-    generators; computed by span-and-multiply until the dimension settles."""
+    generators: the closure of the zero span over both."""
     if not unital_over.contains(A.unit):
         raise ValidationError("unital_over must contain the unit")
     for g in gens:
         if len(g) != A.dim:
             raise DimensionMismatch("generator length differs from dimension")
-    span = subspace_from_vectors(A.dom, A.dim, list(unital_over.rows) + list(gens))
-    while True:
-        prods = [element_multiply(A, u, v) for u in span.rows for v in span.rows]
-        bigger = subspace_from_vectors(A.dom, A.dim, list(span.rows) + prods)
-        if bigger.dim == span.dim:
-            return bigger
-        span = bigger
+    return closure(A, zero_subspace(A.dom, A.dim), [*unital_over.rows, *gens])
 
 
 def generated_by_element(A: StructAlgebra, a, base: Subspace) -> tuple[tuple, tuple]:
@@ -342,31 +371,13 @@ def subspace_product(A: StructAlgebra, s: Subspace, t: Subspace) -> Subspace:
     return subspace_from_vectors(A.dom, A.dim, prods)
 
 
-def ideal_closure(A: StructAlgebra, vectors) -> Subspace:
-    """Two-sided ideal generated by the vectors."""
-    span = subspace_from_vectors(A.dom, A.dim, list(vectors))
-    while True:
-        extra = []
-        for v in span.rows:
-            for k in range(A.dim):
-                e = A.basis_vector(k)
-                extra.append(element_multiply(A, e, v))
-                extra.append(element_multiply(A, v, e))
-        bigger = subspace_from_vectors(A.dom, A.dim, list(span.rows) + extra)
-        if bigger.dim == span.dim:
-            return bigger
-        span = bigger
-
-
 def commutator_ideal(A: StructAlgebra) -> Subspace:
     """Two-sided ideal generated by all basis commutators."""
     comms = []
     for i in range(A.dim):
         for j in range(i + 1, A.dim):
             comms.append(tuple(A.dom.sub(a, b) for a, b in zip(A.table[i][j], A.table[j][i])))
-    if not comms:
-        return zero_subspace(A.dom, A.dim)
-    return ideal_closure(A, comms)
+    return closure(A, zero_subspace(A.dom, A.dim), comms, ideal=True)
 
 
 def center(A: StructAlgebra) -> Subspace:
@@ -383,12 +394,15 @@ def center(A: StructAlgebra) -> Subspace:
 
 
 def is_ideal(A: StructAlgebra, s: Subspace) -> bool:
+    """Whether s is closed under multiplication by each basis vector, on
+    both sides when A is not commutative."""
+    both_sides = not A.is_commutative
     for v in s.rows:
         for k in range(A.dim):
             e = A.basis_vector(k)
             if not s.contains(element_multiply(A, e, v)):
                 return False
-            if not s.contains(element_multiply(A, v, e)):
+            if both_sides and not s.contains(element_multiply(A, v, e)):
                 return False
     return True
 

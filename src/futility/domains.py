@@ -177,6 +177,11 @@ class RatFunc:
 
     __hash__ = None  # no canonical form, so no hash
 
+    def __bool__(self):
+        """False exactly at zero, as for ints and Fractions, so any() tells a
+        zero vector of rational functions from a nonzero one."""
+        return bool(self.num)
+
     def __repr__(self):
         names = tuple(f"v{i}" for i in range(self.nvars))
         if self.den == mp_const(1, self.p, self.nvars):

@@ -3,15 +3,14 @@ subalgebra and ideal lattices, isomorphism enumeration, subalgebras of a
 product via quintuple (Goursat-style) enumeration, and submodule lattices
 of finite modules over small local base rings.
 
-Subalgebra lattices come from a closure search: each member found is grown
-by one line of the quotient space at a time, so the work scales with the
-number of members times the lines over each, not with the number of
-subspaces.  The closure step runs on plain ints in [0, p): spans are held as
-raw (rows, pivots) and grown by linalg.fp_reduce and fp_adjoin, products
-come from element_multiply's prime-field path, and one Subspace is built per
-closure.  A lattice's containment pairs are computed on first read, so only
-the callers that print them pay for them.  Ideals are still found by
-scanning every subspace, generated directly in reduced echelon form.
+Subalgebra and ideal lattices come from one closure search: each member
+found is grown by one line of the quotient space at a time, so the work
+scales with the number of members times the lines over each, not with the
+number of subspaces.  Subalgebras are closed under products and ideals under
+multiplication by the basis, both by algebra.closure, which over F_p runs
+on plain ints in [0, p) through linalg.fp_reduce and fp_adjoin and builds
+one Subspace per closure.  A lattice's containment pairs are computed on
+first read, so only the callers that print them pay for them.
 """
 
 from __future__ import annotations
@@ -22,6 +21,7 @@ from itertools import combinations, product
 
 from .algebra import (
     StructAlgebra,
+    closure,
     element_multiply,
     product_algebra,
     quotient_algebra,
@@ -32,8 +32,6 @@ from .errors import BudgetExceeded, DimensionMismatch, ValidationError
 from .linalg import (
     Subspace,
     combine,
-    fp_adjoin,
-    fp_reduce,
     subspace_from_vectors,
     unit_vec,
     zero_subspace,
@@ -104,54 +102,17 @@ def iter_subspaces(dom: PrimeField, n: int):
                 yield Subspace(dom, n, tuple(tuple(row) for row in rows), tuple(pivots))
 
 
-def _closure(A: StructAlgebra, span: Subspace, queue, both_sides: bool) -> Subspace:
-    """The subalgebra generated by a multiplication-closed span and the
-    queued vectors.  Each queued vector is reduced against the span as it
-    grows; a residual that leaves the span is adjoined and multiplied by the
-    spanning vectors met so far and by itself, on both sides when A is not
-    commutative.  Products inside the closed starting span are never formed.
-    The span grows as raw (rows, pivots) on ints and the search stops once it
-    is the whole algebra; the Subspace is built once, at the end.
+def _search(A: StructAlgebra, start: Subspace, ideal: bool) -> list:
+    """Every subalgebra (with ideal=True, every two-sided ideal) of A that
+    contains start, itself one.
+
+    Each member S found is grown by each line of A/S.  A line is taken from
+    iter_subspaces on the non-pivot coordinates of S, so its vector a has no
+    component in S, and the closure of S and a depends on the line alone.
+    Every member T containing start is reached: adjoining a basis of T one
+    vector at a time climbs from start to T through members.
     """
-    p = A.dom.p
-    rows, pivots = span.rows, span.pivots
-    gens = list(rows)
-    queue = list(queue)
-    while queue:
-        r = fp_reduce(rows, pivots, queue.pop(), p)
-        if not any(r):
-            continue
-        rows, pivots = fp_adjoin(rows, pivots, r, p)
-        if len(rows) == A.dim:
-            break
-        gens.append(r)
-        for g in gens:
-            queue.append(element_multiply(A, r, g))
-            if both_sides and g is not r:
-                queue.append(element_multiply(A, g, r))
-    return Subspace(A.dom, A.dim, rows, pivots)
-
-
-def enumerate_subalgebras(
-    A: StructAlgebra, base_image: Subspace, budget: int = DEFAULT_BUDGET
-) -> SubalgebraLattice:
-    """All multiplication-closed subspaces containing the base image and the
-    unit.
-
-    Closure search: start from S0, the subalgebra generated by the base image
-    and the unit, and grow every member S found by each line of A/S.  A line
-    is taken from iter_subspaces on the non-pivot coordinates of S, so its
-    vector a has no component in S, and S[a] depends on the line alone.
-    Every subalgebra T containing S0 is reached: adjoining a basis of T one
-    vector at a time climbs from S0 to T through members.
-    """
-    _require_prime_field(A)
-    _check_budget(A, budget)
-    if base_image.ambient != A.dim:
-        raise DimensionMismatch("base image lives in the wrong space")
     dom, n = A.dom, A.dim
-    both_sides = not A.is_commutative
-    start = _closure(A, zero_subspace(dom, n), [*base_image.rows, A.unit], both_sides)
     # reduced echelon rows are canonical, so over one ambient they are a key
     found = {start.rows: start}
     todo = [start]
@@ -166,34 +127,32 @@ def enumerate_subalgebras(
             a = [dom.zero] * n
             for c, x in zip(free, line.rows[0]):
                 a[c] = x
-            T = _closure(A, S, [tuple(a)], both_sides)
+            T = closure(A, S, [tuple(a)], ideal)
             if T.rows not in found:
                 found[T.rows] = T
                 todo.append(T)
-    return SubalgebraLattice.of(A, found.values())
+    return list(found.values())
+
+
+def enumerate_subalgebras(
+    A: StructAlgebra, base_image: Subspace, budget: int = DEFAULT_BUDGET
+) -> SubalgebraLattice:
+    """All multiplication-closed subspaces containing the base image and the
+    unit: the closure search from the subalgebra they generate."""
+    _require_prime_field(A)
+    _check_budget(A, budget)
+    if base_image.ambient != A.dim:
+        raise DimensionMismatch("base image lives in the wrong space")
+    start = closure(A, zero_subspace(A.dom, A.dim), [*base_image.rows, A.unit])
+    return SubalgebraLattice.of(A, _search(A, start, ideal=False))
 
 
 def enumerate_ideals(A: StructAlgebra, budget: int = DEFAULT_BUDGET) -> list:
-    """All subspaces closed under multiplication by A on both sides."""
+    """All subspaces closed under multiplication by A on both sides, in
+    canonical order: the closure search from the zero ideal."""
     _require_prime_field(A)
     _check_budget(A, budget)
-    out = []
-    basis = [A.basis_vector(i) for i in range(A.dim)]
-    for s in iter_subspaces(A.dom, A.dim):
-        ok = True
-        for v in s.rows:
-            for e in basis:
-                if not s.contains(element_multiply(A, e, v)) or not s.contains(
-                    element_multiply(A, v, e)
-                ):
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
-            out.append(s)
-    out.sort(key=lambda s: s.key())
-    return out
+    return sorted(_search(A, zero_subspace(A.dom, A.dim), ideal=True), key=Subspace.key)
 
 
 def enumerate_isomorphisms(

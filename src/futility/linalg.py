@@ -11,10 +11,15 @@ elimination step is a reduce/adjoin pair on a reduced echelon form
 a nonzero residual a new pivot row.  There is one pair per arithmetic:
 int_reduce/int_adjoin on primitive integer rows over QQ, fp_reduce/fp_adjoin
 on ints over F_p, and reduce/adjoin through the domain's calls over every
-other field.  rref folds its rows one at a time into the empty span through
-its domain's pair; solve, nullspace and subspace_from_vectors run on rref,
-and combine forms linear combinations.  Integer lattice normal forms and
-the determinant reference live in intmat.
+other field.  echelon_pair picks a domain's pair once, with the calls that
+move vectors into and rows out of its arithmetic, and every pair has the
+signature reduce(rows, pivots, vec, aux) and adjoin(rows, pivots, residual,
+aux).  A residual is zero iff any() of it is false: the elements of every
+field here (ints, Fractions, RatFuncs) are false exactly at zero.  rref
+folds its rows one at a time into the empty span through that pair, as
+algebra.closure grows a span under products; solve, nullspace and
+subspace_from_vectors run on rref, and combine forms linear combinations.
+Integer lattice normal forms and the determinant reference live in intmat.
 """
 
 from __future__ import annotations
@@ -73,33 +78,38 @@ def _int_primitive(ints) -> tuple:
     return tuple(ints) if g == 1 else tuple(x // g for x in ints)
 
 
+def echelon_pair(dom: ScalarDomain):
+    """The elimination pair of a field and its way in and out, as
+    (enter, reduce, adjoin, aux, leave): enter(vec) puts a vector into the
+    pair's arithmetic, reduce(rows, pivots, vec, aux) and adjoin(rows, pivots,
+    residual, aux) grow an echelon form (rows, pivots) in it, and
+    leave(rows, pivots) gives the reduced echelon rows over dom.  Over QQ the
+    form is the integer echelon form, entered through primitive; over F_p and
+    every other field it is the reduced echelon form itself."""
+    if type(dom) is RationalField:
+        return primitive, int_reduce, int_adjoin, None, _rational_rows
+    if type(dom) is PrimeField:
+        return tuple, fp_reduce, fp_adjoin, dom.p, _rows
+    return tuple, reduce, adjoin, dom, _rows
+
+
+def _rows(rows, pivots) -> tuple:
+    return rows
+
+
 def rref(dom: ScalarDomain, rows) -> tuple[tuple, tuple]:
     """Reduced row echelon form; returns (nonzero rows, pivot columns).
 
     The rows are folded one at a time into the empty span through the
-    domain's reduce/adjoin pair.  Over QQ they go in as primitive integer
-    vectors and the integer echelon form comes out divided by its pivots.
-    The reduced echelon form is unique, so the order of the rows and the
-    pair that folds them do not change the result."""
+    domain's echelon_pair.  The reduced echelon form is unique, so the order
+    of the rows and the pair that folds them do not change the result."""
+    enter, reduce, adjoin, aux, leave = echelon_pair(dom)
     out, pivots = (), ()
-    if type(dom) is RationalField:
-        for v in rows:
-            r = int_reduce(out, pivots, primitive(v))
-            if any(r):
-                out, pivots = int_adjoin(out, pivots, r)
-        return _rational_rows(out, pivots), pivots
-    if type(dom) is PrimeField:
-        p = dom.p
-        for v in rows:
-            r = fp_reduce(out, pivots, v, p)
-            if any(r):
-                out, pivots = fp_adjoin(out, pivots, r, p)
-        return out, pivots
     for v in rows:
-        r = reduce(dom, out, pivots, v)
-        if not vec_is_zero(dom, r):
-            out, pivots = adjoin(dom, out, pivots, r)
-    return out, pivots
+        r = reduce(out, pivots, enter(v), aux)
+        if any(r):
+            out, pivots = adjoin(out, pivots, r, aux)
+    return leave(out, pivots), pivots
 
 
 _ZERO = Fraction(0)
@@ -124,7 +134,7 @@ def _rational_rows(rows, pivots) -> tuple:
 # The generic pair, through the domain's calls: any field whose elements
 # have no faster arithmetic here (F_p(t), F_p(s, t), the tower levels).
 
-def reduce(dom: ScalarDomain, rows, pivots, vec) -> tuple:
+def reduce(rows, pivots, vec, dom: ScalarDomain) -> tuple:
     """The residual of vec after eliminating the pivot coordinates of the
     reduced echelon form (rows, pivots)."""
     v = list(vec)
@@ -137,7 +147,7 @@ def reduce(dom: ScalarDomain, rows, pivots, vec) -> tuple:
     return tuple(v)
 
 
-def adjoin(dom: ScalarDomain, rows, pivots, residual) -> tuple[tuple, tuple]:
+def adjoin(rows, pivots, residual, dom: ScalarDomain) -> tuple[tuple, tuple]:
     """The reduced echelon form of the span of (rows, pivots) and a nonzero
     residual of reduce: the residual, scaled to a leading 1, becomes a new
     pivot row and is cleared from the rows that have an entry in its pivot
@@ -162,11 +172,12 @@ def adjoin(dom: ScalarDomain, rows, pivots, residual) -> tuple[tuple, tuple]:
 # canonical too, and rows can serve as a hashable key.  int_reduce and
 # int_adjoin are the fraction-free pair on it.
 
-def int_reduce(rows, pivots, vec) -> tuple:
+def int_reduce(rows, pivots, vec, aux=None) -> tuple:
     """The residual of reduce over QQ, made primitive, for the subspace with
     integer echelon form (rows, pivots) and vec an integer vector.  Each pivot
     coordinate is cleared by _eliminate against its row; the pivot is
-    positive, so v stays a positive multiple of the rational residual."""
+    positive, so v stays a positive multiple of the rational residual.  aux
+    is unused: it gives the pair the signature of the other two."""
     v = vec
     for row, p in zip(rows, pivots):
         c = v[p]
@@ -175,7 +186,7 @@ def int_reduce(rows, pivots, vec) -> tuple:
     return _int_primitive(v)
 
 
-def int_adjoin(rows, pivots, residual) -> tuple[tuple, tuple]:
+def int_adjoin(rows, pivots, residual, aux=None) -> tuple[tuple, tuple]:
     """The integer echelon form of the span of (rows, pivots) and a nonzero
     residual of int_reduce: the residual becomes a new pivot row and is
     cleared from the rows that have an entry in its pivot column.  Only those
@@ -275,16 +286,14 @@ class Subspace:
             raise DimensionMismatch("vector length != ambient dimension")
         if type(self.dom) is PrimeField:
             return fp_reduce(self.rows, self.pivots, vec, self.dom.p)
-        return reduce(self.dom, self.rows, self.pivots, vec)
+        return reduce(self.rows, self.pivots, vec, self.dom)
 
     def contains(self, vec) -> bool:
         if type(self.dom) is RationalField:  # fraction-free on int_rows
             if len(vec) != self.ambient:
                 raise DimensionMismatch("vector length != ambient dimension")
             return not any(int_reduce(self.int_rows, self.pivots, primitive(vec)))
-        if type(self.dom) is PrimeField:
-            return not any(self.reduce(vec))
-        return vec_is_zero(self.dom, self.reduce(vec))
+        return not any(self.reduce(vec))
 
     def contains_subspace(self, other: "Subspace") -> bool:
         return all(self.contains(r) for r in other.rows)

@@ -55,9 +55,11 @@ from futility.linalg import (
     subspace_from_vectors,
     unit_vec,
     vec_is_zero,
+    vec_sub,
     zero_subspace,
 )
 from futility.polynomials import make_poly, pmul, poly_to_str, ppow
+from reference_closure import span_and_multiply
 
 F2 = PrimeField(2)
 F3 = PrimeField(3)
@@ -325,6 +327,42 @@ def test_generated_x_plus_x2_is_everything():
 
 
 # --- commutator and center ----------------------------------------------------
+
+F2T = FunctionField(2, ("t",))
+
+
+def _scalar(dom, rng):
+    """A random small scalar: 0, 1 or t over F_2(t), an integer elsewhere.
+    Denser rational functions make the fixpoint's entries grow past what a
+    test can wait for, since RatFunc takes no gcd."""
+    if dom is F2T:
+        return rng.choice([F2T.zero, F2T.zero, F2T.one, F2T.variable("t")])
+    return dom.from_int(rng.randint(-3, 3))
+
+
+@pytest.mark.parametrize("dom", [QQ, F3, F2T], ids=["Q", "F3", "F2(t)"])
+def test_commutator_and_generated_match_span_and_multiply(dom):
+    # the Q, F_p and generic closures against the span-and-multiply fixpoint,
+    # on noncommutative algebras in a random basis
+    rng = random.Random(7)
+    U = upper_triangular_algebra(dom, 3)
+    n = U.dim
+    # unit upper triangular, rows reversed: invertible
+    basis = [
+        tuple(dom.one if j == i else _scalar(dom, rng) if j > i else dom.zero for j in range(n))
+        for i in reversed(range(n))
+    ]
+    for A in (change_of_basis(U, basis), matrix_algebra(dom, 2)):
+        e = [A.basis_vector(i) for i in range(A.dim)]
+        comms = [
+            vec_sub(dom, element_multiply(A, e[i], e[j]), element_multiply(A, e[j], e[i]))
+            for i in range(A.dim)
+            for j in range(i + 1, A.dim)
+        ]
+        assert commutator_ideal(A) == span_and_multiply(A, comms, ideal=True)
+        for count in (0, 1, 1, 2):
+            gens = [tuple(_scalar(dom, rng) for _ in range(A.dim)) for _ in range(count)]
+            assert subalgebra_generated(A, gens, unit_span(A)) == span_and_multiply(A, [A.unit, *gens])
 
 def test_commutator_commutative_zero():
     A = qx_mod(0, 0, 1)
@@ -599,6 +637,23 @@ def test_quotient_rejects_non_ideal():
         quotient_algebra(A, s)
 
 
+@pytest.mark.parametrize("side", ["left", "right"])
+def test_quotient_rejects_one_sided_ideal(side):
+    # in M_2(Q) on the basis E11, E12, E21, E22, span{E11, E21} (zero second
+    # column) is a left ideal but not a right one, and span{E11, E12} (zero
+    # second row) a right ideal but not a left one
+    M = matrix_algebra(QQ, 2)
+    keep = [0, 2] if side == "left" else [0, 1]
+    s = subspace_from_vectors(QQ, 4, [M.basis_vector(i) for i in keep])
+    e = [M.basis_vector(k) for k in range(4)]
+    if side == "left":
+        assert all(s.contains(element_multiply(M, x, v)) for v in s.rows for x in e)
+    else:
+        assert all(s.contains(element_multiply(M, v, x)) for v in s.rows for x in e)
+    with pytest.raises(NotAnIdeal):
+        quotient_algebra(M, s)
+
+
 def qx_mod_f2():
     return poly_quotient_algebra(make_poly(F2, [1, 1]))  # F2[x]/(x+1) = F2
 
@@ -752,13 +807,13 @@ def _x5_plane_case():
     ids=["x5", "x4-times-x-minus-1", "x5-plane-case"],
 )
 def test_generated_by_element_matches_subalgebra_generated(target):
-    # the integer kernel over Q against the span-and-multiply closure
+    # the integer kernel over Q against the span-and-multiply fixpoint
     A, base = target()
     base = base or unit_span(A)
     rng = random.Random(3)
     for _ in range(25):
         a = tuple(Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(A.dim))
-        assert int_subspace(A.dim, *generated_by_element(A, a, base)) == subalgebra_generated(A, [a], base)
+        assert int_subspace(A.dim, *generated_by_element(A, a, base)) == span_and_multiply(A, [*base.rows, a])
     with pytest.raises(DimensionMismatch):
         generated_by_element(A, a[:-1], base)
 
@@ -811,11 +866,11 @@ def test_generated_by_element_matches_subalgebra_generated_on_random_targets():
         elements += [tuple(Fraction(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(A.dim)) for _ in range(6)]
         # random elements of the subalgebras generated by basis vectors
         for i in range(A.dim):
-            sub = subalgebra_generated(A, [A.basis_vector(i)], base)
+            sub = span_and_multiply(A, [*base.rows, A.basis_vector(i)])
             coeffs = [rng.randint(-3, 3) for _ in sub.rows]
             elements.append(tuple(sum(c * x for c, x in zip(coeffs, col)) for col in zip(*sub.rows)))
         for a in elements:
-            expected = subalgebra_generated(A, [a], base)
+            expected = span_and_multiply(A, [*base.rows, a])
             assert int_subspace(A.dim, *generated_by_element(A, a, base)) == expected, (name, a)
             proper += base.dim < expected.dim < A.dim
     assert proper >= 10

@@ -40,7 +40,7 @@ from futility.deciders import (
 from futility.domains import QQ, FunctionField, ModRing, PrimeField
 from futility.errors import MalformedPresentation
 from futility.finite_enum import FiniteModule, enumerate_submodules
-from futility.linalg import subspace_from_vectors
+from futility.linalg import subspace_from_vectors, zero_subspace
 from futility.polynomials import make_poly, ppow, pmul
 
 F2 = PrimeField(2)
@@ -159,10 +159,10 @@ def test_quotient_consistency():
     assert decide_infinite_field(A).verdict == FUTILE
     # quotient by each ideal generated by a basis nilpotent power
     nil = nilradical(A)
-    from futility.algebra import ideal_closure
+    from futility.algebra import closure
 
     for v in nil.rows:
-        ideal = ideal_closure(A, [v])
+        ideal = closure(A, zero_subspace(QQ, A.dim), [v], ideal=True)
         B, _ = quotient_algebra(A, ideal)
         assert decide_infinite_field(B).verdict == FUTILE
 
@@ -560,7 +560,7 @@ def test_quotient_consistency_across_corpus():
     import json
     from pathlib import Path
 
-    from futility.algebra import ideal_closure, local_decomposition
+    from futility.algebra import closure, local_decomposition
     from futility.cases import build_case, parse_case
 
     corpus = Path(__file__).resolve().parent.parent / "corpus" / "infinite-field"
@@ -574,9 +574,9 @@ def test_quotient_consistency_across_corpus():
             continue
         ideals = []
         for v in nilradical(A).rows:
-            ideals.append(ideal_closure(A, [v]))
+            ideals.append(closure(A, zero_subspace(QQ, A.dim), [v], ideal=True))
         for lf in local_decomposition(A):
-            ideals.append(ideal_closure(A, [lf.idempotent]))
+            ideals.append(closure(A, zero_subspace(QQ, A.dim), [lf.idempotent], ideal=True))
         for ideal in ideals:
             if ideal.dim == A.dim:
                 continue

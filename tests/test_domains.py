@@ -99,6 +99,16 @@ def test_rf_equals_common_factor_two_vars():
     assert rf_equals(a, b)
 
 
+def test_rf_is_false_exactly_at_zero():
+    # elimination tests residuals with any(), as for ints and Fractions
+    K = FunctionField(3, ("s", "t"))
+    s, t = K.variable("s"), K.variable("t")
+    zero = K.sub(K.mul(s, K.inv(t)), K.mul(s, K.inv(t)))
+    assert K.is_zero(zero) and not zero and not K.zero
+    assert all(bool(x) for x in (K.one, s, K.inv(t), K.neg(K.one)))
+    assert not any((K.zero, zero)) and any((K.zero, t))
+
+
 def test_rf_equals_domain_mismatch():
     K1 = FunctionField(2, ("t",))
     K2 = FunctionField(3, ("t",))

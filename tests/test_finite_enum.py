@@ -2,8 +2,9 @@
 
 The independent cross-check for subalgebra lattices enumerates spans of
 arbitrary element subsets (definition-level, no echelon machinery) on tiny
-algebras, and the closure search is compared with a scan of every subspace
-of F_p^n.  The quintuple construction is compared with direct enumeration
+algebras, the closure search is compared with a scan of every subspace of
+F_p^n for subalgebras and for ideals, and the closure step with the
+span-and-multiply fixpoint.  The quintuple construction is compared with direct enumeration
 of the product, which is the content of the product-subalgebra
 correspondence.
 """
@@ -15,13 +16,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from futility.algebra import change_of_basis, element_multiply, product_algebra, subalgebra_generated
+from futility.algebra import change_of_basis, closure, element_multiply, product_algebra, subalgebra_generated
 from futility.constructions import matrix_algebra, poly_quotient_algebra, upper_triangular_algebra
 from futility.domains import PrimeField
 from futility.errors import BudgetExceeded
 from futility.finite_enum import (
     FiniteModule,
-    _closure,
     enumerate_ideals,
     enumerate_isomorphisms,
     enumerate_submodules,
@@ -32,6 +32,7 @@ from futility.finite_enum import (
 )
 from futility.linalg import mat_mul, subspace_from_vectors, zero_subspace
 from futility.polynomials import make_poly
+from reference_closure import span_and_multiply
 
 F2 = PrimeField(2)
 F3 = PrimeField(3)
@@ -85,6 +86,18 @@ def scan_subalgebras(A, base_image):
         if a.dim < b.dim and b.contains_subspace(a)
     )
     return tuple(members), inclusions
+
+
+def scan_ideals(A):
+    """Reference: scan every subspace of F_p^n, keep those closed under
+    multiplication by each basis vector on both sides, in canonical order."""
+    basis = [A.basis_vector(i) for i in range(A.dim)]
+    members = [
+        s for s in iter_subspaces(A.dom, A.dim)
+        if all(s.contains(element_multiply(A, e, v)) and s.contains(element_multiply(A, v, e))
+               for v in s.rows for e in basis)
+    ]
+    return sorted(members, key=lambda s: s.key())
 
 
 def assert_matches_scan(A, base_image):
@@ -180,14 +193,18 @@ FIXED_FP_ALGEBRAS = [
 @settings(max_examples=60, deadline=None)
 @given(st.one_of(finite_algebras(), st.sampled_from(FIXED_FP_ALGEBRAS)), st.data())
 def test_int_closure_matches_subalgebra_generated(A, data):
-    both_sides = not A.is_commutative
     gens = random_vectors(data, A, data.draw(st.integers(0, 2)))
-    S = _closure(A, zero_subspace(A.dom, A.dim), [A.unit, *gens], both_sides)
-    assert S == subalgebra_generated(A, gens, unit_span(A))
+    zero = zero_subspace(A.dom, A.dim)
+    S = closure(A, zero, [A.unit, *gens])
+    assert S == span_and_multiply(A, [A.unit, *gens]) == subalgebra_generated(A, gens, unit_span(A))
     assert all(type(x) is int and 0 <= x < A.dom.p for row in S.rows for x in row)
     # grown from a closed span by one more vector, as the search does
     [a] = random_vectors(data, A, 1)
-    assert _closure(A, S, [a], both_sides) == subalgebra_generated(A, [a], S)
+    assert closure(A, S, [a]) == span_and_multiply(A, [*S.rows, a])
+    # the same for ideals, from zero and from an ideal
+    I = closure(A, zero, gens, ideal=True)
+    assert I == span_and_multiply(A, gens, ideal=True)
+    assert closure(A, I, [a], ideal=True) == span_and_multiply(A, [*I.rows, a], ideal=True)
 
 
 @pytest.mark.parametrize("n, count", [(7, 35), (8, 110), (9, 193)])
@@ -241,6 +258,23 @@ def test_budget_exceeded():
     A = matrix_algebra(F2, 2)
     with pytest.raises(BudgetExceeded):
         enumerate_subalgebras(A, unit_span(A), budget=8)
+
+
+@settings(max_examples=40, deadline=None)
+@given(finite_algebras())
+def test_ideal_search_matches_subspace_scan(A):
+    assert enumerate_ideals(A) == scan_ideals(A)
+
+
+@pytest.mark.parametrize("A", FIXED_FP_ALGEBRAS, ids=["f2-x3", "f5-x2-plus-2", "m2-f3", "upper-3-f2"])
+def test_ideal_search_matches_scan_on_fixed_algebras(A):
+    assert enumerate_ideals(A) == scan_ideals(A)
+
+
+def test_truncated_polynomial_ideal_count():
+    A = f2x(*([0] * 8 + [1]))  # F2[x]/(x^8): the ideals (x^k), 0 <= k <= 8
+    ideals = enumerate_ideals(A)
+    assert [s.dim for s in ideals] == [0, 1, 2, 3, 4, 5, 6, 7, 8]
 
 
 def test_enumerate_ideals_field_is_simple():

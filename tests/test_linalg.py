@@ -285,9 +285,9 @@ def _adjoin_all(dom, vecs):
     through the generic pair (which rref takes on neither QQ nor F_p)."""
     rows, pivots = (), ()
     for v in vecs:
-        r = reduce(dom, rows, pivots, v)
+        r = reduce(rows, pivots, v, dom)
         if not vec_is_zero(dom, r):
-            rows, pivots = adjoin(dom, rows, pivots, r)
+            rows, pivots = adjoin(rows, pivots, r, dom)
     return rows, pivots
 
 
@@ -397,14 +397,14 @@ def test_fp_kernel_matches_generic_loop(case):
     dom, p = s.dom, s.dom.p
     assert_fp_entries(dom, s.rows)
     for v in (vec, inside):
-        want = reduce(dom, s.rows, s.pivots, v)
+        want = reduce(s.rows, s.pivots, v, dom)
         got = fp_reduce(s.rows, s.pivots, v, p)
         assert got == want == s.reduce(v)
         assert_fp_entries(dom, [got])
         assert s.contains(v) == all(dom.is_zero(x) for x in want)
         if any(got):
             grown = fp_adjoin(s.rows, s.pivots, got, p)
-            assert grown == adjoin(dom, s.rows, s.pivots, got)
+            assert grown == adjoin(s.rows, s.pivots, got, dom)
             assert grown == gauss_jordan(dom, s.rows + (v,))
             assert Subspace(dom, s.ambient, *grown) == subspace_from_vectors(dom, s.ambient, s.rows + (v,))
             assert_fp_entries(dom, grown[0])
