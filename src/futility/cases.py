@@ -15,6 +15,7 @@ from .algebra import (
     MAX_DIM,
     RelativeAlgebra,
     StructAlgebra,
+    check_dimension,
     invert_element,
     make_algebra,
     make_relative,
@@ -536,6 +537,7 @@ def _build_integer(desc: CaseDescription) -> BuiltCase:
     kind = spec["kind"]
     if kind == "z_presentation":
         ngens = _int(spec, "gens", "algebra")
+        check_dimension(ngens)
         relations = tuple(
             _scalars(int, row, "relations")
             for row in _list(spec.get("relations", []), "relations")

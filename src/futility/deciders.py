@@ -10,6 +10,7 @@ as independent oracles on top of these.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from itertools import product as iproduct
 
@@ -18,6 +19,7 @@ import random
 from .algebra import (
     RelativeAlgebra,
     StructAlgebra,
+    _int_multiply,
     commutator_ideal,
     frobenius_chain,
     local_decomposition,
@@ -44,6 +46,8 @@ from .finite_enum import (
 )
 from .intmat import (
     hermite_basis,
+    hnf_adjoin,
+    hnf_reduce,
     lattice_contains,
     lattice_index,
     smith_normal_form,
@@ -401,8 +405,7 @@ class ZPresentation:
 
     def validate(self):
         n = self.ngens
-        rel = [list(r) for r in self.relations]
-        for r in rel:
+        for r in self.relations:
             if len(r) != n:
                 raise MalformedPresentation("relation row has wrong length")
         if len(self.table) != n or any(len(row) != n for row in self.table):
@@ -413,23 +416,17 @@ class ZPresentation:
                     raise MalformedPresentation("table entry has wrong length")
         if len(self.unit) != n:
             raise MalformedPresentation("unit vector has wrong length")
-        basis = hermite_basis(rel)
+        basis = self.relation_basis
         # relations must absorb multiplication on either side
-        for r in rel:
-            if not any(r):
-                continue
-            for j in range(n):
-                left = self.mul_vec(r, self.gen(j))
-                right = self.mul_vec(self.gen(j), r)
-                if not lattice_contains(basis, left) or not lattice_contains(basis, right):
-                    raise MalformedPresentation(
-                        "relation lattice is not an ideal for the given table"
-                    )
+        for r in self.relations:
+            for g in map(self.gen, range(n)):
+                if not (lattice_contains(basis, self.mul_vec(r, g))
+                        and lattice_contains(basis, self.mul_vec(g, r))):
+                    raise MalformedPresentation("relation lattice is not an ideal for the given table")
         for j in range(n):
             g = self.gen(j)
-            if not lattice_contains(basis, _vsub(self.mul_vec(self.unit, g), g)):
-                raise MalformedPresentation(f"unit law fails at generator {j}")
-            if not lattice_contains(basis, _vsub(self.mul_vec(g, self.unit), g)):
+            if not (lattice_contains(basis, _vsub(self.mul_vec(self.unit, g), g))
+                    and lattice_contains(basis, _vsub(self.mul_vec(g, self.unit), g))):
                 raise MalformedPresentation(f"unit law fails at generator {j}")
         for i in range(n):
             for j in range(n):
@@ -442,51 +439,46 @@ class ZPresentation:
                         )
         return basis
 
+    @cached_property
+    def relation_basis(self) -> tuple:
+        """Hermite basis of the relation lattice (rows checked by validate)."""
+        return tuple(hermite_basis(self.relations))
+
+    @cached_property
+    def sparse(self) -> tuple:
+        """The nonzero (k, c_ijk) of each e_i * e_j, as StructAlgebra.sparse."""
+        return tuple(tuple(tuple((k, c) for k, c in enumerate(v) if c) for v in block)
+                     for block in self.table)
+
     @property
     def is_commutative(self) -> bool:
         """Whether every generator commutator lies in the relation lattice."""
-        basis = hermite_basis([list(r) for r in self.relations])
-        for i in range(self.ngens):
-            for j in range(i + 1, self.ngens):
-                if not lattice_contains(basis, _vsub(self.table[i][j], self.table[j][i])):
-                    return False
-        return True
+        return all(lattice_contains(self.relation_basis, c) for c in self._commutators())
+
+    def _commutators(self) -> list:
+        n = self.ngens
+        return [_vsub(self.table[i][j], self.table[j][i]) for i in range(n) for j in range(i + 1, n)]
 
     def gen(self, j):
         return tuple(1 if i == j else 0 for i in range(self.ngens))
 
     def mul_vec(self, u, v):
-        n = self.ngens
-        out = [0] * n
-        for i in range(n):
-            if not u[i]:
-                continue
-            for j in range(n):
-                if not v[j]:
-                    continue
-                c = u[i] * v[j]
-                for k in range(n):
-                    out[k] += c * self.table[i][j][k]
-        return out
+        return _int_multiply(self.sparse, self.ngens, u, v)
 
-    def commutator_lattice(self):
+    def commutator_lattice(self) -> tuple:
         """Hermite basis of relations + the two-sided ideal generated by all
-        generator commutators."""
-        gens = [list(r) for r in self.relations]
-        for i in range(self.ngens):
-            for j in range(i + 1, self.ngens):
-                gens.append(_vsub(self.table[i][j], self.table[j][i]))
-        basis = hermite_basis(gens)
-        while True:
-            extra = []
-            for v in basis:
-                for j in range(self.ngens):
-                    for w in (self.mul_vec(v, self.gen(j)), self.mul_vec(self.gen(j), v)):
-                        if not lattice_contains(basis, w):
-                            extra.append(w)
-            if not extra:
-                return basis
-            basis = hermite_basis(basis + extra)
+        generator commutators: a worklist on the lattice pair from the
+        relation lattice (an ideal, by validate).  A queued vector that
+        leaves the lattice is adjoined and its products with each generator,
+        on both sides, are queued."""
+        basis, queue = self.relation_basis, self._commutators()
+        while queue:
+            residual = hnf_reduce(basis, queue.pop())
+            if any(residual):
+                basis = hnf_adjoin(basis, residual)
+                for g in map(self.gen, range(self.ngens)):
+                    queue += [self.mul_vec(residual, g), self.mul_vec(g, residual)]
+        return basis
 
 
 def _vsub(a, b):
@@ -568,11 +560,11 @@ def _decide_noncommutative_z(P: ZPresentation) -> FutilityReport:
         cert = {"commutator_rank": len(comm) - len(rel_basis)}
         notes.append("commutator ideal has positive free rank, hence is infinite")
         return FutilityReport(NOT_FUTILE, tag, cert, tuple(notes))
-    size = lattice_index(comm, rel_basis) if comm else 1
+    size = lattice_index(comm, rel_basis)
     notes.append(f"commutator ideal is finite of size {size}")
     quotient = ZPresentation(
         ngens=P.ngens,
-        relations=tuple(tuple(r) for r in comm),
+        relations=comm,
         table=P.table,
         unit=P.unit,
     )

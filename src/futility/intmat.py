@@ -1,16 +1,17 @@
-"""Integer matrix normal forms: Smith normal form and Hermite-style
-lattice bases, used for finitely presented Z-modules.
+"""Integer matrix normal forms: Smith normal form and Hermite bases of
+lattices, used for finitely presented Z-modules.
 
 All arithmetic is exact Python-int arithmetic; matrices are lists of lists.
+Lattice work runs on one reduce/adjoin pair of Hermite bases (sequences of
+int tuples), hnf_reduce and hnf_adjoin.
 """
 
 from __future__ import annotations
 
+import bisect
+import math
 from dataclasses import dataclass
 from fractions import Fraction
-
-from .domains import QQ
-from .linalg import solve
 
 
 @dataclass(frozen=True)
@@ -150,90 +151,91 @@ def det_int(rows) -> int:
     return int(det)
 
 
-def hermite_basis(rows) -> list:
-    """Canonical row basis (echelon over Z) of the lattice spanned by rows.
+def hnf_reduce(basis, vec) -> tuple:
+    """The canonical representative of vec modulo the lattice with Hermite
+    basis `basis`: each pivot entry is reduced into [0, pivot) against its
+    row.  Two vectors get the same one exactly when their difference lies
+    in the lattice, so it is zero exactly on the lattice."""
+    v = tuple(vec)
+    for row in basis:
+        p = _lead(row)
+        q = v[p] // row[p]
+        if q:
+            v = tuple([x - q * y for x, y in zip(v, row)])
+    return v
 
-    Pivot entries are positive and entries above each pivot are reduced into
-    [0, pivot); the result is a canonical generating set.
-    """
-    work = [list(map(int, r)) for r in rows if any(r)]
-    if not work:
-        return []
-    n = len(work[0])
-    basis = []
-    col = 0
-    while work and col < n:
-        cand = [r for r in work if r[col] != 0]
-        rest = [r for r in work if r[col] == 0]
-        if not cand:
-            work = rest
-            col += 1
-            continue
-        # Euclid among the candidates until a single pivot row remains
-        while len(cand) > 1:
-            cand.sort(key=lambda r: abs(r[col]))
-            a = cand[0]
-            out = [a]
-            for r in cand[1:]:
-                q = r[col] // a[col]
-                r2 = [x - q * y for x, y in zip(r, a)]
-                if r2[col] != 0:
-                    out.append(r2)
-                elif any(r2):
-                    rest.append(r2)
-            if len(out) == 1:
-                break
-            cand = out
-        piv = cand[0]
-        if piv[col] < 0:
-            piv = [-x for x in piv]
-        basis.append(piv)
-        work = rest
-        col += 1
-    # reduce entries above each pivot into [0, pivot)
-    for i in range(len(basis)):
-        pcol = next(k for k, x in enumerate(basis[i]) if x)
+
+def hnf_adjoin(basis, residual) -> tuple:
+    """The Hermite basis of `basis` and a nonzero residual of hnf_reduce: one
+    xgcd step with each row whose pivot column is the residual's leading
+    column, what is left of the residual as a new pivot row, then the
+    entries above each pivot reduced into [0, pivot) again."""
+    v, lead = residual, _lead(residual)
+    rows, pivots = [], []
+    for row in basis:
+        p = _lead(row)
+        if p == lead:
+            g, s, t = _xgcd(row[p], v[p])
+            a, b = row[p] // g, v[p] // g
+            row, v = (tuple([s * x + t * y for x, y in zip(row, v)]),
+                      [a * y - b * x for x, y in zip(row, v)])
+            lead = _lead(v)
+        rows.append(row)
+        pivots.append(p)
+    if lead is not None:
+        at = bisect.bisect(pivots, lead)
+        rows.insert(at, tuple([x if v[lead] > 0 else -x for x in v]))
+        pivots.insert(at, lead)
+    for i, p in enumerate(pivots):
         for j in range(i):
-            q = basis[j][pcol] // basis[i][pcol]
+            q = rows[j][p] // rows[i][p]
             if q:
-                basis[j] = [x - q * y for x, y in zip(basis[j], basis[i])]
-    return basis
+                rows[j] = tuple([x - q * y for x, y in zip(rows[j], rows[i])])
+    return tuple(rows)
+
+
+def _lead(row) -> int | None:
+    """The column of the first nonzero entry of a row; None for zero."""
+    for i, x in enumerate(row):
+        if x:
+            return i
+    return None
+
+
+def _xgcd(a: int, b: int) -> tuple[int, int, int]:
+    """(g, s, t) with g = gcd(a, b) > 0 and s*a + t*b = g."""
+    s, t, s1, t1 = 1, 0, 0, 1
+    while b:
+        q = a // b
+        a, b, s, s1, t, t1 = b, a - q * b, s1, s - q * s1, t1, t - q * t1
+    return (a, s, t) if a > 0 else (-a, -s, -t)
+
+
+def hermite_basis(rows) -> list:
+    """Canonical row basis (echelon over Z) of the lattice spanned by rows:
+    positive pivots, entries above each pivot in [0, pivot).  The fold of
+    hnf_reduce and hnf_adjoin over the rows."""
+    basis = ()
+    for row in rows:
+        residual = hnf_reduce(basis, map(int, row))
+        if any(residual):
+            basis = hnf_adjoin(basis, residual)
+    return list(basis)
 
 
 def lattice_contains(basis, vec) -> bool:
     """Membership of an integer vector in the lattice with Hermite basis."""
-    v = list(map(int, vec))
-    for row in basis:
-        pcol = next(i for i, x in enumerate(row) if x)
-        if v[pcol] % row[pcol] == 0:
-            q = v[pcol] // row[pcol]
-            if q:
-                v = [x - q * y for x, y in zip(v, row)]
-    return not any(v)
+    return not any(hnf_reduce(basis, vec))
 
 
 def lattice_index(big, small) -> int | None:
-    """Index [big : small] of nested lattices given by row bases, or None if
-    infinite (ranks differ).  small must be contained in big."""
+    """Index [big : small] of nested lattices given by row sets, or None if
+    infinite (ranks differ).  small must be contained in big; their Hermite
+    bases then share pivot columns, and the index is the ratio of the pivot
+    products."""
+    big, small = hermite_basis(big), hermite_basis(small)
     if len(big) != len(small):
         return None
-    if not big:
-        return 1
-    coords = []
-    for r in small:
-        c = solve_integer(big, r)
-        if c is None:
-            raise ValueError("small lattice not contained in big lattice")
-        coords.append(c)
-    d = det_int(coords)
-    if d == 0:
-        return None
-    return abs(d)
-
-
-def solve_integer(basis, vec):
-    """Express vec as an integer combination of the basis rows, or None."""
-    sol = solve(QQ, [[Fraction(x) for x in r] for r in basis], [Fraction(x) for x in vec])
-    if sol is None or any(x.denominator != 1 for x in sol):
-        return None
-    return [int(x) for x in sol]
+    if not all(lattice_contains(big, r) for r in small):
+        raise ValueError("small lattice not contained in big lattice")
+    return math.prod(r[_lead(r)] for r in small) // math.prod(r[_lead(r)] for r in big)

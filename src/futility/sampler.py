@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 
 import random
 
@@ -23,6 +24,7 @@ from .algebra import (
 from .constructions import poly_quotient_algebra
 from .domains import QQ
 from .errors import NotApplicable, UnsupportedDomain
+from .intmat import hermite_basis, hnf_adjoin, hnf_reduce
 from .linalg import Subspace, int_reduce, int_subspace, subspace_from_vectors
 from .polynomials import Poly, pmul, squarefree_decomposition
 
@@ -56,12 +58,11 @@ def sample_subalgebras(target, trials: int, bound: int, seed: int = 0) -> Sample
     """Draw elements with integer coordinates in [-bound, bound], close each
     under multiplication over the base image, canonicalize and dedupe.
 
-    Closures are memoized within the call by the draw reduced modulo the base
-    image and scaled to a primitive integer vector: R[a] = R[c*a + r] for
-    c != 0 and r in the base image, so a draw whose key was seen before
-    generates a subalgebra that is already filed.  Memo keys and closures are
-    integer echelon forms; Fraction rows are built once per distinct
-    subalgebra, at the end.
+    The memo key is the draw reduced modulo the base image and scaled to a
+    primitive integer vector, which is sound because R[a] = R[c*a + r] for
+    c != 0 and r in the base image.  Memo keys and closures are integer
+    echelon forms; Fraction rows are built once per distinct subalgebra, at
+    the end.
     """
     if isinstance(target, RelativeAlgebra):
         A = target.amb
@@ -73,37 +74,33 @@ def sample_subalgebras(target, trials: int, bound: int, seed: int = 0) -> Sample
         raise UnsupportedDomain("sampler expects an algebra or a relative algebra")
     if A.dom != QQ:
         raise UnsupportedDomain("sampling runs over the rationals; finite domains enumerate")
-    memo = set()
-
-    def close(vec):
-        key = int_reduce(base.int_rows, base.pivots, vec)
-        if key in memo:
-            return None
-        memo.add(key)
-        return generated_by_element(A, vec, base)
 
     def finish(closed):
         ordered = sorted(closed, key=lambda form: (len(form[0]), form[0]))
         return [int_subspace(A.dim, rows, pivots) for rows, pivots in ordered]
 
-    return _sample(A.dim, trials, bound, seed, close, finish)
+    key = partial(int_reduce, base.int_rows, base.pivots)
+    return _sample(A.dim, trials, bound, seed, key, partial(generated_by_element, A, base=base), finish)
 
 
-def _sample(dim: int, trials: int, bound: int, seed: int, close, finish) -> SampleHistogram:
-    """The trial loop of both samplers.  Trial t draws from its own derived
-    seed, so the merged histogram does not depend on evaluation order.
-    close(vec) closes an accepted draw to a hashable canonical form, or None
-    when the draw is known to close to a form already seen; finish turns the
+def _sample(dim: int, trials: int, bound: int, seed: int, key, close, finish) -> SampleHistogram:
+    """The trial loop and memo of both samplers.  Trial t draws from its own
+    derived seed, so the merged histogram does not depend on evaluation
+    order.  key(vec) is a canonical representative of the draw that
+    generates the same closure; only the first draw with a given key is
+    closed, by close(key), to a hashable canonical form.  finish turns the
     set of distinct forms into the sorted distinct values."""
+    memo = set()
     seen = set()
     curve = []
     mark = 1
     for t in range(1, trials + 1):
         vec = _draw(random.Random(seed * 1_000_003 + t), dim, bound)
         if vec is not None:
-            closed = close(vec)
-            if closed is not None:
-                seen.add(closed)
+            k = key(vec)
+            if k not in memo:
+                memo.add(k)
+                seen.add(close(k))
         if t == mark:
             curve.append(len(seen))
             mark *= 2
@@ -183,22 +180,22 @@ def _trim(coords) -> Poly:
 def sample_subrings(zp, trials: int, bound: int, seed: int = 0) -> SampleHistogram:
     """Integer analogue of the subalgebra sampler: generate Z[a] for random
     a and count distinct canonical lattices (Hermite bases including the
-    relation rows)."""
-    from .intmat import hermite_basis, lattice_contains
+    relation rows).  Z[a] grows power by power with hnf_adjoin from the
+    basis of relations + Z*1, until a power lies in the lattice; as over Q,
+    the next power is taken from the residual just adjoined.  Draws are
+    memoized by hnf_reduce against that start basis: Z[a] = Z[a + k*1 + r]
+    for every integer k and relation r."""
+    start = tuple(hermite_basis([*zp.relation_basis, zp.unit]))
 
-    def close(vec):
-        rows = [list(zp.unit)]
-        power = list(zp.unit)
-        basis = hermite_basis(list(zp.relations) + rows)
+    def close(a):
+        basis, power = start, zp.unit
         while True:
-            power = zp.mul_vec(power, vec)
-            if lattice_contains(basis, power):
-                break
-            rows.append(list(power))
-            basis = hermite_basis(list(zp.relations) + rows)
-        return tuple(tuple(r) for r in basis)
+            power = hnf_reduce(basis, zp.mul_vec(power, a))
+            if not any(power):
+                return basis
+            basis = hnf_adjoin(basis, power)
 
     def finish(closed):
         return sorted(closed, key=lambda b: (len(b), b))
 
-    return _sample(zp.ngens, trials, bound, seed, close, finish)
+    return _sample(zp.ngens, trials, bound, seed, partial(hnf_reduce, start), close, finish)

@@ -436,9 +436,12 @@ def test_cli_malformed_case_is_one_error_line(tmp_path, capsys, base, algebra):
          "algebra dimension 36 exceeds the limit of 32"),
         ({"kind": "FpRational", "p": 2, "vars": ["s", "t"]}, {"kind": "tower", "moduli": ["x^8 - s", "y^8 - t"]},
          "algebra dimension 64 exceeds the limit of 32"),
+        # the cap trips before the table is read: this one is malformed
+        ({"kind": "Z"}, {"kind": "z_presentation", "gens": 33, "table": "unread", "unit": [1]},
+         "algebra dimension 33 exceeds the limit of 32"),
     ],
     ids=["modulus-exponent", "factor-exponent", "nested-power-degree", "product-degree",
-         "matrix-dimension", "product-dimension", "tower-dimension"],
+         "matrix-dimension", "product-dimension", "tower-dimension", "z-presentation-generators"],
 )
 def test_cli_oversized_case_is_one_budget_error(tmp_path, capsys, monkeypatch, base, algebra, message):
     # the guards trip before anything large is expanded: a power past the

@@ -42,6 +42,7 @@ from futility.errors import MalformedPresentation
 from futility.finite_enum import FiniteModule, enumerate_submodules
 from futility.linalg import subspace_from_vectors, zero_subspace
 from futility.polynomials import make_poly, ppow, pmul
+from reference_hermite import dense_multiply, ideal_fixpoint
 
 F2 = PrimeField(2)
 
@@ -411,6 +412,66 @@ def test_z_times_mat2_futile_with_trace():
     assert rep.certificate["commutator_size"] == 16
     assert rep.certificate["quotient"]["free_rank"] == 1
     assert any("recursing" in n for n in rep.notes)
+
+
+def zpres_of_order(A, relations=(), seed=None):
+    """The Z presentation of the order spanned by the basis of A, whose
+    structure constants are integers; with a seed, in the basis f = P*e for
+    a random unimodular P, with relation rows and unit carried along."""
+    n = A.dim
+    table = [[[int(c) for c in v] for v in row] for row in A.table]
+    unit = [int(c) for c in A.unit]
+    relations = [list(r) for r in relations]
+    if seed is not None:
+        rng = random.Random(seed)
+        P = [[int(i == j) for j in range(n)] for i in range(n)]
+        Q = [[int(i == j) for j in range(n)] for i in range(n)]  # P^-1
+        for _ in range(3 * n):
+            i, j = rng.sample(range(n), 2)
+            c = rng.choice((-2, -1, 1, 2))
+            P[i] = [x + c * y for x, y in zip(P[i], P[j])]
+            for row in Q:
+                row[j] -= c * row[i]
+
+        def coords(x):  # old coordinates -> new ones: x * P^-1
+            return [sum(x[a] * Q[a][k] for a in range(n)) for k in range(n)]
+
+        table = [[coords(dense_multiply(table, P[i], P[j])) for j in range(n)] for i in range(n)]
+        unit, relations = coords(unit), [coords(r) for r in relations]
+    return zpres_zx_mod(relations, table, n, unit)
+
+
+def commutator_test_presentations():
+    T3 = upper_triangular_algebra(QQ, 3)
+    M2 = matrix_algebra(QQ, 2)
+    # 2 * (strictly upper triangular part) + 6 * T3, an ideal; E_01, E_02
+    # and E_12 are the basis vectors 1, 2 and 4
+    ideal_T3 = [[2 * int(j == k) for j in range(6)] for k in (1, 2, 4)]
+    ideal_T3 += [[6 * int(i == j) for j in range(6)] for i in range(6)]
+    out = {"z-times-mat2-f2": z_times_mat2_f2(), "zx-mod-x2-5x": zx_mod_x2_5x()}
+    for seed in (None, 1, 2):
+        out[f"mat2-{seed}"] = zpres_of_order(M2, seed=seed)
+        out[f"mat2-mod-4-{seed}"] = zpres_of_order(M2, [[4 * int(i == j) for j in range(4)] for i in range(4)], seed)
+        out[f"upper3-{seed}"] = zpres_of_order(T3, seed=seed)
+        out[f"upper3-mod-ideal-{seed}"] = zpres_of_order(T3, ideal_T3, seed)
+    return out
+
+
+COMMUTATOR_CASES = commutator_test_presentations()
+
+
+@pytest.mark.parametrize("name", sorted(COMMUTATOR_CASES))
+def test_commutator_lattice_matches_fixpoint(name):
+    zp = COMMUTATOR_CASES[name]
+    zp.validate()
+    n = zp.ngens
+    commutators = [[x - y for x, y in zip(zp.table[i][j], zp.table[j][i])]
+                   for i in range(n) for j in range(i + 1, n)]
+    assert [list(r) for r in zp.commutator_lattice()] == ideal_fixpoint(zp, commutators)
+    rng = random.Random(n)
+    for _ in range(20):
+        u, v = ([rng.randint(-3, 3) for _ in range(n)] for _ in range(2))
+        assert list(zp.mul_vec(u, v)) == dense_multiply(zp.table, u, v)
 
 
 # --- local artinian -------------------------------------------------------------------

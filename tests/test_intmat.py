@@ -6,16 +6,23 @@ which never touches the elimination path used by the implementation.
 
 import math
 import random
+from fractions import Fraction
 from itertools import combinations
 
+import pytest
+
+from futility.domains import QQ
 from futility.intmat import (
     det_int,
     hermite_basis,
+    hnf_adjoin,
+    hnf_reduce,
     lattice_contains,
     lattice_index,
     smith_normal_form,
-    solve_integer,
 )
+from futility.linalg import solve
+from reference_hermite import batch_hermite_basis
 
 
 def mat_mul_int(a, b):
@@ -128,7 +135,111 @@ def test_hermite_membership_and_index():
     assert lattice_index(hermite_basis([[1, 0, 0]]), basis) is None
 
 
-def test_solve_integer():
-    basis = [[2, 1], [0, 3]]
-    assert solve_integer(basis, [2, 4]) == [1, 1]
-    assert solve_integer(basis, [1, 0]) is None
+def random_rows(rng, m, n, size):
+    """m integer rows of length n, mixed with zero rows, repeated rows,
+    multiples of rows and, now and then, rows from a rank-2 lattice."""
+    if m and rng.random() < 0.3:
+        gens = [[rng.randint(-size, size) for _ in range(n)] for _ in range(2)]
+        return [[rng.randint(-3, 3) * x + rng.randint(-3, 3) * y for x, y in zip(*gens)] for _ in range(m)]
+    rows = [[rng.randint(-size, size) for _ in range(n)] for _ in range(m)]
+    extras = []
+    for r in rows:
+        u = rng.random()
+        if u < 0.15:
+            extras.append([0] * n)
+        elif u < 0.3:
+            extras.append(list(r))
+        elif u < 0.45:
+            extras.append([rng.choice((-4, -2, 3, 7)) * x for x in r])
+    rows += extras
+    rng.shuffle(rows)
+    return rows
+
+
+def test_fold_matches_batch_hermite_basis():
+    rng = random.Random(11)
+    for _ in range(3000):
+        rows = random_rows(rng, rng.randint(0, 7), rng.randint(1, 6), rng.choice((1, 3, 10, 1000)))
+        assert [list(r) for r in hermite_basis(rows)] == batch_hermite_basis(rows), rows
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [[], [[0, 0, 0]], [[0, 0], [0, 0]], [[4, 6], [4, 6], [-8, -12]], [[0, 3, 5], [0, 6, 10], [0, 0, 2]],
+     [[2, 4, 6], [3, 6, 9]], [[6, 0], [10, 0], [15, 0]], [[0, -7]]],
+    ids=["empty", "zero-row", "zero-rows", "repeated-and-multiple", "leading-zero-column",
+         "rank-deficient", "gcd-of-three", "negative-pivot"],
+)
+def test_fold_matches_batch_hermite_basis_on_fixed_inputs(rows):
+    assert [list(r) for r in hermite_basis(rows)] == batch_hermite_basis(rows)
+
+
+def test_hnf_reduce_is_a_coset_key():
+    """v and v + (a lattice combination) reduce to the same key, which is
+    zero exactly on the lattice, and keys differ across cosets."""
+    rng = random.Random(5)
+    for _ in range(500):
+        n = rng.randint(1, 5)
+        basis = hermite_basis(random_rows(rng, rng.randint(0, 5), n, 6))
+        v = [rng.randint(-20, 20) for _ in range(n)]
+        coeffs = [rng.randint(-5, 5) for _ in basis]
+        shift = [sum(c * row[k] for c, row in zip(coeffs, basis)) for k in range(n)]
+        key = hnf_reduce(basis, v)
+        assert hnf_reduce(basis, [x + y for x, y in zip(v, shift)]) == key
+        assert hnf_reduce(basis, key) == key
+        assert (not any(key)) == lattice_contains(basis, v)
+        assert not any(hnf_reduce(basis, shift))
+        # the key differs from v by a lattice vector
+        assert lattice_contains(basis, [x - y for x, y in zip(v, key)])
+        w = [rng.randint(-20, 20) for _ in range(n)]
+        same = hnf_reduce(basis, w) == key
+        assert same == lattice_contains(basis, [x - y for x, y in zip(v, w)])
+
+
+def test_hnf_adjoin_matches_hermite_basis_of_the_union():
+    rng = random.Random(8)
+    for _ in range(500):
+        n = rng.randint(1, 5)
+        rows = random_rows(rng, rng.randint(0, 5), n, 9)
+        basis = hermite_basis(rows)
+        v = [rng.randint(-30, 30) for _ in range(n)]
+        residual = hnf_reduce(basis, v)
+        if any(residual):
+            assert list(hnf_adjoin(basis, residual)) == hermite_basis([*rows, v])
+
+
+def index_by_coordinates(big, small):
+    """[big : small] the old way: solve each row of small in the rows of big
+    (a basis) over Q, then take the determinant of the integer coordinates."""
+    coords = []
+    for r in small:
+        sol = solve(QQ, [[Fraction(x) for x in b] for b in big], [Fraction(x) for x in r])
+        assert sol is not None and all(x.denominator == 1 for x in sol)
+        coords.append([int(x) for x in sol])
+    return abs(det_int(coords))
+
+
+def test_lattice_index_on_non_hermite_nested_pairs():
+    rng = random.Random(13)
+    checked = 0
+    while checked < 200:
+        n = rng.randint(1, 5)
+        k = rng.randint(1, n)
+        big = [[rng.randint(-4, 4) for _ in range(n)] for _ in range(k)]
+        if len(hermite_basis(big)) != k:
+            continue
+        # small: integer combinations of big's rows with a nonsingular matrix
+        while True:
+            C = [[rng.randint(-3, 3) for _ in range(k)] for _ in range(k)]
+            if det_int(C):
+                break
+        small = [[sum(c * row[j] for c, row in zip(crow, big)) for j in range(n)] for crow in C]
+        expected = index_by_coordinates(big, small)
+        assert expected == abs(det_int(C))
+        # redundant rows change neither lattice
+        padded = small + [[2 * x for x in small[0]], [0] * n]
+        assert lattice_index(big, small) == expected
+        assert lattice_index(big + [[x + y for x, y in zip(big[0], big[-1])]], padded) == expected
+        checked += 1
+    with pytest.raises(ValueError):
+        lattice_index([[2, 0], [0, 1]], [[1, 0], [0, 1]])

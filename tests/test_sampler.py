@@ -2,16 +2,20 @@
 
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from futility.algebra import element_multiply, generated_by_element, make_relative, subalgebra_generated
+from futility.cases import build_case, parse_case
 from futility.constructions import poly_quotient_algebra
 from futility.domains import QQ, PrimeField
 from futility.errors import NotApplicable, UnsupportedDomain
+from futility.intmat import hnf_reduce
 from futility.linalg import subspace_from_vectors
 from futility.polynomials import make_poly, pmul, ppow
-from futility.sampler import _draw, family_witness, sample_subalgebras
+from futility.sampler import _draw, family_witness, sample_subalgebras, sample_subrings
+from reference_hermite import batch_hermite_basis, dense_multiply
 
 
 def q(*cs):
@@ -140,6 +144,64 @@ def test_memoized_sampler_matches_one_closure_per_draw(monkeypatch, relative):
         _draw(random.Random(4 * 1_000_003 + t), A.dim, 5) is not None for t in range(1, 601)
     )
     assert len(closures) < accepted
+
+
+ZPRES_CASES = sorted(
+    path for path in (Path(__file__).resolve().parent.parent / "corpus").rglob("*.case")
+    if '"z_presentation"' in path.read_text()
+)
+
+
+def subring_by_powers(zp, a):
+    """Hermite basis of relations + Z[a], from the definition: append
+    a, a^2, ... to the rows, each power from the last, and take the batch
+    basis again until a power adds nothing."""
+    rows = [*zp.relations, zp.unit]
+    basis = batch_hermite_basis(rows)
+    power = zp.unit
+    while True:
+        power = dense_multiply(zp.table, power, a)
+        rows.append(power)
+        bigger = batch_hermite_basis(rows)
+        if bigger == basis:
+            return tuple(tuple(r) for r in basis)
+        basis = bigger
+
+
+def unmemoized_subrings(zp, trials, bound, seed):
+    """The Z sampler's trial loop written out with one closure per draw."""
+    seen = set()
+    curve = []
+    mark = 1
+    for t in range(1, trials + 1):
+        vec = _draw(random.Random(seed * 1_000_003 + t), zp.ngens, bound)
+        if vec is not None:
+            seen.add(subring_by_powers(zp, vec))
+        if t == mark:
+            curve.append(len(seen))
+            mark *= 2
+    curve.append(len(seen))
+    return tuple(sorted(seen, key=lambda b: (len(b), b))), tuple(curve)
+
+
+@pytest.mark.parametrize("path", ZPRES_CASES, ids=lambda p: p.stem)
+def test_memoized_subring_sampler_matches_one_closure_per_draw(path):
+    desc = parse_case(path.read_text())
+    zp = build_case(desc).payload
+    trials, bound, seed = (desc.options[k] for k in ("trials", "bound", "seed"))
+    h = sample_subrings(zp, trials, bound, seed)
+    distinct, curve = unmemoized_subrings(zp, trials, bound, seed)
+    assert h.distinct == distinct
+    assert h.growth_curve == curve
+    # the memo merges draws: accepted draws outnumber their keys
+    start = batch_hermite_basis([*zp.relations, zp.unit])
+    accepted = [v for t in range(1, trials + 1)
+                if (v := _draw(random.Random(seed * 1_000_003 + t), zp.ngens, bound)) is not None]
+    assert len({hnf_reduce(start, v) for v in accepted}) < len(accepted)
+
+
+def test_zpres_corpus_cases_are_found():
+    assert len(ZPRES_CASES) == 5
 
 
 def test_family_witness_distinct_points():
