@@ -15,6 +15,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, partial
+from itertools import product as iproduct
 
 from .domains import QQ, PrimeField, RationalField, ScalarDomain
 from .errors import (
@@ -465,18 +466,56 @@ def nilradical(A: StructAlgebra) -> Subspace:
 
 def minimal_polynomial(A: StructAlgebra, a) -> Poly:
     """Monic least-degree polynomial with f(a) = 0, by linear dependence of
-    the powers of a."""
+    the powers of a (the constant 1 in the zero algebra)."""
     dom = A.dom
-    powers = [A.unit]
+    powers = []
     cur = A.unit
     while True:
-        cur = element_multiply(A, cur, a)
         coeffs = solve(dom, powers, cur)
         if coeffs is not None:
             # x^k - sum coeffs_i x^i
             body = [dom.neg(c) for c in coeffs] + [dom.one]
             return make_poly(dom, body)
         powers.append(cur)
+        cur = element_multiply(A, cur, a)
+
+
+def primitive_element(A: StructAlgebra, seed: int = 0, budget: int = 2048):
+    """(a, f) with the powers of a spanning A and f = minimal_polynomial(A, a):
+    a is accepted when deg f = dim A, since K[a] is the span of its powers.
+
+    Over F_p every element is tried in itertools.product order, so
+    (None, None) proves that A has no primitive element; more than
+    64 * budget elements raise BudgetExceeded.  Over Q the basis vectors come
+    first, then seeded random integer vectors in a box that doubles after
+    every 16th trial; a search past the budget raises SearchBudgetExceeded."""
+    dom = A.dom
+    if isinstance(dom, PrimeField):
+        if dom.p**A.dim > budget * 64:
+            raise BudgetExceeded("exhaustive generator search over budget")
+        candidates = iproduct(range(dom.p), repeat=A.dim)
+    elif dom == QQ:
+        candidates = _rational_candidates(A, random.Random(seed), budget)
+    else:
+        raise UnsupportedDomain("generator search supports Q and F_p domains")
+    for a in candidates:
+        f = minimal_polynomial(A, a)
+        if f.degree == A.dim:
+            return a, f
+    if dom == QQ:
+        raise SearchBudgetExceeded("no generator found within the search budget")
+    return None, None
+
+
+def _rational_candidates(A: StructAlgebra, rng, budget: int):
+    bound = 1
+    for trial in range(budget):
+        if trial < A.dim:
+            yield A.basis_vector(trial)
+        else:
+            yield tuple(Fraction(rng.randint(-bound, bound)) for _ in range(A.dim))
+            if trial % 16 == 0:
+                bound *= 2
 
 
 def quotient_algebra(A: StructAlgebra, ideal: Subspace):
@@ -596,7 +635,7 @@ def local_decomposition(A: StructAlgebra, seed: int = 0) -> list[LocalFactor]:
     other domain raises UnsupportedDomain.
 
     One pass: with N the nilradical of A and R = A/N, a primitive element b
-    of R (basis vectors first, then seeded random combinations) has a
+    of R (from primitive_element; any one gives the same factors) has a
     squarefree minimal polynomial f = g_1 ... g_k of degree dim R, factored
     once.  With h_i = f/g_i and s*g_i + t*h_i = 1, (t*h_i)(b) is the
     idempotent of R = Q[x]/(f) cutting out Q[x]/(g_i); the Newton step
@@ -616,23 +655,7 @@ def local_decomposition(A: StructAlgebra, seed: int = 0) -> list[LocalFactor]:
     R, _ = quotient_algebra(A, nil)
     if R.dim == 1:
         return whole
-    rng = random.Random(seed)
-    budget = 64 * (A.dim + 1)
-    bound = 1
-    tried = 0
-    while True:
-        if tried < R.dim:
-            b = R.basis_vector(tried)
-        else:
-            b = tuple(dom.from_int(rng.randint(-bound, bound)) for _ in range(R.dim))
-            if tried % 8 == 0:
-                bound *= 2
-        tried += 1
-        f = minimal_polynomial(R, b)
-        if f.degree == R.dim:
-            break
-        if tried > budget:
-            raise SearchBudgetExceeded("no primitive element found for splitting")
+    b, f = primitive_element(R, seed)
     fac = factor_over_rationals(f, seed=0)
     if any(m > 1 for _, m in fac.factors):
         raise ValidationError("semisimple quotient produced a repeated factor")

@@ -25,7 +25,9 @@ from .deciders import FUTILE, NOT_FUTILE, LocalizedZ, ZPresentation
 from .domains import QQ, ZZ, FunctionField, ModRing, PrimeField, ScalarDomain
 from .errors import BudgetExceeded, ParseError, UnsupportedDomain, ValidationError
 from .linalg import subspace_from_vectors
-from .polynomials import Poly, padd, pconst, pmul, pneg, psub, pX
+from .polynomials import (
+    Poly, padd, pconst, pmul, pneg, poly_to_str, psub, pX, squarefree_decomposition,
+)
 
 FORMAT_VERSION = 1
 
@@ -461,6 +463,13 @@ def base_domain(base: dict, where: str = "base") -> ScalarDomain:
         if kind == "FpRational":
             names = _list(_require(base, "vars", where), f"'vars' of {where}")
             names = [_text(v, f"entry of 'vars' of {where}") for v in names]
+            for i, name in enumerate(names):
+                if name in ("x", "y"):
+                    raise ValidationError(
+                        f"{name!r} in 'vars' of {where} is reserved for the indeterminates x and y"
+                    )
+                if name in names[:i]:
+                    raise ValidationError(f"{name!r} appears twice in 'vars' of {where}")
             return FunctionField(_int(base, "p", where), tuple(names))
     except ValueError as exc:
         raise ValidationError(f"invalid {kind} base: {exc}") from None
@@ -519,6 +528,13 @@ def _build_tower(K: FunctionField, spec: dict):
         raise ValidationError("towers support one or two quotient levels")
     level1 = parse_poly(moduli[0], K, indet="x")
     L = poly_quotient_algebra(level1)
+    # the tower decider holds for fields only; a squarefree but reducible
+    # modulus is not caught here
+    for g, m in squarefree_decomposition(level1):
+        if m > 1:
+            raise ValidationError(
+                f"tower modulus {moduli[0]!r} has the repeated factor {poly_to_str(g)}, so it is not a field"
+            )
     if len(moduli) == 1:
         return L
     adapter = AlgebraScalarDomain(L)
@@ -548,7 +564,6 @@ def _build_integer(desc: CaseDescription) -> BuiltCase:
         )
         unit = _scalars(int, _require(spec, "unit", "algebra"), "algebra unit")
         zp = ZPresentation(ngens=ngens, relations=relations, table=table, unit=unit)
-        zp.validate()
         return BuiltCase("zpres", zp, "Z", desc)
     if kind == "localized":
         invert = _int(spec, "invert", "algebra")
@@ -557,12 +572,11 @@ def _build_integer(desc: CaseDescription) -> BuiltCase:
         if finite_part is not None:
             _object(finite_part, "finite part")
             fdom = base_domain(_require(finite_part, "base", "finite part"), "base of finite part")
-            if not getattr(fdom, "is_finite", False):
+            if not fdom.is_finite:
                 raise ValidationError("finite part must live over a finite base")
             falg = build_struct_algebra(fdom, _require(finite_part, "algebra", "finite part"))
             size = fdom.size**falg.dim
         loc = LocalizedZ(invert=invert, finite_part_size=size)
-        loc.validate()
         return BuiltCase("localized", loc, "Z", desc)
     raise ValidationError(f"unknown algebra kind {kind!r} over Z")
 

@@ -9,12 +9,10 @@ as independent oracles on top of these.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
-from itertools import product as iproduct
-
-import random
 
 from .algebra import (
     RelativeAlgebra,
@@ -23,10 +21,9 @@ from .algebra import (
     commutator_ideal,
     frobenius_chain,
     local_decomposition,
-    minimal_polynomial,
     nilradical,
+    primitive_element,
     quotient_algebra,
-    subalgebra_generated,
     subalgebra_to_algebra,
     subspace_product,
 )
@@ -35,7 +32,6 @@ from .errors import (
     BaseNotLocalArtinian,
     BudgetExceeded,
     MalformedPresentation,
-    SearchBudgetExceeded,
     UnsupportedDomain,
 )
 from .finite_enum import (
@@ -53,7 +49,6 @@ from .intmat import (
     smith_normal_form,
 )
 from .linalg import (
-    Subspace,
     combine,
     full_subspace,
     mat_mul,
@@ -96,45 +91,19 @@ class GeneratorSearch:
     exhaustive: bool
 
 
-def find_generator(
-    A: StructAlgebra,
-    base_image: Subspace,
-    seed: int = 0,
-    budget: int = 2048,
-) -> GeneratorSearch:
-    """Search for a with base_image + powers of a spanning all of A.
+def find_generator(A: StructAlgebra, seed: int = 0, budget: int = 2048) -> GeneratorSearch:
+    """algebra.primitive_element with its minimal polynomial factored.
 
-    Over F_p the search is exhaustive over all p^dim elements, so a None
-    comes with a proof flag.  Over Q the search tries basis vectors first
-    and then seeded random integer vectors with a doubling coordinate box;
-    exceeding the budget raises instead of pretending a proven None.
-    """
-    dom = A.dom
+    Over F_p the search is exhaustive, so a None generator comes with a
+    proof flag; over Q a search past the budget raises instead."""
     if A.dim == 0:
         return GeneratorSearch(generator=(), factored=None, exhaustive=True)
-    if isinstance(dom, PrimeField):
-        if dom.p**A.dim > budget * 64:
-            raise BudgetExceeded("exhaustive generator search over budget")
-        for coords in iproduct(range(dom.p), repeat=A.dim):
-            if subalgebra_generated(A, [coords], base_image).dim == A.dim:
-                f = minimal_polynomial(A, coords)
-                return GeneratorSearch(coords, factor_over_prime_field(f, seed=seed), True)
-        return GeneratorSearch(None, None, True)
-    if dom != QQ:
-        raise UnsupportedDomain("generator search supports Q and F_p domains")
-    rng = random.Random(seed)
-    bound = 1
-    for trial in range(budget):
-        if trial < A.dim:
-            cand = A.basis_vector(trial)
-        else:
-            cand = tuple(Fraction(rng.randint(-bound, bound)) for _ in range(A.dim))
-            if trial % 16 == 0:
-                bound *= 2
-        if subalgebra_generated(A, [cand], base_image).dim == A.dim:
-            f = minimal_polynomial(A, cand)
-            return GeneratorSearch(cand, factor_over_rationals(f, seed=seed), False)
-    raise SearchBudgetExceeded("no generator found within the search budget")
+    a, f = primitive_element(A, seed, budget)
+    exhaustive = isinstance(A.dom, PrimeField)
+    if a is None:
+        return GeneratorSearch(None, None, exhaustive)
+    factor = factor_over_prime_field if exhaustive else factor_over_rationals
+    return GeneratorSearch(a, factor(f, seed=seed), exhaustive)
 
 
 # ---------------------------------------------------------------------------
@@ -196,8 +165,7 @@ def decide_infinite_field(A: StructAlgebra, seed: int = 0) -> FutilityReport:
         if violation:
             verdict = NOT_FUTILE
     if verdict == FUTILE:
-        base = subspace_from_vectors(QQ, A.dim, [A.unit])
-        search = find_generator(A, base, seed=seed)
+        search = find_generator(A, seed=seed)
         cert["generator"] = search.generator
         cert["minimal_polynomial"] = search.factored
         notes = ("futile: monogenic with factored minimal polynomial certificate",)
@@ -322,7 +290,7 @@ def decide_finite_base(A: StructAlgebra, budget: int = DEFAULT_BUDGET) -> Futili
     hence futile; the certificate is the exhaustive subalgebra count when
     the enumeration budget allows, else the cardinality argument."""
     dom = A.dom
-    if not getattr(dom, "is_finite", False):
+    if not dom.is_finite:
         raise UnsupportedDomain("finite-base decider needs a finite coefficient ring")
     tag = "finite-base-exhaustion"
     size = dom.size**A.dim
@@ -372,7 +340,7 @@ def decide_noncommutative(A, seed: int = 0, budget: int = DEFAULT_BUDGET) -> Fut
             cert,
             (f"commutator ideal is a {comm.dim}-dimensional Q-space, hence infinite",),
         )
-    if getattr(dom, "is_finite", False):
+    if dom.is_finite:
         size = dom.size**comm.dim
         quot, _ = quotient_algebra(A, comm)
         inner = decide_finite_base(quot, budget)
@@ -396,14 +364,16 @@ def decide_noncommutative(A, seed: int = 0, budget: int = DEFAULT_BUDGET) -> Fut
 @dataclass(frozen=True)
 class ZPresentation:
     """Module-finite Z-algebra: ngens generators, integer relation rows, a
-    multiplication table on generators, and the unit's coordinates."""
+    multiplication table on generators, and the unit's coordinates.  The
+    shapes, the relation lattice being an ideal, the unit law and
+    associativity are checked at construction (MalformedPresentation)."""
 
     ngens: int
     relations: tuple
     table: tuple
     unit: tuple
 
-    def validate(self):
+    def __post_init__(self):
         n = self.ngens
         for r in self.relations:
             if len(r) != n:
@@ -437,11 +407,10 @@ class ZPresentation:
                         raise MalformedPresentation(
                             f"associativity fails at generator triple ({i}, {j}, {k})"
                         )
-        return basis
 
     @cached_property
     def relation_basis(self) -> tuple:
-        """Hermite basis of the relation lattice (rows checked by validate)."""
+        """Hermite basis of the relation lattice."""
         return tuple(hermite_basis(self.relations))
 
     @cached_property
@@ -468,9 +437,9 @@ class ZPresentation:
     def commutator_lattice(self) -> tuple:
         """Hermite basis of relations + the two-sided ideal generated by all
         generator commutators: a worklist on the lattice pair from the
-        relation lattice (an ideal, by validate).  A queued vector that
-        leaves the lattice is adjoined and its products with each generator,
-        on both sides, are queued."""
+        relation lattice (an ideal, checked at construction).  A queued
+        vector that leaves the lattice is adjoined and its products with each
+        generator, on both sides, are queued."""
         basis, queue = self.relation_basis, self._commutators()
         while queue:
             residual = hnf_reduce(basis, queue.pop())
@@ -492,7 +461,7 @@ class LocalizedZ:
     invert: int
     finite_part_size: int = 1
 
-    def validate(self):
+    def __post_init__(self):
         if self.invert == 0:
             raise MalformedPresentation("cannot invert zero")
         if self.finite_part_size < 1:
@@ -503,9 +472,7 @@ def decide_integer_algebra(P) -> FutilityReport:
     """Futility over Z: a module-finite presentation is futile iff its free
     rank is at most 1 (rank 0 means finite; rank 1 means finite torsion plus
     a copy of Z); the symbolic localized form Z[1/n] x finite is futile."""
-    tag = "integer-rank"
     if isinstance(P, LocalizedZ):
-        P.validate()
         cert = {
             "localization": f"Z[1/{abs(P.invert)}]",
             "finite_part_size": P.finite_part_size,
@@ -514,46 +481,36 @@ def decide_integer_algebra(P) -> FutilityReport:
             "a localization of Z inside Q is futile, and a finite factor "
             "cannot add more than finitely many subalgebras",
         )
-        return FutilityReport(FUTILE, tag, cert, notes)
+        return FutilityReport(FUTILE, "integer-rank", cert, notes)
     if not isinstance(P, ZPresentation):
         raise UnsupportedDomain("expected a Z presentation or localized form")
-    P.validate()
-    snf = smith_normal_form([list(r) for r in P.relations] or [[0] * P.ngens])
-    free_rank = P.ngens - snf.rank
-    torsion = [d for d in snf.invariant_factors if d > 1]
-    tor_size = 1
-    for d in torsion:
-        tor_size *= d
+    return _rank_report(P.ngens, P.relations)
+
+
+def _rank_report(ngens: int, rows) -> FutilityReport:
+    """The integer-rank verdict on the Z-module Z^ngens / (rows), read off
+    its Smith normal form."""
+    snf = smith_normal_form([list(r) for r in rows] or [[0] * ngens])
+    free_rank = ngens - snf.rank
+    tor_size = math.prod(d for d in snf.invariant_factors if d > 1)
     cert = {
         "free_rank": free_rank,
         "invariant_factors": list(snf.invariant_factors),
         "torsion_size": tor_size,
     }
-    if free_rank == 0:
-        return FutilityReport(
-            FUTILE, tag, cert, (f"finite ring of size {tor_size}",)
-        )
-    if free_rank == 1:
-        return FutilityReport(
-            FUTILE,
-            tag,
-            cert,
-            (
-                f"free rank 1 with finite torsion of size {tor_size}; the "
-                "torsion-free quotient is a copy of Z",
-            ),
-        )
-    return FutilityReport(
-        NOT_FUTILE,
-        tag,
-        cert,
-        (f"free rank {free_rank} >= 2: the rational span is too big",),
-    )
+    if free_rank >= 2:
+        note = f"free rank {free_rank} >= 2: the rational span is too big"
+    elif free_rank == 1:
+        note = (f"free rank 1 with finite torsion of size {tor_size}; the "
+                "torsion-free quotient is a copy of Z")
+    else:
+        note = f"finite ring of size {tor_size}"
+    return FutilityReport(NOT_FUTILE if free_rank >= 2 else FUTILE, "integer-rank", cert, (note,))
 
 
 def _decide_noncommutative_z(P: ZPresentation) -> FutilityReport:
     tag = "commutator-reduction"
-    rel_basis = P.validate()
+    rel_basis = P.relation_basis
     comm = P.commutator_lattice()
     notes = [f"commutator ideal lattice has rank {len(comm)} over relations rank {len(rel_basis)}"]
     if len(comm) != len(rel_basis):
@@ -562,13 +519,7 @@ def _decide_noncommutative_z(P: ZPresentation) -> FutilityReport:
         return FutilityReport(NOT_FUTILE, tag, cert, tuple(notes))
     size = lattice_index(comm, rel_basis)
     notes.append(f"commutator ideal is finite of size {size}")
-    quotient = ZPresentation(
-        ngens=P.ngens,
-        relations=comm,
-        table=P.table,
-        unit=P.unit,
-    )
-    inner = decide_integer_algebra(quotient)
+    inner = _rank_report(P.ngens, comm)
     notes.append("recursing on the commutative quotient")
     notes.extend(inner.notes)
     cert = {"commutator_size": size, "quotient": inner.certificate}
@@ -589,7 +540,7 @@ class LinearModule:
     dim: int
     action: tuple  # of matrices
 
-    def validate(self):
+    def __post_init__(self):
         for mat in self.action:
             if len(mat) != self.dim or any(len(r) != self.dim for r in mat):
                 raise BaseNotLocalArtinian("action matrix has wrong shape")
@@ -609,7 +560,6 @@ def uniserial_check(M) -> tuple[bool, tuple[int, int]]:
         return (d0 <= 1 and d1 <= 1), (d0, d1)
     if not isinstance(M, LinearModule):
         raise UnsupportedDomain("expected a finite or linear module presentation")
-    M.validate()
     dom = M.dom
     if M.dim == 0:
         return True, (0, 0)

@@ -375,7 +375,7 @@ def route(built: BuiltCase) -> Route:
         return ROUTES["struct/Q"]
     if isinstance(dom, PrimeField):
         return ROUTES["struct/Fp"]
-    if getattr(dom, "is_finite", False):
+    if dom.is_finite:
         return ROUTES["struct/finite"]
     return ROUTES["struct/unsupported"]
 

@@ -1,6 +1,7 @@
 """Structure-constant algebra operations against small hand-checkable and
 brute-force oracles."""
 
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -27,6 +28,7 @@ from futility.algebra import (
     make_algebra,
     minimal_polynomial,
     nilradical,
+    primitive_element,
     product_algebra,
     quotient_algebra,
     subalgebra_generated,
@@ -47,6 +49,7 @@ from futility.errors import (
     DimensionMismatch,
     NotAField,
     NotAnIdeal,
+    SearchBudgetExceeded,
     UnsupportedDomain,
     ValidationError,
 )
@@ -577,6 +580,52 @@ def test_local_decomposition_factors_once(monkeypatch):
     A = product_algebra([poly_quotient_algebra(ppow(g, m)) for g, m in parts])
     assert len(local_decomposition(A)) == 4
     assert calls == {"nilradical": 1, "factor_over_rationals": 1}
+
+
+def closure_primitive(A, a):
+    """The reference predicate: the unit and a generate all of A."""
+    return subalgebra_generated(A, [a], unit_span(A)).dim == A.dim
+
+
+@pytest.mark.parametrize(
+    "A",
+    [
+        poly_quotient_algebra(make_poly(F2, [0, 1, 1])),
+        product_algebra([poly_quotient_algebra(make_poly(F2, [1, 1]))] * 3),
+        matrix_algebra(F2, 2),
+        poly_quotient_algebra(make_poly(F3, [0, 0, 0, 1])),
+    ],
+    ids=["f2-x2-plus-x", "f2-cubed", "mat2-f2", "f3-x3"],
+)
+def test_primitive_element_agrees_with_the_closure_over_fp(A):
+    """On every element the degree test and the closure agree, and the search
+    returns the first primitive element in itertools.product order."""
+    elements = list(itertools.product(range(A.dom.p), repeat=A.dim))
+    primitive = [a for a in elements if closure_primitive(A, a)]
+    for a in elements:
+        assert (minimal_polynomial(A, a).degree == A.dim) == (a in primitive)
+    a, f = primitive_element(A)
+    if primitive:
+        assert a == primitive[0] and f == minimal_polynomial(A, a)
+    else:
+        assert (a, f) == (None, None)
+
+
+@pytest.mark.parametrize("path", sorted((CORPUS / "infinite-field").glob("*.case")), ids=lambda p: p.stem)
+def test_primitive_element_agrees_with_the_closure_over_q(path):
+    A = build_case(parse_case(path.read_text())).payload
+    rng = random.Random(A.dim)
+    draws = [A.basis_vector(i) for i in range(A.dim)]
+    draws += [tuple(Fraction(rng.randint(-2, 2)) for _ in range(A.dim)) for _ in range(6)]
+    for a in draws:
+        assert (minimal_polynomial(A, a).degree == A.dim) == closure_primitive(A, a)
+    for seed in range(3):
+        try:
+            a, f = primitive_element(A, seed)
+        except SearchBudgetExceeded:
+            assert not any(closure_primitive(A, d) for d in draws)
+            continue
+        assert closure_primitive(A, a) and f == minimal_polynomial(A, a)
 
 
 def local_shape(A):

@@ -386,6 +386,11 @@ LOCAL_X2 = {
         ({"kind": "Z"}, {"kind": "localized", "invert": 2, "finite_part": {"base": 5, "algebra": STRUCT_1}}),
         ({"kind": "Z"}, {"kind": "localized", "invert": 2, "finite_part": {"base": {"p": 2}, "algebra": STRUCT_1}}),
         (dict(FP_T, vars=[5]), {"kind": "tower", "moduli": ["x - t"]}),
+        (dict(FP_T, vars=["t", "t"]), {"kind": "tower", "moduli": ["x^2 - t"]}),
+        (dict(FP_T, vars=["x"]), {"kind": "tower", "moduli": ["x^2 - x"]}),
+        (FP_T, {"kind": "tower", "moduli": ["x^4"]}),
+        (FP_T, {"kind": "tower", "moduli": ["x^3 - x"]}),
+        (FP_T, {"kind": "tower", "moduli": ["x^4 - t^2"]}),
     ],
     ids=[
         "dim-not-int",
@@ -408,6 +413,11 @@ LOCAL_X2 = {
         "finite-part-base-not-object",
         "finite-part-base-without-kind",
         "vars-entry-not-string",
+        "vars-repeated",
+        "vars-shadow-indeterminate",
+        "tower-x4-not-a-field",
+        "tower-x3-minus-x-not-a-field",
+        "tower-square-not-a-field",
     ],
 )
 def test_cli_malformed_case_is_one_error_line(tmp_path, capsys, base, algebra):
@@ -417,6 +427,14 @@ def test_cli_malformed_case_is_one_error_line(tmp_path, capsys, base, algebra):
     err = capsys.readouterr().err.splitlines()
     assert rc == 1
     assert len(err) == 1 and err[0].startswith("error:")
+
+
+@pytest.mark.parametrize("modulus, factor", [("x^4", "x"), ("x^3 - x", "x + 1"), ("x^4 - t^2", "x^2 + t")])
+def test_tower_modulus_names_its_repeated_factor(modulus, factor):
+    desc = parse_case(make_case(base=FP_T, algebra={"kind": "tower", "moduli": [modulus]}))
+    with pytest.raises(ValidationError) as exc:
+        build_case(desc)
+    assert f"has the repeated factor {factor}," in str(exc.value)
 
 
 @pytest.mark.parametrize(

@@ -1,8 +1,10 @@
 """Decision procedures: boundary cases, certificates, consistency
 invariants, and basis-change invariance."""
 
+import json
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -17,6 +19,7 @@ from futility.algebra import (
     nilradical,
     product_algebra,
 )
+from futility.cli import main as cli_main
 from futility.constructions import (
     matrix_algebra,
     poly_quotient_algebra,
@@ -250,7 +253,7 @@ def test_finite_base_zmod():
 
 def test_find_generator_f2_squared():
     A = poly_quotient_algebra(make_poly(F2, [0, 1, 1]))  # F2 x F2
-    res = find_generator(A, unit_span(A))
+    res = find_generator(A)
     assert res.generator is not None
     assert res.exhaustive
     f = res.factored.expand()
@@ -260,16 +263,30 @@ def test_find_generator_f2_squared():
 def test_find_generator_f2_cubed_proven_none():
     one = poly_quotient_algebra(make_poly(F2, [1, 1]))
     A = product_algebra([one, one, one])
-    res = find_generator(A, unit_span(A))
+    res = find_generator(A)
     assert res.generator is None
     assert res.exhaustive
 
 
 def test_find_generator_q_x3():
     A = x_power_algebra(3)
-    res = find_generator(A, unit_span(A))
+    res = find_generator(A)
     assert res.generator is not None
     assert subalgebra_generated(A, [res.generator], unit_span(A)).dim == 3
+
+
+def test_futile_product_decides_without_a_closure(monkeypatch):
+    """The generator of a Futile certificate comes from the minimal
+    polynomial alone: no subalgebra_generated, nor any other closure, runs."""
+    import futility.algebra
+
+    calls = []
+    real = futility.algebra.closure
+    monkeypatch.setattr(futility.algebra, "closure", lambda *a, **kw: calls.append(a) or real(*a, **kw))
+    A = product_algebra([x_power_algebra(2), qx_mod(q(-1, 1)), qx_mod(q(-2, 0, 1))])
+    rep = decide_infinite_field(A)
+    assert rep.verdict == FUTILE and calls == []
+    assert subalgebra_generated(A, [rep.certificate["generator"]], unit_span(A)).dim == A.dim
 
 
 # --- noncommutative reduction -------------------------------------------------------
@@ -363,9 +380,42 @@ def test_integer_malformed_rejected():
         [[0, 1], [1, 0]],
     ]
     # x*x = 1 with relation 2*x = 0 forces 2*1 = 0 too; omitting it breaks
-    zp = zpres_zx_mod([[0, 2]], table, 2)
     with pytest.raises(MalformedPresentation):
-        decide_integer_algebra(zp)
+        zpres_zx_mod([[0, 2]], table, 2)
+
+
+ASSOC_FAILS = [  # 1 unit, x*x = y, x*y = y*x = 0, y*y = 1: (xx)y = 1, x(xy) = 0
+    [[1, 0, 0], [0, 1, 0], [0, 0, 1]],
+    [[0, 1, 0], [0, 0, 1], [0, 0, 0]],
+    [[0, 0, 1], [0, 0, 0], [1, 0, 0]],
+]
+
+
+@pytest.mark.parametrize(
+    "gens, relations, table, unit, message",
+    [
+        (1, [[1, 0]], [[[1]]], [1], "relation row has wrong length"),
+        (2, [], [[[1, 0], [0, 1]]], [1, 0], "multiplication table is not ngens x ngens"),
+        (1, [], [[[1, 0]]], [1], "table entry has wrong length"),
+        (1, [], [[[1]]], [1, 0], "unit vector has wrong length"),
+        (2, [[0, 2]], [[[1, 0], [0, 1]], [[0, 1], [1, 0]]], [1, 0],
+         "relation lattice is not an ideal for the given table"),
+        (1, [], [[[1]]], [2], "unit law fails at generator 0"),
+        (3, [], ASSOC_FAILS, [1, 0, 0], "associativity fails at generator triple (1, 1, 2)"),
+    ],
+    ids=["relation-length", "table-shape", "entry-length", "unit-length", "not-an-ideal", "unit-law", "associativity"],
+)
+def test_malformed_presentation_fails_at_construction(tmp_path, capsys, gens, relations, table, unit, message):
+    """Each check of ZPresentation raises when it is built, and a case with
+    the same data ends in that one error line."""
+    with pytest.raises(MalformedPresentation) as exc:
+        zpres_zx_mod(relations, table, gens, unit)
+    assert str(exc.value) == message
+    algebra = {"kind": "z_presentation", "gens": gens, "relations": relations, "table": table, "unit": unit}
+    path = tmp_path / "malformed.case"
+    path.write_text(json.dumps({"format_version": 1, "id": "tmp/z", "base": {"kind": "Z"}, "algebra": algebra}))
+    assert cli_main(["decide", "--case", str(path)]) == 1
+    assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
 
 
 def z_times_mat2_f2():
@@ -403,6 +453,16 @@ def z_times_mat2_f2():
         table=tuple(tuple(tuple(v) for v in row) for row in table),
         unit=tuple(unit),
     )
+
+
+def test_z_times_mat2_decide_checks_the_presentation_once(monkeypatch, capsys):
+    checks = []
+    real = ZPresentation.__post_init__
+    monkeypatch.setattr(ZPresentation, "__post_init__", lambda self: checks.append(self) or real(self))
+    path = Path(__file__).resolve().parent.parent / "corpus" / "noncommutative" / "z-times-mat2-f2.case"
+    assert cli_main(["decide", "--case", str(path)]) == 0
+    assert "verdict:   Futile" in capsys.readouterr().out
+    assert len(checks) == 1
 
 
 def test_z_times_mat2_futile_with_trace():
@@ -463,7 +523,6 @@ COMMUTATOR_CASES = commutator_test_presentations()
 @pytest.mark.parametrize("name", sorted(COMMUTATOR_CASES))
 def test_commutator_lattice_matches_fixpoint(name):
     zp = COMMUTATOR_CASES[name]
-    zp.validate()
     n = zp.ngens
     commutators = [[x - y for x, y in zip(zp.table[i][j], zp.table[j][i])]
                    for i in range(n) for j in range(i + 1, n)]
