@@ -17,7 +17,17 @@ from fractions import Fraction
 from functools import cached_property, partial
 from itertools import product as iproduct
 
-from .domains import QQ, PrimeField, RationalField, ScalarDomain
+from .domains import (
+    QQ,
+    FunctionField,
+    ModRing,
+    PrimeField,
+    RationalField,
+    ScalarDomain,
+    mp_add,
+    mp_const,
+    mp_mul,
+)
 from .errors import (
     BaseNotLocalArtinian,
     BudgetExceeded,
@@ -126,7 +136,11 @@ def check_dimension(n: int) -> None:
 
 def make_algebra(dom: ScalarDomain, table, unit) -> StructAlgebra:
     """Build a StructAlgebra, validating the unit law and associativity on
-    all basis triples."""
+    all basis triples.  The coefficient domain is Q, F_p, Z/n or F_p(t[,s]);
+    any other raises UnsupportedDomain."""
+    kind = type(dom)
+    if kind not in (RationalField, PrimeField, ModRing, FunctionField):
+        raise UnsupportedDomain(f"structure-constant algebras over {dom} are not supported")
     n = len(table)
     check_dimension(n)
     tab = tuple(tuple(tuple(row) for row in block) for block in table)
@@ -141,52 +155,91 @@ def make_algebra(dom: ScalarDomain, table, unit) -> StructAlgebra:
         e = A.basis_vector(i)
         if element_multiply(A, unit, e) != e or element_multiply(A, e, unit) != e:
             raise ValidationError(f"unit law fails at basis vector {i}")
-    # over Q both sides of every triple are compared scaled by D^2 on ints,
-    # over F_p as int sums reduced mod p once per coordinate
-    if type(dom) is RationalField:
-        _check_associative(A.int_tensor, partial(_int_combine, n))
-    elif type(dom) is PrimeField:
-        p = dom.p
-        _check_associative(A.sparse, lambda terms, rows: [x % p for x in _int_combine(n, terms, rows)])
+    # over Q and F_p(t[,s]) both sides of every triple are compared scaled by
+    # D^2 (on ints, on polynomials); over F_p and Z/n as int sums reduced once
+    # per coordinate
+    if kind is RationalField:
+        _check_associative(A.int_tensor, _int_combine)
+    elif kind is FunctionField:
+        _check_associative(_poly_tensor(dom, A.sparse), partial(_poly_combine, dom.p, {}))
     else:
-        _check_associative(A.sparse, partial(_sparse_combine, dom))
+        m = dom.size
+
+        def combine(size, terms, rows):
+            return [x % m for x in _int_combine(size, terms, rows)]
+
+        _check_associative(A.sparse, combine)
     return A
 
 
 def _check_associative(T, combine) -> None:
     """Raise at the first basis triple (i, j, k), in lexicographic order, where
-    (e_i e_j) e_k = sum over (l, c) in T_ij of c*T_lk differs from
-    e_i (e_j e_k) = sum over (l, c) in T_jk of c*T_il; combine(terms, rows)
-    forms such a sum."""
+    (e_i e_j) e_k differs from e_i (e_j e_k).
+
+    For each (i, j) both sides are formed for every k at once, as n*n
+    coordinates with coordinate m of the k-th product at k*n + m: the left
+    side sums c*T_lk over (l, c) in T_ij, the right side sums c*T_il over
+    (l, c) in T_jk.  combine(size, terms, rows) forms such a sum: rows[l]
+    shifted by off and scaled by c, over the (off, l, c) in terms."""
     n = len(T)
-    columns = [[T[l][k] for l in range(n)] for k in range(n)]
+    size = n * n
+    blocks = [[(k * n + m, t) for k in range(n) for m, t in T[l][k]] for l in range(n)]
+    right_terms = [[(k * n, l, c) for k in range(n) for l, c in T[j][k]] for j in range(n)]
     for i in range(n):
+        Ti = T[i]
         for j in range(n):
-            ij = T[i][j]
-            for k in range(n):
-                if combine(ij, columns[k]) != combine(T[j][k], T[i]):
-                    raise ValidationError(
-                        f"associativity fails at basis triple ({i}, {j}, {k})"
-                    )
+            left = combine(size, [(0, l, c) for l, c in Ti[j]], blocks)
+            right = combine(size, right_terms[j], Ti)
+            if left != right:
+                k = next(k for k in range(n) if left[k * n:(k + 1) * n] != right[k * n:(k + 1) * n])
+                raise ValidationError(
+                    f"associativity fails at basis triple ({i}, {j}, {k})"
+                )
 
 
-def _sparse_combine(ring: ScalarDomain, terms, rows) -> dict:
-    """Sum of c*rows[l] over the (l, c) in terms, rows sparse, as a dict of
-    its nonzero coordinates.  Only nonzero terms are ever added."""
-    acc = {}
-    for l, c in terms:
+def _int_combine(size: int, terms, rows) -> list:
+    """Sum of c*rows[l] shifted by off over the (off, l, c) in terms, on
+    Python ints, as a dense list of the given size."""
+    acc = [0] * size
+    for off, l, c in terms:
         for m, t in rows[l]:
-            x = ring.mul(c, t)
-            acc[m] = ring.add(acc[m], x) if m in acc else x
-    return {m: x for m, x in acc.items() if not ring.is_zero(x)}
+            acc[off + m] += c * t
+    return acc
 
 
-def _int_combine(n: int, terms, rows) -> list:
-    """_sparse_combine over Python ints, as a dense list of length n."""
-    acc = [0] * n
-    for l, c in terms:
+def _poly_tensor(dom: FunctionField, sparse) -> tuple:
+    """D * sparse over F_p(t[,s]) as mp polynomials, D the product of the
+    distinct denominators of the table: an entry num/den becomes num times
+    the product of the distinct denominators other than den."""
+    p, one = dom.p, mp_const(1, dom.p, dom.nvars)
+    dens = [*dict.fromkeys(c.den for block in sparse for v in block for _, c in v if c.den != one)]
+    cofactor = {}
+    for d in (one, *dens):
+        f = one
+        for e in dens:
+            if e != d:
+                f = mp_mul(f, e, p)
+        cofactor[d] = f
+    return tuple(
+        tuple(
+            tuple((k, c.num if cofactor[c.den] == one else mp_mul(c.num, cofactor[c.den], p)) for k, c in v)
+            for v in block
+        )
+        for block in sparse
+    )
+
+
+def _poly_combine(p: int, products: dict, size: int, terms, rows) -> list:
+    """_int_combine on mp polynomials over F_p, as a list of canonical
+    tuples (() for zero).  products holds each c*t formed so far."""
+    acc = [()] * size
+    for off, l, c in terms:
         for m, t in rows[l]:
-            acc[m] += c * t
+            x = products.get((c, t))
+            if x is None:
+                x = products[c, t] = mp_mul(c, t, p)
+            m += off
+            acc[m] = mp_add(acc[m], x, p) if acc[m] else x
     return acc
 
 

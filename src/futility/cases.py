@@ -26,7 +26,8 @@ from .domains import QQ, ZZ, FunctionField, ModRing, PrimeField, ScalarDomain
 from .errors import BudgetExceeded, ParseError, UnsupportedDomain, ValidationError
 from .linalg import subspace_from_vectors
 from .polynomials import (
-    Poly, padd, pconst, pmul, pneg, poly_to_str, psub, pX, squarefree_decomposition,
+    Poly, padd, pconst, pmul, pneg, poly_to_str, psub, pX,
+    squarefree_by_derivation, squarefree_decomposition,
 )
 
 FORMAT_VERSION = 1
@@ -529,12 +530,14 @@ def _build_tower(K: FunctionField, spec: dict):
     level1 = parse_poly(moduli[0], K, indet="x")
     L = poly_quotient_algebra(level1)
     # the tower decider holds for fields only; a squarefree but reducible
-    # modulus is not caught here
-    for g, m in squarefree_decomposition(level1):
-        if m > 1:
-            raise ValidationError(
-                f"tower modulus {moduli[0]!r} has the repeated factor {poly_to_str(g)}, so it is not a field"
-            )
+    # modulus is not caught here.  One derivation usually proves the modulus
+    # squarefree; only when none does is the repeated factor looked for.
+    if not squarefree_by_derivation(level1):
+        for g, m in squarefree_decomposition(level1):
+            if m > 1:
+                raise ValidationError(
+                    f"tower modulus {moduli[0]!r} has the repeated factor {poly_to_str(g)}, so it is not a field"
+                )
     if len(moduli) == 1:
         return L
     adapter = AlgebraScalarDomain(L)

@@ -20,6 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .errors import DomainMismatch, NotInvertible, UnsupportedDomain
 
@@ -254,11 +255,13 @@ class ScalarDomain:
     def eq(self, a, b) -> bool:
         raise NotImplementedError
 
-    @property
+    # every domain's elements are immutable (ints, Fractions, frozen
+    # RatFuncs, tuples), so each constant is built once per domain object
+    @cached_property
     def zero(self):
         return self.from_int(0)
 
-    @property
+    @cached_property
     def one(self):
         return self.from_int(1)
 

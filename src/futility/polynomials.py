@@ -263,6 +263,28 @@ def squarefree_decomposition(f: Poly) -> list[tuple[Poly, int]]:
     return parts
 
 
+def squarefree_by_derivation(f: Poly) -> bool:
+    """True when gcd(f, D f) = 1 for one derivation D: d/dx, or a derivation
+    of the coefficient field (d/dt, d/ds over F_p(t[,s])) applied to the
+    coefficients.  Then f is squarefree: f = g^2 h gives
+    D f = 2 g D(g) h + g^2 D(h), so g divides gcd(f, D f).  False leaves
+    the question open; squarefree_decomposition settles it.  Over F_p(t)
+    the inseparable x^(p^k) - t has d/dx f = 0 but d/dt f = -1."""
+    if f.is_zero:
+        raise ZeroPolynomial("cannot test the zero polynomial")
+    dom = f.dom
+    if not dom.is_field:
+        raise UnsupportedDomain("squarefree test needs a field domain")
+    candidates = [pderiv]
+    for D in dom.derivations() if hasattr(dom, "derivations") else ():
+        candidates.append(lambda g, D=D: make_poly(dom, [D(c) for c in g.coeffs]))
+    for derive in candidates:
+        df = derive(f)
+        if not df.is_zero and (df.degree == 0 or poly_gcd(f, df).degree == 0):
+            return True
+    return False
+
+
 def _sqf_monic(f: Poly) -> list[tuple[Poly, int]]:
     dom = f.dom
     out: list[tuple[Poly, int]] = []

@@ -43,7 +43,7 @@ from futility.constructions import (
     upper_triangular_algebra,
 )
 from futility.cases import build_case, parse_case
-from futility.domains import QQ, FunctionField, PrimeField
+from futility.domains import QQ, ZZ, FunctionField, ModRing, PrimeField, mp_const
 from futility.errors import (
     CharacteristicZero,
     DimensionMismatch,
@@ -173,9 +173,36 @@ def test_element_multiply_examples():
 
 FT = FunctionField(2, ("t",))
 T = FT.variable("t")
-# valid tables over Q, F_2, F_3, F_5 and F_2(t): poly quotients, the
-# noncommutative 2x2 matrix and upper triangular algebras and a tower level,
-# with small perturbations
+FST = FunctionField(2, ("s", "t"))
+S2, T2 = FST.variable("s"), FST.variable("t")
+Z4 = ModRing(4)
+
+
+def two_level_tower():
+    """F_2(s,t)[x]/(x^2 + s) extended by y^2 + x*y + t, from extend_by_poly."""
+    L = poly_quotient_algebra(make_poly(FST, [S2, FST.zero, FST.one]))
+    x = L.basis_vector(1)
+    t_in_L = tuple(FST.mul(T2, c) for c in L.unit)
+    return extend_by_poly(L, [t_in_L, x, L.unit])[0]
+
+
+F2T_LEVEL = poly_quotient_algebra(make_poly(FT, [FT.add(T, FT.one), FT.zero, FT.zero, FT.zero, FT.one]))
+# the same level on the basis 1, x/t, x^2/(t + 1), x^3: structure constants
+# with several distinct denominators besides 1
+F2T_DENOMINATORS = change_of_basis(
+    F2T_LEVEL,
+    [
+        (FT.one, FT.zero, FT.zero, FT.zero),
+        (FT.zero, FT.inv(T), FT.zero, FT.zero),
+        (FT.zero, FT.zero, FT.inv(FT.add(T, FT.one)), FT.zero),
+        (FT.zero, FT.zero, FT.zero, FT.one),
+    ],
+)
+
+# valid tables over Q, F_2, F_3, F_5, Z/4, F_2(t) and F_2(s,t): poly
+# quotients, the noncommutative 2x2 matrix and upper triangular algebras, a
+# tower level, the same level in a basis with rational function entries and a
+# two-level tower, with small perturbations
 SOURCES = {
     "Q": (
         qx_mod(0, 0, 0, -2, 0, 1),  # Q[x]/(x^3 (x^2 - 2))
@@ -184,10 +211,10 @@ SOURCES = {
     "F2": (matrix_algebra(F2, 2), [1]),
     "F3": (upper_triangular_algebra(F3, 2), [1, 2]),
     "F5": (poly_quotient_algebra(make_poly(F5, [0, 0, 0, 3, 1])), [1, 2, 4]),  # x^3 (x + 3)
-    "F2(t)": (
-        poly_quotient_algebra(make_poly(FT, [FT.add(T, FT.one), FT.zero, FT.zero, FT.zero, FT.one])),
-        [FT.one, T, FT.inv(T), FT.add(T, FT.one)],
-    ),
+    "F2(t)": (F2T_LEVEL, [FT.one, T, FT.inv(T), FT.add(T, FT.one)]),  # x^4 + t + 1
+    "F2(t)-denominators": (F2T_DENOMINATORS, [FT.one, T, FT.inv(T), FT.inv(FT.add(T, FT.one))]),
+    "F2(s,t)": (two_level_tower(), [FST.one, S2, T2, FST.inv(S2), FST.add(S2, T2)]),
+    "Z4": (poly_quotient_algebra(make_poly(Z4, [1, 2, 0, 1])), [1, 2, 3]),  # x^3 + 2x + 1
 }
 
 
@@ -198,6 +225,9 @@ SOURCES = {
 @example("F3", None)
 @example("F5", None)
 @example("F2(t)", None)
+@example("F2(t)-denominators", None)
+@example("F2(s,t)", None)
+@example("Z4", None)
 def test_make_algebra_agrees_with_reference_on_perturbed_tables(name, data):
     A, deltas = SOURCES[name]
     dom, n = A.dom, A.dim
@@ -212,6 +242,31 @@ def test_make_algebra_agrees_with_reference_on_perturbed_tables(name, data):
             i, j, k = (data.draw(st.integers(0, n - 1)) for _ in range(3))
             table[i][j][k] = dom.add(table[i][j][k], delta)
     assert_validates_like_reference(dom, table, unit)
+
+
+def test_function_field_sources_carry_denominators_and_two_variables():
+    one = mp_const(1, 2, 1)
+    dens = {c.den for block in F2T_DENOMINATORS.sparse for v in block for _, c in v if c.den != one}
+    assert len(dens) >= 2
+    tower = SOURCES["F2(s,t)"][0]
+    assert tower.dim == 4 and tower.dom == FST
+
+
+@pytest.mark.parametrize("name", ["F2(t)-denominators", "F2(s,t)", "Z4"])
+def test_every_single_perturbation_is_judged_like_reference(name):
+    # one delta at every table position in turn, so each (i, j, k) and each
+    # arm's first failing triple is exercised, not only the sampled ones
+    A, deltas = SOURCES[name]
+    dom, n = A.dom, A.dim
+    for i, j, k in itertools.product(range(n), repeat=3):
+        table = [[list(v) for v in block] for block in A.table]
+        table[i][j][k] = dom.add(table[i][j][k], deltas[(i + j + k) % len(deltas)])
+        assert_validates_like_reference(dom, table, A.unit)
+
+
+def test_make_algebra_refuses_other_domains():
+    with pytest.raises(UnsupportedDomain):
+        make_algebra(ZZ, [[[1]]], [1])
 
 
 @pytest.mark.parametrize("left_only", [True, False])

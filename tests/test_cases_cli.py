@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from futility import cases as cases_module
 from futility.algebra import MAX_DIM, make_algebra
 from futility.cases import (
     MAX_EXPONENT,
@@ -435,6 +436,26 @@ def test_tower_modulus_names_its_repeated_factor(modulus, factor):
     with pytest.raises(ValidationError) as exc:
         build_case(desc)
     assert f"has the repeated factor {factor}," in str(exc.value)
+
+
+@pytest.mark.parametrize(
+    "base, modulus, decomposed",
+    [
+        (FP_T, "x^16 - (t + 1)", False),  # d/dt proves it squarefree
+        (FP_T, "x^3 + t*x + 1", False),  # d/dx does
+        # squarefree, but no single derivation proves it
+        ({"kind": "FpRational", "p": 2, "vars": ["s", "t"]}, "(x^2 - s) * (x^2 - t)", True),
+    ],
+)
+def test_tower_decomposes_its_modulus_only_when_no_derivation_proves_it_squarefree(
+    monkeypatch, base, modulus, decomposed
+):
+    calls = []
+    real = cases_module.squarefree_decomposition
+    monkeypatch.setattr(cases_module, "squarefree_decomposition", lambda f: calls.append(f) or real(f))
+    built = build_case(parse_case(make_case(base=base, algebra={"kind": "tower", "moduli": [modulus]})))
+    assert built.kind == "tower"
+    assert bool(calls) is decomposed
 
 
 @pytest.mark.parametrize(

@@ -109,6 +109,15 @@ def test_rf_is_false_exactly_at_zero():
     assert not any((K.zero, zero)) and any((K.zero, t))
 
 
+@pytest.mark.parametrize("K", [FunctionField(2, ("t",)), FunctionField(3, ("s", "t"))])
+def test_function_field_constants_equal_from_int(K):
+    # zero and one are built once per domain, with the tuples from_int gives
+    for value, n in ((K.zero, 0), (K.one, 1)):
+        fresh = K.from_int(n)
+        assert value == fresh and (value.num, value.den) == (fresh.num, fresh.den)
+    assert K.zero is K.zero and K.one is K.one
+
+
 def test_rf_equals_domain_mismatch():
     K1 = FunctionField(2, ("t",))
     K2 = FunctionField(3, ("t",))

@@ -16,6 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from futility.cases import parse_poly
 from futility.domains import QQ, FunctionField, PrimeField
 from futility.errors import DegreeBoundExceeded, ZeroPolynomial
 from futility.polynomials import (
@@ -38,6 +39,7 @@ from futility.polynomials import (
     pquo,
     psub,
     pzero,
+    squarefree_by_derivation,
     squarefree_decomposition,
 )
 
@@ -178,6 +180,43 @@ def test_squarefree_mixed_separable_inseparable():
         d = pderiv(g)
         if not d.is_zero:
             assert poly_gcd(g, d).degree == 0
+
+
+FT2 = FunctionField(2, ("t",))
+FT3 = FunctionField(3, ("t",))
+FST2 = FunctionField(2, ("s", "t"))
+FST3 = FunctionField(3, ("s", "t"))
+
+
+@pytest.mark.parametrize(
+    "K, text, proved, squarefree",
+    [
+        (FT2, "x^4 - t^2", False, False),  # (x^2 - t)^2: every derivation is 0
+        (FT3, "(x - t)^2 * (x + 1)", False, False),  # d/dx and d/dt keep x - t
+        (FT2, "x^16 - (t + 1)", True, True),  # inseparable: d/dx = 0, d/dt = 1
+        (FT3, "x^9 - (2*t + 1)", True, True),
+        (FST2, "x^8 - (s + 1)", True, True),  # d/dt = 0, d/ds = 1
+        (FT3, "x^2 + t*x + 1", True, True),  # separable
+        (FT2, "x^3 + t*x + 1", True, True),
+        (FST2, "x^3 + s*x + t", True, True),
+        (FST3, "x^2 - s*t", True, True),
+        # squarefree, but each derivation leaves the other factor: left open
+        (FST2, "(x^2 - s) * (x^2 - t)", False, True),
+    ],
+)
+def test_squarefree_by_derivation_agrees_with_decomposition(K, text, proved, squarefree):
+    f = parse_poly(text, K, indet="x")
+    assert squarefree_by_derivation(f) is proved
+    assert all(m == 1 for _, m in squarefree_decomposition(f)) is squarefree
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.integers(0, 4), min_size=1, max_size=3), st.integers(1, 2),
+       st.lists(st.integers(0, 4), min_size=1, max_size=3))
+def test_squarefree_by_derivation_never_accepts_a_square_over_f5(c1, m, c2):
+    f = pmul(ppow(make_poly(F5, c1 + [1]), m), make_poly(F5, c2 + [1]))
+    if squarefree_by_derivation(f):
+        assert all(k == 1 for _, k in squarefree_decomposition(f))
 
 
 def test_squarefree_rejects_zero():
