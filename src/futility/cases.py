@@ -302,7 +302,6 @@ class BuiltCase:
 
     kind: str  # struct | relative | tower | zpres | localized
     payload: object
-    base_kind: str
     description: CaseDescription
 
 
@@ -489,9 +488,9 @@ def build_case(desc: CaseDescription) -> BuiltCase:
     if akind == "tower":
         if not isinstance(dom, FunctionField):
             raise ValidationError("tower cases need an FpRational base")
-        return BuiltCase("tower", _build_tower(dom, desc.algebra), bkind, desc)
+        return BuiltCase("tower", _build_tower(dom, desc.algebra), desc)
     A = build_struct_algebra(dom, desc.algebra)
-    return BuiltCase("struct", A, bkind, desc)
+    return BuiltCase("struct", A, desc)
 
 
 def build_struct_algebra(dom: ScalarDomain, spec: dict) -> StructAlgebra:
@@ -567,7 +566,7 @@ def _build_integer(desc: CaseDescription) -> BuiltCase:
         )
         unit = _scalars(int, _require(spec, "unit", "algebra"), "algebra unit")
         zp = ZPresentation(ngens=ngens, relations=relations, table=table, unit=unit)
-        return BuiltCase("zpres", zp, "Z", desc)
+        return BuiltCase("zpres", zp, desc)
     if kind == "localized":
         invert = _int(spec, "invert", "algebra")
         finite_part = spec.get("finite_part")
@@ -580,7 +579,7 @@ def _build_integer(desc: CaseDescription) -> BuiltCase:
             falg = build_struct_algebra(fdom, _require(finite_part, "algebra", "finite part"))
             size = fdom.size**falg.dim
         loc = LocalizedZ(invert=invert, finite_part_size=size)
-        return BuiltCase("localized", loc, "Z", desc)
+        return BuiltCase("localized", loc, desc)
     raise ValidationError(f"unknown algebra kind {kind!r} over Z")
 
 
@@ -601,4 +600,4 @@ def _build_relative(desc: CaseDescription) -> BuiltCase:
         for row in _list(_require(base, "embedding", "base"), "embedding")
     ]
     rel = make_relative(ground, base_alg, max_ideal, amb, emb_rows)
-    return BuiltCase("relative", rel, "LocalArtinian", desc)
+    return BuiltCase("relative", rel, desc)

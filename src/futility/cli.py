@@ -102,10 +102,10 @@ def run_single(args) -> int:
 
 
 def run_corpus(args) -> int:
-    """Compare every case against its golden, or with --update write the
-    goldens; --update writes nothing unless every case agrees.  The machine
-    format prints one JSON summary: each case's status, verdict, oracle kind
-    and time in ms, and the totals."""
+    """Compare every case against its golden (a case without one fails), or
+    with --update write the goldens; --update writes nothing unless every
+    case agrees.  The machine format prints one JSON summary: each case's
+    status, verdict, oracle kind and time in ms, and the totals."""
     root = Path(args.dir)
     cases = sorted(root.rglob("*.case"))
     if not cases:
@@ -131,7 +131,10 @@ def run_corpus(args) -> int:
             bad += 1
         elif args.update:
             goldens.append((expected_path, text))
-        elif expected_path.exists() and expected_path.read_text() != text:
+        elif not expected_path.exists():
+            status = "GOLDEN-MISSING"
+            bad += 1
+        elif expected_path.read_text() != text:
             status = "GOLDEN-MISMATCH"
             bad += 1
         summary.append(

@@ -379,9 +379,6 @@ class PrimeField(ScalarDomain):
     def size(self):
         return self.p
 
-    def elements(self):
-        return range(self.p)
-
     def add(self, a, b):
         return (a + b) % self.p
 
@@ -435,9 +432,6 @@ class ModRing(ScalarDomain):
     @property
     def size(self):
         return self.n
-
-    def elements(self):
-        return range(self.n)
 
     def add(self, a, b):
         return (a + b) % self.n

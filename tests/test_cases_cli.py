@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from futility import cases as cases_module
-from futility.algebra import MAX_DIM, make_algebra
+from futility.algebra import MAX_DIM, make_algebra, product_algebra
 from futility.cases import (
     MAX_EXPONENT,
     MAX_TRIALS,
@@ -21,7 +21,12 @@ from futility.cases import (
     struct_to_spec,
 )
 from futility.cli import main as cli_main
-from futility.constructions import matrix_algebra, poly_quotient_algebra, upper_triangular_algebra
+from futility.constructions import (
+    extend_by_poly,
+    matrix_algebra,
+    poly_quotient_algebra,
+    upper_triangular_algebra,
+)
 from futility.domains import QQ, FunctionField, PrimeField
 from futility.errors import (
     BudgetExceeded,
@@ -81,15 +86,6 @@ def test_parse_poly_errors_carry_columns():
 
 
 # --- case documents --------------------------------------------------------------
-
-def test_parse_case_roundtrip_corpus():
-    assert len(ALL_CASES) >= 40
-    for path in ALL_CASES:
-        text = path.read_text()
-        desc = parse_case(text)
-        again = parse_case(serialize_case(desc))
-        assert again == desc
-
 
 def test_parse_case_rejects_floats():
     with pytest.raises(ValidationError):
@@ -261,11 +257,57 @@ def test_corpus_case_matches_golden(path):
     assert report.to_json() == expected.read_text()
 
 
+# Each committed .case file is the one definition of its case: it is in
+# canonical form, its id is its path, it has a golden, and a table that comes
+# from a library construction equals that construction.
+
+def test_parse_case_roundtrip_corpus():
+    assert len(ALL_CASES) >= 40
+    for path in ALL_CASES:
+        text = path.read_text()
+        assert serialize_case(parse_case(text)) == text, path
+
+
 def test_corpus_ids_match_paths():
     for path in ALL_CASES:
         desc = parse_case(path.read_text())
         rel = path.relative_to(CORPUS).with_suffix("")
         assert desc.case_id == str(rel)
+
+
+def test_corpus_cases_and_goldens_pair_up():
+    cases = {p.with_suffix("") for p in ALL_CASES}
+    goldens = {p.with_suffix("") for p in CORPUS.rglob("*.expected")}
+    assert cases == goldens
+
+
+def _dual_over_dual():
+    """Q[t, x] / (t^2, x^2) on the basis 1, t, x, tx: x^2 adjoined to Q[t]/(t^2)."""
+    zero, one = (QQ.zero, QQ.zero), (QQ.one, QQ.zero)
+    return extend_by_poly(poly_quotient_algebra(parse_poly("x^2", QQ)), [zero, zero, one])[0]
+
+
+CONSTRUCTED_TABLES = [
+    # upper triangular 2x2 over Q, on the basis E11, E12, E22
+    ("noncommutative/q-upper-triangular", lambda: upper_triangular_algebra(QQ, 2)),
+    # the same algebra over Q as a base-Q relative case; its embedding is the
+    # unit E11 + E22 of the triangular algebra
+    ("local-artinian/degenerate-noncommutative", lambda: upper_triangular_algebra(QQ, 2)),
+    # upper triangular 2x2 over F_2
+    ("noncommutative/f2-upper-triangular", lambda: upper_triangular_algebra(PrimeField(2), 2)),
+    ("local-artinian/dual-over-dual", _dual_over_dual),
+    # three copies of the dual numbers Q[x]/(x^2), the base embedded diagonally
+    (
+        "local-artinian/triple-product",
+        lambda: product_algebra([poly_quotient_algebra(parse_poly("x^2", QQ))] * 3),
+    ),
+]
+
+
+@pytest.mark.parametrize("case_id, construct", CONSTRUCTED_TABLES, ids=[c for c, _ in CONSTRUCTED_TABLES])
+def test_corpus_tables_match_their_constructions(case_id, construct):
+    desc = parse_case((CORPUS / f"{case_id}.case").read_text())
+    assert desc.algebra == struct_to_spec(construct())
 
 
 # --- CLI ------------------------------------------------------------------------------
@@ -703,7 +745,8 @@ def test_cli_corpus_machine_summary(capsys):
 
 
 def test_cli_corpus_error_names_the_case_file(tmp_path, capsys):
-    (tmp_path / "a-good.case").write_text((CORPUS / "finite" / "f2-x3.case").read_text())
+    for suffix in (".case", ".expected"):
+        (tmp_path / f"a-good{suffix}").write_text((CORPUS / "finite" / f"f2-x3{suffix}").read_text())
     bad = tmp_path / "b-bad.case"
     bad.write_text(make_case(algebra={"kind": "quotient_poly", "modulus": "x^y"}))
     rc = cli_main(["corpus", "--dir", str(tmp_path)])
@@ -711,6 +754,25 @@ def test_cli_corpus_error_names_the_case_file(tmp_path, capsys):
     assert rc == 1
     assert out.out.split() == ["ok", "finite/f2-x3"]
     assert out.err.splitlines() == [f"error: {bad}: exponent must be a literal integer (line 1, col 3)"]
+
+
+@pytest.mark.parametrize("fmt", ["human", "machine"])
+def test_cli_corpus_case_without_golden_fails_until_updated(tmp_path, capsys, fmt):
+    case = tmp_path / "z-finite.case"
+    case.write_text((CORPUS / "integer" / "z-finite.case").read_text())
+    rc = cli_main(["corpus", "--dir", str(tmp_path), "--format", fmt])
+    out = capsys.readouterr().out
+    assert rc == 2
+    if fmt == "machine":
+        doc = json.loads(out)
+        assert [c["status"] for c in doc["cases"]] == ["GOLDEN-MISSING"]
+        assert doc["failures"] == 1
+    else:
+        assert out.splitlines() == ["GOLDEN-MISSING   integer/z-finite", "1 cases, 1 failures"]
+    assert cli_main(["corpus", "--dir", str(tmp_path), "--update"]) == 0
+    golden = (CORPUS / "integer" / "z-finite.expected").read_text()
+    assert case.with_suffix(".expected").read_text() == golden
+    assert cli_main(["corpus", "--dir", str(tmp_path), "--format", fmt]) == 0
 
 
 def test_cli_timing_flag(capsys):
