@@ -16,11 +16,10 @@ from .algebra import (
     RelativeAlgebra,
     StructAlgebra,
     check_dimension,
-    invert_element,
     make_algebra,
     make_relative,
 )
-from .constructions import extend_by_poly, matrix_algebra, poly_quotient_algebra
+from .constructions import AlgebraScalarDomain, extend_by_poly, matrix_algebra, poly_quotient_algebra
 from .deciders import FUTILE, NOT_FUTILE, LocalizedZ, ZPresentation
 from .domains import QQ, ZZ, FunctionField, ModRing, PrimeField, ScalarDomain
 from .errors import BudgetExceeded, ParseError, UnsupportedDomain, ValidationError
@@ -36,6 +35,10 @@ FORMAT_VERSION = 1
 # expression may not pass degree MAX_DIM either: as a modulus it would give an
 # algebra above the dimension cap.  Both are refused before any expansion.
 MAX_EXPONENT = 256
+
+# Most parentheses and unary minus signs an expression may have open at one
+# point; the parser recurses once per level, so deeper input is refused.
+MAX_NESTING = 100
 
 
 # ---------------------------------------------------------------------------
@@ -57,9 +60,9 @@ def _tokenize(text: str):
         if c.isspace():
             i += 1
             continue
-        if c.isdigit():
+        if "0" <= c <= "9":
             j = i
-            while j < len(text) and text[j].isdigit():
+            while j < len(text) and "0" <= text[j] <= "9":
                 j += 1
             toks.append(_Tok("int", int(text[i:j]), i))
             i = j
@@ -86,6 +89,7 @@ class _ExprParser:
     def __init__(self, text, ctx):
         self.toks = _tokenize(text)
         self.pos = 0
+        self.depth = 0
         self.ctx = ctx
 
     def peek(self):
@@ -105,11 +109,22 @@ class _ExprParser:
             raise ParseError(f"unexpected trailing {t.kind}", line=1, col=t.col + 1)
         return v
 
+    def nested(self, parse):
+        """Take an opening ( or a unary -, and parse what it applies to one
+        level deeper."""
+        t = self.take()
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            raise BudgetExceeded(
+                f"nesting depth {self.depth} exceeds the limit of {MAX_NESTING} (line 1, col {t.col + 1})"
+            )
+        v = parse()
+        self.depth -= 1
+        return v
+
     def expr(self):
-        t = self.peek()
-        if t.kind == "-":
-            self.take()
-            v = self.ctx.neg(self.term())
+        if self.peek().kind == "-":
+            v = self.ctx.neg(self.nested(self.term))
         else:
             v = self.term()
         while self.peek().kind in ("+", "-"):
@@ -153,13 +168,11 @@ class _ExprParser:
             self.take()
             return self.ctx.var(t.value, t.col)
         if t.kind == "(":
-            self.take()
-            v = self.expr()
+            v = self.nested(self.expr)
             self.take(")")
             return v
         if t.kind == "-":
-            self.take()
-            return self.ctx.neg(self.atom())
+            return self.ctx.neg(self.nested(self.atom))
         raise ParseError(f"unexpected {t.kind}", line=1, col=t.col + 1)
 
 
@@ -225,59 +238,6 @@ def parse_poly(text: str, dom: ScalarDomain, indet: str = "x", constants=None) -
         for name in dom.var_names:
             constants.setdefault(name, dom.variable(name))
     return _ExprParser(text, PolyContext(dom, indet, constants)).parse()
-
-
-# ---------------------------------------------------------------------------
-# An algebra used as the coefficient ring for a further quotient level
-# ---------------------------------------------------------------------------
-
-class AlgebraScalarDomain(ScalarDomain):
-    """A commutative structure-constant algebra viewed as a scalar domain,
-    so tower levels can reuse the polynomial machinery; inversion of a zero
-    divisor surfaces NotAField with its witness."""
-
-    is_field = False  # possibly a field, but proven only elementwise
-
-    def __init__(self, A: StructAlgebra):
-        if not A.is_commutative:
-            raise ValidationError("tower levels must be commutative")
-        self.A = A
-        self.char = A.dom.char
-        # RatFunc values do not hash, so levels are told apart by the printed
-        # form of their table and unit: equal forms mean equal levels.
-        self._structure = (A.dom, repr(A.table), repr(A.unit))
-
-    def _key(self):
-        return self._structure
-
-    def __repr__(self):
-        return f"Level({self.A!r})"
-
-    def add(self, a, b):
-        return tuple(self.A.dom.add(x, y) for x, y in zip(a, b))
-
-    def sub(self, a, b):
-        return tuple(self.A.dom.sub(x, y) for x, y in zip(a, b))
-
-    def neg(self, a):
-        return tuple(self.A.dom.neg(x) for x in a)
-
-    def mul(self, a, b):
-        from .algebra import element_multiply
-
-        return element_multiply(self.A, a, b)
-
-    def inv(self, a):
-        return invert_element(self.A, a)
-
-    def from_int(self, n):
-        return tuple(self.A.dom.mul(self.A.dom.from_int(n), c) for c in self.A.unit)
-
-    def is_zero(self, a):
-        return all(self.A.dom.is_zero(x) for x in a)
-
-    def eq(self, a, b):
-        return self.is_zero(self.sub(a, b))
 
 
 # ---------------------------------------------------------------------------
@@ -539,15 +499,11 @@ def _build_tower(K: FunctionField, spec: dict):
                 )
     if len(moduli) == 1:
         return L
-    adapter = AlgebraScalarDomain(L)
     consts = {"x": L.basis_vector(1) if L.dim > 1 else L.unit}
     for name in K.var_names:
-        consts[name] = tuple(
-            K.mul(K.variable(name), c) for c in L.unit
-        )
-    level2 = parse_poly(moduli[1], adapter, indet="y", constants=consts)
-    L2, _, _ = extend_by_poly(L, list(level2.coeffs))
-    return L2
+        consts[name] = tuple(K.mul(K.variable(name), c) for c in L.unit)
+    level2 = parse_poly(moduli[1], AlgebraScalarDomain(L), indet="y", constants=consts)
+    return extend_by_poly(L, level2.coeffs)
 
 
 def _build_integer(desc: CaseDescription) -> BuiltCase:

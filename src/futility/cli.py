@@ -102,14 +102,17 @@ def run_single(args) -> int:
 
 
 def run_corpus(args) -> int:
-    """Compare every case against its golden (a case without one fails), or
-    with --update write the goldens; --update writes nothing unless every
-    case agrees.  The machine format prints one JSON summary: each case's
-    status, verdict, oracle kind and time in ms, and the totals."""
+    """Compare every case against its golden (a case without one fails, and
+    so does a golden without its case, named by its path under the
+    directory), or with --update write the goldens; --update writes nothing
+    unless every case agrees and no golden is orphaned.  The machine format
+    prints one JSON summary: each case's status, verdict, oracle kind and
+    time in ms, and the totals."""
     root = Path(args.dir)
     cases = sorted(root.rglob("*.case"))
     if not cases:
         raise UnreadableCase(f"no .case files under {root}")
+    orphans = sorted(set(root.rglob("*.expected")) - {p.with_suffix(".expected") for p in cases})
     bad = 0
     goldens = []
     summary = []
@@ -148,6 +151,12 @@ def run_corpus(args) -> int:
         )
         if args.fmt == "human":
             print(f"{status:16} {desc.case_id}")
+    for path in orphans:
+        bad += 1
+        name = path.relative_to(root).with_suffix("").as_posix()
+        summary.append({"case": name, "status": "CASE-MISSING", "verdict": None, "oracle": None, "ms": 0})
+        if args.fmt == "human":
+            print(f"{'CASE-MISSING':16} {name}")
     if args.fmt == "machine":
         doc = {
             "cases": summary,
@@ -160,7 +169,7 @@ def run_corpus(args) -> int:
         print(f"{len(cases)} cases, {bad} failures")
     if bad:
         if args.update:
-            print("refusing to write goldens while any case disagrees", file=sys.stderr)
+            print("refusing to write goldens while any case disagrees or any golden has no case", file=sys.stderr)
         return 2
     for expected_path, text in goldens:
         expected_path.write_text(text)

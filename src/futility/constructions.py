@@ -1,14 +1,17 @@
 """Builders for the standard algebra presentations: polynomial quotients,
 matrix algebras, upper triangular algebras, and tower extensions of a
-quotient by a further monic polynomial."""
+commutative algebra by a further polynomial.  Both quotient builders read
+their tables from one power table."""
 
 from __future__ import annotations
+
+from functools import cached_property
 
 from .algebra import StructAlgebra, check_dimension, element_multiply, invert_element, make_algebra
 from .domains import ScalarDomain
 from .errors import ValidationError
-from .linalg import unit_vec, vec_is_zero, zero_vec
-from .polynomials import Poly, pmonic
+from .linalg import unit_vec, zero_vec
+from .polynomials import Poly, make_poly, pscale
 
 
 def poly_quotient_algebra(modulus: Poly) -> StructAlgebra:
@@ -25,37 +28,23 @@ def poly_quotient_algebra(modulus: Poly) -> StructAlgebra:
         inv = dom.inv(modulus.lc)
     except Exception as exc:
         raise ValidationError(f"leading coefficient is not invertible: {exc}") from exc
-    monic = pmonic(modulus) if dom.is_field else _scale_poly(modulus, inv)
-    n = monic.degree
-    # x^(i+j) mod modulus, precomputed for exponents up to 2n-2
-    powers = []
-    cur = [dom.zero] * n
-    cur[0] = dom.one
-    for e in range(2 * n - 1):
-        powers.append(tuple(cur))
-        cur = _shift_reduce(dom, cur, monic)
-    table = [[powers[i + j] for j in range(n)] for i in range(n)]
-    unit = unit_vec(dom, n, 0)
-    return make_algebra(dom, table, unit)
+    n = modulus.degree
+    powers = _power_table(pscale(modulus, inv))
+    return make_algebra(dom, [[powers[i + j] for j in range(n)] for i in range(n)], powers[0])
 
 
-def _scale_poly(f: Poly, c) -> Poly:
-    from .polynomials import pscale
-
-    return pscale(f, c)
-
-
-def _shift_reduce(dom, coeffs, monic: Poly):
-    """Multiply the residue by x and reduce once against the monic modulus."""
-    n = monic.degree
-    out = [dom.zero] * (n + 1)
-    for i, c in enumerate(coeffs):
-        out[i + 1] = c
-    top = out[n]
-    if not dom.is_zero(top):
-        for i in range(n):
-            out[i] = dom.sub(out[i], dom.mul(top, monic.coeffs[i]))
-    return out[:n]
+def _power_table(monic: Poly) -> list:
+    """x^e mod monic for e = 0, ..., 2n - 2, n = deg monic: every product of
+    two basis monomials of dom[x]/(monic), each formed from the one before."""
+    dom, n = monic.dom, monic.degree
+    powers = [unit_vec(dom, n, 0)]
+    while len(powers) < 2 * n - 1:
+        # multiply by x, then subtract the top coefficient times the modulus
+        top, low = powers[-1][-1], (dom.zero, *powers[-1][:-1])
+        if not dom.is_zero(top):
+            low = tuple(dom.sub(a, dom.mul(top, c)) for a, c in zip(low, monic.coeffs))
+        powers.append(low)
+    return powers
 
 
 def matrix_algebra(dom: ScalarDomain, size: int) -> StructAlgebra:
@@ -100,66 +89,76 @@ def upper_triangular_algebra(dom: ScalarDomain, size: int) -> StructAlgebra:
     return make_algebra(dom, table, unit)
 
 
-def extend_by_poly(L: StructAlgebra, coeff_vectors) -> tuple[StructAlgebra, tuple, tuple]:
-    """Quotient L[z]/(g) for g = sum coeff_vectors[k] z^k with an invertible
-    leading coefficient.
+class AlgebraScalarDomain(ScalarDomain):
+    """A commutative structure-constant algebra viewed as a scalar domain,
+    so tower levels can reuse the polynomial machinery; inversion of a zero
+    divisor surfaces NotAField with its witness."""
 
-    Returns the extension, the coordinates of z, and the rows embedding L.
-    Inverting a zero-divisor leading coefficient raises NotAField with the
-    witness, which is how non-field tower levels surface.
+    is_field = False  # possibly a field, but proven only elementwise
+
+    def __init__(self, A: StructAlgebra):
+        if not A.is_commutative:
+            raise ValidationError("tower levels must be commutative")
+        self.A = A
+        self.char = A.dom.char
+
+    @cached_property
+    def _structure(self):
+        # RatFunc values do not hash, so levels are told apart by the printed
+        # form of their table and unit: equal forms mean equal levels.
+        return (self.A.dom, repr(self.A.table), repr(self.A.unit))
+
+    def _key(self):
+        return self._structure
+
+    def __repr__(self):
+        return f"Level({self.A!r})"
+
+    def add(self, a, b):
+        return tuple(self.A.dom.add(x, y) for x, y in zip(a, b))
+
+    def sub(self, a, b):
+        return tuple(self.A.dom.sub(x, y) for x, y in zip(a, b))
+
+    def neg(self, a):
+        return tuple(self.A.dom.neg(x) for x in a)
+
+    def mul(self, a, b):
+        return element_multiply(self.A, a, b)
+
+    def inv(self, a):
+        return invert_element(self.A, a)
+
+    def from_int(self, n):
+        return tuple(self.A.dom.mul(self.A.dom.from_int(n), c) for c in self.A.unit)
+
+    def is_zero(self, a):
+        return all(self.A.dom.is_zero(x) for x in a)
+
+    def eq(self, a, b):
+        return self.is_zero(self.sub(a, b))
+
+
+def extend_by_poly(L: StructAlgebra, coeff_vectors) -> StructAlgebra:
+    """L[z]/(g) for g = sum coeff_vectors[k] z^k with an invertible leading
+    coefficient, on the basis b_i z^e (index e * dim L + i).
+
+    The product of b_i z^e and b_j z^f is (b_i b_j)(z^(e+f) mod g), read off
+    the power table of g over L.  Inverting a zero-divisor leading
+    coefficient raises NotAField with the witness, which is how non-field
+    tower levels surface.
     """
-    dom = L.dom
-    coeffs = [tuple(c) for c in coeff_vectors]
-    while coeffs and vec_is_zero(dom, coeffs[-1]):
-        coeffs.pop()
-    d = len(coeffs) - 1
-    if d < 1:
+    level = AlgebraScalarDomain(L)
+    g = make_poly(level, [tuple(c) for c in coeff_vectors])
+    if g.degree < 1:
         raise ValidationError("tower modulus must have positive degree")
-    if coeffs[-1] != L.unit:
-        inv = invert_element(L, coeffs[-1])
-        coeffs = [element_multiply(L, inv, c) for c in coeffs]
-    m = L.dim
-    n = m * d
-    check_dimension(n)
-
-    # elements are lists of d vectors in L (coefficients of z^0 .. z^(d-1))
-    def flatten(vec_list):
-        flat = []
-        for v in vec_list:
-            flat.extend(v)
-        return tuple(flat)
-
-    table = []
-    for i in range(n):
-        bi, ei = i % m, i // m  # basis vector bi of L times z^ei
-        row = []
-        for j in range(n):
-            bj, ej = j % m, j // m
-            prod_l = element_multiply(L, L.basis_vector(bi), L.basis_vector(bj))
-            e = ei + ej
-            vec_list = [zero_vec(dom, m) for _ in range(2 * d)]
-            vec_list[e] = prod_l
-            # reduce degrees >= d one at a time from the top
-            for t in range(2 * d - 1, d - 1, -1):
-                top = vec_list[t]
-                if vec_is_zero(dom, top):
-                    continue
-                vec_list[t] = zero_vec(dom, m)
-                for k in range(d):
-                    vec_list[t - d + k] = tuple(
-                        dom.sub(a, b)
-                        for a, b in zip(vec_list[t - d + k], element_multiply(L, top, coeffs[k]))
-                    )
-            row.append(flatten(vec_list[:d]))
-        table.append(row)
-    unit_list = [L.unit] + [zero_vec(dom, m)] * (d - 1)
-    ext = make_algebra(dom, table, flatten(unit_list))
-    gen = [zero_vec(dom, m)] * d
-    if d > 1:
-        gen[1] = L.unit
-        gen_vec = flatten(gen)
-    else:
-        # degree-1 modulus: z = -coeffs[0]
-        gen_vec = flatten([tuple(dom.neg(c) for c in coeffs[0])])
-    lift = tuple(flatten([L.basis_vector(i)] + [zero_vec(dom, m)] * (d - 1)) for i in range(m))
-    return ext, gen_vec, lift
+    d, m = g.degree, L.dim
+    check_dimension(m * d)
+    powers = _power_table(pscale(g, level.inv(g.lc)))
+    # products[s][i][j]: the coordinates of (b_i b_j)(z^s mod g)
+    products = [
+        [[tuple(c for w in zs for c in element_multiply(L, bij, w)) for bij in row] for row in L.table]
+        for zs in powers
+    ]
+    table = [[products[e + f][i][j] for f in range(d) for j in range(m)] for e in range(d) for i in range(m)]
+    return make_algebra(L.dom, table, (*L.unit, *zero_vec(L.dom, m * (d - 1))))

@@ -54,7 +54,6 @@ from .linalg import (
     mat_mul,
     subspace_from_vectors,
     subspace_sum,
-    zero_subspace,
 )
 from .polynomials import FactoredPoly, factor_over_prime_field, factor_over_rationals
 
@@ -227,9 +226,9 @@ def decide_local_artinian(rel: RelativeAlgebra, seed: int = 0) -> FutilityReport
     m_img = rel.ideal_image
     base_img = rel.base_image
     ambient_full = full_subspace(dom, A.dim)
-    mA = subspace_product(A, m_img, ambient_full) if m_img.dim else zero_subspace(dom, A.dim)
-    m2A = subspace_product(A, m_img, mA) if mA.dim else zero_subspace(dom, A.dim)
-    m3A = subspace_product(A, m_img, m2A) if m2A.dim else zero_subspace(dom, A.dim)
+    mA = subspace_product(A, m_img, ambient_full)
+    m2A = subspace_product(A, m_img, mA)
+    m3A = subspace_product(A, m_img, m2A)
 
     # A/mA over the residue field (= ground field)
     AmodmA, _ = quotient_algebra(A, mA)
@@ -241,7 +240,7 @@ def decide_local_artinian(rel: RelativeAlgebra, seed: int = 0) -> FutilityReport
     nil = nilradical(A)
     T_span = subspace_sum(base_img, nil)
     Talg, Trows = subalgebra_to_algebra(A, T_span)
-    mT_amb = subspace_product(A, m_img, T_span) if m_img.dim else zero_subspace(dom, A.dim)
+    mT_amb = subspace_product(A, m_img, T_span)
     mT_in_T = subspace_from_vectors(dom, Talg.dim, [T_span.coords(v) for v in mT_amb.rows])
     TmodmT, _ = quotient_algebra(Talg, mT_in_T)
     sub_t = decide_infinite_field(TmodmT, seed=seed)
@@ -261,7 +260,7 @@ def decide_local_artinian(rel: RelativeAlgebra, seed: int = 0) -> FutilityReport
     if r_T == 2:
         n2 = subspace_product(A, nil, nil)
         n4 = subspace_product(A, n2, n2)
-        n2m = subspace_product(A, n2, m_img) if m_img.dim else zero_subspace(dom, A.dim)
+        n2m = subspace_product(A, n2, m_img)
         lhs = subspace_sum(subspace_sum(n4, n2m), m_img)
         conds["plane_identity"] = lhs == mT_amb
         notes.append(

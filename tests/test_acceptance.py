@@ -181,7 +181,7 @@ def test_criterion_4_frobenius_indices():
     s2 = K2.variable("s")
     t2 = K2.variable("t")
     L1 = poly_quotient_algebra(make_poly(K2, [K2.neg(s2), K2.zero, K2.one]))
-    L2, _, _ = extend_by_poly(L1, [(K2.neg(t2), K2.zero), (K2.zero, K2.zero), (K2.one, K2.zero)])
+    L2 = extend_by_poly(L1, [(K2.neg(t2), K2.zero), (K2.zero, K2.zero), (K2.one, K2.zero)])
     rep3 = decide_field_extension(L2)
     checks.append(time.perf_counter() - t0 < 1.0)
     checks.append(rep3.certificate["frobenius_index"] == 4 and rep3.verdict == NOT_FUTILE)

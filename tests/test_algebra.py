@@ -183,7 +183,7 @@ def two_level_tower():
     L = poly_quotient_algebra(make_poly(FST, [S2, FST.zero, FST.one]))
     x = L.basis_vector(1)
     t_in_L = tuple(FST.mul(T2, c) for c in L.unit)
-    return extend_by_poly(L, [t_in_L, x, L.unit])[0]
+    return extend_by_poly(L, [t_in_L, x, L.unit])
 
 
 F2T_LEVEL = poly_quotient_algebra(make_poly(FT, [FT.add(T, FT.one), FT.zero, FT.zero, FT.zero, FT.one]))
@@ -838,7 +838,7 @@ def test_frobenius_two_variable_tower():
     L1 = poly_quotient_algebra(make_poly(K, [K.neg(s_var), K.zero, K.one]))  # x^2 = s
     # extend by y^2 - t
     coeffs = [tuple(K.neg(t_var) if i == 0 else K.zero for i in range(2)), (K.zero, K.zero), (K.one, K.zero)]
-    L2, yvec, lift = extend_by_poly(L1, coeffs)
+    L2 = extend_by_poly(L1, coeffs)
     assert L2.dim == 4
     assert frobenius_span(L2).dim == 1
     assert [c.dim for c in frobenius_chain(L2)] == [4, 1]

@@ -11,8 +11,8 @@ from futility import cases as cases_module
 from futility.algebra import MAX_DIM, make_algebra, product_algebra
 from futility.cases import (
     MAX_EXPONENT,
+    MAX_NESTING,
     MAX_TRIALS,
-    AlgebraScalarDomain,
     build_case,
     build_struct_algebra,
     parse_case,
@@ -22,6 +22,7 @@ from futility.cases import (
 )
 from futility.cli import main as cli_main
 from futility.constructions import (
+    AlgebraScalarDomain,
     extend_by_poly,
     matrix_algebra,
     poly_quotient_algebra,
@@ -38,6 +39,7 @@ from futility.errors import (
 )
 from futility.polynomials import poly_to_str
 from futility.reports import check_asserts, merge_options, run_command
+from reference_tower import reduce_each_entry
 
 ROOT = Path(__file__).resolve().parent.parent
 CORPUS = ROOT / "corpus"
@@ -83,6 +85,12 @@ def test_parse_poly_errors_carry_columns():
         parse_poly("x / (x + 1)", QQ)  # non-scalar division
     with pytest.raises(ParseError):
         parse_poly("y + 1", QQ)  # unknown variable
+    # digits are ASCII 0-9 only: an Arabic-Indic three or a superscript two
+    # is an unexpected character at its column
+    for text, col in (("x^2 + \u0663", 7), ("x^\u00b2", 3)):
+        with pytest.raises(ParseError) as exc:
+            parse_poly(text, QQ)
+        assert exc.value.col == col
 
 
 # --- case documents --------------------------------------------------------------
@@ -281,10 +289,15 @@ def test_corpus_cases_and_goldens_pair_up():
     assert cases == goldens
 
 
+def _dual_over_dual_level():
+    """Q[t]/(t^2) and the coefficients of x^2 over it."""
+    zero, one = (QQ.zero, QQ.zero), (QQ.one, QQ.zero)
+    return poly_quotient_algebra(parse_poly("x^2", QQ)), [zero, zero, one]
+
+
 def _dual_over_dual():
     """Q[t, x] / (t^2, x^2) on the basis 1, t, x, tx: x^2 adjoined to Q[t]/(t^2)."""
-    zero, one = (QQ.zero, QQ.zero), (QQ.one, QQ.zero)
-    return extend_by_poly(poly_quotient_algebra(parse_poly("x^2", QQ)), [zero, zero, one])[0]
+    return extend_by_poly(*_dual_over_dual_level())
 
 
 CONSTRUCTED_TABLES = [
@@ -308,6 +321,45 @@ CONSTRUCTED_TABLES = [
 def test_corpus_tables_match_their_constructions(case_id, construct):
     desc = parse_case((CORPUS / f"{case_id}.case").read_text())
     assert desc.algebra == struct_to_spec(construct())
+
+
+def _tower(p, moduli):
+    return make_case(base={"kind": "FpRational", "p": p, "vars": ["s", "t"]}, algebra={"kind": "tower", "moduli": moduli})
+
+
+# second tower levels, as a case text or as a function giving (L, g): the
+# corpus tower, one decide-only tower of each two-level shape in the benchmark
+# (copy #0), a level with a middle term, a leading coefficient that is
+# invertible but not 1, and a first level whose table has denominators
+TOWER_LEVELS = {
+    "field-extension/two-variable": (CORPUS / "field-extension" / "two-variable.case").read_text(),
+    "f2-4-2": _tower(2, ["x^4 - (s + 0)", "y^2 - (t + 0)"]),
+    "f2-2-4": _tower(2, ["x^2 - (s + 1)", "y^4 - (t + 0)"]),
+    "f2-2-2": _tower(2, ["x^2 - (s + 1)", "y^2 - (t + 0)"]),
+    "f3-3-3": _tower(3, ["x^3 - (s + 2)", "y^3 - (t + 2)"]),
+    "f2-4-4": _tower(2, ["x^4 - (s + 1)", "y^4 - (t + 1)"]),
+    "middle-term": _tower(2, ["x^2 + s", "y^2 + x*y + t"]),
+    "dual-over-dual": _dual_over_dual_level,
+    "non-unit-lead": _tower(3, ["x^2 - t", "(x + 1)*y^2 + y + t"]),
+    # a non-monic first modulus puts denominators into the first level's table
+    "level-one-denominators": _tower(2, ["(t + 1)*x^2 + x + t", "x*y^2 + t*y + 1"]),
+}
+
+
+@pytest.mark.parametrize("level", TOWER_LEVELS.values(), ids=TOWER_LEVELS)
+def test_extend_by_poly_matches_the_per_entry_reduction(monkeypatch, level):
+    if callable(level):
+        L, g = level()
+    else:
+        seen = []
+        monkeypatch.setattr(cases_module, "extend_by_poly", lambda L, g: seen.append((L, g)) or extend_by_poly(L, g))
+        build_case(parse_case(level))
+        (L, g), = seen
+    A = extend_by_poly(L, g)
+    table, unit = reduce_each_entry(L, g)
+    # by repr, so the num and den tuples of every RatFunc agree as well
+    assert repr(A.table) == repr(tuple(map(tuple, table)))
+    assert repr(A.unit) == repr(unit)
 
 
 # --- CLI ------------------------------------------------------------------------------
@@ -434,6 +486,9 @@ LOCAL_X2 = {
         (FP_T, {"kind": "tower", "moduli": ["x^4"]}),
         (FP_T, {"kind": "tower", "moduli": ["x^3 - x"]}),
         (FP_T, {"kind": "tower", "moduli": ["x^4 - t^2"]}),
+        ({"kind": "Q"}, {"kind": "quotient_poly", "modulus": "x^\u00b2"}),
+        ({"kind": "Q"}, {"kind": "quotient_poly", "modulus": "(" * 250 + "x" + ")" * 250}),
+        ({"kind": "Q"}, {"kind": "quotient_poly", "modulus": "-" * 1000 + "x"}),
     ],
     ids=[
         "dim-not-int",
@@ -461,6 +516,9 @@ LOCAL_X2 = {
         "tower-x4-not-a-field",
         "tower-x3-minus-x-not-a-field",
         "tower-square-not-a-field",
+        "superscript-digit",
+        "deep-parentheses",
+        "long-unary-minus-chain",
     ],
 )
 def test_cli_malformed_case_is_one_error_line(tmp_path, capsys, base, algebra):
@@ -701,6 +759,12 @@ def test_caps_sit_above_their_largest_allowed_values():
     with pytest.raises(BudgetExceeded):
         parse_poly(f"x - 2^{MAX_EXPONENT + 1}", QQ)
     assert parse_poly(f"x^{MAX_DIM}", QQ).degree == MAX_DIM
+    for open_, close in (("(", ")"), ("-", "")):
+        assert parse_poly(open_ * MAX_NESTING + "x" + close * MAX_NESTING, QQ).degree == 1
+        with pytest.raises(BudgetExceeded):
+            parse_poly(open_ * (MAX_NESTING + 1) + "x" + close * (MAX_NESTING + 1), QQ)
+    # the depth counts levels open at one point, not levels seen so far
+    assert parse_poly(" + ".join(["(-x)"] * (2 * MAX_NESTING)), QQ).degree == 1
     # the dimension is checked before the table is even read
     with pytest.raises(BudgetExceeded):
         make_algebra(QQ, [None] * (MAX_DIM + 1), [])
@@ -773,6 +837,32 @@ def test_cli_corpus_case_without_golden_fails_until_updated(tmp_path, capsys, fm
     golden = (CORPUS / "integer" / "z-finite.expected").read_text()
     assert case.with_suffix(".expected").read_text() == golden
     assert cli_main(["corpus", "--dir", str(tmp_path), "--format", fmt]) == 0
+
+
+@pytest.mark.parametrize("fmt", ["human", "machine"])
+def test_cli_corpus_golden_without_case_fails(tmp_path, capsys, fmt):
+    for suffix in (".case", ".expected"):
+        (tmp_path / f"z-finite{suffix}").write_text((CORPUS / "integer" / f"z-finite{suffix}").read_text())
+    stray = tmp_path / "finite" / "f2-x3.expected"
+    stray.parent.mkdir()
+    stray.write_text((CORPUS / "finite" / "f2-x3.expected").read_text())
+    rc = cli_main(["corpus", "--dir", str(tmp_path), "--format", fmt])
+    out = capsys.readouterr().out
+    assert rc == 2
+    if fmt == "machine":
+        doc = json.loads(out)
+        assert [(c["case"], c["status"]) for c in doc["cases"]] == [
+            ("integer/z-finite", "ok"), ("finite/f2-x3", "CASE-MISSING")
+        ]
+        assert doc["total"] == 1 and doc["failures"] == 1
+    else:
+        assert out.splitlines() == ["ok               integer/z-finite", "CASE-MISSING     finite/f2-x3", "1 cases, 1 failures"]
+    # --update refuses too, and writes nothing
+    golden = tmp_path / "z-finite.expected"
+    golden.write_text("stale\n")
+    assert cli_main(["corpus", "--dir", str(tmp_path), "--update"]) == 2
+    assert "refusing to write goldens" in capsys.readouterr().err
+    assert golden.read_text() == "stale\n"
 
 
 def test_cli_timing_flag(capsys):

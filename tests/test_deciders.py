@@ -200,7 +200,7 @@ def test_two_variable_tower_not_futile():
     t = K.variable("t")
     L1 = poly_quotient_algebra(make_poly(K, [K.neg(s), K.zero, K.one]))
     coeffs = [(K.neg(t), K.zero), (K.zero, K.zero), (K.one, K.zero)]
-    L2, _, _ = extend_by_poly(L1, coeffs)
+    L2 = extend_by_poly(L1, coeffs)
     rep = decide_field_extension(L2)
     assert rep.verdict == NOT_FUTILE
     assert rep.certificate["frobenius_index"] == 4
