@@ -45,10 +45,7 @@ from .linalg import (
     combine,
     echelon_pair,
     full_subspace,
-    int_adjoin,
-    int_reduce,
     nullspace,
-    primitive,
     solve,
     subspace_from_vectors,
     unit_vec,
@@ -361,42 +358,52 @@ def subalgebra_generated(A: StructAlgebra, gens, unital_over: Subspace) -> Subsp
 
 
 def generated_by_element(A: StructAlgebra, a, base: Subspace) -> tuple[tuple, tuple]:
-    """Subalgebra generated by a single element over a central base image R
-    (containing the unit) of an algebra over QQ, as its integer echelon form
-    (rows, pivots); linalg.int_subspace turns it into a Subspace.
+    """Subalgebra generated by a single element over a subalgebra R of an
+    algebra over QQ or F_p, where R contains the unit and is central, as its
+    echelon form (rows, pivots) in the arithmetic of linalg.echelon_pair:
+    over QQ the integer echelon form, which linalg.int_subspace turns into a
+    Subspace, and over F_p the reduced echelon rows themselves.
 
-    The subalgebra is R + R*a + R*a^2 + ..., which is closed because R
-    commutes with everything.  Let S_k = R + R*a + ... + R*a^k.  Step k
-    adjoins the residual r of a^k against S_(k-1), which is a^k minus an
-    element of S_(k-1), and b*r for each base row b; their span with S_(k-1)
-    is S_k.  The next candidate is a*r, which is a^(k+1) minus an element of
-    S_k.  The loop stops at the first a^k already in S_(k-1): then R*a^k lies
-    in it too, and so does every later power, since a^(k+1) = a * a^k lies in
-    the span of the r'*a^(j+1) with r' in R and j < k.  It also stops once the
-    span is the whole algebra.
+    The subalgebra is R + R*a + R*a^2 + ..., which is closed because R is
+    closed and commutes with everything.  Let S_k = R + R*a + ... + R*a^k.
+    Step k adjoins the residual r of a^k against S_(k-1), which is a^k minus
+    an element of S_(k-1), and b*r for each base row b; their span with
+    S_(k-1) is S_k.  The next candidate is a*r, which is a^(k+1) minus an
+    element of S_k.  The loop stops at the first a^k already in S_(k-1): then
+    R*a^k lies in it too, and so does every later power, since
+    a^(k+1) = a * a^k lies in the span of the r'*a^(j+1) with r' in R and
+    j < k.  It also stops once the span is the whole algebra.
 
-    The work runs on Python ints: a and the base rows are scaled to
-    primitive integer vectors and products are taken through A.int_tensor.
-    Every scaling is by a nonzero rational, so each span is unchanged."""
-    if A.dom != QQ:
-        raise UnsupportedDomain("single-element closures run over the rationals")
+    The work runs on Python ints.  Over QQ, a and the base rows are scaled to
+    primitive integer vectors and products are taken through A.int_tensor;
+    every scaling is by a nonzero rational, so each span is unchanged.  Over
+    F_p, products are taken through A.sparse and go into linalg.fp_reduce
+    unreduced, which takes them mod p once.  Any other domain raises
+    UnsupportedDomain."""
+    dom = A.dom
+    if type(dom) is RationalField:
+        tensor, rows = A.int_tensor, base.int_rows
+    elif type(dom) is PrimeField:
+        tensor, rows = A.sparse, base.rows
+    else:
+        raise UnsupportedDomain("single-element closures run over the rationals and F_p")
     if len(a) != A.dim:
         raise DimensionMismatch("coordinate length differs from dimension")
-    tensor = A.int_tensor
-    a = primitive(a)
-    rows, pivots = base.int_rows, base.pivots
+    enter, reduce, adjoin, aux, _ = echelon_pair(dom)
+    a = enter(a)
+    pivots = base.pivots
     # with a one-dimensional base, R*a^k is the line of a^k
     others = rows if len(rows) > 1 else ()
     cur = a
     while True:
-        r = int_reduce(rows, pivots, cur)
+        r = reduce(rows, pivots, cur, aux)
         if not any(r):
             return rows, pivots
-        rows, pivots = int_adjoin(rows, pivots, r)
+        rows, pivots = adjoin(rows, pivots, r, aux)
         for b in others:
-            residual = int_reduce(rows, pivots, _int_multiply(tensor, A.dim, b, r))
+            residual = reduce(rows, pivots, _int_multiply(tensor, A.dim, b, r), aux)
             if any(residual):
-                rows, pivots = int_adjoin(rows, pivots, residual)
+                rows, pivots = adjoin(rows, pivots, residual, aux)
         if len(rows) == A.dim:
             return rows, pivots
         cur = _int_multiply(tensor, A.dim, r, a)

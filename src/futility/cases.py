@@ -9,6 +9,7 @@ small expression grammar over +, -, *, /, ^ with variables x, y, t, s.
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass
 
 from .algebra import (
@@ -37,7 +38,8 @@ FORMAT_VERSION = 1
 MAX_EXPONENT = 256
 
 # Most parentheses and unary minus signs an expression may have open at one
-# point; the parser recurses once per level, so deeper input is refused.
+# point, and most products an algebra may nest; the parser and the builder
+# recurse once per level, so deeper input is refused.
 MAX_NESTING = 100
 
 
@@ -314,6 +316,25 @@ def _no_floats(obj, path="$"):
             _no_floats(v, f"{path}[{i}]")
 
 
+# A JSON string, or one bracket outside strings.
+_JSON_TOKEN = re.compile(r'"(?:[^"\\]|\\.)*"|[][{}]')
+
+
+def _deepest_bracket(text: str) -> tuple[int, int]:
+    """(depth, offset) of the first opening bracket at the greatest nesting
+    depth of a JSON text; brackets inside strings do not count."""
+    depth = deepest = at = 0
+    for m in _JSON_TOKEN.finditer(text):
+        tok = m.group()
+        if tok == "[" or tok == "{":
+            depth += 1
+            if depth > deepest:
+                deepest, at = depth, m.start()
+        elif tok == "]" or tok == "}":
+            depth -= 1
+    return deepest, at
+
+
 # Largest sampler trial count a case or the command line may ask for; the
 # corpus uses at most 5,000.
 MAX_TRIALS = 100_000
@@ -369,11 +390,18 @@ def parse_case(text: str) -> CaseDescription:
     JSON itself is malformed."""
     try:
         raw = json.loads(text)
+        if not isinstance(raw, dict):
+            raise ValidationError("case document must be a JSON object")
+        _no_floats(raw)
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON: {exc.msg}", line=exc.lineno, col=exc.colno) from exc
-    if not isinstance(raw, dict):
-        raise ValidationError("case document must be a JSON object")
-    _no_floats(raw)
+    except RecursionError:
+        depth, at = _deepest_bracket(text)
+        raise ParseError(
+            f"case document nests arrays and objects {depth} deep, too deep to read",
+            line=text.count("\n", 0, at) + 1,
+            col=at - text.rfind("\n", 0, at),
+        ) from None
     version = raw.get("format_version")
     if version != FORMAT_VERSION:
         raise ValidationError(f"unsupported format_version {version!r}")
@@ -453,7 +481,9 @@ def build_case(desc: CaseDescription) -> BuiltCase:
     return BuiltCase("struct", A, desc)
 
 
-def build_struct_algebra(dom: ScalarDomain, spec: dict) -> StructAlgebra:
+def build_struct_algebra(dom: ScalarDomain, spec: dict, depth: int = 0) -> StructAlgebra:
+    """The algebra an algebra spec describes; depth counts the products it
+    sits in."""
     if not isinstance(spec, dict):
         raise ValidationError(f"algebra must be an object, got {spec!r}")
     kind = _require(spec, "kind", "algebra")
@@ -475,8 +505,10 @@ def build_struct_algebra(dom: ScalarDomain, spec: dict) -> StructAlgebra:
     if kind == "product":
         from .algebra import product_algebra
 
+        if depth == MAX_NESTING:
+            raise BudgetExceeded(f"algebra products nest more than {MAX_NESTING} deep")
         factors = _list(_require(spec, "factors", "algebra"), "'factors' of algebra")
-        factors = [build_struct_algebra(dom, f) for f in factors]
+        factors = [build_struct_algebra(dom, f, depth + 1) for f in factors]
         return product_algebra(factors)
     raise ValidationError(f"unknown algebra kind {kind!r} for this base")
 

@@ -6,10 +6,12 @@ of finite modules over small local base rings.
 Subalgebra and ideal lattices come from one closure search: each member
 found is grown by one line of the quotient space at a time, so the work
 scales with the number of members times the lines over each, not with the
-number of subspaces.  Subalgebras are closed under products and ideals under
-multiplication by the basis, both by algebra.closure, which over F_p runs
-on plain ints in [0, p) through linalg.fp_reduce and fp_adjoin and builds
-one Subspace per closure.  A lattice's containment pairs are computed on
+number of subspaces.  Over a commutative algebra a member S grown by a is
+S[a] = S + S*a + S*a^2 + ..., the power walk of algebra.generated_by_element.
+algebra.closure closes ideals under multiplication by the basis, and the
+subalgebras of a noncommutative algebra under products.  Both run on plain
+ints in [0, p) through linalg.fp_reduce and fp_adjoin, and each member grown
+becomes one Subspace.  A lattice's containment pairs are computed on
 first read, so only the callers that print them pay for them.
 """
 
@@ -23,6 +25,7 @@ from .algebra import (
     StructAlgebra,
     closure,
     element_multiply,
+    generated_by_element,
     product_algebra,
     quotient_algebra,
     subalgebra_to_algebra,
@@ -83,10 +86,16 @@ def _check_budget(A: StructAlgebra, budget: int):
 
 
 def iter_subspaces(dom: PrimeField, n: int):
-    """Every subspace of F_p^n, one canonical echelon basis each."""
+    """Every subspace of F_p^n, one canonical echelon basis each, by
+    dimension and then by pivot columns and free entries in
+    itertools.product order.  The lines, which the closure search draws, are
+    yielded as their one echelon row directly."""
     p = dom.p
-    yield subspace_from_vectors(dom, n, [])
-    for r in range(1, n + 1):
+    yield zero_subspace(dom, n)
+    for lead in range(n):
+        for tail in product(range(p), repeat=n - 1 - lead):
+            yield Subspace(dom, n, ((0,) * lead + (1,) + tail,), (lead,))
+    for r in range(2, n + 1):
         for pivots in combinations(range(n), r):
             free_pos = []
             for i, pi in enumerate(pivots):
@@ -108,11 +117,22 @@ def _search(A: StructAlgebra, start: Subspace, ideal: bool) -> list:
 
     Each member S found is grown by each line of A/S.  A line is taken from
     iter_subspaces on the non-pivot coordinates of S, so its vector a has no
-    component in S, and the closure of S and a depends on the line alone.
+    component in S, and the member it gives depends on the line alone.
     Every member T containing start is reached: adjoining a basis of T one
     vector at a time climbs from start to T through members.
+
+    Over a commutative A a subalgebra S containing the unit is central and
+    closed, so S[a] = S + S*a + S*a^2 + ... is algebra.generated_by_element,
+    the power walk, which forms dim S products per power of a.  Ideals, and
+    the subalgebras of a noncommutative A, are grown by algebra.closure.
     """
     dom, n = A.dom, A.dim
+    if ideal or not A.is_commutative:
+        def grow(S, a):
+            return closure(A, S, [a], ideal)
+    else:
+        def grow(S, a):
+            return Subspace(dom, n, *generated_by_element(A, a, S))
     # reduced echelon rows are canonical, so over one ambient they are a key
     found = {start.rows: start}
     todo = [start]
@@ -127,7 +147,7 @@ def _search(A: StructAlgebra, start: Subspace, ideal: bool) -> list:
             a = [dom.zero] * n
             for c, x in zip(free, line.rows[0]):
                 a[c] = x
-            T = closure(A, S, [tuple(a)], ideal)
+            T = grow(S, tuple(a))
             if T.rows not in found:
                 found[T.rows] = T
                 todo.append(T)

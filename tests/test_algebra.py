@@ -980,10 +980,13 @@ def test_generated_by_element_matches_subalgebra_generated_on_random_targets():
     assert proper >= 10
 
 
-def test_generated_by_element_is_rational_only():
-    A = poly_quotient_algebra(make_poly(F3, [0, 0, 1]))  # F3[x]/(x^2)
-    with pytest.raises(UnsupportedDomain):
-        generated_by_element(A, A.basis_vector(1), unit_span(A))
+def test_generated_by_element_runs_over_q_and_fp_only():
+    for A in (
+        poly_quotient_algebra(make_poly(FT, [T, FT.zero, FT.one])),  # F2(t)[x]/(x^2 + t)
+        poly_quotient_algebra(make_poly(Z4, [0, 0, 1])),  # Z/4[x]/(x^2)
+    ):
+        with pytest.raises(UnsupportedDomain):
+            generated_by_element(A, A.basis_vector(1), unit_span(A))
 
 
 def test_tower_zero_divisor_leading_coefficient_raises():

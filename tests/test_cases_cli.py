@@ -58,6 +58,14 @@ def make_case(**kw):
     return json.dumps(doc)
 
 
+def nested_products(depth):
+    """F2[x]/(x) as the one factor of depth nested products."""
+    spec = {"kind": "quotient_poly", "modulus": "x"}
+    for _ in range(depth):
+        spec = {"kind": "product", "factors": [spec]}
+    return spec
+
+
 # --- polynomial expressions ---------------------------------------------------
 
 def test_parse_poly_basic():
@@ -109,6 +117,22 @@ def test_parse_case_locates_json_errors():
     with pytest.raises(ParseError) as exc:
         parse_case("{\n  broken\n}")
     assert exc.value.line == 2
+
+
+DEEP_DOCUMENTS = [
+    ("[" * 100_000 + "]" * 100_000, 100_000, 1, 100_000),
+    ('{"a": ' * 2000 + "1" + "}" * 2000, 2000, 1, 6 * 1999 + 1),
+    # brackets inside strings do not count
+    ('{"id": "[[[[",\n "a": ' + "[" * 1500 + "]" * 1500 + "}", 1501, 2, 7 + 1499),
+]
+
+
+@pytest.mark.parametrize("text, depth, line, col", DEEP_DOCUMENTS, ids=["arrays", "objects", "string-brackets"])
+def test_parse_case_locates_nesting_too_deep_to_read(text, depth, line, col):
+    with pytest.raises(ParseError) as exc:
+        parse_case(text)
+    assert f"nests arrays and objects {depth} deep" in str(exc.value)
+    assert (exc.value.line, exc.value.col) == (line, col)
 
 
 def test_parse_case_requires_fields():
@@ -489,6 +513,7 @@ LOCAL_X2 = {
         ({"kind": "Q"}, {"kind": "quotient_poly", "modulus": "x^\u00b2"}),
         ({"kind": "Q"}, {"kind": "quotient_poly", "modulus": "(" * 250 + "x" + ")" * 250}),
         ({"kind": "Q"}, {"kind": "quotient_poly", "modulus": "-" * 1000 + "x"}),
+        ({"kind": "Fp", "p": 2}, nested_products(400)),
     ],
     ids=[
         "dim-not-int",
@@ -519,6 +544,7 @@ LOCAL_X2 = {
         "superscript-digit",
         "deep-parentheses",
         "long-unary-minus-chain",
+        "deep-products",
     ],
 )
 def test_cli_malformed_case_is_one_error_line(tmp_path, capsys, base, algebra):
@@ -528,6 +554,16 @@ def test_cli_malformed_case_is_one_error_line(tmp_path, capsys, base, algebra):
     err = capsys.readouterr().err.splitlines()
     assert rc == 1
     assert len(err) == 1 and err[0].startswith("error:")
+
+
+@pytest.mark.parametrize("text", [text for text, *_ in DEEP_DOCUMENTS], ids=["arrays", "objects", "string-brackets"])
+def test_cli_document_nested_too_deep_is_one_error_line(tmp_path, capsys, text):
+    p = tmp_path / "deep.case"
+    p.write_text(text)
+    rc = cli_main(["decide", "--case", str(p)])
+    err = capsys.readouterr().err.splitlines()
+    assert rc == 1
+    assert len(err) == 1 and err[0].startswith("error: case document nests arrays and objects")
 
 
 @pytest.mark.parametrize("modulus, factor", [("x^4", "x"), ("x^3 - x", "x + 1"), ("x^4 - t^2", "x^2 + t")])
@@ -765,6 +801,9 @@ def test_caps_sit_above_their_largest_allowed_values():
             parse_poly(open_ * (MAX_NESTING + 1) + "x" + close * (MAX_NESTING + 1), QQ)
     # the depth counts levels open at one point, not levels seen so far
     assert parse_poly(" + ".join(["(-x)"] * (2 * MAX_NESTING)), QQ).degree == 1
+    assert build_struct_algebra(PrimeField(2), nested_products(MAX_NESTING)).dim == 1
+    with pytest.raises(BudgetExceeded):
+        build_struct_algebra(PrimeField(2), nested_products(MAX_NESTING + 1))
     # the dimension is checked before the table is even read
     with pytest.raises(BudgetExceeded):
         make_algebra(QQ, [None] * (MAX_DIM + 1), [])

@@ -16,7 +16,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from futility.algebra import change_of_basis, closure, element_multiply, product_algebra, subalgebra_generated
+from futility.algebra import (
+    change_of_basis,
+    closure,
+    element_multiply,
+    generated_by_element,
+    product_algebra,
+    subalgebra_generated,
+)
 from futility.constructions import matrix_algebra, poly_quotient_algebra, upper_triangular_algebra
 from futility.domains import PrimeField
 from futility.errors import BudgetExceeded
@@ -30,9 +37,10 @@ from futility.finite_enum import (
     iter_subspaces,
     module_quotient_dims,
 )
-from futility.linalg import mat_mul, subspace_from_vectors, zero_subspace
+from futility.linalg import Subspace, mat_mul, subspace_from_vectors, zero_subspace
 from futility.polynomials import make_poly
 from reference_closure import span_and_multiply
+from reference_subspaces import generic_subspaces
 
 F2 = PrimeField(2)
 F3 = PrimeField(3)
@@ -216,6 +224,44 @@ def test_truncated_polynomial_subalgebra_counts(n, count):
 def test_subspace_count_f2_cubed():
     # Galois number: subspaces of F_2^3
     assert sum(1 for _ in iter_subspaces(F2, 3)) == 16
+
+
+@pytest.mark.parametrize("dom, n", [(F2, n) for n in range(1, 6)] + [(F3, n) for n in range(1, 4)])
+def test_iter_subspaces_matches_the_generic_loop(dom, n):
+    # the lines are yielded directly; the sequence must not change
+    assert list(iter_subspaces(dom, n)) == list(generic_subspaces(dom, n))
+
+
+@pytest.mark.parametrize(
+    "A",
+    [
+        f2x(0, 0, 0, 0, 0, 0, 1),  # F2[x]/(x^6)
+        poly_quotient_algebra(make_poly(F3, [0, 0, 0, 0, 1])),  # F3[x]/(x^4)
+        product_algebra([f2x(0, 0, 0, 1), f2x(0, 0, 1)]),  # F2[x]/(x^3) x F2[x]/(x^2)
+        f2x(1, 1, 1),  # F4 = F2[x]/(x^2 + x + 1)
+    ],
+    ids=["F2[x]/(x^6)", "F3[x]/(x^4)", "F2[x]/(x^3) x F2[x]/(x^2)", "F4"],
+)
+def test_power_walk_matches_closure_on_every_member_and_line(A):
+    # S[a] by powers of a against the closure worklist, for every member S
+    # and every line a of A/S
+    dom, n = A.dom, A.dim
+    checked = 0
+    for S in enumerate_subalgebras(A, unit_span(A)).members:
+        free = [c for c in range(n) if c not in S.pivots]
+        for line in iter_subspaces(dom, len(free)):
+            if line.dim == 0:
+                continue
+            if line.dim > 1:
+                break
+            a = [0] * n
+            for c, x in zip(free, line.rows[0]):
+                a[c] = x
+            a = tuple(a)
+            walk = Subspace(dom, n, *generated_by_element(A, a, S))
+            assert walk == closure(A, S, [a]), (S.rows, a)
+            checked += 1
+    assert checked > 0
 
 
 def test_enumerate_dim1():
