@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import re
+import sys
 from dataclasses import dataclass
 
 from .algebra import (
@@ -42,6 +43,11 @@ MAX_EXPONENT = 256
 # recurse once per level, so deeper input is refused.
 MAX_NESTING = 100
 
+# Most digits an integer literal in an expression may have; far below the
+# interpreter's default int-string limit of 4,300, so a longer literal is
+# refused the same way under any -X int_max_str_digits.
+MAX_LITERAL_DIGITS = 1000
+
 
 # ---------------------------------------------------------------------------
 # Expression parser
@@ -66,6 +72,10 @@ def _tokenize(text: str):
             j = i
             while j < len(text) and "0" <= text[j] <= "9":
                 j += 1
+            if j - i > MAX_LITERAL_DIGITS:
+                raise BudgetExceeded(
+                    f"integer literal of {j - i} digits exceeds the limit of {MAX_LITERAL_DIGITS} (line 1, col {i + 1})"
+                )
             toks.append(_Tok("int", int(text[i:j]), i))
             i = j
             continue
@@ -319,6 +329,15 @@ def _no_floats(obj, path="$"):
 # A JSON string, or one bracket outside strings.
 _JSON_TOKEN = re.compile(r'"(?:[^"\\]|\\.)*"|[][{}]')
 
+# A JSON string, or one number outside strings, its integer part in group 1
+# and its fraction and exponent, if any, in group 2.
+_JSON_NUMBER = re.compile(r'"(?:[^"\\]|\\.)*"|-?(\d+)((?:\.\d+)?(?:[eE][-+]?\d+)?)')
+
+
+def _line_col(text: str, at: int) -> tuple[int, int]:
+    """1-based (line, col) of an offset into text."""
+    return text.count("\n", 0, at) + 1, at - text.rfind("\n", 0, at)
+
 
 def _deepest_bracket(text: str) -> tuple[int, int]:
     """(depth, offset) of the first opening bracket at the greatest nesting
@@ -333,6 +352,17 @@ def _deepest_bracket(text: str) -> tuple[int, int]:
         elif tok == "]" or tok == "}":
             depth -= 1
     return deepest, at
+
+
+def _long_integer(text: str, limit: int) -> tuple[int, int]:
+    """(digits, offset) of the first integer literal of a JSON text with
+    more than limit digits, or (0, 0) when there is none; numbers inside
+    strings, fractions and exponents do not count."""
+    for m in _JSON_NUMBER.finditer(text):
+        digits = m.group(1)
+        if digits and not m.group(2) and len(digits) > limit:
+            return len(digits), m.start()
+    return 0, 0
 
 
 # Largest sampler trial count a case or the command line may ask for; the
@@ -395,12 +425,20 @@ def parse_case(text: str) -> CaseDescription:
         _no_floats(raw)
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON: {exc.msg}", line=exc.lineno, col=exc.colno) from exc
+    except ValueError:
+        # json reads an integer literal with int(), which refuses more digits
+        # than the interpreter's int-string limit
+        limit = sys.get_int_max_str_digits()
+        digits, at = _long_integer(text, limit)
+        line, col = _line_col(text, at)
+        raise ParseError(
+            f"integer literal of {digits} digits exceeds the interpreter's limit of {limit}", line=line, col=col
+        ) from None
     except RecursionError:
         depth, at = _deepest_bracket(text)
+        line, col = _line_col(text, at)
         raise ParseError(
-            f"case document nests arrays and objects {depth} deep, too deep to read",
-            line=text.count("\n", 0, at) + 1,
-            col=at - text.rfind("\n", 0, at),
+            f"case document nests arrays and objects {depth} deep, too deep to read", line=line, col=col
         ) from None
     version = raw.get("format_version")
     if version != FORMAT_VERSION:
@@ -437,6 +475,21 @@ def struct_to_spec(A: StructAlgebra) -> dict:
     }
 
 
+# Largest characteristic p an Fp or FpRational base may have: primality is
+# checked by trial division, which takes milliseconds up to here.  The corpus
+# uses 2 and 3.
+MAX_PRIME = 2**31
+
+
+def _characteristic(base: dict, kind: str, where: str) -> int:
+    """The 'p' of a prime base, refused above MAX_PRIME before any
+    primality test."""
+    p = _int(base, "p", where)
+    if p > MAX_PRIME:
+        raise BudgetExceeded(f"'p' of {where} ({kind}) is {p}, above the limit of 2^31 = {MAX_PRIME}")
+    return p
+
+
 def base_domain(base: dict, where: str = "base") -> ScalarDomain:
     kind = _require(_object(base, where), "kind", where)
     if kind == "Q":
@@ -445,7 +498,7 @@ def base_domain(base: dict, where: str = "base") -> ScalarDomain:
         return ZZ
     try:
         if kind == "Fp":
-            return PrimeField(_int(base, "p", where))
+            return PrimeField(_characteristic(base, kind, where))
         if kind == "Zmod":
             return ModRing(_int(base, "n", where))
         if kind == "FpRational":
@@ -458,7 +511,7 @@ def base_domain(base: dict, where: str = "base") -> ScalarDomain:
                     )
                 if name in names[:i]:
                     raise ValidationError(f"{name!r} appears twice in 'vars' of {where}")
-            return FunctionField(_int(base, "p", where), tuple(names))
+            return FunctionField(_characteristic(base, kind, where), tuple(names))
     except ValueError as exc:
         raise ValidationError(f"invalid {kind} base: {exc}") from None
     raise ValidationError(f"unknown base kind {kind!r}")

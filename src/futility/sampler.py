@@ -83,19 +83,32 @@ def sample_subalgebras(target, trials: int, bound: int, seed: int = 0) -> Sample
     return _sample(A.dim, trials, bound, seed, key, partial(generated_by_element, A, base=base), finish)
 
 
+# Trial t of a run with seed s draws from the generator seeded with
+# s * SEED_STRIDE + t.  Runs have fewer trials than the stride (cases.MAX_TRIALS
+# is below it), so no two (seed, trial) pairs share a derived seed.
+SEED_STRIDE = 1_000_003
+
+
 def _sample(dim: int, trials: int, bound: int, seed: int, key, close, finish) -> SampleHistogram:
-    """The trial loop and memo of both samplers.  Trial t draws from its own
-    derived seed, so the merged histogram does not depend on evaluation
-    order.  key(vec) is a canonical representative of the draw that
-    generates the same closure; only the first draw with a given key is
-    closed, by close(key), to a hashable canonical form.  finish turns the
-    set of distinct forms into the sorted distinct values."""
+    """The trial loop and memo of both samplers.  One generator serves the
+    run; before trial t it is reseeded from its own derived seed, with the
+    Mersenne Twister state random.Random(seed * SEED_STRIDE + t) starts from,
+    so the merged histogram still does not depend on evaluation order.
+    key(vec) is a canonical representative of the draw that generates the
+    same closure; only the first draw with a given key is closed, by
+    close(key), to a hashable canonical form.  finish turns the set of
+    distinct forms into the sorted distinct values."""
+    rng = random.Random()
+    # the C-level seed: the state random.Random(n) builds, without a Python
+    # constructor per trial; only gauss_next, which no draw reads, is kept
+    reseed = super(random.Random, rng).seed
     memo = set()
     seen = set()
     curve = []
     mark = 1
     for t in range(1, trials + 1):
-        vec = _draw(random.Random(seed * 1_000_003 + t), dim, bound)
+        reseed(seed * SEED_STRIDE + t)
+        vec = _draw(rng, dim, bound)
         if vec is not None:
             k = key(vec)
             if k not in memo:
@@ -112,26 +125,47 @@ def _sample(dim: int, trials: int, bound: int, seed: int, key, close, finish) ->
 
 def _draw(rng, dim: int, bound: int):
     """One master draw of integer coordinates with a box-size mixture,
-    rejected against the bound.
+    rejected against the bound: None when a coordinate lies outside
+    [-bound, bound].
+
+    The box is 5 with probability 0.8, uniform in 1..4 with 0.15, and
+    otherwise 8 doubled while random() < 0.5, up to 4096.  Every integer is
+    read from getrandbits exactly as randint(lo, hi) reads it in CPython:
+    lo + r for the first r < n = hi - lo + 1 among getrandbits(n.bit_length())
+    draws.  The stream is therefore the one randint would consume, and
+    rejection returns at the first coordinate outside the bound, leaving the
+    rest of the stream unread; the sampler reseeds before the next trial.
 
     The drawn vector does not depend on the bound, so for a fixed seed
     schedule the accepted set with a smaller box is a subset of the accepted
     set with a larger one; growth curves are then pointwise monotone in the
     bound by construction.
     """
+    getrandbits = rng.getrandbits
     u = rng.random()
     if u < 0.8:
         box = 5
     elif u < 0.95:
-        box = rng.randint(1, 4)
+        box = getrandbits(3)  # randint(1, 4): n = 4 takes 3 bits
+        while box >= 4:
+            box = getrandbits(3)
+        box += 1
     else:
         box = 8
         while rng.random() < 0.5 and box < 1 << 12:
             box <<= 1
-    vec = tuple(rng.randint(-box, box) for _ in range(dim))
-    if all(abs(c) <= bound for c in vec):
-        return vec
-    return None
+    n = 2 * box + 1
+    k = n.bit_length()
+    vec = []
+    for _ in range(dim):
+        r = getrandbits(k)
+        while r >= n:
+            r = getrandbits(k)
+        c = r - box
+        if c > bound or c < -bound:
+            return None
+        vec.append(c)
+    return tuple(vec)
 
 
 def family_witness(modulus: Poly, points) -> list[Subspace]:

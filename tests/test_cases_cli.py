@@ -1,6 +1,7 @@
 """Case parsing, report generation, golden corpus harness, CLI behavior."""
 
 import json
+import sys
 from pathlib import Path
 
 import pytest
@@ -11,8 +12,11 @@ from futility import cases as cases_module
 from futility.algebra import MAX_DIM, make_algebra, product_algebra
 from futility.cases import (
     MAX_EXPONENT,
+    MAX_LITERAL_DIGITS,
     MAX_NESTING,
+    MAX_PRIME,
     MAX_TRIALS,
+    base_domain,
     build_case,
     build_struct_algebra,
     parse_case,
@@ -133,6 +137,26 @@ def test_parse_case_locates_nesting_too_deep_to_read(text, depth, line, col):
         parse_case(text)
     assert f"nests arrays and objects {depth} deep" in str(exc.value)
     assert (exc.value.line, exc.value.col) == (line, col)
+
+
+def test_parse_case_locates_an_integer_literal_past_the_str_limit():
+    # the digits inside the id string do not count; the seed is the literal
+    text = '{"format_version": 1, "id": "' + "9" * 5000 + '",\n "options": {"seed": ' + "9" * 5000 + "}}"
+    with pytest.raises(ParseError) as exc:
+        parse_case(text)
+    assert "integer literal of 5000 digits exceeds" in str(exc.value)
+    assert (exc.value.line, exc.value.col) == (2, len(' "options": {"seed": ') + 1)
+
+
+def test_prime_bases_are_capped_before_the_primality_test():
+    for base in ({"kind": "Fp"}, FP_T):
+        # 2^31 - 1 is prime, 2^31 is not, and 2^31 + 1 is refused before any test
+        assert base_domain(dict(base, p=MAX_PRIME - 1)).p == MAX_PRIME - 1
+        with pytest.raises(ValidationError, match="is not prime"):
+            base_domain(dict(base, p=MAX_PRIME))
+        for p in (MAX_PRIME + 1, 2**61 - 1):
+            with pytest.raises(BudgetExceeded, match=rf"'p' of ground of base \({base['kind']}\)"):
+                base_domain(dict(base, p=p), "ground of base")
 
 
 def test_parse_case_requires_fields():
@@ -482,6 +506,11 @@ LOCAL_X2 = {
 }
 
 
+# json.dumps cannot write an int past the interpreter's int-string limit, so a
+# case puts this string where the literal goes and the test writes the digits.
+NINES_5000 = "<5000 nines>"
+
+
 @pytest.mark.parametrize(
     "base, algebra",
     [
@@ -514,6 +543,10 @@ LOCAL_X2 = {
         ({"kind": "Q"}, {"kind": "quotient_poly", "modulus": "(" * 250 + "x" + ")" * 250}),
         ({"kind": "Q"}, {"kind": "quotient_poly", "modulus": "-" * 1000 + "x"}),
         ({"kind": "Fp", "p": 2}, nested_products(400)),
+        ({"kind": "Fp", "p": NINES_5000}, {"kind": "quotient_poly", "modulus": "x^2"}),
+        ({"kind": "Q"}, {"kind": "quotient_poly", "modulus": "x^3 - " + "7" * 5000}),
+        ({"kind": "Fp", "p": 2**61 - 1}, {"kind": "quotient_poly", "modulus": "x^2"}),
+        (dict(FP_T, p=2**61 - 1), {"kind": "tower", "moduli": ["x^2 - t"]}),
     ],
     ids=[
         "dim-not-int",
@@ -545,11 +578,15 @@ LOCAL_X2 = {
         "deep-parentheses",
         "long-unary-minus-chain",
         "deep-products",
+        "json-integer-past-the-str-limit",
+        "modulus-literal-too-long",
+        "fp-prime-too-large",
+        "fprational-prime-too-large",
     ],
 )
 def test_cli_malformed_case_is_one_error_line(tmp_path, capsys, base, algebra):
     p = tmp_path / "malformed.case"
-    p.write_text(make_case(base=base, algebra=algebra))
+    p.write_text(make_case(base=base, algebra=algebra).replace(json.dumps(NINES_5000), "9" * 5000))
     rc = cli_main(["decide", "--case", str(p)])
     err = capsys.readouterr().err.splitlines()
     assert rc == 1
@@ -804,6 +841,11 @@ def test_caps_sit_above_their_largest_allowed_values():
     assert build_struct_algebra(PrimeField(2), nested_products(MAX_NESTING)).dim == 1
     with pytest.raises(BudgetExceeded):
         build_struct_algebra(PrimeField(2), nested_products(MAX_NESTING + 1))
+    assert parse_poly("x - " + "7" * MAX_LITERAL_DIGITS, QQ).degree == 1
+    with pytest.raises(BudgetExceeded, match=r"\(line 1, col 5\)"):
+        parse_poly("x - " + "7" * (MAX_LITERAL_DIGITS + 1), QQ)
+    # so a long literal is refused the same way under any int-string limit
+    assert MAX_LITERAL_DIGITS < sys.int_info.default_max_str_digits
     # the dimension is checked before the table is even read
     with pytest.raises(BudgetExceeded):
         make_algebra(QQ, [None] * (MAX_DIM + 1), [])

@@ -7,14 +7,15 @@ from pathlib import Path
 import pytest
 
 from futility.algebra import element_multiply, generated_by_element, make_relative, subalgebra_generated
-from futility.cases import build_case, parse_case
+from futility.cases import MAX_TRIALS, build_case, parse_case
 from futility.constructions import poly_quotient_algebra
 from futility.domains import QQ, PrimeField
 from futility.errors import NotApplicable, UnsupportedDomain
 from futility.intmat import hnf_reduce
 from futility.linalg import subspace_from_vectors
 from futility.polynomials import make_poly, pmul, ppow
-from futility.sampler import _draw, family_witness, sample_subalgebras, sample_subrings
+from futility.sampler import SEED_STRIDE, _draw, family_witness, sample_subalgebras, sample_subrings
+from reference_draw import draw_box, randint_draw, reference_draws, trial_rng
 from reference_hermite import batch_hermite_basis, dense_multiply
 
 
@@ -106,8 +107,7 @@ def unmemoized_histogram(A, base, trials, bound, seed):
     seen = {}
     curve = []
     mark = 1
-    for t in range(1, trials + 1):
-        vec = _draw(random.Random(seed * 1_000_003 + t), A.dim, bound)
+    for t, vec in enumerate(reference_draws(seed, trials, A.dim, bound), 1):
         if vec is not None:
             s = subalgebra_generated(A, [tuple(map(Fraction, vec))], base)
             seen.setdefault(s.key(), s)
@@ -140,14 +140,14 @@ def test_memoized_sampler_matches_one_closure_per_draw(monkeypatch, relative):
     assert h.distinct == distinct
     assert h.growth_curve == curve
     # the memo answered some draws: fewer closures than accepted draws
-    accepted = sum(
-        _draw(random.Random(4 * 1_000_003 + t), A.dim, 5) is not None for t in range(1, 601)
-    )
+    accepted = sum(vec is not None for vec in reference_draws(4, 600, A.dim, 5))
     assert len(closures) < accepted
 
 
+CORPUS = Path(__file__).resolve().parent.parent / "corpus"
+
 ZPRES_CASES = sorted(
-    path for path in (Path(__file__).resolve().parent.parent / "corpus").rglob("*.case")
+    path for path in CORPUS.rglob("*.case")
     if '"z_presentation"' in path.read_text()
 )
 
@@ -173,8 +173,7 @@ def unmemoized_subrings(zp, trials, bound, seed):
     seen = set()
     curve = []
     mark = 1
-    for t in range(1, trials + 1):
-        vec = _draw(random.Random(seed * 1_000_003 + t), zp.ngens, bound)
+    for t, vec in enumerate(reference_draws(seed, trials, zp.ngens, bound), 1):
         if vec is not None:
             seen.add(subring_by_powers(zp, vec))
         if t == mark:
@@ -195,13 +194,69 @@ def test_memoized_subring_sampler_matches_one_closure_per_draw(path):
     assert h.growth_curve == curve
     # the memo merges draws: accepted draws outnumber their keys
     start = batch_hermite_basis([*zp.relations, zp.unit])
-    accepted = [v for t in range(1, trials + 1)
-                if (v := _draw(random.Random(seed * 1_000_003 + t), zp.ngens, bound)) is not None]
+    accepted = [v for v in reference_draws(seed, trials, zp.ngens, bound) if v is not None]
     assert len({hnf_reduce(start, v) for v in accepted}) < len(accepted)
 
 
 def test_zpres_corpus_cases_are_found():
     assert len(ZPRES_CASES) == 5
+
+
+def test_seed_stride_exceeds_max_trials():
+    # trial t of seed s draws from s * SEED_STRIDE + t with 1 <= t <= MAX_TRIALS,
+    # so two different (seed, trial) pairs never share a derived seed
+    assert MAX_TRIALS < SEED_STRIDE
+
+
+def test_each_trial_starts_from_a_fresh_random_state(monkeypatch):
+    import futility.sampler
+
+    states = []
+
+    def recorded(rng, dim, bound):
+        states.append(rng.getstate())
+        return _draw(rng, dim, bound)
+
+    monkeypatch.setattr(futility.sampler, "_draw", recorded)
+    sample_subalgebras(x_power_algebra(3), trials=40, bound=5, seed=9)
+    assert states == [trial_rng(9, t).getstate() for t in range(1, 41)]
+
+
+# Seeds past 2,000 whose box doubles to 256, 1024, 2048 and 4096, which no
+# seed up to 2,000 draws; at 4096 the first stops at the cap with random() < 0.5
+# still drawn, the second on a random() >= 0.5.
+DOUBLING_SEEDS = (3375, 5151, 3998, 12933, 24571)
+
+
+def test_draw_consumes_the_stream_as_randint_does():
+    ours, theirs = random.Random(), random.Random()
+    boxes = set()
+    for seed in (*range(2001), *DOUBLING_SEEDS):
+        state = random.Random(seed).getstate()
+        theirs.setstate(state)
+        boxes.add(draw_box(theirs))
+        for dim in (1, 2, 3, 5, 8, 10, 16):
+            for bound in (1, 3, 5, 50, 5000):
+                ours.setstate(state)
+                theirs.setstate(state)
+                assert _draw(ours, dim, bound) == randint_draw(theirs, dim, bound)
+    assert boxes == {1, 2, 3, 4, 5, *(8 << i for i in range(10))}
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_samplers_on_corpus_cases_match_the_reference_loop(seed):
+    desc = parse_case((CORPUS / "infinite-field" / "q-gauss-squared.case").read_text())
+    A = build_case(desc).payload
+    trials, bound = desc.options["trials"], desc.options["bound"]
+    h = sample_subalgebras(A, trials, bound, seed)
+    base = subspace_from_vectors(QQ, A.dim, [A.unit])
+    assert (h.distinct, h.growth_curve) == unmemoized_histogram(A, base, trials, bound, seed)
+
+    desc = parse_case((CORPUS / "integer" / "z-split.case").read_text())
+    zp = build_case(desc).payload
+    trials, bound = desc.options["trials"], desc.options["bound"]
+    h = sample_subrings(zp, trials, bound, seed)
+    assert (h.distinct, h.growth_curve) == unmemoized_subrings(zp, trials, bound, seed)
 
 
 def test_family_witness_distinct_points():
