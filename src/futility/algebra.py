@@ -156,28 +156,32 @@ def make_algebra(dom: ScalarDomain, table, unit) -> StructAlgebra:
     # D^2 (on ints, on polynomials); over F_p and Z/n as int sums reduced once
     # per coordinate
     if kind is RationalField:
-        _check_associative(A.int_tensor, _int_combine)
+        bad = first_nonassociative(A.int_tensor, _int_combine)
     elif kind is FunctionField:
-        _check_associative(_poly_tensor(dom, A.sparse), partial(_poly_combine, dom.p, {}))
+        bad = first_nonassociative(_poly_tensor(dom, A.sparse), partial(_poly_combine, dom.p, {}))
     else:
         m = dom.size
 
         def combine(size, terms, rows):
             return [x % m for x in _int_combine(size, terms, rows)]
 
-        _check_associative(A.sparse, combine)
+        bad = first_nonassociative(A.sparse, combine)
+    if bad is not None:
+        raise ValidationError(f"associativity fails at basis triple {bad}")
     return A
 
 
-def _check_associative(T, combine) -> None:
-    """Raise at the first basis triple (i, j, k), in lexicographic order, where
-    (e_i e_j) e_k differs from e_i (e_j e_k).
+def first_nonassociative(T, combine) -> tuple | None:
+    """The first basis triple (i, j, k), in lexicographic order, where
+    (e_i e_j) e_k differs from e_i (e_j e_k), or None.
 
     For each (i, j) both sides are formed for every k at once, as n*n
     coordinates with coordinate m of the k-th product at k*n + m: the left
     side sums c*T_lk over (l, c) in T_ij, the right side sums c*T_il over
     (l, c) in T_jk.  combine(size, terms, rows) forms such a sum: rows[l]
-    shifted by off and scaled by c, over the (off, l, c) in terms."""
+    shifted by off and scaled by c, over the (off, l, c) in terms.  Two sides
+    are compared block by block as combine returns them, so a combine that
+    writes each block in a canonical form compares them modulo that form."""
     n = len(T)
     size = n * n
     blocks = [[(k * n + m, t) for k in range(n) for m, t in T[l][k]] for l in range(n)]
@@ -188,10 +192,8 @@ def _check_associative(T, combine) -> None:
             left = combine(size, [(0, l, c) for l, c in Ti[j]], blocks)
             right = combine(size, right_terms[j], Ti)
             if left != right:
-                k = next(k for k in range(n) if left[k * n:(k + 1) * n] != right[k * n:(k + 1) * n])
-                raise ValidationError(
-                    f"associativity fails at basis triple ({i}, {j}, {k})"
-                )
+                return i, j, next(k for k in range(n) if left[k * n:(k + 1) * n] != right[k * n:(k + 1) * n])
+    return None
 
 
 def _int_combine(size: int, terms, rows) -> list:
@@ -639,37 +641,28 @@ def subalgebra_to_algebra(A: StructAlgebra, s: Subspace):
     its own right; returns the algebra and the inclusion rows."""
     if not s.contains(A.unit):
         raise ValidationError("subspace does not contain the unit")
-    rows = s.rows
-    table = []
-    for u in rows:
-        line = []
-        for v in rows:
-            prod = element_multiply(A, u, v)
-            if not s.contains(prod):
-                raise ValidationError("subspace is not multiplication closed")
-            line.append(s.coords(prod))
-        table.append(line)
-    unit = s.coords(A.unit)
-    return make_algebra(A.dom, table, unit), rows
+
+    def coords(prod):
+        if not s.contains(prod):
+            raise ValidationError("subspace is not multiplication closed")
+        return s.coords(prod)
+
+    return _algebra_on(A, s.rows, coords, s.coords(A.unit)), s.rows
 
 
 def change_of_basis(A: StructAlgebra, new_basis_rows) -> StructAlgebra:
     """Rewrite A in the basis given by the rows (must be invertible)."""
-    dom = A.dom
-    n = A.dim
     rows = [tuple(r) for r in new_basis_rows]
-    span = subspace_from_vectors(dom, n, rows)
-    if span.dim != n:
+    if subspace_from_vectors(A.dom, A.dim, rows).dim != A.dim:
         raise ValidationError("change of basis needs an invertible matrix")
-    table = []
-    for u in rows:
-        line = []
-        for v in rows:
-            prod = element_multiply(A, u, v)
-            line.append(solve(dom, rows, prod))
-        table.append(line)
-    unit = solve(dom, rows, A.unit)
-    return make_algebra(dom, table, unit)
+    return _algebra_on(A, rows, partial(solve, A.dom, rows), solve(A.dom, rows, A.unit))
+
+
+def _algebra_on(A: StructAlgebra, rows, coords, unit) -> StructAlgebra:
+    """The algebra on the basis rows of A: the product of rows u and v is
+    element_multiply(A, u, v) written back by coords, and unit gives the
+    coordinates of the unit."""
+    return make_algebra(A.dom, [[coords(element_multiply(A, u, v)) for v in rows] for u in rows], unit)
 
 
 # ---------------------------------------------------------------------------
@@ -754,9 +747,7 @@ def _peel_factor(A: StructAlgebra, e):
     row i holds the coordinates of e*e_i in the ideal's echelon basis."""
     vecs = [element_multiply(A, e, A.basis_vector(i)) for i in range(A.dim)]
     s = subspace_from_vectors(A.dom, A.dim, vecs)
-    table = [[s.coords(element_multiply(A, u, v)) for v in s.rows] for u in s.rows]
-    C = make_algebra(A.dom, table, s.coords(e))
-    return C, tuple(s.coords(v) for v in vecs)
+    return _algebra_on(A, s.rows, s.coords, s.coords(e)), tuple(s.coords(v) for v in vecs)
 
 
 # ---------------------------------------------------------------------------

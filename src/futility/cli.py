@@ -19,10 +19,10 @@ from .reports import COMMANDS, ReportDocument, run_command
 
 def _add_common(p):
     p.add_argument("--case", required=True, help="path to a .case file")
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--trials", type=int, default=None)
-    p.add_argument("--bound", type=int, default=None)
-    p.add_argument("--budget", type=int, default=None)
+    # read as text: reports.merge_options reads and checks the integers, so a
+    # malformed value is one error line
+    for name in ("--seed", "--trials", "--bound", "--budget"):
+        p.add_argument(name, default=None)
     p.add_argument("--timing", action="store_true", help="include wall time in the report")
     p.add_argument(
         "--format", choices=("human", "machine"), default="human", dest="fmt"

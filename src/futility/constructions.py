@@ -1,7 +1,8 @@
 """Builders for the standard algebra presentations: polynomial quotients,
 matrix algebras, upper triangular algebras, and tower extensions of a
 commutative algebra by a further polynomial.  Both quotient builders read
-their tables from one power table."""
+their tables from one power table, and both matrix builders theirs from one
+matrix-unit table."""
 
 from __future__ import annotations
 
@@ -49,43 +50,32 @@ def _power_table(monic: Poly) -> list:
 
 def matrix_algebra(dom: ScalarDomain, size: int) -> StructAlgebra:
     """Full matrix algebra on the basis of matrix units, row-major."""
-    n = size * size
-    check_dimension(n)
-
-    def idx(a, b):
-        return a * size + b
-
-    table = [[zero_vec(dom, n) for _ in range(n)] for _ in range(n)]
-    for a in range(size):
-        for b in range(size):
-            for c in range(size):
-                for d in range(size):
-                    vec = [dom.zero] * n
-                    if b == c:
-                        vec[idx(a, d)] = dom.one
-                    table[idx(a, b)][idx(c, d)] = tuple(vec)
-    unit = [dom.zero] * n
-    for a in range(size):
-        unit[idx(a, a)] = dom.one
-    return make_algebra(dom, table, unit)
+    check_dimension(size * abs(size))  # negative for a negative size, which _matrix_units refuses
+    return _matrix_units(dom, size, ((a, b) for a in range(size) for b in range(size)))
 
 
 def upper_triangular_algebra(dom: ScalarDomain, size: int) -> StructAlgebra:
     """Upper triangular matrices on the basis E_ab with a <= b."""
-    check_dimension(size * (size + 1) // 2)
-    pos = [(a, b) for a in range(size) for b in range(a, size)]
-    index = {ab: i for i, ab in enumerate(pos)}
-    n = len(pos)
-    table = [[zero_vec(dom, n) for _ in range(n)] for _ in range(n)]
-    for i, (a, b) in enumerate(pos):
-        for j, (c, d) in enumerate(pos):
-            vec = [dom.zero] * n
-            if b == c:
-                vec[index[(a, d)]] = dom.one
-            table[i][j] = tuple(vec)
+    check_dimension(size * (abs(size) + 1) // 2)  # as in matrix_algebra
+    return _matrix_units(dom, size, ((a, b) for a in range(size) for b in range(a, size)))
+
+
+def _matrix_units(dom: ScalarDomain, size: int, positions) -> StructAlgebra:
+    """The algebra on the matrix units E_ab, (a, b) in positions, with
+    E_ab * E_cd = [b = c] E_ad and unit the sum of the E_aa: positions must
+    hold every (a, a) with a < size and be closed under that product.
+    Callers check the dimension first; positions is listed only here, after
+    a negative size is refused."""
+    if size < 0:
+        raise ValidationError(f"matrix size must not be negative, got {size}")
+    positions = list(positions)
+    index = {ab: i for i, ab in enumerate(positions)}
+    n = len(positions)
+    table = [[unit_vec(dom, n, index[a, d]) if b == c else zero_vec(dom, n) for c, d in positions]
+             for a, b in positions]
     unit = [dom.zero] * n
     for a in range(size):
-        unit[index[(a, a)]] = dom.one
+        unit[index[a, a]] = dom.one
     return make_algebra(dom, table, unit)
 
 

@@ -17,8 +17,10 @@ from fractions import Fraction
 from .algebra import (
     RelativeAlgebra,
     StructAlgebra,
+    _int_combine,
     _int_multiply,
     commutator_ideal,
+    first_nonassociative,
     frobenius_chain,
     local_decomposition,
     nilradical,
@@ -397,15 +399,17 @@ class ZPresentation:
             if not (lattice_contains(basis, _vsub(self.mul_vec(self.unit, g), g))
                     and lattice_contains(basis, _vsub(self.mul_vec(g, self.unit), g))):
                 raise MalformedPresentation(f"unit law fails at generator {j}")
-        for i in range(n):
-            for j in range(n):
-                for k in range(n):
-                    lhs = self.mul_vec(self.table[i][j], self.gen(k))
-                    rhs = self.mul_vec(self.gen(i), self.table[j][k])
-                    if not lattice_contains(basis, _vsub(lhs, rhs)):
-                        raise MalformedPresentation(
-                            f"associativity fails at generator triple ({i}, {j}, {k})"
-                        )
+
+        # each generator block of a side becomes its representative modulo the
+        # relation lattice, equal on both sides exactly when their difference
+        # lies in the lattice
+        def combine(size, terms, rows):
+            acc = _int_combine(size, terms, rows)
+            return [x for k in range(0, size, n) for x in hnf_reduce(basis, acc[k:k + n])]
+
+        bad = first_nonassociative(self.sparse, combine)
+        if bad is not None:
+            raise MalformedPresentation(f"associativity fails at generator triple {bad}")
 
     @cached_property
     def relation_basis(self) -> tuple:

@@ -28,7 +28,7 @@ from .deciders import (
     decide_noncommutative,
 )
 from .domains import QQ, FunctionField, PrimeField, RatFunc
-from .errors import BudgetExceeded, InapplicableCommand, UnsupportedDomain
+from .errors import BudgetExceeded, InapplicableCommand, UnsupportedDomain, ValidationError
 from .finite_enum import DEFAULT_BUDGET, enumerate_subalgebras
 from .linalg import Subspace, subspace_from_vectors
 from .polynomials import (
@@ -102,13 +102,25 @@ def jsonable(obj):
 
 def merge_options(desc: CaseDescription, overrides: dict | None) -> dict:
     """Defaults, then the case's options (checked by parse_case), then the
-    non-None overrides, checked here."""
+    non-None overrides, checked here; an override given as text, as the
+    command line gives it, is read as an integer first."""
     opts = dict(DEFAULT_OPTIONS)
     opts.update(desc.options)
-    given = {k: v for k, v in (overrides or {}).items() if v is not None}
-    check_options(given, "command-line options")
+    where = "command-line options"
+    given = {k: _read_int(v, f"{k!r} of {where}") if isinstance(v, str) else v
+             for k, v in (overrides or {}).items() if v is not None}
+    check_options(given, where)
     opts.update(given)
     return opts
+
+
+def _read_int(text: str, where: str) -> int:
+    """int(text), or a ValidationError quoting at most 20 characters of it."""
+    try:
+        return int(text)
+    except ValueError:
+        shown = repr(text) if len(text) <= 20 else f"{text[:20]!r}... ({len(text)} characters)"
+        raise ValidationError(f"{where} must be an integer, got {shown}") from None
 
 
 def run_command(command: str, desc: CaseDescription, overrides: dict | None = None) -> ReportDocument:
@@ -121,7 +133,7 @@ def run_command(command: str, desc: CaseDescription, overrides: dict | None = No
     result, oracle, agreement = COMMAND_TABLE[command](built, opts)
     elapsed = (time.perf_counter_ns() - t0) // 1_000_000
     timing = elapsed if opts.get("timing") else None
-    shown = {k: opts[k] for k in ("trials", "bound", "seed", "budget") if k in opts}
+    shown = {k: opts[k] for k in ("trials", "bound", "seed", "budget")}
     return ReportDocument(
         case_id=desc.case_id,
         command=command,
@@ -147,7 +159,7 @@ def _enumerate_result(built: BuiltCase, opts: dict) -> dict:
     if A is None or not isinstance(A.dom, PrimeField):
         raise InapplicableCommand("enumerate needs an algebra over a finite prime field")
     base = subspace_from_vectors(A.dom, A.dim, [A.unit])
-    lat = enumerate_subalgebras(A, base, opts.get("budget", DEFAULT_BUDGET))
+    lat = enumerate_subalgebras(A, base, opts["budget"])
     return {
         "count": lat.count,
         "dims": [s.dim for s in lat.members],
@@ -180,7 +192,7 @@ def _factor_result(built: BuiltCase, opts: dict) -> dict:
     f = parse_poly(desc.algebra["modulus"], dom)
     if dom == QQ or isinstance(dom, PrimeField):
         factor = factor_over_rationals if dom == QQ else factor_over_prime_field
-        fac = factor(f, seed=opts.get("seed", 0))
+        fac = factor(f, seed=opts["seed"])
         return {"input": poly_to_str(f), "factored": factored_to_str(fac),
                 "parts": [[poly_to_str(g), m] for g, m in fac.factors]}
     if isinstance(dom, FunctionField):
@@ -222,7 +234,7 @@ def _compare_enumeration(built: BuiltCase, rep, opts: dict):
     A = built.payload
     base = subspace_from_vectors(A.dom, A.dim, [A.unit])
     try:
-        lat = enumerate_subalgebras(A, base, opts.get("budget", DEFAULT_BUDGET))
+        lat = enumerate_subalgebras(A, base, opts["budget"])
     except BudgetExceeded:
         return {"kind": "enumeration", "status": "over-budget"}, rep.verdict == FUTILE
     oracle = {"kind": "enumeration", "count": lat.count}
@@ -232,9 +244,8 @@ def _compare_enumeration(built: BuiltCase, rep, opts: dict):
 
 
 def _compare_sampler(built: BuiltCase, rep, opts: dict):
-    r = route(built)
-    h = r.sample(built.payload, opts["trials"], opts["bound"], opts["seed"])
-    threshold = opts.get("divergence_threshold", max(16, 4 * r.sample_dim(built.payload)))
+    h = route(built).sample(built.payload, opts["trials"], opts["bound"], opts["seed"])
+    threshold = opts.get("divergence_threshold", max(16, 4 * h.dim))
     diverged = h.count > threshold
     stabilized = h.stabilized()
     oracle = {
@@ -258,8 +269,8 @@ def _compare_frobenius(built: BuiltCase, rep, opts: dict):
     L: StructAlgebra = built.payload
     K: FunctionField = L.dom
     span = frobenius_span(L)
-    rng = random.Random(opts.get("seed", 0))
-    samples = min(100, opts.get("trials", 100))
+    rng = random.Random(opts["seed"])
+    samples = min(100, opts["trials"])
     ok = 0
     for _ in range(samples):
         vec = []
@@ -287,7 +298,6 @@ class Route:
     decide: Callable  # (payload, seed, budget) -> FutilityReport
     oracle: Callable  # (built, report, opts) -> (oracle, agreement)
     sample: Callable  # (payload, trials, bound, seed) -> sampler.SampleHistogram
-    sample_dim: Callable | None = None  # payload -> dimension behind the divergence threshold
     algebra: Callable = lambda payload: None  # payload -> the StructAlgebra of the algebra spec
 
 
@@ -322,10 +332,9 @@ def _finite_base(A, seed, budget):
     return decide_finite_base(A, budget=budget)
 
 
-def _struct(decide, oracle, sample=_refuse("sampling needs an infinite coefficient field"),
-            sample_dim=None) -> Route:
+def _struct(decide, oracle, sample=_refuse("sampling needs an infinite coefficient field")) -> Route:
     """The route of structure-constant algebras over one kind of domain."""
-    return Route(decide, oracle, sample, sample_dim, lambda A: A)
+    return Route(decide, oracle, sample, lambda A: A)
 
 
 _NO_SAMPLER = _refuse("sampling applies to algebras over Q, relative cases, and Z presentations")
@@ -335,7 +344,6 @@ ROUTES = {
         _commutative_or_reduced(lambda A, seed, budget: decide_infinite_field(A, seed=seed)),
         _compare_sampler,
         sample=lambda A, *draws: sample_subalgebras(A, *draws),
-        sample_dim=lambda A: A.dim,
     ),
     "struct/Fp": _struct(_commutative_or_reduced(_finite_base), _compare_enumeration),
     # a finite-rank algebra over Z/n is finite, so futile, commutative or not
@@ -348,14 +356,12 @@ ROUTES = {
         decide=lambda rel, seed, budget: decide_local_artinian(rel, seed=seed),
         oracle=_compare_sampler,
         sample=lambda rel, *draws: sample_subalgebras(rel, *draws),
-        sample_dim=lambda rel: rel.amb.dim,
         algebra=lambda rel: rel.amb,
     ),
     "zpres": Route(
         decide=_commutative_or_reduced(lambda zp, seed, budget: decide_integer_algebra(zp)),
         oracle=_compare_sampler,
         sample=lambda zp, *draws: sample_subrings(zp, *draws),
-        sample_dim=lambda zp: zp.ngens,
     ),
     "localized": Route(
         decide=lambda loc, seed, budget: decide_integer_algebra(loc),
@@ -381,7 +387,7 @@ def route(built: BuiltCase) -> Route:
 
 
 def decide_case(built: BuiltCase, opts: dict):
-    return route(built).decide(built.payload, opts.get("seed", 0), opts.get("budget", DEFAULT_BUDGET))
+    return route(built).decide(built.payload, opts["seed"], opts["budget"])
 
 
 def _oracle_compare(built: BuiltCase, rep, opts: dict):

@@ -33,6 +33,7 @@ from .polynomials import Poly, pmul, squarefree_decomposition
 class SampleHistogram:
     """Distinct generated subalgebras seen over a sampling run."""
 
+    dim: int  # the dimension (number of generators) of the space drawn in
     trials: int
     bound: int
     seed: int
@@ -119,7 +120,8 @@ def _sample(dim: int, trials: int, bound: int, seed: int, key, close, finish) ->
             mark *= 2
     curve.append(len(seen))
     return SampleHistogram(
-        trials=trials, bound=bound, seed=seed, distinct=tuple(finish(seen)), growth_curve=tuple(curve)
+        dim=dim, trials=trials, bound=bound, seed=seed,
+        distinct=tuple(finish(seen)), growth_curve=tuple(curve),
     )
 
 

@@ -547,6 +547,7 @@ NINES_5000 = "<5000 nines>"
         ({"kind": "Q"}, {"kind": "quotient_poly", "modulus": "x^3 - " + "7" * 5000}),
         ({"kind": "Fp", "p": 2**61 - 1}, {"kind": "quotient_poly", "modulus": "x^2"}),
         (dict(FP_T, p=2**61 - 1), {"kind": "tower", "moduli": ["x^2 - t"]}),
+        ({"kind": "Q"}, {"kind": "matrix_algebra", "size": -3}),
     ],
     ids=[
         "dim-not-int",
@@ -582,6 +583,7 @@ NINES_5000 = "<5000 nines>"
         "modulus-literal-too-long",
         "fp-prime-too-large",
         "fprational-prime-too-large",
+        "matrix-size-negative",
     ],
 )
 def test_cli_malformed_case_is_one_error_line(tmp_path, capsys, base, algebra):
@@ -701,6 +703,33 @@ def test_cli_bad_option_is_one_error_line(tmp_path, capsys, options, argv, messa
     rc = cli_main(["oracle-compare", "--case", str(p), *argv])
     assert rc == 1
     assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
+
+
+@pytest.mark.parametrize(
+    "option, value, shown",
+    [
+        ("--seed", "abc", "'abc'"),
+        ("--trials", "1.5", "'1.5'"),
+        ("--bound", "9" * 5000, f"{'9' * 20!r}... (5000 characters)"),
+        ("--budget", "", "''"),
+    ],
+    ids=["seed-abc", "trials-1.5", "bound-5000-nines", "budget-empty"],
+)
+def test_cli_malformed_integer_option_is_one_error_line(capsys, option, value, shown):
+    case = CORPUS / "infinite-field" / "q-x3.case"
+    rc = cli_main(["sample", "--case", str(case), option, value])
+    assert rc == 1
+    name = option.removeprefix("--")
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: {name!r} of command-line options must be an integer, got {shown}"
+    ]
+
+
+def test_cli_integer_option_reads_as_the_same_int(capsys):
+    case = CORPUS / "infinite-field" / "q-x3.case"
+    assert cli_main(["sample", "--case", str(case), "--seed", "3", "--format", "machine"]) == 0
+    expected = run_command("sample", parse_case(case.read_text()), {"seed": 3}).to_json()
+    assert capsys.readouterr().out == expected
 
 
 ALLOWED_ASSERTS = "enumeration_count, sampler_distinct_exact, sampler_distinct_min, verdict"

@@ -1,0 +1,235 @@
+"""Structure tables built and checked in one place, against the loops each
+builder ran on its own (reference_tables): the matrix-unit tables, the
+re-presentations on a new basis and the associativity check of Z
+presentations."""
+
+import itertools
+import json
+import random
+from fractions import Fraction
+from pathlib import Path
+
+import pytest
+
+import reference_tables as ref
+from futility import constructions
+from futility.algebra import (
+    StructAlgebra,
+    change_of_basis,
+    local_decomposition,
+    product_algebra,
+    subalgebra_generated,
+    subalgebra_to_algebra,
+)
+from futility.constructions import matrix_algebra, poly_quotient_algebra, upper_triangular_algebra
+from futility.deciders import ZPresentation
+from futility.domains import QQ, FunctionField, PrimeField
+from futility.errors import BudgetExceeded, MalformedPresentation, ValidationError
+from futility.linalg import subspace_from_vectors
+from futility.polynomials import make_poly
+
+F2 = PrimeField(2)
+F3 = PrimeField(3)
+FT = FunctionField(2, ("t",))
+T = FT.variable("t")
+CORPUS = Path(__file__).resolve().parent.parent / "corpus"
+
+
+def tables(A):
+    return repr((A.dom, A.dim, A.table, A.unit))
+
+
+def q_quotient(*cs):
+    return poly_quotient_algebra(make_poly(QQ, [Fraction(c) for c in cs]))
+
+
+def outcome(fn, *args):
+    """What fn(*args) returns, algebras shown by their tables and the rest by
+    repr, or the class and message of the error it raises."""
+    try:
+        return _shown(fn(*args))
+    except (ValidationError, MalformedPresentation) as exc:
+        return type(exc).__name__, str(exc)
+
+
+def _shown(x):
+    if isinstance(x, StructAlgebra):
+        return tables(x)
+    if isinstance(x, tuple):
+        return tuple(map(_shown, x))
+    return repr(x)
+
+
+# --- matrix units -------------------------------------------------------------
+
+@pytest.mark.parametrize("dom", [QQ, F2, F3], ids=["Q", "F2", "F3"])
+@pytest.mark.parametrize("size", [0, 1, 2, 3])
+def test_matrix_unit_tables_match_the_reference(dom, size):
+    assert tables(matrix_algebra(dom, size)) == tables(ref.matrix_algebra(dom, size))
+    assert tables(upper_triangular_algebra(dom, size)) == tables(ref.upper_triangular_algebra(dom, size))
+
+
+@pytest.mark.parametrize("build", [matrix_algebra, upper_triangular_algebra])
+@pytest.mark.parametrize("size", [-1, -3, -6, -10**9])
+def test_negative_matrix_size_is_refused(build, size):
+    # refused as negative, not as a dimension over the cap, and before any
+    # position is listed
+    with pytest.raises(ValidationError) as exc:
+        build(QQ, size)
+    assert str(exc.value) == f"matrix size must not be negative, got {size}"
+    assert build(QQ, 0).dim == 0
+
+
+@pytest.mark.parametrize("build", [matrix_algebra, upper_triangular_algebra])
+def test_matrix_dimension_cap_runs_before_the_positions_are_listed(monkeypatch, build):
+    # size 10^9 has 10^18 positions: a cap checked once they are listed would
+    # reach the builder, which fails the test here instead of running
+    def listed(dom, size, positions):
+        raise AssertionError("the builder was reached before the dimension cap")
+
+    monkeypatch.setattr(constructions, "_matrix_units", listed)
+    with pytest.raises(BudgetExceeded):
+        build(F2, 10**9)
+
+
+# --- re-presentations ---------------------------------------------------------
+
+def _unitriangular(dom, n, seed):
+    """An invertible basis: unit upper triangular rows, in reverse order."""
+    rng = random.Random(seed)
+    return [
+        tuple(dom.one if j == i else dom.from_int(rng.randint(-2, 2)) if j > i else dom.zero for j in range(n))
+        for i in reversed(range(n))
+    ]
+
+
+@pytest.mark.parametrize("dom", [QQ, F3], ids=["Q", "F3"])
+def test_change_of_basis_matches_the_reference(dom):
+    U = upper_triangular_algebra(dom, 3)
+    for seed in range(3):
+        basis = _unitriangular(dom, U.dim, seed)
+        assert tables(change_of_basis(U, basis)) == tables(ref.change_of_basis(U, basis))
+    singular = [U.unit] * U.dim
+    assert outcome(change_of_basis, U, singular) == outcome(ref.change_of_basis, U, singular)
+
+
+F2T_QUOTIENT = poly_quotient_algebra(make_poly(FT, [FT.add(T, FT.one), FT.zero, FT.zero, FT.zero, FT.one]))
+
+
+def _subspaces(A):
+    """Subspaces of A to re-present: generated subalgebras, the unit line, a
+    span that is not closed and a span without the unit."""
+    e = [A.basis_vector(i) for i in range(A.dim)]
+    unit_line = subspace_from_vectors(A.dom, A.dim, [A.unit])
+    return [
+        unit_line,
+        subalgebra_generated(A, [e[2]], unit_line),
+        subalgebra_generated(A, [e[1]], unit_line),
+        subspace_from_vectors(A.dom, A.dim, [A.unit, e[1]]),
+        subspace_from_vectors(A.dom, A.dim, [e[1], e[2]]),
+    ]
+
+
+@pytest.mark.parametrize(
+    "A",
+    [q_quotient(0, 0, 0, -2, 0, 1), upper_triangular_algebra(QQ, 3), F2T_QUOTIENT],
+    ids=["Q-quotient", "Q-upper-triangular", "F2(t)-quotient"],
+)
+def test_subalgebras_match_the_reference(A):
+    seen = set()
+    for s in _subspaces(A):
+        want = outcome(ref.subalgebra_to_algebra, A, s)
+        assert outcome(subalgebra_to_algebra, A, s) == want
+        seen.add(want[0] if want[0] == "ValidationError" else "algebra")
+    assert seen == {"ValidationError", "algebra"}
+
+
+@pytest.mark.parametrize(
+    "A",
+    [
+        q_quotient(0, 0, -2, 2, -1, 1),  # x^2 (x^2 - 2)(x - 1)
+        product_algebra([q_quotient(0, 0, 1), q_quotient(-2, 0, 1), q_quotient(1, 1)]),
+    ],
+    ids=["Q-quotient", "Q-product"],
+)
+def test_local_factors_match_the_reference(A):
+    factors = local_decomposition(A)
+    assert len(factors) == 3
+    for lf in factors:
+        C, projection = ref.peel_factor(A, lf.idempotent)
+        assert tables(lf.algebra) == tables(C) and lf.projection == projection
+
+
+# --- associativity of Z presentations -------------------------------------------
+
+def _z_fields(case):
+    alg = json.loads((CORPUS / f"{case}.case").read_text())["algebra"]
+    n = alg["gens"]
+    return n, [list(r) for r in alg["relations"]], [[list(v) for v in row] for row in alg["table"]], list(alg["unit"])
+
+
+def _judge_both(n, relations, table, unit):
+    def construct():
+        ZPresentation(
+            ngens=n,
+            relations=tuple(map(tuple, relations)),
+            table=tuple(tuple(map(tuple, row)) for row in table),
+            unit=tuple(unit),
+        )
+
+    return outcome(construct), outcome(ref.check_z_presentation, n, relations, table, unit)
+
+
+UNIT_LAW = "unit law fails"
+NOT_IDEAL = "relation lattice is not an ideal for the given table"
+NOT_ASSOCIATIVE = "associativity fails"
+
+
+@pytest.mark.parametrize(
+    "case, kinds",
+    [
+        # with two generators, the first the unit, a moved product of the
+        # second with itself stays associative; every other entry is in the
+        # unit law
+        ("integer/z-split", {"None", UNIT_LAW}),
+        ("integer/z-rank2-nilpotent", {"None", UNIT_LAW}),
+        ("integer/z-nilpotent-torsion", {"None", UNIT_LAW, NOT_IDEAL}),
+        ("noncommutative/z-times-mat2-f2", {"None", UNIT_LAW, NOT_IDEAL, NOT_ASSOCIATIVE}),
+    ],
+)
+def test_every_single_z_perturbation_is_judged_like_the_reference(case, kinds):
+    # each table entry in turn moved by each delta, so each (i, j, k) and the
+    # first failing triple of each check are exercised; relation rows make
+    # the last two compare modulo a lattice
+    n, relations, table, unit = _z_fields(case)
+    assert _judge_both(n, relations, table, unit) == ("None", "None")
+    outcomes = set()
+    for (i, j, k), delta in itertools.product(itertools.product(range(n), repeat=3), (1, -1, 2, 5)):
+        perturbed = [[list(v) for v in row] for row in table]
+        perturbed[i][j][k] += delta
+        got, want = _judge_both(n, relations, perturbed, unit)
+        assert got == want, (i, j, k, delta)
+        outcomes.add(want[1].split(" at ")[0] if want != "None" else want)
+    assert outcomes == kinds
+
+
+def test_dense_z_presentations_fail_at_the_reference_triple():
+    # random dense tables on Z^8 with generator 0 as the unit: almost surely
+    # not associative, over Z and modulo 2 and 3, where the first failing
+    # triple is found modulo the relation lattice
+    rng = random.Random(5)
+    n = 8
+    identity = [[int(i == j) for i in range(n)] for j in range(n)]
+    unit = identity[0]
+    failures = 0
+    for _ in range(4):
+        table = [[[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)] for _ in range(n)]
+        table[0] = [list(e) for e in identity]
+        for j in range(n):
+            table[j][0] = list(identity[j])
+        for m in (0, 2, 3):
+            relations = [[m * x for x in e] for e in identity] if m else []
+            got, want = _judge_both(n, relations, table, unit)
+            assert got == want
+            failures += want[1].startswith("associativity fails")
+    assert failures == 12
