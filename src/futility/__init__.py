@@ -34,9 +34,8 @@ from .deciders import (  # noqa: F401
     decide_local_artinian,
     decide_noncommutative,
     find_generator,
-    uniserial_check,
 )
-from .domains import QQ, ZZ, FunctionField, ModRing, PrimeField, invert, rf_equals  # noqa: F401
+from .domains import QQ, FunctionField, ModRing, PrimeField  # noqa: F401
 from .finite_enum import (  # noqa: F401
     FiniteModule,
     enumerate_ideals,

@@ -642,12 +642,13 @@ def subalgebra_to_algebra(A: StructAlgebra, s: Subspace):
     if not s.contains(A.unit):
         raise ValidationError("subspace does not contain the unit")
 
-    def coords(prod):
-        if not s.contains(prod):
+    def coords(vec):
+        # a vector of s is read off at the pivots, where the echelon rows are unit
+        if not s.contains(vec):
             raise ValidationError("subspace is not multiplication closed")
-        return s.coords(prod)
+        return tuple(vec[p] for p in s.pivots)
 
-    return _algebra_on(A, s.rows, coords, s.coords(A.unit)), s.rows
+    return _algebra_on(A, s.rows, coords, tuple(A.unit[p] for p in s.pivots)), s.rows
 
 
 def change_of_basis(A: StructAlgebra, new_basis_rows) -> StructAlgebra:

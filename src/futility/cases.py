@@ -20,14 +20,15 @@ from .algebra import (
     check_dimension,
     make_algebra,
     make_relative,
+    product_algebra,
 )
 from .constructions import AlgebraScalarDomain, extend_by_poly, matrix_algebra, poly_quotient_algebra
 from .deciders import FUTILE, NOT_FUTILE, LocalizedZ, ZPresentation
-from .domains import QQ, ZZ, FunctionField, ModRing, PrimeField, ScalarDomain
+from .domains import QQ, FunctionField, ModRing, PrimeField, ScalarDomain
 from .errors import BudgetExceeded, ParseError, UnsupportedDomain, ValidationError
 from .linalg import subspace_from_vectors
 from .polynomials import (
-    Poly, padd, pconst, pmul, pneg, poly_to_str, psub, pX,
+    Poly, padd, pconst, pmul, pneg, poly_to_str, ppow, pscale, psub, pX,
     squarefree_by_derivation, squarefree_decomposition,
 )
 
@@ -221,8 +222,6 @@ class PolyContext:
         return pneg(a)
 
     def pow(self, a, n, col):
-        from .polynomials import ppow
-
         _check_degree(a.degree * n, col)
         return ppow(a, n)
 
@@ -231,10 +230,7 @@ class PolyContext:
             raise ParseError("division by a non-scalar polynomial", line=1, col=col + 1)
         if b.is_zero:
             raise ParseError("division by zero", line=1, col=col + 1)
-        inv = self.dom.inv(b.coeffs[0])
-        from .polynomials import pscale
-
-        return pscale(a, inv)
+        return pscale(a, self.dom.inv(b.coeffs[0]))
 
 
 def _check_degree(degree: int, col: int):
@@ -495,7 +491,8 @@ def base_domain(base: dict, where: str = "base") -> ScalarDomain:
     if kind == "Q":
         return QQ
     if kind == "Z":
-        return ZZ
+        # build_case sends a Z case base to _build_integer; only a nested base gets here
+        raise ValidationError(f"{where} cannot be Z; only a case's own base may be Z")
     try:
         if kind == "Fp":
             return PrimeField(_characteristic(base, kind, where))
@@ -556,8 +553,6 @@ def build_struct_algebra(dom: ScalarDomain, spec: dict, depth: int = 0) -> Struc
             raise ValidationError("structure table size differs from dim")
         return make_algebra(dom, table, unit)
     if kind == "product":
-        from .algebra import product_algebra
-
         if depth == MAX_NESTING:
             raise BudgetExceeded(f"algebra products nest more than {MAX_NESTING} deep")
         factors = _list(_require(spec, "factors", "algebra"), "'factors' of algebra")

@@ -125,9 +125,6 @@ class AlgebraScalarDomain(ScalarDomain):
     def is_zero(self, a):
         return all(self.A.dom.is_zero(x) for x in a)
 
-    def eq(self, a, b):
-        return self.is_zero(self.sub(a, b))
-
 
 def extend_by_poly(L: StructAlgebra, coeff_vectors) -> StructAlgebra:
     """L[z]/(g) for g = sum coeff_vectors[k] z^k with an invertible leading

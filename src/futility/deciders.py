@@ -30,18 +30,8 @@ from .algebra import (
     subspace_product,
 )
 from .domains import QQ, FunctionField, PrimeField
-from .errors import (
-    BaseNotLocalArtinian,
-    BudgetExceeded,
-    MalformedPresentation,
-    UnsupportedDomain,
-)
-from .finite_enum import (
-    DEFAULT_BUDGET,
-    FiniteModule,
-    enumerate_subalgebras,
-    module_quotient_dims,
-)
+from .errors import BudgetExceeded, MalformedPresentation, UnsupportedDomain
+from .finite_enum import DEFAULT_BUDGET, enumerate_subalgebras
 from .intmat import (
     hermite_basis,
     hnf_adjoin,
@@ -50,13 +40,7 @@ from .intmat import (
     lattice_index,
     smith_normal_form,
 )
-from .linalg import (
-    combine,
-    full_subspace,
-    mat_mul,
-    subspace_from_vectors,
-    subspace_sum,
-)
+from .linalg import full_subspace, subspace_from_vectors, subspace_sum
 from .polynomials import FactoredPoly, factor_over_prime_field, factor_over_rationals
 
 FUTILE = "Futile"
@@ -250,8 +234,9 @@ def decide_local_artinian(rel: RelativeAlgebra, seed: int = 0) -> FutilityReport
     notes.append(f"T/mT has dimension {TmodmT.dim}: {sub_t.verdict}")
 
     # uniseriality of m(A/R) via the two leading quotient dimensions
-    d0 = subspace_sum(mA, base_img).dim - subspace_sum(m2A, base_img).dim
-    d1 = subspace_sum(m2A, base_img).dim - subspace_sum(m3A, base_img).dim
+    m2A_R_dim = subspace_sum(m2A, base_img).dim
+    d0 = subspace_sum(mA, base_img).dim - m2A_R_dim
+    d1 = m2A_R_dim - subspace_sum(m3A, base_img).dim
     conds["uniserial_dims"] = (d0, d1)
     conds["uniserial"] = d0 <= 1 and d1 <= 1
     notes.append(f"m(A/R) quotient dimensions: ({d0}, {d1})")
@@ -527,52 +512,3 @@ def _decide_noncommutative_z(P: ZPresentation) -> FutilityReport:
     notes.extend(inner.notes)
     cert = {"commutator_size": size, "quotient": inner.certificate}
     return FutilityReport(inner.verdict, tag, cert, tuple(notes))
-
-
-# ---------------------------------------------------------------------------
-# Uniseriality
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class LinearModule:
-    """A module over a local artinian base presented by the ground field
-    action matrices of the maximal ideal generators (rows = images of basis
-    vectors)."""
-
-    dom: object
-    dim: int
-    action: tuple  # of matrices
-
-    def __post_init__(self):
-        for mat in self.action:
-            if len(mat) != self.dim or any(len(r) != self.dim for r in mat):
-                raise BaseNotLocalArtinian("action matrix has wrong shape")
-            # each maximal ideal generator must act nilpotently
-            power = mat
-            for _ in range(self.dim):
-                power = mat_mul(self.dom, power, mat)
-            if any(not self.dom.is_zero(x) for row in power for x in row):
-                raise BaseNotLocalArtinian("action generator is not nilpotent")
-
-
-def uniserial_check(M) -> tuple[bool, tuple[int, int]]:
-    """True iff dim_k(M/mM) <= 1 and dim_k(mM/m^2 M) <= 1, returning the
-    dimension pair; accepts a FiniteModule or a LinearModule."""
-    if isinstance(M, FiniteModule):
-        d0, d1 = module_quotient_dims(M)
-        return (d0 <= 1 and d1 <= 1), (d0, d1)
-    if not isinstance(M, LinearModule):
-        raise UnsupportedDomain("expected a finite or linear module presentation")
-    dom = M.dom
-    if M.dim == 0:
-        return True, (0, 0)
-    imgs = [row for mat in M.action for row in mat]
-    mM = subspace_from_vectors(dom, M.dim, imgs)
-    m2_vecs = []
-    for mat in M.action:
-        for v in mM.rows:
-            m2_vecs.append(combine(dom, v, mat, M.dim))
-    m2M = subspace_from_vectors(dom, M.dim, m2_vecs)
-    d0 = M.dim - mM.dim
-    d1 = mM.dim - m2M.dim
-    return (d0 <= 1 and d1 <= 1), (d0, d1)

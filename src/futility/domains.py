@@ -6,7 +6,6 @@ Domains are lightweight descriptor objects with a common method surface
   * RationalField     -- elements are fractions.Fraction (kept reduced)
   * PrimeField(p)     -- elements are ints in [0, p), p prime
   * ModRing(n)        -- elements are ints in [0, n), n >= 2
-  * IntegerRing       -- elements are Python ints
   * FunctionField(p, vars) -- elements are RatFunc values: quotients of
     sparse multivariate polynomials over F_p in at most two variables
 
@@ -252,9 +251,6 @@ class ScalarDomain:
     def is_zero(self, a) -> bool:
         raise NotImplementedError
 
-    def eq(self, a, b) -> bool:
-        raise NotImplementedError
-
     # every domain's elements are immutable (ints, Fractions, frozen
     # RatFuncs, tuples), so each constant is built once per domain object
     @cached_property
@@ -311,50 +307,8 @@ class RationalField(ScalarDomain):
     def is_zero(self, a):
         return a == 0
 
-    def eq(self, a, b):
-        return a == b
-
     def parse(self, text):
         return Fraction(text)
-
-
-class IntegerRing(ScalarDomain):
-    """The ring of integers (not a field; only +-1 invert)."""
-
-    def _key(self):
-        return ()
-
-    def __repr__(self):
-        return "Z"
-
-    def add(self, a, b):
-        return a + b
-
-    def sub(self, a, b):
-        return a - b
-
-    def mul(self, a, b):
-        return a * b
-
-    def neg(self, a):
-        return -a
-
-    def inv(self, a):
-        if a in (1, -1):
-            return a
-        raise NotInvertible(f"{a} is not a unit in Z")
-
-    def from_int(self, n):
-        return int(n)
-
-    def is_zero(self, a):
-        return a == 0
-
-    def eq(self, a, b):
-        return a == b
-
-    def parse(self, text):
-        return int(text)
 
 
 class PrimeField(ScalarDomain):
@@ -401,9 +355,6 @@ class PrimeField(ScalarDomain):
 
     def is_zero(self, a):
         return a % self.p == 0
-
-    def eq(self, a, b):
-        return (a - b) % self.p == 0
 
     def proot(self, a):
         """p-th root; Frobenius is the identity on F_p."""
@@ -456,9 +407,6 @@ class ModRing(ScalarDomain):
 
     def is_zero(self, a):
         return a % self.n == 0
-
-    def eq(self, a, b):
-        return (a - b) % self.n == 0
 
     def parse(self, text):
         return int(text) % self.n
@@ -538,9 +486,6 @@ class FunctionField(ScalarDomain):
     def is_zero(self, a):
         return not a.num
 
-    def eq(self, a, b):
-        return a == b
-
     def key(self, a):
         raise UnsupportedDomain("rational functions have no canonical hashable form")
 
@@ -583,17 +528,3 @@ class FunctionField(ScalarDomain):
 
 
 QQ = RationalField()
-ZZ = IntegerRing()
-
-
-def invert(x, domain: ScalarDomain):
-    """Multiplicative inverse in the given domain; NotInvertible on zero
-    divisors, carrying the gcd witness for Z/n."""
-    return domain.inv(x)
-
-
-def rf_equals(a: RatFunc, b: RatFunc) -> bool:
-    """Equality of rational functions by cross-multiplication."""
-    if not isinstance(a, RatFunc) or not isinstance(b, RatFunc):
-        raise DomainMismatch("rf_equals expects rational function values")
-    return a == b

@@ -352,14 +352,3 @@ def nullspace(dom, rows, ncols) -> list:
         basis.append(tuple(v))
     return basis
 
-
-def _dot(dom, u, v):
-    acc = dom.zero
-    for a, b in zip(u, v):
-        acc = dom.add(acc, dom.mul(a, b))
-    return acc
-
-
-def mat_mul(dom, a, b):
-    bt = list(zip(*b))
-    return tuple(tuple(_dot(dom, row, col) for col in bt) for row in a)

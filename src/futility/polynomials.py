@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
-from .domains import QQ, PrimeField, ScalarDomain
+from .domains import QQ, PrimeField, ScalarDomain, is_prime
 from .errors import (
     DegreeBoundExceeded,
     DomainMismatch,
@@ -563,8 +563,6 @@ def _zassenhaus_monic_int(G: list[int], seed: int) -> list[list[int]]:
 
 
 def _next_prime(p: int) -> int:
-    from .domains import is_prime
-
     q = p + 2
     while not is_prime(q):
         q += 2

@@ -348,9 +348,7 @@ ROUTES = {
     "struct/Fp": _struct(_commutative_or_reduced(_finite_base), _compare_enumeration),
     # a finite-rank algebra over Z/n is finite, so futile, commutative or not
     "struct/finite": _struct(_finite_base, _no_oracle("no subspace oracle over composite moduli")),
-    "struct/unsupported": _struct(
-        _commutative_or_reduced(_no_struct_decider), _refuse("no oracle for case kind struct")
-    ),
+    "struct/unsupported": _struct(_no_struct_decider, _refuse("no oracle for case kind struct")),
     "tower": Route(lambda L, seed, budget: decide_field_extension(L), _compare_frobenius, _NO_SAMPLER),
     "relative": Route(
         decide=lambda rel, seed, budget: decide_local_artinian(rel, seed=seed),

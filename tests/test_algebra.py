@@ -37,13 +37,14 @@ from futility.algebra import (
     trace_form,
 )
 from futility.constructions import (
+    AlgebraScalarDomain,
     extend_by_poly,
     matrix_algebra,
     poly_quotient_algebra,
     upper_triangular_algebra,
 )
 from futility.cases import build_case, parse_case
-from futility.domains import QQ, ZZ, FunctionField, ModRing, PrimeField, mp_const
+from futility.domains import QQ, FunctionField, ModRing, PrimeField, mp_const
 from futility.errors import (
     CharacteristicZero,
     DimensionMismatch,
@@ -265,8 +266,10 @@ def test_every_single_perturbation_is_judged_like_reference(name):
 
 
 def test_make_algebra_refuses_other_domains():
+    # a tower level's scalars are vectors of an algebra, which only towers read
+    L = qx_mod(1, 0, 1)
     with pytest.raises(UnsupportedDomain):
-        make_algebra(ZZ, [[[1]]], [1])
+        make_algebra(AlgebraScalarDomain(L), [[[L.unit]]], [L.unit])
 
 
 @pytest.mark.parametrize("left_only", [True, False])

@@ -86,7 +86,7 @@ def test_parse_poly_function_field_constants():
     K = FunctionField(2, ("t",))
     f = parse_poly("x^2 - t", K)
     assert f.degree == 2
-    assert K.eq(f.coeffs[0], K.neg(K.variable("t")))
+    assert f.coeffs[0] == K.neg(K.variable("t"))
 
 
 def test_parse_poly_errors_carry_columns():
@@ -157,6 +157,13 @@ def test_prime_bases_are_capped_before_the_primality_test():
         for p in (MAX_PRIME + 1, 2**61 - 1):
             with pytest.raises(BudgetExceeded, match=rf"'p' of ground of base \({base['kind']}\)"):
                 base_domain(dict(base, p=p), "ground of base")
+
+
+@pytest.mark.parametrize("where", ["base of finite part", "ground of base"])
+def test_a_nested_z_base_is_refused_where_it_stands(where):
+    # a Z case base never reaches base_domain: build_case hands it to the Z deciders
+    with pytest.raises(ValidationError, match=rf"^{where} cannot be Z; only a case's own base may be Z$"):
+        base_domain({"kind": "Z"}, where)
 
 
 def test_parse_case_requires_fields():
@@ -548,6 +555,8 @@ NINES_5000 = "<5000 nines>"
         ({"kind": "Fp", "p": 2**61 - 1}, {"kind": "quotient_poly", "modulus": "x^2"}),
         (dict(FP_T, p=2**61 - 1), {"kind": "tower", "moduli": ["x^2 - t"]}),
         ({"kind": "Q"}, {"kind": "matrix_algebra", "size": -3}),
+        ({"kind": "Z"}, {"kind": "localized", "invert": 2, "finite_part": {"base": {"kind": "Z"}, "algebra": STRUCT_1}}),
+        (dict(LOCAL_X2, ground={"kind": "Z"}), {"kind": "quotient_poly", "modulus": "x^3"}),
     ],
     ids=[
         "dim-not-int",
@@ -584,6 +593,8 @@ NINES_5000 = "<5000 nines>"
         "fp-prime-too-large",
         "fprational-prime-too-large",
         "matrix-size-negative",
+        "finite-part-base-z",
+        "ground-z",
     ],
 )
 def test_cli_malformed_case_is_one_error_line(tmp_path, capsys, base, algebra):

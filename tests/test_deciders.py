@@ -28,7 +28,6 @@ from futility.constructions import (
 from futility.deciders import (
     FUTILE,
     NOT_FUTILE,
-    LinearModule,
     LocalizedZ,
     ZPresentation,
     decide_field_extension,
@@ -38,11 +37,9 @@ from futility.deciders import (
     decide_local_artinian,
     decide_noncommutative,
     find_generator,
-    uniserial_check,
 )
 from futility.domains import QQ, FunctionField, ModRing, PrimeField
-from futility.errors import MalformedPresentation
-from futility.finite_enum import FiniteModule, enumerate_submodules
+from futility.errors import MalformedPresentation, UnsupportedDomain
 from futility.linalg import subspace_from_vectors, zero_subspace
 from futility.polynomials import make_poly, ppow, pmul
 from reference_hermite import dense_multiply, ideal_fixpoint
@@ -309,6 +306,13 @@ def test_noncommutative_finite():
     assert rep.verdict == FUTILE
     assert rep.certificate["commutator_dim"] == 4
     assert rep.certificate["commutator_size"] == 16
+
+
+def test_noncommutative_over_function_field_is_refused():
+    # the case routes refuse F_p(t) structure algebras before any reduction;
+    # a direct call reaches the decider's own refusal
+    with pytest.raises(UnsupportedDomain, match=r"^no noncommutative path for domain F2\(t\)$"):
+        decide_noncommutative(matrix_algebra(FunctionField(2, ("t",)), 2))
 
 
 # --- integer algebras -----------------------------------------------------------------
@@ -632,46 +636,6 @@ def test_local_artinian_noncommutative():
     rel = make_relative(QQ, R, m0, U, [U.unit])
     rep = decide_local_artinian(rel)
     assert rep.verdict == NOT_FUTILE
-
-
-# --- uniseriality ------------------------------------------------------------------------
-
-def test_uniserial_zero_module():
-    flag, dims = uniserial_check(LinearModule(QQ, 0, ()))
-    assert flag and dims == (0, 0)
-
-
-def test_uniserial_trivial_action_plane():
-    zero = ((Fraction(0), Fraction(0)), (Fraction(0), Fraction(0)))
-    flag, dims = uniserial_check(LinearModule(QQ, 2, (zero,)))
-    assert not flag and dims == (2, 0)
-
-
-def test_uniserial_regular_module_t3():
-    # R = Q[t]/(t^3) acting on itself: multiplication by t
-    A = x_power_algebra(3)
-    from futility.algebra import mult_rows
-
-    t_action = mult_rows(A, A.basis_vector(1))
-    flag, dims = uniserial_check(LinearModule(QQ, 3, (t_action,)))
-    assert flag and dims == (1, 1)
-
-
-def test_uniserial_matches_enumeration_on_random_modules():
-    rng = random.Random(99)
-    checked = 0
-    while checked < 50:
-        p = rng.choice([2, 3])
-        k = rng.randint(1, 3)
-        ncomp = rng.randint(1, 3)
-        orders = tuple(p ** rng.randint(1, k) for _ in range(ncomp))
-        M = FiniteModule(kind="zmod", p=p, k=k, orders=orders)
-        if M.size > 256:
-            continue
-        checked += 1
-        flag, _ = uniserial_check(M)
-        _, chain = enumerate_submodules(M)
-        assert flag == chain
 
 
 def test_quotient_consistency_across_corpus():

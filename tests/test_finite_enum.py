@@ -37,7 +37,7 @@ from futility.finite_enum import (
     iter_subspaces,
     module_quotient_dims,
 )
-from futility.linalg import Subspace, mat_mul, subspace_from_vectors, zero_subspace
+from futility.linalg import Subspace, subspace_from_vectors, zero_subspace
 from futility.polynomials import make_poly
 from reference_closure import span_and_multiply
 from reference_subspaces import generic_subspaces
@@ -129,7 +129,7 @@ def invertible_matrices(draw, dom, n):
     entry = st.integers(0, dom.p - 1)
     lower = [[draw(entry) if j < i else int(i == j) for j in range(n)] for i in range(n)]
     upper = [[draw(entry) if j > i else int(i == j) for j in range(n)] for i in range(n)]
-    rows = list(mat_mul(dom, lower, upper))
+    rows = [tuple(sum(a * b for a, b in zip(row, col)) % dom.p for col in zip(*upper)) for row in lower]
     return draw(st.permutations(rows))
 
 

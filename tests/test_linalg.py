@@ -18,7 +18,6 @@ from futility.linalg import (
     int_adjoin,
     int_reduce,
     int_subspace,
-    mat_mul,
     nullspace,
     primitive,
     reduce,
@@ -126,13 +125,6 @@ def test_sum_and_full():
     b = subspace_from_vectors(F2, 3, [(0, 1, 0), (0, 0, 1)])
     assert subspace_sum(a, b) == full_subspace(F2, 3)
     assert zero_subspace(F2, 3).dim == 0
-
-
-def test_mat_inv_roundtrip():
-    m = ((Fraction(2), Fraction(1)), (Fraction(1), Fraction(1)))
-    inv = ((Fraction(1), Fraction(-1)), (Fraction(-1), Fraction(2)))
-    prod = mat_mul(QQ, m, inv)
-    assert prod == ((Fraction(1), Fraction(0)), (Fraction(0), Fraction(1)))
 
 
 def test_subspace_key_hashable():

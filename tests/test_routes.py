@@ -87,7 +87,6 @@ NO_SAMPLER_KIND = (
 )
 NOT_QUOTIENT = (InapplicableCommand, "factor needs a quotient_poly case")
 NO_F2T_DECIDER = (UnsupportedDomain, "no decider for struct algebras over F2(t)")
-NO_F2T_NONCOMMUTATIVE = (UnsupportedDomain, "no noncommutative path for domain F2(t)")
 
 # A report is summarized as ("report", headline, oracle kind, agreement); the
 # headline is the verdict, the lattice count, the distinct sample count or
@@ -133,11 +132,11 @@ EXPECTED = {
     ("f2t-quotient", "sample"): NO_SAMPLER_FIELD,
     ("f2t-quotient", "factor"): ("report", [["x^2 + t", 1]], None, None),
     ("f2t-quotient", "oracle-compare"): NO_F2T_DECIDER,
-    ("f2t-matrix", "decide"): NO_F2T_NONCOMMUTATIVE,
+    ("f2t-matrix", "decide"): NO_F2T_DECIDER,
     ("f2t-matrix", "enumerate"): NO_ENUMERATION,
     ("f2t-matrix", "sample"): NO_SAMPLER_FIELD,
     ("f2t-matrix", "factor"): NOT_QUOTIENT,
-    ("f2t-matrix", "oracle-compare"): NO_F2T_NONCOMMUTATIVE,
+    ("f2t-matrix", "oracle-compare"): NO_F2T_DECIDER,
     ("tower", "decide"): ("report", "Futile", None, None),
     ("tower", "enumerate"): NO_ENUMERATION,
     ("tower", "sample"): NO_SAMPLER_KIND,
