@@ -148,24 +148,35 @@ def make_algebra(dom: ScalarDomain, table, unit) -> StructAlgebra:
     if len(unit) != n:
         raise ValidationError("unit vector length differs from dimension")
     A = StructAlgebra(dom, n, tab, unit)
-    for i in range(n):
-        e = A.basis_vector(i)
-        if element_multiply(A, unit, e) != e or element_multiply(A, e, unit) != e:
-            raise ValidationError(f"unit law fails at basis vector {i}")
-    # over Q and F_p(t[,s]) both sides of every triple are compared scaled by
-    # D^2 (on ints, on polynomials); over F_p and Z/n as int sums reduced once
-    # per coordinate
+    # both laws are checked on one tensor: over Q on ints, the table scaled by
+    # D and the unit by its own common denominator; over F_p(t[,s]) on
+    # polynomials, table and unit scaled by one D; over F_p and Z/n as int
+    # sums reduced once per coordinate
+    unit_terms = [(l, c) for l, c in enumerate(unit) if c]
     if kind is RationalField:
-        bad = first_nonassociative(A.int_tensor, _int_combine)
+        T, combine = A.int_tensor, _int_combine
+        d = math.lcm(*(c.denominator for _, c in unit_terms))
+        unit_terms = [(l, c.numerator * (d // c.denominator)) for l, c in unit_terms]
+        scale, zero = A.int_den * d, 0
     elif kind is FunctionField:
-        bad = first_nonassociative(_poly_tensor(dom, A.sparse), partial(_poly_combine, dom.p, {}))
+        entries = [c for _, c in unit_terms] + [c for block in A.sparse for v in block for _, c in v]
+        D, cleared = _poly_clearing(dom, entries)
+        T = tuple(tuple(tuple((k, cleared(c)) for k, c in v) for v in block) for block in A.sparse)
+        unit_terms = [(l, cleared(c)) for l, c in unit_terms]
+        combine = partial(_poly_combine, dom.p, {})
+        scale, zero = mp_mul(D, D, dom.p), ()
     else:
         m = dom.size
+        T = A.sparse
 
         def combine(size, terms, rows):
             return [x % m for x in _int_combine(size, terms, rows)]
 
-        bad = first_nonassociative(A.sparse, combine)
+        scale, zero = 1 % m, 0
+    bad = _first_unit_failure(T, unit_terms, scale, zero, combine)
+    if bad is not None:
+        raise ValidationError(f"unit law fails at basis vector {bad}")
+    bad = first_nonassociative(T, combine)
     if bad is not None:
         raise ValidationError(f"associativity fails at basis triple {bad}")
     return A
@@ -206,12 +217,27 @@ def _int_combine(size: int, terms, rows) -> list:
     return acc
 
 
-def _poly_tensor(dom: FunctionField, sparse) -> tuple:
-    """D * sparse over F_p(t[,s]) as mp polynomials, D the product of the
-    distinct denominators of the table: an entry num/den becomes num times
-    the product of the distinct denominators other than den."""
+def _first_unit_failure(T, unit_terms, one, zero, combine) -> int | None:
+    """The first i where u*e_i or e_i*u differs from e_i, or None.  T and the
+    nonzero (l, c) of u in unit_terms are scaled so that both products are
+    one*e_i (and zero elsewhere) when the law holds; combine is as in
+    first_nonassociative."""
+    n = len(T)
+    terms = [(0, l, c) for l, c in unit_terms]
+    for i in range(n):
+        expected = [zero] * n
+        expected[i] = one
+        if combine(n, terms, [T[l][i] for l in range(n)]) != expected or combine(n, terms, T[i]) != expected:
+            return i
+    return None
+
+
+def _poly_clearing(dom: FunctionField, values) -> tuple:
+    """D, the product of the distinct denominators of the values, and the map
+    taking each value num/den to the mp polynomial D * num/den: num times the
+    product of the distinct denominators other than den."""
     p, one = dom.p, mp_const(1, dom.p, dom.nvars)
-    dens = [*dict.fromkeys(c.den for block in sparse for v in block for _, c in v if c.den != one)]
+    dens = [*dict.fromkeys(c.den for c in values if c.den != one)]
     cofactor = {}
     for d in (one, *dens):
         f = one
@@ -219,13 +245,12 @@ def _poly_tensor(dom: FunctionField, sparse) -> tuple:
             if e != d:
                 f = mp_mul(f, e, p)
         cofactor[d] = f
-    return tuple(
-        tuple(
-            tuple((k, c.num if cofactor[c.den] == one else mp_mul(c.num, cofactor[c.den], p)) for k, c in v)
-            for v in block
-        )
-        for block in sparse
-    )
+
+    def cleared(c):
+        f = cofactor[c.den]
+        return c.num if f == one else mp_mul(c.num, f, p)
+
+    return cofactor[one], cleared
 
 
 def _poly_combine(p: int, products: dict, size: int, terms, rows) -> list:

@@ -84,31 +84,22 @@ def sample_subalgebras(target, trials: int, bound: int, seed: int = 0) -> Sample
     return _sample(A.dim, trials, bound, seed, key, partial(generated_by_element, A, base=base), finish)
 
 
-# Trial t of a run with seed s draws from the generator seeded with
-# s * SEED_STRIDE + t.  Runs have fewer trials than the stride (cases.MAX_TRIALS
-# is below it), so no two (seed, trial) pairs share a derived seed.
-SEED_STRIDE = 1_000_003
-
-
 def _sample(dim: int, trials: int, bound: int, seed: int, key, close, finish) -> SampleHistogram:
-    """The trial loop and memo of both samplers.  One generator serves the
-    run; before trial t it is reseeded from its own derived seed, with the
-    Mersenne Twister state random.Random(seed * SEED_STRIDE + t) starts from,
-    so the merged histogram still does not depend on evaluation order.
-    key(vec) is a canonical representative of the draw that generates the
-    same closure; only the first draw with a given key is closed, by
-    close(key), to a hashable canonical form.  finish turns the set of
+    """The trial loop and memo of both samplers.  One random.Random(seed)
+    serves the whole run: trial t draws from the stream where trial t - 1
+    left it.  key(vec) is a canonical representative of the draw that
+    generates the same closure; only the first draw with a given key is
+    closed, by close(key), to a hashable canonical form.  The zero vector's
+    key is closed before the first trial, so the base member (R*1 over Q, the
+    start lattice over Z) counts from trial 1.  finish turns the set of
     distinct forms into the sorted distinct values."""
-    rng = random.Random()
-    # the C-level seed: the state random.Random(n) builds, without a Python
-    # constructor per trial; only gauss_next, which no draw reads, is kept
-    reseed = super(random.Random, rng).seed
-    memo = set()
-    seen = set()
+    rng = random.Random(seed)
+    k0 = key((0,) * dim)
+    memo = {k0}
+    seen = {close(k0)}
     curve = []
     mark = 1
     for t in range(1, trials + 1):
-        reseed(seed * SEED_STRIDE + t)
         vec = _draw(rng, dim, bound)
         if vec is not None:
             k = key(vec)
@@ -134,14 +125,14 @@ def _draw(rng, dim: int, bound: int):
     otherwise 8 doubled while random() < 0.5, up to 4096.  Every integer is
     read from getrandbits exactly as randint(lo, hi) reads it in CPython:
     lo + r for the first r < n = hi - lo + 1 among getrandbits(n.bit_length())
-    draws.  The stream is therefore the one randint would consume, and
-    rejection returns at the first coordinate outside the bound, leaving the
-    rest of the stream unread; the sampler reseeds before the next trial.
+    draws.  The stream is therefore the one randint would consume.  All dim
+    coordinates are read before the vector is rejected, so what a draw takes
+    from the stream does not depend on the bound.
 
-    The drawn vector does not depend on the bound, so for a fixed seed
-    schedule the accepted set with a smaller box is a subset of the accepted
-    set with a larger one; growth curves are then pointwise monotone in the
-    bound by construction.
+    For a fixed seed every trial then draws the same vector whatever the
+    bound, so the accepted set with a smaller box is a subset of the
+    accepted set with a larger one; growth curves are pointwise monotone in
+    the bound by construction.
     """
     getrandbits = rng.getrandbits
     u = rng.random()
@@ -163,10 +154,9 @@ def _draw(rng, dim: int, bound: int):
         r = getrandbits(k)
         while r >= n:
             r = getrandbits(k)
-        c = r - box
-        if c > bound or c < -bound:
-            return None
-        vec.append(c)
+        vec.append(r - box)
+    if box > bound and any(c > bound or c < -bound for c in vec):
+        return None
     return tuple(vec)
 
 

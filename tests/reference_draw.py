@@ -1,12 +1,7 @@
-"""The sampler's draw written with randint, on a Random built per trial, as
-an oracle for sampler._draw on its reseeded generator."""
+"""The sampler's draw written with randint, on one Random per run, as an
+oracle for sampler._draw."""
 
 import random
-
-
-def trial_rng(seed, t):
-    """The generator of trial t of a run with this seed."""
-    return random.Random(seed * 1_000_003 + t)
 
 
 def draw_box(rng):
@@ -34,5 +29,7 @@ def randint_draw(rng, dim, bound):
 
 
 def reference_draws(seed, trials, dim, bound):
-    """The draw of every trial 1..trials, None where it was rejected."""
-    return [randint_draw(trial_rng(seed, t), dim, bound) for t in range(1, trials + 1)]
+    """The draw of every trial 1..trials from one random.Random(seed), None
+    where it was rejected."""
+    rng = random.Random(seed)
+    return [randint_draw(rng, dim, bound) for _ in range(trials)]

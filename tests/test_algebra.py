@@ -265,6 +265,27 @@ def test_every_single_perturbation_is_judged_like_reference(name):
         assert_validates_like_reference(dom, table, A.unit)
 
 
+@pytest.mark.parametrize("name", ["Q", "F2", "F3", "F5", "F2(t)", "F2(t)-denominators", "Z4"])
+def test_every_unit_entry_moved_fails_the_unit_law_like_reference(name):
+    # the unit law is checked on the scaled tensor of the associativity
+    # check; each entry of the unit moved by each delta breaks it, and the
+    # first failing basis vector is the reference's (past 0 for the matrix
+    # units of F2 and F3)
+    A, deltas = SOURCES[name]
+    dom = A.dom
+    failing = set()
+    for k, delta in itertools.product(range(A.dim), deltas):
+        unit = list(A.unit)
+        unit[k] = dom.add(unit[k], delta)
+        table = [[list(v) for v in block] for block in A.table]
+        message = reference_validation(dom, table, unit)
+        assert message.startswith("unit law fails at basis vector ")
+        failing.add(message)
+        assert_validates_like_reference(dom, table, unit)
+    if name in ("F2", "F3"):
+        assert len(failing) > 1
+
+
 def test_make_algebra_refuses_other_domains():
     # a tower level's scalars are vectors of an algebra, which only towers read
     L = qx_mod(1, 0, 1)

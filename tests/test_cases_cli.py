@@ -320,6 +320,26 @@ def test_corpus_case_matches_golden(path):
     assert report.to_json() == expected.read_text()
 
 
+SAMPLER_CASES = [
+    path for path in ALL_CASES
+    if json.loads(path.with_suffix(".expected").read_text())["oracle"]["kind"] == "sampler"
+]
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_sampler_oracle_agrees_at_every_seed(seed):
+    # the golden checks each case at its own seed; this checks seeds 0-7
+    assert len(SAMPLER_CASES) == 34
+    disagree = []
+    for path in SAMPLER_CASES:
+        desc = parse_case(path.read_text())
+        if merge_options(desc, None)["seed"] == seed:
+            continue
+        if run_command("oracle-compare", desc, {"seed": seed}).agreement is not True:
+            disagree.append(desc.case_id)
+    assert disagree == []
+
+
 # Each committed .case file is the one definition of its case: it is in
 # canonical form, its id is its path, it has a golden, and a table that comes
 # from a library construction equals that construction.

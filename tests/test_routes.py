@@ -9,8 +9,10 @@ from futility.cases import parse_case
 from futility.errors import FutilityError, InapplicableCommand, UnsupportedDomain
 from futility.reports import COMMANDS, run_command
 
-# Small enough that every pair runs in well under a second; with this few
-# trials the sampler has not settled on Q[x]/(x^3), so its agreement is False.
+# Small enough that every pair runs in well under a second.  With this few
+# trials the sampler meets only 2 of the 3 subalgebras of Q[x]/(x^3), and its
+# curve is flat from trial 2 on, so it reports stabilized and agrees: a flat
+# curve is evidence, not proof.
 OPTIONS = {"trials": 100, "bound": 3}
 
 F2T = {"kind": "FpRational", "p": 2, "vars": ["t"]}
@@ -94,12 +96,12 @@ NO_F2T_DECIDER = (UnsupportedDomain, "no decider for struct algebras over F2(t)"
 EXPECTED = {
     ("q-comm", "decide"): ("report", "Futile", None, None),
     ("q-comm", "enumerate"): NO_ENUMERATION,
-    ("q-comm", "sample"): ("report", 3, None, None),
+    ("q-comm", "sample"): ("report", 2, None, None),
     ("q-comm", "factor"): ("report", "(x)^3", None, None),
-    ("q-comm", "oracle-compare"): ("report", "Futile", "sampler", False),
+    ("q-comm", "oracle-compare"): ("report", "Futile", "sampler", True),
     ("q-noncomm", "decide"): ("report", "NotFutile", None, None),
     ("q-noncomm", "enumerate"): NO_ENUMERATION,
-    ("q-noncomm", "sample"): ("report", 24, None, None),
+    ("q-noncomm", "sample"): ("report", 27, None, None),
     ("q-noncomm", "factor"): NOT_QUOTIENT,
     ("q-noncomm", "oracle-compare"): ("report", "NotFutile", "sampler", True),
     ("f2-comm", "decide"): ("report", "Futile", None, None),
@@ -144,9 +146,9 @@ EXPECTED = {
     ("tower", "oracle-compare"): ("report", "Futile", "frobenius-power-membership", True),
     ("relative", "decide"): ("report", "Futile", None, None),
     ("relative", "enumerate"): NO_ENUMERATION,
-    ("relative", "sample"): ("report", 3, None, None),
+    ("relative", "sample"): ("report", 2, None, None),
     ("relative", "factor"): ("report", "(x)^3", None, None),
-    ("relative", "oracle-compare"): ("report", "Futile", "sampler", False),
+    ("relative", "oracle-compare"): ("report", "Futile", "sampler", True),
     ("zpres-comm", "decide"): ("report", "NotFutile", None, None),
     ("zpres-comm", "enumerate"): NO_ENUMERATION,
     ("zpres-comm", "sample"): ("report", 4, None, None),
@@ -154,7 +156,7 @@ EXPECTED = {
     ("zpres-comm", "oracle-compare"): ("report", "NotFutile", "sampler", False),
     ("zpres-noncomm", "decide"): ("report", "NotFutile", None, None),
     ("zpres-noncomm", "enumerate"): NO_ENUMERATION,
-    ("zpres-noncomm", "sample"): ("report", 19, None, None),
+    ("zpres-noncomm", "sample"): ("report", 18, None, None),
     ("zpres-noncomm", "factor"): NOT_QUOTIENT,
     ("zpres-noncomm", "oracle-compare"): ("report", "NotFutile", "sampler", True),
     ("localized", "decide"): ("report", "Futile", None, None),

@@ -7,15 +7,15 @@ from pathlib import Path
 import pytest
 
 from futility.algebra import element_multiply, generated_by_element, make_relative, subalgebra_generated
-from futility.cases import MAX_TRIALS, build_case, parse_case
+from futility.cases import build_case, parse_case
 from futility.constructions import poly_quotient_algebra
 from futility.domains import QQ, PrimeField
 from futility.errors import NotApplicable, UnsupportedDomain
 from futility.intmat import hnf_reduce
 from futility.linalg import subspace_from_vectors
 from futility.polynomials import make_poly, pmul, ppow
-from futility.sampler import SEED_STRIDE, _draw, family_witness, sample_subalgebras, sample_subrings
-from reference_draw import draw_box, randint_draw, reference_draws, trial_rng
+from futility.sampler import _draw, family_witness, sample_subalgebras, sample_subrings
+from reference_draw import draw_box, randint_draw, reference_draws
 from reference_hermite import batch_hermite_basis, dense_multiply
 
 
@@ -103,8 +103,9 @@ def test_relative_sampling_counts_relative_subalgebras():
 
 def unmemoized_histogram(A, base, trials, bound, seed):
     """The sampler's trial loop written out with one span-and-multiply
-    closure per draw."""
-    seen = {}
+    closure per draw, starting from the base member."""
+    first = subalgebra_generated(A, [], base)
+    seen = {first.key(): first}
     curve = []
     mark = 1
     for t, vec in enumerate(reference_draws(seed, trials, A.dim, bound), 1):
@@ -169,8 +170,9 @@ def subring_by_powers(zp, a):
 
 
 def unmemoized_subrings(zp, trials, bound, seed):
-    """The Z sampler's trial loop written out with one closure per draw."""
-    seen = set()
+    """The Z sampler's trial loop written out with one closure per draw,
+    starting from the start lattice, the subring the zero vector generates."""
+    seen = {subring_by_powers(zp, (0,) * zp.ngens)}
     curve = []
     mark = 1
     for t, vec in enumerate(reference_draws(seed, trials, zp.ngens, bound), 1):
@@ -202,13 +204,10 @@ def test_zpres_corpus_cases_are_found():
     assert len(ZPRES_CASES) == 5
 
 
-def test_seed_stride_exceeds_max_trials():
-    # trial t of seed s draws from s * SEED_STRIDE + t with 1 <= t <= MAX_TRIALS,
-    # so two different (seed, trial) pairs never share a derived seed
-    assert MAX_TRIALS < SEED_STRIDE
-
-
-def test_each_trial_starts_from_a_fresh_random_state(monkeypatch):
+def test_one_stream_serves_every_trial(monkeypatch):
+    # the state before each draw is that of one random.Random(seed) advanced
+    # by randint_draw, which reads the whole vector before it rejects; bound 2
+    # rejects most draws from the box of 5
     import futility.sampler
 
     states = []
@@ -218,8 +217,13 @@ def test_each_trial_starts_from_a_fresh_random_state(monkeypatch):
         return _draw(rng, dim, bound)
 
     monkeypatch.setattr(futility.sampler, "_draw", recorded)
-    sample_subalgebras(x_power_algebra(3), trials=40, bound=5, seed=9)
-    assert states == [trial_rng(9, t).getstate() for t in range(1, 41)]
+    sample_subalgebras(x_power_algebra(3), trials=40, bound=2, seed=9)
+    rng = random.Random(9)
+    expected = []
+    for _ in range(40):
+        expected.append(rng.getstate())
+        randint_draw(rng, 3, 2)
+    assert states == expected
 
 
 # Seeds past 2,000 whose box doubles to 256, 1024, 2048 and 4096, which no
