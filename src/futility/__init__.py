@@ -11,7 +11,6 @@ from .algebra import (  # noqa: F401
     commutator_ideal,
     element_multiply,
     frobenius_chain,
-    frobenius_span,
     local_decomposition,
     make_algebra,
     make_relative,

@@ -780,17 +780,6 @@ def _peel_factor(A: StructAlgebra, e):
 # Frobenius spans for field towers
 # ---------------------------------------------------------------------------
 
-def frobenius_span(L: StructAlgebra) -> Subspace:
-    """K-span of the p-th powers of a basis; equals the compositum of the
-    p-th power subfield with the coefficient field, by additivity of the
-    Frobenius map."""
-    p = L.dom.char
-    if p == 0:
-        raise CharacteristicZero("Frobenius span needs positive characteristic")
-    vecs = [element_power(L, L.basis_vector(i), p) for i in range(L.dim)]
-    return subspace_from_vectors(L.dom, L.dim, vecs)
-
-
 def frobenius_chain(L: StructAlgebra) -> list[Subspace]:
     """Chain of iterated Frobenius spans down to its stabilization point
     (the separable closure of the coefficient field inside L)."""

@@ -579,7 +579,12 @@ def _build_tower(K: FunctionField, spec: dict):
                 )
     if len(moduli) == 1:
         return L
-    consts = {"x": L.basis_vector(1) if L.dim > 1 else L.unit}
+    if L.dim > 1:
+        x = L.basis_vector(1)
+    else:  # x is the root -c0/c1 of the linear modulus c1*x + c0
+        c0, c1 = level1.coeffs
+        x = (K.neg(K.mul(c0, K.inv(c1))),)
+    consts = {"x": x}
     for name in K.var_names:
         consts[name] = tuple(K.mul(K.variable(name), c) for c in L.unit)
     level2 = parse_poly(moduli[1], AlgebraScalarDomain(L), indet="y", constants=consts)

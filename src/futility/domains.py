@@ -261,10 +261,6 @@ class ScalarDomain:
     def one(self):
         return self.from_int(1)
 
-    def key(self, a):
-        """Hashable canonical form of an element, for dedup sets."""
-        return a
-
     def to_str(self, a) -> str:
         return str(a)
 
@@ -485,9 +481,6 @@ class FunctionField(ScalarDomain):
 
     def is_zero(self, a):
         return not a.num
-
-    def key(self, a):
-        raise UnsupportedDomain("rational functions have no canonical hashable form")
 
     def derivations(self):
         """Partial derivatives with respect to each field variable, as maps

@@ -312,8 +312,9 @@ class Subspace:
         return tuple(primitive(r) for r in self.rows)
 
     def key(self):
-        """Hashable canonical form (domains with hashable elements only)."""
-        return (self.ambient, tuple(tuple(self.dom.key(x) for x in r) for r in self.rows))
+        """Hashable canonical form: the reduced echelon rows are unique, and
+        every echelon pair gives them as tuples."""
+        return (self.ambient, self.rows)
 
 
 def subspace_from_vectors(dom, ambient, vecs) -> Subspace:

@@ -576,7 +576,6 @@ def _hensel_multilift(p: int, k: int, factors: list[list[int]], G: list[int]) ->
         pk = p**k
         return [[c % pk for c in G]]
     half = len(factors) // 2
-    dom = PrimeField(p)
     u = [1]
     for h in factors[:half]:
         u = _int_mul(u, h)

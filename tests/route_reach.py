@@ -1,0 +1,140 @@
+"""Scan for module-level functions of src/futility that no command reaches.
+
+Drives `futility.cli.main` under `sys.setprofile` over every command a user
+can run on the committed inputs:
+
+- all five commands (decide, enumerate, sample, factor, oracle-compare) on
+  every corpus case, errors included, `decide` with an explicit `--seed`;
+- `corpus --dir corpus/`;
+- the seed-3 `finite-lattice` and `decide-only` documents of
+  `perfbench/workloads.py`, each under its own command.
+
+The profile is on before the package is imported, so the functions that
+build module tables at import time count as reached.  The scan then lists
+every function defined at the top level of a module of src/futility that
+was never called.  Each such function must be on ALLOWED with its reason;
+an allowed name that is now reached, or that no longer exists, is an error
+too, so the list can only shrink.
+
+Run from the repository root (about 12 s on one core of a 2-vCPU machine):
+
+    PYTHONPATH=src python tests/route_reach.py
+
+Exit code 0 when the allow-list matches the scan exactly, 1 otherwise.  The
+file is not named test_*.py, so pytest does not collect it.
+"""
+
+from __future__ import annotations
+
+import ast
+import contextlib
+import importlib
+import inspect
+import io
+import pkgutil
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "perfbench"))
+
+from workloads import make_cases  # noqa: E402
+
+ERROR_ONLY = "error-only: runs when an input is refused"
+PTH_POWER_PART = "input-dependent: the p-th power part of a squarefree decomposition, which no committed input has"
+
+# module.function -> why no command reaches it
+ALLOWED = {
+    "algebra.subalgebra_generated": "ROADMAP item 6: moves to a test helper",
+    "algebra.center": "ROADMAP item 6: moves to a test helper",
+    "algebra.change_of_basis": "ROADMAP item 6: moves to a test helper",
+    "cases._line_col": ERROR_ONLY,
+    "cases._deepest_bracket": ERROR_ONLY,
+    "cases._long_integer": ERROR_ONLY,
+    "cases.serialize_case": "ROADMAP item 6: moves to a test helper (canonical round trip)",
+    "cases.struct_to_spec": "ROADMAP item 6: moves to a test helper",
+    "constructions.upper_triangular_algebra": "ROADMAP item 6: moves to a test helper",
+    "domains.mp_pow": PTH_POWER_PART,
+    "domains.mp_pth_root": PTH_POWER_PART,
+    "domains.mp_shift_down": "input-dependent: a rational function whose numerator and denominator share a monomial",
+    "finite_enum.enumerate_ideals": "ROADMAP items 4 and 6: the gluing of Futile lists over Q",
+    "finite_enum.enumerate_isomorphisms": "ROADMAP items 4 and 6: the gluing of Futile lists over Q",
+    "finite_enum.goursat_enumerate": "ROADMAP items 4 and 6: the gluing of Futile lists over Q",
+    "finite_enum.enumerate_submodules": "ROADMAP items 2 and 6: the Z/n subring oracle",
+    "finite_enum.module_quotient_dims": "ROADMAP items 2 and 6: the Z/n subring oracle",
+    "finite_enum._image_subgroup": "ROADMAP items 2 and 6: the Z/n subring oracle",
+    "finite_enum._plog": "ROADMAP items 2 and 6: the Z/n subring oracle",
+    "intmat.det_int": "ROADMAP items 2 and 6: the integer-rank certificate check",
+    "reports._no_struct_decider": ERROR_ONLY,
+    "polynomials.expand_xp": PTH_POWER_PART,
+    "polynomials.extract_xp": PTH_POWER_PART,
+    "polynomials.coeff_proot": PTH_POWER_PART,
+    "sampler.family_witness": "ROADMAP items 3 and 6: replaced by the linear witness family",
+    "sampler._trim": "ROADMAP items 3 and 6: replaced by the linear witness family",
+}
+
+
+def module_functions():
+    """(module.function, code object) for every def at the top level of a
+    module of the package."""
+    import futility
+
+    for info in pkgutil.walk_packages(futility.__path__, "futility."):
+        module = importlib.import_module(info.name)
+        short = info.name.removeprefix("futility.")
+        tree = ast.parse(Path(module.__file__).read_text(encoding="utf-8"))
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                func = inspect.unwrap(getattr(module, node.name))
+                yield f"{short}.{node.name}", func.__code__
+
+
+def drive(tmp: Path) -> None:
+    """Every command over the corpus and the two generated workloads."""
+    from futility.cli import main as cli_main
+    from futility.reports import COMMANDS
+
+    corpus = ROOT / "corpus"
+    for path in sorted(corpus.rglob("*.case")):
+        for command in COMMANDS:
+            # an option given on the command line takes the option reader's path
+            options = ["--seed", "0"] if command == "decide" else []
+            cli_main([command, "--case", str(path), *options])
+    cli_main(["corpus", "--dir", str(corpus)])
+    for workload in ("finite-lattice", "decide-only"):
+        for i, case in enumerate(make_cases(workload, 3, ROOT)):
+            path = tmp / f"{workload}-{i}.case"
+            path.write_text(case.text)
+            cli_main([case.command, "--case", str(path), "--format", "machine"])
+
+
+def main() -> int:
+    seen = set()
+
+    def hook(frame, event, arg):
+        if event == "call":
+            seen.add(frame.f_code)
+
+    with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(io.StringIO()):
+        sys.setprofile(hook)
+        try:
+            functions = dict(module_functions())
+            drive(Path(tmp))
+        finally:
+            sys.setprofile(None)
+
+    unreached = {name for name, code in functions.items() if code not in seen}
+    problems = [f"no command reaches {name}" for name in sorted(unreached - set(ALLOWED))]
+    problems += [f"{name} is reached now: take it off ALLOWED" for name in sorted(set(ALLOWED) & set(functions) - unreached)]
+    problems += [f"{name} no longer exists: take it off ALLOWED" for name in sorted(set(ALLOWED) - set(functions))]
+    for line in problems:
+        print(line)
+    print(f"{len(functions)} module-level functions: {len(functions) - len(unreached)} reached, "
+          f"{len(unreached)} not reached, {len(ALLOWED)} allowed")
+    return 1 if problems else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -1,5 +1,6 @@
 """Case parsing, report generation, golden corpus harness, CLI behavior."""
 
+import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -32,6 +33,7 @@ from futility.constructions import (
     poly_quotient_algebra,
     upper_triangular_algebra,
 )
+from futility.deciders import FUTILE, NOT_FUTILE
 from futility.domains import QQ, FunctionField, PrimeField
 from futility.errors import (
     BudgetExceeded,
@@ -42,7 +44,7 @@ from futility.errors import (
     ValidationError,
 )
 from futility.polynomials import poly_to_str
-from futility.reports import check_asserts, merge_options, run_command
+from futility.reports import _oracle_compare, check_asserts, decide_case, merge_options, run_command
 from reference_tower import reduce_each_entry
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -338,6 +340,24 @@ def test_sampler_oracle_agrees_at_every_seed(seed):
         if run_command("oracle-compare", desc, {"seed": seed}).agreement is not True:
             disagree.append(desc.case_id)
     assert disagree == []
+
+
+CHECKED_CASES = [
+    path for path in ALL_CASES
+    if json.loads(path.with_suffix(".expected").read_text())["oracle"]["kind"] != "none"
+]
+
+
+@pytest.mark.parametrize("path", CHECKED_CASES, ids=lambda p: str(p.relative_to(CORPUS)))
+def test_every_oracle_rejects_the_flipped_verdict(path):
+    # an oracle that agrees with both verdicts checks nothing
+    desc = parse_case(path.read_text())
+    opts = merge_options(desc, None)
+    built = build_case(desc)
+    rep = decide_case(built, opts)
+    flipped = dataclasses.replace(rep, verdict=NOT_FUTILE if rep.verdict == FUTILE else FUTILE)
+    _, agreement = _oracle_compare(built, flipped, opts)
+    assert agreement is False
 
 
 # Each committed .case file is the one definition of its case: it is in
@@ -662,6 +682,26 @@ def test_tower_decomposes_its_modulus_only_when_no_derivation_proves_it_squarefr
     built = build_case(parse_case(make_case(base=base, algebra={"kind": "tower", "moduli": [modulus]})))
     assert built.kind == "tower"
     assert bool(calls) is decomposed
+
+
+@pytest.mark.parametrize(
+    "base, two_levels, one_level",
+    [
+        # x = -t = t, so y^2 = t, not y^2 = 1
+        (FP_T, ["x + t", "y^2 + x"], "x^2 + t"),
+        # x = s: the separable y^2 + (s + 1)*y + t, chain [2] and index 1
+        ({"kind": "FpRational", "p": 2, "vars": ["s", "t"]}, ["x + s", "y^2 + (x + 1)*y + t"], "x^2 + (s + 1)*x + t"),
+    ],
+    ids=["inseparable-over-f2t", "separable-over-f2st"],
+)
+def test_tower_over_a_linear_first_level_binds_x_to_its_root(base, two_levels, one_level):
+    def build(moduli):
+        desc = parse_case(make_case(base=base, algebra={"kind": "tower", "moduli": moduli}))
+        return build_case(desc).payload, run_command("decide", desc).result["certificate"]
+
+    (tower, tower_cert), (field, field_cert) = build(two_levels), build([one_level])
+    assert repr(tower.table) == repr(field.table)
+    assert tower_cert == field_cert
 
 
 @pytest.mark.parametrize(

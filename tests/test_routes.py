@@ -143,7 +143,7 @@ EXPECTED = {
     ("tower", "enumerate"): NO_ENUMERATION,
     ("tower", "sample"): NO_SAMPLER_KIND,
     ("tower", "factor"): NOT_QUOTIENT,
-    ("tower", "oracle-compare"): ("report", "Futile", "frobenius-power-membership", True),
+    ("tower", "oracle-compare"): ("report", "Futile", "none", True),
     ("relative", "decide"): ("report", "Futile", None, None),
     ("relative", "enumerate"): NO_ENUMERATION,
     ("relative", "sample"): ("report", 2, None, None),
