@@ -7,7 +7,6 @@ __version__ = "0.1.0"
 from .algebra import (  # noqa: F401
     RelativeAlgebra,
     StructAlgebra,
-    center,
     commutator_ideal,
     element_multiply,
     frobenius_chain,
@@ -18,7 +17,6 @@ from .algebra import (  # noqa: F401
     nilradical,
     product_algebra,
     quotient_algebra,
-    subalgebra_generated,
 )
 from .deciders import (  # noqa: F401
     FUTILE,
@@ -35,14 +33,7 @@ from .deciders import (  # noqa: F401
     find_generator,
 )
 from .domains import QQ, FunctionField, ModRing, PrimeField  # noqa: F401
-from .finite_enum import (  # noqa: F401
-    FiniteModule,
-    enumerate_ideals,
-    enumerate_isomorphisms,
-    enumerate_submodules,
-    enumerate_subalgebras,
-    goursat_enumerate,
-)
+from .finite_enum import enumerate_subalgebras  # noqa: F401
 from .intmat import smith_normal_form  # noqa: F401
 from .polynomials import (  # noqa: F401
     FactoredPoly,

@@ -1,7 +1,7 @@
 """Structure-constant algebras and the linear-algebra primitives the
-deciders consume: generated subalgebras, commutator ideal, center,
-nilradical, local decomposition, quotients, products, minimal polynomials
-and Frobenius spans.
+deciders consume: generated subalgebras, commutator ideal, nilradical,
+local decomposition, quotients, products, minimal polynomials and
+Frobenius spans.
 
 A StructAlgebra is a free module of finite rank over a scalar domain with
 multiplication given by a structure tensor; associativity and the unit law
@@ -373,23 +373,12 @@ def closure(A: StructAlgebra, span: Subspace, queue, ideal: bool = False) -> Sub
     return Subspace(A.dom, A.dim, leave(rows, pivots), pivots)
 
 
-def subalgebra_generated(A: StructAlgebra, gens, unital_over: Subspace) -> Subspace:
-    """Least multiplication-closed subspace containing unital_over and the
-    generators: the closure of the zero span over both."""
-    if not unital_over.contains(A.unit):
-        raise ValidationError("unital_over must contain the unit")
-    for g in gens:
-        if len(g) != A.dim:
-            raise DimensionMismatch("generator length differs from dimension")
-    return closure(A, zero_subspace(A.dom, A.dim), [*unital_over.rows, *gens])
-
-
 def generated_by_element(A: StructAlgebra, a, base: Subspace) -> tuple[tuple, tuple]:
     """Subalgebra generated by a single element over a subalgebra R of an
     algebra over QQ or F_p, where R contains the unit and is central, as its
     echelon form (rows, pivots) in the arithmetic of linalg.echelon_pair:
-    over QQ the integer echelon form, which linalg.int_subspace turns into a
-    Subspace, and over F_p the reduced echelon rows themselves.
+    over QQ the integer echelon form, whose rows are those of
+    Subspace.int_rows, and over F_p the reduced echelon rows themselves.
 
     The subalgebra is R + R*a + R*a^2 + ..., which is closed because R is
     closed and commutes with everything.  Let S_k = R + R*a + ... + R*a^k.
@@ -466,19 +455,6 @@ def commutator_ideal(A: StructAlgebra) -> Subspace:
         for j in range(i + 1, A.dim):
             comms.append(tuple(A.dom.sub(a, b) for a, b in zip(A.table[i][j], A.table[j][i])))
     return closure(A, zero_subspace(A.dom, A.dim), comms, ideal=True)
-
-
-def center(A: StructAlgebra) -> Subspace:
-    """Solution space of x*e_i = e_i*x for every basis vector."""
-    dom = A.dom
-    rows = []
-    for i in range(A.dim):
-        for k in range(A.dim):
-            rows.append(
-                tuple(dom.sub(A.table[j][i][k], A.table[i][j][k]) for j in range(A.dim))
-            )
-    basis = nullspace(dom, rows, A.dim)
-    return subspace_from_vectors(dom, A.dim, basis)
 
 
 def is_ideal(A: StructAlgebra, s: Subspace) -> bool:
@@ -674,14 +650,6 @@ def subalgebra_to_algebra(A: StructAlgebra, s: Subspace):
         return tuple(vec[p] for p in s.pivots)
 
     return _algebra_on(A, s.rows, coords, tuple(A.unit[p] for p in s.pivots)), s.rows
-
-
-def change_of_basis(A: StructAlgebra, new_basis_rows) -> StructAlgebra:
-    """Rewrite A in the basis given by the rows (must be invertible)."""
-    rows = [tuple(r) for r in new_basis_rows]
-    if subspace_from_vectors(A.dom, A.dim, rows).dim != A.dim:
-        raise ValidationError("change of basis needs an invertible matrix")
-    return _algebra_on(A, rows, partial(solve, A.dom, rows), solve(A.dom, rows, A.unit))
 
 
 def _algebra_on(A: StructAlgebra, rows, coords, unit) -> StructAlgebra:

@@ -1,5 +1,5 @@
-"""Case description files: parsing, validation, construction of decider
-inputs, and canonical serialization.
+"""Case description files: parsing, validation and construction of decider
+inputs.
 
 Cases are JSON documents with exact scalars written as decimal or fraction
 strings; no floating point value is accepted anywhere.  Polynomials use a
@@ -454,21 +454,6 @@ def parse_case(text: str) -> CaseDescription:
     return CaseDescription(
         case_id=case_id, base=base, algebra=algebra, options=options, asserts=asserts, raw=raw
     )
-
-
-def serialize_case(desc: CaseDescription) -> str:
-    return json.dumps(desc.raw, sort_keys=True, indent=2) + "\n"
-
-
-def struct_to_spec(A: StructAlgebra) -> dict:
-    """Structure-constant JSON form of an algebra, for case files."""
-    dom = A.dom
-    return {
-        "kind": "structure_constants",
-        "dim": A.dim,
-        "unit": [dom.to_str(c) for c in A.unit],
-        "table": [[[dom.to_str(c) for c in vec] for vec in row] for row in A.table],
-    }
 
 
 # Largest characteristic p an Fp or FpRational base may have: primality is

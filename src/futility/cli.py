@@ -80,20 +80,20 @@ def _emit(report: ReportDocument, fmt: str):
         print(f"timing_ms: {r['timing_ms']}")
 
 
-def _read_case(path) -> str:
-    """The text of a case file; a missing, unreadable or non-UTF-8 file is
-    an UnreadableCase that names the path."""
+def _read_text(path, what: str) -> str:
+    """The UTF-8 text of a case file or golden; a missing, unreadable or
+    non-UTF-8 file is an UnreadableCase that names the path."""
     try:
         return Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         reason = exc.strerror or str(exc)
     except UnicodeDecodeError as exc:
         reason = f"not UTF-8 text ({exc.reason} at byte {exc.start})"
-    raise UnreadableCase(f"{path}: cannot read case file: {reason}")
+    raise UnreadableCase(f"{path}: cannot read {what}: {reason}")
 
 
 def run_single(args) -> int:
-    desc = parse_case(_read_case(args.case))
+    desc = parse_case(_read_text(args.case, "case file"))
     report = run_command(args.cmd, desc, _overrides(args))
     _emit(report, args.fmt)
     if report.agreement is False:
@@ -107,7 +107,8 @@ def run_corpus(args) -> int:
     directory), or with --update write the goldens; --update writes nothing
     unless every case agrees and no golden is orphaned.  The machine format
     prints one JSON summary: each case's status, verdict, oracle kind and
-    time in ms, and the totals."""
+    time in ms, and the totals.  Goldens are read and written as UTF-8; one
+    that cannot be read or written is an error that names its path."""
     root = Path(args.dir)
     cases = sorted(root.rglob("*.case"))
     if not cases:
@@ -118,7 +119,7 @@ def run_corpus(args) -> int:
     summary = []
     for path in cases:
         t0 = time.perf_counter_ns()
-        text = _read_case(path)
+        text = _read_text(path, "case file")
         try:
             desc = parse_case(text)
             report = run_command("oracle-compare", desc, {})
@@ -137,7 +138,7 @@ def run_corpus(args) -> int:
         elif not expected_path.exists():
             status = "GOLDEN-MISSING"
             bad += 1
-        elif expected_path.read_text() != text:
+        elif _read_text(expected_path, "golden") != text:
             status = "GOLDEN-MISMATCH"
             bad += 1
         summary.append(
@@ -172,7 +173,10 @@ def run_corpus(args) -> int:
             print("refusing to write goldens while any case disagrees or any golden has no case", file=sys.stderr)
         return 2
     for expected_path, text in goldens:
-        expected_path.write_text(text)
+        try:
+            expected_path.write_text(text, encoding="utf-8")
+        except OSError as exc:
+            raise UnreadableCase(f"{expected_path}: cannot write golden: {exc.strerror or exc}") from None
     return 0
 
 

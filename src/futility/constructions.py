@@ -1,8 +1,7 @@
 """Builders for the standard algebra presentations: polynomial quotients,
-matrix algebras, upper triangular algebras, and tower extensions of a
-commutative algebra by a further polynomial.  Both quotient builders read
-their tables from one power table, and both matrix builders theirs from one
-matrix-unit table."""
+matrix algebras, and tower extensions of a commutative algebra by a further
+polynomial.  Both quotient builders read their tables from one power
+table."""
 
 from __future__ import annotations
 
@@ -49,33 +48,20 @@ def _power_table(monic: Poly) -> list:
 
 
 def matrix_algebra(dom: ScalarDomain, size: int) -> StructAlgebra:
-    """Full matrix algebra on the basis of matrix units, row-major."""
-    check_dimension(size * abs(size))  # negative for a negative size, which _matrix_units refuses
-    return _matrix_units(dom, size, ((a, b) for a in range(size) for b in range(size)))
-
-
-def upper_triangular_algebra(dom: ScalarDomain, size: int) -> StructAlgebra:
-    """Upper triangular matrices on the basis E_ab with a <= b."""
-    check_dimension(size * (abs(size) + 1) // 2)  # as in matrix_algebra
-    return _matrix_units(dom, size, ((a, b) for a in range(size) for b in range(a, size)))
-
-
-def _matrix_units(dom: ScalarDomain, size: int, positions) -> StructAlgebra:
-    """The algebra on the matrix units E_ab, (a, b) in positions, with
-    E_ab * E_cd = [b = c] E_ad and unit the sum of the E_aa: positions must
-    hold every (a, a) with a < size and be closed under that product.
-    Callers check the dimension first; positions is listed only here, after
-    a negative size is refused."""
+    """Full matrix algebra on the basis of matrix units E_ab, row-major:
+    E_ab * E_cd = [b = c] E_ad, and the unit is the sum of the E_aa.  A
+    negative size is refused, and the dimension is checked before any table
+    entry is formed."""
     if size < 0:
         raise ValidationError(f"matrix size must not be negative, got {size}")
-    positions = list(positions)
-    index = {ab: i for i, ab in enumerate(positions)}
-    n = len(positions)
-    table = [[unit_vec(dom, n, index[a, d]) if b == c else zero_vec(dom, n) for c, d in positions]
-             for a, b in positions]
+    n = size * size
+    check_dimension(n)
+    table = [[unit_vec(dom, n, a * size + d) if b == c else zero_vec(dom, n)
+              for c in range(size) for d in range(size)]
+             for a in range(size) for b in range(size)]
     unit = [dom.zero] * n
     for a in range(size):
-        unit[index[a, a]] = dom.one
+        unit[a * size + a] = dom.one
     return make_algebra(dom, table, unit)
 
 

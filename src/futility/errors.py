@@ -88,8 +88,8 @@ class ParseError(FutilityError):
 
 
 class UnreadableCase(FutilityError):
-    """A case file could not be read as UTF-8 text, or a corpus directory
-    holds no case file."""
+    """A case file or golden could not be read as UTF-8 text, a golden could
+    not be written, or a corpus directory holds no case file."""
 
 
 class ValidationError(FutilityError):

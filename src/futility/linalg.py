@@ -239,11 +239,6 @@ def fp_adjoin(rows, pivots, residual, p) -> tuple[tuple, tuple]:
     return tuple(out), pivots[:at] + (lead,) + pivots[at:]
 
 
-def int_subspace(ambient: int, rows, pivots) -> "Subspace":
-    """The Subspace over QQ with integer echelon form (rows, pivots)."""
-    return Subspace(QQ, ambient, _rational_rows(rows, pivots), pivots)
-
-
 def solve(dom: ScalarDomain, rows, target):
     """Coefficients x with sum x_i * rows[i] = target, or None when target
     is outside the span of the rows; free coefficients are zero."""

@@ -168,7 +168,7 @@ def _enumerate_result(built: BuiltCase, opts: dict) -> dict:
 
 def _sample_result(built: BuiltCase, opts: dict) -> dict:
     h = route(built).sample(built.payload, opts["trials"], opts["bound"], opts["seed"])
-    by_dim = Counter(s.dim if isinstance(s, Subspace) else len(s) for s in h.distinct)
+    by_dim = Counter(len(rows) for rows in h.distinct)
     return {
         "distinct_count": h.count,
         "growth_curve": list(h.growth_curve),

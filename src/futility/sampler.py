@@ -25,7 +25,7 @@ from .constructions import poly_quotient_algebra
 from .domains import QQ
 from .errors import NotApplicable, UnsupportedDomain
 from .intmat import hermite_basis, hnf_adjoin, hnf_reduce
-from .linalg import Subspace, int_reduce, int_subspace, subspace_from_vectors
+from .linalg import Subspace, int_reduce, subspace_from_vectors
 from .polynomials import Poly, pmul, squarefree_decomposition
 
 
@@ -37,9 +37,9 @@ class SampleHistogram:
     trials: int
     bound: int
     seed: int
-    # Subalgebras: Subspaces sorted by (dim, int_rows); Z presentations:
-    # Hermite bases sorted by (rank, rows).  Reports read only the count and
-    # the counts per dimension.
+    # Canonical integer row tuples sorted by (len, rows): over Q the integer
+    # echelon rows of a subalgebra, over Z the Hermite basis of a subring.
+    # Reports read only the count and the counts per dimension.
     distinct: tuple
     growth_curve: tuple  # distinct counts after trials 1, 2, 4, ... and at the end
 
@@ -62,8 +62,8 @@ def sample_subalgebras(target, trials: int, bound: int, seed: int = 0) -> Sample
     The memo key is the draw reduced modulo the base image and scaled to a
     primitive integer vector, which is sound because R[a] = R[c*a + r] for
     c != 0 and r in the base image.  Memo keys and closures are integer
-    echelon forms; Fraction rows are built once per distinct subalgebra, at
-    the end.
+    echelon forms, and a subalgebra is kept as its canonical integer echelon
+    rows, those of Subspace.int_rows.
     """
     if isinstance(target, RelativeAlgebra):
         A = target.amb
@@ -76,23 +76,22 @@ def sample_subalgebras(target, trials: int, bound: int, seed: int = 0) -> Sample
     if A.dom != QQ:
         raise UnsupportedDomain("sampling runs over the rationals; finite domains enumerate")
 
-    def finish(closed):
-        ordered = sorted(closed, key=lambda form: (len(form[0]), form[0]))
-        return [int_subspace(A.dim, rows, pivots) for rows, pivots in ordered]
+    def close(a):
+        return generated_by_element(A, a, base)[0]
 
     key = partial(int_reduce, base.int_rows, base.pivots)
-    return _sample(A.dim, trials, bound, seed, key, partial(generated_by_element, A, base=base), finish)
+    return _sample(A.dim, trials, bound, seed, key, close)
 
 
-def _sample(dim: int, trials: int, bound: int, seed: int, key, close, finish) -> SampleHistogram:
+def _sample(dim: int, trials: int, bound: int, seed: int, key, close) -> SampleHistogram:
     """The trial loop and memo of both samplers.  One random.Random(seed)
     serves the whole run: trial t draws from the stream where trial t - 1
     left it.  key(vec) is a canonical representative of the draw that
     generates the same closure; only the first draw with a given key is
-    closed, by close(key), to a hashable canonical form.  The zero vector's
+    closed, by close(key), to its canonical integer rows.  The zero vector's
     key is closed before the first trial, so the base member (R*1 over Q, the
-    start lattice over Z) counts from trial 1.  finish turns the set of
-    distinct forms into the sorted distinct values."""
+    start lattice over Z) counts from trial 1.  The distinct row tuples are
+    sorted by (len, rows)."""
     rng = random.Random(seed)
     k0 = key((0,) * dim)
     memo = {k0}
@@ -112,7 +111,7 @@ def _sample(dim: int, trials: int, bound: int, seed: int, key, close, finish) ->
     curve.append(len(seen))
     return SampleHistogram(
         dim=dim, trials=trials, bound=bound, seed=seed,
-        distinct=tuple(finish(seen)), growth_curve=tuple(curve),
+        distinct=tuple(sorted(seen, key=lambda rows: (len(rows), rows))), growth_curve=tuple(curve),
     )
 
 
@@ -221,7 +220,4 @@ def sample_subrings(zp, trials: int, bound: int, seed: int = 0) -> SampleHistogr
                 return basis
             basis = hnf_adjoin(basis, power)
 
-    def finish(closed):
-        return sorted(closed, key=lambda b: (len(b), b))
-
-    return _sample(zp.ngens, trials, bound, seed, partial(hnf_reduce, start), close, finish)
+    return _sample(zp.ngens, trials, bound, seed, partial(hnf_reduce, start), close)

@@ -1,8 +1,10 @@
 """The structure tables as each builder formed them with a loop of its own:
-the two matrix-unit tables, the three re-presentations on a new basis and
-the per-triple associativity check of a Z presentation, as oracles for
-constructions._matrix_units, algebra._algebra_on and
-algebra.first_nonassociative."""
+the matrix-unit table, the re-presentations of a subalgebra and of a local
+factor on their own bases and the per-triple associativity check of a Z
+presentation, as oracles for constructions.matrix_algebra,
+algebra._algebra_on and algebra.first_nonassociative.  Two builders serve
+the tests as inputs only: the upper triangular matrices and a change of
+basis, which no command needs."""
 
 from futility.algebra import _int_multiply, element_multiply, make_algebra
 from futility.errors import MalformedPresentation, ValidationError

@@ -1,4 +1,5 @@
-"""Scan for module-level functions of src/futility that no command reaches.
+"""Scan for module-level functions and classes of src/futility that no
+command reaches.
 
 Drives `futility.cli.main` under `sys.setprofile` over every command a user
 can run on the committed inputs:
@@ -12,9 +13,13 @@ can run on the committed inputs:
 The profile is on before the package is imported, so the functions that
 build module tables at import time count as reached.  The scan then lists
 every function defined at the top level of a module of src/futility that
-was never called.  Each such function must be on ALLOWED with its reason;
-an allowed name that is now reached, or that no longer exists, is an error
-too, so the list can only shrink.
+was never called, and every top-level class none of whose functions ran.
+A class's functions are those in its body: methods, including the ones a
+dataclass generates, static and class methods, and the getters and setters
+of its properties and cached properties.  A class with none, such as an
+exception that only names a case, is not scanned.  Each unreached name must
+be on ALLOWED with its reason; an allowed name that is now reached, or that
+no longer exists, is an error too, so the list can only shrink.
 
 Run from the repository root (about 12 s on one core of a 2-vCPU machine):
 
@@ -34,6 +39,7 @@ import io
 import pkgutil
 import sys
 import tempfile
+from functools import cached_property
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -44,27 +50,14 @@ from workloads import make_cases  # noqa: E402
 ERROR_ONLY = "error-only: runs when an input is refused"
 PTH_POWER_PART = "input-dependent: the p-th power part of a squarefree decomposition, which no committed input has"
 
-# module.function -> why no command reaches it
+# module.function or module.Class -> why no command reaches it
 ALLOWED = {
-    "algebra.subalgebra_generated": "ROADMAP item 6: moves to a test helper",
-    "algebra.center": "ROADMAP item 6: moves to a test helper",
-    "algebra.change_of_basis": "ROADMAP item 6: moves to a test helper",
     "cases._line_col": ERROR_ONLY,
     "cases._deepest_bracket": ERROR_ONLY,
     "cases._long_integer": ERROR_ONLY,
-    "cases.serialize_case": "ROADMAP item 6: moves to a test helper (canonical round trip)",
-    "cases.struct_to_spec": "ROADMAP item 6: moves to a test helper",
-    "constructions.upper_triangular_algebra": "ROADMAP item 6: moves to a test helper",
     "domains.mp_pow": PTH_POWER_PART,
     "domains.mp_pth_root": PTH_POWER_PART,
     "domains.mp_shift_down": "input-dependent: a rational function whose numerator and denominator share a monomial",
-    "finite_enum.enumerate_ideals": "ROADMAP items 4 and 6: the gluing of Futile lists over Q",
-    "finite_enum.enumerate_isomorphisms": "ROADMAP items 4 and 6: the gluing of Futile lists over Q",
-    "finite_enum.goursat_enumerate": "ROADMAP items 4 and 6: the gluing of Futile lists over Q",
-    "finite_enum.enumerate_submodules": "ROADMAP items 2 and 6: the Z/n subring oracle",
-    "finite_enum.module_quotient_dims": "ROADMAP items 2 and 6: the Z/n subring oracle",
-    "finite_enum._image_subgroup": "ROADMAP items 2 and 6: the Z/n subring oracle",
-    "finite_enum._plog": "ROADMAP items 2 and 6: the Z/n subring oracle",
     "intmat.det_int": "ROADMAP items 2 and 6: the integer-rank certificate check",
     "reports._no_struct_decider": ERROR_ONLY,
     "polynomials.expand_xp": PTH_POWER_PART,
@@ -72,12 +65,31 @@ ALLOWED = {
     "polynomials.coeff_proot": PTH_POWER_PART,
     "sampler.family_witness": "ROADMAP items 3 and 6: replaced by the linear witness family",
     "sampler._trim": "ROADMAP items 3 and 6: replaced by the linear witness family",
+    "errors.NotAField": ERROR_ONLY,
+    "errors.NotInvertible": ERROR_ONLY,
+    "errors.ParseError": ERROR_ONLY,
 }
 
 
-def module_functions():
-    """(module.function, code object) for every def at the top level of a
-    module of the package."""
+def class_functions(cls):
+    """The functions defined in a class body: plain, static and class
+    methods (a dataclass's generated ones too), and the getter, setter and
+    deleter of each property and cached property."""
+    for value in vars(cls).values():
+        if isinstance(value, (staticmethod, classmethod)):
+            value = value.__func__
+        if isinstance(value, property):
+            yield from (f for f in (value.fget, value.fset, value.fdel) if f is not None)
+        elif isinstance(value, cached_property):
+            yield value.func
+        elif inspect.isfunction(value):
+            yield value
+
+
+def module_code():
+    """(module.name, code objects) for every def at the top level of a module
+    of the package, and for every top-level class with a function in its
+    body: the class counts as reached when any of them runs."""
     import futility
 
     for info in pkgutil.walk_packages(futility.__path__, "futility."):
@@ -87,7 +99,11 @@ def module_functions():
         for node in tree.body:
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 func = inspect.unwrap(getattr(module, node.name))
-                yield f"{short}.{node.name}", func.__code__
+                yield f"{short}.{node.name}", {func.__code__}
+            elif isinstance(node, ast.ClassDef):
+                codes = {inspect.unwrap(f).__code__ for f in class_functions(getattr(module, node.name))}
+                if codes:
+                    yield f"{short}.{node.name}", codes
 
 
 def drive(tmp: Path) -> None:
@@ -120,18 +136,18 @@ def main() -> int:
             contextlib.redirect_stderr(io.StringIO()):
         sys.setprofile(hook)
         try:
-            functions = dict(module_functions())
+            names = dict(module_code())
             drive(Path(tmp))
         finally:
             sys.setprofile(None)
 
-    unreached = {name for name, code in functions.items() if code not in seen}
+    unreached = {name for name, codes in names.items() if not codes & seen}
     problems = [f"no command reaches {name}" for name in sorted(unreached - set(ALLOWED))]
-    problems += [f"{name} is reached now: take it off ALLOWED" for name in sorted(set(ALLOWED) & set(functions) - unreached)]
-    problems += [f"{name} no longer exists: take it off ALLOWED" for name in sorted(set(ALLOWED) - set(functions))]
+    problems += [f"{name} is reached now: take it off ALLOWED" for name in sorted(set(ALLOWED) & set(names) - unreached)]
+    problems += [f"{name} no longer exists: take it off ALLOWED" for name in sorted(set(ALLOWED) - set(names))]
     for line in problems:
         print(line)
-    print(f"{len(functions)} module-level functions: {len(functions) - len(unreached)} reached, "
+    print(f"{len(names)} module-level functions and classes: {len(names) - len(unreached)} reached, "
           f"{len(unreached)} not reached, {len(ALLOWED)} allowed")
     return 1 if problems else 0
 

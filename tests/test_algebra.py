@@ -15,8 +15,7 @@ from futility import algebra as algebra_module
 from futility.algebra import (
     MAX_DIM,
     StructAlgebra,
-    center,
-    change_of_basis,
+    closure,
     commutator_ideal,
     element_multiply,
     element_power,
@@ -30,7 +29,6 @@ from futility.algebra import (
     primitive_element,
     product_algebra,
     quotient_algebra,
-    subalgebra_generated,
     subalgebra_to_algebra,
     subspace_product,
     trace_form,
@@ -40,7 +38,6 @@ from futility.constructions import (
     extend_by_poly,
     matrix_algebra,
     poly_quotient_algebra,
-    upper_triangular_algebra,
 )
 from futility.cases import build_case, parse_case
 from futility.domains import QQ, FunctionField, ModRing, PrimeField, mp_const
@@ -54,7 +51,6 @@ from futility.errors import (
     ValidationError,
 )
 from futility.linalg import (
-    int_subspace,
     subspace_from_vectors,
     unit_vec,
     vec_is_zero,
@@ -63,6 +59,7 @@ from futility.linalg import (
 )
 from futility.polynomials import make_poly, pmul, poly_to_str, ppow
 from reference_closure import span_and_multiply
+from reference_tables import change_of_basis, upper_triangular_algebra
 
 F2 = PrimeField(2)
 F3 = PrimeField(3)
@@ -81,6 +78,12 @@ def qx_mod(*cs):
 
 def unit_span(A):
     return subspace_from_vectors(A.dom, A.dim, [A.unit])
+
+
+def generated(A, vectors):
+    """The least subalgebra containing the vectors, the unit among them:
+    algebra.closure from the zero span."""
+    return closure(A, zero_subspace(A.dom, A.dim), vectors)
 
 
 def frac(*xs):
@@ -390,24 +393,24 @@ def test_validation_still_runs_on_the_fast_paths(A, entry, delta):
 def test_generated_empty_is_base():
     A = qx_mod(0, 0, 0, 1)
     base = unit_span(A)
-    assert subalgebra_generated(A, [], base) == base
+    assert generated(A, base.rows) == base
 
 
 def test_generated_x2_in_x3():
     # the subalgebra generated by x^2 inside Q[x]/(x^3) is span{1, x^2}
     A = qx_mod(0, 0, 0, 1)
-    s = subalgebra_generated(A, [A.basis_vector(2)], unit_span(A))
+    s = generated(A, [A.unit, A.basis_vector(2)])
     assert s == subspace_from_vectors(QQ, 3, [frac(1, 0, 0), frac(0, 0, 1)])
 
 
 def test_generated_x_plus_x2_is_everything():
     A = qx_mod(0, 0, 0, 1)
     g = frac(0, 1, 1)
-    s = subalgebra_generated(A, [g], unit_span(A))
+    s = generated(A, [A.unit, g])
     assert s.dim == 3
 
 
-# --- commutator and center ----------------------------------------------------
+# --- commutator ideal --------------------------------------------------------
 
 F2T = FunctionField(2, ("t",))
 
@@ -443,7 +446,7 @@ def test_commutator_and_generated_match_span_and_multiply(dom):
         assert commutator_ideal(A) == span_and_multiply(A, comms, ideal=True)
         for count in (0, 1, 1, 2):
             gens = [tuple(_scalar(dom, rng) for _ in range(A.dim)) for _ in range(count)]
-            assert subalgebra_generated(A, gens, unit_span(A)) == span_and_multiply(A, [A.unit, *gens])
+            assert generated(A, [A.unit, *gens]) == span_and_multiply(A, [A.unit, *gens])
 
 def test_commutator_commutative_zero():
     A = qx_mod(0, 0, 1)
@@ -460,17 +463,6 @@ def test_commutator_upper_triangular():
     c = commutator_ideal(U)
     assert c.dim == 1
     assert c.contains(U.basis_vector(1))
-
-
-def test_center_examples():
-    A = qx_mod(0, 0, 1)
-    assert center(A).dim == 2
-    M = matrix_algebra(F2, 2)
-    zc = center(M)
-    assert zc.dim == 1 and zc.contains(M.unit)
-    U = upper_triangular_algebra(QQ, 2)
-    zu = center(U)
-    assert zu.dim == 1 and zu.contains(U.unit)
 
 
 # --- nilradical ----------------------------------------------------------------
@@ -662,7 +654,7 @@ def test_local_decomposition_factors_once(monkeypatch):
 
 def closure_primitive(A, a):
     """The reference predicate: the unit and a generate all of A."""
-    return subalgebra_generated(A, [a], unit_span(A)).dim == A.dim
+    return generated(A, [A.unit, a]).dim == A.dim
 
 
 @pytest.mark.parametrize(
@@ -889,7 +881,6 @@ def test_operations_invariant_under_basis_change():
         B = change_of_basis(A, rows)
         assert nilradical(B).dim == nilradical(A).dim
         assert commutator_ideal(B).dim == commutator_ideal(A).dim
-        assert center(B).dim == center(A).dim
         assert local_shape(B) == local_shape(A)
 
 
@@ -907,11 +898,11 @@ def test_generated_subalgebra_idempotent_and_monotone():
     for _ in range(10):
         g1 = tuple(Fraction(rng.randint(-3, 3)) for _ in range(A.dim))
         g2 = tuple(Fraction(rng.randint(-3, 3)) for _ in range(A.dim))
-        s1 = subalgebra_generated(A, [g1], base)
-        s12 = subalgebra_generated(A, [g1, g2], base)
+        s1 = generated(A, [*base.rows, g1])
+        s12 = generated(A, [*base.rows, g1, g2])
         # monotone in the generator set and idempotent on its own rows
         assert s12.contains_subspace(s1)
-        assert subalgebra_generated(A, list(s1.rows), base) == s1
+        assert generated(A, [*base.rows, *s1.rows]) == s1
         assert s1.contains_subspace(base)
         for u in s1.rows:
             for v in s1.rows:
@@ -939,7 +930,8 @@ def test_generated_by_element_matches_subalgebra_generated(target):
     rng = random.Random(3)
     for _ in range(25):
         a = tuple(Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(A.dim))
-        assert int_subspace(A.dim, *generated_by_element(A, a, base)) == span_and_multiply(A, [*base.rows, a])
+        expected = span_and_multiply(A, [*base.rows, a])
+        assert generated_by_element(A, a, base) == (expected.int_rows, expected.pivots)
     with pytest.raises(DimensionMismatch):
         generated_by_element(A, a[:-1], base)
 
@@ -997,7 +989,7 @@ def test_generated_by_element_matches_subalgebra_generated_on_random_targets():
             elements.append(tuple(sum(c * x for c, x in zip(coeffs, col)) for col in zip(*sub.rows)))
         for a in elements:
             expected = span_and_multiply(A, [*base.rows, a])
-            assert int_subspace(A.dim, *generated_by_element(A, a, base)) == expected, (name, a)
+            assert generated_by_element(A, a, base) == (expected.int_rows, expected.pivots), (name, a)
             proper += base.dim < expected.dim < A.dim
     assert proper >= 10
 
@@ -1040,7 +1032,7 @@ def test_basis_change_transports_subspace_outputs_exactly():
             if subspace_from_vectors(QQ, n, P).dim == n:
                 break
         B = change_of_basis(A, P)
-        for op in (nilradical, center, commutator_ideal):
+        for op in (nilradical, commutator_ideal):
             oldspace = op(A)
             newspace = op(B)
             transported = subspace_from_vectors(

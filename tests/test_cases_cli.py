@@ -22,8 +22,6 @@ from futility.cases import (
     build_struct_algebra,
     parse_case,
     parse_poly,
-    serialize_case,
-    struct_to_spec,
 )
 from futility.cli import main as cli_main
 from futility.constructions import (
@@ -31,7 +29,6 @@ from futility.constructions import (
     extend_by_poly,
     matrix_algebra,
     poly_quotient_algebra,
-    upper_triangular_algebra,
 )
 from futility.deciders import FUTILE, NOT_FUTILE
 from futility.domains import QQ, FunctionField, PrimeField
@@ -45,6 +42,7 @@ from futility.errors import (
 )
 from futility.polynomials import poly_to_str
 from futility.reports import _oracle_compare, check_asserts, decide_case, merge_options, run_command
+from reference_tables import upper_triangular_algebra
 from reference_tower import reduce_each_entry
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -62,6 +60,17 @@ def make_case(**kw):
     }
     doc.update(kw)
     return json.dumps(doc)
+
+
+def struct_to_spec(A):
+    """The structure-constant form of an algebra, as a case file writes it."""
+    dom = A.dom
+    return {
+        "kind": "structure_constants",
+        "dim": A.dim,
+        "unit": [dom.to_str(c) for c in A.unit],
+        "table": [[[dom.to_str(c) for c in vec] for vec in row] for row in A.table],
+    }
 
 
 def nested_products(depth):
@@ -368,7 +377,8 @@ def test_parse_case_roundtrip_corpus():
     assert len(ALL_CASES) >= 40
     for path in ALL_CASES:
         text = path.read_text()
-        assert serialize_case(parse_case(text)) == text, path
+        # canonical: sorted keys, two-space indent, one final newline
+        assert json.dumps(parse_case(text).raw, sort_keys=True, indent=2) + "\n" == text, path
 
 
 def test_corpus_ids_match_paths():
@@ -1044,6 +1054,28 @@ def test_cli_corpus_golden_without_case_fails(tmp_path, capsys, fmt):
     assert cli_main(["corpus", "--dir", str(tmp_path), "--update"]) == 2
     assert "refusing to write goldens" in capsys.readouterr().err
     assert golden.read_text() == "stale\n"
+
+
+@pytest.mark.parametrize(
+    "golden, options, message",
+    [
+        ("not UTF-8", [], "cannot read golden: not UTF-8 text (invalid start byte at byte 0)"),
+        ("a directory", [], "cannot read golden: Is a directory"),
+        ("a directory", ["--update"], "cannot write golden: Is a directory"),
+    ],
+    ids=["not-utf8", "directory", "update-onto-directory"],
+)
+def test_cli_corpus_bad_golden_is_one_error_line(tmp_path, capsys, golden, options, message):
+    case = tmp_path / "z-finite.case"
+    case.write_text((CORPUS / "integer" / "z-finite.case").read_text())
+    expected = case.with_suffix(".expected")
+    if golden == "a directory":
+        expected.mkdir()
+    else:
+        expected.write_bytes(b"\xff" + (CORPUS / "integer" / "z-finite.expected").read_bytes())
+    rc = cli_main(["corpus", "--dir", str(tmp_path), *options])
+    assert rc == 1
+    assert capsys.readouterr().err.splitlines() == [f"error: {expected}: {message}"]
 
 
 def test_cli_timing_flag(capsys):

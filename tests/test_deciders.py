@@ -9,22 +9,16 @@ from pathlib import Path
 import pytest
 
 from futility.algebra import (
-    change_of_basis,
     element_multiply,
     make_algebra,
     make_relative,
     minimal_polynomial,
-    subalgebra_generated,
     quotient_algebra,
     nilradical,
     product_algebra,
 )
 from futility.cli import main as cli_main
-from futility.constructions import (
-    matrix_algebra,
-    poly_quotient_algebra,
-    upper_triangular_algebra,
-)
+from futility.constructions import matrix_algebra, poly_quotient_algebra
 from futility.deciders import (
     FUTILE,
     NOT_FUTILE,
@@ -42,7 +36,9 @@ from futility.domains import QQ, FunctionField, ModRing, PrimeField
 from futility.errors import MalformedPresentation, UnsupportedDomain
 from futility.linalg import subspace_from_vectors, zero_subspace
 from futility.polynomials import make_poly, ppow, pmul
+from reference_closure import span_and_multiply
 from reference_hermite import dense_multiply, ideal_fixpoint
+from reference_tables import upper_triangular_algebra
 
 F2 = PrimeField(2)
 
@@ -57,10 +53,6 @@ def qx_mod(poly):
 
 def x_power_algebra(r):
     return qx_mod(make_poly(QQ, [Fraction(0)] * r + [Fraction(1)]))
-
-
-def unit_span(A):
-    return subspace_from_vectors(A.dom, A.dim, [A.unit])
 
 
 def square_zero_plane():
@@ -88,7 +80,7 @@ def test_certificate_soundness_x3():
     rep = decide_infinite_field(A)
     gen = rep.certificate["generator"]
     fac = rep.certificate["minimal_polynomial"]
-    assert subalgebra_generated(A, [gen], unit_span(A)).dim == A.dim
+    assert span_and_multiply(A, [A.unit, gen]).dim == A.dim
     assert fac.expand() == minimal_polynomial(A, gen)
     # factorization shape: all multiplicities 1 except possibly one linear factor
     heavy = [(g, m) for g, m in fac.factors if m > 1]
@@ -269,12 +261,12 @@ def test_find_generator_q_x3():
     A = x_power_algebra(3)
     res = find_generator(A)
     assert res.generator is not None
-    assert subalgebra_generated(A, [res.generator], unit_span(A)).dim == 3
+    assert span_and_multiply(A, [A.unit, res.generator]).dim == 3
 
 
 def test_futile_product_decides_without_a_closure(monkeypatch):
     """The generator of a Futile certificate comes from the minimal
-    polynomial alone: no subalgebra_generated, nor any other closure, runs."""
+    polynomial alone: no closure runs."""
     import futility.algebra
 
     calls = []
@@ -283,7 +275,7 @@ def test_futile_product_decides_without_a_closure(monkeypatch):
     A = product_algebra([x_power_algebra(2), qx_mod(q(-1, 1)), qx_mod(q(-2, 0, 1))])
     rep = decide_infinite_field(A)
     assert rep.verdict == FUTILE and calls == []
-    assert subalgebra_generated(A, [rep.certificate["generator"]], unit_span(A)).dim == A.dim
+    assert span_and_multiply(A, [A.unit, rep.certificate["generator"]]).dim == A.dim
 
 
 # --- noncommutative reduction -------------------------------------------------------

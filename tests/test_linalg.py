@@ -17,7 +17,6 @@ from futility.linalg import (
     full_subspace,
     int_adjoin,
     int_reduce,
-    int_subspace,
     nullspace,
     primitive,
     reduce,
@@ -318,7 +317,6 @@ def test_int_reduce_matches_reduce_over_q(case):
     s, vec = case
     rows, pivots = integer_form(s)
     assert s.int_rows == rows
-    assert int_subspace(s.ambient, rows, pivots) == s
     reduced = int_reduce(rows, pivots, vec)
     assert reduced == primitive(s.reduce(vec))
     assert all(type(x) is int for x in reduced)
@@ -360,7 +358,6 @@ def test_int_adjoin_matches_rref_over_q(mat):
             rows, pivots = int_adjoin(rows, pivots, r)
     s = Subspace(QQ, ncols, *gauss_jordan(QQ, mat))
     assert (rows, pivots) == integer_form(s)
-    assert int_subspace(ncols, rows, pivots) == s
 
 
 # --- prime-field kernel -------------------------------------------------------

@@ -6,13 +6,13 @@ from pathlib import Path
 
 import pytest
 
-from futility.algebra import element_multiply, generated_by_element, make_relative, subalgebra_generated
+from futility.algebra import closure, element_multiply, generated_by_element, make_relative
 from futility.cases import build_case, parse_case
 from futility.constructions import poly_quotient_algebra
 from futility.domains import QQ, PrimeField
 from futility.errors import NotApplicable, UnsupportedDomain
 from futility.intmat import hnf_reduce
-from futility.linalg import subspace_from_vectors
+from futility.linalg import subspace_from_vectors, zero_subspace
 from futility.polynomials import make_poly, pmul, ppow
 from futility.sampler import _draw, family_witness, sample_subalgebras, sample_subrings
 from reference_draw import draw_box, randint_draw, reference_draws
@@ -27,11 +27,16 @@ def x_power_algebra(r):
     return poly_quotient_algebra(make_poly(QQ, [Fraction(0)] * r + [Fraction(1)]))
 
 
+def subspace_of(A, rows):
+    """The subspace of A a sampled member's integer rows span."""
+    return subspace_from_vectors(QQ, A.dim, [tuple(map(Fraction, r)) for r in rows])
+
+
 def test_sample_x3_finds_exactly_three():
     A = x_power_algebra(3)
     h = sample_subalgebras(A, trials=1000, bound=3, seed=7)
     assert h.count == 3
-    assert sorted(s.dim for s in h.distinct) == [1, 2, 3]
+    assert sorted(len(rows) for rows in h.distinct) == [1, 2, 3]
     assert h.stabilized()
 
 
@@ -67,7 +72,9 @@ def test_sample_monotone_in_bound_pinned_seeds():
 def test_sample_members_revalidate():
     A = poly_quotient_algebra(pmul(q(0, 1), pmul(q(-1, 1), q(-2, 1))))  # x(x-1)(x-2)
     h = sample_subalgebras(A, trials=300, bound=4, seed=11)
-    for s in h.distinct:
+    for rows in h.distinct:
+        s = subspace_of(A, rows)
+        assert s.int_rows == rows
         assert s.contains(A.unit)
         for u in s.rows:
             for v in s.rows:
@@ -97,26 +104,26 @@ def test_relative_sampling_counts_relative_subalgebras():
     h = sample_subalgebras(rel, trials=5000, bound=5, seed=0)
     assert h.stabilized()
     assert h.count == 4
-    for s in h.distinct:
-        assert s.contains_subspace(rel.base_image)
+    for rows in h.distinct:
+        assert subspace_of(rel.amb, rows).contains_subspace(rel.base_image)
 
 
 def unmemoized_histogram(A, base, trials, bound, seed):
-    """The sampler's trial loop written out with one span-and-multiply
-    closure per draw, starting from the base member."""
-    first = subalgebra_generated(A, [], base)
-    seen = {first.key(): first}
+    """The sampler's trial loop written out with one closure of the zero
+    span per draw, starting from the base member; members as their integer
+    rows."""
+    zero = zero_subspace(QQ, A.dim)
+    seen = {closure(A, zero, base.rows).int_rows}
     curve = []
     mark = 1
     for t, vec in enumerate(reference_draws(seed, trials, A.dim, bound), 1):
         if vec is not None:
-            s = subalgebra_generated(A, [tuple(map(Fraction, vec))], base)
-            seen.setdefault(s.key(), s)
+            seen.add(closure(A, zero, [*base.rows, tuple(map(Fraction, vec))]).int_rows)
         if t == mark:
             curve.append(len(seen))
             mark *= 2
     curve.append(len(seen))
-    return tuple(sorted(seen.values(), key=lambda s: (s.dim, s.int_rows))), tuple(curve)
+    return tuple(sorted(seen, key=lambda rows: (len(rows), rows))), tuple(curve)
 
 
 @pytest.mark.parametrize("relative", [False, True], ids=["q-two-fields", "x5-plane-case"])
@@ -301,6 +308,5 @@ def test_family_members_appear_in_samples():
     members = family_witness(modulus, [(1, 0), (0, 1), (1, 1), (1, -1)])
     A = poly_quotient_algebra(modulus)
     h = sample_subalgebras(A, trials=800, bound=3, seed=17)
-    keys = {s.key() for s in h.distinct}
     for m in members:
-        assert m.key() in keys
+        assert m.int_rows in h.distinct

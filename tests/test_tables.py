@@ -1,7 +1,7 @@
 """Structure tables built and checked in one place, against the loops each
-builder ran on its own (reference_tables): the matrix-unit tables, the
-re-presentations on a new basis and the associativity check of Z
-presentations."""
+builder ran on its own (reference_tables): the matrix-unit table, the
+re-presentations of subalgebras and local factors on their own bases and
+the associativity check of Z presentations."""
 
 import itertools
 import json
@@ -15,17 +15,16 @@ import reference_tables as ref
 from futility import constructions
 from futility.algebra import (
     StructAlgebra,
-    change_of_basis,
+    closure,
     local_decomposition,
     product_algebra,
-    subalgebra_generated,
     subalgebra_to_algebra,
 )
-from futility.constructions import matrix_algebra, poly_quotient_algebra, upper_triangular_algebra
+from futility.constructions import matrix_algebra, poly_quotient_algebra
 from futility.deciders import ZPresentation
 from futility.domains import QQ, FunctionField, PrimeField
 from futility.errors import BudgetExceeded, MalformedPresentation, ValidationError
-from futility.linalg import subspace_from_vectors
+from futility.linalg import subspace_from_vectors, zero_subspace
 from futility.polynomials import make_poly
 
 F2 = PrimeField(2)
@@ -66,52 +65,34 @@ def _shown(x):
 @pytest.mark.parametrize("size", [0, 1, 2, 3])
 def test_matrix_unit_tables_match_the_reference(dom, size):
     assert tables(matrix_algebra(dom, size)) == tables(ref.matrix_algebra(dom, size))
-    assert tables(upper_triangular_algebra(dom, size)) == tables(ref.upper_triangular_algebra(dom, size))
 
 
-@pytest.mark.parametrize("build", [matrix_algebra, upper_triangular_algebra])
+@pytest.mark.parametrize("build", [matrix_algebra])
 @pytest.mark.parametrize("size", [-1, -3, -6, -10**9])
 def test_negative_matrix_size_is_refused(build, size):
     # refused as negative, not as a dimension over the cap, and before any
-    # position is listed
+    # table entry is formed
     with pytest.raises(ValidationError) as exc:
         build(QQ, size)
     assert str(exc.value) == f"matrix size must not be negative, got {size}"
     assert build(QQ, 0).dim == 0
 
 
-@pytest.mark.parametrize("build", [matrix_algebra, upper_triangular_algebra])
+@pytest.mark.parametrize("build", [matrix_algebra])
 def test_matrix_dimension_cap_runs_before_the_positions_are_listed(monkeypatch, build):
-    # size 10^9 has 10^18 positions: a cap checked once they are listed would
-    # reach the builder, which fails the test here instead of running
-    def listed(dom, size, positions):
-        raise AssertionError("the builder was reached before the dimension cap")
+    # size 10^9 has 10^18 positions: a cap checked once the table is being
+    # formed would reach its first entry, which fails the test here instead
+    # of running
+    def formed(*args):
+        raise AssertionError("a table entry was formed before the dimension cap")
 
-    monkeypatch.setattr(constructions, "_matrix_units", listed)
+    monkeypatch.setattr(constructions, "unit_vec", formed)
+    monkeypatch.setattr(constructions, "zero_vec", formed)
     with pytest.raises(BudgetExceeded):
         build(F2, 10**9)
 
 
 # --- re-presentations ---------------------------------------------------------
-
-def _unitriangular(dom, n, seed):
-    """An invertible basis: unit upper triangular rows, in reverse order."""
-    rng = random.Random(seed)
-    return [
-        tuple(dom.one if j == i else dom.from_int(rng.randint(-2, 2)) if j > i else dom.zero for j in range(n))
-        for i in reversed(range(n))
-    ]
-
-
-@pytest.mark.parametrize("dom", [QQ, F3], ids=["Q", "F3"])
-def test_change_of_basis_matches_the_reference(dom):
-    U = upper_triangular_algebra(dom, 3)
-    for seed in range(3):
-        basis = _unitriangular(dom, U.dim, seed)
-        assert tables(change_of_basis(U, basis)) == tables(ref.change_of_basis(U, basis))
-    singular = [U.unit] * U.dim
-    assert outcome(change_of_basis, U, singular) == outcome(ref.change_of_basis, U, singular)
-
 
 F2T_QUOTIENT = poly_quotient_algebra(make_poly(FT, [FT.add(T, FT.one), FT.zero, FT.zero, FT.zero, FT.one]))
 
@@ -120,11 +101,11 @@ def _subspaces(A):
     """Subspaces of A to re-present: generated subalgebras, the unit line, a
     span that is not closed and a span without the unit."""
     e = [A.basis_vector(i) for i in range(A.dim)]
-    unit_line = subspace_from_vectors(A.dom, A.dim, [A.unit])
+    zero = zero_subspace(A.dom, A.dim)
     return [
-        unit_line,
-        subalgebra_generated(A, [e[2]], unit_line),
-        subalgebra_generated(A, [e[1]], unit_line),
+        subspace_from_vectors(A.dom, A.dim, [A.unit]),
+        closure(A, zero, [A.unit, e[2]]),
+        closure(A, zero, [A.unit, e[1]]),
         subspace_from_vectors(A.dom, A.dim, [A.unit, e[1]]),
         subspace_from_vectors(A.dom, A.dim, [e[1], e[2]]),
     ]
@@ -132,7 +113,7 @@ def _subspaces(A):
 
 @pytest.mark.parametrize(
     "A",
-    [q_quotient(0, 0, 0, -2, 0, 1), upper_triangular_algebra(QQ, 3), F2T_QUOTIENT],
+    [q_quotient(0, 0, 0, -2, 0, 1), ref.upper_triangular_algebra(QQ, 3), F2T_QUOTIENT],
     ids=["Q-quotient", "Q-upper-triangular", "F2(t)-quotient"],
 )
 def test_subalgebras_match_the_reference(A):
