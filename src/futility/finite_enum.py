@@ -1,11 +1,15 @@
 """Exhaustive ground truth over finite prime fields: the full subalgebra
 lattice of an F_p algebra.
 
-The lattice comes from one closure search: each member found is grown by
-one line of the quotient space at a time, so the work scales with the
-number of members times the lines over each, not with the number of
-subspaces.  Over a commutative algebra a member S grown by a is
-S[a] = S + S*a + S*a^2 + ..., the power walk of
+The lattice comes from one closure search, not a subspace scan.  Write S[a]
+for the least subalgebra containing a member S and an element a.  The start
+member is grown by each line of the quotient space; each line that gives a
+new member is kept as a generator.  Every member S contains the start, so
+S[a] is S grown by the generator that gives the same member from the start,
+and it depends only on the line of that generator modulo S.  So each later
+member is grown only by the distinct lines of its generators' residuals,
+and every member is still reached along a chain of such grows.  Over a
+commutative algebra S[a] = S + S*a + S*a^2 + ..., the power walk of
 algebra.generated_by_element; over a noncommutative one, algebra.closure
 closes S and a under products.  Both run on plain ints in [0, p) through
 linalg.fp_reduce and fp_adjoin, and each member grown becomes one Subspace.
@@ -22,7 +26,7 @@ from itertools import combinations, product
 from .algebra import StructAlgebra, closure, generated_by_element
 from .domains import PrimeField
 from .errors import BudgetExceeded, DimensionMismatch, ValidationError
-from .linalg import Subspace, zero_subspace
+from .linalg import Subspace, fp_reduce, zero_subspace
 
 DEFAULT_BUDGET = 1 << 20
 
@@ -46,13 +50,16 @@ class SubalgebraLattice:
     @cached_property
     def inclusions(self) -> tuple:
         """The (i, j) with members[i] < members[j], in lexicographic order;
-        computed on first read."""
+        computed on first read.  The pivots of a subspace are the leading
+        positions of its nonzero vectors, so a pair whose pivot sets are not
+        nested is skipped before the exact containment check."""
         members = self.members
+        masks = [sum(1 << c for c in s.pivots) for s in members]
         return tuple(
             (i, j)
             for i, a in enumerate(members)
             for j, b in enumerate(members)
-            if a.dim < b.dim and b.contains_subspace(a)
+            if a.dim < b.dim and not masks[i] & ~masks[j] and b.contains_subspace(a)
         )
 
 
@@ -97,18 +104,27 @@ def iter_subspaces(dom: PrimeField, n: int):
 def _search(A: StructAlgebra, start: Subspace) -> list:
     """Every subalgebra of A that contains start, itself one.
 
-    Each member S found is grown by each line of A/S.  A line is taken from
-    iter_subspaces on the non-pivot coordinates of S, so its vector a has no
-    component in S, and the member it gives depends on the line alone.
-    Every member T containing start is reached: adjoining a basis of T one
-    vector at a time climbs from start to T through members.
+    Write S[a] for the least subalgebra containing S and a.  The start member
+    is grown by each line of A/start, taken from iter_subspaces on its
+    non-pivot coordinates; for each new member start[a] this finds, a is kept
+    as a generator a_g.  Every later member S contains start, so
+    S[a] = S[start[a]] = S[a_g] for the generator with start[a_g] = start[a],
+    in a commutative or noncommutative A and for any base image, and S[a]
+    depends only on the line of a modulo S.  So S is grown only by the
+    distinct lines of the residuals of the generators against S, each
+    scaled to a leading 1; a zero residual is skipped, since then
+    S[a_g] = S.  Every member T containing start is still reached: adjoining
+    the generators that T contains one at a time climbs from start to T
+    through members, each step a grow by such a line.  (The lattice is a
+    closure system generated by its one-generated members; Ganter, "Two
+    basic algorithms in concept analysis", 1984.)
 
     Over a commutative A a subalgebra S containing the unit is central and
     closed, so S[a] = S + S*a + S*a^2 + ... is algebra.generated_by_element,
     the power walk, which forms dim S products per power of a.  The
     subalgebras of a noncommutative A are grown by algebra.closure.
     """
-    dom, n = A.dom, A.dim
+    dom, n, p = A.dom, A.dim, A.dom.p
     if A.is_commutative:
         def grow(S, a):
             return Subspace(dom, n, *generated_by_element(A, a, S))
@@ -117,19 +133,37 @@ def _search(A: StructAlgebra, start: Subspace) -> list:
             return closure(A, S, [a])
     # reduced echelon rows are canonical, so over one ambient they are a key
     found = {start.rows: start}
-    todo = [start]
+    todo, gens = [], []
+    free = [c for c in range(n) if c not in start.pivots]
+    for line in iter_subspaces(dom, len(free)):
+        if line.dim == 0:
+            continue
+        if line.dim > 1:
+            break
+        a = [dom.zero] * n
+        for c, x in zip(free, line.rows[0]):
+            a[c] = x
+        a = tuple(a)
+        T = grow(start, a)
+        if T.rows not in found:
+            found[T.rows] = T
+            todo.append(T)
+            gens.append(a)
     while todo:
         S = todo.pop()
-        free = [c for c in range(n) if c not in S.pivots]
-        for line in iter_subspaces(dom, len(free)):
-            if line.dim == 0:
+        tried = set()
+        for g in gens:
+            r = fp_reduce(S.rows, S.pivots, g, p)
+            lead = next((x for x in r if x), 0)
+            if not lead:
                 continue
-            if line.dim > 1:
-                break
-            a = [dom.zero] * n
-            for c, x in zip(free, line.rows[0]):
-                a[c] = x
-            T = grow(S, tuple(a))
+            if lead != 1:
+                inv = pow(lead, -1, p)
+                r = tuple([inv * x % p for x in r])
+            if r in tried:
+                continue
+            tried.add(r)
+            T = grow(S, r)
             if T.rows not in found:
                 found[T.rows] = T
                 todo.append(T)

@@ -3,12 +3,14 @@
 The independent cross-check for subalgebra lattices enumerates spans of
 arbitrary element subsets (definition-level, no echelon machinery) on tiny
 algebras, the closure search is compared with a scan of every subspace of
-F_p^n, and the closure step with the span-and-multiply fixpoint.  The
-references the acceptance criteria use are checked here too: the ideal scan
-on hand-counted lattices, the quintuple construction (reference_goursat)
-against direct enumeration of the product, which is the content of the
-product-subalgebra correspondence, and the submodule lattices
-(reference_modules) against the uniserial dimension test.
+F_p^n and, on larger algebras, with the search that grows every member by
+every line (reference_lattice), and the closure step with the
+span-and-multiply fixpoint.  The references the acceptance criteria use are
+checked here too: the ideal scan on hand-counted lattices, the quintuple
+construction (reference_goursat) against direct enumeration of the product,
+which is the content of the product-subalgebra correspondence, and the
+submodule lattices (reference_modules) against the uniserial dimension
+test.
 """
 
 import random
@@ -27,6 +29,7 @@ from futility.linalg import Subspace, subspace_from_vectors, zero_subspace
 from futility.polynomials import make_poly
 from reference_closure import span_and_multiply
 from reference_goursat import enumerate_isomorphisms, goursat_enumerate, scan_ideals
+from reference_lattice import line_search
 from reference_modules import FiniteModule, enumerate_submodules, module_quotient_dims
 from reference_subspaces import generic_subspaces
 from reference_tables import change_of_basis, upper_triangular_algebra
@@ -159,6 +162,48 @@ def test_closure_search_matches_scan_on_fixed_algebras():
         assert_matches_scan(B, unit_span(B))
 
 
+def permuted(A, order):
+    return change_of_basis(A, [A.basis_vector(k) for k in order])
+
+
+def spanned(A, *vecs):
+    return subspace_from_vectors(A.dom, A.dim, list(vecs))
+
+
+F2X8 = f2x(*([0] * 8 + [1]))
+UT3_F2 = permuted(upper_triangular_algebra(F2, 3), [4, 1, 5, 0, 3, 2])
+M2_F3 = permuted(matrix_algebra(F3, 2), [2, 0, 3, 1])
+F3X5 = poly_quotient_algebra(make_poly(F3, [0, 0, 0, 0, 0, 1]))
+F2X3_F2X4 = product_algebra([f2x(0, 0, 0, 1), f2x(0, 0, 0, 0, 1)])
+
+
+# up to dimension 8, where the subspace scan is too slow; the noncommutative
+# algebras on a permuted basis, and the bases beyond the unit line start the
+# search above the subalgebra the unit spans
+@pytest.mark.parametrize(
+    "A, base",
+    [
+        (F2X8, unit_span(F2X8)),
+        (F2X8, spanned(F2X8, F2X8.basis_vector(2))),  # x^2: starts at F2[x^2]
+        (UT3_F2, unit_span(UT3_F2)),
+        (M2_F3, unit_span(M2_F3)),
+        (M2_F3, spanned(M2_F3, M2_F3.basis_vector(0))),
+        (F3X5, unit_span(F3X5)),
+        (F2X3_F2X4, unit_span(F2X3_F2X4)),
+        (F2X3_F2X4, spanned(F2X3_F2X4, F2X3_F2X4.basis_vector(0))),  # an idempotent
+    ],
+    ids=["F2[x]/(x^8)", "F2[x]/(x^8) over x^2", "UT3(F2) permuted", "M2(F3) permuted",
+         "M2(F3) permuted over a basis vector", "F3[x]/(x^5)",
+         "F2[x]/(x^3) x F2[x]/(x^4)", "F2[x]/(x^3) x F2[x]/(x^4) over an idempotent"],
+)
+def test_closure_search_matches_line_search(A, base):
+    # the search grows each member by its generators' residuals; the
+    # reference grows it by every line of A/S
+    start = closure(A, zero_subspace(A.dom, A.dim), [*base.rows, A.unit])
+    members = enumerate_subalgebras(A, base).members
+    assert members == tuple(sorted(line_search(A, start), key=Subspace.key))
+
+
 # --- prime-field kernel -------------------------------------------------------
 
 def random_vectors(data, A, count):
@@ -192,7 +237,7 @@ def test_int_closure_matches_subalgebra_generated(A, data):
     assert closure(A, I, [a], ideal=True) == span_and_multiply(A, [*I.rows, a], ideal=True)
 
 
-@pytest.mark.parametrize("n, count", [(7, 35), (8, 110), (9, 193)])
+@pytest.mark.parametrize("n, count", [(7, 35), (8, 110), (9, 193), (10, 596)])
 def test_truncated_polynomial_subalgebra_counts(n, count):
     A = f2x(*([0] * n + [1]))  # F2[x]/(x^n)
     assert enumerate_subalgebras(A, unit_span(A)).count == count
