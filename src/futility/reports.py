@@ -242,20 +242,29 @@ def _compare_enumeration(built: BuiltCase, rep, opts: dict):
 
 
 def _compare_sampler(built: BuiltCase, rep, opts: dict):
-    h = route(built).sample(built.payload, opts["trials"], opts["bound"], opts["seed"])
-    threshold = opts.get("divergence_threshold", max(16, 4 * h.dim))
+    r = route(built)
+    threshold = opts.get("divergence_threshold", max(16, 4 * r.draw_dim(built.payload)))
+    # The count never falls, so once it passes the threshold and the asserted
+    # counts, more trials change neither the agreement nor an assert: a run
+    # stopped at limit + 1 members reads as the full run would.
+    asserts = built.description.asserts or {}
+    limit = max(threshold, asserts.get("sampler_distinct_min", 0) - 1, asserts.get("sampler_distinct_exact", 0))
+    h = r.sample(built.payload, opts["trials"], opts["bound"], opts["seed"], stop=limit)
     diverged = h.count > threshold
-    stabilized = h.stabilized()
     oracle = {
         "kind": "sampler",
         "distinct_count": h.count,
         "growth_curve": list(h.growth_curve),
-        "stabilized": stabilized,
         "diverged": diverged,
         "divergence_threshold": threshold,
     }
+    if h.stopped_at is None:
+        oracle["stabilized"] = h.stabilized()
+    else:
+        oracle["stopped_at"] = h.stopped_at
     if rep.verdict == FUTILE:
-        agreement = stabilized and not diverged
+        # a stopped run has diverged, so it never asks whether it stabilized
+        agreement = not diverged and oracle["stabilized"]
     else:
         agreement = diverged
     return oracle, agreement
@@ -272,8 +281,9 @@ class Route:
 
     decide: Callable  # (payload, seed, budget) -> FutilityReport
     oracle: Callable  # (built, report, opts) -> (oracle, agreement)
-    sample: Callable  # (payload, trials, bound, seed) -> sampler.SampleHistogram
+    sample: Callable  # (payload, trials, bound, seed, stop=None) -> sampler.SampleHistogram
     algebra: Callable = lambda payload: None  # payload -> the StructAlgebra of the algebra spec
+    draw_dim: Callable = lambda payload: payload.dim  # payload -> the dimension the sampler draws in
 
 
 def _commutative_or_reduced(decide_commutative: Callable) -> Callable:
@@ -318,7 +328,7 @@ ROUTES = {
     "struct/Q": _struct(
         _commutative_or_reduced(lambda A, seed, budget: decide_infinite_field(A, seed=seed)),
         _compare_sampler,
-        sample=lambda A, *draws: sample_subalgebras(A, *draws),
+        sample=lambda A, *draws, stop=None: sample_subalgebras(A, *draws, stop=stop),
     ),
     "struct/Fp": _struct(_commutative_or_reduced(_finite_base), _compare_enumeration),
     # a finite-rank algebra over Z/n is finite, so futile, commutative or not
@@ -335,13 +345,15 @@ ROUTES = {
     "relative": Route(
         decide=lambda rel, seed, budget: decide_local_artinian(rel, seed=seed),
         oracle=_compare_sampler,
-        sample=lambda rel, *draws: sample_subalgebras(rel, *draws),
+        sample=lambda rel, *draws, stop=None: sample_subalgebras(rel, *draws, stop=stop),
         algebra=lambda rel: rel.amb,
+        draw_dim=lambda rel: rel.amb.dim,
     ),
     "zpres": Route(
         decide=_commutative_or_reduced(lambda zp, seed, budget: decide_integer_algebra(zp)),
         oracle=_compare_sampler,
-        sample=lambda zp, *draws: sample_subrings(zp, *draws),
+        sample=lambda zp, *draws, stop=None: sample_subrings(zp, *draws, stop=stop),
+        draw_dim=lambda zp: zp.ngens,
     ),
     "localized": Route(
         decide=lambda loc, seed, budget: decide_integer_algebra(loc),

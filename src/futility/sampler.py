@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
 
+import math
 import random
 
 from .algebra import (
@@ -33,7 +34,6 @@ from .polynomials import Poly, pmul, squarefree_decomposition
 class SampleHistogram:
     """Distinct generated subalgebras seen over a sampling run."""
 
-    dim: int  # the dimension (number of generators) of the space drawn in
     trials: int
     bound: int
     seed: int
@@ -41,7 +41,8 @@ class SampleHistogram:
     # echelon rows of a subalgebra, over Z the Hermite basis of a subring.
     # Reports read only the count and the counts per dimension.
     distinct: tuple
-    growth_curve: tuple  # distinct counts after trials 1, 2, 4, ... and at the end
+    growth_curve: tuple  # distinct counts after trials 1, 2, 4, ... and at the last trial run
+    stopped_at: int | None = None  # the trial a stop limit ended the run at, 0 before trial 1
 
     @property
     def count(self) -> int:
@@ -55,9 +56,10 @@ class SampleHistogram:
         return all(x == tail[0] for x in tail)
 
 
-def sample_subalgebras(target, trials: int, bound: int, seed: int = 0) -> SampleHistogram:
+def sample_subalgebras(target, trials: int, bound: int, seed: int = 0, stop: int | None = None) -> SampleHistogram:
     """Draw elements with integer coordinates in [-bound, bound], close each
-    under multiplication over the base image, canonicalize and dedupe.
+    under multiplication over the base image, canonicalize and dedupe; the
+    run ends early once more than `stop` distinct members are seen.
 
     The memo key is the draw reduced modulo the base image and scaled to a
     primitive integer vector, which is sound because R[a] = R[c*a + r] for
@@ -80,10 +82,10 @@ def sample_subalgebras(target, trials: int, bound: int, seed: int = 0) -> Sample
         return generated_by_element(A, a, base)[0]
 
     key = partial(int_reduce, base.int_rows, base.pivots)
-    return _sample(A.dim, trials, bound, seed, key, close)
+    return _sample(A.dim, trials, bound, seed, key, close, stop)
 
 
-def _sample(dim: int, trials: int, bound: int, seed: int, key, close) -> SampleHistogram:
+def _sample(dim: int, trials: int, bound: int, seed: int, key, close, stop: int | None = None) -> SampleHistogram:
     """The trial loop and memo of both samplers.  One random.Random(seed)
     serves the whole run: trial t draws from the stream where trial t - 1
     left it.  key(vec) is a canonical representative of the draw that
@@ -91,27 +93,40 @@ def _sample(dim: int, trials: int, bound: int, seed: int, key, close) -> SampleH
     closed, by close(key), to its canonical integer rows.  The zero vector's
     key is closed before the first trial, so the base member (R*1 over Q, the
     start lattice over Z) counts from trial 1.  The distinct row tuples are
-    sorted by (len, rows)."""
+    sorted by (len, rows).
+
+    With a stop limit the run ends at the first trial whose closure brings
+    the distinct count above it, or before trial 1 if the base member alone
+    does.  A closure adds at most one member, so a stopped run has exactly
+    stop + 1 members; the count never falls, so a full run would end above
+    the limit as well."""
+    limit = math.inf if stop is None else stop
     rng = random.Random(seed)
     k0 = key((0,) * dim)
     memo = {k0}
     seen = {close(k0)}
     curve = []
     mark = 1
-    for t in range(1, trials + 1):
-        vec = _draw(rng, dim, bound)
-        if vec is not None:
-            k = key(vec)
-            if k not in memo:
-                memo.add(k)
-                seen.add(close(k))
-        if t == mark:
-            curve.append(len(seen))
-            mark *= 2
+    stopped_at = 0 if len(seen) > limit else None
+    if stopped_at is None:
+        for t in range(1, trials + 1):
+            vec = _draw(rng, dim, bound)
+            if vec is not None:
+                k = key(vec)
+                if k not in memo:
+                    memo.add(k)
+                    seen.add(close(k))
+                    if len(seen) > limit:
+                        stopped_at = t
+                        break
+            if t == mark:
+                curve.append(len(seen))
+                mark *= 2
     curve.append(len(seen))
     return SampleHistogram(
-        dim=dim, trials=trials, bound=bound, seed=seed,
+        trials=trials, bound=bound, seed=seed,
         distinct=tuple(sorted(seen, key=lambda rows: (len(rows), rows))), growth_curve=tuple(curve),
+        stopped_at=stopped_at,
     )
 
 
@@ -202,7 +217,7 @@ def _trim(coords) -> Poly:
     return Poly(QQ, tuple(cs))
 
 
-def sample_subrings(zp, trials: int, bound: int, seed: int = 0) -> SampleHistogram:
+def sample_subrings(zp, trials: int, bound: int, seed: int = 0, stop: int | None = None) -> SampleHistogram:
     """Integer analogue of the subalgebra sampler: generate Z[a] for random
     a and count distinct canonical lattices (Hermite bases including the
     relation rows).  Z[a] grows power by power with hnf_adjoin from the
@@ -220,4 +235,4 @@ def sample_subrings(zp, trials: int, bound: int, seed: int = 0) -> SampleHistogr
                 return basis
             basis = hnf_adjoin(basis, power)
 
-    return _sample(zp.ngens, trials, bound, seed, partial(hnf_reduce, start), close)
+    return _sample(zp.ngens, trials, bound, seed, partial(hnf_reduce, start), close, stop)

@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -41,7 +42,8 @@ from futility.errors import (
     ValidationError,
 )
 from futility.polynomials import poly_to_str
-from futility.reports import _oracle_compare, check_asserts, decide_case, merge_options, run_command
+from futility.reports import ROUTES, _oracle_compare, check_asserts, decide_case, merge_options, run_command
+from futility.sampler import sample_subalgebras
 from reference_tables import upper_triangular_algebra
 from reference_tower import reduce_each_entry
 
@@ -337,9 +339,9 @@ SAMPLER_CASES = [
 ]
 
 
-@pytest.mark.parametrize("seed", range(8))
+@pytest.mark.parametrize("seed", range(16))
 def test_sampler_oracle_agrees_at_every_seed(seed):
-    # the golden checks each case at its own seed; this checks seeds 0-7
+    # the golden checks each case at its own seed; this checks seeds 0-15
     assert len(SAMPLER_CASES) == 34
     disagree = []
     for path in SAMPLER_CASES:
@@ -349,6 +351,80 @@ def test_sampler_oracle_agrees_at_every_seed(seed):
         if run_command("oracle-compare", desc, {"seed": seed}).agreement is not True:
             disagree.append(desc.case_id)
     assert disagree == []
+
+
+def without_stop(sample):
+    """A route's sampler that ignores the stop limit and draws every trial."""
+    return lambda payload, *draws, stop=None: sample(payload, *draws)
+
+
+@pytest.mark.parametrize("path", SAMPLER_CASES, ids=lambda p: str(p.relative_to(CORPUS)))
+def test_stopped_sampler_oracle_reads_as_the_full_run(monkeypatch, path):
+    # the distinct count never falls, so a run stopped past the threshold and
+    # the asserted counts agrees and fails its asserts as the full run does
+    desc = parse_case(path.read_text())
+    stopped = run_command("oracle-compare", desc, {})
+    for kind, r in list(ROUTES.items()):
+        monkeypatch.setitem(ROUTES, kind, dataclasses.replace(r, sample=without_stop(r.sample)))
+    full = run_command("oracle-compare", desc, {})
+    assert stopped.agreement == full.agreement
+    assert stopped.oracle.get("assert_failures") == full.oracle.get("assert_failures")
+    assert "stopped_at" not in full.oracle
+    if "stopped_at" not in stopped.oracle:
+        assert stopped.oracle == full.oracle
+        return
+    asserts = desc.asserts or {}
+    limit = max(
+        stopped.oracle["divergence_threshold"],
+        asserts.get("sampler_distinct_min", 0) - 1,
+        asserts.get("sampler_distinct_exact", 0),
+    )
+    assert stopped.oracle["distinct_count"] == limit + 1 <= full.oracle["distinct_count"]
+    assert stopped.oracle["diverged"] and "stabilized" not in stopped.oracle
+    assert stopped.oracle["growth_curve"][-1] == limit + 1
+
+
+@pytest.mark.parametrize("case_id, agreement", [
+    ("infinite-field/q-x3", False),
+    ("infinite-field/q-x4", True),
+    ("local-artinian/x5-plane-case", False),
+    ("integer/z-split", True),
+])
+def test_divergence_threshold_zero_stops_before_the_first_trial(case_id, agreement):
+    doc = json.loads((CORPUS / f"{case_id}.case").read_text())
+    doc["asserts"] = {"verdict": doc["asserts"]["verdict"]}
+    doc["options"]["divergence_threshold"] = 0
+    report = run_command("oracle-compare", parse_case(json.dumps(doc)), {})
+    assert report.oracle == {
+        "kind": "sampler",
+        "distinct_count": 1,
+        "growth_curve": [1],
+        "diverged": True,
+        "divergence_threshold": 0,
+        "stopped_at": 0,
+    }
+    assert report.agreement is agreement
+
+
+def test_sample_command_runs_every_trial():
+    # its histogram is the output, so it never stops at a limit: q-mat2 stops
+    # the oracle at 17 distinct members, and the full run finds 514
+    desc = parse_case((CORPUS / "noncommutative" / "q-mat2.case").read_text())
+    opts = merge_options(desc, None)
+    h = sample_subalgebras(build_case(desc).payload, opts["trials"], opts["bound"], opts["seed"], stop=None)
+    assert h.stopped_at is None
+    by_dim = Counter(len(rows) for rows in h.distinct)
+    assert run_command("sample", desc, {}).result == {
+        "distinct_count": h.count,
+        "growth_curve": list(h.growth_curve),
+        "by_dim": {str(k): v for k, v in sorted(by_dim.items())},
+        "trials": opts["trials"],
+        "bound": opts["bound"],
+        "seed": opts["seed"],
+        "stabilized": h.stabilized(),
+    }
+    assert h.count == 514
+    assert len(h.growth_curve) == opts["trials"].bit_length() + 1
 
 
 CHECKED_CASES = [

@@ -53,6 +53,25 @@ def test_sample_repeated_quadratic_family_grows():
     assert not h.stabilized()
 
 
+@pytest.mark.parametrize("stop", [0, 1, 6, 19, 27, 28])
+def test_stopped_run_is_the_full_run_cut_at_its_stop_trial(stop):
+    A = poly_quotient_algebra(ppow(q(1, 0, 1), 2))
+    full = sample_subalgebras(A, trials=500, bound=5, seed=0)
+    assert full.count == 28
+    h = sample_subalgebras(A, trials=500, bound=5, seed=0, stop=stop)
+    if stop >= full.count:
+        assert h == full
+        return
+    assert h.count == stop + 1
+    t = h.stopped_at
+    assert h.distinct == sample_subalgebras(A, trials=t, bound=5, seed=0).distinct
+    if t > 0:
+        assert sample_subalgebras(A, trials=t - 1, bound=5, seed=0).count == stop
+    # the marks before the stop trial, then the count at it
+    marks = [c for i, c in enumerate(full.growth_curve[:-1]) if 1 << i < t]
+    assert h.growth_curve == (*marks, stop + 1)
+
+
 def test_sample_determinism_and_curve():
     A = x_power_algebra(3)
     h1 = sample_subalgebras(A, trials=200, bound=3, seed=5)
