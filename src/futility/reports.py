@@ -15,6 +15,7 @@ from collections.abc import Callable
 from dataclasses import dataclass
 
 from . import __version__
+from .algebra import commutator_ideal
 from .cases import BuiltCase, CaseDescription, build_case, check_options, parse_poly
 from .deciders import (
     FUTILE,
@@ -236,8 +237,13 @@ def _compare_enumeration(built: BuiltCase, rep, opts: dict):
     except BudgetExceeded:
         return {"kind": "enumeration", "status": "over-budget"}, rep.verdict == FUTILE
     oracle = {"kind": "enumeration", "count": lat.count}
-    expected = rep.certificate.get("subalgebra_count")
-    agreement = rep.verdict == FUTILE and (expected is None or expected == lat.count)
+    cert = rep.certificate
+    agreement = rep.verdict == FUTILE and cert.get("subalgebra_count", lat.count) == lat.count
+    quotient = cert.get("quotient", {})
+    if agreement and "subalgebra_count" in quotient:
+        # the unital subalgebras of A/C are the subalgebras of A containing C
+        comm = commutator_ideal(A)
+        agreement = quotient["subalgebra_count"] == sum(S.contains_subspace(comm) for S in lat.members)
     return oracle, agreement
 
 

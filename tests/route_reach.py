@@ -8,7 +8,9 @@ can run on the committed inputs:
   every corpus case, errors included, `decide` with an explicit `--seed`;
 - `corpus --dir corpus/`;
 - the seed-3 `finite-lattice` and `decide-only` documents of
-  `perfbench/workloads.py`, each under its own command.
+  `perfbench/workloads.py`, each under its own command;
+- `decide` on every refused input of `refused_inputs.py`, so that a
+  function reached only on the way to a refusal counts as reached.
 
 The profile is on before the package is imported, so the functions that
 build module tables at import time count as reached.  The scan then lists
@@ -45,29 +47,19 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "perfbench"))
 
+from refused_inputs import DEEP_DOCUMENTS, REFUSED, case_text  # noqa: E402
 from workloads import make_cases  # noqa: E402
 
 ERROR_ONLY = "error-only: runs when an input is refused"
-PTH_POWER_PART = "input-dependent: the p-th power part of a squarefree decomposition, which no committed input has"
 
 # module.function or module.Class -> why no command reaches it
 ALLOWED = {
-    "cases._line_col": ERROR_ONLY,
-    "cases._deepest_bracket": ERROR_ONLY,
-    "cases._long_integer": ERROR_ONLY,
-    "domains.mp_pow": PTH_POWER_PART,
-    "domains.mp_pth_root": PTH_POWER_PART,
     "domains.mp_shift_down": "input-dependent: a rational function whose numerator and denominator share a monomial",
     "intmat.det_int": "ROADMAP items 2 and 6: the integer-rank certificate check",
-    "reports._no_struct_decider": ERROR_ONLY,
-    "polynomials.expand_xp": PTH_POWER_PART,
-    "polynomials.extract_xp": PTH_POWER_PART,
-    "polynomials.coeff_proot": PTH_POWER_PART,
     "sampler.family_witness": "ROADMAP items 3 and 6: replaced by the linear witness family",
     "sampler._trim": "ROADMAP items 3 and 6: replaced by the linear witness family",
     "errors.NotAField": ERROR_ONLY,
     "errors.NotInvertible": ERROR_ONLY,
-    "errors.ParseError": ERROR_ONLY,
 }
 
 
@@ -107,7 +99,8 @@ def module_code():
 
 
 def drive(tmp: Path) -> None:
-    """Every command over the corpus and the two generated workloads."""
+    """Every command over the corpus and the two generated workloads, and
+    decide on every refused input."""
     from futility.cli import main as cli_main
     from futility.reports import COMMANDS
 
@@ -123,6 +116,11 @@ def drive(tmp: Path) -> None:
             path = tmp / f"{workload}-{i}.case"
             path.write_text(case.text)
             cli_main([case.command, "--case", str(path), "--format", "machine"])
+    refused = [case_text(base, algebra) for _, base, algebra in REFUSED]
+    for i, text in enumerate(refused + [text for text, *_ in DEEP_DOCUMENTS]):
+        path = tmp / f"refused-{i}.case"
+        path.write_text(text)
+        cli_main(["decide", "--case", str(path)])
 
 
 def main() -> int:

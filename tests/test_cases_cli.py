@@ -1,5 +1,6 @@
 """Case parsing, report generation, golden corpus harness, CLI behavior."""
 
+import copy
 import dataclasses
 import json
 import sys
@@ -46,6 +47,7 @@ from futility.reports import ROUTES, _oracle_compare, check_asserts, decide_case
 from futility.sampler import sample_subalgebras
 from reference_tables import upper_triangular_algebra
 from reference_tower import reduce_each_entry
+from refused_inputs import DEEP_DOCUMENTS, FP_T, REFUSED, case_text, nested_products
 
 ROOT = Path(__file__).resolve().parent.parent
 CORPUS = ROOT / "corpus"
@@ -73,14 +75,6 @@ def struct_to_spec(A):
         "unit": [dom.to_str(c) for c in A.unit],
         "table": [[[dom.to_str(c) for c in vec] for vec in row] for row in A.table],
     }
-
-
-def nested_products(depth):
-    """F2[x]/(x) as the one factor of depth nested products."""
-    spec = {"kind": "quotient_poly", "modulus": "x"}
-    for _ in range(depth):
-        spec = {"kind": "product", "factors": [spec]}
-    return spec
 
 
 # --- polynomial expressions ---------------------------------------------------
@@ -134,14 +128,6 @@ def test_parse_case_locates_json_errors():
     with pytest.raises(ParseError) as exc:
         parse_case("{\n  broken\n}")
     assert exc.value.line == 2
-
-
-DEEP_DOCUMENTS = [
-    ("[" * 100_000 + "]" * 100_000, 100_000, 1, 100_000),
-    ('{"a": ' * 2000 + "1" + "}" * 2000, 2000, 1, 6 * 1999 + 1),
-    # brackets inside strings do not count
-    ('{"id": "[[[[",\n "a": ' + "[" * 1500 + "]" * 1500 + "}", 1501, 2, 7 + 1499),
-]
 
 
 @pytest.mark.parametrize("text, depth, line, col", DEEP_DOCUMENTS, ids=["arrays", "objects", "string-brackets"])
@@ -445,6 +431,28 @@ def test_every_oracle_rejects_the_flipped_verdict(path):
     assert agreement is False
 
 
+ENUMERATED_CASES = [
+    path for path in CHECKED_CASES
+    if json.loads(path.with_suffix(".expected").read_text())["oracle"]["kind"] == "enumeration"
+]
+
+
+@pytest.mark.parametrize("path", ENUMERATED_CASES, ids=lambda p: str(p.relative_to(CORPUS)))
+def test_enumeration_oracle_rejects_a_count_off_by_one(path):
+    # a commutative certificate counts the lattice of A, a noncommutative one
+    # the lattice of A/[A, A] under "quotient"; the oracle checks either
+    desc = parse_case(path.read_text())
+    opts = merge_options(desc, None)
+    built = build_case(desc)
+    rep = decide_case(built, opts)
+    assert _oracle_compare(built, rep, opts)[1] is True
+    cert = copy.deepcopy(rep.certificate)
+    counted = cert.get("quotient", cert)
+    counted["subalgebra_count"] += 1
+    _, agreement = _oracle_compare(built, dataclasses.replace(rep, certificate=cert), opts)
+    assert agreement is False
+
+
 # Each committed .case file is the one definition of its case: it is in
 # canonical form, its id is its path, it has a golden, and a table that comes
 # from a library construction equals that construction.
@@ -627,105 +635,10 @@ def test_cli_corpus_update_refuses_on_discrepancy(tmp_path, capsys):
     assert not list(tmp_path.rglob("*.expected"))
 
 
-STRUCT_1 = {"kind": "structure_constants", "dim": 1, "unit": ["1"], "table": [[["1"]]]}
-FP_T = {"kind": "FpRational", "p": 2, "vars": ["t"]}
-Z_PRES_1 = {"kind": "z_presentation", "gens": 1, "table": [[[1]]], "unit": [1]}
-LOCAL_X2 = {
-    "kind": "LocalArtinian",
-    "ground": {"kind": "Q"},
-    "base_algebra": {"kind": "quotient_poly", "modulus": "x^2"},
-    "max_ideal": [["0", "1"]],
-    "embedding": [["1", "0", "0"], ["0", "0", "1"]],  # t -> x^2
-}
-
-
-# json.dumps cannot write an int past the interpreter's int-string limit, so a
-# case puts this string where the literal goes and the test writes the digits.
-NINES_5000 = "<5000 nines>"
-
-
-@pytest.mark.parametrize(
-    "base, algebra",
-    [
-        ({"kind": "Q"}, dict(STRUCT_1, dim="abc")),
-        ({"kind": "Fp", "p": "x"}, {"kind": "quotient_poly", "modulus": "x^2"}),
-        ({"kind": "Q"}, dict(STRUCT_1, unit=["1/0"])),
-        ({"kind": "Q"}, {"kind": "product", "factors": "zz"}),
-        ({"kind": "Q"}, {"kind": "quotient_poly", "modulus": 5}),
-        ({"kind": "Q"}, dict(STRUCT_1, table=5)),
-        ({"kind": "Q"}, dict(STRUCT_1, table=["1"])),
-        ({"kind": "Q"}, dict(STRUCT_1, table=[["1"]])),
-        (FP_T, {"kind": "tower", "moduli": "x - t"}),
-        (FP_T, {"kind": "tower", "moduli": [5]}),
-        (dict(FP_T, vars="t"), {"kind": "tower", "moduli": ["x - t"]}),
-        ({"kind": "Z"}, dict(Z_PRES_1, relations=5)),
-        (dict(LOCAL_X2, max_ideal=5), {"kind": "quotient_poly", "modulus": "x^3"}),
-        (dict(LOCAL_X2, embedding=5), {"kind": "quotient_poly", "modulus": "x^3"}),
-        (dict(LOCAL_X2, ground=5), {"kind": "quotient_poly", "modulus": "x^3"}),
-        (dict(LOCAL_X2, ground={"p": 2}), {"kind": "quotient_poly", "modulus": "x^3"}),
-        ({"kind": "Z"}, {"kind": "localized", "invert": 2, "finite_part": 5}),
-        ({"kind": "Z"}, {"kind": "localized", "invert": 2, "finite_part": {"base": 5, "algebra": STRUCT_1}}),
-        ({"kind": "Z"}, {"kind": "localized", "invert": 2, "finite_part": {"base": {"p": 2}, "algebra": STRUCT_1}}),
-        (dict(FP_T, vars=[5]), {"kind": "tower", "moduli": ["x - t"]}),
-        (dict(FP_T, vars=["t", "t"]), {"kind": "tower", "moduli": ["x^2 - t"]}),
-        (dict(FP_T, vars=["x"]), {"kind": "tower", "moduli": ["x^2 - x"]}),
-        (FP_T, {"kind": "tower", "moduli": ["x^4"]}),
-        (FP_T, {"kind": "tower", "moduli": ["x^3 - x"]}),
-        (FP_T, {"kind": "tower", "moduli": ["x^4 - t^2"]}),
-        ({"kind": "Q"}, {"kind": "quotient_poly", "modulus": "x^\u00b2"}),
-        ({"kind": "Q"}, {"kind": "quotient_poly", "modulus": "(" * 250 + "x" + ")" * 250}),
-        ({"kind": "Q"}, {"kind": "quotient_poly", "modulus": "-" * 1000 + "x"}),
-        ({"kind": "Fp", "p": 2}, nested_products(400)),
-        ({"kind": "Fp", "p": NINES_5000}, {"kind": "quotient_poly", "modulus": "x^2"}),
-        ({"kind": "Q"}, {"kind": "quotient_poly", "modulus": "x^3 - " + "7" * 5000}),
-        ({"kind": "Fp", "p": 2**61 - 1}, {"kind": "quotient_poly", "modulus": "x^2"}),
-        (dict(FP_T, p=2**61 - 1), {"kind": "tower", "moduli": ["x^2 - t"]}),
-        ({"kind": "Q"}, {"kind": "matrix_algebra", "size": -3}),
-        ({"kind": "Z"}, {"kind": "localized", "invert": 2, "finite_part": {"base": {"kind": "Z"}, "algebra": STRUCT_1}}),
-        (dict(LOCAL_X2, ground={"kind": "Z"}), {"kind": "quotient_poly", "modulus": "x^3"}),
-    ],
-    ids=[
-        "dim-not-int",
-        "p-not-int",
-        "unit-divides-by-zero",
-        "factors-not-list",
-        "modulus-not-string",
-        "table-not-list",
-        "table-block-not-list",
-        "table-row-not-list",
-        "moduli-not-list",
-        "tower-modulus-not-string",
-        "vars-not-list",
-        "relations-not-list",
-        "max-ideal-not-list",
-        "embedding-not-list",
-        "ground-not-object",
-        "ground-without-kind",
-        "finite-part-not-object",
-        "finite-part-base-not-object",
-        "finite-part-base-without-kind",
-        "vars-entry-not-string",
-        "vars-repeated",
-        "vars-shadow-indeterminate",
-        "tower-x4-not-a-field",
-        "tower-x3-minus-x-not-a-field",
-        "tower-square-not-a-field",
-        "superscript-digit",
-        "deep-parentheses",
-        "long-unary-minus-chain",
-        "deep-products",
-        "json-integer-past-the-str-limit",
-        "modulus-literal-too-long",
-        "fp-prime-too-large",
-        "fprational-prime-too-large",
-        "matrix-size-negative",
-        "finite-part-base-z",
-        "ground-z",
-    ],
-)
+@pytest.mark.parametrize("base, algebra", [row[1:] for row in REFUSED], ids=[row[0] for row in REFUSED])
 def test_cli_malformed_case_is_one_error_line(tmp_path, capsys, base, algebra):
     p = tmp_path / "malformed.case"
-    p.write_text(make_case(base=base, algebra=algebra).replace(json.dumps(NINES_5000), "9" * 5000))
+    p.write_text(case_text(base, algebra))
     rc = cli_main(["decide", "--case", str(p)])
     err = capsys.readouterr().err.splitlines()
     assert rc == 1

@@ -20,6 +20,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from futility import finite_enum
 from futility.algebra import closure, element_multiply, generated_by_element, product_algebra
 from futility.constructions import matrix_algebra, poly_quotient_algebra
 from futility.domains import PrimeField
@@ -326,6 +327,33 @@ def test_budget_exceeded():
     A = matrix_algebra(F2, 2)
     with pytest.raises(BudgetExceeded):
         enumerate_subalgebras(A, unit_span(A), budget=8)
+
+
+def test_the_lattice_is_searched_once_per_algebra_and_start(monkeypatch):
+    calls = []
+    real = finite_enum._search
+    monkeypatch.setattr(finite_enum, "_search", lambda A, start: calls.append(start) or real(A, start))
+    A = f2x(*([0] * 6 + [1]))  # F2[x]/(x^6)
+    lat = enumerate_subalgebras(A, unit_span(A))
+    # the empty base image generates the same start, so it finds the kept lattice
+    assert enumerate_subalgebras(A, zero_subspace(F2, 6)) is lat
+    assert len(calls) == 1
+    # the budget is checked before the lookup
+    with pytest.raises(BudgetExceeded):
+        enumerate_subalgebras(A, unit_span(A), budget=8)
+    # an equal algebra built again searches again
+    B = f2x(*([0] * 6 + [1]))
+    assert enumerate_subalgebras(B, unit_span(B)) == lat
+    assert len(calls) == 2
+
+
+def test_a_base_image_beyond_the_unit_gets_its_own_lattice():
+    A = f2x(*([0] * 6 + [1]))
+    assert enumerate_subalgebras(A, unit_span(A)).count == 24
+    over_x2 = enumerate_subalgebras(A, spanned(A, A.basis_vector(2)))
+    B = f2x(*([0] * 6 + [1]))
+    assert over_x2 == enumerate_subalgebras(B, spanned(B, B.basis_vector(2)))
+    assert over_x2.count == 4
 
 
 def test_truncated_polynomial_ideal_count():

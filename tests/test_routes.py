@@ -2,9 +2,11 @@
 exact error class and message it refuses with."""
 
 import json
+from pathlib import Path
 
 import pytest
 
+from futility import finite_enum
 from futility.cases import parse_case
 from futility.errors import FutilityError, InapplicableCommand, UnsupportedDomain
 from futility.reports import COMMANDS, run_command
@@ -14,6 +16,8 @@ from futility.reports import COMMANDS, run_command
 # curve is flat from trial 2 on, so it reports stabilized and agrees: a flat
 # curve is evidence, not proof.
 OPTIONS = {"trials": 100, "bound": 3}
+
+CORPUS = Path(__file__).resolve().parent.parent / "corpus"
 
 F2T = {"kind": "FpRational", "p": 2, "vars": ["t"]}
 
@@ -167,11 +171,14 @@ EXPECTED = {
 }
 
 
-def outcome(route: str, command: str):
+def description(route: str):
     base, algebra = CASES[route]
-    doc = {"format_version": 1, "id": f"routes/{route}", "base": base, "algebra": algebra}
+    return parse_case(json.dumps({"format_version": 1, "id": f"routes/{route}", "base": base, "algebra": algebra}))
+
+
+def outcome(route: str, command: str):
     try:
-        rep = run_command(command, parse_case(json.dumps(doc)), OPTIONS)
+        rep = run_command(command, description(route), OPTIONS)
     except FutilityError as exc:
         return type(exc), str(exc)
     res = rep.result
@@ -187,3 +194,36 @@ def test_every_route_and_command_is_pinned():
 @pytest.mark.parametrize("route,command", sorted(EXPECTED))
 def test_route_outcome(route, command):
     assert outcome(route, command) == EXPECTED[(route, command)]
+
+
+def counted_searches(monkeypatch):
+    calls = []
+    real = finite_enum._search
+    monkeypatch.setattr(finite_enum, "_search", lambda A, start: calls.append(A) or real(A, start))
+    return calls
+
+
+def test_oracle_compare_over_fp_shares_the_deciders_lattice(monkeypatch):
+    # a commutative certificate counts A's lattice, which the oracle reads again
+    calls = counted_searches(monkeypatch)
+    assert outcome("f2-comm", "oracle-compare") == EXPECTED[("f2-comm", "oracle-compare")]
+    assert len(calls) == 1
+
+
+def test_oracle_compare_over_fp_searches_a_noncommutative_algebra_and_its_quotient(monkeypatch):
+    # the decider enumerates A/[A, A], the oracle A itself
+    calls = counted_searches(monkeypatch)
+    desc = parse_case((CORPUS / "noncommutative" / "f2-upper-triangular.case").read_text())
+    rep = run_command("oracle-compare", desc)
+    assert rep.agreement is True
+    assert [A.dim for A in calls] == [2, 3]
+
+
+def test_every_run_searches_its_own_algebra(monkeypatch):
+    # a lattice lives as long as the algebra it was searched on, not the case
+    calls = counted_searches(monkeypatch)
+    desc = description("f2-comm")
+    first = run_command("oracle-compare", desc)
+    second = run_command("oracle-compare", desc)
+    assert first.to_json() == second.to_json()
+    assert len(calls) == 2 and calls[0] is not calls[1]
