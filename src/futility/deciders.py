@@ -31,7 +31,7 @@ from .algebra import (
 )
 from .domains import QQ, FunctionField, PrimeField
 from .errors import BudgetExceeded, MalformedPresentation, UnsupportedDomain
-from .finite_enum import DEFAULT_BUDGET, enumerate_subalgebras
+from .finite_enum import DEFAULT_BUDGET, subalgebra_lattice
 from .intmat import (
     hermite_basis,
     hnf_adjoin,
@@ -285,7 +285,7 @@ def decide_finite_base(A: StructAlgebra, budget: int = DEFAULT_BUDGET) -> Futili
     if isinstance(dom, PrimeField):
         try:
             base = subspace_from_vectors(dom, A.dim, [A.unit])
-            lat = enumerate_subalgebras(A, base, budget)
+            lat = subalgebra_lattice(A, base, budget)
             cert["subalgebra_count"] = lat.count
             notes.append(f"exhaustive enumeration found {lat.count} subalgebras")
         except BudgetExceeded:

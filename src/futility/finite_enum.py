@@ -13,9 +13,9 @@ commutative algebra S[a] = S + S*a + S*a^2 + ..., the power walk of
 algebra.generated_by_element; over a noncommutative one, algebra.closure
 closes S and a under products.  Both run on plain ints in [0, p) through
 linalg.fp_reduce and fp_adjoin, and each member grown becomes one Subspace.
-A lattice is searched once per algebra object and start member, and its
-containment pairs are computed on first read, so only the callers that
-print them pay for them.
+subalgebra_lattice searches a lattice once per algebra object and start
+member, and its containment pairs are computed on first read, so only the
+callers that print them pay for them.
 """
 
 from __future__ import annotations
@@ -171,22 +171,34 @@ def _search(A: StructAlgebra, start: Subspace) -> list:
     return list(found.values())
 
 
-def enumerate_subalgebras(
-    A: StructAlgebra, base_image: Subspace, budget: int = DEFAULT_BUDGET
-) -> SubalgebraLattice:
-    """All multiplication-closed subspaces containing the base image and the
-    unit: the closure search from the subalgebra they generate.
-
-    The search runs once per algebra object and start member: its lattice is
-    kept in the algebra's __dict__, where cached properties keep theirs, so
-    decide's certificate and oracle-compare's oracle share one search, and
-    the lattice goes when the algebra does.  The checks run on every call."""
+def _start(A: StructAlgebra, base_image: Subspace, budget: int) -> Subspace:
+    """The subalgebra generated by the base image and the unit, once the
+    field, the budget and the base image's ambient are checked."""
     _require_prime_field(A)
     _check_budget(A, budget)
     if base_image.ambient != A.dim:
         raise DimensionMismatch("base image lives in the wrong space")
-    start = closure(A, zero_subspace(A.dom, A.dim), [*base_image.rows, A.unit])
+    return closure(A, zero_subspace(A.dom, A.dim), [*base_image.rows, A.unit])
+
+
+def enumerate_subalgebras(
+    A: StructAlgebra, base_image: Subspace, budget: int = DEFAULT_BUDGET
+) -> SubalgebraLattice:
+    """All multiplication-closed subspaces containing the base image and the
+    unit: the closure search from the subalgebra they generate."""
+    return SubalgebraLattice.of(A, _search(A, _start(A, base_image, budget)))
+
+
+def subalgebra_lattice(
+    A: StructAlgebra, base_image: Subspace, budget: int = DEFAULT_BUDGET
+) -> SubalgebraLattice:
+    """enumerate_subalgebras, searched once per algebra object and start
+    member.  The members are kept in the algebra's __dict__, where cached
+    properties keep theirs, so decide's certificate and oracle-compare's
+    oracle share one search.  A Subspace does not refer to its algebra, so
+    the members go when the algebra does.  The checks run on every call."""
+    key = _start(A, base_image, budget).rows
     lattices = vars(A).setdefault("_subalgebra_lattices", {})
-    if start.rows not in lattices:
-        lattices[start.rows] = SubalgebraLattice.of(A, _search(A, start))
-    return lattices[start.rows]
+    if key not in lattices:
+        lattices[key] = enumerate_subalgebras(A, base_image, budget).members
+    return SubalgebraLattice(A, lattices[key])

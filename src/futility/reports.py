@@ -28,7 +28,7 @@ from .deciders import (
 )
 from .domains import QQ, FunctionField, PrimeField, RatFunc
 from .errors import BudgetExceeded, InapplicableCommand, UnsupportedDomain, ValidationError
-from .finite_enum import DEFAULT_BUDGET, enumerate_subalgebras
+from .finite_enum import DEFAULT_BUDGET, subalgebra_lattice
 from .linalg import Subspace, subspace_from_vectors
 from .polynomials import (
     FactoredPoly,
@@ -158,7 +158,7 @@ def _enumerate_result(built: BuiltCase, opts: dict) -> dict:
     if A is None or not isinstance(A.dom, PrimeField):
         raise InapplicableCommand("enumerate needs an algebra over a finite prime field")
     base = subspace_from_vectors(A.dom, A.dim, [A.unit])
-    lat = enumerate_subalgebras(A, base, opts["budget"])
+    lat = subalgebra_lattice(A, base, opts["budget"])
     return {
         "count": lat.count,
         "dims": [s.dim for s in lat.members],
@@ -233,7 +233,7 @@ def _compare_enumeration(built: BuiltCase, rep, opts: dict):
     A = built.payload
     base = subspace_from_vectors(A.dom, A.dim, [A.unit])
     try:
-        lat = enumerate_subalgebras(A, base, opts["budget"])
+        lat = subalgebra_lattice(A, base, opts["budget"])
     except BudgetExceeded:
         return {"kind": "enumeration", "status": "over-budget"}, rep.verdict == FUTILE
     oracle = {"kind": "enumeration", "count": lat.count}

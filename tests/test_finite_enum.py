@@ -25,7 +25,7 @@ from futility.algebra import closure, element_multiply, generated_by_element, pr
 from futility.constructions import matrix_algebra, poly_quotient_algebra
 from futility.domains import PrimeField
 from futility.errors import BudgetExceeded
-from futility.finite_enum import enumerate_subalgebras, iter_subspaces
+from futility.finite_enum import enumerate_subalgebras, iter_subspaces, subalgebra_lattice
 from futility.linalg import Subspace, subspace_from_vectors, zero_subspace
 from futility.polynomials import make_poly
 from reference_closure import span_and_multiply
@@ -334,23 +334,25 @@ def test_the_lattice_is_searched_once_per_algebra_and_start(monkeypatch):
     real = finite_enum._search
     monkeypatch.setattr(finite_enum, "_search", lambda A, start: calls.append(start) or real(A, start))
     A = f2x(*([0] * 6 + [1]))  # F2[x]/(x^6)
-    lat = enumerate_subalgebras(A, unit_span(A))
-    # the empty base image generates the same start, so it finds the kept lattice
-    assert enumerate_subalgebras(A, zero_subspace(F2, 6)) is lat
-    assert len(calls) == 1
+    lat = subalgebra_lattice(A, unit_span(A))
+    assert lat == enumerate_subalgebras(A, unit_span(A))
+    assert len(calls) == 2
+    # the empty base image generates the same start, so it finds the kept members
+    assert subalgebra_lattice(A, zero_subspace(F2, 6)) == lat
+    assert len(calls) == 2
     # the budget is checked before the lookup
     with pytest.raises(BudgetExceeded):
-        enumerate_subalgebras(A, unit_span(A), budget=8)
+        subalgebra_lattice(A, unit_span(A), budget=8)
     # an equal algebra built again searches again
     B = f2x(*([0] * 6 + [1]))
-    assert enumerate_subalgebras(B, unit_span(B)) == lat
-    assert len(calls) == 2
+    assert subalgebra_lattice(B, unit_span(B)).members == lat.members
+    assert len(calls) == 3
 
 
 def test_a_base_image_beyond_the_unit_gets_its_own_lattice():
     A = f2x(*([0] * 6 + [1]))
-    assert enumerate_subalgebras(A, unit_span(A)).count == 24
-    over_x2 = enumerate_subalgebras(A, spanned(A, A.basis_vector(2)))
+    assert subalgebra_lattice(A, unit_span(A)).count == 24
+    over_x2 = subalgebra_lattice(A, spanned(A, A.basis_vector(2)))
     B = f2x(*([0] * 6 + [1]))
     assert over_x2 == enumerate_subalgebras(B, spanned(B, B.basis_vector(2)))
     assert over_x2.count == 4
