@@ -15,6 +15,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, partial
+from itertools import accumulate
 from itertools import product as iproduct
 
 from .domains import (
@@ -50,15 +51,13 @@ from .linalg import (
     subspace_from_vectors,
     unit_vec,
     vec_is_zero,
-    vec_scale,
-    vec_sub,
     zero_subspace,
     zero_vec,
 )
 from .polynomials import (
     Poly,
     factor_over_rationals,
-    make_poly,
+    pmod,
     pmul,
     pquo,
     pxgcd,
@@ -176,13 +175,13 @@ def make_algebra(dom: ScalarDomain, table, unit) -> StructAlgebra:
     bad = _first_unit_failure(T, unit_terms, scale, zero, combine)
     if bad is not None:
         raise ValidationError(f"unit law fails at basis vector {bad}")
-    bad = first_nonassociative(T, combine)
+    bad = first_nonassociative(T, combine, A.is_commutative)
     if bad is not None:
         raise ValidationError(f"associativity fails at basis triple {bad}")
     return A
 
 
-def first_nonassociative(T, combine) -> tuple | None:
+def first_nonassociative(T, combine, symmetric: bool = False) -> tuple | None:
     """The first basis triple (i, j, k), in lexicographic order, where
     (e_i e_j) e_k differs from e_i (e_j e_k), or None.
 
@@ -192,16 +191,30 @@ def first_nonassociative(T, combine) -> tuple | None:
     (l, c) in T_jk.  combine(size, terms, rows) forms such a sum: rows[l]
     shifted by off and scaled by c, over the (off, l, c) in terms.  Two sides
     are compared block by block as combine returns them, so a combine that
-    writes each block in a canonical form compares them modulo that form."""
+    writes each block in a canonical form compares them modulo that form.
+
+    With symmetric=True, T must equal its transpose (T_ij = T_ji), and only
+    the k >= i are formed; the blocks of the k < i are zero on both sides.
+    For such T the left side of (k, j, i) is the right side of (i, j, k) as
+    a raw sum, and the other way round, so (k, j, i) fails exactly when
+    (i, j, k) does: the first failure has i <= k, and the half scan finds
+    the same triple from about half the work."""
     n = len(T)
     size = n * n
     blocks = [[(k * n + m, t) for k in range(n) for m, t in T[l][k]] for l in range(n)]
     right_terms = [[(k * n, l, c) for k in range(n) for l, c in T[j][k]] for j in range(n)]
+    # cuts[l][i]: where the entries of the k >= i start, in blocks[l] and
+    # in right_terms[l] alike
+    cuts = [list(accumulate((len(v) for v in T[l]), initial=0)) for l in range(n)]
+    rows, rights = blocks, right_terms
     for i in range(n):
         Ti = T[i]
+        if symmetric and i:
+            rows = [b[c[i]:] for b, c in zip(blocks, cuts)]
+            rights = [t[c[i]:] for t, c in zip(right_terms, cuts)]
         for j in range(n):
-            left = combine(size, [(0, l, c) for l, c in Ti[j]], blocks)
-            right = combine(size, right_terms[j], Ti)
+            left = combine(size, [(0, l, c) for l, c in Ti[j]], rows)
+            right = combine(size, rights[j], Ti)
             if left != right:
                 return i, j, next(k for k in range(n) if left[k * n:(k + 1) * n] != right[k * n:(k + 1) * n])
     return None
@@ -527,28 +540,71 @@ def nilradical(A: StructAlgebra) -> Subspace:
     return out
 
 
-def minimal_polynomial(A: StructAlgebra, a) -> Poly:
-    """Monic least-degree polynomial with f(a) = 0, by linear dependence of
-    the powers of a (the constant 1 in the zero algebra)."""
-    dom = A.dom
-    powers = []
-    cur = A.unit
+def minimal_polynomial(A: StructAlgebra, a, ideal: Subspace | None = None) -> Poly:
+    """The monic least-degree polynomial f with f(a) = 0, or with f(a) in the
+    given ideal of A; the constant 1 when 1 already lies there (the zero
+    algebra, or the ideal A).  Over QQ and F_p; any other domain raises
+    UnsupportedDomain.
+
+    One incremental walk on the domain's linalg.echelon_pair, from the
+    ideal's rows padded with zeros (no rows without an ideal).  Each row
+    adjoined after them is [s*v | s*c], for a nonzero scalar s and the
+    coefficients c of a polynomial, lowest degree first, with v = c(a).  The
+    first candidate is [1 | 1], of degree 0, and the candidate after a
+    residual r is r times a, its coefficient part shifted by x.  Step k
+    reduces a candidate of degree k against rows of degree below k, so its
+    x^k coefficient survives; a residual with v = 0 is then a multiple of
+    the least-degree f, and otherwise it is adjoined.
+
+    Over QQ the walk runs on ints: a is scaled by its common denominator d
+    and products are taken through A.int_tensor, so the product of a row
+    with a is D*d times r*a, and the shifted coefficient part is scaled by
+    D*d to match.  Over F_p products go through A.sparse and into
+    linalg.fp_reduce unreduced, which takes them mod p once."""
+    dom, n = A.dom, A.dim
+    if len(a) != n:
+        raise DimensionMismatch("coordinate length differs from dimension")
+    if ideal is None:
+        ideal = zero_subspace(dom, n)
+    if type(dom) is RationalField:
+        d = math.lcm(*(c.denominator for c in a))
+        a = [c.numerator * (d // c.denominator) for c in a]
+        tensor, step, base = A.int_tensor, A.int_den * d, ideal.int_rows
+
+        def monic(c):
+            return [Fraction(x, c[-1]) for x in c]
+    elif type(dom) is PrimeField:
+        tensor, step, base = A.sparse, 1, ideal.rows
+
+        def monic(c):
+            inv = pow(c[-1], -1, dom.p)
+            return [x * inv % dom.p for x in c]
+    else:
+        raise UnsupportedDomain("minimal polynomials run over the rationals and F_p")
+    enter, reduce, adjoin, aux, _ = echelon_pair(dom)
+    pad = (0,) * (n + 1)
+    rows, pivots = tuple(r + pad for r in base), ideal.pivots
+    cur = enter((*A.unit, 1, *pad[1:]))
     while True:
-        coeffs = solve(dom, powers, cur)
-        if coeffs is not None:
-            # x^k - sum coeffs_i x^i
-            body = [dom.neg(c) for c in coeffs] + [dom.one]
-            return make_poly(dom, body)
-        powers.append(cur)
-        cur = element_multiply(A, cur, a)
+        r = reduce(rows, pivots, cur, aux)
+        if not any(r[:n]):
+            c = list(r[n:])
+            while not c[-1]:
+                c.pop()
+            return Poly(dom, tuple(monic(c)))
+        rows, pivots = adjoin(rows, pivots, r, aux)
+        cur = [*_int_multiply(tensor, n, r[:n], a), 0, *(step * x for x in r[n:-1])]
 
 
-def primitive_element(A: StructAlgebra, seed: int = 0, budget: int = 2048):
+def primitive_element(A: StructAlgebra, seed: int = 0, budget: int = 2048, ideal: Subspace | None = None):
     """(a, f) with the powers of a spanning A and f = minimal_polynomial(A, a):
     a is accepted when deg f = dim A, since K[a] is the span of its powers.
+    Given an ideal I, a is accepted when f = minimal_polynomial(A, a, I) has
+    degree dim A - dim I: then the image of a generates A/I, and f is its
+    minimal polynomial there.
 
     Over F_p every element is tried in itertools.product order, so
-    (None, None) proves that A has no primitive element; more than
+    (None, None) proves that A (A/I) has no primitive element; more than
     64 * budget elements raise BudgetExceeded.  Over Q the basis vectors come
     first, then seeded random integer vectors in a box that doubles after
     every 16th trial; a search past the budget raises SearchBudgetExceeded."""
@@ -561,9 +617,10 @@ def primitive_element(A: StructAlgebra, seed: int = 0, budget: int = 2048):
         candidates = _rational_candidates(A, random.Random(seed), budget)
     else:
         raise UnsupportedDomain("generator search supports Q and F_p domains")
+    target = A.dim - (ideal.dim if ideal is not None else 0)
     for a in candidates:
-        f = minimal_polynomial(A, a)
-        if f.degree == A.dim:
+        f = minimal_polynomial(A, a, ideal)
+        if f.degree == target:
             return a, f
     if dom == QQ:
         raise SearchBudgetExceeded("no generator found within the search budget")
@@ -678,17 +735,22 @@ class LocalFactor:
 def local_decomposition(A: StructAlgebra, seed: int = 0) -> list[LocalFactor]:
     """The local factors of a commutative algebra over Q, sorted by
     (dim, nil_dim) with nil_dim the dimension of the factor's nilradical;
-    factors equal in both keep the order of the factorization below.  Any
-    other domain raises UnsupportedDomain.
+    factors equal in both keep the order of the factorization below, which
+    depends on the element a found there.  Any other domain raises
+    UnsupportedDomain.
 
-    One pass: with N the nilradical of A and R = A/N, a primitive element b
-    of R (from primitive_element; any one gives the same factors) has a
-    squarefree minimal polynomial f = g_1 ... g_k of degree dim R, factored
-    once.  With h_i = f/g_i and s*g_i + t*h_i = 1, (t*h_i)(b) is the
-    idempotent of R = Q[x]/(f) cutting out Q[x]/(g_i); the Newton step
-    e -> 3e^2 - 2e^3 lifts it along N.  Idempotent lifts are unique in a
-    commutative ring, so the k lifts are orthogonal and sum to 1, and the
-    factor e_i*A has residue field Q[x]/(g_i): nil_dim = dim - deg g_i.
+    One pass, without forming A/N: with N the nilradical of A, an element a
+    whose image generates A/N (primitive_element modulo N) has a minimal
+    polynomial modulo N, f, of degree dim A - dim N.  f is the minimal
+    polynomial of the image of a in A/N = Q[x]/(f), so it is squarefree; it
+    is factored once as g_1 ... g_k.  In the local factor A_i of A with
+    residue field Q[x]/(g_i), the component of a has minimal polynomial
+    g_i^(m_i), and the g_i are distinct, so the minimal polynomial of a in A
+    is mu = g_1^(m_1) ... g_k^(m_k).  The CRT idempotent E_i of Q[x]/(mu),
+    1 modulo g_i^(m_i) and 0 modulo the other factors, is 1 on the
+    component of a in A_i and 0 on the others: E_i(a) is the primitive
+    idempotent e_i of A.  The factor e_i*A has residue field Q[x]/(g_i):
+    nil_dim = dim - deg g_i.
     """
     if not A.is_commutative:
         raise ValidationError("local decomposition needs a commutative algebra")
@@ -699,37 +761,33 @@ def local_decomposition(A: StructAlgebra, seed: int = 0) -> list[LocalFactor]:
         raise UnsupportedDomain("local decomposition runs over Q")
     whole = [LocalFactor(A.unit, A, tuple(A.basis_vector(i) for i in range(A.dim)))]
     nil = nilradical(A)
-    R, _ = quotient_algebra(A, nil)
-    if R.dim == 1:
+    if A.dim - nil.dim == 1:
         return whole
-    b, f = primitive_element(R, seed)
+    a, f = primitive_element(A, seed, ideal=nil)
     fac = factor_over_rationals(f, seed=0)
     if any(m > 1 for _, m in fac.factors):
         raise ValidationError("semisimple quotient produced a repeated factor")
     if len(fac.factors) == 1:
         return whole
-    powers = [R.unit]
-    while len(powers) < R.dim:
-        powers.append(element_multiply(R, powers[-1], b))
-    # R's basis is A's basis vectors off the pivots of N
-    section = [A.basis_vector(j) for j in range(A.dim) if j not in nil.pivots]
-    three, two = dom.from_int(3), dom.from_int(2)
+    mu = minimal_polynomial(A, a)
+    powers = [A.unit]
+    while len(powers) < mu.degree:
+        powers.append(element_multiply(A, powers[-1], a))
     out = []
     for g, _ in fac.factors:
-        h = pquo(f, g)
-        one, _, t = pxgcd(g, h)
+        # q = g^m, the power of g that exactly divides mu, and h = mu / q
+        q, h = g, pquo(mu, g)
+        while pmod(h, g).is_zero:
+            q, h = pmul(q, g), pquo(h, g)
+        # t = 1/h modulo q, of degree below deg q: t*h is 1 modulo q and 0
+        # modulo h, of degree below deg mu
+        one, _, t = pxgcd(q, pmod(h, q))
         assert one.degree == 0
-        e = combine(dom, combine(dom, pmul(t, h).coeffs, powers, R.dim), section, A.dim)
-        for _ in range(A.dim + 2):
-            sq = element_multiply(A, e, e)
-            if sq == e:
-                break
-            cube = element_multiply(A, sq, e)
-            e = vec_sub(dom, vec_scale(dom, three, sq), vec_scale(dom, two, cube))
+        e = combine(dom, pmul(t, h).coeffs, powers, A.dim)
         if element_multiply(A, e, e) != e:
-            raise ValidationError("idempotent lifting failed to converge")
+            raise ValidationError("CRT idempotent is not idempotent")
         if e == A.unit or vec_is_zero(dom, e):
-            raise ValidationError("idempotent lifting collapsed to a trivial idempotent")
+            raise ValidationError("CRT idempotent is trivial")
         C, projection = _peel_factor(A, e)
         out.append((C.dim, C.dim - g.degree, LocalFactor(e, C, projection)))
     out.sort(key=lambda entry: entry[:2])

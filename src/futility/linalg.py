@@ -37,9 +37,6 @@ from .errors import DimensionMismatch
 def vec_add(dom, u, v):
     return tuple(dom.add(a, b) for a, b in zip(u, v))
 
-def vec_sub(dom, u, v):
-    return tuple(dom.sub(a, b) for a, b in zip(u, v))
-
 def vec_scale(dom, c, u):
     return tuple(dom.mul(c, a) for a in u)
 

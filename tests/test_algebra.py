@@ -54,10 +54,10 @@ from futility.linalg import (
     subspace_from_vectors,
     unit_vec,
     vec_is_zero,
-    vec_sub,
     zero_subspace,
 )
 from futility.polynomials import make_poly, pmul, poly_to_str, ppow
+import reference_local
 from reference_closure import span_and_multiply
 from reference_tables import change_of_basis, upper_triangular_algebra
 
@@ -255,10 +255,12 @@ def test_function_field_sources_carry_denominators_and_two_variables():
     assert tower.dim == 4 and tower.dom == FST
 
 
-@pytest.mark.parametrize("name", ["F2(t)-denominators", "F2(s,t)", "Z4"])
+@pytest.mark.parametrize("name", ["F2", "F3", "F2(t)-denominators", "F2(s,t)", "Z4"])
 def test_every_single_perturbation_is_judged_like_reference(name):
     # one delta at every table position in turn, so each (i, j, k) and each
-    # arm's first failing triple is exercised, not only the sampled ones
+    # arm's first failing triple is exercised, not only the sampled ones; on
+    # the 2x2 matrix units over F_2 one first failure has k < i, which only
+    # the full scan forms
     A, deltas = SOURCES[name]
     dom, n = A.dom, A.dim
     for i, j, k in itertools.product(range(n), repeat=3):
@@ -303,6 +305,53 @@ def test_unit_law_failing_on_one_side(left_only):
     table = [[e0, e1], [z, z]] if left_only else [[e0, z], [e1, z]]
     assert reference_validation(QQ, table, e0) == "unit law fails at basis vector 1"
     assert_validates_like_reference(QQ, table, e0)
+
+
+# commutative sources, the unit at basis vector 0: symmetric tables over Q,
+# F_2, Z/4 and F_2(t)
+SYMMETRIC_SOURCES = {
+    "Q": SOURCES["Q"],
+    "F2": (poly_quotient_algebra(make_poly(F2, [1, 0, 1, 0, 0, 1])), [1]),  # x^5 + x^2 + 1
+    "Z4": SOURCES["Z4"],
+    "F2(t)": SOURCES["F2(t)"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(SYMMETRIC_SOURCES))
+def test_half_scan_finds_the_triple_of_the_full_scan(monkeypatch, name):
+    """Each symmetric pair of entries (i, j), (j, i) off the unit moved by one
+    seeded delta: the table stays symmetric, so make_algebra takes the half
+    scan.  The half scan, the full scan on the same tensor and the
+    per-triple loop report the same first triple, and make_algebra raises
+    the loop's message.  Some first failures (i, j, k) have i < k, so their
+    mirror (k, j, i) fails too and comes later in the full scan, where the
+    half scan never forms it."""
+    A, deltas = SYMMETRIC_SOURCES[name]
+    dom, n = A.dom, A.dim
+    real = algebra_module.first_nonassociative
+    scans = []
+
+    def both(T, combine, symmetric=False):
+        half = real(T, combine, symmetric)
+        scans.append((symmetric, half, real(T, combine)))
+        return half
+
+    monkeypatch.setattr(algebra_module, "first_nonassociative", both)
+    rng = random.Random(3)
+    mirrored = 0
+    for i, j in itertools.combinations_with_replacement(range(1, n), 2):
+        table = [[list(v) for v in block] for block in A.table]
+        m = rng.randrange(n)
+        table[i][j][m] = dom.add(table[i][j][m], rng.choice(deltas))
+        table[j][i][m] = table[i][j][m]
+        scans.clear()
+        expected = reference_validation(dom, table, A.unit)
+        assert_validates_like_reference(dom, table, A.unit)
+        [(symmetric, half, full)] = scans
+        assert symmetric and half == full
+        assert expected == (None if half is None else f"associativity fails at basis triple {half}")
+        mirrored += half is not None and half[0] < half[2]
+    assert mirrored
 
 
 def ratfuncs():
@@ -439,7 +488,7 @@ def test_commutator_and_generated_match_span_and_multiply(dom):
     for A in (change_of_basis(U, basis), matrix_algebra(dom, 2)):
         e = [A.basis_vector(i) for i in range(A.dim)]
         comms = [
-            vec_sub(dom, element_multiply(A, e[i], e[j]), element_multiply(A, e[j], e[i]))
+            tuple(map(dom.sub, element_multiply(A, e[i], e[j]), element_multiply(A, e[j], e[i])))
             for i in range(A.dim)
             for j in range(i + 1, A.dim)
         ]
@@ -573,7 +622,7 @@ def check_local_decomposition(A):
 # small members of the Q families the decide-only benchmark draws from: a
 # squared linear factor beside an Eisenstein one, a squared Eisenstein
 # factor, and a cubed linear factor beside a cubic
-@pytest.mark.parametrize(
+BENCH_MODULI = pytest.mark.parametrize(
     "modulus",
     [
         pmul(pmul(ppow(q(-1, 1), 2), q(-2, 0, 1)), q(3, 1)),
@@ -582,6 +631,36 @@ def check_local_decomposition(A):
     ],
     ids=["lin2-eis2-lin", "eis2-squared-lin", "lin3-eis3"],
 )
+
+
+def assert_matches_the_quotient_reference(A):
+    """Idempotents, factor tables, units and projections agree, repr for
+    repr, with the decomposition through A/N and the Newton lift.  Both are
+    compared sorted by (dim, nil_dim, idempotent): factors tied in
+    (dim, nil_dim) come in the order of the factorization, which depends on
+    the element each one factors by."""
+
+    def by_key(factors):
+        return sorted(factors, key=lambda lf: (lf.algebra.dim, nilradical(lf.algebra).dim, lf.idempotent))
+
+    got, want = by_key(local_decomposition(A)), by_key(reference_local.local_decomposition(A))
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        for x, y in [
+            (g.idempotent, w.idempotent),
+            (g.algebra.table, w.algebra.table),
+            (g.algebra.unit, w.algebra.unit),
+            (g.projection, w.projection),
+        ]:
+            assert repr(x) == repr(y)
+
+
+@BENCH_MODULI
+def test_local_decomposition_matches_the_quotient_reference(modulus):
+    assert_matches_the_quotient_reference(poly_quotient_algebra(modulus))
+
+
+@BENCH_MODULI
 def test_local_decomposition_is_the_same_with_the_dense_product(monkeypatch, modulus):
     """Idempotents, factor tables and projections agree element for element,
     representation included, with every product taken by dense_multiply."""
@@ -718,6 +797,7 @@ def test_local_decomposition_of_products_of_primary_quotients(parts):
     A = product_algebra([poly_quotient_algebra(ppow(g, m)) for g, m in parts])
     check_local_decomposition(A)
     assert local_shape(A) == sorted((m * g.degree, (m - 1) * g.degree) for g, m in parts)
+    assert_matches_the_quotient_reference(A)
 
 
 # --- minimal polynomials -----------------------------------------------------------
@@ -728,6 +808,35 @@ def test_minimal_polynomial_examples():
     assert minimal_polynomial(A, A.basis_vector(1)) == q(0, 0, 0, 1)
     M = matrix_algebra(F2, 2)
     assert minimal_polynomial(M, M.basis_vector(1)) == make_poly(F2, [0, 0, 1])
+
+
+# Q[x]/(x^3 (x^2 - 2)) on the basis 2, x, x^2, ...: the unit is (1/2, 0, ...)
+Q_HALF_UNIT = change_of_basis(SOURCES["Q"][0], [frac(*[2 if j == i == 0 else int(j == i) for j in range(5)]) for i in range(5)])
+
+MINIMAL_POLYNOMIAL_CASES = {
+    "Q": (SOURCES["Q"][0], Q_FRACTIONS),
+    "Q-rational-basis": (Q_RATIONAL_BASIS, Q_FRACTIONS),
+    "Q-unit-with-denominators": (Q_HALF_UNIT, Q_FRACTIONS),
+    "Q-upper-triangular": (upper_triangular_algebra(QQ, 3), Q_FRACTIONS),
+    "F2": (SYMMETRIC_SOURCES["F2"][0], st.integers(0, 1)),
+    "F5": (SOURCES["F5"][0], st.integers(0, 4)),
+    "F3-upper-triangular": (upper_triangular_algebra(F3, 3), st.integers(0, 2)),
+}
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from(sorted(MINIMAL_POLYNOMIAL_CASES)), st.data())
+def test_minimal_polynomial_walk_matches_one_solve_per_power(name, data):
+    """The walk and the solve per power give the same polynomial, alone and
+    modulo the two-sided ideal generated by a drawn element (zero, a proper
+    ideal or all of A)."""
+    A, scalars = MINIMAL_POLYNOMIAL_CASES[name]
+    assert Q_HALF_UNIT.unit[0] == Fraction(1, 2)
+    a, b = (tuple(data.draw(st.lists(scalars, min_size=A.dim, max_size=A.dim))) for _ in range(2))
+    ideal = closure(A, zero_subspace(A.dom, A.dim), [b], ideal=True)
+    for rows in (None, ideal):
+        walk, solved = minimal_polynomial(A, a, rows), reference_local.minimal_polynomial(A, a, rows)
+        assert (walk.dom, repr(walk.coeffs)) == (solved.dom, repr(solved.coeffs))
 
 
 # --- quotients and products ---------------------------------------------------------

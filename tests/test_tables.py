@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import reference_tables as ref
-from futility import constructions
+from futility import constructions, deciders
 from futility.algebra import (
     StructAlgebra,
     closure,
@@ -214,3 +214,53 @@ def test_dense_z_presentations_fail_at_the_reference_triple():
             assert got == want
             failures += want[1].startswith("associativity fails")
     assert failures == 12
+
+
+def test_symmetric_z_presentations_take_the_half_scan_to_the_reference_triple(monkeypatch):
+    # tables equal to their transpose as raw rows, generator 0 the unit, over
+    # Z and modulo 2 and 3: Z[x]/(x^4 - 2x - 1) with each symmetric pair of
+    # entries off the unit moved by one, and random dense tables.  The half
+    # scan runs, reports the full scan's triple, and raises the reference's
+    # message; some first failures (i, j, k) have i < k, so the mirror
+    # (k, j, i) that the half scan skips fails later in the full scan
+    real = deciders.first_nonassociative
+    scans = []
+
+    def both(T, combine, symmetric=False):
+        half = real(T, combine, symmetric)
+        scans.append((symmetric, half, real(T, combine)))
+        return half
+
+    monkeypatch.setattr(deciders, "first_nonassociative", both)
+    quartic = [[[int(c) for c in v] for v in block] for block in q_quotient(-1, -2, 0, 0, 1).table]
+    tables = []
+    for i, j in itertools.combinations_with_replacement(range(1, 4), 2):
+        for k in range(4):
+            table = [[list(v) for v in block] for block in quartic]
+            table[i][j][k] += 1
+            table[j][i][k] = table[i][j][k]
+            tables.append(table)
+    rng = random.Random(11)
+    n = 6
+    identity = [[int(i == j) for i in range(n)] for j in range(n)]
+    for _ in range(4):
+        table = [[[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)] for _ in range(n)]
+        for i in range(n):
+            table[0][i] = table[i][0] = list(identity[i])
+            for j in range(i):
+                table[i][j] = list(table[j][i])
+        tables.append(table)
+    failures = mirrored = 0
+    for table in tables:
+        n = len(table)
+        for m in (0, 2, 3):
+            relations = [[m * int(i == j) for i in range(n)] for j in range(n)] if m else []
+            scans.clear()
+            got, want = _judge_both(n, relations, table, [1] + [0] * (n - 1))
+            assert got == want
+            if want[1].startswith("associativity fails"):
+                [(symmetric, half, full)] = scans
+                assert symmetric and half == full and want[1].endswith(f"triple {half}")
+                failures += 1
+                mirrored += half[0] < half[2]
+    assert failures > 20 and mirrored
