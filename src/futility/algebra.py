@@ -175,13 +175,13 @@ def make_algebra(dom: ScalarDomain, table, unit) -> StructAlgebra:
     bad = _first_unit_failure(T, unit_terms, scale, zero, combine)
     if bad is not None:
         raise ValidationError(f"unit law fails at basis vector {bad}")
-    bad = first_nonassociative(T, combine, A.is_commutative)
+    bad = first_nonassociative(T, combine)
     if bad is not None:
         raise ValidationError(f"associativity fails at basis triple {bad}")
     return A
 
 
-def first_nonassociative(T, combine, symmetric: bool = False) -> tuple | None:
+def first_nonassociative(T, combine) -> tuple | None:
     """The first basis triple (i, j, k), in lexicographic order, where
     (e_i e_j) e_k differs from e_i (e_j e_k), or None.
 
@@ -193,13 +193,14 @@ def first_nonassociative(T, combine, symmetric: bool = False) -> tuple | None:
     are compared block by block as combine returns them, so a combine that
     writes each block in a canonical form compares them modulo that form.
 
-    With symmetric=True, T must equal its transpose (T_ij = T_ji), and only
-    the k >= i are formed; the blocks of the k < i are zero on both sides.
-    For such T the left side of (k, j, i) is the right side of (i, j, k) as
-    a raw sum, and the other way round, so (k, j, i) fails exactly when
-    (i, j, k) does: the first failure has i <= k, and the half scan finds
-    the same triple from about half the work."""
+    When T equals its transpose (T_ij = T_ji), only the k >= i are formed;
+    the blocks of the k < i are zero on both sides.  For such T the left
+    side of (k, j, i) is the right side of (i, j, k) as a raw sum, and the
+    other way round, so (k, j, i) fails exactly when (i, j, k) does: the
+    first failure has i <= k, and the half scan finds the same triple from
+    about half the work."""
     n = len(T)
+    symmetric = all(T[i][j] == T[j][i] for i in range(n) for j in range(i))
     size = n * n
     blocks = [[(k * n + m, t) for k in range(n) for m, t in T[l][k]] for l in range(n)]
     right_terms = [[(k * n, l, c) for k in range(n) for l, c in T[j][k]] for j in range(n)]
@@ -543,8 +544,7 @@ def nilradical(A: StructAlgebra) -> Subspace:
 def minimal_polynomial(A: StructAlgebra, a, ideal: Subspace | None = None) -> Poly:
     """The monic least-degree polynomial f with f(a) = 0, or with f(a) in the
     given ideal of A; the constant 1 when 1 already lies there (the zero
-    algebra, or the ideal A).  Over QQ and F_p; any other domain raises
-    UnsupportedDomain.
+    algebra, or the ideal A).
 
     One incremental walk on the domain's linalg.echelon_pair, from the
     ideal's rows padded with zeros (no rows without an ideal).  Each row
@@ -560,40 +560,59 @@ def minimal_polynomial(A: StructAlgebra, a, ideal: Subspace | None = None) -> Po
     and products are taken through A.int_tensor, so the product of a row
     with a is D*d times r*a, and the shifted coefficient part is scaled by
     D*d to match.  Over F_p products go through A.sparse and into
-    linalg.fp_reduce unreduced, which takes them mod p once."""
+    linalg.fp_reduce unreduced, which takes them mod p once.  Over any other
+    field the rows hold field elements and products go through
+    element_multiply."""
     dom, n = A.dom, A.dim
     if len(a) != n:
         raise DimensionMismatch("coordinate length differs from dimension")
     if ideal is None:
         ideal = zero_subspace(dom, n)
+    zero, one, nonzero = 0, 1, any
     if type(dom) is RationalField:
         d = math.lcm(*(c.denominator for c in a))
         a = [c.numerator * (d // c.denominator) for c in a]
         tensor, step, base = A.int_tensor, A.int_den * d, ideal.int_rows
 
+        def times_a(r):
+            return [*_int_multiply(tensor, n, r[:n], a), 0, *(step * x for x in r[n:-1])]
+
         def monic(c):
             return [Fraction(x, c[-1]) for x in c]
     elif type(dom) is PrimeField:
-        tensor, step, base = A.sparse, 1, ideal.rows
+        tensor, base = A.sparse, ideal.rows
+
+        def times_a(r):
+            return [*_int_multiply(tensor, n, r[:n], a), 0, *r[n:-1]]
 
         def monic(c):
             inv = pow(c[-1], -1, dom.p)
             return [x * inv % dom.p for x in c]
     else:
-        raise UnsupportedDomain("minimal polynomials run over the rationals and F_p")
+        zero, one, base = dom.zero, dom.one, ideal.rows
+
+        def nonzero(v):
+            return not vec_is_zero(dom, v)
+
+        def times_a(r):
+            return [*element_multiply(A, r[:n], a), zero, *r[n:-1]]
+
+        def monic(c):
+            inv = dom.inv(c[-1])
+            return [dom.mul(x, inv) for x in c]
     enter, reduce, adjoin, aux, _ = echelon_pair(dom)
-    pad = (0,) * (n + 1)
+    pad = (zero,) * (n + 1)
     rows, pivots = tuple(r + pad for r in base), ideal.pivots
-    cur = enter((*A.unit, 1, *pad[1:]))
+    cur = enter((*A.unit, one, *pad[1:]))
     while True:
         r = reduce(rows, pivots, cur, aux)
-        if not any(r[:n]):
+        if not nonzero(r[:n]):
             c = list(r[n:])
-            while not c[-1]:
+            while not nonzero(c[-1:]):
                 c.pop()
             return Poly(dom, tuple(monic(c)))
         rows, pivots = adjoin(rows, pivots, r, aux)
-        cur = [*_int_multiply(tensor, n, r[:n], a), 0, *(step * x for x in r[n:-1])]
+        cur = times_a(r)
 
 
 def primitive_element(A: StructAlgebra, seed: int = 0, budget: int = 2048, ideal: Subspace | None = None):

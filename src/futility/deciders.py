@@ -387,15 +387,12 @@ class ZPresentation:
 
         # each generator block of a side becomes its representative modulo the
         # relation lattice, equal on both sides exactly when their difference
-        # lies in the lattice; a table equal to its transpose as raw integer
-        # rows gets the half scan, whose mirror argument holds on the raw sums
+        # lies in the lattice
         def combine(size, terms, rows):
             acc = _int_combine(size, terms, rows)
             return [x for k in range(0, size, n) for x in hnf_reduce(basis, acc[k:k + n])]
 
-        T = self.sparse
-        symmetric = all(T[i][j] == T[j][i] for i in range(n) for j in range(i))
-        bad = first_nonassociative(T, combine, symmetric)
+        bad = first_nonassociative(self.sparse, combine)
         if bad is not None:
             raise MalformedPresentation(f"associativity fails at generator triple {bad}")
 

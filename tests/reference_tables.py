@@ -137,3 +137,25 @@ def check_z_presentation(ngens, relations, table, unit):
                 rhs = mul_vec(gen(i), table[j][k])
                 if not lattice_contains(basis, vsub(lhs, rhs)):
                     raise MalformedPresentation(f"associativity fails at generator triple ({i}, {j}, {k})")
+
+
+def scan_with_blocks(scan, T, combine):
+    """scan(T, combine) and, for each i, the least k among the blocks that
+    the scan formed for the triples (i, j, k): combine call 2(i*n + j) is
+    the left side of (i, j), which reads rows[l] at k*n + m, and the call
+    after it is the right side, whose terms carry the offsets k*n."""
+    n = len(T)
+    least = [n] * n
+    calls = [0]
+
+    def watched(size, terms, rows):
+        i = calls[0] // (2 * n)
+        if calls[0] % 2:
+            starts = [off for off, _, _ in terms]
+        else:
+            starts = [m for _, l, _ in terms for m, _ in rows[l]]
+        least[i] = min([least[i]] + [s // n for s in starts])
+        calls[0] += 1
+        return combine(size, terms, rows)
+
+    return scan(T, watched), least
