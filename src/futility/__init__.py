@@ -5,6 +5,7 @@ validate every verdict against an exhaustive or randomized oracle."""
 __version__ = "0.1.0"
 
 from .algebra import (  # noqa: F401
+    LocalSplit,
     RelativeAlgebra,
     StructAlgebra,
     commutator_ideal,

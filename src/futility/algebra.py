@@ -17,6 +17,7 @@ from fractions import Fraction
 from functools import cached_property, partial
 from itertools import accumulate
 from itertools import product as iproduct
+from operator import mul
 
 from .domains import (
     QQ,
@@ -47,6 +48,7 @@ from .linalg import (
     echelon_pair,
     full_subspace,
     nullspace,
+    primitive,
     solve,
     subspace_from_vectors,
     unit_vec,
@@ -55,6 +57,7 @@ from .linalg import (
     zero_vec,
 )
 from .polynomials import (
+    FactoredPoly,
     Poly,
     factor_over_rationals,
     pmod,
@@ -112,6 +115,21 @@ class StructAlgebra:
             tuple(tuple((k, c.numerator * (den // c.denominator)) for k, c in v) for v in block)
             for block in self.sparse
         )
+
+    @cached_property
+    def traces(self) -> tuple:
+        """tau_k = Tr(e_k) = sum_m c_kmm, the trace of left multiplication by
+        each basis vector; Tr(x) = sum_k x_k tau_k is linear in x."""
+        dom = self.dom
+        tau = []
+        for block in self.sparse:
+            acc = dom.zero
+            for m, v in enumerate(block):
+                for l, c in v:
+                    if l == m:
+                        acc = dom.add(acc, c)
+            tau.append(acc)
+        return tuple(tau)
 
     def __repr__(self):
         return f"StructAlgebra(dim={self.dim}, dom={self.dom})"
@@ -487,17 +505,9 @@ def is_ideal(A: StructAlgebra, s: Subspace) -> bool:
 
 def trace_form(A: StructAlgebra) -> tuple:
     """Rows of the trace form, row i = (Tr(e_i e_j))_j with Tr the trace of
-    left multiplication: Tr(e_i e_j) = sum_k c_ijk tau_k, where
-    tau_k = Tr(e_k) = sum_m c_kmm.  O(dim^3) on the sparse tensor."""
-    dom = A.dom
-    tau = []
-    for block in A.sparse:
-        acc = dom.zero
-        for m, v in enumerate(block):
-            for l, c in v:
-                if l == m:
-                    acc = dom.add(acc, c)
-        tau.append(acc)
+    left multiplication: Tr(e_i e_j) = sum_k c_ijk tau_k, with tau = A.traces.
+    O(dim^3) on the sparse tensor."""
+    dom, tau = A.dom, A.traces
     rows = []
     for block in A.sparse:
         row = []
@@ -536,7 +546,17 @@ def nilradical(A: StructAlgebra) -> Subspace:
         raise UnsupportedDomain("nilradical supports Q and F_p coefficients")
     out = subspace_from_vectors(dom, A.dim, basis)
     for v in out.rows:
-        if not vec_is_zero(dom, element_power(A, v, A.dim)):
+        if dom == QQ:
+            # a nilpotent v has v^dim = 0, so v is nilpotent exactly when
+            # v^(2^k) = 0 for 2^k >= dim; the squares are taken on the ints of
+            # primitive(v), a nonzero multiple of v, through A.int_tensor
+            w, k = primitive(v), 1
+            while any(w) and k < A.dim:
+                w, k = _int_multiply(A.int_tensor, A.dim, w, w), 2 * k
+            nilpotent = not any(w)
+        else:
+            nilpotent = vec_is_zero(dom, element_power(A, v, A.dim))
+        if not nilpotent:
             raise ValidationError("radical computation produced a non-nilpotent")
     return out
 
@@ -741,45 +761,62 @@ def _algebra_on(A: StructAlgebra, rows, coords, unit) -> StructAlgebra:
 
 @dataclass(frozen=True)
 class LocalFactor:
-    """One local factor of a commutative algebra over Q: the primitive
-    idempotent e cutting it out, the factor presented as an algebra on the
-    ideal e*A with unit e, and the projection rows A -> factor coordinates
-    (row i holds the coordinates of e*e_i)."""
+    """One local factor e*A of a commutative algebra A over Q, read off A
+    without forming it: the primitive idempotent e cutting it out, dim e*A,
+    nil_dim = dim e*N with N the nilradical of A, and
+    nil_mod_nil2_dim = dim e*N - dim e*N^2, the dimension of the factor's
+    maximal ideal modulo its square."""
 
     idempotent: tuple
-    algebra: StructAlgebra
-    projection: tuple
+    dim: int
+    nil_dim: int
+    nil_mod_nil2_dim: int
 
 
-def local_decomposition(A: StructAlgebra, seed: int = 0) -> list[LocalFactor]:
+@dataclass(frozen=True)
+class LocalSplit:
     """The local factors of a commutative algebra over Q, sorted by
-    (dim, nil_dim) with nil_dim the dimension of the factor's nilradical;
-    factors equal in both keep the order of the factorization below, which
-    depends on the element a found there.  Any other domain raises
-    UnsupportedDomain.
+    (dim, nil_dim), with the element a the split was made by and its minimal
+    polynomial mu = g_1^(m_1) ... g_k^(m_k) in A, factored as
+    factor_over_rationals factors it; both None when the split returned
+    early, with one factor."""
 
-    One pass, without forming A/N: with N the nilradical of A, an element a
-    whose image generates A/N (primitive_element modulo N) has a minimal
-    polynomial modulo N, f, of degree dim A - dim N.  f is the minimal
-    polynomial of the image of a in A/N = Q[x]/(f), so it is squarefree; it
-    is factored once as g_1 ... g_k.  In the local factor A_i of A with
-    residue field Q[x]/(g_i), the component of a has minimal polynomial
-    g_i^(m_i), and the g_i are distinct, so the minimal polynomial of a in A
-    is mu = g_1^(m_1) ... g_k^(m_k).  The CRT idempotent E_i of Q[x]/(mu),
+    factors: tuple
+    element: tuple | None = None
+    minimal_polynomial: FactoredPoly | None = None
+
+
+def local_decomposition(A: StructAlgebra, seed: int = 0) -> LocalSplit:
+    """The local factors of a commutative algebra over Q, sorted by
+    (dim, nil_dim); factors equal in both keep the order of the
+    factorization below, which depends on the element a found there.  Any
+    other domain raises UnsupportedDomain.
+
+    One pass, without forming A/N or any factor algebra: with N the
+    nilradical of A, an element a whose image generates A/N
+    (primitive_element modulo N) has a minimal polynomial modulo N, f, of
+    degree dim A - dim N.  f is the minimal polynomial of the image of a in
+    A/N = Q[x]/(f), so it is squarefree; it is factored once as
+    g_1 ... g_k.  In the local factor A_i of A with residue field
+    Q[x]/(g_i), the component of a has minimal polynomial g_i^(m_i), and the
+    g_i are distinct, so the minimal polynomial of a in A is
+    mu = g_1^(m_1) ... g_k^(m_k).  The CRT idempotent E_i of Q[x]/(mu),
     1 modulo g_i^(m_i) and 0 modulo the other factors, is 1 on the
     component of a in A_i and 0 on the others: E_i(a) is the primitive
-    idempotent e_i of A.  The factor e_i*A has residue field Q[x]/(g_i):
-    nil_dim = dim - deg g_i.
+    idempotent e_i of A.  It is evaluated on the integer powers of a
+    (_int_powers), and each factor's numbers are read off A by
+    _read_factors.
     """
     if not A.is_commutative:
         raise ValidationError("local decomposition needs a commutative algebra")
     if A.dim == 0:
-        return []
+        return LocalSplit(())
     dom = A.dom
     if dom != QQ:
         raise UnsupportedDomain("local decomposition runs over Q")
-    whole = [LocalFactor(A.unit, A, tuple(A.basis_vector(i) for i in range(A.dim)))]
     nil = nilradical(A)
+    nil2 = subspace_product(A, nil, nil)
+    whole = LocalSplit((LocalFactor(A.unit, A.dim, nil.dim, nil.dim - nil2.dim),))
     if A.dim - nil.dim == 1:
         return whole
     a, f = primitive_element(A, seed, ideal=nil)
@@ -789,36 +826,94 @@ def local_decomposition(A: StructAlgebra, seed: int = 0) -> list[LocalFactor]:
     if len(fac.factors) == 1:
         return whole
     mu = minimal_polynomial(A, a)
-    powers = [A.unit]
-    while len(powers) < mu.degree:
-        powers.append(element_multiply(A, powers[-1], a))
-    out = []
+    powers, scales = _int_powers(A, a, mu.degree)
+    pieces, mu_factors = [], []
     for g, _ in fac.factors:
         # q = g^m, the power of g that exactly divides mu, and h = mu / q
-        q, h = g, pquo(mu, g)
+        q, h, m = g, pquo(mu, g), 1
         while pmod(h, g).is_zero:
-            q, h = pmul(q, g), pquo(h, g)
+            q, h, m = pmul(q, g), pquo(h, g), m + 1
         # t = 1/h modulo q, of degree below deg q: t*h is 1 modulo q and 0
         # modulo h, of degree below deg mu
         one, _, t = pxgcd(q, pmod(h, q))
         assert one.degree == 0
-        e = combine(dom, pmul(t, h).coeffs, powers, A.dim)
+        e = _int_evaluate(pmul(t, h).coeffs, powers, scales)
         if element_multiply(A, e, e) != e:
             raise ValidationError("CRT idempotent is not idempotent")
         if e == A.unit or vec_is_zero(dom, e):
             raise ValidationError("CRT idempotent is trivial")
-        C, projection = _peel_factor(A, e)
-        out.append((C.dim, C.dim - g.degree, LocalFactor(e, C, projection)))
-    out.sort(key=lambda entry: entry[:2])
-    return [lf for _, _, lf in out]
+        pieces.append((e, g.degree))
+        mu_factors.append((g, m))
+    factors = sorted(_read_factors(A, nil, nil2, pieces), key=lambda lf: (lf.dim, lf.nil_dim))
+    return LocalSplit(tuple(factors), a, FactoredPoly(dom, mu.lc, tuple(mu_factors)))
 
 
-def _peel_factor(A: StructAlgebra, e):
-    """The ideal e*A as an algebra with unit e, and the projection rows:
-    row i holds the coordinates of e*e_i in the ideal's echelon basis."""
-    vecs = [element_multiply(A, e, A.basis_vector(i)) for i in range(A.dim)]
-    s = subspace_from_vectors(A.dom, A.dim, vecs)
-    return _algebra_on(A, s.rows, s.coords, s.coords(e)), tuple(s.coords(v) for v in vecs)
+def _int_powers(A: StructAlgebra, a, count: int) -> tuple[list, list]:
+    """The powers a^0, ..., a^(count-1) of an element of an algebra over QQ
+    as integer vectors with one scale each, a^k = powers[k] / scales[k]: a is
+    scaled by its common denominator d, so each product through A.int_tensor
+    multiplies the scale by D*d."""
+    d = math.lcm(*(c.denominator for c in a))
+    a = [c.numerator * (d // c.denominator) for c in a]
+    u = math.lcm(*(c.denominator for c in A.unit))
+    powers, scales = [[c.numerator * (u // c.denominator) for c in A.unit]], [u]
+    step = A.int_den * d
+    while len(powers) < count:
+        powers.append(_int_multiply(A.int_tensor, A.dim, powers[-1], a))
+        scales.append(scales[-1] * step)
+    return powers, scales
+
+
+def _int_evaluate(coeffs, powers, scales) -> tuple:
+    """sum_k coeffs[k] * powers[k] / scales[k] over one common denominator,
+    divided out once per coordinate."""
+    den = math.lcm(*(c.denominator * s for c, s in zip(coeffs, scales) if c))
+    acc = [0] * len(powers[0])
+    for c, row, s in zip(coeffs, powers, scales):
+        if c:
+            w = c.numerator * (den // (c.denominator * s))
+            for j, x in enumerate(row):
+                if x:
+                    acc[j] += w * x
+    return tuple(Fraction(x, den) if x else _ZERO for x in acc)
+
+
+def _read_factors(A: StructAlgebra, nil: Subspace, nil2: Subspace, pieces) -> list[LocalFactor]:
+    """The LocalFactor of each (e, deg g) in pieces, e a primitive
+    idempotent of A and g the residue field's modulus, read off A.
+
+    dim e*A = Tr(L_e) = sum_k e_k tau_k (A.traces), since L_e is an
+    idempotent map, whose trace is its rank; nil_dim = dim e*A - deg g.
+    Multiplication by e is an idempotent map of the ideal N^2 onto e*N^2,
+    and the coordinate along the echelon row r_j of N^2 of a vector in N^2
+    is its entry at the pivot p_j, so dim e*N^2 = sum_j (e*r_j)[p_j].
+
+    The pieces must be consistent: each trace an integer in [1, dim A - 1],
+    the idempotents summing to 1, the dimensions of the factors, of their
+    nilradicals and of their parts of N^2 summing to dim A, dim N and
+    dim N^2, and 0 <= dim e*N^2 <= nil_dim.  A ValidationError names every
+    check that fails."""
+    idempotents = [e for e, _ in pieces]
+    dims = [sum(map(mul, e, A.traces)) for e in idempotents]
+    nil_dims = [d - residue for d, (_, residue) in zip(dims, pieces)]
+    nil2_dims = [sum(element_multiply(A, e, r)[p] for r, p in zip(nil2.rows, nil2.pivots)) for e in idempotents]
+    checks = [
+        (all(d.denominator == 1 and 1 <= d < A.dim for d in dims),
+         "an idempotent's trace is not an integer in [1, dim A - 1]"),
+        (tuple(map(sum, zip(*idempotents))) == A.unit, "the idempotents do not sum to 1"),
+        (sum(dims) == A.dim, "the factor dimensions do not sum to dim A"),
+        (sum(nil_dims) == nil.dim, "the factor nil_dims do not sum to dim N"),
+        (sum(nil2_dims) == nil2.dim, "the factors' parts of N^2 do not sum to dim N^2"),
+        (all(0 <= n2 <= n for n, n2 in zip(nil_dims, nil2_dims)),
+         "a factor's part of N^2 is not within its nilradical"),
+    ]
+    failed = [message for ok, message in checks if not ok]
+    if failed:
+        raise ValidationError("inconsistent local split: " + "; ".join(failed))
+    return [
+        LocalFactor(e, int(d), int(n), int(n - n2))
+        for e, d, n, n2 in zip(idempotents, dims, nil_dims, nil2_dims)
+    ]
 
 
 # ---------------------------------------------------------------------------

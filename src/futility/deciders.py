@@ -15,6 +15,7 @@ from functools import cached_property
 from fractions import Fraction
 
 from .algebra import (
+    LocalSplit,
     RelativeAlgebra,
     StructAlgebra,
     _int_combine,
@@ -76,13 +77,24 @@ class GeneratorSearch:
     exhaustive: bool
 
 
-def find_generator(A: StructAlgebra, seed: int = 0, budget: int = 2048) -> GeneratorSearch:
+def find_generator(
+    A: StructAlgebra, seed: int = 0, budget: int = 2048, split: LocalSplit | None = None
+) -> GeneratorSearch:
     """algebra.primitive_element with its minimal polynomial factored.
 
     Over F_p the search is exhaustive, so a None generator comes with a
-    proof flag; over Q a search past the budget raises instead."""
+    proof flag; over Q a search past the budget raises instead.
+
+    Given split = local_decomposition(A, seed) whose minimal polynomial mu
+    has degree dim A, its element a and mu are returned as they are: a is
+    the first of the search's seeded candidates whose image generates A/N,
+    and a candidate that generates A generates A/N, so a is the first that
+    generates A; mu is factored as factor_over_rationals factors it."""
     if A.dim == 0:
         return GeneratorSearch(generator=(), factored=None, exhaustive=True)
+    mu = split.minimal_polynomial if split is not None else None
+    if mu is not None and mu.degree == A.dim:
+        return GeneratorSearch(split.element, mu, False)
     a, f = primitive_element(A, seed, budget)
     exhaustive = isinstance(A.dom, PrimeField)
     if a is None:
@@ -112,25 +124,22 @@ def decide_infinite_field(A: StructAlgebra, seed: int = 0) -> FutilityReport:
             {"violation": "noncommutative over an infinite field"},
             ("a noncommutative algebra over an infinite field is never futile",),
         )
-    factors = local_decomposition(A, seed=seed)
-    profile = []
-    nonreduced = []
-    for lf in factors:
-        B = lf.algebra
-        nil = nilradical(B)
-        nil2 = subspace_product(B, nil, nil)
-        entry = {
-            "dim": B.dim,
-            "nil_dim": nil.dim,
-            "residue_dim": B.dim - nil.dim,
-            "nil_mod_nil2_dim": nil.dim - nil2.dim,
-        }
-        profile.append(entry)
-        if nil.dim:
-            nonreduced.append(entry)
+    split = local_decomposition(A, seed=seed)
     # the factors come sorted by (dim, nil_dim); ties are ordered here too, so
     # that the profile does not depend on the order the input was given in
-    profile.sort(key=lambda e: (e["dim"], e["nil_dim"], e["nil_mod_nil2_dim"]))
+    profile = sorted(
+        (
+            {
+                "dim": lf.dim,
+                "nil_dim": lf.nil_dim,
+                "residue_dim": lf.dim - lf.nil_dim,
+                "nil_mod_nil2_dim": lf.nil_mod_nil2_dim,
+            }
+            for lf in split.factors
+        ),
+        key=lambda e: (e["dim"], e["nil_dim"], e["nil_mod_nil2_dim"]),
+    )
+    nonreduced = [e for e in profile if e["nil_dim"]]
     cert = {"local_profile": profile}
     verdict = FUTILE
     violation = None
@@ -150,7 +159,7 @@ def decide_infinite_field(A: StructAlgebra, seed: int = 0) -> FutilityReport:
         if violation:
             verdict = NOT_FUTILE
     if verdict == FUTILE:
-        search = find_generator(A, seed=seed)
+        search = find_generator(A, seed=seed, split=split)
         cert["generator"] = search.generator
         cert["minimal_polynomial"] = search.factored
         notes = ("futile: monogenic with factored minimal polynomial certificate",)

@@ -1,22 +1,57 @@
 """The local decomposition and the minimal polynomial as they were formed
 before algebra ran each as one walk: the decomposition through the quotient
 R = A/N, a primitive element of R and the Newton lift e <- 3e^2 - 2e^3 of
-each CRT idempotent of R along N, and the minimal polynomial by one solve
-per power.  Oracles for algebra.local_decomposition and
-algebra.minimal_polynomial."""
+each CRT idempotent of R along N, with each factor e*A peeled into an
+algebra of its own, and the minimal polynomial by one solve per power.
+Oracles for algebra.local_decomposition, whose numbers per factor are read
+off A with no factor formed, and algebra.minimal_polynomial."""
+
+from dataclasses import dataclass
 
 from futility.algebra import (
-    LocalFactor,
-    _peel_factor,
+    _algebra_on,
     element_multiply,
     nilradical,
     primitive_element,
     quotient_algebra,
+    subspace_product,
 )
 from futility.domains import QQ
 from futility.errors import UnsupportedDomain, ValidationError
-from futility.linalg import combine, solve, vec_is_zero
+from futility.linalg import combine, solve, subspace_from_vectors, vec_is_zero
 from futility.polynomials import factor_over_rationals, make_poly, pmul, pquo, pxgcd
+
+
+@dataclass(frozen=True)
+class PeeledFactor:
+    """One local factor of a commutative algebra over Q: the primitive
+    idempotent e cutting it out, the factor presented as an algebra on the
+    ideal e*A with unit e, and the projection rows A -> factor coordinates
+    (row i holds the coordinates of e*e_i)."""
+
+    idempotent: tuple
+    algebra: object
+    projection: tuple
+
+
+def peel_factor(A, e):
+    """The ideal e*A as an algebra with unit e, and the projection rows:
+    row i holds the coordinates of e*e_i in the ideal's echelon basis."""
+    vecs = [element_multiply(A, e, A.basis_vector(i)) for i in range(A.dim)]
+    s = subspace_from_vectors(A.dom, A.dim, vecs)
+    return _algebra_on(A, s.rows, s.coords, s.coords(e)), tuple(s.coords(v) for v in vecs)
+
+
+def factor_numbers(C):
+    """(dim, nil_dim, nil_mod_nil2_dim) of a local factor algebra C, from its
+    own nilradical N and N^2."""
+    nil = nilradical(C)
+    return C.dim, nil.dim, nil.dim - subspace_product(C, nil, nil).dim
+
+
+def local_profile(A, seed=0):
+    """The sorted (dim, nil_dim, nil_mod_nil2_dim) of the peeled factors."""
+    return sorted(factor_numbers(lf.algebra) for lf in local_decomposition(A, seed))
 
 
 def minimal_polynomial(A, a, ideal=None):
@@ -50,7 +85,7 @@ def local_decomposition(A, seed=0):
     dom = A.dom
     if dom != QQ:
         raise UnsupportedDomain("local decomposition runs over Q")
-    whole = [LocalFactor(A.unit, A, tuple(A.basis_vector(i) for i in range(A.dim)))]
+    whole = [PeeledFactor(A.unit, A, tuple(A.basis_vector(i) for i in range(A.dim)))]
     nil = nilradical(A)
     R, _ = quotient_algebra(A, nil)
     if R.dim == 1:
@@ -83,7 +118,7 @@ def local_decomposition(A, seed=0):
             raise ValidationError("idempotent lifting failed to converge")
         if e == A.unit or vec_is_zero(dom, e):
             raise ValidationError("idempotent lifting collapsed to a trivial idempotent")
-        C, projection = _peel_factor(A, e)
-        out.append((C.dim, C.dim - g.degree, LocalFactor(e, C, projection)))
+        C, projection = peel_factor(A, e)
+        out.append((C.dim, C.dim - g.degree, PeeledFactor(e, C, projection)))
     out.sort(key=lambda entry: entry[:2])
     return [lf for _, _, lf in out]

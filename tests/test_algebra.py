@@ -4,6 +4,7 @@ brute-force oracles."""
 import itertools
 import math
 import random
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -56,7 +57,7 @@ from futility.linalg import (
     vec_is_zero,
     zero_subspace,
 )
-from futility.polynomials import make_poly, pmul, poly_to_str, ppow
+from futility.polynomials import factor_over_rationals, make_poly, pmul, poly_to_str, ppow
 import reference_local
 from reference_closure import span_and_multiply
 from reference_tables import change_of_basis, scan_with_blocks, upper_triangular_algebra
@@ -65,7 +66,16 @@ F2 = PrimeField(2)
 F3 = PrimeField(3)
 F5 = PrimeField(5)
 
-CORPUS = Path(__file__).resolve().parent.parent / "corpus"
+ROOT = Path(__file__).resolve().parent.parent
+CORPUS = ROOT / "corpus"
+sys.path.insert(0, str(ROOT / "perfbench"))
+
+from workloads import make_cases  # noqa: E402
+
+
+def decide_only_algebras(seed):
+    """The algebras the decide-only documents of one seed build."""
+    return [build_case(parse_case(case.text)).payload for case in make_cases("decide-only", seed, ROOT)]
 
 
 def q(*cs):
@@ -368,6 +378,8 @@ def ratfuncs():
 Q_RATIONAL_BASIS = change_of_basis(
     SOURCES["Q"][0], [frac(*[Fraction(1, i + 1) if j == i else 0 for j in range(5)]) for i in range(5)]
 )
+# Q[x]/(x^3 (x^2 - 2)) on the basis 2, x, x^2, ...: the unit is (1/2, 0, ...)
+Q_HALF_UNIT = change_of_basis(SOURCES["Q"][0], [frac(*[2 if j == i == 0 else int(j == i) for j in range(5)]) for i in range(5)])
 Q_FRACTIONS = st.fractions(min_value=-3, max_value=3, max_denominator=4)
 
 PRODUCT_CASES = {
@@ -594,7 +606,10 @@ def test_nilradical_quotient_is_reduced():
 # --- local decomposition ---------------------------------------------------------
 
 def check_local_decomposition(A):
-    factors = local_decomposition(A)
+    """The split's idempotents are orthogonal and sum to 1, and each factor's
+    numbers are those of the algebra e*A peeled off by the reference, whose
+    projection respects multiplication."""
+    factors = local_decomposition(A).factors
     dom = A.dom
     # orthogonal idempotents summing to 1
     total = (dom.zero,) * A.dim
@@ -606,19 +621,20 @@ def check_local_decomposition(A):
     for i in range(len(factors)):
         for j in range(i + 1, len(factors)):
             assert vec_is_zero(dom, element_multiply(A, factors[i].idempotent, factors[j].idempotent))
-    # each factor is local: zero or field quotient by its nilradical having
-    # no further idempotent split is re-checked via local_decomposition
-    assert sum(lf.algebra.dim for lf in factors) == A.dim
-    # projections respect multiplication
-    for i in range(A.dim):
-        for j in range(A.dim):
-            prod = element_multiply(A, A.basis_vector(i), A.basis_vector(j))
-            terms = [(c, l) for l, c in enumerate(prod) if not dom.is_zero(c)]
-            for lf in factors:
-                lhs = element_multiply(lf.algebra, lf.projection[i], lf.projection[j])
+    assert sum(lf.dim for lf in factors) == A.dim
+    assert [(lf.dim, lf.nil_dim) for lf in factors] == sorted((lf.dim, lf.nil_dim) for lf in factors)
+    for lf in factors:
+        C, projection = reference_local.peel_factor(A, lf.idempotent)
+        assert (lf.dim, lf.nil_dim, lf.nil_mod_nil2_dim) == reference_local.factor_numbers(C)
+        # the projection respects multiplication
+        for i in range(A.dim):
+            for j in range(A.dim):
+                prod = element_multiply(A, A.basis_vector(i), A.basis_vector(j))
+                terms = [(c, l) for l, c in enumerate(prod) if not dom.is_zero(c)]
+                lhs = element_multiply(C, projection[i], projection[j])
                 rhs = tuple(
-                    sum((dom.mul(c, lf.projection[l][k]) for c, l in terms), start=dom.zero)
-                    for k in range(lf.algebra.dim)
+                    sum((dom.mul(c, projection[l][k]) for c, l in terms), start=dom.zero)
+                    for k in range(C.dim)
                 )
                 assert lhs == rhs
     return factors
@@ -638,26 +654,32 @@ BENCH_MODULI = pytest.mark.parametrize(
 )
 
 
+def numbers(lf):
+    return lf.dim, lf.nil_dim, lf.nil_mod_nil2_dim
+
+
 def assert_matches_the_quotient_reference(A):
-    """Idempotents, factor tables, units and projections agree, repr for
-    repr, with the decomposition through A/N and the Newton lift.  Both are
-    compared sorted by (dim, nil_dim, idempotent): factors tied in
+    """Idempotents agree, repr for repr, with the decomposition through A/N
+    and the Newton lift, and each factor's numbers with those of the
+    reference's peeled factor algebra, its nilradical and that one's square.
+    Both are compared sorted by (dim, nil_dim, idempotent): factors tied in
     (dim, nil_dim) come in the order of the factorization, which depends on
     the element each one factors by."""
-
-    def by_key(factors):
-        return sorted(factors, key=lambda lf: (lf.algebra.dim, nilradical(lf.algebra).dim, lf.idempotent))
-
-    got, want = by_key(local_decomposition(A)), by_key(reference_local.local_decomposition(A))
+    got = sorted(local_decomposition(A).factors, key=lambda lf: (lf.dim, lf.nil_dim, lf.idempotent))
+    want = sorted(
+        ((reference_local.factor_numbers(pf.algebra), pf.idempotent) for pf in reference_local.local_decomposition(A)),
+        key=lambda entry: (entry[0][:2], entry[1]),
+    )
     assert len(got) == len(want)
-    for g, w in zip(got, want):
-        for x, y in [
-            (g.idempotent, w.idempotent),
-            (g.algebra.table, w.algebra.table),
-            (g.algebra.unit, w.algebra.unit),
-            (g.projection, w.projection),
-        ]:
-            assert repr(x) == repr(y)
+    for g, (w_numbers, w_idempotent) in zip(got, want):
+        assert repr(g.idempotent) == repr(w_idempotent)
+        assert numbers(g) == w_numbers
+
+
+def assert_profile_matches_the_peeled_reference(A):
+    """The sorted (dim, nil_dim, nil_mod_nil2_dim) read off A are those of
+    the reference's peeled factors."""
+    assert sorted(map(numbers, local_decomposition(A).factors)) == reference_local.local_profile(A)
 
 
 @BENCH_MODULI
@@ -667,28 +689,94 @@ def test_local_decomposition_matches_the_quotient_reference(modulus):
 
 @BENCH_MODULI
 def test_local_decomposition_is_the_same_with_the_dense_product(monkeypatch, modulus):
-    """Idempotents, factor tables and projections agree element for element,
-    representation included, with every product taken by dense_multiply."""
+    """Idempotents and factor numbers agree element for element,
+    representation included, with every product taken by dense_multiply,
+    and so do the factor tables and projections the reference peels from
+    the idempotents."""
     A = poly_quotient_algebra(modulus)
     assert A.dim <= 6
     fast = local_decomposition(A)
     monkeypatch.setattr(algebra_module, "element_multiply", dense_multiply)
-    slow = local_decomposition(poly_quotient_algebra(modulus))
-    assert len(fast) == len(slow) > 1
-    for f, s in zip(fast, slow):
-        for got, want in [
-            (f.idempotent, s.idempotent),
-            (f.algebra.table, s.algebra.table),
-            (f.algebra.unit, s.algebra.unit),
-            (f.projection, s.projection),
-        ]:
+    slow_algebra = poly_quotient_algebra(modulus)
+    slow = local_decomposition(slow_algebra)
+    monkeypatch.undo()
+    assert len(fast.factors) == len(slow.factors) > 1
+    assert repr(fast) == repr(slow)
+    for f, s in zip(fast.factors, slow.factors):
+        (fc, fp), (sc, sp) = reference_local.peel_factor(A, f.idempotent), reference_local.peel_factor(slow_algebra, s.idempotent)
+        for got, want in [(fc.table, sc.table), (fc.unit, sc.unit), (fp, sp)]:
             assert repr(got) == repr(want)
+
+
+@pytest.mark.parametrize("A", [Q_RATIONAL_BASIS, Q_HALF_UNIT], ids=["rational-basis", "unit-with-denominators"])
+def test_local_profile_of_the_rational_basis_fixtures(A):
+    check_local_decomposition(A)
+    assert_profile_matches_the_peeled_reference(A)
+    assert_matches_the_quotient_reference(A)
+
+
+def corpus_q_algebras():
+    """Every commutative Q algebra a corpus case builds, the ambient of a
+    local artinian case included."""
+    out = []
+    for path in sorted(CORPUS.rglob("*.case")):
+        built = build_case(parse_case(path.read_text())).payload
+        A = getattr(built, "amb", built)
+        if isinstance(A, StructAlgebra) and A.dom == QQ and A.is_commutative:
+            out.append(pytest.param(A, id=path.relative_to(CORPUS).with_suffix("").as_posix()))
+    return out
+
+
+@pytest.mark.parametrize("A", corpus_q_algebras())
+def test_local_profile_of_the_corpus_matches_the_peeled_reference(A):
+    assert_profile_matches_the_peeled_reference(A)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_local_profile_of_the_decide_only_documents_matches_the_peeled_reference(seed):
+    Q_algebras = [A for A in decide_only_algebras(seed) if A.dom == QQ]
+    assert len(Q_algebras) == 10
+    for A in Q_algebras:
+        assert_profile_matches_the_peeled_reference(A)
+
+
+def test_perturbing_an_idempotent_trips_every_consistency_check():
+    """_read_factors names each check that fails.  Taking one idempotent e
+    to e - 1 trips them all: its trace becomes dim e*A - dim A < 1, the
+    idempotents sum to 0, the dimensions, nil_dims and parts of N^2 each
+    lose dim A, dim A and dim N^2, and its nil_dim turns negative.  Adding
+    the unit over 2 dim A to it moves its trace by 1/2, off the integers."""
+    A = qx_mod(0, 0, 0, 1, 0, 1)  # Q[x]/(x^3 (x^2 + 1))
+    split = local_decomposition(A)
+    nil = nilradical(A)
+    nil2 = subspace_product(A, nil, nil)
+    assert nil2.dim > 0 and len(split.factors) == 2
+    pieces = [(lf.idempotent, lf.dim - lf.nil_dim) for lf in split.factors]
+    assert algebra_module._read_factors(A, nil, nil2, pieces) == list(split.factors)
+    checks = [
+        "an idempotent's trace is not an integer in [1, dim A - 1]",
+        "the idempotents do not sum to 1",
+        "the factor dimensions do not sum to dim A",
+        "the factor nil_dims do not sum to dim N",
+        "the factors' parts of N^2 do not sum to dim N^2",
+        "a factor's part of N^2 is not within its nilradical",
+    ]
+    for i, (e, residue) in enumerate(pieces):
+        shifted = tuple(x - u for x, u in zip(e, A.unit))
+        perturbed = pieces[:i] + [(shifted, residue)] + pieces[i + 1:]
+        with pytest.raises(ValidationError) as raised:
+            algebra_module._read_factors(A, nil, nil2, perturbed)
+        assert str(raised.value) == "inconsistent local split: " + "; ".join(checks)
+        half = tuple(x + u / (2 * A.dim) for x, u in zip(e, A.unit))
+        perturbed = pieces[:i] + [(half, residue)] + pieces[i + 1:]
+        with pytest.raises(ValidationError, match=r"^inconsistent local split: an idempotent's trace is not an integer"):
+            algebra_module._read_factors(A, nil, nil2, perturbed)
 
 
 def test_local_decomposition_split_quadratic():
     A = qx_mod(-1, 0, 1)  # Q x Q
     factors = check_local_decomposition(A)
-    assert [lf.algebra.dim for lf in factors] == [1, 1]
+    assert [lf.dim for lf in factors] == [1, 1]
     # idempotents are (1 +- x)/2
     idems = sorted(lf.idempotent for lf in factors)
     assert idems == [
@@ -702,16 +790,14 @@ def test_local_decomposition_local_input():
     factors = check_local_decomposition(A)
     assert len(factors) == 1
     assert factors[0].idempotent == A.unit
+    assert numbers(factors[0]) == (3, 2, 1)
 
 
 def test_local_decomposition_mixed():
     # Q[x]/((x^2+1) x^2) -> a dim-2 field and Q[y]/(y^2)
     A = qx_mod(0, 0, 1, 0, 1)
     factors = check_local_decomposition(A)
-    dims = sorted(lf.algebra.dim for lf in factors)
-    assert dims == [2, 2]
-    nil_dims = sorted(nilradical(lf.algebra).dim for lf in factors)
-    assert nil_dims == [0, 1]
+    assert [numbers(lf) for lf in factors] == [(2, 0, 0), (2, 1, 1)]
 
 
 def test_local_decomposition_runs_over_q_only():
@@ -721,9 +807,10 @@ def test_local_decomposition_runs_over_q_only():
 
 
 def test_local_decomposition_factors_once(monkeypatch):
-    """One nilradical and one factorization per call, however many factors."""
+    """One nilradical, one N^2 and one factorization per call, however many
+    factors, and no algebra built."""
     calls = {}
-    for name in ("nilradical", "factor_over_rationals"):
+    for name in ("nilradical", "subspace_product", "factor_over_rationals", "make_algebra"):
 
         def counted(*args, _real=getattr(algebra_module, name), _name=name, **kwargs):
             calls[_name] = calls.get(_name, 0) + 1
@@ -732,8 +819,30 @@ def test_local_decomposition_factors_once(monkeypatch):
         monkeypatch.setattr(algebra_module, name, counted)
     parts = [(q(0, 1), 2), (q(-1, 1), 1), (q(1, 0, 1), 2), (q(-2, 0, 1), 1)]
     A = product_algebra([poly_quotient_algebra(ppow(g, m)) for g, m in parts])
-    assert len(local_decomposition(A)) == 4
-    assert calls == {"nilradical": 1, "factor_over_rationals": 1}
+    calls.clear()
+    assert len(local_decomposition(A).factors) == 4
+    assert calls == {"nilradical": 1, "subspace_product": 1, "factor_over_rationals": 1}
+
+
+def test_local_split_carries_the_element_and_its_minimal_polynomial():
+    """When the split runs, its element a is primitive modulo N and its
+    minimal polynomial is mu = minimal_polynomial(A, a), factored as
+    factor_over_rationals factors it; a split that returns early carries
+    neither."""
+    A = qx_mod(0, 0, -2, 0, 1)  # Q[x]/(x^2 (x^2 - 2)): x generates it
+    split = local_decomposition(A)
+    mu = minimal_polynomial(A, split.element)
+    assert split.minimal_polynomial == factor_over_rationals(mu)
+    assert split.minimal_polynomial.expand() == mu and mu.degree == A.dim
+    # Q[x]/(x^2) x Q: its first basis vector generates A/N = Q x Q, with mu = x(x - 1)
+    B = product_algebra([qx_mod(0, 0, 1), qx_mod(-1, 1)])
+    split = local_decomposition(B)
+    assert split.element == B.basis_vector(0)
+    assert split.minimal_polynomial == factor_over_rationals(minimal_polynomial(B, split.element))
+    assert split.minimal_polynomial.degree == 2 < B.dim
+    for C in (qx_mod(0, 0, 0, 1), qx_mod(-2, 0, 1)):
+        split = local_decomposition(C)
+        assert (split.element, split.minimal_polynomial) == (None, None) and len(split.factors) == 1
 
 
 def closure_primitive(A, a):
@@ -784,7 +893,7 @@ def test_primitive_element_agrees_with_the_closure_over_q(path):
 
 def local_shape(A):
     """(dim, nil_dim) of each local factor, in the order returned."""
-    return [(lf.algebra.dim, nilradical(lf.algebra).dim) for lf in local_decomposition(A)]
+    return [(lf.dim, lf.nil_dim) for lf in local_decomposition(A).factors]
 
 
 PRIMARY_BASES = [q(0, 1), q(-1, 1), q(1, 0, 1), q(-2, 0, 1), q(-5, 0, 0, 1)]
@@ -803,6 +912,7 @@ def test_local_decomposition_of_products_of_primary_quotients(parts):
     check_local_decomposition(A)
     assert local_shape(A) == sorted((m * g.degree, (m - 1) * g.degree) for g, m in parts)
     assert_matches_the_quotient_reference(A)
+    assert_profile_matches_the_peeled_reference(A)
 
 
 # --- minimal polynomials -----------------------------------------------------------
@@ -815,8 +925,6 @@ def test_minimal_polynomial_examples():
     assert minimal_polynomial(M, M.basis_vector(1)) == make_poly(F2, [0, 0, 1])
 
 
-# Q[x]/(x^3 (x^2 - 2)) on the basis 2, x, x^2, ...: the unit is (1/2, 0, ...)
-Q_HALF_UNIT = change_of_basis(SOURCES["Q"][0], [frac(*[2 if j == i == 0 else int(j == i) for j in range(5)]) for i in range(5)])
 
 MINIMAL_POLYNOMIAL_CASES = {
     "Q": (SOURCES["Q"][0], Q_FRACTIONS),

@@ -3,20 +3,24 @@ invariants, and basis-change invariance."""
 
 import json
 import random
+import sys
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
+from futility import deciders
 from futility.algebra import (
     element_multiply,
     make_algebra,
     make_relative,
     minimal_polynomial,
-    quotient_algebra,
     nilradical,
+    primitive_element,
     product_algebra,
+    quotient_algebra,
 )
+from futility.cases import build_case, parse_case
 from futility.cli import main as cli_main
 from futility.constructions import matrix_algebra, poly_quotient_algebra
 from futility.deciders import (
@@ -35,10 +39,16 @@ from futility.deciders import (
 from futility.domains import QQ, FunctionField, ModRing, PrimeField
 from futility.errors import MalformedPresentation, UnsupportedDomain
 from futility.linalg import subspace_from_vectors, zero_subspace
-from futility.polynomials import make_poly, ppow, pmul
+from futility.polynomials import factor_over_rationals, make_poly, ppow, pmul
 from reference_closure import span_and_multiply
 from reference_hermite import dense_multiply, ideal_fixpoint
 from reference_tables import upper_triangular_algebra
+
+ROOT = Path(__file__).resolve().parent.parent
+CORPUS = ROOT / "corpus"
+sys.path.insert(0, str(ROOT / "perfbench"))
+
+from workloads import make_cases  # noqa: E402
 
 F2 = PrimeField(2)
 
@@ -262,6 +272,52 @@ def test_find_generator_q_x3():
     res = find_generator(A)
     assert res.generator is not None
     assert span_and_multiply(A, [A.unit, res.generator]).dim == 3
+
+
+# Futile Q cases whose split runs and finds an element of degree dim A, and
+# those where find_generator searches: the split's element misses A
+# (q-product-split) or the split returns early (q-x3, q-cubic-field)
+SPLIT_PATH = ["q-mixed", "q-two-fields", "q-field-and-block", "q-split-quadratic"]
+SEARCH_PATH = ["q-product-split", "q-x3", "q-cubic-field"]
+FUTILE_DECIDE_ONLY_Q = {"q8-lin2", "q8-lin3", "q8-reduced", "q8-lin3-eis", "q9-eis4-lin2"}
+
+
+def assert_certificate_is_the_search_result(monkeypatch, A, seed):
+    """The Futile certificate's generator and minimal polynomial are, repr
+    for repr, primitive_element(A, seed) with its polynomial factored by
+    factor_over_rationals; returns whether find_generator searched."""
+    searches = []
+
+    def counted(*args, **kwargs):
+        searches.append(args)
+        return primitive_element(*args, **kwargs)
+
+    monkeypatch.setattr(deciders, "primitive_element", counted)
+    rep = decide_infinite_field(A, seed=seed)
+    monkeypatch.undo()
+    assert rep.verdict == FUTILE
+    a, f = primitive_element(A, seed)
+    cert = rep.certificate
+    assert repr((cert["generator"], cert["minimal_polynomial"])) == repr((a, factor_over_rationals(f, seed=seed)))
+    return bool(searches)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("name", SPLIT_PATH + SEARCH_PATH)
+def test_futile_certificate_is_the_search_result_on_the_corpus(monkeypatch, name, seed):
+    A = build_case(parse_case((CORPUS / "infinite-field" / f"{name}.case").read_text())).payload
+    assert assert_certificate_is_the_search_result(monkeypatch, A, seed) == (name in SEARCH_PATH)
+
+
+def test_futile_certificate_is_the_split_element_on_the_decide_only_documents(monkeypatch):
+    futile = set()
+    for case in make_cases("decide-only", 1, ROOT):
+        A = build_case(parse_case(case.text)).payload
+        if A.dom != QQ or decide_infinite_field(A).verdict != FUTILE:
+            continue
+        futile.add(case.case_id.split("/")[1].split("#")[0])
+        assert not assert_certificate_is_the_search_result(monkeypatch, A, 0)
+    assert futile == FUTILE_DECIDE_ONLY_Q
 
 
 def test_futile_product_decides_without_a_closure(monkeypatch):
@@ -651,7 +707,7 @@ def test_quotient_consistency_across_corpus():
         ideals = []
         for v in nilradical(A).rows:
             ideals.append(closure(A, zero_subspace(QQ, A.dim), [v], ideal=True))
-        for lf in local_decomposition(A):
+        for lf in local_decomposition(A).factors:
             ideals.append(closure(A, zero_subspace(QQ, A.dim), [lf.idempotent], ideal=True))
         for ideal in ideals:
             if ideal.dim == A.dim:

@@ -11,6 +11,7 @@ from pathlib import Path
 
 import pytest
 
+import reference_local
 import reference_tables as ref
 from futility import constructions, deciders
 from futility.algebra import (
@@ -134,11 +135,16 @@ def test_subalgebras_match_the_reference(A):
     ids=["Q-quotient", "Q-product"],
 )
 def test_local_factors_match_the_reference(A):
-    factors = local_decomposition(A)
+    """The peel of each local factor through algebra._algebra_on
+    (reference_local) gives the tables and projection of the per-entry loop,
+    and the dimension the split reads off A."""
+    factors = local_decomposition(A).factors
     assert len(factors) == 3
     for lf in factors:
         C, projection = ref.peel_factor(A, lf.idempotent)
-        assert tables(lf.algebra) == tables(C) and lf.projection == projection
+        peeled, peeled_projection = reference_local.peel_factor(A, lf.idempotent)
+        assert tables(peeled) == tables(C) and peeled_projection == projection
+        assert lf.dim == C.dim
 
 
 # --- associativity of Z presentations -------------------------------------------
