@@ -44,9 +44,12 @@ from .errors import (
 )
 from .linalg import (
     Subspace,
+    bit_reduce,
     combine,
     echelon_pair,
+    fp_reduce,
     full_subspace,
+    int_reduce,
     nullspace,
     primitive,
     solve,
@@ -115,6 +118,12 @@ class StructAlgebra:
             tuple(tuple((k, c.numerator * (den // c.denominator)) for k, c in v) for v in block)
             for block in self.sparse
         )
+
+    @cached_property
+    def bit_table(self) -> tuple:
+        """Over F_2, the table packed as linalg.bit_pack packs vectors:
+        bit_table[i][j] is the int whose bit k is c_ijk."""
+        return tuple(tuple(sum(1 << k for k, _ in v) for v in block) for block in self.sparse)
 
     @cached_property
     def traces(self) -> tuple:
@@ -371,27 +380,60 @@ def invert_element(A: StructAlgebra, v):
     return x
 
 
+def _arithmetic(A: StructAlgebra):
+    """The echelon pair of A's domain (linalg.echelon_pair) and the product
+    of A in the same arithmetic, picked together: over QQ _int_multiply on
+    A.int_tensor, which gives D times the product of integer vectors; over
+    F_2 _bit_multiply on A.bit_table, on packed vectors; over every other
+    F_p _int_multiply on A.sparse, unreduced, which the pair's reduce takes
+    mod p; over any other field element_multiply.  Each product is a nonzero
+    multiple of the true one in the pair's form, so every span it goes into
+    is the true span."""
+    pair = echelon_pair(A.dom)
+    if pair.reduce is int_reduce:
+        multiply = partial(_int_multiply, A.int_tensor, A.dim)
+    elif pair.reduce is bit_reduce:
+        multiply = partial(_bit_multiply, A.bit_table)
+    elif pair.reduce is fp_reduce:
+        multiply = partial(_int_multiply, A.sparse, A.dim)
+    else:
+        def multiply(u, v):
+            return element_multiply(A, u, v)
+    return pair, multiply
+
+
 def closure(A: StructAlgebra, span: Subspace, queue, ideal: bool = False) -> Subspace:
     """The least subalgebra of A (or with ideal=True, the least two-sided
     ideal) containing span and the queued vectors, where span is already a
-    subalgebra (an ideal).
+    subalgebra (an ideal): closure_form on the span and the queue moved into
+    the arithmetic of the domain's linalg.echelon_pair, made a Subspace once,
+    at the end."""
+    pair = echelon_pair(A.dom)
+    base = (tuple(map(pair.enter, span.rows)), span.pivots)
+    rows, pivots = closure_form(A, base, map(pair.enter, queue), ideal)
+    return Subspace(A.dom, A.dim, pair.leave(rows, pivots, A.dim), pivots)
+
+
+def closure_form(A: StructAlgebra, base, queue, ideal: bool = False) -> tuple[tuple, tuple]:
+    """closure on echelon forms: base = (rows, pivots) and the queued
+    vectors in the arithmetic of A's echelon pair, and the closure returned
+    in it.
 
     Each queued vector is reduced against the span as it grows.  A residual
     r that leaves the span is adjoined and its products are queued: for a
     subalgebra, r times each spanning vector met so far and itself; for an
     ideal, r times each basis vector.  Products are taken on both sides only
-    when A is not commutative, and products inside the closed starting span
-    are never formed.  The span grows in the arithmetic of its domain's
-    linalg.echelon_pair, stops once it is the whole algebra, and becomes a
-    Subspace once, at the end."""
-    enter, reduce, adjoin, aux, leave = echelon_pair(A.dom)
+    when A is not commutative, in the pair's arithmetic (_arithmetic), and
+    products inside the closed starting span are never formed.  The loop
+    stops once the span is the whole algebra."""
+    (enter, reduce, adjoin, aux, _, nonzero), multiply = _arithmetic(A)
     both_sides = not A.is_commutative
-    rows, pivots = tuple(map(enter, span.rows)), span.pivots
-    factors = [A.basis_vector(k) for k in range(A.dim)] if ideal else list(rows)
+    rows, pivots = base
+    factors = [enter(A.basis_vector(k)) for k in range(A.dim)] if ideal else list(rows)
     queue = list(queue)
     while queue:
-        r = reduce(rows, pivots, enter(queue.pop()), aux)
-        if not any(r):
+        r = reduce(rows, pivots, queue.pop(), aux)
+        if not nonzero(r):
             continue
         rows, pivots = adjoin(rows, pivots, r, aux)
         if len(rows) == A.dim:
@@ -399,18 +441,19 @@ def closure(A: StructAlgebra, span: Subspace, queue, ideal: bool = False) -> Sub
         if not ideal:
             factors.append(r)
         for g in factors:
-            queue.append(element_multiply(A, r, g))
+            queue.append(multiply(r, g))
             if both_sides and g is not r:
-                queue.append(element_multiply(A, g, r))
-    return Subspace(A.dom, A.dim, leave(rows, pivots), pivots)
+                queue.append(multiply(g, r))
+    return rows, pivots
 
 
-def generated_by_element(A: StructAlgebra, a, base: Subspace) -> tuple[tuple, tuple]:
+def generated_by_element(A: StructAlgebra, a, base) -> tuple[tuple, tuple]:
     """Subalgebra generated by a single element over a subalgebra R of an
-    algebra over QQ or F_p, where R contains the unit and is central, as its
-    echelon form (rows, pivots) in the arithmetic of linalg.echelon_pair:
-    over QQ the integer echelon form, whose rows are those of
-    Subspace.int_rows, and over F_p the reduced echelon rows themselves.
+    algebra over QQ or F_p, where R contains the unit and is central.  a and
+    base = (rows, pivots), R's echelon form, are in the arithmetic of the
+    domain's linalg.echelon_pair, and so is the echelon form returned: over
+    QQ the integer echelon form, whose rows are those of Subspace.int_rows,
+    over F_2 packed rows, and over any other F_p the reduced echelon rows.
 
     The subalgebra is R + R*a + R*a^2 + ..., which is closed because R is
     closed and commutes with everything.  Let S_k = R + R*a + ... + R*a^k.
@@ -422,39 +465,50 @@ def generated_by_element(A: StructAlgebra, a, base: Subspace) -> tuple[tuple, tu
     a^(k+1) = a * a^k lies in the span of the r'*a^(j+1) with r' in R and
     j < k.  It also stops once the span is the whole algebra.
 
-    The work runs on Python ints.  Over QQ, a and the base rows are scaled to
-    primitive integer vectors and products are taken through A.int_tensor;
-    every scaling is by a nonzero rational, so each span is unchanged.  Over
-    F_p, products are taken through A.sparse and go into linalg.fp_reduce
-    unreduced, which takes them mod p once.  Any other domain raises
+    Products are taken in the pair's arithmetic (_arithmetic): over QQ
+    through A.int_tensor, over F_2 through A.bit_table, and over any other
+    F_p through A.sparse, unreduced.  Each is a nonzero multiple of the true
+    product, so each span is unchanged.  Any other domain raises
     UnsupportedDomain."""
-    dom = A.dom
-    if type(dom) is RationalField:
-        tensor, rows = A.int_tensor, base.int_rows
-    elif type(dom) is PrimeField:
-        tensor, rows = A.sparse, base.rows
-    else:
+    if type(A.dom) not in (RationalField, PrimeField):
         raise UnsupportedDomain("single-element closures run over the rationals and F_p")
-    if len(a) != A.dim:
+    if a >> A.dim if type(a) is int else len(a) != A.dim:
         raise DimensionMismatch("coordinate length differs from dimension")
-    enter, reduce, adjoin, aux, _ = echelon_pair(dom)
-    a = enter(a)
-    pivots = base.pivots
+    (_, reduce, adjoin, aux, _, nonzero), multiply = _arithmetic(A)
+    rows, pivots = base
     # with a one-dimensional base, R*a^k is the line of a^k
     others = rows if len(rows) > 1 else ()
     cur = a
     while True:
         r = reduce(rows, pivots, cur, aux)
-        if not any(r):
+        if not nonzero(r):
             return rows, pivots
         rows, pivots = adjoin(rows, pivots, r, aux)
         for b in others:
-            residual = reduce(rows, pivots, _int_multiply(tensor, A.dim, b, r), aux)
-            if any(residual):
+            residual = reduce(rows, pivots, multiply(b, r), aux)
+            if nonzero(residual):
                 rows, pivots = adjoin(rows, pivots, residual, aux)
         if len(rows) == A.dim:
             return rows, pivots
-        cur = _int_multiply(tensor, A.dim, r, a)
+        cur = multiply(r, a)
+
+
+def _bit_multiply(table, u, v) -> int:
+    """Product of packed vectors over F_2 through a packed table: the XOR of
+    table[i][j] over the set bits i of u and j of v."""
+    js = []
+    while v:
+        low = v & -v
+        js.append(low.bit_length() - 1)
+        v ^= low
+    out = 0
+    while u:
+        low = u & -u
+        row = table[low.bit_length() - 1]
+        for j in js:
+            out ^= row[j]
+        u ^= low
+    return out
 
 
 def _int_multiply(tensor, dim: int, u, v) -> list:
@@ -503,27 +557,22 @@ def is_ideal(A: StructAlgebra, s: Subspace) -> bool:
     return True
 
 
-def trace_form(A: StructAlgebra) -> tuple:
-    """Rows of the trace form, row i = (Tr(e_i e_j))_j with Tr the trace of
-    left multiplication: Tr(e_i e_j) = sum_k c_ijk tau_k, with tau = A.traces.
-    O(dim^3) on the sparse tensor."""
-    dom, tau = A.dom, A.traces
-    rows = []
-    for block in A.sparse:
-        row = []
-        for v in block:
-            acc = dom.zero
-            for k, c in v:
-                acc = dom.add(acc, dom.mul(c, tau[k]))
-            row.append(acc)
-        rows.append(tuple(row))
-    return tuple(rows)
+def int_trace_form(A: StructAlgebra) -> tuple:
+    """D^2 times the trace form of an algebra over QQ, on ints: row i is
+    (D^2 Tr(e_i e_j))_j with Tr the trace of left multiplication, and
+    D^2 Tr(e_i e_j) = sum_k (D c_ijk)(D tau_k) with D tau_k = sum_m D c_kmm,
+    all read off A.int_tensor.  A nonzero multiple of the trace form, so its
+    kernel is the same.  O(dim^3) on the sparse tensor."""
+    tensor = A.int_tensor
+    tau = [sum(c for m, v in enumerate(block) for k, c in v if k == m) for block in tensor]
+    return tuple(tuple(sum(c * tau[k] for k, c in v) for v in block) for block in tensor)
 
 
 def nilradical(A: StructAlgebra) -> Subspace:
     """Nilpotent elements of a commutative algebra over Q or F_p.
 
-    Over Q this is the radical of the trace form.  Over F_p the trace form
+    Over Q this is the radical of the trace form, taken on the integer
+    form int_trace_form.  Over F_p the trace form
     degenerates when p divides dimensions, so the kernel of the iterated
     Frobenius map u -> u^(p^m) with p^m >= dim is used instead; that map is
     F_p-linear and kills exactly the nilpotents.
@@ -541,7 +590,7 @@ def nilradical(A: StructAlgebra) -> Subspace:
         # kernel of x -> sum x_i rows[i]
         basis = nullspace(dom, [tuple(r[k] for r in rows) for k in range(A.dim)], A.dim)
     elif dom == QQ:
-        basis = nullspace(dom, trace_form(A), A.dim)
+        basis = nullspace(dom, int_trace_form(A), A.dim)
     else:
         raise UnsupportedDomain("nilradical supports Q and F_p coefficients")
     out = subspace_from_vectors(dom, A.dim, basis)
@@ -574,63 +623,57 @@ def minimal_polynomial(A: StructAlgebra, a, ideal: Subspace | None = None) -> Po
     residual r is r times a, its coefficient part shifted by x.  Step k
     reduces a candidate of degree k against rows of degree below k, so its
     x^k coefficient survives; a residual with v = 0 is then a multiple of
-    the least-degree f, and otherwise it is adjoined.
+    the least-degree f, made monic once it leaves the pair's arithmetic.
 
-    Over QQ the walk runs on ints: a is scaled by its common denominator d
-    and products are taken through A.int_tensor, so the product of a row
-    with a is D*d times r*a, and the shifted coefficient part is scaled by
-    D*d to match.  Over F_p products go through A.sparse and into
-    linalg.fp_reduce unreduced, which takes them mod p once.  Over any other
-    field the rows hold field elements and products go through
-    element_multiply."""
+    Products v*a are taken in the pair's arithmetic (_arithmetic).  Over QQ
+    a is scaled by its common denominator d, and the product through
+    A.int_tensor is D*d times v*a, so the shifted coefficient part is
+    scaled by D*d to match.  Over F_2 a row is one packed int, v in bits
+    0..n-1 and c in bits n..2n, so the shift is one left shift.  Over any
+    other F_p products go into linalg.fp_reduce unreduced, and over any other
+    field the rows hold field elements."""
     dom, n = A.dom, A.dim
     if len(a) != n:
         raise DimensionMismatch("coordinate length differs from dimension")
     if ideal is None:
         ideal = zero_subspace(dom, n)
-    zero, one, nonzero = 0, 1, any
+    (enter, reduce, adjoin, aux, leave, nonzero), multiply = _arithmetic(A)
     if type(dom) is RationalField:
         d = math.lcm(*(c.denominator for c in a))
         a = [c.numerator * (d // c.denominator) for c in a]
-        tensor, step, base = A.int_tensor, A.int_den * d, ideal.int_rows
-
-        def times_a(r):
-            return [*_int_multiply(tensor, n, r[:n], a), 0, *(step * x for x in r[n:-1])]
-
-        def monic(c):
-            return [Fraction(x, c[-1]) for x in c]
-    elif type(dom) is PrimeField:
-        tensor, base = A.sparse, ideal.rows
-
-        def times_a(r):
-            return [*_int_multiply(tensor, n, r[:n], a), 0, *r[n:-1]]
-
-        def monic(c):
-            inv = pow(c[-1], -1, dom.p)
-            return [x * inv % dom.p for x in c]
+        step, zero = A.int_den * d, 0
     else:
-        zero, one, base = dom.zero, dom.one, ideal.rows
+        a, step, zero = enter(a), 1, dom.zero
+    if reduce is bit_reduce:
+        # r << 1 moves c up by one coefficient; high keeps bits n+1..2n, so
+        # the top bit of v, which lands on c_0, and c_n, shifted past the
+        # row, are dropped
+        low = (1 << n) - 1
+        high = low << (n + 1)
 
-        def nonzero(v):
-            return not vec_is_zero(dom, v)
+        def head(r):
+            return r & low
 
         def times_a(r):
-            return [*element_multiply(A, r[:n], a), zero, *r[n:-1]]
+            return multiply(r & low, a) | r << 1 & high
+    else:
+        def head(r):
+            return r[:n]
 
-        def monic(c):
-            inv = dom.inv(c[-1])
-            return [dom.mul(x, inv) for x in c]
-    enter, reduce, adjoin, aux, _ = echelon_pair(dom)
-    pad = (zero,) * (n + 1)
-    rows, pivots = tuple(r + pad for r in base), ideal.pivots
-    cur = enter((*A.unit, one, *pad[1:]))
+        def times_a(r):
+            shifted = r[n:-1] if step == 1 else [step * x for x in r[n:-1]]
+            return [*multiply(r[:n], a), zero, *shifted]
+    pad = (dom.zero,) * (n + 1)
+    rows, pivots = tuple(enter(r + pad) for r in ideal.rows), ideal.pivots
+    cur = enter((*A.unit, dom.one, *pad[1:]))
     while True:
         r = reduce(rows, pivots, cur, aux)
-        if not nonzero(r[:n]):
-            c = list(r[n:])
-            while not nonzero(c[-1:]):
+        if not nonzero(head(r)):
+            c = list(leave(*adjoin((), (), r, aux), 2 * n + 1)[0][n:])
+            while not c[-1]:
                 c.pop()
-            return Poly(dom, tuple(monic(c)))
+            inv = dom.inv(c[-1])
+            return Poly(dom, tuple(dom.mul(x, inv) for x in c))
         rows, pivots = adjoin(rows, pivots, r, aux)
         cur = times_a(r)
 

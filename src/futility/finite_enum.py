@@ -10,12 +10,14 @@ and it depends only on the line of that generator modulo S.  So each later
 member is grown only by the distinct lines of its generators' residuals,
 and every member is still reached along a chain of such grows.  Over a
 commutative algebra S[a] = S + S*a + S*a^2 + ..., the power walk of
-algebra.generated_by_element; over a noncommutative one, algebra.closure
-closes S and a under products.  Both run on plain ints in [0, p) through
-linalg.fp_reduce and fp_adjoin, and each member grown becomes one Subspace.
-subalgebra_lattice searches a lattice once per algebra object and start
-member, and its containment pairs are computed on first read, so only the
-callers that print them pay for them.
+algebra.generated_by_element; over a noncommutative one,
+algebra.closure_form closes S and a under products.  The search holds each
+member as its echelon form in the arithmetic of linalg.echelon_pair (over
+F_2 rows packed into ints and eliminated by XOR, over any other F_p ints in
+[0, p)) and grows it there, products included, and each member becomes one
+Subspace when the search returns.  subalgebra_lattice searches a lattice
+once per algebra object and start member, and its containment pairs are
+computed on first read, so only the callers that print them pay for them.
 """
 
 from __future__ import annotations
@@ -24,10 +26,10 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations, product
 
-from .algebra import StructAlgebra, closure, generated_by_element
+from .algebra import StructAlgebra, closure, closure_form, generated_by_element
 from .domains import PrimeField
 from .errors import BudgetExceeded, DimensionMismatch, ValidationError
-from .linalg import Subspace, fp_reduce, zero_subspace
+from .linalg import Subspace, echelon_pair, zero_subspace
 
 DEFAULT_BUDGET = 1 << 20
 
@@ -113,27 +115,37 @@ def _search(A: StructAlgebra, start: Subspace) -> list:
     in a commutative or noncommutative A and for any base image, and S[a]
     depends only on the line of a modulo S.  So S is grown only by the
     distinct lines of the residuals of the generators against S, each
-    scaled to a leading 1; a zero residual is skipped, since then
-    S[a_g] = S.  Every member T containing start is still reached: adjoining
-    the generators that T contains one at a time climbs from start to T
-    through members, each step a grow by such a line.  (The lattice is a
-    closure system generated by its one-generated members; Ganter, "Two
+    scaled to its canonical vector on the line; a zero residual is skipped,
+    since then S[a_g] = S.  Every member T containing start is still reached:
+    adjoining the generators that T contains one at a time climbs from start
+    to T through members, each step a grow by such a line.  (The lattice is
+    a closure system generated by its one-generated members; Ganter, "Two
     basic algorithms in concept analysis", 1984.)
 
     Over a commutative A a subalgebra S containing the unit is central and
     closed, so S[a] = S + S*a + S*a^2 + ... is algebra.generated_by_element,
     the power walk, which forms dim S products per power of a.  The
-    subalgebras of a noncommutative A are grown by algebra.closure.
+    subalgebras of a noncommutative A are grown by algebra.closure_form.
+
+    Members, generators and lines are held in the arithmetic of the
+    domain's linalg.echelon_pair, a member as its echelon form
+    (rows, pivots), keyed by its rows, which are canonical.  A residual is
+    the pair's reduce of a generator, and adjoin((), (), r, aux) scales it to
+    the canonical vector of its line.  The start lines are drawn from
+    iter_subspaces and entered into the pair; each member becomes a
+    Subspace once, when the search returns.
     """
-    dom, n, p = A.dom, A.dim, A.dom.p
+    dom, n = A.dom, A.dim
+    enter, reduce, adjoin, aux, leave, nonzero = echelon_pair(dom)
     if A.is_commutative:
         def grow(S, a):
-            return Subspace(dom, n, *generated_by_element(A, a, S))
+            return generated_by_element(A, a, S)
     else:
         def grow(S, a):
-            return closure(A, S, [a])
+            return closure_form(A, S, [a])
+    first = (tuple(map(enter, start.rows)), start.pivots)
     # reduced echelon rows are canonical, so over one ambient they are a key
-    found = {start.rows: start}
+    found = {first[0]: first}
     todo, gens = [], []
     free = [c for c in range(n) if c not in start.pivots]
     for line in iter_subspaces(dom, len(free)):
@@ -144,31 +156,28 @@ def _search(A: StructAlgebra, start: Subspace) -> list:
         a = [dom.zero] * n
         for c, x in zip(free, line.rows[0]):
             a[c] = x
-        a = tuple(a)
-        T = grow(start, a)
-        if T.rows not in found:
-            found[T.rows] = T
+        a = enter(a)
+        T = grow(first, a)
+        if T[0] not in found:
+            found[T[0]] = T
             todo.append(T)
             gens.append(a)
     while todo:
-        S = todo.pop()
+        rows, pivots = S = todo.pop()
         tried = set()
         for g in gens:
-            r = fp_reduce(S.rows, S.pivots, g, p)
-            lead = next((x for x in r if x), 0)
-            if not lead:
+            r = reduce(rows, pivots, g, aux)
+            if not nonzero(r):
                 continue
-            if lead != 1:
-                inv = pow(lead, -1, p)
-                r = tuple([inv * x % p for x in r])
+            (r,), _ = adjoin((), (), r, aux)
             if r in tried:
                 continue
             tried.add(r)
             T = grow(S, r)
-            if T.rows not in found:
-                found[T.rows] = T
+            if T[0] not in found:
+                found[T[0]] = T
                 todo.append(T)
-    return list(found.values())
+    return [Subspace(dom, n, leave(rows, pivots, n), pivots) for rows, pivots in found.values()]
 
 
 def _start(A: StructAlgebra, base_image: Subspace, budget: int) -> Subspace:

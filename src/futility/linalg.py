@@ -9,15 +9,16 @@ This is the package's one elimination layer over fields.  Its one
 elimination step is a reduce/adjoin pair on a reduced echelon form
 (rows, pivots): reduce clears a vector's pivot coordinates, and adjoin makes
 a nonzero residual a new pivot row.  There is one pair per arithmetic:
-int_reduce/int_adjoin on primitive integer rows over QQ, fp_reduce/fp_adjoin
-on ints over F_p, and reduce/adjoin through the domain's calls over every
-other field.  echelon_pair picks a domain's pair once, with the calls that
-move vectors into and rows out of its arithmetic, and every pair has the
+int_reduce/int_adjoin on primitive integer rows over QQ, bit_reduce/
+bit_adjoin on rows packed into the bits of one int over F_2 (bit j is
+coordinate j, so a row's pivot is its lowest set bit, and elimination is
+XOR), fp_reduce/fp_adjoin on ints over every other F_p, and reduce/adjoin
+through the domain's calls over every other field.  echelon_pair picks a
+domain's pair once, with the calls that move vectors into and rows out of
+its arithmetic and the test for a zero residual; every pair has the
 signature reduce(rows, pivots, vec, aux) and adjoin(rows, pivots, residual,
-aux).  A residual is zero iff any() of it is false: the elements of every
-field here (ints, Fractions, RatFuncs) are false exactly at zero.  rref
-folds its rows one at a time into the empty span through that pair, as
-algebra.closure grows a span under products; solve, nullspace and
+aux).  rref folds its rows one at a time into the empty span through that
+pair, as algebra.closure grows a span under products; solve, nullspace and
 subspace_from_vectors run on rref, and combine forms linear combinations.
 Integer lattice normal forms and the determinant reference live in intmat.
 """
@@ -26,9 +27,11 @@ from __future__ import annotations
 
 import bisect
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
+from typing import NamedTuple
 
 from .domains import QQ, PrimeField, RationalField, ScalarDomain
 from .errors import DimensionMismatch
@@ -75,22 +78,39 @@ def _int_primitive(ints) -> tuple:
     return tuple(ints) if g == 1 else tuple(x // g for x in ints)
 
 
-def echelon_pair(dom: ScalarDomain):
-    """The elimination pair of a field and its way in and out, as
-    (enter, reduce, adjoin, aux, leave): enter(vec) puts a vector into the
-    pair's arithmetic, reduce(rows, pivots, vec, aux) and adjoin(rows, pivots,
-    residual, aux) grow an echelon form (rows, pivots) in it, and
-    leave(rows, pivots) gives the reduced echelon rows over dom.  Over QQ the
-    form is the integer echelon form, entered through primitive; over F_p and
-    every other field it is the reduced echelon form itself."""
+class EchelonPair(NamedTuple):
+    """One arithmetic's elimination pair and its way in and out.
+    enter(vec) puts a vector over the domain into the pair's arithmetic;
+    reduce(rows, pivots, vec, aux) and adjoin(rows, pivots, residual, aux)
+    grow an echelon form (rows, pivots) in it; nonzero(residual) tells a
+    residual that leaves the span; and leave(rows, pivots, n) gives the
+    reduced echelon rows over the domain, of length n."""
+
+    enter: Callable
+    reduce: Callable
+    adjoin: Callable
+    aux: object
+    leave: Callable
+    nonzero: Callable
+
+
+def echelon_pair(dom: ScalarDomain) -> EchelonPair:
+    """The elimination pair of a field.  Over QQ the form is the integer
+    echelon form, entered through primitive; over F_2 it is the reduced
+    echelon form with each row packed into one int; over every other F_p and
+    every other field it is the reduced echelon form itself.  The elements
+    of every field here (ints, Fractions, RatFuncs) are false exactly at
+    zero, so a tuple residual is zero iff any() of it is false."""
     if type(dom) is RationalField:
-        return primitive, int_reduce, int_adjoin, None, _rational_rows
+        return _RATIONAL_PAIR
     if type(dom) is PrimeField:
-        return tuple, fp_reduce, fp_adjoin, dom.p, _rows
-    return tuple, reduce, adjoin, dom, _rows
+        if dom.p == 2:
+            return _BIT_PAIR
+        return EchelonPair(tuple, fp_reduce, fp_adjoin, dom.p, _rows, any)
+    return EchelonPair(tuple, reduce, adjoin, dom, _rows, any)
 
 
-def _rows(rows, pivots) -> tuple:
+def _rows(rows, pivots, n) -> tuple:
     return rows
 
 
@@ -100,13 +120,14 @@ def rref(dom: ScalarDomain, rows) -> tuple[tuple, tuple]:
     The rows are folded one at a time into the empty span through the
     domain's echelon_pair.  The reduced echelon form is unique, so the order
     of the rows and the pair that folds them do not change the result."""
-    enter, reduce, adjoin, aux, leave = echelon_pair(dom)
-    out, pivots = (), ()
+    enter, reduce, adjoin, aux, leave, nonzero = echelon_pair(dom)
+    out, pivots, n = (), (), 0
     for v in rows:
+        n = len(v)
         r = reduce(out, pivots, enter(v), aux)
-        if any(r):
+        if nonzero(r):
             out, pivots = adjoin(out, pivots, r, aux)
-    return leave(out, pivots), pivots
+    return leave(out, pivots, n), pivots
 
 
 _ZERO = Fraction(0)
@@ -120,7 +141,7 @@ def _eliminate(v, f, row, p) -> list:
     return [a * x - b * y for x, y in zip(v, row)]
 
 
-def _rational_rows(rows, pivots) -> tuple:
+def _rational_rows(rows, pivots, n) -> tuple:
     """Integer echelon rows divided by their pivots: the reduced rows over QQ."""
     return tuple(
         tuple(Fraction(x, row[c]) if x else _ZERO for x in row)
@@ -207,9 +228,9 @@ def int_adjoin(rows, pivots, residual, aux=None) -> tuple[tuple, tuple]:
 
 def fp_reduce(rows, pivots, vec, p) -> tuple:
     """reduce over F_p for the reduced echelon form (rows, pivots), vec a
-    vector of ints in [0, p).  Each row is zero at the other pivots, so the
-    entry of vec at a pivot is the coefficient of its row throughout, and the
-    sum is reduced mod p once at the end."""
+    vector of ints.  Each row is zero at the other pivots, so the entry of
+    vec at a pivot is the coefficient of its row throughout, and the sum is
+    reduced mod p once at the end, so vec may come unreduced."""
     v = vec
     for row, c in zip(rows, pivots):
         f = vec[c]
@@ -234,6 +255,51 @@ def fp_adjoin(rows, pivots, residual, p) -> tuple[tuple, tuple]:
     at = bisect.bisect(pivots, lead)
     out.insert(at, new)
     return tuple(out), pivots[:at] + (lead,) + pivots[at:]
+
+
+# F_2 kernel, as in M4RI (Albrecht, Bard and Hart, ACM TOMS 37(1), 2010): a
+# vector over F_2 is one int whose bit j is coordinate j, so a row's pivot is
+# its lowest set bit and adding a row is one XOR.  aux is unused.
+
+def bit_pack(vec) -> int:
+    """The int whose bit j is coordinate j of a vector over F_2."""
+    mask = 0
+    for j, x in enumerate(vec):
+        if x & 1:
+            mask |= 1 << j
+    return mask
+
+
+def _bit_rows(rows, pivots, n) -> tuple:
+    """Packed rows back to tuples of length n."""
+    return tuple(tuple([row >> j & 1 for j in range(n)]) for row in rows)
+
+
+def bit_reduce(rows, pivots, vec, aux=None) -> int:
+    """reduce over F_2 on packed rows: the row of each pivot bit set in vec
+    is XORed in.  Each row is zero at the other pivots, so the bits of vec
+    at the pivots decide throughout."""
+    v = vec
+    for row, c in zip(rows, pivots):
+        if vec >> c & 1:
+            v ^= row
+    return v
+
+
+def bit_adjoin(rows, pivots, residual, aux=None) -> tuple[tuple, tuple]:
+    """adjoin over F_2 on packed rows: the residual, zero at every pivot,
+    becomes the row of its lowest set bit, which is cleared from the rows
+    that have it set."""
+    bit = residual & -residual
+    lead = bit.bit_length() - 1
+    out = [row ^ residual if row & bit else row for row in rows]
+    at = bisect.bisect(pivots, lead)
+    out.insert(at, residual)
+    return tuple(out), pivots[:at] + (lead,) + pivots[at:]
+
+
+_RATIONAL_PAIR = EchelonPair(primitive, int_reduce, int_adjoin, None, _rational_rows, any)
+_BIT_PAIR = EchelonPair(bit_pack, bit_reduce, bit_adjoin, None, _bit_rows, bool)
 
 
 def solve(dom: ScalarDomain, rows, target):
@@ -305,7 +371,7 @@ class Subspace:
 
     def key(self):
         """Hashable canonical form: the reduced echelon rows are unique, and
-        every echelon pair gives them as tuples."""
+        every echelon pair leaves them as tuples."""
         return (self.ambient, self.rows)
 
 

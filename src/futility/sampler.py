@@ -78,10 +78,12 @@ def sample_subalgebras(target, trials: int, bound: int, seed: int = 0, stop: int
     if A.dom != QQ:
         raise UnsupportedDomain("sampling runs over the rationals; finite domains enumerate")
 
-    def close(a):
-        return generated_by_element(A, a, base)[0]
+    form = (base.int_rows, base.pivots)
 
-    key = partial(int_reduce, base.int_rows, base.pivots)
+    def close(a):
+        return generated_by_element(A, a, form)[0]
+
+    key = partial(int_reduce, *form)
     return _sample(A.dim, trials, bound, seed, key, close, stop)
 
 

@@ -5,7 +5,7 @@ generators' residuals."""
 
 from futility.algebra import closure, generated_by_element
 from futility.finite_enum import iter_subspaces
-from futility.linalg import Subspace
+from futility.linalg import Subspace, echelon_pair
 
 
 def line_search(A, start):
@@ -15,9 +15,11 @@ def line_search(A, start):
     since adjoining a basis of T one vector at a time climbs from start to T
     through members."""
     dom, n = A.dom, A.dim
+    enter, *_, leave, _ = echelon_pair(dom)
     if A.is_commutative:
         def grow(S, a):
-            return Subspace(dom, n, *generated_by_element(A, a, S))
+            rows, pivots = generated_by_element(A, enter(a), (tuple(map(enter, S.rows)), S.pivots))
+            return Subspace(dom, n, leave(rows, pivots, n), pivots)
     else:
         def grow(S, a):
             return closure(A, S, [a])

@@ -2,9 +2,11 @@
 before algebra ran each as one walk: the decomposition through the quotient
 R = A/N, a primitive element of R and the Newton lift e <- 3e^2 - 2e^3 of
 each CRT idempotent of R along N, with each factor e*A peeled into an
-algebra of its own, and the minimal polynomial by one solve per power.
-Oracles for algebra.local_decomposition, whose numbers per factor are read
-off A with no factor formed, and algebra.minimal_polynomial."""
+algebra of its own, the minimal polynomial by one solve per power, and the
+trace form on the domain's elements.  Oracles for
+algebra.local_decomposition, whose numbers per factor are read off A with
+no factor formed, algebra.minimal_polynomial, and algebra.int_trace_form,
+the trace form on ints that nilradical takes the kernel of."""
 
 from dataclasses import dataclass
 
@@ -32,6 +34,23 @@ class PeeledFactor:
     idempotent: tuple
     algebra: object
     projection: tuple
+
+
+def trace_form(A):
+    """Rows of the trace form, row i = (Tr(e_i e_j))_j with Tr the trace of
+    left multiplication: Tr(e_i e_j) = sum_k c_ijk tau_k, with tau = A.traces.
+    O(dim^3) on the sparse tensor."""
+    dom, tau = A.dom, A.traces
+    rows = []
+    for block in A.sparse:
+        row = []
+        for v in block:
+            acc = dom.zero
+            for k, c in v:
+                acc = dom.add(acc, dom.mul(c, tau[k]))
+            row.append(acc)
+        rows.append(tuple(row))
+    return tuple(rows)
 
 
 def peel_factor(A, e):

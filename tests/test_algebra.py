@@ -22,6 +22,7 @@ from futility.algebra import (
     element_power,
     frobenius_chain,
     generated_by_element,
+    int_trace_form,
     invert_element,
     local_decomposition,
     make_algebra,
@@ -32,7 +33,6 @@ from futility.algebra import (
     quotient_algebra,
     subalgebra_to_algebra,
     subspace_product,
-    trace_form,
 )
 from futility.constructions import (
     AlgebraScalarDomain,
@@ -52,6 +52,8 @@ from futility.errors import (
     ValidationError,
 )
 from futility.linalg import (
+    nullspace,
+    primitive,
     subspace_from_vectors,
     unit_vec,
     vec_is_zero,
@@ -581,7 +583,7 @@ def reference_trace_rows(A):
     return tuple(tuple(mult_trace(A.table[i][j]) for j in range(A.dim)) for i in range(A.dim))
 
 
-@pytest.mark.parametrize(
+TRACE_FORM_ALGEBRAS = pytest.mark.parametrize(
     "A",
     [
         qx_mod(0, 0, 0, -2, 0, 1),  # Q[x]/(x^3 (x^2 - 2)), not reduced
@@ -592,8 +594,23 @@ def reference_trace_rows(A):
     ],
     ids=["x3-x2m2", "x2m2-xm3", "rational-basis", "product", "upper-triangular"],
 )
+
+
+@TRACE_FORM_ALGEBRAS
 def test_trace_form_matches_mult_trace_rows(A):
-    assert trace_form(A) == reference_trace_rows(A)
+    assert reference_local.trace_form(A) == reference_trace_rows(A)
+
+
+@TRACE_FORM_ALGEBRAS
+def test_int_trace_form_is_d_squared_times_the_trace_form(A):
+    # the integer form nilradical takes the kernel of, entry by entry
+    form = int_trace_form(A)
+    scale = A.int_den**2
+    assert all(type(x) is int for row in form for x in row)
+    assert form == tuple(tuple(scale * x for x in row) for row in reference_local.trace_form(A))
+    if A.is_commutative:
+        kernel = subspace_from_vectors(QQ, A.dim, nullspace(QQ, reference_local.trace_form(A), A.dim))
+        assert nilradical(A) == kernel
 
 
 def test_nilradical_quotient_is_reduced():
@@ -932,13 +949,15 @@ MINIMAL_POLYNOMIAL_CASES = {
     "Q-unit-with-denominators": (Q_HALF_UNIT, Q_FRACTIONS),
     "Q-upper-triangular": (upper_triangular_algebra(QQ, 3), Q_FRACTIONS),
     "F2": (SYMMETRIC_SOURCES["F2"][0], st.integers(0, 1)),
+    "F2[x]/(x^6)": (poly_quotient_algebra(make_poly(F2, [0, 0, 0, 0, 0, 0, 1])), st.integers(0, 1)),
+    "F2-upper-triangular": (upper_triangular_algebra(F2, 3), st.integers(0, 1)),
     "F5": (SOURCES["F5"][0], st.integers(0, 4)),
     "F3-upper-triangular": (upper_triangular_algebra(F3, 3), st.integers(0, 2)),
     "F2(t)-denominators": (F2T_DENOMINATORS, ratfuncs()),
 }
 
 
-@settings(max_examples=80, deadline=None)
+@settings(max_examples=100, deadline=None)
 @given(st.sampled_from(sorted(MINIMAL_POLYNOMIAL_CASES)), st.data())
 def test_minimal_polynomial_walk_matches_one_solve_per_power(name, data):
     """The walk and the solve per power give the same polynomial (over Q and
@@ -1152,13 +1171,14 @@ def test_generated_by_element_matches_subalgebra_generated(target):
     # the integer kernel over Q against the span-and-multiply fixpoint
     A, base = target()
     base = base or unit_span(A)
+    form = (base.int_rows, base.pivots)
     rng = random.Random(3)
     for _ in range(25):
         a = tuple(Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(A.dim))
         expected = span_and_multiply(A, [*base.rows, a])
-        assert generated_by_element(A, a, base) == (expected.int_rows, expected.pivots)
+        assert generated_by_element(A, primitive(a), form) == (expected.int_rows, expected.pivots)
     with pytest.raises(DimensionMismatch):
-        generated_by_element(A, a[:-1], base)
+        generated_by_element(A, primitive(a[:-1]), form)
 
 
 # Factors of the random quotient moduli below: x, x - 1, x + 2, x^2 + 1, x^2 - 2.
@@ -1214,7 +1234,8 @@ def test_generated_by_element_matches_subalgebra_generated_on_random_targets():
             elements.append(tuple(sum(c * x for c, x in zip(coeffs, col)) for col in zip(*sub.rows)))
         for a in elements:
             expected = span_and_multiply(A, [*base.rows, a])
-            assert generated_by_element(A, a, base) == (expected.int_rows, expected.pivots), (name, a)
+            assert generated_by_element(A, primitive(a), (base.int_rows, base.pivots)) == (
+                expected.int_rows, expected.pivots), (name, a)
             proper += base.dim < expected.dim < A.dim
     assert proper >= 10
 

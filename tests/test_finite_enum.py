@@ -21,12 +21,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from futility import finite_enum
-from futility.algebra import closure, element_multiply, generated_by_element, product_algebra
+from futility.algebra import closure, element_multiply, generated_by_element, make_algebra, product_algebra
 from futility.constructions import matrix_algebra, poly_quotient_algebra
 from futility.domains import PrimeField
 from futility.errors import BudgetExceeded
 from futility.finite_enum import enumerate_subalgebras, iter_subspaces, subalgebra_lattice
-from futility.linalg import Subspace, subspace_from_vectors, zero_subspace
+from futility.linalg import Subspace, bit_pack, echelon_pair, subspace_from_vectors, zero_subspace
 from futility.polynomials import make_poly
 from reference_closure import span_and_multiply
 from reference_goursat import enumerate_isomorphisms, goursat_enumerate, scan_ideals
@@ -238,6 +238,58 @@ def test_int_closure_matches_subalgebra_generated(A, data):
     assert closure(A, I, [a], ideal=True) == span_and_multiply(A, [*I.rows, a], ideal=True)
 
 
+# --- F_2 kernel ---------------------------------------------------------------
+
+def seeded_change_of_basis(A, seed):
+    """A on a basis of random vectors, drawn from a seeded stream until they
+    are independent."""
+    rng = random.Random(seed)
+    while True:
+        rows = [tuple(rng.randrange(A.dom.p) for _ in range(A.dim)) for _ in range(A.dim)]
+        if subspace_from_vectors(A.dom, A.dim, rows).dim == A.dim:
+            return change_of_basis(A, rows)
+
+
+F2_ALGEBRAS = {
+    "F2[x]/(x^6)": f2x(0, 0, 0, 0, 0, 0, 1),
+    "F2[x]/(x^3) x F4": product_algebra([f2x(0, 0, 0, 1), f2x(1, 1, 1)]),
+    "M2(F2)": matrix_algebra(F2, 2),
+    "UT3(F2)": upper_triangular_algebra(F2, 3),
+}
+F2_ALGEBRAS.update({f"{name} on a seeded basis": seeded_change_of_basis(A, 5) for name, A in list(F2_ALGEBRAS.items())})
+F2_ALGEBRAS["dimension 0"] = make_algebra(F2, [], [])
+
+
+@pytest.mark.parametrize("name", sorted(F2_ALGEBRAS))
+def test_f2_search_on_packed_rows_matches_line_search(name):
+    # the search holds its members, generators and lines as packed ints
+    A = F2_ALGEBRAS[name]
+    assert echelon_pair(A.dom).enter is bit_pack
+    start = closure(A, zero_subspace(A.dom, A.dim), [A.unit])
+    members = enumerate_subalgebras(A, unit_span(A)).members
+    assert members == tuple(sorted(line_search(A, start), key=Subspace.key))
+    assert all(type(x) is int and 0 <= x < 2 for S in members for row in S.rows for x in row)
+
+
+@pytest.mark.parametrize("name", sorted(F2_ALGEBRAS))
+def test_f2_closure_on_packed_rows_matches_span_and_multiply(name):
+    # subalgebras and ideals from zero, and each grown from a closed span by
+    # one more vector, on seeded vectors; the noncommutative algebras grow
+    # by products on both sides
+    A = F2_ALGEBRAS[name]
+    rng = random.Random(7)
+    zero = zero_subspace(A.dom, A.dim)
+    for _ in range(12):
+        gens = [tuple(rng.randrange(2) for _ in range(A.dim)) for _ in range(rng.randrange(3))]
+        a = tuple(rng.randrange(2) for _ in range(A.dim))
+        S = closure(A, zero, [A.unit, *gens])
+        assert S == span_and_multiply(A, [A.unit, *gens])
+        assert closure(A, S, [a]) == span_and_multiply(A, [*S.rows, a])
+        I = closure(A, zero, gens, ideal=True)
+        assert I == span_and_multiply(A, gens, ideal=True)
+        assert closure(A, I, [a], ideal=True) == span_and_multiply(A, [*I.rows, a], ideal=True)
+
+
 @pytest.mark.parametrize("n, count", [(7, 35), (8, 110), (9, 193), (10, 596)])
 def test_truncated_polynomial_subalgebra_counts(n, count):
     A = f2x(*([0] * n + [1]))  # F2[x]/(x^n)
@@ -269,6 +321,7 @@ def test_power_walk_matches_closure_on_every_member_and_line(A):
     # S[a] by powers of a against the closure worklist, for every member S
     # and every line a of A/S
     dom, n = A.dom, A.dim
+    enter, *_, leave, _ = echelon_pair(dom)
     checked = 0
     for S in enumerate_subalgebras(A, unit_span(A)).members:
         free = [c for c in range(n) if c not in S.pivots]
@@ -281,7 +334,8 @@ def test_power_walk_matches_closure_on_every_member_and_line(A):
             for c, x in zip(free, line.rows[0]):
                 a[c] = x
             a = tuple(a)
-            walk = Subspace(dom, n, *generated_by_element(A, a, S))
+            rows, pivots = generated_by_element(A, enter(a), (tuple(map(enter, S.rows)), S.pivots))
+            walk = Subspace(dom, n, leave(rows, pivots, n), pivots)
             assert walk == closure(A, S, [a]), (S.rows, a)
             checked += 1
     assert checked > 0

@@ -1,5 +1,6 @@
 """Reduced row echelon subspaces: canonicality, membership, nullspace."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -11,7 +12,11 @@ from futility.errors import DimensionMismatch
 from futility.linalg import (
     Subspace,
     adjoin,
+    bit_adjoin,
+    bit_pack,
+    bit_reduce,
     combine,
+    echelon_pair,
     fp_adjoin,
     fp_reduce,
     full_subspace,
@@ -400,3 +405,52 @@ def test_fp_kernel_matches_generic_loop(case):
     assert s.contains(inside)
     with pytest.raises(DimensionMismatch):
         s.reduce(vec + (0,))
+
+
+# --- the three pairs over F_2 ---------------------------------------------------
+
+def fold(reduce_, adjoin_, aux, nonzero, vecs):
+    """The echelon form of the vectors, folded one at a time through a pair."""
+    rows, pivots = (), ()
+    for v in vecs:
+        r = reduce_(rows, pivots, v, aux)
+        if nonzero(r):
+            rows, pivots = adjoin_(rows, pivots, r, aux)
+    return rows, pivots
+
+
+def f2_matrices():
+    """(rows, ambient): seeded random matrices over F_2, with zero rows,
+    duplicate rows, full rank and ambient 0 among them."""
+    rng = random.Random(2)
+    out = [([], 0), ([(), ()], 0), ([(0, 0, 0)], 3), ([(1, 0, 1), (1, 0, 1), (0, 0, 0)], 3)]
+    for _ in range(60):
+        n = rng.randrange(1, 11)
+        rows = [tuple(rng.randrange(2) for _ in range(n)) for _ in range(rng.randrange(n + 4))]
+        if rows and rng.random() < 0.3:
+            rows += [rows[0], (0,) * n]
+        rng.shuffle(rows)
+        out.append((rows, n))
+    for n in (1, 5, 9):
+        rows = [tuple(1 if j == i else rng.randrange(2) if j > i else 0 for j in range(n)) for i in range(n)]
+        rng.shuffle(rows)
+        out.append((rows, n))  # full rank: unit upper triangular, shuffled
+    return out
+
+
+def test_the_three_pairs_agree_over_f2():
+    # bitmasks, the F_p ints at p = 2 and the generic domain calls fold the
+    # same rows to the same reduced echelon form, which rref returns
+    pair = echelon_pair(F2)
+    assert (pair.enter, pair.reduce, pair.adjoin) == (bit_pack, bit_reduce, bit_adjoin)
+    full = 0
+    for rows, n in f2_matrices():
+        masks, pivots = fold(bit_reduce, bit_adjoin, None, bool, map(bit_pack, rows))
+        assert all(type(m) is int and m >> n == 0 for m in masks)
+        unpacked = pair.leave(masks, pivots, n)
+        assert (unpacked, pivots) == fold(fp_reduce, fp_adjoin, 2, any, rows)
+        assert (unpacked, pivots) == fold(reduce, adjoin, F2, any, rows)
+        assert (unpacked, pivots) == rref(F2, rows) == gauss_jordan(F2, rows)
+        assert masks == tuple(map(bit_pack, unpacked))
+        full += len(pivots) == n > 0
+    assert full >= 3
