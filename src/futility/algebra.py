@@ -59,15 +59,7 @@ from .linalg import (
     zero_subspace,
     zero_vec,
 )
-from .polynomials import (
-    FactoredPoly,
-    Poly,
-    factor_over_rationals,
-    pmod,
-    pmul,
-    pquo,
-    pxgcd,
-)
+from .polynomials import FactoredPoly, Poly, factor_over_rationals, kernel_xgcd, poly_kernel
 
 
 @dataclass(frozen=True)
@@ -846,9 +838,10 @@ def local_decomposition(A: StructAlgebra, seed: int = 0) -> LocalSplit:
     mu = g_1^(m_1) ... g_k^(m_k).  The CRT idempotent E_i of Q[x]/(mu),
     1 modulo g_i^(m_i) and 0 modulo the other factors, is 1 on the
     component of a in A_i and 0 on the others: E_i(a) is the primitive
-    idempotent e_i of A.  It is evaluated on the integer powers of a
-    (_int_powers), and each factor's numbers are read off A by
-    _read_factors.
+    idempotent e_i of A.  E_i is formed on the Q polynomial kernel
+    (polynomials.poly_kernel), as an integer coefficient list with one
+    rational content, and evaluated on the integer powers of a
+    (_int_powers); each factor's numbers are read off A by _read_factors.
     """
     if not A.is_commutative:
         raise ValidationError("local decomposition needs a commutative algebra")
@@ -870,17 +863,23 @@ def local_decomposition(A: StructAlgebra, seed: int = 0) -> LocalSplit:
         return whole
     mu = minimal_polynomial(A, a)
     powers, scales = _int_powers(A, a, mu.degree)
+    K = poly_kernel(dom)
+    mu_form = K.enter(mu)
     pieces, mu_factors = [], []
     for g, _ in fac.factors:
         # q = g^m, the power of g that exactly divides mu, and h = mu / q
-        q, h, m = g, pquo(mu, g), 1
-        while pmod(h, g).is_zero:
-            q, h, m = pmul(q, g), pquo(h, g), m + 1
+        g_form = K.enter(g)
+        q, h, m = g_form, K.divmod(mu_form, g_form)[0], 1
+        while True:
+            quo, rem = K.divmod(h, g_form)
+            if K.degree(rem) >= 0:
+                break
+            q, h, m = K.mul(q, g_form), quo, m + 1
         # t = 1/h modulo q, of degree below deg q: t*h is 1 modulo q and 0
         # modulo h, of degree below deg mu
-        one, _, t = pxgcd(q, pmod(h, q))
-        assert one.degree == 0
-        e = _int_evaluate(pmul(t, h).coeffs, powers, scales)
+        one, _, t = kernel_xgcd(K, q, K.divmod(h, q)[1])
+        assert K.degree(one) == 0
+        e = _int_evaluate(*K.mul(t, h), powers, scales)
         if element_multiply(A, e, e) != e:
             raise ValidationError("CRT idempotent is not idempotent")
         if e == A.unit or vec_is_zero(dom, e):
@@ -907,18 +906,20 @@ def _int_powers(A: StructAlgebra, a, count: int) -> tuple[list, list]:
     return powers, scales
 
 
-def _int_evaluate(coeffs, powers, scales) -> tuple:
-    """sum_k coeffs[k] * powers[k] / scales[k] over one common denominator,
-    divided out once per coordinate."""
-    den = math.lcm(*(c.denominator * s for c, s in zip(coeffs, scales) if c))
+def _int_evaluate(content, ints, powers, scales) -> tuple:
+    """content * sum_k ints[k] * powers[k] / scales[k], a polynomial in the
+    QQ kernel's form evaluated on the integer powers, over one common
+    denominator divided out once per coordinate."""
+    den = math.lcm(*(s for c, s in zip(ints, scales) if c))
     acc = [0] * len(powers[0])
-    for c, row, s in zip(coeffs, powers, scales):
+    for c, row, s in zip(ints, powers, scales):
         if c:
-            w = c.numerator * (den // (c.denominator * s))
+            w = c * (den // s)
             for j, x in enumerate(row):
                 if x:
                     acc[j] += w * x
-    return tuple(Fraction(x, den) if x else _ZERO for x in acc)
+    n, den = content.numerator, content.denominator * den
+    return tuple(Fraction(n * x, den) if x else _ZERO for x in acc)
 
 
 def _read_factors(A: StructAlgebra, nil: Subspace, nil2: Subspace, pieces) -> list[LocalFactor]:

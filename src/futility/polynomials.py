@@ -6,17 +6,34 @@ leading coefficient.  "Squarefree" here means "product of distinct
 irreducible factors over the coefficient field": a polynomial like
 x^p - t over F_p(t) is squarefree in this sense even though its
 derivative vanishes.
+
+Poly and FactoredPoly are the values that leave this module.  Under them
+the heavy work runs on one kernel per arithmetic (PolyKernel), picked from
+the domain once per call by poly_kernel, as linalg.echelon_pair picks an
+elimination pair: over Q a primitive integer coefficient list with one
+rational content, divided by pseudo-division; over F_p an int list reduced
+mod p; over every other domain the Poly under the domain's calls.  gcd,
+xgcd and the squarefree loop are written once over the kernel.  The
+kernel's consumers are squarefree_decomposition (and poly_gcd),
+factor_over_prime_field, factor_over_rationals, whose Zassenhaus factoring
+and Hensel lifting run on the same int lists, and the CRT step of
+algebra.local_decomposition.  A form leaves a kernel as a Poly with the
+domain's coefficient types (Fraction over Q, int over F_p).
 """
 
 from __future__ import annotations
 
 import math
 import random
+from collections.abc import Callable
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from itertools import combinations
+from operator import attrgetter
+from typing import NamedTuple
 
-from .domains import QQ, PrimeField, ScalarDomain, is_prime
+from .domains import QQ, PrimeField, RationalField, ScalarDomain, is_prime
 from .errors import (
     DegreeBoundExceeded,
     DomainMismatch,
@@ -138,10 +155,6 @@ def pquo(a: Poly, b: Poly) -> Poly:
     return q
 
 
-def pmod(a: Poly, b: Poly) -> Poly:
-    return pdivmod(a, b)[1]
-
-
 def pmonic(a: Poly) -> Poly:
     if a.is_zero:
         return a
@@ -149,30 +162,13 @@ def pmonic(a: Poly) -> Poly:
 
 
 def poly_gcd(a: Poly, b: Poly) -> Poly:
-    """Monic gcd over a field domain; gcd(0, 0) = 0."""
+    """Monic gcd over a field domain; gcd(0, 0) = 0.  Runs on the domain's
+    kernel."""
     _check(a, b)
     if not a.dom.is_field:
         raise UnsupportedDomain("polynomial gcd needs a field domain")
-    while not b.is_zero:
-        a, b = b, pmod(a, b)
-    return pmonic(a)
-
-
-def pxgcd(a: Poly, b: Poly) -> tuple[Poly, Poly, Poly]:
-    """(g, s, t) with s*a + t*b = g, g the monic gcd."""
-    dom = a.dom
-    r0, r1 = a, b
-    s0, s1 = pconst(dom, dom.one), pzero(dom)
-    t0, t1 = pzero(dom), pconst(dom, dom.one)
-    while not r1.is_zero:
-        q, r = pdivmod(r0, r1)
-        r0, r1 = r1, r
-        s0, s1 = s1, psub(s0, pmul(q, s1))
-        t0, t1 = t1, psub(t0, pmul(q, t1))
-    if r0.is_zero:
-        return r0, s0, t0
-    inv = dom.inv(r0.lc)
-    return pscale(r0, inv), pscale(s0, inv), pscale(t0, inv)
+    K = poly_kernel(a.dom)
+    return K.leave(kernel_gcd(K, K.enter(a), K.enter(b)))
 
 
 def pderiv(a: Poly) -> Poly:
@@ -193,18 +189,6 @@ def ppow(a: Poly, n: int) -> Poly:
         n >>= 1
         if n:
             base = pmul(base, base)
-    return acc
-
-
-def ppowmod(a: Poly, n: int, mod: Poly) -> Poly:
-    acc = pconst(a.dom, a.dom.one)
-    base = pmod(a, mod)
-    while n:
-        if n & 1:
-            acc = pmod(pmul(acc, base), mod)
-        n >>= 1
-        if n:
-            base = pmod(pmul(base, base), mod)
     return acc
 
 
@@ -242,6 +226,278 @@ def coeff_proot(a: Poly) -> Poly | None:
 
 
 # ---------------------------------------------------------------------------
+# Kernels: one form and one arithmetic per domain, and the algorithms that
+# run on any of them
+# ---------------------------------------------------------------------------
+
+class PolyKernel(NamedTuple):
+    """One arithmetic's polynomials in its own form.  enter(f) puts a Poly
+    into the form and leave(a) takes a form back to a Poly, with the
+    domain's own coefficient types; degree(a) is -1 at zero; mul, sub,
+    divmod (the divisor's leading coefficient invertible, ZeroDivisionError
+    at zero), monic and deriv are the Poly operations of the same names;
+    zero and one are the forms of 0 and 1.  No operation changes a form it
+    is given.
+
+    Over QQ the form is (c, P): P a primitive integer coefficient
+    list, low degree first, with a positive leading coefficient, and c the
+    Fraction content, so that the polynomial is c*P; zero is (0, []).  Over
+    F_p it is the coefficient list, ints in [0, p), with no trailing zero.
+    Over every other domain it is the Poly itself, under the domain's
+    calls."""
+
+    enter: Callable
+    leave: Callable
+    degree: Callable
+    mul: Callable
+    sub: Callable
+    divmod: Callable
+    monic: Callable
+    deriv: Callable
+    zero: object
+    one: object
+
+
+def poly_kernel(dom: ScalarDomain) -> PolyKernel:
+    """The kernel of a domain, picked once per call: integer lists with one
+    rational content over QQ, int lists mod p over F_p, domain calls
+    elsewhere."""
+    if type(dom) is RationalField:
+        return _Q_KERNEL
+    if type(dom) is PrimeField:
+        p = dom.p
+        return PolyKernel(
+            partial(_fp_enter, p=p), partial(_fp_leave, dom=dom), _list_degree, partial(_fp_mul, p=p),
+            partial(_fp_sub, p=p), partial(_fp_divmod, p=p), partial(_fp_monic, p=p), partial(_fp_deriv, p=p),
+            [], [1],
+        )
+    return domain_kernel(dom)
+
+
+def domain_kernel(dom: ScalarDomain) -> PolyKernel:
+    """Polys under the domain's own calls: the kernel of every domain but QQ
+    and F_p, and the arm the other kernels are tested against."""
+    return PolyKernel(_same, _same, attrgetter("degree"), pmul, psub, pdivmod, pmonic, pderiv,
+                      pzero(dom), pconst(dom, dom.one))
+
+
+def _same(a):
+    return a
+
+
+def kernel_gcd(K: PolyKernel, a, b):
+    """The monic gcd of two forms; gcd(0, 0) = 0."""
+    while K.degree(b) >= 0:
+        a, b = b, K.divmod(a, b)[1]
+    return K.monic(a)
+
+
+def kernel_xgcd(K: PolyKernel, a, b) -> tuple:
+    """(g, s, t) with s*a + t*b = g, g the monic gcd, on forms."""
+    r0, r1 = a, b
+    s0, s1 = K.one, K.zero
+    t0, t1 = K.zero, K.one
+    while K.degree(r1) >= 0:
+        q, r = K.divmod(r0, r1)
+        r0, r1 = r1, r
+        s0, s1 = s1, K.sub(s0, K.mul(q, s1))
+        t0, t1 = t1, K.sub(t0, K.mul(q, t1))
+    if K.degree(r0) < 0:
+        return r0, s0, t0
+    g = K.monic(r0)
+    inv = K.divmod(g, r0)[0]  # the constant 1/lc(r0)
+    return g, K.mul(s0, inv), K.mul(t0, inv)
+
+
+def _powmod(K: PolyKernel, a, n: int, mod):
+    acc = K.one
+    base = K.divmod(a, mod)[1]
+    while n:
+        if n & 1:
+            acc = K.divmod(K.mul(acc, base), mod)[1]
+        n >>= 1
+        if n:
+            base = K.divmod(K.mul(base, base), mod)[1]
+    return acc
+
+
+def _list_degree(a: list) -> int:
+    return len(a) - 1
+
+
+# Integer coefficient lists, low degree first: the one product, sum and
+# division under the Q and F_p forms, Hensel lifting and recombination.
+
+def _zmul(a: list, b: list) -> list:
+    if not a or not b:
+        return []
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+    return out
+
+
+def _zaddmul(a: list, b: list, k: int) -> list:
+    """a + k*b, untrimmed."""
+    out = a + [0] * (len(b) - len(a))
+    for i, y in enumerate(b):
+        out[i] += k * y
+    return out
+
+
+def _zdivmod(a: list, b: list) -> tuple[int, list, list]:
+    """(m, q, r) with m*a = q*b + r, deg r < deg b and r trimmed, for b with
+    a positive leading coefficient: fraction-free division, which scales by
+    lc(b)/gcd(lc(b), c) only at a leading coefficient c that lc(b) does not
+    divide, so m = 1 for a monic b."""
+    db, lb = len(b) - 1, b[-1]
+    rem, m = list(a), 1
+    quo = [0] * max(0, len(rem) - db)
+    for i in range(len(rem) - 1, db - 1, -1):
+        c = rem[i]
+        if not c:
+            continue
+        if c % lb:
+            s = lb // math.gcd(c, lb)
+            rem = [x * s for x in rem[: i + 1]]
+            quo = [x * s for x in quo]
+            m, c = m * s, c * s
+        k = c // lb
+        quo[i - db] = k
+        for j in range(db):
+            rem[i - db + j] -= k * b[j]
+    return m, quo, _trim(rem[:db])
+
+
+def _trim(a: list) -> list:
+    while a and not a[-1]:
+        a.pop()
+    return a
+
+
+# QQ: (content, primitive integer list)
+
+_ZERO, _ONE = Fraction(0), Fraction(1)
+
+
+def _q_form(c: Fraction, ints: list) -> tuple:
+    """c*ints as (content, primitive part with a positive leading
+    coefficient); ints is trimmed in place."""
+    _trim(ints)
+    if not ints:
+        return _ZERO, ints
+    g = math.gcd(*ints)
+    if ints[-1] < 0:
+        g = -g
+    return (c * g, [x // g for x in ints]) if g != 1 else (c, ints)
+
+
+def _q_enter(f: Poly) -> tuple:
+    den = math.lcm(*(c.denominator for c in f.coeffs))
+    return _q_form(Fraction(1, den), [c.numerator * (den // c.denominator) for c in f.coeffs])
+
+
+def _q_leave(a: tuple) -> Poly:
+    c, P = a
+    return Poly(QQ, tuple(c * x for x in P))
+
+
+def _q_degree(a: tuple) -> int:
+    return len(a[1]) - 1
+
+
+def _q_mul(a: tuple, b: tuple) -> tuple:
+    # Gauss's lemma: a product of primitive polynomials is primitive
+    P = _zmul(a[1], b[1])
+    return (a[0] * b[0], P) if P else (_ZERO, P)
+
+
+def _q_sub(a: tuple, b: tuple) -> tuple:
+    """a - b over the common denominator of the two contents, with the
+    content of the difference divided out once."""
+    (ca, A), (cb, B) = a, b
+    if not B:
+        return a
+    if not A:
+        return -cb, B
+    d = math.lcm(ca.denominator, cb.denominator)
+    x, y = ca.numerator * (d // ca.denominator), cb.numerator * (d // cb.denominator)
+    return _q_form(Fraction(1, d), _zaddmul([x * c for c in A], B, -y))
+
+
+def _q_divmod(a: tuple, b: tuple) -> tuple[tuple, tuple]:
+    """Pseudo-division of the primitive parts, the contents applied once."""
+    (ca, A), (cb, B) = a, b
+    if not B:
+        raise ZeroDivisionError("polynomial division by zero")
+    m, quo, rem = _zdivmod(A, B)
+    return _q_form(ca / (m * cb), quo), _q_form(ca / m, rem)
+
+
+def _q_monic(a: tuple) -> tuple:
+    P = a[1]
+    return (Fraction(1, P[-1]), P) if P else a
+
+
+def _q_deriv(a: tuple) -> tuple:
+    c, P = a
+    return _q_form(c, [i * x for i, x in enumerate(P)][1:])
+
+
+_Q_KERNEL = PolyKernel(_q_enter, _q_leave, _q_degree, _q_mul, _q_sub, _q_divmod, _q_monic, _q_deriv,
+                       (_ZERO, []), (_ONE, [1]))
+
+
+# F_p: int lists reduced mod p
+
+def _fp_enter(f: Poly, p: int) -> list:
+    return _trim([c % p for c in f.coeffs])
+
+
+def _fp_leave(a: list, dom: PrimeField) -> Poly:
+    return Poly(dom, tuple(a))
+
+
+def _fp_mul(a: list, b: list, p: int) -> list:
+    # p is prime, so the leading coefficient stays nonzero
+    return [c % p for c in _zmul(a, b)]
+
+
+def _fp_sub(a: list, b: list, p: int) -> list:
+    return _trim([c % p for c in _zaddmul(a, b, -1)])
+
+
+def _fp_divmod(a: list, b: list, p: int) -> tuple[list, list]:
+    if not b:
+        raise ZeroDivisionError("polynomial division by zero")
+    db = len(b) - 1
+    inv = pow(b[-1], -1, p)
+    rem = list(a)
+    quo = [0] * max(0, len(rem) - db)
+    for i in range(len(rem) - 1, db - 1, -1):
+        c = rem[i] % p
+        if c:
+            c = c * inv % p
+            quo[i - db] = c
+            for j in range(db):
+                rem[i - db + j] -= c * b[j]
+    return quo, _trim([x % p for x in rem[:db]])
+
+
+def _fp_monic(a: list, p: int) -> list:
+    if not a or a[-1] == 1:
+        return a
+    inv = pow(a[-1], -1, p)
+    return [c * inv % p for c in a]
+
+
+def _fp_deriv(a: list, p: int) -> list:
+    return _trim([i * c % p for i, c in enumerate(a)][1:])
+
+
+# ---------------------------------------------------------------------------
 # Squarefree decomposition
 # ---------------------------------------------------------------------------
 
@@ -258,7 +514,7 @@ def squarefree_decomposition(f: Poly) -> list[tuple[Poly, int]]:
         raise ZeroPolynomial("cannot decompose the zero polynomial")
     if not f.dom.is_field:
         raise UnsupportedDomain("squarefree decomposition needs a field domain")
-    parts = _sqf_monic(pmonic(f))
+    parts = _sqf_monic(pmonic(f), poly_kernel(f.dom))
     parts.sort(key=lambda gm: (gm[1], gm[0].degree))
     return parts
 
@@ -285,33 +541,36 @@ def squarefree_by_derivation(f: Poly) -> bool:
     return False
 
 
-def _sqf_monic(f: Poly) -> list[tuple[Poly, int]]:
+def _sqf_monic(f: Poly, K: PolyKernel) -> list[tuple[Poly, int]]:
+    """Yun's loop on the kernel K's forms; in characteristic p the part left
+    over, a polynomial in x^p, is split on Polys."""
     dom = f.dom
     out: list[tuple[Poly, int]] = []
     if f.degree <= 0:
         return out
     p = dom.char
-    fp = pderiv(f)
-    if not fp.is_zero:
-        g = poly_gcd(f, fp)
-        w = pquo(f, g)
+    a = K.enter(f)
+    da = K.deriv(a)
+    if K.degree(da) >= 0:
+        g = kernel_gcd(K, a, da)
+        w = K.divmod(a, g)[0]
         i = 1
-        while w.degree > 0:
-            y = poly_gcd(w, g)
-            z = pquo(w, y)
-            if z.degree > 0:
-                out.append((z, i))
+        while K.degree(w) > 0:
+            y = kernel_gcd(K, w, g)
+            z = K.divmod(w, y)[0]
+            if K.degree(z) > 0:
+                out.append((K.leave(z), i))
             i += 1
             w = y
-            g = pquo(g, y)
-        rest = g
+            g = K.divmod(g, y)[0]
+        rest = K.leave(g)
     else:
         rest = f
     if rest.degree > 0:
         # char p only: rest is a polynomial in x^p
         h = extract_xp(rest, p)
         derivs = dom.derivations() if hasattr(dom, "derivations") else []
-        for hj, j in _sqf_monic(h):
+        for hj, j in _sqf_monic(h, K):
             Hj = expand_xp(hj, p)
             # split off the p-th-power part: it is the gcd of Hj with all
             # derivations of its coefficients (the x-derivative is already 0,
@@ -356,82 +615,79 @@ class FactoredPoly:
 
 def factor_over_prime_field(f: Poly, seed: int = 0) -> FactoredPoly:
     """Complete factorization over F_p: squarefree split, then
-    distinct-degree and randomized equal-degree splitting."""
+    distinct-degree and randomized equal-degree splitting, on the F_p
+    kernel's int lists."""
     if f.is_zero:
         raise ZeroPolynomial("cannot factor the zero polynomial")
     dom = f.dom
     if not isinstance(dom, PrimeField):
         raise UnsupportedDomain("factor_over_prime_field needs an F_p domain")
+    K = poly_kernel(dom)
     rng = random.Random(seed)
-    unit = f.lc
     found: dict[tuple, int] = {}
-    order: list[Poly] = []
     for g, m in squarefree_decomposition(f):
-        for irr in _factor_squarefree_fp(g, rng):
-            key = irr.coeffs
-            if key not in found:
-                found[key] = 0
-                order.append(irr)
-            found[key] += m
-    order.sort(key=lambda q: (q.degree, q.coeffs))
-    return FactoredPoly(dom, unit, tuple((q, found[q.coeffs]) for q in order))
+        for irr in _fp_factor_squarefree(K, dom.p, K.enter(g), rng):
+            key = tuple(irr)
+            found[key] = found.get(key, 0) + m
+    order = sorted(found, key=lambda c: (len(c), c))
+    return FactoredPoly(dom, f.lc, tuple((Poly(dom, c), found[c]) for c in order))
 
 
-def _factor_squarefree_fp(g: Poly, rng) -> list[Poly]:
-    dom = g.dom
-    p = dom.p
-    out: list[Poly] = []
-    if g.degree == 0:
+def _fp_factor_squarefree(K: PolyKernel, p: int, g: list, rng) -> list[list]:
+    """The monic irreducible factors of a monic squarefree g over F_p, on
+    the F_p kernel K: distinct-degree splitting, then
+    _fp_equal_degree_split."""
+    out: list[list] = []
+    if len(g) <= 1:
         return out
-    h = pmod(pX(dom), g)
-    gg = g
+    x = [0, 1]
+    h = K.divmod(x, g)[1]
     d = 0
-    while gg.degree > 0:
+    while len(g) > 1:
         d += 1
-        if 2 * d > gg.degree:
-            out.append(gg)
+        if 2 * d > len(g) - 1:
+            out.append(g)
             break
-        h = ppowmod(h, p, gg)
-        w = poly_gcd(gg, psub(h, pX(dom)))
-        if w.degree > 0:
-            out.extend(_equal_degree_split(w, d, rng))
-            gg = pquo(gg, w)
-            h = pmod(h, gg)
+        h = _powmod(K, h, p, g)
+        w = kernel_gcd(K, g, K.sub(h, x))
+        if len(w) > 1:
+            out.extend(_fp_equal_degree_split(K, p, w, d, rng))
+            g = K.divmod(g, w)[0]
+            h = K.divmod(h, g)[1]
     return out
 
 
-def _equal_degree_split(w: Poly, d: int, rng) -> list[Poly]:
+def _fp_equal_degree_split(K: PolyKernel, p: int, w: list, d: int, rng) -> list[list]:
     """Cantor-Zassenhaus splitting of a product of degree-d irreducibles."""
-    dom = w.dom
-    p = dom.p
-    if w.degree == d:
+    n = len(w) - 1
+    if n == d:
         return [w]
     while True:
-        r = make_poly(dom, [rng.randrange(p) for _ in range(w.degree)])
-        if r.degree < 1:
+        r = _trim([rng.randrange(p) for _ in range(n)])
+        if len(r) < 2:
             continue
-        t = poly_gcd(w, r)
-        if 0 < t.degree < w.degree:
+        t = kernel_gcd(K, w, r)
+        if 0 < len(t) - 1 < n:
             break
         if p == 2:
-            # additive trace over F_{2^d}
-            acc = pmod(r, w)
+            # additive trace over F_{2^d}; over F_2 a sum is a difference
+            acc = K.divmod(r, w)[1]
             cur = acc
             for _ in range(d - 1):
-                cur = ppowmod(cur, 2, w)
-                acc = padd(acc, cur)
-            t = poly_gcd(w, acc)
+                cur = _powmod(K, cur, 2, w)
+                acc = K.sub(acc, cur)
+            t = kernel_gcd(K, w, acc)
         else:
-            s = ppowmod(r, (p**d - 1) // 2, w)
-            t = poly_gcd(w, psub(s, pconst(dom, dom.one)))
-        if 0 < t.degree < w.degree:
+            s = _powmod(K, r, (p**d - 1) // 2, w)
+            t = kernel_gcd(K, w, K.sub(s, K.one))
+        if 0 < len(t) - 1 < n:
             break
-    return _equal_degree_split(t, d, rng) + _equal_degree_split(pquo(w, t), d, rng)
+    return _fp_equal_degree_split(K, p, t, d, rng) + _fp_equal_degree_split(K, p, K.divmod(w, t)[0], d, rng)
 
 
 # ---------------------------------------------------------------------------
 # Factorization over Q (Zassenhaus: mod-p factorization, Hensel lifting,
-# exhaustive subset recombination)
+# exhaustive subset recombination, all on int lists)
 # ---------------------------------------------------------------------------
 
 def factor_over_rationals(f: Poly, seed: int = 0, degree_bound: int = 24) -> FactoredPoly:
@@ -456,11 +712,9 @@ def _factor_monic_squarefree_q(g: Poly, seed: int) -> list[Poly]:
         return [g]
     # clear denominators by scaling the variable: G(y) = L^n g(y/L) is monic
     # with integer coefficients when L is the lcm of the denominators
-    L = 1
-    for c in g.coeffs:
-        L = L * c.denominator // math.gcd(L, c.denominator)
+    L = math.lcm(*(c.denominator for c in g.coeffs))
     n = g.degree
-    G = [int(c * Fraction(L) ** (n - i)) for i, c in enumerate(g.coeffs)]
+    G = [c.numerator * (L ** (n - i) // c.denominator) for i, c in enumerate(g.coeffs)]
     factors = _zassenhaus_monic_int(G, seed)
     out = []
     for h in factors:
@@ -468,40 +722,6 @@ def _factor_monic_squarefree_q(g: Poly, seed: int) -> list[Poly]:
         coeffs = [Fraction(c, L ** (dh - i)) for i, c in enumerate(h)]
         out.append(make_poly(QQ, coeffs))
     return out
-
-
-def _int_to_fp(h: list[int], dom: PrimeField) -> Poly:
-    return make_poly(dom, [c % dom.p for c in h])
-
-
-def _int_mul(a: list[int], b: list[int]) -> list[int]:
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] += x * y
-    return out
-
-
-def _int_divmod_monic(a: list[int], b: list[int]) -> tuple[list[int], list[int]] | None:
-    """Exact integer division by a monic divisor; None if any step fails."""
-    rem = list(a)
-    db = len(b) - 1
-    if db < 0 or b[-1] != 1:
-        return None
-    quo = [0] * max(0, len(rem) - db)
-    for i in range(len(rem) - 1, db - 1, -1):
-        c = rem[i]
-        if c == 0:
-            continue
-        if i - db < 0:
-            return None
-        quo[i - db] = c
-        for j, bc in enumerate(b):
-            rem[i - db + j] -= c * bc
-    while rem and rem[-1] == 0:
-        rem.pop()
-    return quo, rem
 
 
 def _sym(c: int, m: int) -> int:
@@ -516,15 +736,14 @@ def _zassenhaus_monic_int(G: list[int], seed: int) -> list[list[int]]:
     # choose an odd prime keeping G squarefree
     p = 3
     while True:
-        dom = PrimeField(p)
-        Gp = _int_to_fp(G, dom)
-        if Gp.degree == n and poly_gcd(Gp, pderiv(Gp)).degree == 0:
+        K = poly_kernel(PrimeField(p))
+        Gp = [c % p for c in G]
+        if len(kernel_gcd(K, Gp, K.deriv(Gp))) == 1:
             break
         p = _next_prime(p)
-    modular = factor_over_prime_field(Gp, seed)
-    if len(modular.factors) == 1:
+    base = sorted(_fp_factor_squarefree(K, p, Gp, random.Random(seed)), key=lambda h: (len(h), h))
+    if len(base) == 1:
         return [G]
-    base = [list(q.coeffs) for q, _ in modular.factors]
     # Mignotte-style bound on factor coefficients, then lift past 2*bound
     norm2 = math.isqrt(sum(c * c for c in G)) + 1
     bound = (1 << n) * norm2
@@ -533,8 +752,8 @@ def _zassenhaus_monic_int(G: list[int], seed: int) -> list[list[int]]:
     while pk <= 2 * bound:
         pk *= p
         k += 1
-    lifted = _hensel_multilift(p, k, base, G)
-    lifted.sort(key=lambda h: (len(h), tuple(h)))
+    lifted = _hensel_multilift(K, p, k, base, G)
+    lifted.sort(key=lambda h: (len(h), h))
     # exhaustive subset recombination
     result = []
     current = list(G)
@@ -545,12 +764,12 @@ def _zassenhaus_monic_int(G: list[int], seed: int) -> list[list[int]]:
         for idx in combinations(range(len(remaining)), s):
             cand = [1]
             for i in idx:
-                cand = _int_mul(cand, remaining[i])
+                cand = _zmul(cand, remaining[i])
             cand = [_sym(c, pk) for c in cand]
-            dv = _int_divmod_monic(current, cand)
-            if dv is not None and not dv[1]:
+            _, quo, rem = _zdivmod(current, cand)
+            if not rem:
                 result.append(cand)
-                current = dv[0]
+                current = quo
                 remaining = [h for i, h in enumerate(remaining) if i not in idx]
                 hit = True
                 break
@@ -558,7 +777,7 @@ def _zassenhaus_monic_int(G: list[int], seed: int) -> list[list[int]]:
             s += 1
     if len(current) > 1:
         result.append(current)
-    result.sort(key=lambda h: (len(h), tuple(h)))
+    result.sort(key=lambda h: (len(h), h))
     return result
 
 
@@ -569,56 +788,40 @@ def _next_prime(p: int) -> int:
     return q
 
 
-def _hensel_multilift(p: int, k: int, factors: list[list[int]], G: list[int]) -> list[list[int]]:
+def _hensel_multilift(K: PolyKernel, p: int, k: int, factors: list[list[int]], G: list[int]) -> list[list[int]]:
     """Lift monic factors of G modulo p to factors modulo p^k via a binary
-    factor tree with linear pair lifting."""
+    factor tree with linear pair lifting; K is the F_p kernel."""
     if len(factors) == 1:
         pk = p**k
         return [[c % pk for c in G]]
     half = len(factors) // 2
-    u = [1]
+    u = v = K.one
     for h in factors[:half]:
-        u = _int_mul(u, h)
-    v = [1]
+        u = K.mul(u, h)
     for h in factors[half:]:
-        v = _int_mul(v, h)
-    U, V = _hensel_pair_lift(p, k, [c % p for c in u], [c % p for c in v], G)
-    return _hensel_multilift(p, k, factors[:half], U) + _hensel_multilift(p, k, factors[half:], V)
+        v = K.mul(v, h)
+    U, V = _hensel_pair_lift(K, p, k, u, v, G)
+    return _hensel_multilift(K, p, k, factors[:half], U) + _hensel_multilift(K, p, k, factors[half:], V)
 
 
-def _hensel_pair_lift(p, k, u, v, G):
+def _hensel_pair_lift(K: PolyKernel, p: int, k: int, u: list, v: list, G: list) -> tuple[list, list]:
     """G == u*v mod p with u, v monic coprime mod p; returns U, V monic with
     G == U*V mod p^k, U == u and V == v mod p."""
-    dom = PrimeField(p)
-    pu = make_poly(dom, u)
-    pv = make_poly(dom, v)
-    gcd, s, t = pxgcd(pu, pv)
-    assert gcd.degree == 0
-    U = [c % p for c in u]
-    V = [c % p for c in v]
+    gcd, _, t = kernel_xgcd(K, u, v)
+    assert gcd == [1]
+    U, V = u, v
     mod = p
     for _ in range(k - 1):
-        prod = _int_mul(U, V)
-        err = [a - b for a, b in zip(G + [0] * max(0, len(prod) - len(G)), prod + [0] * max(0, len(G) - len(prod)))]
+        err = _zaddmul(G, _zmul(U, V), -1)
         assert all(c % mod == 0 for c in err)
-        e = make_poly(dom, [(c // mod) % p for c in err])
+        e = _trim([(c // mod) % p for c in err])
         # a*v + b*u == e (mod p) with deg a < deg u
-        a = pmod(pmul(t, e), pu)
-        b = pquo(psub(e, pmul(a, pv)), pu)
+        a = K.divmod(K.mul(t, e), u)[1]
+        b = K.divmod(K.sub(e, K.mul(a, v)), u)[0]
+        U = [c % (mod * p) for c in _zaddmul(U, a, mod)]
+        V = [c % (mod * p) for c in _zaddmul(V, b, mod)]
         mod *= p
-        U = _int_addmul(U, a.coeffs, mod // p, mod)
-        V = _int_addmul(V, b.coeffs, mod // p, mod)
     return U, V
-
-
-def _int_addmul(base: list[int], delta, scale: int, mod: int) -> list[int]:
-    out = list(base)
-    for i, c in enumerate(delta):
-        if i >= len(out):
-            out.extend([0] * (i - len(out) + 1))
-        out[i] = (out[i] + scale * int(c)) % mod
-    return out
-
 
 # ---------------------------------------------------------------------------
 # Printing

@@ -21,7 +21,7 @@ from futility.algebra import (
 from futility.domains import QQ
 from futility.errors import UnsupportedDomain, ValidationError
 from futility.linalg import combine, solve, subspace_from_vectors, vec_is_zero
-from futility.polynomials import factor_over_rationals, make_poly, pmul, pquo, pxgcd
+from futility.polynomials import domain_kernel, factor_over_rationals, kernel_xgcd, make_poly, pmul, pquo
 
 
 @dataclass(frozen=True)
@@ -124,7 +124,7 @@ def local_decomposition(A, seed=0):
     out = []
     for g, _ in fac.factors:
         h = pquo(f, g)
-        one, _, t = pxgcd(g, h)
+        one, _, t = kernel_xgcd(domain_kernel(dom), g, h)
         assert one.degree == 0
         e = combine(dom, combine(dom, pmul(t, h).coeffs, powers, R.dim), section, A.dim)
         for _ in range(A.dim + 2):

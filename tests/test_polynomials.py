@@ -5,35 +5,46 @@ Independent oracles used here:
     over all lower-degree monic polynomials;
   * gcd over F_2 cross-checked by brute-force common-divisor search;
   * irreducibility of x^4 + 1 over Q by solving the finitely many integer
-    coefficient equations for a monic quadratic split.
+    coefficient equations for a monic quadratic split;
+  * the domain-call kernel and the factorizations it ran before the Q and
+    F_p kernels (reference_polys), and the CRT idempotents of the
+    decomposition through A/N (reference_local);
+  * sympy's factor_list, when sympy is installed.
 """
 
+import math
 import random
+import sys
 from fractions import Fraction
 from itertools import product
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from futility.cases import parse_poly
+from futility.algebra import local_decomposition
+from futility.cases import build_case, parse_case, parse_poly
 from futility.domains import QQ, FunctionField, PrimeField
 from futility.errors import DegreeBoundExceeded, ZeroPolynomial
 from futility.polynomials import (
     FactoredPoly,
+    domain_kernel,
     factor_over_prime_field,
     factor_over_rationals,
     factored_to_str,
+    kernel_gcd,
+    kernel_xgcd,
     make_poly,
     pX,
     padd,
     pconst,
     pderiv,
     pdivmod,
-    pmod,
     pmonic,
     pmul,
     poly_gcd,
+    poly_kernel,
     poly_to_str,
     ppow,
     pquo,
@@ -42,6 +53,14 @@ from futility.polynomials import (
     squarefree_by_derivation,
     squarefree_decomposition,
 )
+import reference_local
+import reference_polys
+from reference_polys import pmod
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "perfbench"))
+
+from workloads import make_cases  # noqa: E402
 
 F2 = PrimeField(2)
 F3 = PrimeField(3)
@@ -409,3 +428,163 @@ def test_squarefree_prime_power_multiplicity_char2():
     assert parts == [(g, 4)]
     fac = factor_over_prime_field(f)
     assert fac.factors == ((g, 4),)
+
+
+# --- one kernel per arithmetic ------------------------------------------------
+
+def same(got, want):
+    """Equal values with equal reprs."""
+    assert got == want
+    assert repr(got) == repr(want)
+
+
+def seeded_polys(dom, seed, count=30):
+    """Polynomials with shared, repeated and p-th power factors: over Q with
+    denominators, a content and constants among them, over F_p with
+    coefficients in [0, p)."""
+    rng = random.Random(seed)
+
+    def coeff():
+        if dom == QQ:
+            return Fraction(rng.randint(-9, 9), rng.choice([1, 1, 2, 3, 4, 6]))
+        return rng.randrange(dom.p)
+
+    def draw(degree):
+        lead = dom.zero
+        while dom.is_zero(lead):
+            lead = coeff()
+        return make_poly(dom, [coeff() for _ in range(degree)] + [lead])
+
+    out = []
+    for _ in range(count):
+        u, v, w = (draw(rng.randint(0, 3)) for _ in range(3))
+        out += [pmul(u, v), pmul(u, w), pmul(ppow(u, 2), v), ppow(w, rng.choice([2, 3, 5]))]
+    if dom == QQ:
+        out += [pmul(pconst(QQ, Fraction(10, 21)), out[0]), pconst(QQ, Fraction(-7, 2))]
+    return out
+
+
+def forms_are_canonical(dom, forms):
+    """Q forms are (content, primitive integer list with a positive leading
+    coefficient); F_p forms are trimmed lists of ints in [0, p)."""
+    for f in forms:
+        if dom == QQ:
+            c, P = f
+            assert isinstance(c, Fraction)
+            assert P == [] or (math.gcd(*P) == 1 and P[-1] > 0)
+        else:
+            assert all(0 <= x < dom.p for x in f) and (not f or f[-1])
+
+
+@pytest.mark.parametrize("dom", [QQ, F2, F3, F5], ids=repr)
+def test_kernel_agrees_with_the_domain_call_arm(dom):
+    """Every operation of the domain's kernel, and gcd, xgcd and the
+    squarefree decomposition run on it, give the Polys of the domain-call
+    kernel, and keep the forms canonical."""
+    K, D = poly_kernel(dom), domain_kernel(dom)
+    polys = seeded_polys(dom, 7) + [pzero(dom)]
+    pairs = list(zip(polys, polys[1:])) + list(zip(polys[::3], polys[2::3]))
+    for a, b in pairs:
+        A, B = K.enter(a), K.enter(b)
+        assert K.degree(A) == a.degree
+        same(K.leave(A), a)
+        for op in ("mul", "sub"):
+            got = getattr(K, op)(A, B)
+            forms_are_canonical(dom, [got])
+            same(K.leave(got), getattr(D, op)(a, b))
+        for op in ("monic", "deriv"):
+            same(K.leave(getattr(K, op)(A)), getattr(D, op)(a))
+        if b.is_zero:
+            for kernel, x, y in ((K, A, B), (D, a, b)):
+                with pytest.raises(ZeroDivisionError):
+                    kernel.divmod(x, y)
+        else:
+            forms = K.divmod(A, B)
+            forms_are_canonical(dom, forms)
+            for got, want in zip(forms, D.divmod(a, b)):
+                same(K.leave(got), want)
+        gcd = kernel_gcd(K, A, B)
+        forms_are_canonical(dom, (A, B, gcd))
+        same(K.leave(gcd), kernel_gcd(D, a, b))
+        same(poly_gcd(a, b), kernel_gcd(D, a, b))
+        forms = kernel_xgcd(K, A, B)
+        forms_are_canonical(dom, forms)
+        g, s, t = map(K.leave, forms)
+        for got, want in zip((g, s, t), kernel_xgcd(D, a, b)):
+            same(got, want)
+        assert padd(pmul(s, a), pmul(t, b)) == g
+        if not a.is_zero:
+            same(squarefree_decomposition(a), reference_polys.squarefree_decomposition(a))
+
+
+def test_kernel_is_picked_from_the_domain():
+    assert poly_kernel(QQ) is poly_kernel(QQ)
+    assert poly_kernel(FT2).divmod is pdivmod and poly_kernel(FT2).one == pconst(FT2, FT2.one)
+    assert poly_kernel(F3).enter(fp(F3, 4, 5, 3)) == [1, 2]
+    assert poly_kernel(QQ).enter(q(Fraction(-3, 4), Fraction(3, 2))) == (Fraction(3, 4), [-1, 2])
+
+
+@pytest.mark.parametrize("dom", [F2, F3, F5], ids=repr)
+def test_fp_factorization_matches_the_domain_call_reference(dom):
+    for f in seeded_polys(dom, 11):
+        if f.degree < 1:
+            continue
+        for seed in (0, 3):
+            same(factor_over_prime_field(f, seed), reference_polys.factor_over_prime_field(f, seed))
+
+
+def test_q_factorization_matches_the_reference():
+    polys = [f for f in seeded_polys(QQ, 13) if f.degree >= 1]
+    polys += [q(1, 0, -10, 0, 1), pmul(q(-2, 0, 1), pmul(q(-3, 0, 1), q(-6, 0, 1))), q(-1, *[0] * 11, 1)]
+    for f in polys:
+        same(factor_over_rationals(f), reference_polys.factor_over_rationals(f))
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_crt_idempotents_match_the_quotient_reference_on_the_decide_only_moduli(seed):
+    algebras = [build_case(parse_case(case.text)).payload for case in make_cases("decide-only", seed, ROOT)]
+    algebras = [A for A in algebras if getattr(A, "dom", None) == QQ]
+    assert len(algebras) == 10
+    for A in algebras:
+        got = sorted(repr(lf.idempotent) for lf in local_decomposition(A).factors)
+        want = sorted(repr(pf.idempotent) for pf in reference_local.local_decomposition(A))
+        assert len(got) > 1
+        assert got == want
+
+
+SWINNERTON_DYER_2_3_5 = "x^8 - 40*x^6 + 352*x^4 - 960*x^2 + 576"
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        SWINNERTON_DYER_2_3_5,
+        f"({SWINNERTON_DYER_2_3_5}) * (x^2 - 3)^2 * (x - 1/2)^3",
+        "(x^4 - 10*x^2 + 1)^2 * (x^3 - 2) * (x + 5)^2",
+        "3*x^5 - 7/2*x^3 + x/5 - 9",
+        "(2/3*x^2 - 5)^2 * (7*x^3 + x - 1/4)",
+        "-4/9*(x^2 + x + 1)^3 * (x - 3/7)",
+        f"({SWINNERTON_DYER_2_3_5}) * (x^4 - 10*x^2 + 1) * (x^3 - 1/2)^2 * (3*x^2 + x/5 - 7) * (x^2 - 2)",
+        "x^24 - 2",
+        "x^24 - 1",
+    ],
+)
+def test_factor_over_rationals_matches_sympy(text):
+    sympy = pytest.importorskip("sympy")
+    x = sympy.Symbol("x")
+    if text == SWINNERTON_DYER_2_3_5:
+        # the minimal polynomial of sqrt 2 + sqrt 3 + sqrt 5: irreducible over
+        # Q, and split into factors of degree at most 2 modulo every prime
+        sd = sympy.minimal_polynomial(sympy.sqrt(2) + sympy.sqrt(3) + sympy.sqrt(5), x)
+        assert sympy.expand(sd - sympy.sympify(text.replace("^", "**"))) == 0
+    f = parse_poly(text, QQ, indet="x")
+    assert f.degree <= 24
+    fac = factor_over_rationals(f)
+    content, parts = sympy.factor_list(sympy.sympify(text.replace("^", "**")), x)
+    want = []
+    for g, m in parts:
+        coeffs = sympy.Poly(g, x).monic().all_coeffs()[::-1]
+        want.append((tuple(Fraction(int(c.p), int(c.q)) for c in coeffs), m))
+    got = sorted((g.coeffs, m) for g, m in fac.factors)
+    assert got == sorted(want)
+    assert fac.expand() == f
