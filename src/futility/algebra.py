@@ -150,9 +150,11 @@ def check_dimension(n: int) -> None:
 
 
 def make_algebra(dom: ScalarDomain, table, unit) -> StructAlgebra:
-    """Build a StructAlgebra, validating the unit law and associativity on
-    all basis triples.  The coefficient domain is Q, F_p, Z/n or F_p(t[,s]);
-    any other raises UnsupportedDomain."""
+    """Build a StructAlgebra, validating the unit law on every basis vector
+    and associativity on the basis triples whose middle vector lies in a
+    generating set of the basis (generating_basis, Light's test: see
+    first_nonassociative).  The coefficient domain is Q, F_p, Z/n or
+    F_p(t[,s]); any other raises UnsupportedDomain."""
     kind = type(dom)
     if kind not in (RationalField, PrimeField, ModRing, FunctionField):
         raise UnsupportedDomain(f"structure-constant algebras over {dom} are not supported")
@@ -171,6 +173,7 @@ def make_algebra(dom: ScalarDomain, table, unit) -> StructAlgebra:
     # polynomials, table and unit scaled by one D; over F_p and Z/n as int
     # sums reduced once per coordinate
     unit_terms = [(l, c) for l, c in enumerate(unit) if c]
+    invertible = bool  # over a field, where every entry of T is nonzero
     if kind is RationalField:
         T, combine = A.int_tensor, _int_combine
         d = math.lcm(*(c.denominator for _, c in unit_terms))
@@ -187,6 +190,9 @@ def make_algebra(dom: ScalarDomain, table, unit) -> StructAlgebra:
         m = dom.size
         T = A.sparse
 
+        def invertible(c):
+            return math.gcd(c, m) == 1
+
         def combine(size, terms, rows):
             return [x % m for x in _int_combine(size, terms, rows)]
 
@@ -194,15 +200,64 @@ def make_algebra(dom: ScalarDomain, table, unit) -> StructAlgebra:
     bad = _first_unit_failure(T, unit_terms, scale, zero, combine)
     if bad is not None:
         raise ValidationError(f"unit law fails at basis vector {bad}")
-    bad = first_nonassociative(T, combine)
+    bad = first_nonassociative(T, combine, generating_basis(T, unit_terms, invertible))
     if bad is not None:
         raise ValidationError(f"associativity fails at basis triple {bad}")
     return A
 
 
-def first_nonassociative(T, combine) -> tuple | None:
+def generating_basis(T, unit_terms, invertible) -> list:
+    """Indices S of basis vectors that generate the algebra of the sparse
+    tensor T (T[i][j] the nonzero (k, c_ijk) of e_i e_j), read off T with no
+    elimination; unit_terms are the nonzero (l, c) of the unit and
+    invertible(c) tells the units of the coefficient ring.
+
+    A basis vector is reached when it is a unit multiple of a product of
+    generators: e_u when the unit is c*e_u, each index of S, and e_m when
+    e_k e_g or e_g e_k is a single entry c*e_m with e_k reached, g in S and
+    c invertible.  The basis is walked in order and each index not reached
+    yet joins S, so S = [1] for a power basis 1, x, x^2, ... and S is the
+    whole basis when no product is a single entry."""
+    reached, gens = set(), []
+
+    def single_entries(k, g):
+        # the m for which e_k e_g or e_g e_k is c*e_m, c invertible
+        return [v[0][0] for v in (T[k][g], T[g][k]) if len(v) == 1 and invertible(v[0][1])]
+
+    def walk(queue):
+        while queue:
+            k = queue.pop()
+            if k not in reached:
+                reached.add(k)
+                queue += [m for g in gens for m in single_entries(k, g)]
+
+    if len(unit_terms) == 1 and invertible(unit_terms[0][1]):
+        walk([unit_terms[0][0]])
+    for g in range(len(T)):
+        if g not in reached:
+            gens.append(g)
+            walk([g, *(m for k in reached for m in single_entries(k, g))])
+    return gens
+
+
+def first_nonassociative(T, combine, middle) -> tuple | None:
     """The first basis triple (i, j, k), in lexicographic order, where
-    (e_i e_j) e_k differs from e_i (e_j e_k), or None.
+    (e_i e_j) e_k differs from e_i (e_j e_k), or None.  Only the triples
+    whose middle index j lies in middle are scanned: middle indexes a set of
+    basis vectors that generates the algebra (generating_basis), and the
+    unit law has been checked.
+
+    That scan proves associativity (Light's test): the nucleus
+    N = {a : (x a) y = x (a y) for all x, y} is a submodule holding 1, and
+    it is closed under products, since for a, b in N
+    (x (a b)) y = ((x a) b) y = (x a) (b y) = x (a (b y)) = x ((a b) y).
+    Trilinearity makes "(e_i e_j) e_k = e_i (e_j e_k) for all i, k" say
+    e_j in N, so a scan that passes puts a generating set in the
+    subalgebra N, and N is the whole algebra.  A reached e_m is a unit
+    multiple of a product of such e_j, so it lies in N without a scan of
+    its own.  When the scan fails, the scan over every middle index runs
+    and reports the first failing triple of all, so the triple and the
+    message do not depend on middle.
 
     For each (i, j) both sides are formed for every k at once, as n*n
     coordinates with coordinate m of the k-th product at k*n + m: the left
@@ -226,18 +281,25 @@ def first_nonassociative(T, combine) -> tuple | None:
     # cuts[l][i]: where the entries of the k >= i start, in blocks[l] and
     # in right_terms[l] alike
     cuts = [list(accumulate((len(v) for v in T[l]), initial=0)) for l in range(n)]
-    rows, rights = blocks, right_terms
-    for i in range(n):
-        Ti = T[i]
-        if symmetric and i:
-            rows = [b[c[i]:] for b, c in zip(blocks, cuts)]
-            rights = [t[c[i]:] for t, c in zip(right_terms, cuts)]
-        for j in range(n):
-            left = combine(size, [(0, l, c) for l, c in Ti[j]], rows)
-            right = combine(size, rights[j], Ti)
-            if left != right:
-                return i, j, next(k for k in range(n) if left[k * n:(k + 1) * n] != right[k * n:(k + 1) * n])
-    return None
+
+    def scan(middle):
+        rows, rights = blocks, right_terms
+        for i in range(n):
+            Ti = T[i]
+            if symmetric and i:
+                rows = [b[c[i]:] for b, c in zip(blocks, cuts)]
+                rights = [t[c[i]:] for t, c in zip(right_terms, cuts)]
+            for j in middle:
+                left = combine(size, [(0, l, c) for l, c in Ti[j]], rows)
+                right = combine(size, rights[j], Ti)
+                if left != right:
+                    return i, j, next(k for k in range(n) if left[k * n:(k + 1) * n] != right[k * n:(k + 1) * n])
+        return None
+
+    bad = scan(middle)
+    if bad is not None and len(middle) < n:
+        bad = scan(range(n))
+    return bad
 
 
 def _int_combine(size: int, terms, rows) -> list:

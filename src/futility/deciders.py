@@ -23,6 +23,7 @@ from .algebra import (
     commutator_ideal,
     first_nonassociative,
     frobenius_chain,
+    generating_basis,
     local_decomposition,
     nilradical,
     primitive_element,
@@ -401,7 +402,11 @@ class ZPresentation:
             acc = _int_combine(size, terms, rows)
             return [x for k in range(0, size, n) for x in hnf_reduce(basis, acc[k:k + n])]
 
-        bad = first_nonassociative(self.sparse, combine)
+        # a single entry of the raw table is one modulo the lattice too, so
+        # the generators read off it generate the quotient ring
+        unit_terms = [(l, c) for l, c in enumerate(self.unit) if c]
+        middle = generating_basis(self.sparse, unit_terms, lambda c: abs(c) == 1)
+        bad = first_nonassociative(self.sparse, combine, middle)
         if bad is not None:
             raise MalformedPresentation(f"associativity fails at generator triple {bad}")
 

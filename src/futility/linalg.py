@@ -388,7 +388,8 @@ def zero_subspace(dom, ambient) -> Subspace:
 
 
 def full_subspace(dom, ambient) -> Subspace:
-    return subspace_from_vectors(dom, ambient, [unit_vec(dom, ambient, i) for i in range(ambient)])
+    """The whole of dom^ambient, whose reduced-echelon basis is the identity."""
+    return Subspace(dom, ambient, tuple(unit_vec(dom, ambient, i) for i in range(ambient)), tuple(range(ambient)))
 
 
 def subspace_sum(a: Subspace, b: Subspace) -> Subspace:

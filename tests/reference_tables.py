@@ -139,23 +139,24 @@ def check_z_presentation(ngens, relations, table, unit):
                     raise MalformedPresentation(f"associativity fails at generator triple ({i}, {j}, {k})")
 
 
-def scan_with_blocks(scan, T, combine):
-    """scan(T, combine) and, for each i, the least k among the blocks that
-    the scan formed for the triples (i, j, k): combine call 2(i*n + j) is
-    the left side of (i, j), which reads rows[l] at k*n + m, and the call
-    after it is the right side, whose terms carry the offsets k*n."""
+def scan_with_blocks(scan, T, combine, middle):
+    """scan(T, combine, middle) and, for each i, the least k among the blocks
+    that the scan formed for the triples (i, j, k).  The combine calls come
+    in pairs for one (i, j), a restricted scan and the full scan after a
+    failure alike: the left side, which reads rows[l] at k*n + m, then the
+    right side, whose terms carry the offsets k*n and whose rows are T[i]
+    itself, which tells i."""
     n = len(T)
     least = [n] * n
-    calls = [0]
+    pending = []
 
     def watched(size, terms, rows):
-        i = calls[0] // (2 * n)
-        if calls[0] % 2:
-            starts = [off for off, _, _ in terms]
+        if pending:
+            i = next(i for i in range(n) if rows is T[i])
+            starts = pending.pop() + [off for off, _, _ in terms]
+            least[i] = min([least[i]] + [s // n for s in starts])
         else:
-            starts = [m for _, l, _ in terms for m, _ in rows[l]]
-        least[i] = min([least[i]] + [s // n for s in starts])
-        calls[0] += 1
+            pending.append([m for _, l, _ in terms for m, _ in rows[l]])
         return combine(size, terms, rows)
 
-    return scan(T, watched), least
+    return scan(T, watched, middle), least

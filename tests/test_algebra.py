@@ -342,8 +342,8 @@ def test_half_scan_finds_the_triple_of_the_full_scan(monkeypatch, name):
     real = algebra_module.first_nonassociative
     scans = []
 
-    def watched(T, combine):
-        scans.append(scan_with_blocks(real, T, combine))
+    def watched(T, combine, middle):
+        scans.append(scan_with_blocks(real, T, combine, middle))
         return scans[-1][0]
 
     monkeypatch.setattr(algebra_module, "first_nonassociative", watched)
@@ -367,8 +367,154 @@ def test_half_scan_finds_the_triple_of_the_full_scan(monkeypatch, name):
 def test_tables_unequal_to_their_transpose_get_the_full_scan():
     # the upper triangular matrices: e_11 e_12 = e_12 but e_12 e_11 = 0
     A = upper_triangular_algebra(QQ, 3)
-    found, least = scan_with_blocks(algebra_module.first_nonassociative, A.int_tensor, algebra_module._int_combine)
+    found, least = scan_with_blocks(
+        algebra_module.first_nonassociative, A.int_tensor, algebra_module._int_combine, range(A.dim)
+    )
     assert found is None and least == [0] * A.dim
+
+
+# Light's test: make_algebra scans the triples whose middle index lies in
+# the generating set read off the table (algebra.generating_basis)
+
+def scan_middles(monkeypatch, check_full=False):
+    """The middle index lists make_algebra hands first_nonassociative from
+    now on; with check_full, each call also asserts that the restricted scan
+    fails exactly when the scan over every middle index does, at the same
+    triple."""
+    real = algebra_module.first_nonassociative
+    middles = []
+
+    def watched(T, combine, middle):
+        middles.append(list(middle))
+        found = real(T, combine, middle)
+        if check_full:
+            assert found == real(T, combine, range(len(T)))
+        return found
+
+    monkeypatch.setattr(algebra_module, "first_nonassociative", watched)
+    return middles
+
+
+def rebuilt_middle(monkeypatch, A):
+    middles = scan_middles(monkeypatch)
+    make_algebra(A.dom, A.table, A.unit)
+    [middle] = middles
+    return middle
+
+
+def dense_representation(A, seed):
+    """A on a seeded basis of small dense integer vectors: every product and
+    the unit have several nonzero coordinates."""
+    rng = random.Random(seed)
+    while True:
+        rows = [tuple(A.dom.from_int(rng.choice([-2, -1, 1, 2, 3])) for _ in range(A.dim)) for _ in range(A.dim)]
+        if subspace_from_vectors(A.dom, A.dim, rows).dim == A.dim:
+            return change_of_basis(A, rows)
+
+
+# 1, x, y with x^2 = c*y and every other product of x and y zero, over Z/4:
+# y is reached from x exactly when c is a unit
+def z4_square_table(c):
+    z, one, x, y = (0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)
+    return [[one, x, y], [x, (0, 0, c), z], [y, z, z]], one
+
+
+F2T_PURE = poly_quotient_algebra(make_poly(FT, [T, FT.zero, FT.zero, FT.zero, FT.one]))  # x^4 - t
+Q_DENSE = dense_representation(qx_mod(1, -2, 0, 1), 4)  # Q[x]/(x^3 - 2x + 1)
+
+
+def test_a_power_basis_is_generated_by_x(monkeypatch):
+    assert rebuilt_middle(monkeypatch, SOURCES["Q"][0]) == [1]
+    assert rebuilt_middle(monkeypatch, qx_mod(-7, 0, 3, 0, 0, 0, 0, 0, 1)) == [1]
+    assert rebuilt_middle(monkeypatch, F2T_PURE) == [1]
+
+
+def test_a_two_level_tower_is_generated_by_x_and_y(monkeypatch):
+    tower = two_level_tower()
+    middle = rebuilt_middle(monkeypatch, tower)
+    assert len(middle) == 2 and middle[0] == 1
+
+
+def test_a_dense_representation_scans_every_middle_index(monkeypatch):
+    assert rebuilt_middle(monkeypatch, Q_DENSE) == [0, 1, 2]
+    assert len(set(map(len, (v for block in Q_DENSE.sparse for v in block)))) > 1
+    assert sum(map(bool, Q_DENSE.unit)) > 1
+
+
+def test_a_coefficient_sharing_a_factor_with_n_reaches_nothing(monkeypatch):
+    middles = scan_middles(monkeypatch)
+    for c in (1, 2, 3):
+        make_algebra(Z4, *z4_square_table(c))
+    assert middles == [[1], [1, 2], [1]]
+    # with y^2 = 2 in place of 0, x lies in the nucleus (2y times x or y is
+    # zero mod 4), but (x y) y = 0 differs from x (y y) = 2x: counting
+    # x^2 = 2y as a reach of y would let the table pass
+    table, one = z4_square_table(2)
+    table[2][2] = (2, 0, 0)
+    assert reference_validation(Z4, table, one) == "associativity fails at basis triple (1, 2, 2)"
+    assert_validates_like_reference(Z4, table, one)
+
+
+def test_generating_basis_reads_single_entries_off_the_table():
+    # the matrix units of M_2: e_12 e_21 = e_11 and e_21 e_12 = e_22 reach the
+    # diagonal, whose sum is the unit; the upper triangular matrices have no
+    # product of two off-unit generators that reaches e_22
+    M = matrix_algebra(F2, 2)
+    unit_terms = [(l, c) for l, c in enumerate(M.unit) if c]
+    assert algebra_module.generating_basis(M.sparse, unit_terms, bool) == [0, 1, 2]
+    U = upper_triangular_algebra(QQ, 2)
+    unit_terms = [(l, c) for l, c in enumerate(U.unit) if c]
+    assert algebra_module.generating_basis(U.sparse, unit_terms, bool) == [0, 1, 2]
+    A = SOURCES["Q"][0]
+    assert algebra_module.generating_basis(A.sparse, [(0, Fraction(1))], bool) == [1]
+    assert algebra_module.generating_basis(A.sparse, [], bool) == [0, 1]
+    # Q[x]/(x^4) on 1, x, x^2 + x^3, x^3: x^2 has two entries, so x reaches
+    # x^3 = x (x^2 + x^3) only once x^2 + x^3 is a generator
+    B = change_of_basis(qx_mod(0, 0, 0, 0, 1), [frac(1, 0, 0, 0), frac(0, 1, 0, 0), frac(0, 0, 1, 1), frac(0, 0, 0, 1)])
+    assert algebra_module.generating_basis(B.sparse, [(0, Fraction(1))], bool) == [1, 2]
+
+
+GENERATOR_SOURCES = {
+    "Q": (SOURCES["Q"][0], [Fraction(1), Fraction(-1, 2)]),
+    "F2(t)": (F2T_PURE, [FT.one, T]),
+    "F2(s,t)": (two_level_tower(), [FST.one, S2]),
+    "Q-dense": (Q_DENSE, [Fraction(1), Fraction(2, 3)]),
+    "Z4": (make_algebra(Z4, *z4_square_table(1)), [1, 2]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GENERATOR_SOURCES))
+def test_every_single_perturbation_fails_the_generator_scan_like_the_full_scan(monkeypatch, name):
+    # each table entry moved by each delta in turn: every perturbed table
+    # that keeps the unit law is scanned on its own generating set, which
+    # fails exactly when the scan over every middle index does, and
+    # make_algebra raises the per-triple reference's message
+    A, deltas = GENERATOR_SOURCES[name]
+    dom, n = A.dom, A.dim
+    middles = scan_middles(monkeypatch, check_full=True)
+    restricted_failures = 0
+    for (i, j, k), delta in itertools.product(itertools.product(range(n), repeat=3), deltas):
+        table = [[list(v) for v in block] for block in A.table]
+        table[i][j][k] = dom.add(table[i][j][k], delta)
+        middles.clear()
+        expected = reference_validation(dom, table, A.unit)
+        assert_validates_like_reference(dom, table, A.unit)
+        if middles and len(middles[0]) < n:
+            restricted_failures += expected is not None
+    assert restricted_failures or name == "Q-dense"
+
+
+def test_a_scan_over_a_non_generating_middle_misses_a_failure():
+    # 1, a, b over Q with a^2 = ab = ba = 0 and b^2 = 1: a lies in the nucleus,
+    # so every triple with middle a is associative, but (a b) b = 0 and
+    # a (b b) = a.  b is not reached from a, so it is a generator too
+    z, one, a, b = frac(0, 0, 0), frac(1, 0, 0), frac(0, 1, 0), frac(0, 0, 1)
+    table = [[one, a, b], [a, z, z], [b, z, one]]
+    T = tuple(tuple(tuple((k, int(c)) for k, c in enumerate(v) if c) for v in block) for block in table)
+    assert algebra_module.first_nonassociative(T, algebra_module._int_combine, [1]) is None
+    assert algebra_module.generating_basis(T, [(0, 1)], bool) == [1, 2]
+    with pytest.raises(ValidationError, match=r"^associativity fails at basis triple \(1, 2, 2\)$"):
+        make_algebra(QQ, table, one)
 
 
 def ratfuncs():

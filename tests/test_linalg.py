@@ -454,3 +454,14 @@ def test_the_three_pairs_agree_over_f2():
         assert masks == tuple(map(bit_pack, unpacked))
         full += len(pivots) == n > 0
     assert full >= 3
+
+
+@pytest.mark.parametrize("dom", [QQ, F2, F3, F2T, F3ST], ids=repr)
+@pytest.mark.parametrize("ambient", [0, 1, 4])
+def test_full_subspace_is_the_echelon_form_of_the_identity(dom, ambient):
+    full = full_subspace(dom, ambient)
+    identity = subspace_from_vectors(dom, ambient, [unit_vec(dom, ambient, i) for i in range(ambient)])
+    assert full == identity and repr(full) == repr(identity)
+    assert [list(map(type, r)) for r in full.rows] == [list(map(type, r)) for r in identity.rows]
+    assert full.key() == identity.key()
+    assert full.pivots == tuple(range(ambient))

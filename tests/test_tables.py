@@ -232,8 +232,8 @@ def test_symmetric_z_presentations_take_the_half_scan_to_the_reference_triple(mo
     real = deciders.first_nonassociative
     scans = []
 
-    def watched(T, combine):
-        scans.append(ref.scan_with_blocks(real, T, combine))
+    def watched(T, combine, middle):
+        scans.append(ref.scan_with_blocks(real, T, combine, middle))
         return scans[-1][0]
 
     monkeypatch.setattr(deciders, "first_nonassociative", watched)
@@ -269,3 +269,28 @@ def test_symmetric_z_presentations_take_the_half_scan_to_the_reference_triple(mo
                 failures += 1
                 mirrored += half[0] < half[2]
     assert failures > 20 and mirrored
+
+
+def test_z_presentations_reach_a_generator_only_through_plus_or_minus_one(monkeypatch):
+    # 1, a, b with a^2 = c*b and the other products of a and b zero, over Z:
+    # b is reached from a for c = 1 and c = -1 only.  Modulo 2, with b^2 = 1
+    # in place of 0, a^2 = 2b is zero, a lies in the nucleus, and
+    # (a b) b = 0 differs from a (b b) = a: the scan must take b as a middle
+    # index of its own to find that
+    real = deciders.first_nonassociative
+    middles = []
+
+    def watched(T, combine, middle):
+        middles.append(list(middle))
+        return real(T, combine, middle)
+
+    monkeypatch.setattr(deciders, "first_nonassociative", watched)
+    one, a, b, z = [1, 0, 0], [0, 1, 0], [0, 0, 1], [0, 0, 0]
+    even = [[2 * int(i == j) for i in range(3)] for j in range(3)]
+    for c, relations, square in [(1, [], z), (-1, [], z), (2, [], z), (3, [[0, 0, 3]], z), (2, even, one)]:
+        table = [[one, a, b], [a, [0, 0, c], z], [b, z, square]]
+        middles.clear()
+        got, want = _judge_both(3, relations, table, one)
+        assert got == want
+        assert middles == [[1] if abs(c) == 1 else [1, 2]]
+    assert want == ("MalformedPresentation", "associativity fails at generator triple (1, 2, 2)")
