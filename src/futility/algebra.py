@@ -132,6 +132,15 @@ class StructAlgebra:
             tau.append(acc)
         return tuple(tau)
 
+    @cached_property
+    def full_form(self) -> tuple[tuple, tuple]:
+        """The whole algebra's echelon form in the arithmetic of its
+        domain's linalg.echelon_pair: the basis vectors entered into the
+        pair, pivots 0, ..., dim - 1.  A walk that reaches dim rows returns
+        it, with no back-substitution."""
+        enter = echelon_pair(self.dom).enter
+        return tuple(enter(self.basis_vector(i)) for i in range(self.dim)), tuple(range(self.dim))
+
     def __repr__(self):
         return f"StructAlgebra(dim={self.dim}, dom={self.dom})"
 
@@ -478,9 +487,11 @@ def closure_form(A: StructAlgebra, base, queue, ideal: bool = False) -> tuple[tu
     subalgebra, r times each spanning vector met so far and itself; for an
     ideal, r times each basis vector.  Products are taken on both sides only
     when A is not commutative, in the pair's arithmetic (_arithmetic), and
-    products inside the closed starting span are never formed.  The loop
-    stops once the span is the whole algebra."""
-    (enter, reduce, adjoin, aux, _, nonzero), multiply = _arithmetic(A)
+    products inside the closed starting span are never formed.  The span
+    grows through the pair's grow and is made canonical by its finish once,
+    at the end; the loop stops once the span is the whole algebra, whose
+    form is A.full_form."""
+    (enter, reduce, _, grow, finish, aux, _, nonzero), multiply = _arithmetic(A)
     both_sides = not A.is_commutative
     rows, pivots = base
     factors = [enter(A.basis_vector(k)) for k in range(A.dim)] if ideal else list(rows)
@@ -489,16 +500,16 @@ def closure_form(A: StructAlgebra, base, queue, ideal: bool = False) -> tuple[tu
         r = reduce(rows, pivots, queue.pop(), aux)
         if not nonzero(r):
             continue
-        rows, pivots = adjoin(rows, pivots, r, aux)
+        rows, pivots = grow(rows, pivots, r, aux)
         if len(rows) == A.dim:
-            break
+            return A.full_form
         if not ideal:
             factors.append(r)
         for g in factors:
             queue.append(multiply(r, g))
             if both_sides and g is not r:
                 queue.append(multiply(g, r))
-    return rows, pivots
+    return finish(rows, pivots, aux)
 
 
 def generated_by_element(A: StructAlgebra, a, base) -> tuple[tuple, tuple]:
@@ -517,7 +528,13 @@ def generated_by_element(A: StructAlgebra, a, base) -> tuple[tuple, tuple]:
     element of S_k.  The loop stops at the first a^k already in S_(k-1): then
     R*a^k lies in it too, and so does every later power, since
     a^(k+1) = a * a^k lies in the span of the r'*a^(j+1) with r' in R and
-    j < k.  It also stops once the span is the whole algebra.
+    j < k.  It also stops once the span is the whole algebra, and returns
+    A.full_form.
+
+    The span grows through the pair's grow: over QQ each residual is
+    inserted at its pivot and the older rows are left as they are, and a
+    walk that stops short is back-substituted once, by the pair's finish.
+    The residuals, and so the walk, depend on the spans alone.
 
     Products are taken in the pair's arithmetic (_arithmetic): over QQ
     through A.int_tensor, over F_2 through A.bit_table, and over any other
@@ -528,7 +545,7 @@ def generated_by_element(A: StructAlgebra, a, base) -> tuple[tuple, tuple]:
         raise UnsupportedDomain("single-element closures run over the rationals and F_p")
     if a >> A.dim if type(a) is int else len(a) != A.dim:
         raise DimensionMismatch("coordinate length differs from dimension")
-    (_, reduce, adjoin, aux, _, nonzero), multiply = _arithmetic(A)
+    (_, reduce, _, grow, finish, aux, _, nonzero), multiply = _arithmetic(A)
     rows, pivots = base
     # with a one-dimensional base, R*a^k is the line of a^k
     others = rows if len(rows) > 1 else ()
@@ -536,14 +553,14 @@ def generated_by_element(A: StructAlgebra, a, base) -> tuple[tuple, tuple]:
     while True:
         r = reduce(rows, pivots, cur, aux)
         if not nonzero(r):
-            return rows, pivots
-        rows, pivots = adjoin(rows, pivots, r, aux)
+            return finish(rows, pivots, aux)
+        rows, pivots = grow(rows, pivots, r, aux)
         for b in others:
             residual = reduce(rows, pivots, multiply(b, r), aux)
             if nonzero(residual):
-                rows, pivots = adjoin(rows, pivots, residual, aux)
+                rows, pivots = grow(rows, pivots, residual, aux)
         if len(rows) == A.dim:
-            return rows, pivots
+            return A.full_form
         cur = multiply(r, a)
 
 
@@ -691,7 +708,7 @@ def minimal_polynomial(A: StructAlgebra, a, ideal: Subspace | None = None) -> Po
         raise DimensionMismatch("coordinate length differs from dimension")
     if ideal is None:
         ideal = zero_subspace(dom, n)
-    (enter, reduce, adjoin, aux, leave, nonzero), multiply = _arithmetic(A)
+    (enter, reduce, adjoin, _, _, aux, leave, nonzero), multiply = _arithmetic(A)
     if type(dom) is RationalField:
         d = math.lcm(*(c.denominator for c in a))
         a = [c.numerator * (d // c.denominator) for c in a]

@@ -136,7 +136,7 @@ def _search(A: StructAlgebra, start: Subspace) -> list:
     Subspace once, when the search returns.
     """
     dom, n = A.dom, A.dim
-    enter, reduce, adjoin, aux, leave, nonzero = echelon_pair(dom)
+    enter, reduce, adjoin, _, _, aux, leave, nonzero = echelon_pair(dom)
     if A.is_commutative:
         def grow(S, a):
             return generated_by_element(A, a, S)

@@ -17,9 +17,17 @@ through the domain's calls over every other field.  echelon_pair picks a
 domain's pair once, with the calls that move vectors into and rows out of
 its arithmetic and the test for a zero residual; every pair has the
 signature reduce(rows, pivots, vec, aux) and adjoin(rows, pivots, residual,
-aux).  rref folds its rows one at a time into the empty span through that
-pair, as algebra.closure grows a span under products; solve, nullspace and
-subspace_from_vectors run on rref, and combine forms linear combinations.
+aux).  Each pair also has grow and finish, with which a walk that adds many
+residuals in a row (algebra.generated_by_element and algebra.closure_form)
+grows its form: over QQ grow is int_insert, which puts the residual in at
+its pivot and leaves the older rows as they are, and finish is int_finish,
+one back-substitution at the end to the integer echelon form (fraction-free
+forward elimination with one back-substitution, as in Bareiss, Math. Comp.
+22, 1968); over every other field grow is adjoin and finish returns the form
+as it is, since bit_reduce and fp_reduce need reduced rows.  rref folds its
+rows one at a time into the empty span through reduce and adjoin; solve,
+nullspace and subspace_from_vectors run on rref, and combine forms linear
+combinations.
 Integer lattice normal forms and the determinant reference live in intmat.
 """
 
@@ -82,13 +90,18 @@ class EchelonPair(NamedTuple):
     """One arithmetic's elimination pair and its way in and out.
     enter(vec) puts a vector over the domain into the pair's arithmetic;
     reduce(rows, pivots, vec, aux) and adjoin(rows, pivots, residual, aux)
-    grow an echelon form (rows, pivots) in it; nonzero(residual) tells a
+    grow a reduced echelon form (rows, pivots) in it; grow(rows, pivots,
+    residual, aux) adds a residual to an echelon form that reduce accepts
+    but that need not be reduced, and finish(rows, pivots, aux) turns such a
+    form into the one adjoin would have grown; nonzero(residual) tells a
     residual that leaves the span; and leave(rows, pivots, n) gives the
     reduced echelon rows over the domain, of length n."""
 
     enter: Callable
     reduce: Callable
     adjoin: Callable
+    grow: Callable
+    finish: Callable
     aux: object
     leave: Callable
     nonzero: Callable
@@ -106,12 +119,17 @@ def echelon_pair(dom: ScalarDomain) -> EchelonPair:
     if type(dom) is PrimeField:
         if dom.p == 2:
             return _BIT_PAIR
-        return EchelonPair(tuple, fp_reduce, fp_adjoin, dom.p, _rows, any)
-    return EchelonPair(tuple, reduce, adjoin, dom, _rows, any)
+        return EchelonPair(tuple, fp_reduce, fp_adjoin, fp_adjoin, _finished, dom.p, _rows, any)
+    return EchelonPair(tuple, reduce, adjoin, adjoin, _finished, dom, _rows, any)
 
 
 def _rows(rows, pivots, n) -> tuple:
     return rows
+
+
+def _finished(rows, pivots, aux=None) -> tuple[tuple, tuple]:
+    """finish of a pair whose grow is its adjoin: the form is reduced."""
+    return rows, pivots
 
 
 def rref(dom: ScalarDomain, rows) -> tuple[tuple, tuple]:
@@ -120,7 +138,7 @@ def rref(dom: ScalarDomain, rows) -> tuple[tuple, tuple]:
     The rows are folded one at a time into the empty span through the
     domain's echelon_pair.  The reduced echelon form is unique, so the order
     of the rows and the pair that folds them do not change the result."""
-    enter, reduce, adjoin, aux, leave, nonzero = echelon_pair(dom)
+    enter, reduce, adjoin, _, _, aux, leave, nonzero = echelon_pair(dom)
     out, pivots, n = (), (), 0
     for v in rows:
         n = len(v)
@@ -222,6 +240,30 @@ def int_adjoin(rows, pivots, residual, aux=None) -> tuple[tuple, tuple]:
     return tuple(out), pivots[:at] + (lead,) + pivots[at:]
 
 
+def int_insert(rows, pivots, residual, aux=None) -> tuple[tuple, tuple]:
+    """grow over QQ: the residual of int_reduce, which is zero at every
+    pivot, is inserted at its own pivot, and the older rows are left as they
+    are.  Each row is still zero before its pivot and at every pivot that
+    came after it, so the form stays a row echelon form that int_reduce
+    accepts: int_reduce reads the running vector's entry at each pivot in
+    pivot order, and the residual it gives depends on the span alone."""
+    lead = next(j for j, x in enumerate(residual) if x)
+    at = bisect.bisect(pivots, lead)
+    return rows[:at] + (residual,) + rows[at:], pivots[:at] + (lead,) + pivots[at:]
+
+
+def int_finish(rows, pivots, aux=None) -> tuple[tuple, tuple]:
+    """finish over QQ: the integer echelon form of a form grown by
+    int_insert, by one back-substitution, last pivot first.  Each row is
+    int_reduce'd against the rows below it, which are reduced by then, so
+    its entries at their pivots are cleared and it is made primitive with a
+    positive pivot: the row int_adjoin would have left."""
+    out = list(rows)
+    for i in range(len(out) - 2, -1, -1):
+        out[i] = int_reduce(out[i + 1:], pivots[i + 1:], out[i])
+    return tuple(out), pivots
+
+
 # Prime-field kernel.  Over F_p a Subspace's rows are its reduced echelon
 # rows as ints in [0, p), so they serve as they are.  fp_reduce and fp_adjoin
 # are the generic pair without the per-entry domain calls.
@@ -298,8 +340,8 @@ def bit_adjoin(rows, pivots, residual, aux=None) -> tuple[tuple, tuple]:
     return tuple(out), pivots[:at] + (lead,) + pivots[at:]
 
 
-_RATIONAL_PAIR = EchelonPair(primitive, int_reduce, int_adjoin, None, _rational_rows, any)
-_BIT_PAIR = EchelonPair(bit_pack, bit_reduce, bit_adjoin, None, _bit_rows, bool)
+_RATIONAL_PAIR = EchelonPair(primitive, int_reduce, int_adjoin, int_insert, int_finish, None, _rational_rows, any)
+_BIT_PAIR = EchelonPair(bit_pack, bit_reduce, bit_adjoin, bit_adjoin, _finished, None, _bit_rows, bool)
 
 
 def solve(dom: ScalarDomain, rows, target):

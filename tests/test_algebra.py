@@ -17,6 +17,7 @@ from futility.algebra import (
     MAX_DIM,
     StructAlgebra,
     closure,
+    closure_form,
     commutator_ideal,
     element_multiply,
     element_power,
@@ -1364,9 +1365,12 @@ def random_q_targets(rng):
 
 def test_generated_by_element_matches_subalgebra_generated_on_random_targets():
     # zero, nilpotent, random and proper-subalgebra elements of random Q
-    # algebras and of the relative corpus targets
+    # algebras and of the relative corpus targets: closures over a base of
+    # dimension >= 2 (the walk's products by each base row), closures that
+    # reach the whole algebra (A.full_form, no back-substitution) and proper
+    # ones (one back-substitution)
     rng = random.Random(11)
-    proper = 0
+    relative = whole = proper = 0
     for name, A, base, nil in random_q_targets(rng):
         elements = [(QQ.zero,) * A.dim]
         if nil is not None:
@@ -1380,10 +1384,44 @@ def test_generated_by_element_matches_subalgebra_generated_on_random_targets():
             elements.append(tuple(sum(c * x for c, x in zip(coeffs, col)) for col in zip(*sub.rows)))
         for a in elements:
             expected = span_and_multiply(A, [*base.rows, a])
-            assert generated_by_element(A, primitive(a), (base.int_rows, base.pivots)) == (
-                expected.int_rows, expected.pivots), (name, a)
+            got = generated_by_element(A, primitive(a), (base.int_rows, base.pivots))
+            assert got == (expected.int_rows, expected.pivots), (name, a)
+            relative += base.dim >= 2 and base.dim < expected.dim
+            whole += got is A.full_form
             proper += base.dim < expected.dim < A.dim
-    assert proper >= 10
+    assert relative >= 10 and whole >= 10 and proper >= 10
+
+
+def _corpus_algebra(case):
+    return build_case(parse_case((CORPUS / case).read_text())).payload
+
+
+@pytest.mark.parametrize("case", ["noncommutative/q-mat2.case", "noncommutative/q-upper-triangular.case"])
+def test_closure_form_over_q_matches_span_and_multiply(case):
+    # the commutator ideal is the whole of M_2(Q), whose form closure_form
+    # returns as it is, and a proper ideal of the upper-triangular algebra,
+    # which it back-substitutes once; subalgebras of both the same
+    A = _corpus_algebra(case)
+    e = [A.basis_vector(i) for i in range(A.dim)]
+    comms = [
+        tuple(map(QQ.sub, element_multiply(A, e[i], e[j]), element_multiply(A, e[j], e[i])))
+        for i in range(A.dim)
+        for j in range(i + 1, A.dim)
+    ]
+    ideal = commutator_ideal(A)
+    assert ideal == span_and_multiply(A, comms, ideal=True)
+    assert (ideal.dim == A.dim) == (case == "noncommutative/q-mat2.case")
+    unit = unit_span(A)
+    rng = random.Random(13)
+    sizes = set()
+    for count in (0, 1, 1, 1, 1, 2, 2, 2, 2):
+        gens = [tuple(Fraction(rng.randint(-2, 2) * rng.randint(0, 1)) for _ in range(A.dim)) for _ in range(count)]
+        expected = span_and_multiply(A, [A.unit, *gens])
+        got = closure_form(A, (unit.int_rows, unit.pivots), map(primitive, gens))
+        assert got == (expected.int_rows, expected.pivots), gens
+        assert (got is A.full_form) == (expected.dim == A.dim)
+        sizes.add(expected.dim)
+    assert {1, A.dim} < sizes  # the unit line, the whole algebra and a proper one
 
 
 def test_generated_by_element_runs_over_q_and_fp_only():

@@ -21,6 +21,8 @@ from futility.linalg import (
     fp_reduce,
     full_subspace,
     int_adjoin,
+    int_finish,
+    int_insert,
     int_reduce,
     nullspace,
     primitive,
@@ -454,6 +456,69 @@ def test_the_three_pairs_agree_over_f2():
         assert masks == tuple(map(bit_pack, unpacked))
         full += len(pivots) == n > 0
     assert full >= 3
+
+
+# --- growing forward over Q -------------------------------------------------------
+
+def q_matrices():
+    """(base, rows, ambient): seeded random rational matrices with zero rows,
+    duplicate rows, negative entries and full rank among them, and base the
+    integer echelon form of a few other rows (empty for half of them), which
+    the walk starts from."""
+    rng = random.Random(5)
+    out = [(((), ()), [], 0), (((), ()), [(Fraction(0),) * 3], 3)]
+    for k in range(60):
+        n = rng.randrange(1, 8)
+        def row():
+            return tuple(Fraction(rng.randint(-6, 6), rng.randint(1, 4)) for _ in range(n))
+        rows = [row() for _ in range(rng.randrange(n + 3))]
+        if rows and rng.random() < 0.3:
+            rows += [rows[0], tuple(-x for x in rows[0]), (Fraction(0),) * n]
+        if k % 6 == 0:  # full rank: unit upper triangular, shuffled
+            rows += [tuple(Fraction(1) if j == i else Fraction(rng.randint(-5, 5)) if j > i else Fraction(0)
+                           for j in range(n)) for i in range(n)]
+        rng.shuffle(rows)
+        base = ((), ())
+        if k % 2:
+            red, pivots = rref(QQ, [row() for _ in range(rng.randrange(1, n + 1))])
+            base = (tuple(map(primitive, red)), pivots)
+        out.append((base, rows, n))
+    return out
+
+
+def test_forward_growth_and_one_finish_give_the_integer_echelon_form():
+    # int_insert leaves the older rows unreduced; int_reduce gives the same
+    # residuals on that form, and int_finish back-substitutes it to what
+    # int_adjoin folds and rref returns
+    pair = echelon_pair(QQ)
+    assert (pair.grow, pair.finish) == (int_insert, int_finish)
+    full = based = unreduced = 0
+    for base, mat, n in q_matrices():
+        grown = adjoined = base
+        for v in map(primitive, mat):
+            r = int_reduce(*grown, v)
+            assert r == int_reduce(*adjoined, v)
+            if any(r):
+                grown = int_insert(*grown, r)
+                adjoined = int_adjoin(*adjoined, r)
+        assert int_finish(*grown) == adjoined
+        red, pivots = rref(QQ, [*base[0], *mat])
+        assert adjoined == (tuple(map(primitive, red)), pivots)
+        full += len(pivots) == n
+        based += bool(base[0])
+        unreduced += grown != adjoined
+    assert full >= 10 and based >= 25 and unreduced >= 20
+
+
+@pytest.mark.parametrize("dom", [F2, F3, F2T], ids=repr)
+def test_grow_is_adjoin_and_finish_keeps_the_form_off_q(dom):
+    # bit_reduce and fp_reduce read the pivot entries of the vector they are
+    # given, so every pair but the rational one grows reduced rows
+    pair = echelon_pair(dom)
+    assert pair.grow is pair.adjoin
+    s = subspace_from_vectors(dom, 3, [(dom.one, dom.one, dom.zero), (dom.zero, dom.one, dom.one)])
+    form = (tuple(map(pair.enter, s.rows)), s.pivots)
+    assert pair.finish(*form, pair.aux) == form
 
 
 @pytest.mark.parametrize("dom", [QQ, F2, F3, F2T, F3ST], ids=repr)

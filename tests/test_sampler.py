@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from futility.algebra import closure, element_multiply, generated_by_element, make_relative
+from futility.algebra import RelativeAlgebra, StructAlgebra, closure, element_multiply, generated_by_element, make_relative
 from futility.cases import build_case, parse_case
 from futility.constructions import poly_quotient_algebra
 from futility.domains import QQ, PrimeField
@@ -14,7 +14,9 @@ from futility.errors import NotApplicable, UnsupportedDomain
 from futility.intmat import hnf_reduce
 from futility.linalg import subspace_from_vectors, zero_subspace
 from futility.polynomials import make_poly, pmul, ppow
+from futility.reports import DEFAULT_OPTIONS
 from futility.sampler import _draw, family_witness, sample_subalgebras, sample_subrings
+from reference_closure import span_and_multiply
 from reference_draw import draw_box, randint_draw, reference_draws
 from reference_hermite import batch_hermite_basis, dense_multiply
 
@@ -287,6 +289,35 @@ def test_samplers_on_corpus_cases_match_the_reference_loop(seed):
     trials, bound = desc.options["trials"], desc.options["bound"]
     h = sample_subrings(zp, trials, bound, seed)
     assert (h.distinct, h.growth_curve) == unmemoized_subrings(zp, trials, bound, seed)
+
+
+def sampled_q_cases():
+    """The corpus cases the Q sampler runs on: algebras over Q and relative
+    algebras, with the options their runs use."""
+    for path in sorted(CORPUS.rglob("*.case")):
+        built = build_case(parse_case(path.read_text()))
+        target = built.payload
+        if isinstance(target, RelativeAlgebra) or isinstance(target, StructAlgebra) and target.dom == QQ:
+            yield path.relative_to(CORPUS).with_suffix("").as_posix(), target, {**DEFAULT_OPTIONS, **built.description.options}
+
+
+SAMPLED_Q_CASES = list(sampled_q_cases())
+
+
+@pytest.mark.parametrize("name, target, opts", SAMPLED_Q_CASES, ids=[c[0] for c in SAMPLED_Q_CASES])
+def test_sampled_rows_match_span_and_multiply_closures(monkeypatch, name, target, opts):
+    # the goldens pin only the counts per dimension; this pins each distinct
+    # member's integer echelon rows against the span-and-multiply fixpoint
+    import futility.sampler
+
+    h = sample_subalgebras(target, 200, opts["bound"], opts["seed"])
+
+    def reference(A, a, base):
+        s = span_and_multiply(A, [*(tuple(map(Fraction, r)) for r in base[0]), tuple(map(Fraction, a))])
+        return s.int_rows, s.pivots
+
+    monkeypatch.setattr(futility.sampler, "generated_by_element", reference)
+    assert h.distinct == sample_subalgebras(target, 200, opts["bound"], opts["seed"]).distinct
 
 
 def test_family_witness_distinct_points():
