@@ -34,7 +34,7 @@ from .deciders import (  # noqa: F401
     find_generator,
 )
 from .domains import QQ, FunctionField, ModRing, PrimeField  # noqa: F401
-from .finite_enum import enumerate_subalgebras, subalgebra_lattice  # noqa: F401
+from .finite_enum import enumerate_subalgebras  # noqa: F401
 from .intmat import smith_normal_form  # noqa: F401
 from .polynomials import (  # noqa: F401
     FactoredPoly,

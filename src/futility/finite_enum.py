@@ -15,9 +15,10 @@ algebra.closure_form closes S and a under products.  The search holds each
 member as its echelon form in the arithmetic of linalg.echelon_pair (over
 F_2 rows packed into ints and eliminated by XOR, over any other F_p ints in
 [0, p)) and grows it there, products included, and each member becomes one
-Subspace when the search returns.  subalgebra_lattice searches a lattice
-once per algebra object and start member, and its containment pairs are
-computed on first read, so only the callers that print them pay for them.
+Subspace when the search returns.  Each call searches afresh and keeps
+nothing on the algebra, so every count the enumeration oracle reports comes
+from its own search; the containment pairs are computed on first read, so
+only the callers that print them pay for them.
 """
 
 from __future__ import annotations
@@ -63,18 +64,6 @@ class SubalgebraLattice:
             for i, a in enumerate(members)
             for j, b in enumerate(members)
             if a.dim < b.dim and not masks[i] & ~masks[j] and b.contains_subspace(a)
-        )
-
-
-def _require_prime_field(A: StructAlgebra):
-    if not isinstance(A.dom, PrimeField):
-        raise ValidationError("exhaustive enumeration needs an F_p algebra")
-
-
-def _check_budget(A: StructAlgebra, budget: int):
-    if A.dom.p**A.dim > budget:
-        raise BudgetExceeded(
-            f"{A.dom.p}^{A.dim} exceeds the enumeration budget {budget}"
         )
 
 
@@ -180,34 +169,17 @@ def _search(A: StructAlgebra, start: Subspace) -> list:
     return [Subspace(dom, n, leave(rows, pivots, n), pivots) for rows, pivots in found.values()]
 
 
-def _start(A: StructAlgebra, base_image: Subspace, budget: int) -> Subspace:
-    """The subalgebra generated by the base image and the unit, once the
-    field, the budget and the base image's ambient are checked."""
-    _require_prime_field(A)
-    _check_budget(A, budget)
-    if base_image.ambient != A.dim:
-        raise DimensionMismatch("base image lives in the wrong space")
-    return closure(A, zero_subspace(A.dom, A.dim), [*base_image.rows, A.unit])
-
-
 def enumerate_subalgebras(
     A: StructAlgebra, base_image: Subspace, budget: int = DEFAULT_BUDGET
 ) -> SubalgebraLattice:
     """All multiplication-closed subspaces containing the base image and the
-    unit: the closure search from the subalgebra they generate."""
-    return SubalgebraLattice.of(A, _search(A, _start(A, base_image, budget)))
-
-
-def subalgebra_lattice(
-    A: StructAlgebra, base_image: Subspace, budget: int = DEFAULT_BUDGET
-) -> SubalgebraLattice:
-    """enumerate_subalgebras, searched once per algebra object and start
-    member.  The members are kept in the algebra's __dict__, where cached
-    properties keep theirs, so decide's certificate and oracle-compare's
-    oracle share one search.  A Subspace does not refer to its algebra, so
-    the members go when the algebra does.  The checks run on every call."""
-    key = _start(A, base_image, budget).rows
-    lattices = vars(A).setdefault("_subalgebra_lattices", {})
-    if key not in lattices:
-        lattices[key] = enumerate_subalgebras(A, base_image, budget).members
-    return SubalgebraLattice(A, lattices[key])
+    unit: the closure search from the subalgebra they generate, once the
+    field, the budget and the base image's ambient are checked."""
+    if not isinstance(A.dom, PrimeField):
+        raise ValidationError("exhaustive enumeration needs an F_p algebra")
+    if A.dom.p**A.dim > budget:
+        raise BudgetExceeded(f"{A.dom.p}^{A.dim} exceeds the enumeration budget {budget}")
+    if base_image.ambient != A.dim:
+        raise DimensionMismatch("base image lives in the wrong space")
+    start = closure(A, zero_subspace(A.dom, A.dim), [*base_image.rows, A.unit])
+    return SubalgebraLattice.of(A, _search(A, start))

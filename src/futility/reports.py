@@ -15,7 +15,6 @@ from collections.abc import Callable
 from dataclasses import dataclass
 
 from . import __version__
-from .algebra import commutator_ideal
 from .cases import BuiltCase, CaseDescription, build_case, check_options, parse_poly
 from .deciders import (
     FUTILE,
@@ -28,7 +27,7 @@ from .deciders import (
 )
 from .domains import QQ, FunctionField, PrimeField, RatFunc
 from .errors import BudgetExceeded, InapplicableCommand, UnsupportedDomain, ValidationError
-from .finite_enum import DEFAULT_BUDGET, subalgebra_lattice
+from .finite_enum import DEFAULT_BUDGET, enumerate_subalgebras
 from .linalg import Subspace, subspace_from_vectors
 from .polynomials import (
     FactoredPoly,
@@ -158,7 +157,7 @@ def _enumerate_result(built: BuiltCase, opts: dict) -> dict:
     if A is None or not isinstance(A.dom, PrimeField):
         raise InapplicableCommand("enumerate needs an algebra over a finite prime field")
     base = subspace_from_vectors(A.dom, A.dim, [A.unit])
-    lat = subalgebra_lattice(A, base, opts["budget"])
+    lat = enumerate_subalgebras(A, base, opts["budget"])
     return {
         "count": lat.count,
         "dims": [s.dim for s in lat.members],
@@ -233,18 +232,10 @@ def _compare_enumeration(built: BuiltCase, rep, opts: dict):
     A = built.payload
     base = subspace_from_vectors(A.dom, A.dim, [A.unit])
     try:
-        lat = subalgebra_lattice(A, base, opts["budget"])
+        lat = enumerate_subalgebras(A, base, opts["budget"])
     except BudgetExceeded:
         return {"kind": "enumeration", "status": "over-budget"}, rep.verdict == FUTILE
-    oracle = {"kind": "enumeration", "count": lat.count}
-    cert = rep.certificate
-    agreement = rep.verdict == FUTILE and cert.get("subalgebra_count", lat.count) == lat.count
-    quotient = cert.get("quotient", {})
-    if agreement and "subalgebra_count" in quotient:
-        # the unital subalgebras of A/C are the subalgebras of A containing C
-        comm = commutator_ideal(A)
-        agreement = quotient["subalgebra_count"] == sum(S.contains_subspace(comm) for S in lat.members)
-    return oracle, agreement
+    return {"kind": "enumeration", "count": lat.count}, rep.verdict == FUTILE
 
 
 def _compare_sampler(built: BuiltCase, rep, opts: dict):
@@ -285,7 +276,7 @@ class Route:
     """How one kind of case is decided, checked and sampled.  Entries call
     deciders and samplers by module-level name, looked up when they run."""
 
-    decide: Callable  # (payload, seed, budget) -> FutilityReport
+    decide: Callable  # (payload, seed) -> FutilityReport
     oracle: Callable  # (built, report, opts) -> (oracle, agreement)
     sample: Callable  # (payload, trials, bound, seed, stop=None) -> sampler.SampleHistogram
     algebra: Callable = lambda payload: None  # payload -> the StructAlgebra of the algebra spec
@@ -296,10 +287,10 @@ def _commutative_or_reduced(decide_commutative: Callable) -> Callable:
     """The paper's first step: a noncommutative algebra is reduced along
     its commutator ideal; a commutative one goes to its own decider."""
 
-    def decide(alg, seed, budget):
+    def decide(alg, seed):
         if alg.is_commutative:
-            return decide_commutative(alg, seed, budget)
-        return decide_noncommutative(alg, seed=seed, budget=budget)
+            return decide_commutative(alg, seed)
+        return decide_noncommutative(alg, seed=seed)
 
     return decide
 
@@ -315,12 +306,8 @@ def _no_oracle(reason: str) -> Callable:
     return lambda built, rep, opts: ({"kind": "none", "reason": reason}, True)
 
 
-def _no_struct_decider(A, seed, budget):
+def _no_struct_decider(A, seed):
     raise UnsupportedDomain(f"no decider for struct algebras over {A.dom}")
-
-
-def _finite_base(A, seed, budget):
-    return decide_finite_base(A, budget=budget)
 
 
 def _struct(decide, oracle, sample=_refuse("sampling needs an infinite coefficient field")) -> Route:
@@ -332,16 +319,20 @@ _NO_SAMPLER = _refuse("sampling applies to algebras over Q, relative cases, and 
 
 ROUTES = {
     "struct/Q": _struct(
-        _commutative_or_reduced(lambda A, seed, budget: decide_infinite_field(A, seed=seed)),
+        _commutative_or_reduced(lambda A, seed: decide_infinite_field(A, seed=seed)),
         _compare_sampler,
         sample=lambda A, *draws, stop=None: sample_subalgebras(A, *draws, stop=stop),
     ),
-    "struct/Fp": _struct(_commutative_or_reduced(_finite_base), _compare_enumeration),
+    "struct/Fp": _struct(
+        _commutative_or_reduced(lambda A, seed: decide_finite_base(A)), _compare_enumeration
+    ),
     # a finite-rank algebra over Z/n is finite, so futile, commutative or not
-    "struct/finite": _struct(_finite_base, _no_oracle("no subspace oracle over composite moduli")),
+    "struct/finite": _struct(
+        lambda A, seed: decide_finite_base(A), _no_oracle("no subspace oracle over composite moduli")
+    ),
     "struct/unsupported": _struct(_no_struct_decider, _refuse("no oracle for case kind struct")),
     "tower": Route(
-        decide=lambda L, seed, budget: decide_field_extension(L),
+        decide=lambda L, seed: decide_field_extension(L),
         oracle=_no_oracle(
             "every p-th power lies in the Frobenius span, so checking it cannot reject;"
             " no independent tower oracle exists yet"
@@ -349,20 +340,20 @@ ROUTES = {
         sample=_NO_SAMPLER,
     ),
     "relative": Route(
-        decide=lambda rel, seed, budget: decide_local_artinian(rel, seed=seed),
+        decide=lambda rel, seed: decide_local_artinian(rel, seed=seed),
         oracle=_compare_sampler,
         sample=lambda rel, *draws, stop=None: sample_subalgebras(rel, *draws, stop=stop),
         algebra=lambda rel: rel.amb,
         draw_dim=lambda rel: rel.amb.dim,
     ),
     "zpres": Route(
-        decide=_commutative_or_reduced(lambda zp, seed, budget: decide_integer_algebra(zp)),
+        decide=_commutative_or_reduced(lambda zp, seed: decide_integer_algebra(zp)),
         oracle=_compare_sampler,
         sample=lambda zp, *draws, stop=None: sample_subrings(zp, *draws, stop=stop),
         draw_dim=lambda zp: zp.ngens,
     ),
     "localized": Route(
-        decide=lambda loc, seed, budget: decide_integer_algebra(loc),
+        decide=lambda loc, seed: decide_integer_algebra(loc),
         oracle=_no_oracle("symbolic localization has no sampling oracle"),
         sample=_NO_SAMPLER,
     ),
@@ -385,7 +376,7 @@ def route(built: BuiltCase) -> Route:
 
 
 def decide_case(built: BuiltCase, opts: dict):
-    return route(built).decide(built.payload, opts["seed"], opts["budget"])
+    return route(built).decide(built.payload, opts["seed"])
 
 
 def _oracle_compare(built: BuiltCase, rep, opts: dict):

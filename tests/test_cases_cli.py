@@ -1,6 +1,5 @@
 """Case parsing, report generation, golden corpus harness, CLI behavior."""
 
-import copy
 import dataclasses
 import json
 import sys
@@ -12,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from futility import cases as cases_module
+from futility import finite_enum
 from futility.algebra import MAX_DIM, make_algebra, product_algebra
 from futility.cases import (
     MAX_EXPONENT,
@@ -431,26 +431,20 @@ def test_every_oracle_rejects_the_flipped_verdict(path):
     assert agreement is False
 
 
-ENUMERATED_CASES = [
-    path for path in CHECKED_CASES
-    if json.loads(path.with_suffix(".expected").read_text())["oracle"]["kind"] == "enumeration"
-]
+COUNTED_CASES = [path for path in ALL_CASES if "enumeration_count" in (parse_case(path.read_text()).asserts or {})]
 
 
-@pytest.mark.parametrize("path", ENUMERATED_CASES, ids=lambda p: str(p.relative_to(CORPUS)))
-def test_enumeration_oracle_rejects_a_count_off_by_one(path):
-    # a commutative certificate counts the lattice of A, a noncommutative one
-    # the lattice of A/[A, A] under "quotient"; the oracle checks either
-    desc = parse_case(path.read_text())
-    opts = merge_options(desc, None)
-    built = build_case(desc)
-    rep = decide_case(built, opts)
-    assert _oracle_compare(built, rep, opts)[1] is True
-    cert = copy.deepcopy(rep.certificate)
-    counted = cert.get("quotient", cert)
-    counted["subalgebra_count"] += 1
-    _, agreement = _oracle_compare(built, dataclasses.replace(rep, certificate=cert), opts)
-    assert agreement is False
+@pytest.mark.parametrize("path", COUNTED_CASES, ids=lambda p: str(p.relative_to(CORPUS)))
+def test_a_dropped_member_fails_the_count_assert(path, monkeypatch):
+    # the verdict needs no lattice, so a wrong count is caught by the case's
+    # enumeration_count assert, against the oracle's own search
+    assert run_command("oracle-compare", parse_case(path.read_text())).agreement is True
+    real = finite_enum._search
+    monkeypatch.setattr(finite_enum, "_search", lambda A, start: real(A, start)[:-1])
+    rep = run_command("oracle-compare", parse_case(path.read_text()))
+    assert rep.agreement is False
+    count = rep.oracle["count"]
+    assert rep.oracle["assert_failures"] == [f"enumeration_count: expected {count + 1}, got {count}"]
 
 
 # Each committed .case file is the one definition of its case: it is in

@@ -1,6 +1,7 @@
 """Decision procedures: boundary cases, certificates, consistency
 invariants, and basis-change invariance."""
 
+import ast
 import json
 import random
 import sys
@@ -227,25 +228,39 @@ def test_chain_ratios_weakly_decreasing():
 
 # --- finite base -----------------------------------------------------------------
 
-def test_finite_base_counts():
-    A = poly_quotient_algebra(make_poly(F2, [0, 0, 0, 1]))
+@pytest.mark.parametrize(
+    "make, size",
+    [
+        (lambda: poly_quotient_algebra(make_poly(F2, [0, 0, 0, 1])), 8),
+        (lambda: matrix_algebra(F2, 2), 16),
+        (lambda: poly_quotient_algebra(make_poly(PrimeField(3), [0, 0, 1])), 9),
+        (lambda: poly_quotient_algebra(make_poly(ModRing(4), [0, 0, 1])), 16),
+    ],
+    ids=["F2[x]/(x^3)", "M2(F2)", "F3[x]/(x^2)", "Z4[x]/(x^2)"],
+)
+def test_finite_base_is_decided_by_its_cardinality(make, size):
+    # one certificate and one note list for every finite ring
+    A = make()
     rep = decide_finite_base(A)
     assert rep.verdict == FUTILE
-    assert rep.certificate["subalgebra_count"] == 3
-    M = matrix_algebra(F2, 2)
-    rep2 = decide_finite_base(M)
-    assert rep2.certificate["subalgebra_count"] == 12
-    one = poly_quotient_algebra(make_poly(F2, [1, 1]))
-    assert decide_finite_base(one).certificate["subalgebra_count"] == 1
+    assert rep.certificate == {"cardinality": size}
+    assert rep.notes == (
+        f"finite algebra with {size} elements over {A.dom}",
+        "a finite set has finitely many subsets: cardinality argument applies",
+    )
 
 
-def test_finite_base_zmod():
-    Z4 = ModRing(4)
-    A = poly_quotient_algebra(make_poly(Z4, [0, 0, 1]))
-    rep = decide_finite_base(A)
-    assert rep.verdict == FUTILE
-    assert rep.certificate["cardinality"] == 16
-    assert "subalgebra_count" not in rep.certificate
+def test_the_deciders_import_no_oracle():
+    # a decider that read the enumeration's or the sampler's work could not
+    # be checked by them
+    tree = ast.parse((ROOT / "src" / "futility" / "deciders.py").read_text())
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            imported.update((node.module or "").split("."))
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            imported.update(part for alias in node.names for part in alias.name.split("."))
+    assert not imported & {"finite_enum", "sampler"}
 
 
 # --- generator search -------------------------------------------------------------

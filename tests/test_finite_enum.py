@@ -2,9 +2,11 @@
 
 The independent cross-check for subalgebra lattices enumerates spans of
 arbitrary element subsets (definition-level, no echelon machinery) on tiny
-algebras, the closure search is compared with a scan of every subspace of
-F_p^n and, on larger algebras, with the search that grows every member by
-every line (reference_lattice), and the closure step with the
+algebras, the closure search is compared member for member with the scan of
+every subspace above the unit (reference_scan) on random algebras, the
+corpus F_p algebras and the seed-1 finite-lattice presentations, and on
+larger algebras with the search that grows every member by every line
+(reference_lattice), and the closure step with the
 span-and-multiply fixpoint.  The references the acceptance criteria use are
 checked here too: the ideal scan on hand-counted lattices, the quintuple
 construction (reference_goursat) against direct enumeration of the product,
@@ -13,27 +15,45 @@ submodule lattices (reference_modules) against the uniserial dimension
 test.
 """
 
+import json
 import random
+import sys
 from itertools import product as iproduct
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from futility import finite_enum
-from futility.algebra import closure, element_multiply, generated_by_element, make_algebra, product_algebra
+from futility.algebra import (
+    closure,
+    commutator_ideal,
+    element_multiply,
+    generated_by_element,
+    make_algebra,
+    product_algebra,
+    quotient_algebra,
+)
+from futility.cases import build_case, parse_case
 from futility.constructions import matrix_algebra, poly_quotient_algebra
 from futility.domains import PrimeField
 from futility.errors import BudgetExceeded
-from futility.finite_enum import enumerate_subalgebras, iter_subspaces, subalgebra_lattice
-from futility.linalg import Subspace, bit_pack, echelon_pair, subspace_from_vectors, zero_subspace
+from futility.finite_enum import enumerate_subalgebras, iter_subspaces
+from futility.linalg import Subspace, bit_pack, combine, echelon_pair, subspace_from_vectors, zero_subspace
 from futility.polynomials import make_poly
 from reference_closure import span_and_multiply
 from reference_goursat import enumerate_isomorphisms, goursat_enumerate, scan_ideals
 from reference_lattice import line_search
 from reference_modules import FiniteModule, enumerate_submodules, module_quotient_dims
+from reference_scan import scan_subalgebras
 from reference_subspaces import generic_subspaces
 from reference_tables import change_of_basis, upper_triangular_algebra
+
+ROOT = Path(__file__).resolve().parent.parent
+CORPUS = ROOT / "corpus"
+sys.path.insert(0, str(ROOT / "perfbench"))
+
+from workloads import make_cases  # noqa: E402
 
 F2 = PrimeField(2)
 F3 = PrimeField(3)
@@ -69,30 +89,17 @@ def subalgebras_by_subset_spans(A):
     return found
 
 
-def scan_subalgebras(A, base_image):
-    """Reference: scan every subspace of F_p^n, keep those that contain the
-    base image and the unit and are closed under products of basis rows;
-    canonical order and containment pairs as SubalgebraLattice has them."""
-    members = []
-    for s in iter_subspaces(A.dom, A.dim):
-        if not s.contains_subspace(base_image) or not s.contains(A.unit):
-            continue
-        if all(s.contains(element_multiply(A, u, v)) for u in s.rows for v in s.rows):
-            members.append(s)
-    members.sort(key=lambda s: s.key())
+def assert_matches_scan(A, base_image):
+    lat = enumerate_subalgebras(A, base_image)
+    assert "inclusions" not in vars(lat)  # computed on first read
+    members = scan_subalgebras(A, base_image)
     inclusions = tuple(
         (i, j)
         for i, a in enumerate(members)
         for j, b in enumerate(members)
         if a.dim < b.dim and b.contains_subspace(a)
     )
-    return tuple(members), inclusions
-
-
-def assert_matches_scan(A, base_image):
-    lat = enumerate_subalgebras(A, base_image)
-    assert "inclusions" not in vars(lat)  # computed on first read
-    assert (lat.members, lat.inclusions) == scan_subalgebras(A, base_image)
+    assert (lat.members, lat.inclusions) == (members, inclusions)
     return lat
 
 
@@ -142,7 +149,7 @@ def algebras_with_base(draw):
     if kind == "span":
         vec = st.tuples(*[st.integers(0, A.dom.p - 1)] * A.dim)
         return A, subspace_from_vectors(A.dom, A.dim, draw(st.lists(vec, min_size=1, max_size=2)))
-    members, _ = scan_subalgebras(A, unit_span(A))
+    members = scan_subalgebras(A, unit_span(A))
     return A, draw(st.sampled_from(members))
 
 
@@ -161,6 +168,21 @@ def test_closure_search_matches_scan_on_fixed_algebras():
     for B in (matrix_algebra(F2, 2), upper_triangular_algebra(F2, 3),
               product_algebra([f2x(1, 1), f2x(1, 1), f2x(1, 1)])):
         assert_matches_scan(B, unit_span(B))
+
+
+# the 7 F_p algebras of the corpus and the 45 seed-1 finite-lattice documents
+SCANNED = [
+    pytest.param(path.read_text(), id=str(path.relative_to(CORPUS)))
+    for path in sorted(CORPUS.rglob("*.case"))
+    if json.loads(path.read_text())["base"]["kind"] == "Fp"
+] + [pytest.param(case.text, id=case.case_id) for case in make_cases("finite-lattice", 1, ROOT)]
+
+
+@pytest.mark.parametrize("text", SCANNED)
+def test_closure_search_matches_the_reference_scan(text):
+    # member for member, against a scan that shares no code with _search
+    A = build_case(parse_case(text)).payload
+    assert enumerate_subalgebras(A, unit_span(A)).members == scan_subalgebras(A)
 
 
 def permuted(A, order):
@@ -383,33 +405,14 @@ def test_budget_exceeded():
         enumerate_subalgebras(A, unit_span(A), budget=8)
 
 
-def test_the_lattice_is_searched_once_per_algebra_and_start(monkeypatch):
-    calls = []
-    real = finite_enum._search
-    monkeypatch.setattr(finite_enum, "_search", lambda A, start: calls.append(start) or real(A, start))
-    A = f2x(*([0] * 6 + [1]))  # F2[x]/(x^6)
-    lat = subalgebra_lattice(A, unit_span(A))
-    assert lat == enumerate_subalgebras(A, unit_span(A))
-    assert len(calls) == 2
-    # the empty base image generates the same start, so it finds the kept members
-    assert subalgebra_lattice(A, zero_subspace(F2, 6)) == lat
-    assert len(calls) == 2
-    # the budget is checked before the lookup
-    with pytest.raises(BudgetExceeded):
-        subalgebra_lattice(A, unit_span(A), budget=8)
-    # an equal algebra built again searches again
-    B = f2x(*([0] * 6 + [1]))
-    assert subalgebra_lattice(B, unit_span(B)).members == lat.members
-    assert len(calls) == 3
-
-
 def test_a_base_image_beyond_the_unit_gets_its_own_lattice():
-    A = f2x(*([0] * 6 + [1]))
-    assert subalgebra_lattice(A, unit_span(A)).count == 24
-    over_x2 = subalgebra_lattice(A, spanned(A, A.basis_vector(2)))
-    B = f2x(*([0] * 6 + [1]))
-    assert over_x2 == enumerate_subalgebras(B, spanned(B, B.basis_vector(2)))
-    assert over_x2.count == 4
+    # the members over x^2 are the members over the unit that contain x^2
+    A = f2x(*([0] * 6 + [1]))  # F2[x]/(x^6)
+    x2 = A.basis_vector(2)
+    over_unit = enumerate_subalgebras(A, unit_span(A))
+    over_x2 = enumerate_subalgebras(A, spanned(A, x2))
+    assert (over_unit.count, over_x2.count) == (24, 4)
+    assert over_x2.members == tuple(s for s in over_unit.members if s.contains(x2))
 
 
 def test_truncated_polynomial_ideal_count():
@@ -533,26 +536,54 @@ def test_eps_module():
     assert chain
 
 
+def images_of_members_containing(A, lattice, ideal):
+    """The quotient A/ideal with the images in it of the members of A's
+    lattice that contain the ideal, as canonical keys, and their number."""
+    B, proj = quotient_algebra(A, ideal)
+    images = set()
+    count = 0
+    for s in lattice.members:
+        if s.contains_subspace(ideal):
+            vecs = [combine(A.dom, row, proj, B.dim) for row in s.rows]
+            images.add(subspace_from_vectors(A.dom, B.dim, vecs).key())
+            count += 1
+    return B, images, count
+
+
 def test_quotient_lattice_matches_ideal_correspondence():
     # over a finite field, the subalgebras of A/I are exactly the images of
     # the subalgebras of A that contain I
-    from futility.algebra import quotient_algebra
-    from futility.linalg import combine
-
     for A in (f2x(0, 0, 0, 1), product_algebra([f2x(1, 1), f2x(0, 0, 1)])):
         full = enumerate_subalgebras(A, unit_span(A))
         for ideal in scan_ideals(A):
-            B, proj = quotient_algebra(A, ideal)
-            quot_lattice = {
-                s.key() for s in enumerate_subalgebras(B, unit_span(B)).members
-            }
-            images = set()
-            for s in full.members:
-                if not s.contains_subspace(ideal):
-                    continue
-                vecs = [combine(A.dom, row, proj, B.dim) for row in s.rows]
-                images.add(subspace_from_vectors(A.dom, B.dim, vecs).key())
-            assert images == quot_lattice
+            B, images, _ = images_of_members_containing(A, full, ideal)
+            assert images == {s.key() for s in enumerate_subalgebras(B, unit_span(B)).members}
+
+
+UPPER_TRIANGULAR_F2 = CORPUS / "noncommutative" / "f2-upper-triangular.case"
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: matrix_algebra(F2, 2),
+        lambda: upper_triangular_algebra(F2, 3),
+        lambda: matrix_algebra(F3, 2),
+        lambda: upper_triangular_algebra(F3, 2),
+        lambda: build_case(parse_case(UPPER_TRIANGULAR_F2.read_text())).payload,
+    ],
+    ids=["M2(F2)", "UT3(F2)", "M2(F3)", "UT2(F3)", "noncommutative/f2-upper-triangular"],
+)
+def test_the_commutative_quotient_counts_the_members_over_the_commutator_ideal(make):
+    # the paper's reduction: the unital subalgebras of A/[A, A] are the
+    # subalgebras of A that contain the commutator ideal [A, A]
+    A = make()
+    comm = commutator_ideal(A)
+    assert comm.dim > 0
+    B, images, count = images_of_members_containing(A, enumerate_subalgebras(A, unit_span(A)), comm)
+    quotient = enumerate_subalgebras(B, unit_span(B))
+    assert quotient.count == count
+    assert {s.key() for s in quotient.members} == images
 
 
 def test_isomorphism_budget_exceeded():
