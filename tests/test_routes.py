@@ -2,6 +2,7 @@
 exact error class and message it refuses with."""
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -15,6 +16,8 @@ from futility.reports import COMMANDS, run_command
 # curve is flat from trial 2 on, so it reports stabilized and agrees: a flat
 # curve is evidence, not proof.
 OPTIONS = {"trials": 100, "bound": 3}
+
+CORPUS = Path(__file__).resolve().parent.parent / "corpus"
 
 F2T = {"kind": "FpRational", "p": 2, "vars": ["t"]}
 
@@ -193,14 +196,45 @@ def test_route_outcome(route, command):
     assert outcome(route, command) == EXPECTED[(route, command)]
 
 
+def counted_searches(monkeypatch):
+    calls = []
+    real = finite_enum._search
+    monkeypatch.setattr(finite_enum, "_search", lambda A, start: calls.append(A) or real(A, start))
+    return calls
+
+
+def test_oracle_compare_over_fp_shares_the_deciders_lattice(monkeypatch):
+    # the decider certifies by the cardinality, so the oracle's search is the only one
+    calls = counted_searches(monkeypatch)
+    assert outcome("f2-comm", "oracle-compare") == EXPECTED[("f2-comm", "oracle-compare")]
+    assert [A.dim for A in calls] == [3]
+
+
+def test_oracle_compare_over_fp_searches_a_noncommutative_algebra_and_its_quotient(monkeypatch):
+    # the oracle enumerates A itself; the decider no longer enumerates A/[A, A]
+    calls = counted_searches(monkeypatch)
+    desc = parse_case((CORPUS / "noncommutative" / "f2-upper-triangular.case").read_text())
+    rep = run_command("oracle-compare", desc)
+    assert rep.agreement is True
+    assert [A.dim for A in calls] == [3]
+
+
+def test_every_run_searches_its_own_algebra(monkeypatch):
+    # no lattice is kept between runs, so each run searches its own algebra
+    calls = counted_searches(monkeypatch)
+    desc = description("f2-comm")
+    first = run_command("oracle-compare", desc)
+    second = run_command("oracle-compare", desc)
+    assert first.to_json() == second.to_json()
+    assert len(calls) == 2 and calls[0] is not calls[1]
+
+
 def test_each_fp_command_searches_at_most_once(monkeypatch):
     # decide certifies by the cardinality, so only the enumeration searches,
     # and it searches A itself, not the quotient by the commutator ideal
-    calls = []
-    real = finite_enum._search
-    monkeypatch.setattr(finite_enum, "_search", lambda A, start: calls.append(A.dim) or real(A, start))
+    calls = counted_searches(monkeypatch)
     for route, dim in (("f2-comm", 3), ("f2-noncomm", 4)):
         for command, searches in (("decide", 0), ("enumerate", 1), ("oracle-compare", 1)):
             calls.clear()
             assert outcome(route, command) == EXPECTED[(route, command)]
-            assert calls == [dim] * searches
+            assert [A.dim for A in calls] == [dim] * searches
