@@ -141,6 +141,12 @@ class StructAlgebra:
         enter = echelon_pair(self.dom).enter
         return tuple(enter(self.basis_vector(i)) for i in range(self.dim)), tuple(range(self.dim))
 
+    @cached_property
+    def unit_pivot(self) -> int | None:
+        """The unit's leading coordinate, or None when the unit is 0 (the
+        zero algebra)."""
+        return next((i for i, x in enumerate(self.unit) if not self.dom.is_zero(x)), None)
+
     def __repr__(self):
         return f"StructAlgebra(dim={self.dim}, dom={self.dom})"
 
@@ -477,7 +483,7 @@ def closure(A: StructAlgebra, span: Subspace, queue, ideal: bool = False) -> Sub
     return Subspace(A.dom, A.dim, pair.leave(rows, pivots, A.dim), pivots)
 
 
-def closure_form(A: StructAlgebra, base, queue, ideal: bool = False) -> tuple[tuple, tuple]:
+def closure_form(A: StructAlgebra, base, queue, ideal: bool = False, found=None) -> tuple[tuple, tuple]:
     """closure on echelon forms: base = (rows, pivots) and the queued
     vectors in the arithmetic of A's echelon pair, and the closure returned
     in it.
@@ -487,14 +493,29 @@ def closure_form(A: StructAlgebra, base, queue, ideal: bool = False) -> tuple[tu
     subalgebra, r times each spanning vector met so far and itself; for an
     ideal, r times each basis vector.  Products are taken on both sides only
     when A is not commutative, in the pair's arithmetic (_arithmetic), and
-    products inside the closed starting span are never formed.  The span
-    grows through the pair's grow and is made canonical by its finish once,
-    at the end; the loop stops once the span is the whole algebra, whose
-    form is A.full_form."""
+    products inside the closed starting span are never formed.  When the
+    starting span of a subalgebra contains the unit, the products by its
+    unit row are not formed either (_unit_free_rows); the zero span of a
+    first closure keeps every row.  The span grows through the pair's grow
+    and is made canonical by its finish once, at the end; the loop stops
+    once the span is the whole algebra, whose form is A.full_form.
+
+    found, a dict from the canonical rows of closed subalgebras to their
+    forms, stops the walk early: once a grow leaves rows that are a key of
+    found, that subalgebra is returned.  The span P then holds the base and
+    the one queued vector a and lies in the closure, so the closure, the
+    least subalgebra holding both, lies in the member P: it is P.  This
+    needs one queued vector and a pair whose grow is its adjoin, so that
+    the rows are canonical after every step: every F_p pair, not QQ's."""
     (enter, reduce, _, grow, finish, aux, _, nonzero), multiply = _arithmetic(A)
     both_sides = not A.is_commutative
     rows, pivots = base
-    factors = [enter(A.basis_vector(k)) for k in range(A.dim)] if ideal else list(rows)
+    if ideal:
+        factors = [enter(A.basis_vector(k)) for k in range(A.dim)]
+    elif nonzero(reduce(rows, pivots, enter(A.unit), aux)):  # 1 is not in the base
+        factors = list(rows)
+    else:
+        factors = list(_unit_free_rows(A, rows, pivots))
     queue = list(queue)
     while queue:
         r = reduce(rows, pivots, queue.pop(), aux)
@@ -503,6 +524,8 @@ def closure_form(A: StructAlgebra, base, queue, ideal: bool = False) -> tuple[tu
         rows, pivots = grow(rows, pivots, r, aux)
         if len(rows) == A.dim:
             return A.full_form
+        if found is not None and rows in found:
+            return found[rows]
         if not ideal:
             factors.append(r)
         for g in factors:
@@ -512,7 +535,21 @@ def closure_form(A: StructAlgebra, base, queue, ideal: bool = False) -> tuple[tu
     return finish(rows, pivots, aux)
 
 
-def generated_by_element(A: StructAlgebra, a, base) -> tuple[tuple, tuple]:
+def _unit_free_rows(A: StructAlgebra, rows, pivots) -> tuple:
+    """The rows of an echelon form whose span R holds the unit, but the row
+    whose pivot is the unit's leading coordinate, so that R*r is spanned by
+    r and the products b*r by the rows b returned.  Write 1 = sum c_i*b_i
+    over the rows: the least pivot whose c_i is nonzero is the leading
+    coordinate of the sum, so that row is the unit's row and its c_i is
+    nonzero, and its product with r is r minus the other c_i*b_i*r, over
+    its c_i.  This holds in every echelon form, reduced or not."""
+    if A.unit_pivot not in pivots:  # the zero algebra, whose unit is 0
+        return rows
+    at = pivots.index(A.unit_pivot)
+    return rows[:at] + rows[at + 1:]
+
+
+def generated_by_element(A: StructAlgebra, a, base, found=None) -> tuple[tuple, tuple]:
     """Subalgebra generated by a single element over a subalgebra R of an
     algebra over QQ or F_p, where R contains the unit and is central.  a and
     base = (rows, pivots), R's echelon form, are in the arithmetic of the
@@ -523,13 +560,21 @@ def generated_by_element(A: StructAlgebra, a, base) -> tuple[tuple, tuple]:
     The subalgebra is R + R*a + R*a^2 + ..., which is closed because R is
     closed and commutes with everything.  Let S_k = R + R*a + ... + R*a^k.
     Step k adjoins the residual r of a^k against S_(k-1), which is a^k minus
-    an element of S_(k-1), and b*r for each base row b; their span with
-    S_(k-1) is S_k.  The next candidate is a*r, which is a^(k+1) minus an
-    element of S_k.  The loop stops at the first a^k already in S_(k-1): then
-    R*a^k lies in it too, and so does every later power, since
+    an element of S_(k-1), and b*r for each base row b but the unit's
+    (_unit_free_rows), which with r span R*r; their span with S_(k-1) is
+    S_k.  The next candidate is a*r, which is a^(k+1) minus an element of
+    S_k.  The loop stops at the first a^k already in S_(k-1): then R*a^k
+    lies in it too, and so does every later power, since
     a^(k+1) = a * a^k lies in the span of the r'*a^(j+1) with r' in R and
     j < k.  It also stops once the span is the whole algebra, and returns
     A.full_form.
+
+    found, a dict from the canonical rows of subalgebras to their forms,
+    stops the walk at the first grow whose rows are a key of found, and
+    returns that member: the span then holds R and a and lies in R[a], so
+    R[a] lies in the member and equals it.  The rows must be canonical after
+    every grow, so found is for the F_p pairs, whose grow is their adjoin;
+    the QQ sampler passes none.
 
     The span grows through the pair's grow: over QQ each residual is
     inserted at its pivot and the older rows are left as they are, and a
@@ -547,18 +592,21 @@ def generated_by_element(A: StructAlgebra, a, base) -> tuple[tuple, tuple]:
         raise DimensionMismatch("coordinate length differs from dimension")
     (_, reduce, _, grow, finish, aux, _, nonzero), multiply = _arithmetic(A)
     rows, pivots = base
-    # with a one-dimensional base, R*a^k is the line of a^k
-    others = rows if len(rows) > 1 else ()
+    others = _unit_free_rows(A, rows, pivots)
     cur = a
     while True:
         r = reduce(rows, pivots, cur, aux)
         if not nonzero(r):
             return finish(rows, pivots, aux)
         rows, pivots = grow(rows, pivots, r, aux)
+        if found is not None and rows in found:
+            return found[rows]
         for b in others:
             residual = reduce(rows, pivots, multiply(b, r), aux)
             if nonzero(residual):
                 rows, pivots = grow(rows, pivots, residual, aux)
+                if found is not None and rows in found:
+                    return found[rows]
         if len(rows) == A.dim:
             return A.full_form
         cur = multiply(r, a)

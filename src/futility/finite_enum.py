@@ -11,7 +11,9 @@ member is grown only by the distinct lines of its generators' residuals,
 and every member is still reached along a chain of such grows.  Over a
 commutative algebra S[a] = S + S*a + S*a^2 + ..., the power walk of
 algebra.generated_by_element; over a noncommutative one,
-algebra.closure_form closes S and a under products.  The search holds each
+algebra.closure_form closes S and a under products.  Either walk stops at
+the first grow that lands on a member already found, and neither multiplies
+by the row of S at the unit's leading coordinate.  The search holds each
 member as its echelon form in the arithmetic of linalg.echelon_pair (over
 F_2 rows packed into ints and eliminated by XOR, over any other F_p ints in
 [0, p)) and grows it there, products included, and each member becomes one
@@ -113,8 +115,13 @@ def _search(A: StructAlgebra, start: Subspace) -> list:
 
     Over a commutative A a subalgebra S containing the unit is central and
     closed, so S[a] = S + S*a + S*a^2 + ... is algebra.generated_by_element,
-    the power walk, which forms dim S products per power of a.  The
-    subalgebras of a noncommutative A are grown by algebra.closure_form.
+    the power walk, which multiplies each new residual by the dim S - 1
+    rows of S other than the unit's row.  The subalgebras of a
+    noncommutative A are grown by algebra.closure_form.  Both walks take
+    found, the members met so far, and return the member at the first grow
+    whose rows are one of its keys: the span then holds S and a and lies in
+    S[a], so S[a] is that member.  Most grows end so, on a member the search
+    already holds.
 
     Members, generators and lines are held in the arithmetic of the
     domain's linalg.echelon_pair, a member as its echelon form
@@ -126,15 +133,15 @@ def _search(A: StructAlgebra, start: Subspace) -> list:
     """
     dom, n = A.dom, A.dim
     enter, reduce, adjoin, _, _, aux, leave, nonzero = echelon_pair(dom)
-    if A.is_commutative:
-        def grow(S, a):
-            return generated_by_element(A, a, S)
-    else:
-        def grow(S, a):
-            return closure_form(A, S, [a])
     first = (tuple(map(enter, start.rows)), start.pivots)
     # reduced echelon rows are canonical, so over one ambient they are a key
     found = {first[0]: first}
+    if A.is_commutative:
+        def grow(S, a):
+            return generated_by_element(A, a, S, found)
+    else:
+        def grow(S, a):
+            return closure_form(A, S, [a], found=found)
     todo, gens = [], []
     free = [c for c in range(n) if c not in start.pivots]
     for line in iter_subspaces(dom, len(free)):

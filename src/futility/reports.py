@@ -229,12 +229,15 @@ COMMANDS = tuple(COMMAND_TABLE)
 # ---------------------------------------------------------------------------
 
 def _compare_enumeration(built: BuiltCase, rep, opts: dict):
+    """The lattice search's count against a verdict that a finite base makes
+    Futile; past the budget nothing is searched, so the agreement is None,
+    and only an asserted count can turn it False."""
     A = built.payload
     base = subspace_from_vectors(A.dom, A.dim, [A.unit])
     try:
         lat = enumerate_subalgebras(A, base, opts["budget"])
     except BudgetExceeded:
-        return {"kind": "enumeration", "status": "over-budget"}, rep.verdict == FUTILE
+        return {"kind": "enumeration", "status": "over-budget"}, None
     return {"kind": "enumeration", "count": lat.count}, rep.verdict == FUTILE
 
 

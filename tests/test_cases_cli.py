@@ -447,6 +447,25 @@ def test_a_dropped_member_fails_the_count_assert(path, monkeypatch):
     assert rep.oracle["assert_failures"] == [f"enumeration_count: expected {count + 1}, got {count}"]
 
 
+def test_an_over_budget_enumeration_checks_nothing(tmp_path, capsys):
+    # past the budget nothing is searched: with no count asserted the
+    # agreement is None and the command exits 0; a count assert still turns
+    # it False
+    raw = json.loads((CORPUS / "noncommutative" / "f2-upper-triangular.case").read_text())
+    del raw["asserts"]["enumeration_count"]
+    path = tmp_path / "uncounted.case"
+    path.write_text(json.dumps(raw))
+    rep = run_command("oracle-compare", parse_case(path.read_text()), {"budget": 4})
+    assert rep.oracle == {"kind": "enumeration", "status": "over-budget"}
+    assert rep.agreement is None
+    assert cli_main(["oracle-compare", "--case", str(path), "--budget", "4"]) == 0
+    assert capsys.readouterr().out.endswith("agreement: None\n")
+    for case, count in [("noncommutative/f2-upper-triangular", 5), ("finite/f2-x3", 3)]:
+        rep = run_command("oracle-compare", parse_case((CORPUS / f"{case}.case").read_text()), {"budget": 4})
+        assert rep.agreement is False
+        assert rep.oracle["assert_failures"] == [f"enumeration_count: expected {count}, got None"]
+
+
 # Each committed .case file is the one definition of its case: it is in
 # canonical form, its id is its path, it has a golden, and a table that comes
 # from a library construction equals that construction.

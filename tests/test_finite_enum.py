@@ -25,8 +25,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import futility.algebra as algebra_module
+import futility.finite_enum as finite_enum_module
+import futility.sampler as sampler_module
 from futility.algebra import (
     closure,
+    closure_form,
     commutator_ideal,
     element_multiply,
     generated_by_element,
@@ -41,6 +45,7 @@ from futility.errors import BudgetExceeded
 from futility.finite_enum import enumerate_subalgebras, iter_subspaces
 from futility.linalg import Subspace, bit_pack, combine, echelon_pair, subspace_from_vectors, zero_subspace
 from futility.polynomials import make_poly
+from futility.sampler import sample_subalgebras
 from reference_closure import span_and_multiply
 from reference_goursat import enumerate_isomorphisms, goursat_enumerate, scan_ideals
 from reference_lattice import line_search
@@ -170,12 +175,18 @@ def test_closure_search_matches_scan_on_fixed_algebras():
         assert_matches_scan(B, unit_span(B))
 
 
-# the 7 F_p algebras of the corpus and the 45 seed-1 finite-lattice documents
+# the 7 F_p algebras of the corpus and the 135 finite-lattice documents of
+# seeds 1-3: the search stops each grow at a member it holds, so where a walk
+# ends depends on the order members are found in
 SCANNED = [
     pytest.param(path.read_text(), id=str(path.relative_to(CORPUS)))
     for path in sorted(CORPUS.rglob("*.case"))
     if json.loads(path.read_text())["base"]["kind"] == "Fp"
-] + [pytest.param(case.text, id=case.case_id) for case in make_cases("finite-lattice", 1, ROOT)]
+] + [
+    pytest.param(case.text, id=case.case_id if seed == 1 else f"{case.case_id}@seed-{seed}")
+    for seed in (1, 2, 3)
+    for case in make_cases("finite-lattice", seed, ROOT)
+]
 
 
 @pytest.mark.parametrize("text", SCANNED)
@@ -361,6 +372,126 @@ def test_power_walk_matches_closure_on_every_member_and_line(A):
             assert walk == closure(A, S, [a]), (S.rows, a)
             checked += 1
     assert checked > 0
+
+
+# --- fewer products: the early stop at a known member and the unit's row ---
+
+def pair_form(A, S):
+    enter = echelon_pair(A.dom).enter
+    return tuple(map(enter, S.rows)), S.pivots
+
+
+def found_dict(A, members) -> dict:
+    """The members keyed by their rows, as the search keeps them."""
+    return {form[0]: form for form in (pair_form(A, S) for S in members)}
+
+
+@settings(max_examples=40, deadline=None)
+@given(finite_algebras(), st.data())
+def test_walks_return_the_same_form_with_and_without_found(A, data):
+    # found stops a walk at the first grow that lands on a member it holds;
+    # with every member, with some of them, or with none, the walks return
+    # the form they return without found
+    enter = echelon_pair(A.dom).enter
+    members = enumerate_subalgebras(A, unit_span(A)).members
+    held = data.draw(st.lists(st.sampled_from(members), max_size=len(members)))
+    for found in ({}, found_dict(A, held), found_dict(A, members)):
+        for S in data.draw(st.lists(st.sampled_from(members), min_size=1, max_size=3)):
+            a = enter(data.draw(st.tuples(*[st.integers(0, A.dom.p - 1)] * A.dim)))
+            base = pair_form(A, S)
+            walks = [lambda f: closure_form(A, base, [a], found=f)]
+            if A.is_commutative:
+                walks.append(lambda f: generated_by_element(A, a, base, f))
+            for walk in walks:
+                assert walk(found) == walk(None)
+
+
+def spy_products(monkeypatch) -> list:
+    """Every pair of factors of a product that algebra._arithmetic's product
+    forms from now on."""
+    real = algebra_module._arithmetic
+    products = []
+
+    def arithmetic(A):
+        pair, multiply = real(A)
+
+        def spied(u, v):
+            products.append((u, v))
+            return multiply(u, v)
+        return pair, spied
+
+    monkeypatch.setattr(algebra_module, "_arithmetic", arithmetic)
+    return products
+
+
+def test_a_walk_that_lands_on_a_known_member_forms_no_product(monkeypatch):
+    # F2[x]/(x^3) over the unit line, grown by x^2: the first grow spans
+    # {1, x^2}, a member, so the walk stops before it forms x^4
+    A = f2x(0, 0, 0, 1)
+    member = pair_form(A, spanned(A, A.unit, A.basis_vector(2)))
+    products = spy_products(monkeypatch)
+    base, a = pair_form(A, unit_span(A)), bit_pack(A.basis_vector(2))
+    assert generated_by_element(A, a, base, {member[0]: member}) is member
+    assert closure_form(A, base, [a], found={member[0]: member}) is member
+    assert products == []
+    assert generated_by_element(A, a, base) == member and len(products) == 1
+
+
+def spy_unit_rows(monkeypatch, module, name, base_arg) -> list:
+    """Wrap the walk module.name, whose base is its positional argument
+    base_arg (A is argument 0), so that each call records its base's unit
+    row, its base's dimension and the factors of every product formed in
+    it."""
+    products = spy_products(monkeypatch)
+    real = getattr(module, name)
+    walks = []
+
+    def walk(A, *args, **kw):
+        rows, pivots = args[base_arg - 1]
+        unit_row = rows[pivots.index(A.unit_pivot)]
+        start = len(products)
+        out = real(A, *args, **kw)
+        walks.append((unit_row, len(rows), [tuple(f) if type(f) is not int else f
+                                             for pair in products[start:] for f in pair]))
+        return out
+
+    monkeypatch.setattr(module, name, walk)
+    return walks
+
+
+def assert_no_unit_row_factor(walks):
+    assert any(dim > 1 and factors for _, dim, factors in walks)  # bases with rows to drop
+    for unit_row, _, factors in walks:
+        assert unit_row not in factors
+
+
+def test_the_search_never_multiplies_by_the_unit_row(monkeypatch):
+    walks = spy_unit_rows(monkeypatch, finite_enum_module, "closure_form", 1)
+    assert enumerate_subalgebras(UT3_F2, unit_span(UT3_F2)).count == len(scan_subalgebras(UT3_F2))
+    assert_no_unit_row_factor(walks)
+
+
+def test_the_sampler_never_multiplies_by_the_unit_row(monkeypatch):
+    rel = build_case(parse_case((CORPUS / "local-artinian" / "x5-plane-case.case").read_text())).payload
+    assert rel.base_image.dim == 2
+    walks = spy_unit_rows(monkeypatch, sampler_module, "generated_by_element", 2)
+    sample_subalgebras(rel, trials=200, bound=3, seed=1)
+    assert_no_unit_row_factor(walks)
+
+
+def test_a_base_without_the_unit_keeps_its_rows():
+    # span(E11) in M2(F2) is closed and has its pivot at the unit's leading
+    # coordinate, but it does not hold the unit: grown by E21 + E22 it gives
+    # the lower triangular algebra through (E21 + E22)*E11 = E21, which a
+    # walk that dropped E11's row would miss, stopping at a plane
+    A = matrix_algebra(F2, 2)  # basis E11, E12, E21, E22
+    E11, E21, E22 = (A.basis_vector(k) for k in (0, 2, 3))
+    base = spanned(A, E11)
+    assert A.unit_pivot == base.pivots[0] and not base.contains(A.unit)
+    y = (0, 0, 1, 1)  # E21 + E22
+    lower = spanned(A, E11, E21, E22)
+    assert closure_form(A, pair_form(A, base), [bit_pack(y)]) == pair_form(A, lower)
+    assert closure(A, base, [y]) == lower == span_and_multiply(A, [E11, y])
 
 
 def test_enumerate_dim1():
