@@ -152,6 +152,7 @@ class StructAlgebra:
 
 
 MAX_DIM = 32
+GENERATOR_BUDGET = 2048  # primitive_element's trials over Q, 64 times it over F_p
 
 _ZERO = Fraction(0)
 
@@ -475,12 +476,10 @@ def closure(A: StructAlgebra, span: Subspace, queue, ideal: bool = False) -> Sub
     """The least subalgebra of A (or with ideal=True, the least two-sided
     ideal) containing span and the queued vectors, where span is already a
     subalgebra (an ideal): closure_form on the span and the queue moved into
-    the arithmetic of the domain's linalg.echelon_pair, made a Subspace once,
-    at the end."""
-    pair = echelon_pair(A.dom)
-    base = (tuple(map(pair.enter, span.rows)), span.pivots)
-    rows, pivots = closure_form(A, base, map(pair.enter, queue), ideal)
-    return Subspace(A.dom, A.dim, pair.leave(rows, pivots, A.dim), pivots)
+    the arithmetic of the domain's linalg.echelon_pair (span.form), made a
+    Subspace once, at the end."""
+    enter = echelon_pair(A.dom).enter
+    return Subspace.of_form(A.dom, A.dim, closure_form(A, span.form, map(enter, queue), ideal))
 
 
 def closure_form(A: StructAlgebra, base, queue, ideal: bool = False, found=None) -> tuple[tuple, tuple]:
@@ -505,9 +504,9 @@ def closure_form(A: StructAlgebra, base, queue, ideal: bool = False, found=None)
     found, that subalgebra is returned.  The span P then holds the base and
     the one queued vector a and lies in the closure, so the closure, the
     least subalgebra holding both, lies in the member P: it is P.  This
-    needs one queued vector and a pair whose grow is its adjoin, so that
-    the rows are canonical after every step: every F_p pair, not QQ's."""
-    (enter, reduce, _, grow, finish, aux, _, nonzero), multiply = _arithmetic(A)
+    needs one queued vector and canonical rows after every step: a pair
+    whose finish leaves the form as it is, every F_p pair, not QQ's."""
+    (enter, reduce, grow, finish, aux, _, nonzero), multiply = _arithmetic(A)
     both_sides = not A.is_commutative
     rows, pivots = base
     if ideal:
@@ -554,8 +553,8 @@ def generated_by_element(A: StructAlgebra, a, base, found=None) -> tuple[tuple, 
     algebra over QQ or F_p, where R contains the unit and is central.  a and
     base = (rows, pivots), R's echelon form, are in the arithmetic of the
     domain's linalg.echelon_pair, and so is the echelon form returned: over
-    QQ the integer echelon form, whose rows are those of Subspace.int_rows,
-    over F_2 packed rows, and over any other F_p the reduced echelon rows.
+    QQ the integer echelon form, over F_2 packed rows, and over any other
+    F_p the reduced echelon rows: R's Subspace.form is such a base.
 
     The subalgebra is R + R*a + R*a^2 + ..., which is closed because R is
     closed and commutes with everything.  Let S_k = R + R*a + ... + R*a^k.
@@ -573,8 +572,8 @@ def generated_by_element(A: StructAlgebra, a, base, found=None) -> tuple[tuple, 
     stops the walk at the first grow whose rows are a key of found, and
     returns that member: the span then holds R and a and lies in R[a], so
     R[a] lies in the member and equals it.  The rows must be canonical after
-    every grow, so found is for the F_p pairs, whose grow is their adjoin;
-    the QQ sampler passes none.
+    every grow, so found is for the F_p pairs, whose finish leaves the form
+    as it is; the QQ sampler passes none.
 
     The span grows through the pair's grow: over QQ each residual is
     inserted at its pivot and the older rows are left as they are, and a
@@ -590,7 +589,7 @@ def generated_by_element(A: StructAlgebra, a, base, found=None) -> tuple[tuple, 
         raise UnsupportedDomain("single-element closures run over the rationals and F_p")
     if a >> A.dim if type(a) is int else len(a) != A.dim:
         raise DimensionMismatch("coordinate length differs from dimension")
-    (_, reduce, _, grow, finish, aux, _, nonzero), multiply = _arithmetic(A)
+    (_, reduce, grow, finish, aux, _, nonzero), multiply = _arithmetic(A)
     rows, pivots = base
     others = _unit_free_rows(A, rows, pivots)
     cur = a
@@ -735,14 +734,15 @@ def minimal_polynomial(A: StructAlgebra, a, ideal: Subspace | None = None) -> Po
     algebra, or the ideal A).
 
     One incremental walk on the domain's linalg.echelon_pair, from the
-    ideal's rows padded with zeros (no rows without an ideal).  Each row
-    adjoined after them is [s*v | s*c], for a nonzero scalar s and the
-    coefficients c of a polynomial, lowest degree first, with v = c(a).  The
-    first candidate is [1 | 1], of degree 0, and the candidate after a
-    residual r is r times a, its coefficient part shifted by x.  Step k
-    reduces a candidate of degree k against rows of degree below k, so its
-    x^k coefficient survives; a residual with v = 0 is then a multiple of
-    the least-degree f, made monic once it leaves the pair's arithmetic.
+    ideal's rows padded with zeros (no rows without an ideal), grown through
+    the pair's grow.  Each row grown in after them is [s*v | s*c], for a
+    nonzero scalar s and the coefficients c of a polynomial, lowest degree
+    first, with v = c(a).  The first candidate is [1 | 1], of degree 0, and
+    the candidate after a residual r is r times a, its coefficient part
+    shifted by x.  Step k reduces a candidate of degree k against rows of
+    degree below k, so its x^k coefficient survives; a residual with v = 0
+    is then a multiple of the least-degree f, made monic once it leaves the
+    pair's arithmetic.
 
     Products v*a are taken in the pair's arithmetic (_arithmetic).  Over QQ
     a is scaled by its common denominator d, and the product through
@@ -756,7 +756,7 @@ def minimal_polynomial(A: StructAlgebra, a, ideal: Subspace | None = None) -> Po
         raise DimensionMismatch("coordinate length differs from dimension")
     if ideal is None:
         ideal = zero_subspace(dom, n)
-    (enter, reduce, adjoin, _, _, aux, leave, nonzero), multiply = _arithmetic(A)
+    (enter, reduce, grow, _, aux, leave, nonzero), multiply = _arithmetic(A)
     if type(dom) is RationalField:
         d = math.lcm(*(c.denominator for c in a))
         a = [c.numerator * (d // c.denominator) for c in a]
@@ -788,16 +788,16 @@ def minimal_polynomial(A: StructAlgebra, a, ideal: Subspace | None = None) -> Po
     while True:
         r = reduce(rows, pivots, cur, aux)
         if not nonzero(head(r)):
-            c = list(leave(*adjoin((), (), r, aux), 2 * n + 1)[0][n:])
+            c = list(leave(*grow((), (), r, aux), 2 * n + 1)[0][n:])
             while not c[-1]:
                 c.pop()
             inv = dom.inv(c[-1])
             return Poly(dom, tuple(dom.mul(x, inv) for x in c))
-        rows, pivots = adjoin(rows, pivots, r, aux)
+        rows, pivots = grow(rows, pivots, r, aux)
         cur = times_a(r)
 
 
-def primitive_element(A: StructAlgebra, seed: int = 0, budget: int = 2048, ideal: Subspace | None = None):
+def primitive_element(A: StructAlgebra, seed: int = 0, ideal: Subspace | None = None):
     """(a, f) with the powers of a spanning A and f = minimal_polynomial(A, a):
     a is accepted when deg f = dim A, since K[a] is the span of its powers.
     Given an ideal I, a is accepted when f = minimal_polynomial(A, a, I) has
@@ -806,16 +806,16 @@ def primitive_element(A: StructAlgebra, seed: int = 0, budget: int = 2048, ideal
 
     Over F_p every element is tried in itertools.product order, so
     (None, None) proves that A (A/I) has no primitive element; more than
-    64 * budget elements raise BudgetExceeded.  Over Q the basis vectors come
-    first, then seeded random integer vectors in a box that doubles after
-    every 16th trial; a search past the budget raises SearchBudgetExceeded."""
+    64 * GENERATOR_BUDGET elements raise BudgetExceeded.  Over Q the basis
+    vectors come first, then seeded random integer vectors in a box that
+    doubles after every 16th trial, GENERATOR_BUDGET trials at most."""
     dom = A.dom
     if isinstance(dom, PrimeField):
-        if dom.p**A.dim > budget * 64:
+        if dom.p**A.dim > GENERATOR_BUDGET * 64:
             raise BudgetExceeded("exhaustive generator search over budget")
         candidates = iproduct(range(dom.p), repeat=A.dim)
     elif dom == QQ:
-        candidates = _rational_candidates(A, random.Random(seed), budget)
+        candidates = _rational_candidates(A, random.Random(seed))
     else:
         raise UnsupportedDomain("generator search supports Q and F_p domains")
     target = A.dim - (ideal.dim if ideal is not None else 0)
@@ -828,9 +828,9 @@ def primitive_element(A: StructAlgebra, seed: int = 0, budget: int = 2048, ideal
     return None, None
 
 
-def _rational_candidates(A: StructAlgebra, rng, budget: int):
+def _rational_candidates(A: StructAlgebra, rng):
     bound = 1
-    for trial in range(budget):
+    for trial in range(GENERATOR_BUDGET):
         if trial < A.dim:
             yield A.basis_vector(trial)
         else:

@@ -77,13 +77,12 @@ class GeneratorSearch:
     exhaustive: bool
 
 
-def find_generator(
-    A: StructAlgebra, seed: int = 0, budget: int = 2048, split: LocalSplit | None = None
-) -> GeneratorSearch:
+def find_generator(A: StructAlgebra, seed: int = 0, split: LocalSplit | None = None) -> GeneratorSearch:
     """algebra.primitive_element with its minimal polynomial factored.
 
     Over F_p the search is exhaustive, so a None generator comes with a
-    proof flag; over Q a search past the budget raises instead.
+    proof flag; over Q a search past algebra.GENERATOR_BUDGET trials raises
+    instead.
 
     Given split = local_decomposition(A, seed) whose minimal polynomial mu
     has degree dim A, its element a and mu are returned as they are: a is
@@ -95,7 +94,7 @@ def find_generator(
     mu = split.minimal_polynomial if split is not None else None
     if mu is not None and mu.degree == A.dim:
         return GeneratorSearch(split.element, mu, False)
-    a, f = primitive_element(A, seed, budget)
+    a, f = primitive_element(A, seed)
     exhaustive = isinstance(A.dom, PrimeField)
     if a is None:
         return GeneratorSearch(None, None, exhaustive)

@@ -42,12 +42,11 @@ class SubalgebraLattice:
     """All subalgebras of a finite algebra, canonically ordered, with the
     containment pairs."""
 
-    algebra: StructAlgebra
     members: tuple  # of Subspace, sorted by canonical key
 
     @classmethod
-    def of(cls, A: StructAlgebra, members) -> "SubalgebraLattice":
-        return cls(A, tuple(sorted(members, key=Subspace.key)))
+    def of(cls, members) -> "SubalgebraLattice":
+        return cls(tuple(sorted(members, key=Subspace.key)))
 
     @property
     def count(self) -> int:
@@ -58,7 +57,7 @@ class SubalgebraLattice:
         """The (i, j) with members[i] < members[j], in lexicographic order;
         computed on first read.  The pivots of a subspace are the leading
         positions of its nonzero vectors, so a pair whose pivot sets are not
-        nested is skipped before the exact containment check."""
+        nested is skipped before the exact check on the members' forms."""
         members = self.members
         masks = [sum(1 << c for c in s.pivots) for s in members]
         return tuple(
@@ -126,21 +125,21 @@ def _search(A: StructAlgebra, start: Subspace) -> list:
     Members, generators and lines are held in the arithmetic of the
     domain's linalg.echelon_pair, a member as its echelon form
     (rows, pivots), keyed by its rows, which are canonical.  A residual is
-    the pair's reduce of a generator, and adjoin((), (), r, aux) scales it to
+    the pair's reduce of a generator, and grow((), (), r, aux) scales it to
     the canonical vector of its line.  The start lines are drawn from
     iter_subspaces and entered into the pair; each member becomes a
-    Subspace once, when the search returns.
+    Subspace, which keeps its form, once, when the search returns.
     """
     dom, n = A.dom, A.dim
-    enter, reduce, adjoin, _, _, aux, leave, nonzero = echelon_pair(dom)
-    first = (tuple(map(enter, start.rows)), start.pivots)
+    enter, reduce, grow, _, aux, _, nonzero = echelon_pair(dom)
+    first = start.form
     # reduced echelon rows are canonical, so over one ambient they are a key
     found = {first[0]: first}
     if A.is_commutative:
-        def grow(S, a):
+        def close(S, a):
             return generated_by_element(A, a, S, found)
     else:
-        def grow(S, a):
+        def close(S, a):
             return closure_form(A, S, [a], found=found)
     todo, gens = [], []
     free = [c for c in range(n) if c not in start.pivots]
@@ -153,7 +152,7 @@ def _search(A: StructAlgebra, start: Subspace) -> list:
         for c, x in zip(free, line.rows[0]):
             a[c] = x
         a = enter(a)
-        T = grow(first, a)
+        T = close(first, a)
         if T[0] not in found:
             found[T[0]] = T
             todo.append(T)
@@ -165,15 +164,15 @@ def _search(A: StructAlgebra, start: Subspace) -> list:
             r = reduce(rows, pivots, g, aux)
             if not nonzero(r):
                 continue
-            (r,), _ = adjoin((), (), r, aux)
+            (r,), _ = grow((), (), r, aux)
             if r in tried:
                 continue
             tried.add(r)
-            T = grow(S, r)
+            T = close(S, r)
             if T[0] not in found:
                 found[T[0]] = T
                 todo.append(T)
-    return [Subspace(dom, n, leave(rows, pivots, n), pivots) for rows, pivots in found.values()]
+    return [Subspace.of_form(dom, n, form) for form in found.values()]
 
 
 def enumerate_subalgebras(
@@ -189,4 +188,4 @@ def enumerate_subalgebras(
     if base_image.ambient != A.dim:
         raise DimensionMismatch("base image lives in the wrong space")
     start = closure(A, zero_subspace(A.dom, A.dim), [*base_image.rows, A.unit])
-    return SubalgebraLattice.of(A, _search(A, start))
+    return SubalgebraLattice.of(_search(A, start))

@@ -5,28 +5,21 @@ tuples.  Subspaces are stored as reduced row echelon bases, which makes
 the representation canonical: two subspaces are equal iff their row
 matrices are equal.
 
-This is the package's one elimination layer over fields.  Its one
-elimination step is a reduce/adjoin pair on a reduced echelon form
-(rows, pivots): reduce clears a vector's pivot coordinates, and adjoin makes
-a nonzero residual a new pivot row.  There is one pair per arithmetic:
-int_reduce/int_adjoin on primitive integer rows over QQ, bit_reduce/
-bit_adjoin on rows packed into the bits of one int over F_2 (bit j is
-coordinate j, so a row's pivot is its lowest set bit, and elimination is
-XOR), fp_reduce/fp_adjoin on ints over every other F_p, and reduce/adjoin
-through the domain's calls over every other field.  echelon_pair picks a
-domain's pair once, with the calls that move vectors into and rows out of
-its arithmetic and the test for a zero residual; every pair has the
-signature reduce(rows, pivots, vec, aux) and adjoin(rows, pivots, residual,
-aux).  Each pair also has grow and finish, with which a walk that adds many
-residuals in a row (algebra.generated_by_element and algebra.closure_form)
-grows its form: over QQ grow is int_insert, which puts the residual in at
-its pivot and leaves the older rows as they are, and finish is int_finish,
-one back-substitution at the end to the integer echelon form (fraction-free
-forward elimination with one back-substitution, as in Bareiss, Math. Comp.
-22, 1968); over every other field grow is adjoin and finish returns the form
-as it is, since bit_reduce and fp_reduce need reduced rows.  rref folds its
-rows one at a time into the empty span through reduce and adjoin; solve,
-nullspace and subspace_from_vectors run on rref, and combine forms linear
+This is the package's one elimination layer over fields.  Every echelon
+form (rows, pivots) grows one way: reduce clears a vector's pivot
+coordinates, grow puts a nonzero residual in as a new pivot row, and finish
+makes the form canonical once, at the end.  There is one such pair per
+arithmetic: over QQ int_reduce, int_insert (older rows left as they are) and
+int_finish (one back-substitution: fraction-free forward elimination as in
+Bareiss, Math. Comp. 22, 1968); over F_2 bit_reduce/bit_adjoin on rows
+packed into the bits of one int (bit j is coordinate j, so a row's pivot is
+its lowest set bit, and elimination is XOR); over every other F_p
+fp_reduce/fp_adjoin on ints; elsewhere reduce/adjoin through the domain's
+calls.  Off QQ grow keeps the form reduced and finish returns it as it is.
+echelon_pair, the one place that picks a subspace's arithmetic, gives a
+domain's pair; a Subspace keeps its form in it and tests containment there.
+rref folds its rows through the pair; solve, nullspace and
+subspace_from_vectors run on that fold, and combine forms linear
 combinations.
 Integer lattice normal forms and the determinant reference live in intmat.
 """
@@ -37,11 +30,11 @@ import bisect
 import math
 from collections.abc import Callable
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from fractions import Fraction
 from typing import NamedTuple
 
-from .domains import QQ, PrimeField, RationalField, ScalarDomain
+from .domains import PrimeField, RationalField, ScalarDomain
 from .errors import DimensionMismatch
 
 
@@ -89,17 +82,16 @@ def _int_primitive(ints) -> tuple:
 class EchelonPair(NamedTuple):
     """One arithmetic's elimination pair and its way in and out.
     enter(vec) puts a vector over the domain into the pair's arithmetic;
-    reduce(rows, pivots, vec, aux) and adjoin(rows, pivots, residual, aux)
-    grow a reduced echelon form (rows, pivots) in it; grow(rows, pivots,
-    residual, aux) adds a residual to an echelon form that reduce accepts
-    but that need not be reduced, and finish(rows, pivots, aux) turns such a
-    form into the one adjoin would have grown; nonzero(residual) tells a
-    residual that leaves the span; and leave(rows, pivots, n) gives the
-    reduced echelon rows over the domain, of length n."""
+    reduce(rows, pivots, vec, aux) gives vec's residual against an echelon
+    form (rows, pivots), and nonzero(residual) tells one that leaves the
+    span; grow(rows, pivots, residual, aux) puts a nonzero residual in
+    (grow((), (), r, aux) scales r to the canonical vector of its line);
+    finish(rows, pivots, aux) makes a grown form canonical; and
+    leave(rows, pivots, n) gives a finished form's reduced echelon rows over
+    the domain, of length n."""
 
     enter: Callable
     reduce: Callable
-    adjoin: Callable
     grow: Callable
     finish: Callable
     aux: object
@@ -117,10 +109,13 @@ def echelon_pair(dom: ScalarDomain) -> EchelonPair:
     if type(dom) is RationalField:
         return _RATIONAL_PAIR
     if type(dom) is PrimeField:
-        if dom.p == 2:
-            return _BIT_PAIR
-        return EchelonPair(tuple, fp_reduce, fp_adjoin, fp_adjoin, _finished, dom.p, _rows, any)
-    return EchelonPair(tuple, reduce, adjoin, adjoin, _finished, dom, _rows, any)
+        return _BIT_PAIR if dom.p == 2 else _fp_pair(dom.p)
+    return EchelonPair(tuple, reduce, adjoin, _finished, dom, _rows, any)
+
+
+@cache
+def _fp_pair(p: int) -> EchelonPair:
+    return EchelonPair(tuple, fp_reduce, fp_adjoin, _finished, p, _rows, any)
 
 
 def _rows(rows, pivots, n) -> tuple:
@@ -128,24 +123,33 @@ def _rows(rows, pivots, n) -> tuple:
 
 
 def _finished(rows, pivots, aux=None) -> tuple[tuple, tuple]:
-    """finish of a pair whose grow is its adjoin: the form is reduced."""
+    """finish of a pair whose grow keeps the form reduced."""
     return rows, pivots
+
+
+def _fold(pair: EchelonPair, vecs) -> tuple[tuple, tuple]:
+    """The finished form of the span of vecs: each vector entered, reduced
+    and grown in, and the form finished once."""
+    enter, reduce, grow, finish, aux, _, nonzero = pair
+    rows, pivots = (), ()
+    for v in vecs:
+        r = reduce(rows, pivots, enter(v), aux)
+        if nonzero(r):
+            rows, pivots = grow(rows, pivots, r, aux)
+    return finish(rows, pivots, aux)
 
 
 def rref(dom: ScalarDomain, rows) -> tuple[tuple, tuple]:
     """Reduced row echelon form; returns (nonzero rows, pivot columns).
 
     The rows are folded one at a time into the empty span through the
-    domain's echelon_pair.  The reduced echelon form is unique, so the order
-    of the rows and the pair that folds them do not change the result."""
-    enter, reduce, adjoin, _, _, aux, leave, nonzero = echelon_pair(dom)
-    out, pivots, n = (), (), 0
-    for v in rows:
-        n = len(v)
-        r = reduce(out, pivots, enter(v), aux)
-        if nonzero(r):
-            out, pivots = adjoin(out, pivots, r, aux)
-    return leave(out, pivots, n), pivots
+    domain's echelon_pair, and the form is finished once.  The reduced
+    echelon form is unique, so the order of the rows and the pair that folds
+    them do not change the result."""
+    pair = echelon_pair(dom)
+    rows = list(rows)
+    out, pivots = _fold(pair, rows)
+    return pair.leave(out, pivots, len(rows[0]) if rows else 0), pivots
 
 
 _ZERO = Fraction(0)
@@ -205,8 +209,8 @@ def adjoin(rows, pivots, residual, dom: ScalarDomain) -> tuple[tuple, tuple]:
 # Integer echelon form.  A subspace of Q^n is held as (rows, pivots): its
 # reduced echelon rows, each scaled to a primitive integer vector with a
 # positive pivot.  The reduced echelon form is unique, so this form is
-# canonical too, and rows can serve as a hashable key.  int_reduce and
-# int_adjoin are the fraction-free pair on it.
+# canonical too, and rows can serve as a hashable key.  int_reduce,
+# int_insert and int_finish are the fraction-free pair on it.
 
 def int_reduce(rows, pivots, vec, aux=None) -> tuple:
     """The residual of reduce over QQ, made primitive, for the subspace with
@@ -220,24 +224,6 @@ def int_reduce(rows, pivots, vec, aux=None) -> tuple:
         if c:
             v = _eliminate(v, c, row, row[p])
     return _int_primitive(v)
-
-
-def int_adjoin(rows, pivots, residual, aux=None) -> tuple[tuple, tuple]:
-    """The integer echelon form of the span of (rows, pivots) and a nonzero
-    residual of int_reduce: the residual becomes a new pivot row and is
-    cleared from the rows that have an entry in its pivot column.  Only those
-    rows are made primitive again."""
-    lead = next(j for j, x in enumerate(residual) if x)
-    d = residual[lead]
-    out = []
-    for row in rows:
-        c = row[lead]
-        if c:
-            row = _int_primitive(_eliminate(row, c, residual, d))
-        out.append(row)
-    at = bisect.bisect(pivots, lead)
-    out.insert(at, residual)
-    return tuple(out), pivots[:at] + (lead,) + pivots[at:]
 
 
 def int_insert(rows, pivots, residual, aux=None) -> tuple[tuple, tuple]:
@@ -257,7 +243,7 @@ def int_finish(rows, pivots, aux=None) -> tuple[tuple, tuple]:
     int_insert, by one back-substitution, last pivot first.  Each row is
     int_reduce'd against the rows below it, which are reduced by then, so
     its entries at their pivots are cleared and it is made primitive with a
-    positive pivot: the row int_adjoin would have left."""
+    positive pivot, as in the integer echelon form."""
     out = list(rows)
     for i in range(len(out) - 2, -1, -1):
         out[i] = int_reduce(out[i + 1:], pivots[i + 1:], out[i])
@@ -266,7 +252,7 @@ def int_finish(rows, pivots, aux=None) -> tuple[tuple, tuple]:
 
 # Prime-field kernel.  Over F_p a Subspace's rows are its reduced echelon
 # rows as ints in [0, p), so they serve as they are.  fp_reduce and fp_adjoin
-# are the generic pair without the per-entry domain calls.
+# are the generic reduce and adjoin without the per-entry domain calls.
 
 def fp_reduce(rows, pivots, vec, p) -> tuple:
     """reduce over F_p for the reduced echelon form (rows, pivots), vec a
@@ -340,8 +326,8 @@ def bit_adjoin(rows, pivots, residual, aux=None) -> tuple[tuple, tuple]:
     return tuple(out), pivots[:at] + (lead,) + pivots[at:]
 
 
-_RATIONAL_PAIR = EchelonPair(primitive, int_reduce, int_adjoin, int_insert, int_finish, None, _rational_rows, any)
-_BIT_PAIR = EchelonPair(bit_pack, bit_reduce, bit_adjoin, bit_adjoin, _finished, None, _bit_rows, bool)
+_RATIONAL_PAIR = EchelonPair(primitive, int_reduce, int_insert, int_finish, None, _rational_rows, any)
+_BIT_PAIR = EchelonPair(bit_pack, bit_reduce, bit_adjoin, _finished, None, _bit_rows, bool)
 
 
 def solve(dom: ScalarDomain, rows, target):
@@ -376,9 +362,24 @@ class Subspace:
     rows: tuple
     pivots: tuple
 
+    @classmethod
+    def of_form(cls, dom: ScalarDomain, ambient: int, form) -> "Subspace":
+        """The subspace of a finished form in echelon_pair(dom)'s
+        arithmetic: the rows leave the pair once, and the form is kept."""
+        rows, pivots = form
+        s = cls(dom, ambient, echelon_pair(dom).leave(rows, pivots, ambient), pivots)
+        s.__dict__["form"] = form
+        return s
+
     @property
     def dim(self) -> int:
         return len(self.rows)
+
+    @cached_property
+    def form(self) -> tuple[tuple, tuple]:
+        """(rows entered into echelon_pair(dom), pivots): over QQ the
+        integer echelon form, over F_2 the rows packed into ints."""
+        return tuple(map(echelon_pair(self.dom).enter, self.rows)), self.pivots
 
     def reduce(self, vec):
         """Residual of vec after eliminating all pivot coordinates."""
@@ -389,14 +390,18 @@ class Subspace:
         return reduce(self.rows, self.pivots, vec, self.dom)
 
     def contains(self, vec) -> bool:
-        if type(self.dom) is RationalField:  # fraction-free on int_rows
-            if len(vec) != self.ambient:
-                raise DimensionMismatch("vector length != ambient dimension")
-            return not any(int_reduce(self.int_rows, self.pivots, primitive(vec)))
-        return not any(self.reduce(vec))
+        """Whether vec's residual against the form is zero."""
+        if len(vec) != self.ambient:
+            raise DimensionMismatch("vector length != ambient dimension")
+        enter, reduce, _, _, aux, _, nonzero = echelon_pair(self.dom)
+        return not nonzero(reduce(*self.form, enter(vec), aux))
 
     def contains_subspace(self, other: "Subspace") -> bool:
-        return all(self.contains(r) for r in other.rows)
+        """Whether each row of other's form has a zero residual here."""
+        if other.ambient != self.ambient:
+            raise DimensionMismatch("subspaces of different ambient dimension")
+        _, reduce, _, _, aux, _, nonzero = echelon_pair(self.dom)
+        return not any(nonzero(reduce(*self.form, r, aux)) for r in other.form[0])
 
     def coords(self, vec):
         """Coordinates of vec in the echelon basis; vec must lie in the
@@ -404,12 +409,6 @@ class Subspace:
         if not self.contains(vec):
             raise ValueError("vector not in subspace")
         return tuple(vec[p] for p in self.pivots)
-
-    @cached_property
-    def int_rows(self) -> tuple:
-        """Over QQ, the rows scaled to primitive integer vectors: with the
-        pivots, the subspace's integer echelon form."""
-        return tuple(primitive(r) for r in self.rows)
 
     def key(self):
         """Hashable canonical form: the reduced echelon rows are unique, and
@@ -421,8 +420,7 @@ def subspace_from_vectors(dom, ambient, vecs) -> Subspace:
     for v in vecs:
         if len(v) != ambient:
             raise DimensionMismatch("vector length != ambient dimension")
-    rows, pivots = rref(dom, list(vecs))
-    return Subspace(dom, ambient, rows, pivots)
+    return Subspace.of_form(dom, ambient, _fold(echelon_pair(dom), vecs))
 
 
 def zero_subspace(dom, ambient) -> Subspace:

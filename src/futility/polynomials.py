@@ -689,14 +689,16 @@ def _fp_equal_degree_split(K: PolyKernel, p: int, w: list, d: int, rng) -> list[
 # Factorization over Q (Zassenhaus: mod-p factorization, Hensel lifting,
 # exhaustive subset recombination, all on int lists)
 # ---------------------------------------------------------------------------
+DEGREE_BOUND = 24  # the largest degree factor_over_rationals takes
 
-def factor_over_rationals(f: Poly, seed: int = 0, degree_bound: int = 24) -> FactoredPoly:
+
+def factor_over_rationals(f: Poly, seed: int = 0) -> FactoredPoly:
     if f.is_zero:
         raise ZeroPolynomial("cannot factor the zero polynomial")
     if f.dom != QQ:
         raise UnsupportedDomain("factor_over_rationals needs the rational domain")
-    if f.degree > degree_bound:
-        raise DegreeBoundExceeded(f"degree {f.degree} exceeds bound {degree_bound}")
+    if f.degree > DEGREE_BOUND:
+        raise DegreeBoundExceeded(f"degree {f.degree} exceeds bound {DEGREE_BOUND}")
     unit = f.lc
     monic = pmonic(f)
     found: list[tuple[Poly, int]] = []

@@ -29,6 +29,8 @@ from .intmat import hermite_basis, hnf_adjoin, hnf_reduce
 from .linalg import Subspace, int_reduce, subspace_from_vectors
 from .polynomials import Poly, pmul, squarefree_decomposition
 
+STABLE_MARKS = 4  # equal growth marks at the end of a run that make it stabilized
+
 
 @dataclass(frozen=True)
 class SampleHistogram:
@@ -48,11 +50,11 @@ class SampleHistogram:
     def count(self) -> int:
         return len(self.distinct)
 
-    def stabilized(self, marks: int = 4) -> bool:
-        """True when the last `marks` recorded growth marks are all equal."""
-        if len(self.growth_curve) < marks:
+    def stabilized(self) -> bool:
+        """True when the last STABLE_MARKS growth marks are all equal."""
+        if len(self.growth_curve) < STABLE_MARKS:
             return False
-        tail = self.growth_curve[-marks:]
+        tail = self.growth_curve[-STABLE_MARKS:]
         return all(x == tail[0] for x in tail)
 
 
@@ -65,7 +67,7 @@ def sample_subalgebras(target, trials: int, bound: int, seed: int = 0, stop: int
     primitive integer vector, which is sound because R[a] = R[c*a + r] for
     c != 0 and r in the base image.  Memo keys and closures are integer
     echelon forms, and a subalgebra is kept as its canonical integer echelon
-    rows, those of Subspace.int_rows.
+    rows, those of its Subspace.form.
     """
     if isinstance(target, RelativeAlgebra):
         A = target.amb
@@ -78,7 +80,7 @@ def sample_subalgebras(target, trials: int, bound: int, seed: int = 0, stop: int
     if A.dom != QQ:
         raise UnsupportedDomain("sampling runs over the rationals; finite domains enumerate")
 
-    form = (base.int_rows, base.pivots)
+    form = base.form
 
     def close(a):
         return generated_by_element(A, a, form)[0]

@@ -123,4 +123,4 @@ def goursat_enumerate(A, B, budget=DEFAULT_BUDGET):
                             )
                         seen.add(key)
                         members.append(s)
-    return SubalgebraLattice.of(AB, members)
+    return SubalgebraLattice.of(members)

@@ -55,9 +55,9 @@ ERROR_ONLY = "error-only: runs when an input is refused"
 # module.function or module.Class -> why no command reaches it
 ALLOWED = {
     "domains.mp_shift_down": "input-dependent: a rational function whose numerator and denominator share a monomial",
-    "intmat.det_int": "ROADMAP items 2 and 6: the integer-rank certificate check",
-    "sampler.family_witness": "ROADMAP items 3 and 6: replaced by the linear witness family",
-    "sampler._trim": "ROADMAP items 3 and 6: replaced by the linear witness family",
+    "intmat.det_int": "ROADMAP item 2: the integer-rank certificate check",
+    "sampler.family_witness": "ROADMAP item 3: replaced by the linear witness family",
+    "sampler._trim": "ROADMAP item 3: replaced by the linear witness family",
     "errors.NotAField": ERROR_ONLY,
     "errors.NotInvertible": ERROR_ONLY,
 }

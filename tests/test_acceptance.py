@@ -84,11 +84,11 @@ def test_criterion_1_nilpotent_line_boundary():
     checks.append(elapsed < 1.0)
     checks.append(h.count == 3)
     expected_members = {
-        subspace_from_vectors(QQ, 3, [A.unit]).int_rows,
-        subspace_from_vectors(QQ, 3, [A.unit, (Fraction(0), Fraction(0), Fraction(1))]).int_rows,
+        subspace_from_vectors(QQ, 3, [A.unit]).form[0],
+        subspace_from_vectors(QQ, 3, [A.unit, (Fraction(0), Fraction(0), Fraction(1))]).form[0],
         subspace_from_vectors(
             QQ, 3, [A.unit, (Fraction(0), Fraction(1), Fraction(0)), (Fraction(0), Fraction(0), Fraction(1))]
-        ).int_rows,
+        ).form[0],
     }
     checks.append(set(h.distinct) == expected_members)
     report(1, "nilpotent line boundary r<=3 plus exact sampler list", all(checks))

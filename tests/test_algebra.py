@@ -1318,12 +1318,12 @@ def test_generated_by_element_matches_subalgebra_generated(target):
     # the integer kernel over Q against the span-and-multiply fixpoint
     A, base = target()
     base = base or unit_span(A)
-    form = (base.int_rows, base.pivots)
+    form = base.form
     rng = random.Random(3)
     for _ in range(25):
         a = tuple(Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(A.dim))
         expected = span_and_multiply(A, [*base.rows, a])
-        assert generated_by_element(A, primitive(a), form) == (expected.int_rows, expected.pivots)
+        assert generated_by_element(A, primitive(a), form) == expected.form
     with pytest.raises(DimensionMismatch):
         generated_by_element(A, primitive(a[:-1]), form)
 
@@ -1384,8 +1384,8 @@ def test_generated_by_element_matches_subalgebra_generated_on_random_targets():
             elements.append(tuple(sum(c * x for c, x in zip(coeffs, col)) for col in zip(*sub.rows)))
         for a in elements:
             expected = span_and_multiply(A, [*base.rows, a])
-            got = generated_by_element(A, primitive(a), (base.int_rows, base.pivots))
-            assert got == (expected.int_rows, expected.pivots), (name, a)
+            got = generated_by_element(A, primitive(a), base.form)
+            assert got == expected.form, (name, a)
             relative += base.dim >= 2 and base.dim < expected.dim
             whole += got is A.full_form
             proper += base.dim < expected.dim < A.dim
@@ -1417,8 +1417,8 @@ def test_closure_form_over_q_matches_span_and_multiply(case):
     for count in (0, 1, 1, 1, 1, 2, 2, 2, 2):
         gens = [tuple(Fraction(rng.randint(-2, 2) * rng.randint(0, 1)) for _ in range(A.dim)) for _ in range(count)]
         expected = span_and_multiply(A, [A.unit, *gens])
-        got = closure_form(A, (unit.int_rows, unit.pivots), map(primitive, gens))
-        assert got == (expected.int_rows, expected.pivots), gens
+        got = closure_form(A, unit.form, map(primitive, gens))
+        assert got == expected.form, gens
         assert (got is A.full_form) == (expected.dim == A.dim)
         sizes.add(expected.dim)
     assert {1, A.dim} < sizes  # the unit line, the whole algebra and a proper one

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from futility.domains import QQ, FunctionField, PrimeField, RationalField
 from futility.errors import DimensionMismatch
 from futility.linalg import (
+    EchelonPair,
     Subspace,
     adjoin,
     bit_adjoin,
@@ -20,7 +21,6 @@ from futility.linalg import (
     fp_adjoin,
     fp_reduce,
     full_subspace,
-    int_adjoin,
     int_finish,
     int_insert,
     int_reduce,
@@ -35,6 +35,7 @@ from futility.linalg import (
     vec_is_zero,
     zero_subspace,
 )
+from reference_linalg import int_adjoin
 
 F2 = PrimeField(2)
 F3 = PrimeField(3)
@@ -323,7 +324,7 @@ def subspace_and_vector(draw):
 def test_int_reduce_matches_reduce_over_q(case):
     s, vec = case
     rows, pivots = integer_form(s)
-    assert s.int_rows == rows
+    assert s.form == (rows, pivots)
     reduced = int_reduce(rows, pivots, vec)
     assert reduced == primitive(s.reduce(vec))
     assert all(type(x) is int for x in reduced)
@@ -333,8 +334,9 @@ def test_int_reduce_matches_reduce_over_q(case):
 @example([(Fraction(1, 2), Fraction(-3))], None)
 @example([], None)
 def test_contains_over_q_matches_generic_loop(mat, data):
-    """Subspace.contains over QQ runs on int_rows; the generic loop over the
-    same rows must agree, on vectors inside the span and outside it."""
+    """Subspace.contains over QQ runs on its integer echelon form; the
+    generic loop over the same rows must agree, on vectors inside the span
+    and outside it."""
     ncols = len(mat[0]) if mat else 3
     s = subspace_from_vectors(QQ, ncols, mat)
     generic = Subspace(GENERIC_QQ, ncols, s.rows, s.pivots)
@@ -444,7 +446,7 @@ def test_the_three_pairs_agree_over_f2():
     # bitmasks, the F_p ints at p = 2 and the generic domain calls fold the
     # same rows to the same reduced echelon form, which rref returns
     pair = echelon_pair(F2)
-    assert (pair.enter, pair.reduce, pair.adjoin) == (bit_pack, bit_reduce, bit_adjoin)
+    assert (pair.enter, pair.reduce, pair.grow) == (bit_pack, bit_reduce, bit_adjoin)
     full = 0
     for rows, n in f2_matrices():
         masks, pivots = fold(bit_reduce, bit_adjoin, None, bool, map(bit_pack, rows))
@@ -488,8 +490,8 @@ def q_matrices():
 
 def test_forward_growth_and_one_finish_give_the_integer_echelon_form():
     # int_insert leaves the older rows unreduced; int_reduce gives the same
-    # residuals on that form, and int_finish back-substitutes it to what
-    # int_adjoin folds and rref returns
+    # residuals on that form, and int_finish back-substitutes it to what the
+    # reference int_adjoin folds and rref returns
     pair = echelon_pair(QQ)
     assert (pair.grow, pair.finish) == (int_insert, int_finish)
     full = based = unreduced = 0
@@ -515,10 +517,66 @@ def test_grow_is_adjoin_and_finish_keeps_the_form_off_q(dom):
     # bit_reduce and fp_reduce read the pivot entries of the vector they are
     # given, so every pair but the rational one grows reduced rows
     pair = echelon_pair(dom)
-    assert pair.grow is pair.adjoin
+    assert pair.grow is {F2: bit_adjoin, F3: fp_adjoin}.get(dom, adjoin)
     s = subspace_from_vectors(dom, 3, [(dom.one, dom.one, dom.zero), (dom.zero, dom.one, dom.one)])
     form = (tuple(map(pair.enter, s.rows)), s.pivots)
+    assert s.form == form
     assert pair.finish(*form, pair.aux) == form
+
+
+# --- containment through the pair ----------------------------------------------
+
+def seeded_element(dom, rng):
+    if dom == QQ:
+        return Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+    if isinstance(dom, PrimeField):
+        return rng.randrange(dom.p)
+    return rng.choice(function_field_elements(dom))
+
+
+@pytest.mark.parametrize("dom", [QQ, F2, F3, F2T], ids=repr)
+def test_containment_runs_on_the_form_and_agrees_with_generic_reduce(dom):
+    # contains and contains_subspace reduce in the pair's arithmetic (integer
+    # rows over QQ, packed rows over F_2); generic reduce on the tuple rows
+    # must give the same answers, and a Subspace made from its form equals
+    # the one made from rref, with the rows re-entered as its form
+    assert EchelonPair._fields == ("enter", "reduce", "grow", "finish", "aux", "leave", "nonzero")
+    rng = random.Random(7)
+    pair = echelon_pair(dom)
+    if isinstance(dom, PrimeField):  # built once per p
+        assert echelon_pair(PrimeField(dom.p)) is pair
+
+    def vector(n):
+        return tuple(seeded_element(dom, rng) for _ in range(n))
+
+    def inside(s):
+        return combine(dom, [seeded_element(dom, rng) for _ in s.rows], s.rows, s.ambient)
+
+    def generic_contains(s, v):
+        return not any(reduce(s.rows, s.pivots, v, dom))
+
+    small = isinstance(dom, FunctionField)
+    verdicts = set()
+    for _ in range(20 if small else 80):
+        n = rng.randrange(1, 4 if small else 6)
+        vs = [vector(n) for _ in range(rng.randrange(n + 2))]
+        if vs and rng.random() < 0.3:
+            vs += [vs[0], (dom.zero,) * n]
+        s = subspace_from_vectors(dom, n, vs)
+        assert s == Subspace(dom, n, *rref(dom, vs))
+        assert s.form == (tuple(map(pair.enter, s.rows)), s.pivots)
+        for v in [*vs, vector(n), inside(s)]:
+            assert s.contains(v) == generic_contains(s, v)
+            verdicts.add(("vector", s.contains(v)))
+        for ws in ([inside(s) for _ in range(2)], [inside(s), vector(n)], []):
+            for t in (subspace_from_vectors(dom, n, ws), Subspace(dom, n, *rref(dom, ws))):
+                assert s.contains_subspace(t) == all(generic_contains(s, r) for r in t.rows)
+                verdicts.add(("subspace", s.contains_subspace(t)))
+        with pytest.raises(DimensionMismatch):
+            s.contains(vector(n + 1))
+        with pytest.raises(DimensionMismatch):
+            s.contains_subspace(zero_subspace(dom, n + 1))
+    assert verdicts == {(kind, b) for kind in ("vector", "subspace") for b in (True, False)}
 
 
 @pytest.mark.parametrize("dom", [QQ, F2, F3, F2T, F3ST], ids=repr)

@@ -95,7 +95,7 @@ def test_sample_members_revalidate():
     h = sample_subalgebras(A, trials=300, bound=4, seed=11)
     for rows in h.distinct:
         s = subspace_of(A, rows)
-        assert s.int_rows == rows
+        assert s.form[0] == rows
         assert s.contains(A.unit)
         for u in s.rows:
             for v in s.rows:
@@ -134,12 +134,12 @@ def unmemoized_histogram(A, base, trials, bound, seed):
     span per draw, starting from the base member; members as their integer
     rows."""
     zero = zero_subspace(QQ, A.dim)
-    seen = {closure(A, zero, base.rows).int_rows}
+    seen = {closure(A, zero, base.rows).form[0]}
     curve = []
     mark = 1
     for t, vec in enumerate(reference_draws(seed, trials, A.dim, bound), 1):
         if vec is not None:
-            seen.add(closure(A, zero, [*base.rows, tuple(map(Fraction, vec))]).int_rows)
+            seen.add(closure(A, zero, [*base.rows, tuple(map(Fraction, vec))]).form[0])
         if t == mark:
             curve.append(len(seen))
             mark *= 2
@@ -314,7 +314,7 @@ def test_sampled_rows_match_span_and_multiply_closures(monkeypatch, name, target
 
     def reference(A, a, base):
         s = span_and_multiply(A, [*(tuple(map(Fraction, r)) for r in base[0]), tuple(map(Fraction, a))])
-        return s.int_rows, s.pivots
+        return s.form
 
     monkeypatch.setattr(futility.sampler, "generated_by_element", reference)
     assert h.distinct == sample_subalgebras(target, 200, opts["bound"], opts["seed"]).distinct
@@ -359,4 +359,4 @@ def test_family_members_appear_in_samples():
     A = poly_quotient_algebra(modulus)
     h = sample_subalgebras(A, trials=800, bound=3, seed=17)
     for m in members:
-        assert m.int_rows in h.distinct
+        assert m.form[0] in h.distinct
