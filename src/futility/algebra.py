@@ -89,12 +89,10 @@ class StructAlgebra:
     @cached_property
     def sparse(self) -> tuple:
         """The table without its zeros: sparse[i][j] holds the nonzero
-        (k, c_ijk).  Products, validation and the trace form all run on it."""
+        (k, c_ijk).  Products, validation and the trace form all run on it.
+        Formed once per distinct table vector (_per_vector)."""
         is_zero = self.dom.is_zero
-        return tuple(
-            tuple(tuple((k, c) for k, c in enumerate(v) if not is_zero(c)) for v in block)
-            for block in self.table
-        )
+        return _per_vector(self.table, lambda v: tuple((k, c) for k, c in enumerate(v) if not is_zero(c)))
 
     @cached_property
     def int_den(self) -> int:
@@ -106,10 +104,7 @@ class StructAlgebra:
         """D * sparse over QQ: int_tensor[i][j] holds the nonzero
         (k, D * c_ijk) as Python ints."""
         den = self.int_den
-        return tuple(
-            tuple(tuple((k, c.numerator * (den // c.denominator)) for k, c in v) for v in block)
-            for block in self.sparse
-        )
+        return _per_vector(self.sparse, lambda v: tuple((k, c.numerator * (den // c.denominator)) for k, c in v))
 
     @cached_property
     def bit_table(self) -> tuple:
@@ -157,6 +152,23 @@ GENERATOR_BUDGET = 2048  # primitive_element's trials over Q, 64 times it over F
 _ZERO = Fraction(0)
 
 
+def _per_vector(table, f) -> tuple:
+    """The dim x dim table with f applied to each vector, once per distinct
+    vector object: a quotient table repeats powers[i + j] along each
+    antidiagonal, so it holds 2n - 1 distinct vectors, and equal entries
+    made apart are simply formed apart.  The memo is keyed by id(); it lives
+    only in this call, while table holds every vector it keys."""
+    memo = {}
+
+    def once(v):
+        key = id(v)
+        if key not in memo:
+            memo[key] = f(v)
+        return memo[key]
+
+    return tuple(tuple(map(once, block)) for block in table)
+
+
 def check_dimension(n: int) -> None:
     """Refuse a structure table of dimension above MAX_DIM before it is
     allocated: the table has n^3 entries and validating it costs up to n^5
@@ -198,7 +210,7 @@ def make_algebra(dom: ScalarDomain, table, unit) -> StructAlgebra:
     elif kind is FunctionField:
         entries = [c for _, c in unit_terms] + [c for block in A.sparse for v in block for _, c in v]
         D, cleared = _poly_clearing(dom, entries)
-        T = tuple(tuple(tuple((k, cleared(c)) for k, c in v) for v in block) for block in A.sparse)
+        T = _per_vector(A.sparse, lambda v: tuple((k, cleared(c)) for k, c in v))
         unit_terms = [(l, cleared(c)) for l, c in unit_terms]
         combine = partial(_poly_combine, dom.p, {})
         scale, zero = mp_mul(D, D, dom.p), ()
@@ -421,15 +433,19 @@ def element_multiply(A: StructAlgebra, u, v):
 
 
 def element_power(A: StructAlgebra, u, n: int):
-    acc = A.unit
-    base = u
-    while n:
+    """u^n by squaring, from u itself rather than from the unit:
+    (bit_length(n) - 1) squarings and (popcount(n) - 1) further products;
+    u^0 is the unit."""
+    if n == 0:
+        return A.unit
+    acc = None
+    while True:
         if n & 1:
-            acc = element_multiply(A, acc, base)
+            acc = u if acc is None else element_multiply(A, acc, u)
         n >>= 1
-        if n:
-            base = element_multiply(A, base, base)
-    return acc
+        if not n:
+            return acc
+        u = element_multiply(A, u, u)
 
 
 def mult_rows(A: StructAlgebra, u):
@@ -1092,19 +1108,39 @@ def _read_factors(A: StructAlgebra, nil: Subspace, nil2: Subspace, pieces) -> li
 # ---------------------------------------------------------------------------
 
 def frobenius_chain(L: StructAlgebra) -> list[Subspace]:
-    """Chain of iterated Frobenius spans down to its stabilization point
-    (the separable closure of the coefficient field inside L)."""
-    p = L.dom.char
+    """Chain of iterated Frobenius spans L, KL^p, KL^(p^2), ... down to its
+    stabilization point (the separable closure of the coefficient field
+    inside L).
+
+    In a commutative algebra of characteristic p Frobenius is additive, so
+    (sum c_j w_j)^p = sum c_j^p w_j^p: the K-span of the p-th powers of any
+    basis of a member is the next member.  So the chain keeps basis vectors
+    g_i, starting from the standard basis: each step raises them to g_i^p,
+    folds them through the domain's echelon pair, and keeps the g_i whose
+    residual is nonzero, a basis of the new member.  The reduced echelon
+    form is canonical, so each member is the span of the p-th powers of the
+    previous member's reduced rows as well."""
+    dom = L.dom
+    p = dom.char
     if p == 0:
         raise CharacteristicZero("Frobenius chain needs positive characteristic")
-    chain = [full_subspace(L.dom, L.dim)]
+    if not L.is_commutative:
+        raise ValidationError("Frobenius chain needs a commutative algebra")
+    enter, reduce, grow, finish, aux, _, nonzero = echelon_pair(dom)
+    chain = [full_subspace(dom, L.dim)]
+    gens = [L.basis_vector(i) for i in range(L.dim)]
     while True:
-        prev = chain[-1]
-        vecs = [element_power(L, v, p) for v in prev.rows]
-        nxt = subspace_from_vectors(L.dom, L.dim, vecs)
-        if nxt.dim == prev.dim:
+        rows, pivots, kept = (), (), []
+        for g in gens:
+            g = element_power(L, g, p)
+            r = reduce(rows, pivots, enter(g), aux)
+            if nonzero(r):
+                rows, pivots = grow(rows, pivots, r, aux)
+                kept.append(g)
+        if len(kept) == len(gens):
             return chain
-        chain.append(nxt)
+        chain.append(Subspace.of_form(dom, L.dim, finish(rows, pivots, aux)))
+        gens = kept
 
 
 # ---------------------------------------------------------------------------

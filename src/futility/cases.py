@@ -15,7 +15,6 @@ from dataclasses import dataclass
 
 from .algebra import (
     MAX_DIM,
-    RelativeAlgebra,
     StructAlgebra,
     check_dimension,
     make_algebra,

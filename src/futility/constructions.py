@@ -7,7 +7,14 @@ from __future__ import annotations
 
 from functools import cached_property
 
-from .algebra import StructAlgebra, check_dimension, element_multiply, invert_element, make_algebra
+from .algebra import (
+    StructAlgebra,
+    _per_vector,
+    check_dimension,
+    element_multiply,
+    invert_element,
+    make_algebra,
+)
 from .domains import ScalarDomain
 from .errors import ValidationError
 from .linalg import unit_vec, zero_vec
@@ -128,10 +135,10 @@ def extend_by_poly(L: StructAlgebra, coeff_vectors) -> StructAlgebra:
     d, m = g.degree, L.dim
     check_dimension(m * d)
     powers = _power_table(pscale(g, level.inv(g.lc)))
-    # products[s][i][j]: the coordinates of (b_i b_j)(z^s mod g)
-    products = [
-        [[tuple(c for w in zs for c in element_multiply(L, bij, w)) for bij in row] for row in L.table]
-        for zs in powers
-    ]
-    table = [[products[e + f][i][j] for f in range(d) for j in range(m)] for e in range(d) for i in range(m)]
+    # products[i][j][s]: the coordinates of (b_i b_j)(z^s mod g), formed once
+    # per distinct vector b_i b_j of L's table
+    products = _per_vector(
+        L.table, lambda bij: [tuple(c for w in zs for c in element_multiply(L, bij, w)) for zs in powers]
+    )
+    table = [[products[i][j][e + f] for f in range(d) for j in range(m)] for e in range(d) for i in range(m)]
     return make_algebra(L.dom, table, (*L.unit, *zero_vec(L.dom, m * (d - 1))))

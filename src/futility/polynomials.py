@@ -109,15 +109,17 @@ def psub(a: Poly, b: Poly) -> Poly:
 
 
 def pmul(a: Poly, b: Poly) -> Poly:
+    """The product, formed over the nonzero coefficients of both factors."""
     _check(a, b)
     dom = a.dom
     if a.is_zero or b.is_zero:
         return pzero(dom)
     out = [dom.zero] * (len(a.coeffs) + len(b.coeffs) - 1)
+    bs = [(j, cb) for j, cb in enumerate(b.coeffs) if not dom.is_zero(cb)]
     for i, ca in enumerate(a.coeffs):
         if dom.is_zero(ca):
             continue
-        for j, cb in enumerate(b.coeffs):
+        for j, cb in bs:
             out[i + j] = dom.add(out[i + j], dom.mul(ca, cb))
     return make_poly(dom, out)
 
@@ -181,15 +183,18 @@ def pderiv(a: Poly) -> Poly:
 
 
 def ppow(a: Poly, n: int) -> Poly:
-    acc = pconst(a.dom, a.dom.one)
-    base = a
-    while n:
+    """a^n by squaring, from a itself, as algebra.element_power does; a^0 is
+    the constant 1."""
+    if n == 0:
+        return pconst(a.dom, a.dom.one)
+    acc = None
+    while True:
         if n & 1:
-            acc = pmul(acc, base)
+            acc = a if acc is None else pmul(acc, a)
         n >>= 1
-        if n:
-            base = pmul(base, base)
-    return acc
+        if not n:
+            return acc
+        a = pmul(a, a)
 
 
 def expand_xp(a: Poly, p: int) -> Poly:

@@ -5,7 +5,10 @@ that F_p factorization and its Hensel steps on F_p Polys.  Oracles for
 polynomials.factor_over_prime_field and polynomials.factor_over_rationals,
 whose arithmetic runs on the kernels' int lists.  Its gcd and squarefree
 decomposition run on the domain-call kernel (polynomials.domain_kernel), and
-pmod and ppowmod, which no code in src/ calls any more, are kept here."""
+pmod and ppowmod, which no code in src/ calls any more, are kept here, and
+so are pmul_over_every_coefficient and ppow_from_one, the product and power
+as they ran before pmul skipped the zero coefficients of its second factor
+and ppow started from its base."""
 
 import math
 import random
@@ -57,6 +60,33 @@ def ppowmod(a: Poly, n: int, mod: Poly) -> Poly:
         n >>= 1
         if n:
             base = pmod(pmul(base, base), mod)
+    return acc
+
+
+def pmul_over_every_coefficient(a: Poly, b: Poly) -> Poly:
+    """The product, skipping only the zero coefficients of a."""
+    dom = a.dom
+    if a.is_zero or b.is_zero:
+        return make_poly(dom, [])
+    out = [dom.zero] * (len(a.coeffs) + len(b.coeffs) - 1)
+    for i, ca in enumerate(a.coeffs):
+        if dom.is_zero(ca):
+            continue
+        for j, cb in enumerate(b.coeffs):
+            out[i + j] = dom.add(out[i + j], dom.mul(ca, cb))
+    return make_poly(dom, out)
+
+
+def ppow_from_one(a: Poly, n: int) -> Poly:
+    """a^n by squaring, the accumulator starting at the constant 1."""
+    acc = pconst(a.dom, a.dom.one)
+    base = a
+    while n:
+        if n & 1:
+            acc = pmul_over_every_coefficient(acc, base)
+        n >>= 1
+        if n:
+            base = pmul_over_every_coefficient(base, base)
     return acc
 
 

@@ -1,9 +1,44 @@
-"""The per-entry reduction: the table of a tower level L[z]/(g), each entry
-reduced modulo g from its own top degree down, as an oracle for
-constructions.extend_by_poly."""
+"""Tower oracles.  The per-entry reduction: the table of a tower level
+L[z]/(g), each entry reduced modulo g from its own top degree down, as an
+oracle for constructions.extend_by_poly.  The Frobenius chain on reduced
+rows: each member the span of the p-th powers of the previous member's
+reduced echelon rows, as algebra.frobenius_chain formed it before it kept
+the p-th powers of a basis, as an oracle for it.  RatFunc takes no gcd, so
+equal tower values can differ in their num and den tuples: exact compares
+those."""
 
-from futility.algebra import element_multiply, invert_element
-from futility.linalg import vec_is_zero, zero_vec
+from futility.algebra import element_multiply, element_power, invert_element
+from futility.domains import RatFunc
+from futility.errors import CharacteristicZero
+from futility.linalg import full_subspace, subspace_from_vectors, vec_is_zero, zero_vec
+from futility.polynomials import Poly
+
+
+def exact(x):
+    """x with every RatFunc replaced by its (num, den) tuples, in tuples, lists
+    and Polys, so that == compares representations, not values."""
+    if isinstance(x, RatFunc):
+        return (x.num, x.den)
+    if isinstance(x, (tuple, list)):
+        return tuple(map(exact, x))
+    if isinstance(x, Poly):
+        return exact(x.coeffs)
+    return x
+
+
+def frobenius_chain_on_rows(L):
+    """The chain L, KL^p, KL^(p^2), ... down to its stabilization point, each
+    member spanned by the p-th powers of the reduced rows of the one before."""
+    p = L.dom.char
+    if p == 0:
+        raise CharacteristicZero("Frobenius chain needs positive characteristic")
+    chain = [full_subspace(L.dom, L.dim)]
+    while True:
+        prev = chain[-1]
+        nxt = subspace_from_vectors(L.dom, L.dim, [element_power(L, v, p) for v in prev.rows])
+        if nxt.dim == prev.dim:
+            return chain
+        chain.append(nxt)
 
 
 def reduce_each_entry(L, coeff_vectors):

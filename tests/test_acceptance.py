@@ -11,7 +11,6 @@ from pathlib import Path
 from futility.algebra import (
     element_multiply,
     make_relative,
-    minimal_polynomial,
     product_algebra,
 )
 from futility.cases import build_case, parse_case

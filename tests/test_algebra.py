@@ -56,7 +56,6 @@ from futility.linalg import (
     nullspace,
     primitive,
     subspace_from_vectors,
-    unit_vec,
     vec_is_zero,
     zero_subspace,
 )
@@ -64,6 +63,7 @@ from futility.polynomials import factor_over_rationals, make_poly, pmul, poly_to
 import reference_local
 from reference_closure import span_and_multiply
 from reference_tables import change_of_basis, scan_with_blocks, upper_triangular_algebra
+from reference_tower import exact, frobenius_chain_on_rows
 
 F2 = PrimeField(2)
 F3 = PrimeField(3)
@@ -1216,17 +1216,48 @@ def test_frobenius_span_inseparable():
     assert chain[1] == subspace_from_vectors(L.dom, L.dim, squares)
 
 
-def test_frobenius_span_separable():
-    K = FunctionField(2, ("t",))
-    t = K.variable("t")
+def tower_separable():
     # x^2 + x + t: separable, so the Frobenius span is everything
-    L = poly_quotient_algebra(make_poly(K, [t, K.one, K.one]))
-    assert [c.dim for c in frobenius_chain(L)] == [2]
+    t = F2T.variable("t")
+    return poly_quotient_algebra(make_poly(F2T, [t, F2T.one, F2T.one]))
+
+
+def tower_trivial():
+    K = FunctionField(3, ("t",))
+    return poly_quotient_algebra(make_poly(K, [K.neg(K.variable("t")), K.one]))
+
+
+def tower_two_variable():
+    K = FunctionField(2, ("s", "t"))
+    s_var = K.variable("s")
+    t_var = K.variable("t")
+    L1 = poly_quotient_algebra(make_poly(K, [K.neg(s_var), K.zero, K.one]))  # x^2 = s
+    # extend by y^2 - t
+    coeffs = [tuple(K.neg(t_var) if i == 0 else K.zero for i in range(2)), (K.zero, K.zero), (K.one, K.zero)]
+    return extend_by_poly(L1, coeffs)
+
+
+def tower_deep_chain():
+    # x^4 - t over F_2(t): chain 4 -> 2 -> 1
+    t = F2T.variable("t")
+    return poly_quotient_algebra(make_poly(F2T, [F2T.neg(t), F2T.zero, F2T.zero, F2T.zero, F2T.one]))
+
+
+TIER1_TOWERS = {
+    "inseparable": tower_f2t_x2_minus_t,
+    "separable": tower_separable,
+    "trivial": tower_trivial,
+    "two-variable": tower_two_variable,
+    "deep-chain": tower_deep_chain,
+}
+
+
+def test_frobenius_span_separable():
+    assert [c.dim for c in frobenius_chain(tower_separable())] == [2]
 
 
 def test_frobenius_span_trivial():
-    K = FunctionField(3, ("t",))
-    L = poly_quotient_algebra(make_poly(K, [K.neg(K.variable("t")), K.one]))
+    L = tower_trivial()
     assert L.dim == 1
     assert [c.dim for c in frobenius_chain(L)] == [1]
 
@@ -1238,23 +1269,149 @@ def test_frobenius_char_zero_rejected():
 
 
 def test_frobenius_two_variable_tower():
-    K = FunctionField(2, ("s", "t"))
-    s_var = K.variable("s")
-    t_var = K.variable("t")
-    L1 = poly_quotient_algebra(make_poly(K, [K.neg(s_var), K.zero, K.one]))  # x^2 = s
-    # extend by y^2 - t
-    coeffs = [tuple(K.neg(t_var) if i == 0 else K.zero for i in range(2)), (K.zero, K.zero), (K.one, K.zero)]
-    L2 = extend_by_poly(L1, coeffs)
+    L2 = tower_two_variable()
     assert L2.dim == 4
     assert [c.dim for c in frobenius_chain(L2)] == [4, 1]
 
 
 def test_extend_by_poly_deep_chain():
-    # x^4 - t over F_2(t): chain 4 -> 2 -> 1
+    assert [c.dim for c in frobenius_chain(tower_deep_chain())] == [4, 2, 1]
+
+
+def every_tower():
+    """Each tower of the corpus, of the decide-only documents of seeds 1-3 and
+    of TIER1_TOWERS."""
+    out = []
+    for path in sorted((CORPUS / "field-extension").glob("*.case")):
+        out.append(pytest.param(build_case(parse_case(path.read_text())).payload, id=f"corpus/{path.stem}"))
+    for seed in (1, 2, 3):
+        for case in make_cases("decide-only", seed, ROOT):
+            if "tower" in case.case_id:
+                A = build_case(parse_case(case.text)).payload
+                out.append(pytest.param(A, id=f"seed{seed}/{case.case_id.removeprefix('decide-only/')}"))
+    out += [pytest.param(build(), id=f"tier1/{name}") for name, build in TIER1_TOWERS.items()]
+    return out
+
+
+@pytest.mark.parametrize("L", every_tower())
+def test_frobenius_chain_matches_the_chain_on_reduced_rows(L):
+    chain = frobenius_chain(L)
+    want = frobenius_chain_on_rows(L)
+    assert [(s.rows, s.pivots) for s in chain] == [(s.rows, s.pivots) for s in want]
+    # the reduced echelon form is canonical: the same RatFunc tuples too
+    assert [exact(s.rows) for s in chain] == [exact(s.rows) for s in want]
+
+
+def test_frobenius_chain_refuses_a_noncommutative_algebra():
+    with pytest.raises(ValidationError, match="commutative"):
+        frobenius_chain(matrix_algebra(FunctionField(2, ("t",)), 2))
+
+
+# --- one view per distinct table vector ------------------------------------------------
+
+
+def scanned_sparse(A):
+    """The sparse view by a scan of every coordinate of every table entry."""
+    return tuple(
+        tuple(tuple((k, c) for k, c in enumerate(v) if not A.dom.is_zero(c)) for v in block) for block in A.table
+    )
+
+
+def cleared_tensor(A):
+    """The tensor make_algebra checks the laws on, caught on its way in."""
+    seen = []
+    real = algebra_module._first_unit_failure
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(algebra_module, "_first_unit_failure", lambda T, *rest: seen.append(T) or real(T, *rest))
+        make_algebra(A.dom, A.table, A.unit)
+    (T,) = seen
+    return T
+
+
+def test_per_vector_applies_f_once_per_distinct_object():
+    shared, equal = tuple([1, 2]), tuple([1, 2])
+    calls = []
+    out = algebra_module._per_vector([[shared, shared], [equal, shared]], lambda v: calls.append(v) or len(calls))
+    assert out == ((1, 1), (2, 1))
+    assert calls == [shared, equal] and calls[1] is equal
+
+
+def _fresh_copy(A):
+    """A with every table vector rebuilt as its own object: equal entries are
+    distinct, as in a structure_constants table."""
+    return make_algebra(A.dom, [[tuple(list(v)) for v in block] for block in A.table], A.unit)
+
+
+def per_vector_algebras():
     K = FunctionField(2, ("t",))
     t = K.variable("t")
-    L = poly_quotient_algebra(make_poly(K, [K.neg(t), K.zero, K.zero, K.zero, K.one]))
-    assert [c.dim for c in frobenius_chain(L)] == [4, 2, 1]
+    denominators = poly_quotient_algebra(make_poly(K, [t, K.one, K.add(t, K.one)]))  # (t + 1)x^2 + x + t
+    towers = [A for A in decide_only_algebras(1) if getattr(A, "dom", None) == FunctionField(2, ("s", "t"))]
+    algebras = {
+        "Q-quotient": qx_mod(2, -3, 0, 1, 1),
+        "Q-structure-constants": build_case(
+            parse_case((CORPUS / "noncommutative" / "q-upper-triangular.case").read_text())
+        ).payload,
+        "F3-quotient": poly_quotient_algebra(make_poly(F3, [1, 0, 2, 1])),
+        "F2(t)-quotient": tower_f2t_x2_minus_t(),
+        "F2(t)-denominators": denominators,
+        "F2(s,t)-two-level": towers[0],
+        "F2(s,t)-two-level-fresh": _fresh_copy(towers[0]),
+        "F2(t)-structure-constants": _fresh_copy(denominators),
+    }
+    return [pytest.param(A, id=name) for name, A in algebras.items()]
+
+
+@pytest.mark.parametrize("A", per_vector_algebras())
+def test_per_vector_views_match_a_per_coordinate_scan(A):
+    assert exact(A.sparse) == exact(scanned_sparse(A))
+    # each table vector object has one view object
+    pairs = {(id(v), id(w)) for vs, ws in zip(A.table, A.sparse) for v, w in zip(vs, ws)}
+    assert len(pairs) == len({id(v) for block in A.table for v in block})
+    if A.dom == QQ:
+        D = A.int_den
+        assert A.int_tensor == tuple(
+            tuple(tuple((k, c.numerator * (D // c.denominator)) for k, c in v) for v in block)
+            for block in scanned_sparse(A)
+        )
+    if isinstance(A.dom, FunctionField):
+        unit = [c for c in A.unit if c]
+        _, cleared = algebra_module._poly_clearing(A.dom, unit + [c for b in A.table for v in b for c in v if c])
+        want = tuple(tuple(tuple((k, cleared(c)) for k, c in v) for v in block) for block in scanned_sparse(A))
+        assert cleared_tensor(A) == want
+
+
+def test_a_quotient_table_holds_2n_minus_1_distinct_vectors():
+    K = FunctionField(3, ("t",))
+    t = K.variable("t")
+    A = poly_quotient_algebra(make_poly(K, [t, K.one, K.zero, K.zero, t, K.one]))  # x^5 + t x^4 + x + t
+    for view in (A.table, A.sparse, cleared_tensor(A)):
+        assert len({id(v) for block in view for v in block}) == 2 * A.dim - 1
+
+
+# --- powers -----------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "A",
+    [qx_mod(1, 0, -2, 0, 0, 1), poly_quotient_algebra(make_poly(F5, [2, 1, 0, 1])), tower_f2t_x2_minus_t()],
+    ids=["Q", "F5", "F2(t)"],
+)
+def test_element_power_forms_one_product_per_square_and_set_bit(monkeypatch, A):
+    u = tuple(A.dom.add(A.unit[i], A.dom.from_int(i)) for i in range(A.dim))
+    naive = [A.unit]
+    for _ in range(40):
+        naive.append(element_multiply(A, naive[-1], u))
+    calls = []
+    real = algebra_module.element_multiply
+    monkeypatch.setattr(algebra_module, "element_multiply", lambda B, x, y: calls.append((x, y)) or real(B, x, y))
+    assert element_power(A, u, 0) == A.unit and not calls
+    assert element_power(A, u, 1) is u and not calls
+    for n in range(2, 41):
+        del calls[:]
+        assert element_power(A, u, n) == naive[n]
+        assert len(calls) == (n.bit_length() - 1) + (bin(n).count("1") - 1)
+        assert all(A.unit not in pair for pair in calls)
 
 
 # --- invariance under change of basis ----------------------------------------------

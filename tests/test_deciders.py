@@ -12,7 +12,6 @@ import pytest
 
 from futility import deciders
 from futility.algebra import (
-    element_multiply,
     make_algebra,
     make_relative,
     minimal_polynomial,

@@ -23,6 +23,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from futility import cases as cases_module
 from futility.algebra import local_decomposition
 from futility.cases import build_case, parse_case, parse_poly
 from futility.domains import QQ, FunctionField, PrimeField
@@ -47,7 +48,6 @@ from futility.polynomials import (
     poly_kernel,
     poly_to_str,
     ppow,
-    pquo,
     psub,
     pzero,
     squarefree_by_derivation,
@@ -56,6 +56,7 @@ from futility.polynomials import (
 import reference_local
 import reference_polys
 from reference_polys import pmod
+from reference_tower import exact
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "perfbench"))
@@ -550,6 +551,24 @@ def test_crt_idempotents_match_the_quotient_reference_on_the_decide_only_moduli(
         want = sorted(repr(pf.idempotent) for pf in reference_local.local_decomposition(A))
         assert len(got) > 1
         assert got == want
+
+
+def test_ppow_and_pmul_keep_the_tuples_of_the_loops_from_one_on_every_tower_modulus(monkeypatch):
+    # every power and product the parser forms on the corpus towers and on
+    # the decide-only documents of seeds 1-3, whose seeds reorder the factors
+    powers, products = [], []
+    monkeypatch.setattr(cases_module, "ppow", lambda a, n: powers.append((a, n)) or ppow(a, n))
+    monkeypatch.setattr(cases_module, "pmul", lambda a, b: products.append((a, b)) or pmul(a, b))
+    texts = [path.read_text() for path in sorted((ROOT / "corpus" / "field-extension").glob("*.case"))]
+    texts += [case.text for seed in (1, 2, 3) for case in make_cases("decide-only", seed, ROOT)]
+    for text in texts:
+        build_case(parse_case(text))
+    assert {type(a.dom).__name__ for a, _ in powers} >= {"RationalField", "FunctionField", "AlgebraScalarDomain"}
+    for a, n in powers:
+        assert exact(ppow(a, n)) == exact(reference_polys.ppow_from_one(a, n))
+        assert exact(ppow(a, 0)) == exact(pconst(a.dom, a.dom.one))
+    for a, b in products:
+        assert exact(pmul(a, b)) == exact(reference_polys.pmul_over_every_coefficient(a, b))
 
 
 SWINNERTON_DYER_2_3_5 = "x^8 - 40*x^6 + 352*x^4 - 960*x^2 + 576"
