@@ -29,6 +29,7 @@ from .domains import (
     mp_add,
     mp_const,
     mp_mul,
+    power,
 )
 from .errors import (
     BaseNotLocalArtinian,
@@ -433,19 +434,12 @@ def element_multiply(A: StructAlgebra, u, v):
 
 
 def element_power(A: StructAlgebra, u, n: int):
-    """u^n by squaring, from u itself rather than from the unit:
-    (bit_length(n) - 1) squarings and (popcount(n) - 1) further products;
-    u^0 is the unit."""
+    """u^n by domains.power, from u itself rather than from the unit; u^0 is
+    the unit.  element_multiply is looked up per call, so a wrapper set on
+    the module sees every product."""
     if n == 0:
         return A.unit
-    acc = None
-    while True:
-        if n & 1:
-            acc = u if acc is None else element_multiply(A, acc, u)
-        n >>= 1
-        if not n:
-            return acc
-        u = element_multiply(A, u, u)
+    return power(partial(element_multiply, A), u, n)
 
 
 def mult_rows(A: StructAlgebra, u):
@@ -694,12 +688,12 @@ def is_ideal(A: StructAlgebra, s: Subspace) -> bool:
 def int_trace_form(A: StructAlgebra) -> tuple:
     """D^2 times the trace form of an algebra over QQ, on ints: row i is
     (D^2 Tr(e_i e_j))_j with Tr the trace of left multiplication, and
-    D^2 Tr(e_i e_j) = sum_k (D c_ijk)(D tau_k) with D tau_k = sum_m D c_kmm,
-    all read off A.int_tensor.  A nonzero multiple of the trace form, so its
+    D^2 Tr(e_i e_j) = sum_k (D c_ijk)(D tau_k), read off A.int_tensor and
+    A.traces scaled by D.  A nonzero multiple of the trace form, so its
     kernel is the same.  O(dim^3) on the sparse tensor."""
-    tensor = A.int_tensor
-    tau = [sum(c for m, v in enumerate(block) for k, c in v if k == m) for block in tensor]
-    return tuple(tuple(sum(c * tau[k] for k, c in v) for v in block) for block in tensor)
+    den = A.int_den
+    tau = [(den * t).numerator for t in A.traces]
+    return tuple(tuple(sum(c * tau[k] for k, c in v) for v in block) for block in A.int_tensor)
 
 
 def nilradical(A: StructAlgebra) -> Subspace:

@@ -96,13 +96,17 @@ def _tokenize(text: str):
 
 
 class _ExprParser:
-    """Recursive descent over +, -, *, /, ^ with unary minus."""
+    """Recursive descent over +, -, *, /, ^ with unary minus, evaluating an
+    expression as a dense polynomial over dom: the name indet is the
+    indeterminate and each name in constants stands for its scalar."""
 
-    def __init__(self, text, ctx):
+    def __init__(self, text, dom: ScalarDomain, indet: str, constants: dict):
         self.toks = _tokenize(text)
         self.pos = 0
         self.depth = 0
-        self.ctx = ctx
+        self.dom = dom
+        self.indet = indet
+        self.constants = constants
 
     def peek(self):
         return self.toks[self.pos]
@@ -136,13 +140,13 @@ class _ExprParser:
 
     def expr(self):
         if self.peek().kind == "-":
-            v = self.ctx.neg(self.nested(self.term))
+            v = pneg(self.nested(self.term))
         else:
             v = self.term()
         while self.peek().kind in ("+", "-"):
             op = self.take().kind
             rhs = self.term()
-            v = self.ctx.add(v, rhs) if op == "+" else self.ctx.sub(v, rhs)
+            v = padd(v, rhs) if op == "+" else psub(v, rhs)
         return v
 
     def term(self):
@@ -150,10 +154,16 @@ class _ExprParser:
         while self.peek().kind in ("*", "/"):
             op = self.take()
             rhs = self.power()
+            col = op.col + 1
             if op.kind == "*":
-                v = self.ctx.mul(v, rhs, op.col)
+                _check_degree(v.degree + rhs.degree, col)
+                v = pmul(v, rhs)
+            elif rhs.degree > 0:
+                raise ParseError("division by a non-scalar polynomial", line=1, col=col)
+            elif rhs.is_zero:
+                raise ParseError("division by zero", line=1, col=col)
             else:
-                v = self.ctx.div(v, rhs, op.col)
+                v = pscale(v, self.dom.inv(rhs.coeffs[0]))
         return v
 
     def power(self):
@@ -168,74 +178,35 @@ class _ExprParser:
                     f"exponent {e.value} exceeds the limit of {MAX_EXPONENT} (line 1, col {e.col + 1})"
                 )
             self.take()
-            v = self.ctx.pow(v, e.value, t.col)
+            _check_degree(v.degree * e.value, t.col + 1)
+            v = ppow(v, e.value)
         return v
 
     def atom(self):
         t = self.peek()
         if t.kind == "int":
             self.take()
-            return self.ctx.const(t.value)
+            return pconst(self.dom, self.dom.from_int(t.value))
         if t.kind == "name":
             self.take()
-            return self.ctx.var(t.value, t.col)
+            if t.value == self.indet:
+                return pX(self.dom)
+            if t.value in self.constants:
+                return pconst(self.dom, self.constants[t.value])
+            raise ParseError(f"unknown variable {t.value!r}", line=1, col=t.col + 1)
         if t.kind == "(":
             v = self.nested(self.expr)
             self.take(")")
             return v
         if t.kind == "-":
-            return self.ctx.neg(self.nested(self.atom))
+            return pneg(self.nested(self.atom))
         raise ParseError(f"unexpected {t.kind}", line=1, col=t.col + 1)
-
-
-class PolyContext:
-    """Evaluate expressions as dense polynomials over a scalar domain, with
-    one indeterminate name and the remaining names bound to constants."""
-
-    def __init__(self, dom: ScalarDomain, indet: str, constants: dict):
-        self.dom = dom
-        self.indet = indet
-        self.constants = constants
-
-    def const(self, n: int):
-        return pconst(self.dom, self.dom.from_int(n))
-
-    def var(self, name: str, col: int):
-        if name == self.indet:
-            return pX(self.dom)
-        if name in self.constants:
-            return pconst(self.dom, self.constants[name])
-        raise ParseError(f"unknown variable {name!r}", line=1, col=col + 1)
-
-    def add(self, a, b):
-        return padd(a, b)
-
-    def sub(self, a, b):
-        return psub(a, b)
-
-    def mul(self, a, b, col):
-        _check_degree(a.degree + b.degree, col)
-        return pmul(a, b)
-
-    def neg(self, a):
-        return pneg(a)
-
-    def pow(self, a, n, col):
-        _check_degree(a.degree * n, col)
-        return ppow(a, n)
-
-    def div(self, a, b, col):
-        if b.degree > 0:
-            raise ParseError("division by a non-scalar polynomial", line=1, col=col + 1)
-        if b.is_zero:
-            raise ParseError("division by zero", line=1, col=col + 1)
-        return pscale(a, self.dom.inv(b.coeffs[0]))
 
 
 def _check_degree(degree: int, col: int):
     if degree > MAX_DIM:
         raise BudgetExceeded(
-            f"polynomial degree {degree} exceeds the limit of {MAX_DIM} (line 1, col {col + 1})"
+            f"polynomial degree {degree} exceeds the limit of {MAX_DIM} (line 1, col {col})"
         )
 
 
@@ -244,7 +215,7 @@ def parse_poly(text: str, dom: ScalarDomain, indet: str = "x", constants=None) -
     if isinstance(dom, FunctionField):
         for name in dom.var_names:
             constants.setdefault(name, dom.variable(name))
-    return _ExprParser(text, PolyContext(dom, indet, constants)).parse()
+    return _ExprParser(text, dom, indet, constants).parse()
 
 
 # ---------------------------------------------------------------------------
@@ -455,19 +426,21 @@ def parse_case(text: str) -> CaseDescription:
     )
 
 
-# Largest characteristic p an Fp or FpRational base may have: primality is
-# checked by trial division, which takes milliseconds up to here.  The corpus
-# uses 2 and 3.
+# Largest characteristic p an Fp or FpRational base may have, and largest
+# modulus n of a Zmod base: primality is checked by trial division, which
+# takes milliseconds up to here, and a finite algebra of dimension at most
+# MAX_DIM has at most 2^(31 * MAX_DIM) elements, whose digits stay under the
+# interpreter's lowest int-string limit.  The corpus uses 2, 3 and 4.
 MAX_PRIME = 2**31
 
 
-def _characteristic(base: dict, kind: str, where: str) -> int:
-    """The 'p' of a prime base, refused above MAX_PRIME before any
-    primality test."""
-    p = _int(base, "p", where)
-    if p > MAX_PRIME:
-        raise BudgetExceeded(f"'p' of {where} ({kind}) is {p}, above the limit of 2^31 = {MAX_PRIME}")
-    return p
+def _modulus(base: dict, key: str, kind: str, where: str) -> int:
+    """The 'p' or 'n' of a finite or prime base, refused above MAX_PRIME
+    before any primality test."""
+    m = _int(base, key, where)
+    if m > MAX_PRIME:
+        raise BudgetExceeded(f"{key!r} of {where} ({kind}) is {m}, above the limit of 2^31 = {MAX_PRIME}")
+    return m
 
 
 def base_domain(base: dict, where: str = "base") -> ScalarDomain:
@@ -479,9 +452,9 @@ def base_domain(base: dict, where: str = "base") -> ScalarDomain:
         raise ValidationError(f"{where} cannot be Z; only a case's own base may be Z")
     try:
         if kind == "Fp":
-            return PrimeField(_characteristic(base, kind, where))
+            return PrimeField(_modulus(base, "p", kind, where))
         if kind == "Zmod":
-            return ModRing(_int(base, "n", where))
+            return ModRing(_modulus(base, "n", kind, where))
         if kind == "FpRational":
             names = _list(_require(base, "vars", where), f"'vars' of {where}")
             names = [_text(v, f"entry of 'vars' of {where}") for v in names]
@@ -492,7 +465,7 @@ def base_domain(base: dict, where: str = "base") -> ScalarDomain:
                     )
                 if name in names[:i]:
                     raise ValidationError(f"{name!r} appears twice in 'vars' of {where}")
-            return FunctionField(_characteristic(base, kind, where), tuple(names))
+            return FunctionField(_modulus(base, "p", kind, where), tuple(names))
     except ValueError as exc:
         raise ValidationError(f"invalid {kind} base: {exc}") from None
     raise ValidationError(f"unknown base kind {kind!r}")

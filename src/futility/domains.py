@@ -4,8 +4,8 @@ Domains are lightweight descriptor objects with a common method surface
 (add/sub/mul/inv/...) over opaque element values:
 
   * RationalField     -- elements are fractions.Fraction (kept reduced)
-  * PrimeField(p)     -- elements are ints in [0, p), p prime
   * ModRing(n)        -- elements are ints in [0, n), n >= 2
+  * PrimeField(p)     -- the ModRing Z/p for p prime, with field inversion
   * FunctionField(p, vars) -- elements are RatFunc values: quotients of
     sparse multivariate polynomials over F_p in at most two variables
 
@@ -19,9 +19,24 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, partial
 
 from .errors import DomainMismatch, NotInvertible, UnsupportedDomain
+
+
+def power(mul, a, n: int):
+    """a^n for n >= 1 by squaring under the product mul, from a itself
+    rather than from a one: (bit_length(n) - 1) squarings mul(a, a) and
+    (popcount(n) - 1) further products mul(acc, a).  The one
+    square-and-multiply of the package; each caller keeps its own a^0."""
+    acc = None
+    while True:
+        if n & 1:
+            acc = a if acc is None else mul(acc, a)
+        n >>= 1
+        if not n:
+            return acc
+        a = mul(a, a)
 
 
 def is_prime(n: int) -> bool:
@@ -95,15 +110,7 @@ def mp_pow(a: tuple, n: int, p: int) -> tuple:
     if n == 0:
         nvars = len(a[0][0]) if a else 0
         return mp_const(1, p, nvars)
-    acc = None
-    base = a
-    while n:
-        if n & 1:
-            acc = base if acc is None else mp_mul(acc, base, p)
-        n >>= 1
-        if n:
-            base = mp_mul(base, base, p)
-    return acc
+    return power(partial(mp_mul, p=p), a, n)
 
 
 def mp_deriv(a: tuple, var: int, p: int) -> tuple:
@@ -183,7 +190,10 @@ class RatFunc:
         return bool(self.num)
 
     def __repr__(self):
-        names = tuple(f"v{i}" for i in range(self.nvars))
+        return self.format(tuple(f"v{i}" for i in range(self.nvars)))
+
+    def format(self, names: tuple) -> str:
+        """num, or (num)/(den) when den is not 1, in the variables names."""
         if self.den == mp_const(1, self.p, self.nvars):
             return mp_to_str(self.num, names)
         return f"({mp_to_str(self.num, names)})/({mp_to_str(self.den, names)})"
@@ -307,61 +317,9 @@ class RationalField(ScalarDomain):
         return Fraction(text)
 
 
-class PrimeField(ScalarDomain):
-    """F_p for a prime p; elements are ints in [0, p)."""
-
-    is_field = True
-    is_finite = True
-
-    def __init__(self, p: int):
-        if not is_prime(p):
-            raise ValueError(f"{p} is not prime")
-        self.p = p
-        self.char = p
-
-    def _key(self):
-        return self.p
-
-    def __repr__(self):
-        return f"F{self.p}"
-
-    @property
-    def size(self):
-        return self.p
-
-    def add(self, a, b):
-        return (a + b) % self.p
-
-    def sub(self, a, b):
-        return (a - b) % self.p
-
-    def mul(self, a, b):
-        return (a * b) % self.p
-
-    def neg(self, a):
-        return (-a) % self.p
-
-    def inv(self, a):
-        if a % self.p == 0:
-            raise NotInvertible(f"0 has no inverse in F{self.p}")
-        return pow(a, -1, self.p)
-
-    def from_int(self, n):
-        return n % self.p
-
-    def is_zero(self, a):
-        return a % self.p == 0
-
-    def proot(self, a):
-        """p-th root; Frobenius is the identity on F_p."""
-        return a
-
-    def parse(self, text):
-        return int(text) % self.p
-
-
 class ModRing(ScalarDomain):
-    """Z/n for n >= 2; a ring, with unit-only inversion."""
+    """Z/n for n >= 2; a ring, with unit-only inversion.  Elements are ints
+    in [0, n)."""
 
     is_finite = True
 
@@ -406,6 +364,33 @@ class ModRing(ScalarDomain):
 
     def parse(self, text):
         return int(text) % self.n
+
+
+class PrimeField(ModRing):
+    """F_p for a prime p: the ring Z/p, which is a field.  It is still its
+    own domain: PrimeField(p) != ModRing(p), and the kernels pick their
+    F_p arithmetic by type(dom) is PrimeField."""
+
+    is_field = True
+
+    def __init__(self, p: int):
+        if not is_prime(p):
+            raise ValueError(f"{p} is not prime")
+        super().__init__(p)
+        self.p = p
+        self.char = p
+
+    def __repr__(self):
+        return f"F{self.p}"
+
+    def inv(self, a):
+        if a % self.p == 0:
+            raise NotInvertible(f"0 has no inverse in F{self.p}")
+        return pow(a, -1, self.p)
+
+    def proot(self, a):
+        """p-th root; Frobenius is the identity on F_p."""
+        return a
 
 
 class FunctionField(ScalarDomain):
@@ -514,10 +499,7 @@ class FunctionField(ScalarDomain):
         return self._wrap(r, a.den)
 
     def to_str(self, a: RatFunc) -> str:
-        one = mp_const(1, self.p, self.nvars)
-        if a.den == one:
-            return mp_to_str(a.num, self.var_names)
-        return f"({mp_to_str(a.num, self.var_names)})/({mp_to_str(a.den, self.var_names)})"
+        return a.format(self.var_names)
 
 
 QQ = RationalField()

@@ -33,7 +33,7 @@ from itertools import combinations
 from operator import attrgetter
 from typing import NamedTuple
 
-from .domains import QQ, PrimeField, RationalField, ScalarDomain, is_prime
+from .domains import QQ, PrimeField, RationalField, ScalarDomain, is_prime, power
 from .errors import (
     DegreeBoundExceeded,
     DomainMismatch,
@@ -183,18 +183,10 @@ def pderiv(a: Poly) -> Poly:
 
 
 def ppow(a: Poly, n: int) -> Poly:
-    """a^n by squaring, from a itself, as algebra.element_power does; a^0 is
-    the constant 1."""
+    """a^n by domains.power; a^0 is the constant 1."""
     if n == 0:
         return pconst(a.dom, a.dom.one)
-    acc = None
-    while True:
-        if n & 1:
-            acc = a if acc is None else pmul(acc, a)
-        n >>= 1
-        if not n:
-            return acc
-        a = pmul(a, a)
+    return power(pmul, a, n)
 
 
 def expand_xp(a: Poly, p: int) -> Poly:
@@ -315,15 +307,10 @@ def kernel_xgcd(K: PolyKernel, a, b) -> tuple:
 
 
 def _powmod(K: PolyKernel, a, n: int, mod):
-    acc = K.one
-    base = K.divmod(a, mod)[1]
-    while n:
-        if n & 1:
-            acc = K.divmod(K.mul(acc, base), mod)[1]
-        n >>= 1
-        if n:
-            base = K.divmod(K.mul(base, base), mod)[1]
-    return acc
+    """a^n mod mod on forms, by domains.power on the reduced a; a^0 is K.one."""
+    if n == 0:
+        return K.one
+    return power(lambda u, v: K.divmod(K.mul(u, v), mod)[1], K.divmod(a, mod)[1], n)
 
 
 def _list_degree(a: list) -> int:

@@ -27,7 +27,7 @@ from .domains import QQ
 from .errors import NotApplicable, UnsupportedDomain
 from .intmat import hermite_basis, hnf_adjoin, hnf_reduce
 from .linalg import Subspace, int_reduce, subspace_from_vectors
-from .polynomials import Poly, pmul, squarefree_decomposition
+from .polynomials import Poly, make_poly, pmul, squarefree_decomposition
 
 STABLE_MARKS = 4  # equal growth marks at the end of a run that make it stabilized
 
@@ -202,7 +202,7 @@ def family_witness(modulus: Poly, points) -> list[Subspace]:
             raise NotApplicable(f"projective points need {n} coordinates")
         if all(c == 0 for c in coords):
             raise NotApplicable("projective points cannot be all zero")
-        gpoly = _trim(coords)
+        gpoly = make_poly(QQ, coords)
         w = pmul(f, gpoly)
         vec = tuple(w.coeffs) + (Fraction(0),) * (A.dim - len(w.coeffs))
         span = subspace_from_vectors(QQ, A.dim, [A.unit, vec])
@@ -212,13 +212,6 @@ def family_witness(modulus: Poly, points) -> list[Subspace]:
             raise NotApplicable("family member failed its closure check")
         out.append(span)
     return out
-
-
-def _trim(coords) -> Poly:
-    cs = list(coords)
-    while cs and cs[-1] == 0:
-        cs.pop()
-    return Poly(QQ, tuple(cs))
 
 
 def sample_subrings(zp, trials: int, bound: int, seed: int = 0, stop: int | None = None) -> SampleHistogram:

@@ -14,6 +14,7 @@ import json
 
 STRUCT_1 = {"kind": "structure_constants", "dim": 1, "unit": ["1"], "table": [[["1"]]]}
 FP_T = {"kind": "FpRational", "p": 2, "vars": ["t"]}
+MATRIX_5 = {"kind": "matrix_algebra", "size": 5}
 Z_PRES_1 = {"kind": "z_presentation", "gens": 1, "table": [[[1]]], "unit": [1]}
 LOCAL_X2 = {
     "kind": "LocalArtinian",
@@ -78,6 +79,10 @@ REFUSED = [
     ("fp-prime-too-large", {"kind": "Fp", "p": 2**61 - 1}, {"kind": "quotient_poly", "modulus": "x^2"}),
     ("fprational-prime-too-large", dict(FP_T, p=2**61 - 1), {"kind": "tower", "moduli": ["x^2 - t"]}),
     ("matrix-size-negative", {"kind": "Q"}, {"kind": "matrix_algebra", "size": -3}),
+    # Z/n^25 past the int-string limit, refused by the cap on n before any size is formed
+    ("zmod-modulus-too-large", {"kind": "Zmod", "n": 10**300}, MATRIX_5),
+    ("finite-part-modulus-too-large", {"kind": "Z"},
+     {"kind": "localized", "invert": 2, "finite_part": {"base": {"kind": "Zmod", "n": 10**300}, "algebra": MATRIX_5}}),
     ("finite-part-base-z", {"kind": "Z"},
      {"kind": "localized", "invert": 2, "finite_part": {"base": {"kind": "Z"}, "algebra": STRUCT_1}}),
     ("ground-z", dict(LOCAL_X2, ground={"kind": "Z"}), {"kind": "quotient_poly", "modulus": "x^3"}),

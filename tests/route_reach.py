@@ -57,7 +57,6 @@ ALLOWED = {
     "domains.mp_shift_down": "input-dependent: a rational function whose numerator and denominator share a monomial",
     "intmat.det_int": "ROADMAP item 2: the integer-rank certificate check",
     "sampler.family_witness": "ROADMAP item 3: replaced by the linear witness family",
-    "sampler._trim": "ROADMAP item 3: replaced by the linear witness family",
     "errors.NotAField": ERROR_ONLY,
     "errors.NotInvertible": ERROR_ONLY,
 }

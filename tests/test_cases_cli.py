@@ -158,6 +158,14 @@ def test_prime_bases_are_capped_before_the_primality_test():
                 base_domain(dict(base, p=p), "ground of base")
 
 
+def test_zmod_bases_are_capped_as_prime_bases_are():
+    # with n <= 2^31 and dim <= MAX_DIM, |A| <= 2^992 prints in 299 digits
+    assert base_domain({"kind": "Zmod", "n": MAX_PRIME}).n == MAX_PRIME
+    assert len(str(MAX_PRIME**MAX_DIM)) == 299
+    with pytest.raises(BudgetExceeded, match=r"^'n' of base of finite part \(Zmod\) is 10{300}, above the limit"):
+        base_domain({"kind": "Zmod", "n": 10**300}, "base of finite part")
+
+
 @pytest.mark.parametrize("where", ["base of finite part", "ground of base"])
 def test_a_nested_z_base_is_refused_where_it_stands(where):
     # a Z case base never reaches base_domain: build_case hands it to the Z deciders
@@ -218,6 +226,21 @@ def test_decide_report_byte_identical():
     assert a == b
     assert "timing_ms" in json.loads(a)
     assert json.loads(a)["timing_ms"] is None
+
+
+def test_the_zero_algebra_over_q_is_futile_and_the_sampler_agrees():
+    desc = parse_case(make_case(algebra={"kind": "structure_constants", "dim": 0, "unit": [], "table": []}))
+    decided = json.loads(run_command("decide", desc, {}).to_json())
+    assert decided["result"] == {
+        "certificate": {"dim": 0},
+        "criterion": "infinite-field-classification",
+        "notes": ["zero algebra"],
+        "verdict": FUTILE,
+    }
+    compared = json.loads(run_command("oracle-compare", desc, {}).to_json())
+    assert compared["result"] == decided["result"]
+    assert (compared["oracle"]["kind"], compared["oracle"]["distinct_count"]) == ("sampler", 1)
+    assert compared["agreement"] is True
 
 
 def test_report_has_no_floats():

@@ -7,6 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from futility.algebra import element_multiply, element_power
+from futility.constructions import poly_quotient_algebra
 from futility.domains import (
     QQ,
     FunctionField,
@@ -14,10 +16,13 @@ from futility.domains import (
     PrimeField,
     mp_add,
     mp_canon,
+    mp_const,
     mp_mul,
+    mp_pow,
     ratfunc,
 )
 from futility.errors import DomainMismatch, NotInvertible
+from futility.polynomials import _powmod, make_poly, pconst, pmul, poly_kernel, ppow
 
 
 def test_invert_identity_rational():
@@ -277,3 +282,83 @@ def test_mod_ring_axioms_on_samples(a, b, c):
     assert R.mul(R.mul(a, b), c) == R.mul(a, R.mul(b, c))
     assert R.mul(a, R.add(b, c)) == R.add(R.mul(a, b), R.mul(a, c))
     assert R.add(a, R.neg(a)) == R.zero
+
+
+# --- one modular class -----------------------------------------------------------
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_prime_field_is_the_mod_ring_on_every_residue(p):
+    F, R = PrimeField(p), ModRing(p)
+    residues = range(p)
+    for a in residues:
+        for b in residues:
+            for op in (F.add, F.sub, F.mul):
+                assert op(a, b) == getattr(R, op.__name__)(a, b)
+        assert (F.neg(a), F.is_zero(a)) == (R.neg(a), R.is_zero(a))
+        if a:
+            assert F.inv(a) == R.inv(a) and F.mul(a, F.inv(a)) == 1
+    for n in range(-2 * p, 2 * p + 1):
+        assert F.from_int(n) == R.from_int(n) == F.parse(str(n)) == R.parse(str(n))
+    assert (F.size, F.zero, F.one) == (R.size, R.zero, R.one) == (p, 0, 1)
+    # still two domains: a field of characteristic p and a ring
+    assert F != R and hash(F) != hash(R) and F == PrimeField(p)
+    assert (repr(F), repr(R)) == (f"F{p}", f"Z/{p}")
+    assert (F.is_field, F.char, F.p) == (True, p, p) and (R.is_field, R.char) == (False, 0)
+    with pytest.raises(NotInvertible, match=rf"^0 has no inverse in F{p}$"):
+        F.inv(0)
+    with pytest.raises(NotInvertible, match=rf"^0 shares factor {p} with {p}$"):
+        R.inv(0)
+
+
+# --- one square-and-multiply -----------------------------------------------------
+
+
+def rf_tuples(values):
+    return tuple((c.num, c.den) for c in values)
+
+
+FUNCTION_FIELDS = [FunctionField(2, ("t",)), FunctionField(3, ("s", "t"))]
+
+
+@pytest.mark.parametrize("K", FUNCTION_FIELDS, ids=repr)
+def test_each_power_is_the_naive_product_from_one(K):
+    """mp_pow, ppow and element_power against n - 1 products from one, for
+    n = 0..40: equal num and den tuples, not just equal values."""
+    s, t = K.variable(K.var_names[0]), K.variable(K.var_names[-1])
+    a = K.add(s, K.add(t, K.one)).num
+    acc = mp_const(1, K.p, K.nvars)
+    for n in range(41):
+        assert mp_pow(a, n, K.p) == acc
+        acc = mp_mul(acc, a, K.p)
+    f = make_poly(K, [K.add(s, t), K.inv(t)])
+    acc = pconst(K, K.one)
+    for n in range(41):
+        assert rf_tuples(ppow(f, n).coeffs) == rf_tuples(acc.coeffs)
+        acc = pmul(acc, f)
+    A = poly_quotient_algebra(make_poly(K, [t, K.one, K.one]))  # x^2 + x + t
+    u = (s, K.inv(t))
+    acc = A.unit
+    for n in range(41):
+        assert rf_tuples(element_power(A, u, n)) == rf_tuples(acc)
+        acc = element_multiply(A, acc, u)
+
+
+@pytest.mark.parametrize("p", [2, 5])
+def test_powmod_is_the_naive_product_from_one(p):
+    K = poly_kernel(PrimeField(p))
+    mod = [1, 0, 1, 1, 0, 1]  # x^5 + x^3 + x^2 + 1
+    a = [3 % p, 1, 0, 0, 2 % p, 1, 1]  # of higher degree than mod
+    acc = K.one
+    for n in range(41):
+        assert _powmod(K, a, n, mod) == acc
+        acc = K.divmod(K.mul(acc, a), mod)[1]
+
+
+@pytest.mark.parametrize("K", FUNCTION_FIELDS, ids=repr)
+def test_a_rational_function_prints_one_way(K):
+    s, t = K.variable(K.var_names[0]), K.variable(K.var_names[-1])
+    names = tuple(f"v{i}" for i in range(K.nvars))
+    for a in (K.zero, K.one, s, K.add(s, t), K.mul(s, K.inv(K.add(t, K.one)))):
+        assert repr(a) == a.format(names) and K.to_str(a) == a.format(K.var_names)
+    assert K.to_str(K.mul(s, K.inv(K.add(t, K.one)))) == ("(t)/(t + 1)" if K.nvars == 1 else "(s)/(t + 1)")
