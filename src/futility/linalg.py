@@ -16,6 +16,8 @@ packed into the bits of one int (bit j is coordinate j, so a row's pivot is
 its lowest set bit, and elimination is XOR); over every other F_p
 fp_reduce/fp_adjoin on ints; elsewhere reduce/adjoin through the domain's
 calls.  Off QQ grow keeps the form reduced and finish returns it as it is.
+int_key(rows, pivots) is int_reduce on one finished QQ form, read once: the
+Q sampler's memo key against its base image.
 echelon_pair, the one place that picks a subspace's arithmetic, gives a
 domain's pair; a Subspace keeps its form in it and tests containment there.
 rref folds its rows through the pair; solve, nullspace and
@@ -76,7 +78,7 @@ def _int_primitive(ints) -> tuple:
             if x < 0:
                 g = -g
             break
-    return tuple(ints) if g == 1 else tuple(x // g for x in ints)
+    return tuple(ints) if g == 1 else tuple([x // g for x in ints])
 
 
 class EchelonPair(NamedTuple):
@@ -155,14 +157,6 @@ def rref(dom: ScalarDomain, rows) -> tuple[tuple, tuple]:
 _ZERO = Fraction(0)
 
 
-def _eliminate(v, f, row, p) -> list:
-    """(p/g)*v - (f/g)*row with g = gcd(p, f): the integer vector v with its
-    entry f cleared against the entry p of row in the same column."""
-    g = math.gcd(p, f)
-    a, b = p // g, f // g
-    return [a * x - b * y for x, y in zip(v, row)]
-
-
 def _rational_rows(rows, pivots, n) -> tuple:
     """Integer echelon rows divided by their pivots: the reduced rows over QQ."""
     return tuple(
@@ -215,15 +209,53 @@ def adjoin(rows, pivots, residual, dom: ScalarDomain) -> tuple[tuple, tuple]:
 def int_reduce(rows, pivots, vec, aux=None) -> tuple:
     """The residual of reduce over QQ, made primitive, for the subspace with
     integer echelon form (rows, pivots) and vec an integer vector.  Each pivot
-    coordinate is cleared by _eliminate against its row; the pivot is
-    positive, so v stays a positive multiple of the rational residual.  aux
-    is unused: it gives the pair the signature of the other two."""
+    coordinate c is cleared against its row's pivot d as (d/g)*v - (c/g)*row
+    with g = gcd(d, c), and with no gcd when d is 1; d is positive, so v stays
+    a positive multiple of the rational residual.  aux is unused: it gives
+    the pair the signature of the other two."""
     v = vec
     for row, p in zip(rows, pivots):
         c = v[p]
         if c:
-            v = _eliminate(v, c, row, row[p])
+            d = row[p]
+            if d == 1:
+                v = [x - c * y for x, y in zip(v, row)]
+            else:
+                g = math.gcd(d, c)
+                d //= g
+                c //= g
+                v = [d * x - c * y for x, y in zip(v, row)]
     return _int_primitive(v)
+
+
+def int_key(rows, pivots) -> Callable:
+    """The reducer of a finished integer echelon form: key(vec) is
+    int_reduce(rows, pivots, vec), with the form read once, here.  The form
+    is reduced, so the rational residual is vec minus (vec[p]/d) times the
+    row of each pivot p with entry d, every coefficient read off vec itself.
+    With D the lcm of the pivot entries, D times the residual is D*vec minus
+    vec[p] times (D/d)*row: an integer vector, zero at every pivot and a
+    positive multiple of the residual, which is made primitive.  Each row is
+    kept as its pivot and its nonzero entries off the pivot, scaled by D/d,
+    so against the unit's row alone (the Q sampler's base QQ*1) a key only
+    zeroes the pivot."""
+    scale = math.lcm(*[row[p] for row, p in zip(rows, pivots)])
+    scaled = tuple(
+        (p, tuple([(j, scale // row[p] * x) for j, x in enumerate(row) if x and j != p]))
+        for row, p in zip(rows, pivots)
+    )
+
+    def key(vec) -> tuple:
+        v = list(vec) if scale == 1 else [scale * x for x in vec]
+        for p, entries in scaled:
+            c = vec[p]
+            if c:
+                v[p] = 0
+                for j, y in entries:
+                    v[j] -= c * y
+        return _int_primitive(v)
+
+    return key
 
 
 def int_insert(rows, pivots, residual, aux=None) -> tuple[tuple, tuple]:
@@ -233,7 +265,9 @@ def int_insert(rows, pivots, residual, aux=None) -> tuple[tuple, tuple]:
     came after it, so the form stays a row echelon form that int_reduce
     accepts: int_reduce reads the running vector's entry at each pivot in
     pivot order, and the residual it gives depends on the span alone."""
-    lead = next(j for j, x in enumerate(residual) if x)
+    for lead, x in enumerate(residual):
+        if x:
+            break
     at = bisect.bisect(pivots, lead)
     return rows[:at] + (residual,) + rows[at:], pivots[:at] + (lead,) + pivots[at:]
 

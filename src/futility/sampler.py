@@ -26,7 +26,7 @@ from .constructions import poly_quotient_algebra
 from .domains import QQ
 from .errors import NotApplicable, UnsupportedDomain
 from .intmat import hermite_basis, hnf_adjoin, hnf_reduce
-from .linalg import Subspace, int_reduce, subspace_from_vectors
+from .linalg import Subspace, int_key, subspace_from_vectors
 from .polynomials import Poly, make_poly, pmul, squarefree_decomposition
 
 STABLE_MARKS = 4  # equal growth marks at the end of a run that make it stabilized
@@ -64,7 +64,8 @@ def sample_subalgebras(target, trials: int, bound: int, seed: int = 0, stop: int
     run ends early once more than `stop` distinct members are seen.
 
     The memo key is the draw reduced modulo the base image and scaled to a
-    primitive integer vector, which is sound because R[a] = R[c*a + r] for
+    primitive integer vector (linalg.int_key, formed once per run from the
+    base image's form), which is sound because R[a] = R[c*a + r] for
     c != 0 and r in the base image.  Memo keys and closures are integer
     echelon forms, and a subalgebra is kept as its canonical integer echelon
     rows, those of its Subspace.form.
@@ -85,8 +86,7 @@ def sample_subalgebras(target, trials: int, bound: int, seed: int = 0, stop: int
     def close(a):
         return generated_by_element(A, a, form)[0]
 
-    key = partial(int_reduce, *form)
-    return _sample(A.dim, trials, bound, seed, key, close, stop)
+    return _sample(A.dim, trials, bound, seed, int_key(*form), close, stop)
 
 
 def _sample(dim: int, trials: int, bound: int, seed: int, key, close, stop: int | None = None) -> SampleHistogram:

@@ -23,6 +23,7 @@ from futility.linalg import (
     full_subspace,
     int_finish,
     int_insert,
+    int_key,
     int_reduce,
     nullspace,
     primitive,
@@ -35,7 +36,9 @@ from futility.linalg import (
     vec_is_zero,
     zero_subspace,
 )
+from reference_draw import reference_draws
 from reference_linalg import int_adjoin
+from reference_sampler import ambient_and_base, sampled_q_cases
 
 F2 = PrimeField(2)
 F3 = PrimeField(3)
@@ -510,6 +513,74 @@ def test_forward_growth_and_one_finish_give_the_integer_echelon_form():
         based += bool(base[0])
         unreduced += grown != adjoined
     assert full >= 10 and based >= 25 and unreduced >= 20
+
+
+# --- the reducer of one finished form over Q ------------------------------------
+
+@st.composite
+def reduced_integer_forms(draw):
+    """(rows, pivots, vecs): a finished integer echelon form, each row
+    primitive with a pivot entry in 1..6 (so the lcm D of the pivots may
+    exceed 1), zero at the other pivots, entries of either sign after its
+    pivot, and vectors to reduce, the zero vector first.  Dimension 0
+    included."""
+    n = draw(st.integers(0, 6))
+    pivots = tuple(sorted(draw(st.sets(st.integers(0, n - 1), max_size=n)))) if n else ()
+    rows = []
+    for p in pivots:
+        row = [0] * n
+        row[p] = draw(st.integers(1, 6))
+        for j in range(p + 1, n):
+            if j not in pivots:
+                row[j] = draw(st.integers(-9, 9))
+        rows.append(primitive(row))
+    vecs = draw(st.lists(st.tuples(*[st.integers(-30, 30)] * n), max_size=6))
+    return tuple(rows), pivots, [(0,) * n, *vecs]
+
+
+@given(reduced_integer_forms())
+@example(((), (), [()]))
+@example((((2, 0, 3, 0), (0, 3, -1, 0), (0, 0, 0, 1)), (0, 1, 3), [(0, 0, 0, 0), (5, -7, 2, 4), (-2, 3, 0, 1)]))
+def test_int_key_is_int_reduce_on_reduced_forms(case):
+    rows, pivots, vecs = case
+    key = int_key(rows, pivots)
+    for v in vecs:
+        assert key(v) == int_reduce(rows, pivots, v)
+
+
+def test_int_key_is_int_reduce_on_forms_grown_and_finished():
+    # the forms of q_matrices, grown by int_insert and finished by
+    # int_finish, against their own rows, their sums and seeded draws
+    rng = random.Random(8)
+    lcm_above_one = 0
+    for base, mat, n in q_matrices():
+        rows, pivots = base
+        vecs = list(map(primitive, mat))
+        for v in vecs:
+            r = int_reduce(rows, pivots, v)
+            if any(r):
+                rows, pivots = int_insert(rows, pivots, r)
+        rows, pivots = int_finish(rows, pivots)
+        key = int_key(rows, pivots)
+        vecs += [tuple(a + b for a, b in zip(u, v)) for u, v in zip(vecs, vecs[1:])]
+        vecs += [tuple(rng.randint(-20, 20) for _ in range(n)) for _ in range(10)]
+        for v in [(0,) * n, *vecs]:
+            assert key(v) == int_reduce(rows, pivots, v)
+        lcm_above_one += any(row[p] > 1 for row, p in zip(rows, pivots))
+    assert lcm_above_one >= 10
+
+
+SAMPLED_Q_CASES = list(sampled_q_cases())
+
+
+@pytest.mark.parametrize("name, target, opts", SAMPLED_Q_CASES, ids=[c[0] for c in SAMPLED_Q_CASES])
+def test_int_key_is_int_reduce_on_every_sampled_base_form(name, target, opts):
+    # the memo keys of the case's own run: its accepted draws
+    A, base = ambient_and_base(target)
+    key = int_key(*base.form)
+    draws = [v for v in reference_draws(opts["seed"], 300, A.dim, opts["bound"]) if v is not None]
+    for v in [(0,) * A.dim, *draws]:
+        assert key(v) == int_reduce(*base.form, v)
 
 
 @pytest.mark.parametrize("dom", [F2, F3, F2T], ids=repr)

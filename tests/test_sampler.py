@@ -2,23 +2,22 @@
 
 import random
 from fractions import Fraction
-from pathlib import Path
 
 import pytest
 
-from futility.algebra import RelativeAlgebra, StructAlgebra, closure, element_multiply, generated_by_element, make_relative
+from futility.algebra import element_multiply, generated_by_element, make_relative
 from futility.cases import build_case, parse_case
 from futility.constructions import poly_quotient_algebra
 from futility.domains import QQ, PrimeField
 from futility.errors import NotApplicable, UnsupportedDomain
 from futility.intmat import hnf_reduce
-from futility.linalg import subspace_from_vectors, zero_subspace
+from futility.linalg import subspace_from_vectors
 from futility.polynomials import make_poly, pmul, ppow
-from futility.reports import DEFAULT_OPTIONS
 from futility.sampler import _draw, family_witness, sample_subalgebras, sample_subrings
 from reference_closure import span_and_multiply
 from reference_draw import draw_box, randint_draw, reference_draws
 from reference_hermite import batch_hermite_basis, dense_multiply
+from reference_sampler import CORPUS, sampled_and_reference, sampled_q_cases, unmemoized_histogram
 
 
 def q(*cs):
@@ -129,24 +128,6 @@ def test_relative_sampling_counts_relative_subalgebras():
         assert subspace_of(rel.amb, rows).contains_subspace(rel.base_image)
 
 
-def unmemoized_histogram(A, base, trials, bound, seed):
-    """The sampler's trial loop written out with one closure of the zero
-    span per draw, starting from the base member; members as their integer
-    rows."""
-    zero = zero_subspace(QQ, A.dim)
-    seen = {closure(A, zero, base.rows).form[0]}
-    curve = []
-    mark = 1
-    for t, vec in enumerate(reference_draws(seed, trials, A.dim, bound), 1):
-        if vec is not None:
-            seen.add(closure(A, zero, [*base.rows, tuple(map(Fraction, vec))]).form[0])
-        if t == mark:
-            curve.append(len(seen))
-            mark *= 2
-    curve.append(len(seen))
-    return tuple(sorted(seen, key=lambda rows: (len(rows), rows))), tuple(curve)
-
-
 @pytest.mark.parametrize("relative", [False, True], ids=["q-two-fields", "x5-plane-case"])
 def test_memoized_sampler_matches_one_closure_per_draw(monkeypatch, relative):
     import futility.sampler
@@ -172,8 +153,6 @@ def test_memoized_sampler_matches_one_closure_per_draw(monkeypatch, relative):
     accepted = sum(vec is not None for vec in reference_draws(4, 600, A.dim, 5))
     assert len(closures) < accepted
 
-
-CORPUS = Path(__file__).resolve().parent.parent / "corpus"
 
 ZPRES_CASES = sorted(
     path for path in CORPUS.rglob("*.case")
@@ -291,17 +270,19 @@ def test_samplers_on_corpus_cases_match_the_reference_loop(seed):
     assert (h.distinct, h.growth_curve) == unmemoized_subrings(zp, trials, bound, seed)
 
 
-def sampled_q_cases():
-    """The corpus cases the Q sampler runs on: algebras over Q and relative
-    algebras, with the options their runs use."""
-    for path in sorted(CORPUS.rglob("*.case")):
-        built = build_case(parse_case(path.read_text()))
-        target = built.payload
-        if isinstance(target, RelativeAlgebra) or isinstance(target, StructAlgebra) and target.dom == QQ:
-            yield path.relative_to(CORPUS).with_suffix("").as_posix(), target, {**DEFAULT_OPTIONS, **built.description.options}
-
-
 SAMPLED_Q_CASES = list(sampled_q_cases())
+
+
+@pytest.mark.parametrize("name, target, opts", SAMPLED_Q_CASES, ids=[c[0] for c in SAMPLED_Q_CASES])
+def test_every_sampled_q_case_matches_one_closure_per_draw(name, target, opts):
+    # at the case's own trials, bound and seed; tests/reference_sampler.py
+    # runs the same comparison under other seeds
+    got, want = sampled_and_reference(target, opts["trials"], opts["bound"], opts["seed"])
+    assert got == want
+
+
+def test_the_sampled_q_cases_are_found():
+    assert len(SAMPLED_Q_CASES) == 29
 
 
 @pytest.mark.parametrize("name, target, opts", SAMPLED_Q_CASES, ids=[c[0] for c in SAMPLED_Q_CASES])
