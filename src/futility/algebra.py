@@ -114,6 +114,29 @@ class StructAlgebra:
         return tuple(tuple(sum(1 << k for k, _ in v) for v in block) for block in self.sparse)
 
     @cached_property
+    def arithmetic(self) -> tuple:
+        """The echelon pair of the domain (linalg.echelon_pair) and the
+        product in the same arithmetic, picked together once per algebra:
+        over QQ _int_multiply on int_tensor, which gives D times the product
+        of integer vectors; over F_2 _bit_multiply on bit_table, on packed
+        vectors; over every other F_p _int_multiply on sparse, unreduced,
+        which the pair's reduce takes mod p; over any other field
+        element_multiply, looked up at each call.  Each product is a nonzero
+        multiple of the true one in the pair's form, so every span it goes
+        into is the true span."""
+        pair = echelon_pair(self.dom)
+        if pair.reduce is int_reduce:
+            multiply = partial(_int_multiply, self.int_tensor, self.dim)
+        elif pair.reduce is bit_reduce:
+            multiply = partial(_bit_multiply, self.bit_table)
+        elif pair.reduce is fp_reduce:
+            multiply = partial(_int_multiply, self.sparse, self.dim)
+        else:
+            def multiply(u, v):
+                return element_multiply(self, u, v)
+        return pair, multiply
+
+    @cached_property
     def traces(self) -> tuple:
         """tau_k = Tr(e_k) = sum_m c_kmm, the trace of left multiplication by
         each basis vector; Tr(x) = sum_k x_k tau_k is linear in x."""
@@ -460,28 +483,6 @@ def invert_element(A: StructAlgebra, v):
     return x
 
 
-def _arithmetic(A: StructAlgebra):
-    """The echelon pair of A's domain (linalg.echelon_pair) and the product
-    of A in the same arithmetic, picked together: over QQ _int_multiply on
-    A.int_tensor, which gives D times the product of integer vectors; over
-    F_2 _bit_multiply on A.bit_table, on packed vectors; over every other
-    F_p _int_multiply on A.sparse, unreduced, which the pair's reduce takes
-    mod p; over any other field element_multiply.  Each product is a nonzero
-    multiple of the true one in the pair's form, so every span it goes into
-    is the true span."""
-    pair = echelon_pair(A.dom)
-    if pair.reduce is int_reduce:
-        multiply = partial(_int_multiply, A.int_tensor, A.dim)
-    elif pair.reduce is bit_reduce:
-        multiply = partial(_bit_multiply, A.bit_table)
-    elif pair.reduce is fp_reduce:
-        multiply = partial(_int_multiply, A.sparse, A.dim)
-    else:
-        def multiply(u, v):
-            return element_multiply(A, u, v)
-    return pair, multiply
-
-
 def closure(A: StructAlgebra, span: Subspace, queue, ideal: bool = False) -> Subspace:
     """The least subalgebra of A (or with ideal=True, the least two-sided
     ideal) containing span and the queued vectors, where span is already a
@@ -501,7 +502,7 @@ def closure_form(A: StructAlgebra, base, queue, ideal: bool = False, found=None)
     r that leaves the span is adjoined and its products are queued: for a
     subalgebra, r times each spanning vector met so far and itself; for an
     ideal, r times each basis vector.  Products are taken on both sides only
-    when A is not commutative, in the pair's arithmetic (_arithmetic), and
+    when A is not commutative, in the pair's arithmetic (A.arithmetic), and
     products inside the closed starting span are never formed.  When the
     starting span of a subalgebra contains the unit, the products by its
     unit row are not formed either (_unit_free_rows); the zero span of a
@@ -516,7 +517,7 @@ def closure_form(A: StructAlgebra, base, queue, ideal: bool = False, found=None)
     least subalgebra holding both, lies in the member P: it is P.  This
     needs one queued vector and canonical rows after every step: a pair
     whose finish leaves the form as it is, every F_p pair, not QQ's."""
-    (enter, reduce, grow, finish, aux, _, nonzero), multiply = _arithmetic(A)
+    (enter, reduce, grow, finish, aux, _, nonzero), multiply = A.arithmetic
     both_sides = not A.is_commutative
     rows, pivots = base
     if ideal:
@@ -590,7 +591,7 @@ def generated_by_element(A: StructAlgebra, a, base, found=None) -> tuple[tuple, 
     walk that stops short is back-substituted once, by the pair's finish.
     The residuals, and so the walk, depend on the spans alone.
 
-    Products are taken in the pair's arithmetic (_arithmetic): over QQ
+    Products are taken in the pair's arithmetic (A.arithmetic): over QQ
     through A.int_tensor, over F_2 through A.bit_table, and over any other
     F_p through A.sparse, unreduced.  Each is a nonzero multiple of the true
     product, so each span is unchanged.  Any other domain raises
@@ -599,7 +600,7 @@ def generated_by_element(A: StructAlgebra, a, base, found=None) -> tuple[tuple, 
         raise UnsupportedDomain("single-element closures run over the rationals and F_p")
     if a >> A.dim if type(a) is int else len(a) != A.dim:
         raise DimensionMismatch("coordinate length differs from dimension")
-    (_, reduce, grow, finish, aux, _, nonzero), multiply = _arithmetic(A)
+    (_, reduce, grow, finish, aux, _, nonzero), multiply = A.arithmetic
     rows, pivots = base
     others = _unit_free_rows(A, rows, pivots)
     cur = a
@@ -754,7 +755,7 @@ def minimal_polynomial(A: StructAlgebra, a, ideal: Subspace | None = None) -> Po
     is then a multiple of the least-degree f, made monic once it leaves the
     pair's arithmetic.
 
-    Products v*a are taken in the pair's arithmetic (_arithmetic).  Over QQ
+    Products v*a are taken in the pair's arithmetic (A.arithmetic).  Over QQ
     a is scaled by its common denominator d, and the product through
     A.int_tensor is D*d times v*a, so the shifted coefficient part is
     scaled by D*d to match.  Over F_2 a row is one packed int, v in bits
@@ -766,7 +767,7 @@ def minimal_polynomial(A: StructAlgebra, a, ideal: Subspace | None = None) -> Po
         raise DimensionMismatch("coordinate length differs from dimension")
     if ideal is None:
         ideal = zero_subspace(dom, n)
-    (enter, reduce, grow, _, aux, leave, nonzero), multiply = _arithmetic(A)
+    (enter, reduce, grow, _, aux, leave, nonzero), multiply = A.arithmetic
     if type(dom) is RationalField:
         d = math.lcm(*(c.denominator for c in a))
         a = [c.numerator * (d // c.denominator) for c in a]

@@ -88,7 +88,9 @@ class AlgebraScalarDomain(ScalarDomain):
     @cached_property
     def _structure(self):
         # RatFunc values do not hash, so levels are told apart by the printed
-        # form of their table and unit: equal forms mean equal levels.
+        # form of their table and unit: equal forms mean equal levels.  A
+        # level equals itself by identity (ScalarDomain.__eq__), so this is
+        # printed only when two distinct level objects are compared.
         return (self.A.dom, repr(self.A.table), repr(self.A.unit))
 
     def _key(self):

@@ -11,7 +11,12 @@ Domains are lightweight descriptor objects with a common method surface
 
 Rational function values are deliberately not reduced to lowest terms;
 equality is decided by cross-multiplication.  A cheap monomial-content trim
-keeps sizes bounded at the scale this package works at.
+keeps sizes bounded at the scale this package works at.  FunctionField.add
+returns the other summand as it is when one is zero, and add and mul build
+a sum or product of two values over denominator 1 as the numerators' sum or
+product over 1; neither calls ratfunc, which is idempotent on its own
+output and so would give the same num and den tuples.  Tower coefficients
+are mostly polynomials, so these are the common case.
 """
 
 from __future__ import annotations
@@ -165,8 +170,8 @@ class RatFunc:
     """Quotient of two multivariate polynomials over F_p; not reduced.
 
     Values are built by ratfunc (FunctionField.neg and the shortcuts in
-    FunctionField.mul keep its form): num and den share no monomial factor,
-    and den's top coefficient is 1."""
+    FunctionField.add and mul keep its form): num and den share no monomial
+    factor, and den's top coefficient is 1."""
 
     p: int
     nvars: int
@@ -234,7 +239,8 @@ class ScalarDomain:
         raise NotImplementedError
 
     def __eq__(self, other):
-        return type(self) is type(other) and self._key() == other._key()
+        # identity first: a tower level's key is the printed form of its table
+        return self is other or type(self) is type(other) and self._key() == other._key()
 
     def __hash__(self):
         return hash((type(self).__name__, self._key()))
@@ -423,14 +429,23 @@ class FunctionField(ScalarDomain):
         return self._wrap(mp_var(i, self.p, self.nvars))
 
     def add(self, a: RatFunc, b: RatFunc):
-        # Over denominator 1 the full formula's num*1 + num*1 over 1*1 is
-        # the sum of the numerators over 1.  Other equal denominators keep
-        # the full formula: ratfunc takes no gcd, so a/d + b/d and
-        # (a*d + b*d)/(d*d) can differ as tuples.
-        if a.den == self._one and b.den == self._one:
-            return self._wrap(mp_add(a.num, b.num, self.p))
-        num = mp_add(mp_mul(a.num, b.den, self.p), mp_mul(b.num, a.den, self.p), self.p)
-        return self._wrap(num, mp_mul(a.den, b.den, self.p))
+        # Every RatFunc comes out of ratfunc or a shortcut that keeps its
+        # form, and ratfunc is idempotent on its own output, so two returns
+        # skip it with the full formula's tuples.  A zero summand, always
+        # 0/1, leaves the other summand as it is.  Over denominator 1 the
+        # full formula's num*1 + num*1 over 1*1 is the sum of the numerators
+        # over 1, with no monomial content to trim and top coefficient 1.
+        # Other equal denominators keep the full formula: ratfunc takes no
+        # gcd, so a/d + b/d and (a*d + b*d)/(d*d) can differ as tuples.
+        one, p = self._one, self.p
+        if not a.num:
+            return b
+        if not b.num:
+            return a
+        if a.den == one and b.den == one:
+            return RatFunc(p, self.nvars, mp_add(a.num, b.num, p), one)
+        num = mp_add(mp_mul(a.num, b.den, p), mp_mul(b.num, a.den, p), p)
+        return self._wrap(num, mp_mul(a.den, b.den, p))
 
     def sub(self, a, b):
         return self.add(a, self.neg(b))
@@ -439,8 +454,10 @@ class FunctionField(ScalarDomain):
         # With a zero factor, or a canonical constant c = ((0, ..), c)/1 as a
         # factor (c = 1 included), the full product's ratfunc has nothing to
         # trim or normalize: the other factor came out of ratfunc, and
-        # scaling its numerator by c keeps its monomials.  So the shortcut
-        # gives the same RatFunc, num and den tuples included.
+        # scaling its numerator by c keeps its monomials.  Two factors over
+        # 1 give the product of the numerators over 1, which has no content
+        # to trim and top coefficient 1.  So each shortcut gives the same
+        # RatFunc, num and den tuples included.
         one, p = self._one, self.p
         if not a.num or not b.num:
             return RatFunc(p, self.nvars, (), one)
@@ -448,6 +465,8 @@ class FunctionField(ScalarDomain):
             other, c = a, b.num[0][1]
         elif a.den == one and len(a.num) == 1 and a.num[0][0] == one[0][0]:
             other, c = b, a.num[0][1]
+        elif a.den == one and b.den == one:
+            return RatFunc(p, self.nvars, mp_mul(a.num, b.num, p), one)
         else:
             return self._wrap(mp_mul(a.num, b.num, p), mp_mul(a.den, b.den, p))
         num = other.num if c == 1 else mp_scale(other.num, c, p)

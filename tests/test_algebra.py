@@ -63,7 +63,7 @@ from futility.polynomials import factor_over_rationals, make_poly, pmul, poly_to
 import reference_local
 from reference_closure import span_and_multiply
 from reference_tables import change_of_basis, scan_with_blocks, upper_triangular_algebra
-from reference_tower import exact, frobenius_chain_on_rows
+from reference_tower import algebra_outcome, both_ways, case_outcome, exact, frobenius_chain_on_rows, tower_documents
 
 F2 = PrimeField(2)
 F3 = PrimeField(3)
@@ -1278,17 +1278,12 @@ def test_extend_by_poly_deep_chain():
     assert [c.dim for c in frobenius_chain(tower_deep_chain())] == [4, 2, 1]
 
 
+TOWER_DOCUMENTS = tower_documents((1, 2, 3))
+
+
 def every_tower():
-    """Each tower of the corpus, of the decide-only documents of seeds 1-3 and
-    of TIER1_TOWERS."""
-    out = []
-    for path in sorted((CORPUS / "field-extension").glob("*.case")):
-        out.append(pytest.param(build_case(parse_case(path.read_text())).payload, id=f"corpus/{path.stem}"))
-    for seed in (1, 2, 3):
-        for case in make_cases("decide-only", seed, ROOT):
-            if "tower" in case.case_id:
-                A = build_case(parse_case(case.text)).payload
-                out.append(pytest.param(A, id=f"seed{seed}/{case.case_id.removeprefix('decide-only/')}"))
+    """Each tower of TOWER_DOCUMENTS and of TIER1_TOWERS."""
+    out = [pytest.param(build_case(parse_case(text)).payload, id=name) for name, text in TOWER_DOCUMENTS]
     out += [pytest.param(build(), id=f"tier1/{name}") for name, build in TIER1_TOWERS.items()]
     return out
 
@@ -1300,6 +1295,31 @@ def test_frobenius_chain_matches_the_chain_on_reduced_rows(L):
     assert [(s.rows, s.pivots) for s in chain] == [(s.rows, s.pivots) for s in want]
     # the reduced echelon form is canonical: the same RatFunc tuples too
     assert [exact(s.rows) for s in chain] == [exact(s.rows) for s in want]
+
+
+@pytest.mark.parametrize("text", [t for _, t in TOWER_DOCUMENTS], ids=[n for n, _ in TOWER_DOCUMENTS])
+def test_a_tower_is_built_and_decided_as_with_the_reference_arithmetic(text):
+    """FunctionField.add and mul skip ratfunc where it cannot change a
+    value's tuples; with reference_add and reference_mul, which never skip
+    it there, each table, unit, Frobenius chain member and decide report is
+    the same, num and den tuples included."""
+    got, want = both_ways(case_outcome, text)
+    assert got == want
+
+
+@pytest.mark.parametrize("build", TIER1_TOWERS.values(), ids=TIER1_TOWERS.keys())
+def test_a_tier1_tower_is_built_as_with_the_reference_arithmetic(build):
+    got, want = both_ways(lambda b: algebra_outcome(b()), build)
+    assert got == want
+
+
+def test_a_level_equals_itself_without_printing_its_table():
+    L = tower_two_variable()
+    level = AlgebraScalarDomain(L)
+    assert level == level and "_structure" not in vars(level)
+    # two level objects of one algebra compare by their printed tables
+    assert level == AlgebraScalarDomain(L) and "_structure" in vars(level)
+    assert level != AlgebraScalarDomain(tower_f2t_x2_minus_t())
 
 
 def test_frobenius_chain_refuses_a_noncommutative_algebra():
@@ -1412,6 +1432,21 @@ def test_element_power_forms_one_product_per_square_and_set_bit(monkeypatch, A):
         assert element_power(A, u, n) == naive[n]
         assert len(calls) == (n.bit_length() - 1) + (bin(n).count("1") - 1)
         assert all(A.unit not in pair for pair in calls)
+
+
+def test_the_arithmetic_is_formed_once_and_looks_element_multiply_up_per_call(monkeypatch):
+    A = tower_f2t_x2_minus_t()
+    _, multiply = A.arithmetic
+    assert A.arithmetic is A.arithmetic
+    calls = []
+    real = algebra_module.element_multiply
+    monkeypatch.setattr(algebra_module, "element_multiply", lambda B, x, y: calls.append((B, x, y)) or real(B, x, y))
+    u = A.basis_vector(1)
+    assert exact(multiply(u, u)) == exact(real(A, u, u))
+    assert calls == [(A, u, u)]
+    # closure_form reads the cached product, so the wrapper sees its products
+    closure_form(A, ((), ()), [u])
+    assert len(calls) > 1
 
 
 # --- invariance under change of basis ----------------------------------------------

@@ -23,6 +23,7 @@ from futility.domains import (
 )
 from futility.errors import DomainMismatch, NotInvertible
 from futility.polynomials import _powmod, make_poly, pconst, pmul, poly_kernel, ppow
+from reference_tower import reference_add, reference_mul
 
 
 def test_invert_identity_rational():
@@ -261,6 +262,73 @@ def test_function_field_add_keeps_the_full_sum_representation(case):
     K, a, b = case
     got, want = K.add(a, b), full_sum(K, a, b)
     assert (got.p, got.nvars, got.num, got.den) == (want.p, want.nvars, want.num, want.den)
+
+
+SHORTCUT_FIELDS = [FunctionField(2, ("t",)), FunctionField(3, ("s", "t")), FunctionField(5, ("t",))]
+
+
+@st.composite
+def shortcut_operands(draw):
+    """A field of SHORTCUT_FIELDS and two of its elements, each a zero (made
+    three ways), a nonzero constant, a polynomial or a quotient by another
+    denominator; half the time the second is the negation of the first, so
+    that their sum cancels to zero."""
+    K = draw(st.sampled_from(SHORTCUT_FIELDS))
+    exps = st.tuples(*[st.integers(0, 3)] * K.nvars)
+    terms = st.dictionaries(exps, st.integers(1, K.p - 1), min_size=1, max_size=4)
+    # times a monomial, so that numerators and denominators often share one
+    polys = st.builds(lambda d, e: mp_mul(mp_canon(d, K.p), ((e, 1),), K.p), terms, exps)
+
+    def element():
+        kind = draw(st.sampled_from(["zero", "cancelled", "negated zero", "constant", "polynomial", "quotient"]))
+        if kind == "zero":
+            return K.zero
+        if kind == "cancelled":
+            x = ratfunc(K.p, K.nvars, draw(polys), draw(polys))
+            return K.sub(x, x)
+        if kind == "negated zero":
+            return K.neg(K.zero)
+        if kind == "constant":
+            return K.from_int(draw(st.integers(1, K.p - 1)))
+        return ratfunc(K.p, K.nvars, draw(polys), K._one if kind == "polynomial" else draw(polys))
+
+    a = element()
+    b = K.neg(a) if draw(st.booleans()) else element()
+    return K, a, b
+
+
+def tuples_of(x):
+    return x.p, x.nvars, x.num, x.den
+
+
+@settings(max_examples=400)
+@given(shortcut_operands())
+def test_function_field_arithmetic_keeps_the_tuples_of_ratfunc_on_every_result(case):
+    """add returns a summand when the other is zero and builds a sum or
+    product over denominator 1 with no ratfunc; every sum, difference and
+    product must still be the reference's RatFunc, which calls ratfunc
+    there, num and den tuples included."""
+    K, a, b = case
+    pairs = [
+        (K.add(a, b), reference_add(K, a, b)),
+        (K.add(b, a), reference_add(K, b, a)),
+        (K.sub(a, b), reference_add(K, a, K.neg(b))),
+        (K.sub(b, a), reference_add(K, b, K.neg(a))),
+        (K.mul(a, b), reference_mul(K, a, b)),
+        (K.mul(b, a), reference_mul(K, b, a)),
+        (K.neg(K.add(a, b)), K.neg(reference_add(K, a, b))),
+    ]
+    for got, want in pairs:
+        assert tuples_of(got) == tuples_of(want)
+    if a == K.neg(b):
+        assert tuples_of(K.add(a, b)) == tuples_of(K.zero)
+
+
+@pytest.mark.parametrize("K", SHORTCUT_FIELDS, ids=repr)
+def test_a_zero_summand_returns_the_other_as_it_is(K):
+    x = K.variable(K.var_names[-1])
+    for other in (x, K.inv(K.add(x, K.one)), K.one, K.zero):
+        assert K.add(K.zero, other) is other and K.add(other, K.zero) is other
 
 
 def test_function_field_add_with_a_shared_denominator_keeps_the_full_formula():

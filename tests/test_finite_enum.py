@@ -25,10 +25,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import futility.algebra as algebra_module
 import futility.finite_enum as finite_enum_module
 import futility.sampler as sampler_module
 from futility.algebra import (
+    StructAlgebra,
     closure,
     closure_form,
     commutator_ideal,
@@ -413,20 +413,21 @@ def test_walks_return_the_same_form_with_and_without_found(A, data):
 
 
 def spy_products(monkeypatch) -> list:
-    """Every pair of factors of a product that algebra._arithmetic's product
-    forms from now on."""
-    real = algebra_module._arithmetic
+    """Every pair of factors of a product that StructAlgebra.arithmetic's
+    product forms from now on, on algebras whose arithmetic is cached
+    already too."""
+    real = StructAlgebra.__dict__["arithmetic"]
     products = []
 
     def arithmetic(A):
-        pair, multiply = real(A)
+        pair, multiply = real.__get__(A, StructAlgebra)
 
         def spied(u, v):
             products.append((u, v))
             return multiply(u, v)
         return pair, spied
 
-    monkeypatch.setattr(algebra_module, "_arithmetic", arithmetic)
+    monkeypatch.setattr(StructAlgebra, "arithmetic", property(arithmetic))
     return products
 
 
